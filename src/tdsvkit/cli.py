@@ -16,30 +16,15 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .core import TrialLabel
-from .errors import ConfigInvalid, TdsvError, UnlabeledRecords
+from .errors import ConfigInvalid, DuplicateId, TdsvError, UnlabeledRecords
 from .metrics import SUBSETS, DcfParams, SubsetMode, det_points, eer, min_dcf, select_subset
 from .scoring import build_enrollment, score_all
 from .synth import SimConfig, SpaceSpec, gen_dataset
 from .textgate import GateConfig
 from . import tsvio
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one scoring run."""
-
-    spaces: Tuple[Tuple[str, str], ...]  # (name, embeddings path) in declared order
-    trials_path: str
-    enrollmap_path: str
-    phrases_path: str
-    transcripts_path: str
-    out_path: str
-    gate: GateConfig
-    strict: bool = True
 
 
 def _parse_space_args(pairs) -> Tuple[Tuple[str, str], ...]:
@@ -65,6 +50,8 @@ def _load_labeled_scores(scores_path, trials_path) -> list:
     records = tsvio.parse_scores(scores_path)
     labels = {}
     for trial in tsvio.parse_trials(trials_path):
+        if trial.trial_id in labels:
+            raise DuplicateId(f"{trials_path}: duplicate trial id '{trial.trial_id}'")
         labels[trial.trial_id] = trial.label
     labeled = []
     for rec in records:
@@ -80,33 +67,26 @@ def _load_labeled_scores(scores_path, trials_path) -> list:
 
 
 def cmd_score(args) -> int:
-    cfg = RunConfig(
-        spaces=_parse_space_args(args.embeddings),
-        trials_path=args.trials,
-        enrollmap_path=args.enrollmap,
-        phrases_path=args.phrases,
-        transcripts_path=args.transcripts,
-        out_path=args.out,
-        gate=GateConfig(args.cer_threshold, args.punitive_score),
-        strict=args.strict,
-    )
-    trials = tsvio.parse_trials(cfg.trials_path)
-    entries = tsvio.parse_enrollmap(cfg.enrollmap_path)
-    phrases = tsvio.parse_phrases(cfg.phrases_path)
-    transcripts = tsvio.parse_transcripts(cfg.transcripts_path)
-    space_order = [name for name, _ in cfg.spaces]
+    spaces = _parse_space_args(args.embeddings)
+    gate_cfg = GateConfig(args.cer_threshold, args.punitive_score)
+    trials = tsvio.parse_trials(args.trials)
+    entries = tsvio.parse_enrollmap(args.enrollmap)
+    phrases = tsvio.parse_phrases(args.phrases)
+    transcripts = tsvio.parse_transcripts(args.transcripts)
+    space_order = [name for name, _ in spaces]
     tables = {}
-    for name, path in cfg.spaces:
+    for name, path in spaces:
         tables[name], _ = tsvio.parse_embeddings(path)
 
     enrollments = {}
+    build_errors = {}  # lenient: model id -> why it was left out
     for entry in entries.values():
         try:
             enrollments[entry.model_id] = build_enrollment(entry, tables, space_order)
-        except TdsvError:
-            if cfg.strict:
+        except TdsvError as exc:
+            if args.strict:
                 raise
-            # lenient: model left out; its trials get skipped with a reason
+            build_errors[entry.model_id] = exc
 
     run = score_all(
         trials,
@@ -114,11 +94,12 @@ def cmd_score(args) -> int:
         tables,
         transcripts,
         phrases,
-        cfg.gate,
+        gate_cfg,
         space_order,
-        strict=cfg.strict,
+        strict=args.strict,
+        enroll_errors=build_errors,
     )
-    tsvio.write_scores(run.records, cfg.out_path)
+    tsvio.write_scores(run.records, args.out)
     for trial_id, reason in run.skipped:
         print(f"skip {trial_id}: {reason}", file=sys.stderr)
     print(f"scored={len(run.records)}")

@@ -72,7 +72,7 @@ def as_embedding(values) -> np.ndarray:
         raise DimensionMismatch(
             f"embedding must be a 1-D vector of dim >= 1, got shape {v.shape}"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DegenerateVector("embedding contains NaN or infinite values")
     return v
 

@@ -80,8 +80,11 @@ def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance over unicode code points after NFC normalization.
 
     Minimum number of single-character insertions, deletions, and
-    substitutions transforming a into b. O(len(a) * len(b)) time with a
-    two-row table over the shorter string.
+    substitutions transforming a into b. Bit-parallel: Myers' algorithm
+    (JACM 46(3), 1999) in Hyyrö's edit-distance form, with one Python int
+    per DP column as the bit vector of vertical deltas over the shorter
+    string (the pattern, m code points). O(ceil(m/w) * n) word operations
+    for the longer string of n code points and machine word size w.
     """
     a = unicodedata.normalize("NFC", a)
     b = unicodedata.normalize("NFC", b)
@@ -91,13 +94,31 @@ def edit_distance(a: str, b: str) -> int:
         a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    # peq[c]: bit i set iff pattern position i holds c
+    peq = {}
+    bit = 1
+    for ch in b:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, dist = mask, 0, len(b)  # vertical +1 / -1 deltas; D[m][0]
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)  # horizontal +1 deltas (unmasked)
+        mh = pv & xh  # horizontal -1 deltas
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # row 0 of the table is D[0][j] = j: shift in a +1 delta
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return dist
 
 
 def cer(hypothesis: str, reference: str) -> float:

@@ -54,8 +54,43 @@ def _lines(f, start: int = 1):
             yield n, line
 
 
+def _finite_field(path, n: int, col: int, token: str) -> float:
+    """Parse one float field of line n; nan and infinities are rejected."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise UnparseableFloat(path, n, f"column {col}: {token!r} is not a float") from None
+    if not math.isfinite(value):
+        raise UnparseableFloat(path, n, f"column {col}: non-finite value {token!r}")
+    return value
+
+
+def _scan_embedding_row(path, n: int, line: str, dim: int, table) -> np.ndarray:
+    """Check one embedding row field by field, raising the first problem in
+    column order; returns the row's values when there is none."""
+    if "\t" not in line:
+        raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
+    utt_id, rest = line.split("\t", 1)
+    if not utt_id:
+        raise MalformedLine(path, n, "empty id field")
+    if utt_id in table:
+        raise DuplicateId(f"{path}:{n}: duplicate id '{utt_id}'")
+    tokens = rest.split(" ")
+    values = np.empty(len(tokens), dtype=np.float64)
+    for col, token in enumerate(tokens, start=1):
+        values[col - 1] = _finite_field(path, n, col, token)
+    if values.size != dim:
+        raise DimMismatch(path, n, f"expected {dim} values, got {values.size}")
+    return values
+
+
 def parse_embeddings(path) -> Tuple[dict, int]:
-    """Read one embedding space; returns (id -> float64 vector, declared dim)."""
+    """Read one embedding space; returns (id -> float64 vector, declared dim).
+
+    Each row is parsed in one call and checked once as a whole; a row that
+    fails that check is re-scanned value by value, so the diagnostic names
+    the same line and column as a per-value parse would.
+    """
     table = {}
     with open(path, encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
@@ -66,29 +101,19 @@ def parse_embeddings(path) -> Tuple[dict, int]:
         if dim < 1:
             raise BadHeader(path, 1, f"declared dim must be >= 1, got {dim}")
         for n, line in _lines(f, start=2):
-            if "\t" not in line:
-                raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
-            utt_id, rest = line.split("\t", 1)
-            if not utt_id:
-                raise MalformedLine(path, n, "empty id field")
-            if utt_id in table:
-                raise DuplicateId(f"{path}:{n}: duplicate id '{utt_id}'")
-            tokens = rest.split(" ")
-            values = np.empty(len(tokens), dtype=np.float64)
-            for col, token in enumerate(tokens, start=1):
-                try:
-                    value = float(token)
-                except ValueError:
-                    raise UnparseableFloat(
-                        path, n, f"column {col}: {token!r} is not a float"
-                    ) from None
-                if not math.isfinite(value):
-                    raise UnparseableFloat(
-                        path, n, f"column {col}: non-finite value {token!r}"
-                    )
-                values[col - 1] = value
-            if values.size != dim:
-                raise DimMismatch(path, n, f"expected {dim} values, got {values.size}")
+            utt_id, tab, rest = line.partition("\t")
+            try:
+                values = np.fromiter(map(float, rest.split(" ")), np.float64)
+            except ValueError:
+                values = None
+            if (
+                values is None
+                or values.size != dim
+                or not np.isfinite(values).all()
+                or not (tab and utt_id)
+                or utt_id in table
+            ):
+                values = _scan_embedding_row(path, n, line, dim, table)
             table[utt_id] = values
     return table, dim
 
@@ -231,22 +256,12 @@ def parse_scores(path) -> list:
             if trial_id in seen:
                 raise DuplicateId(f"{path}:{n}: duplicate trial id '{trial_id}'")
             seen.add(trial_id)
-            try:
-                score = float(score_s)
-            except ValueError:
-                raise UnparseableFloat(
-                    path, n, f"column 2: {score_s!r} is not a float"
-                ) from None
+            score = _finite_field(path, n, 2, score_s)
             if flag not in ("PASS", "PUNITIVE"):
                 raise MalformedLine(
                     path, n, f"gate flag must be PASS or PUNITIVE, got {flag!r}"
                 )
-            try:
-                cer_value = float(cer_s)
-            except ValueError:
-                raise UnparseableFloat(
-                    path, n, f"column 4: {cer_s!r} is not a float"
-                ) from None
+            cer_value = _finite_field(path, n, 4, cer_s)
             records.append(
                 ScoreRecord(trial_id, score, GateOutcome(flag == "PASS", cer_value))
             )

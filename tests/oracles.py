@@ -1,16 +1,30 @@
 """Independent reference implementations used to cross-check the package.
 
 Deliberately written the slow, obvious way: a full-matrix dynamic program
-for edit distance and a pure-Python enumerator over every midpoint threshold
-for the detection metrics (per-threshold counting via binary search so the
-acceptance-scale runs stay inside their time budget). Nothing here imports
-the modules under test beyond the public record types.
+for edit distance, a value-by-value embedding file parser, and a pure-Python
+enumerator over every midpoint threshold for the detection metrics
+(per-threshold counting via binary search so the acceptance-scale runs stay
+inside their time budget). Nothing here imports the modules under test
+beyond the public record and error types.
 """
 
+import math
+import re
 import unicodedata
 from bisect import bisect_left
 
-from tdsvkit import GateOutcome, ScoreRecord, TrialLabel
+import numpy as np
+
+from tdsvkit import (
+    BadHeader,
+    DimMismatch,
+    DuplicateId,
+    GateOutcome,
+    MalformedLine,
+    ScoreRecord,
+    TrialLabel,
+    UnparseableFloat,
+)
 
 
 def edit_distance_ref(a: str, b: str) -> int:
@@ -32,6 +46,49 @@ def edit_distance_ref(a: str, b: str) -> int:
                 d[i - 1][j - 1] + cost,
             )
     return d[n][m]
+
+
+def parse_embeddings_ref(path):
+    """Embedding file parsed value by value: (id -> vector, dim), or the
+    per-line diagnostic of the first bad line, checked in the order tab,
+    empty id, duplicate id, each value left to right, value count."""
+    table = {}
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    header = lines[0]
+    m = re.fullmatch(r"#dim (\d+)", header)
+    if m is None:
+        raise BadHeader(path, 1, f"expected '#dim <D>' header, got {header!r}")
+    dim = int(m.group(1))
+    if dim < 1:
+        raise BadHeader(path, 1, f"declared dim must be >= 1, got {dim}")
+    for n, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
+        utt_id, rest = line.split("\t", 1)
+        if not utt_id:
+            raise MalformedLine(path, n, "empty id field")
+        if utt_id in table:
+            raise DuplicateId(f"{path}:{n}: duplicate id '{utt_id}'")
+        values = []
+        for col, token in enumerate(rest.split(" "), start=1):
+            try:
+                value = float(token)
+            except ValueError:
+                raise UnparseableFloat(
+                    path, n, f"column {col}: {token!r} is not a float"
+                ) from None
+            if not math.isfinite(value):
+                raise UnparseableFloat(
+                    path, n, f"column {col}: non-finite value {token!r}"
+                )
+            values.append(value)
+        if len(values) != dim:
+            raise DimMismatch(path, n, f"expected {dim} values, got {len(values)}")
+        table[utt_id] = np.array(values, dtype=np.float64)
+    return table, dim
 
 
 def sweep_ref(targets, nontargets):

@@ -370,6 +370,13 @@ _MALFORMED_CASES = [
      {"scores.tsv": "t1\t0.5\tMAYBE\t0.0000\n"}, [], "MalformedLine"),
     ("score value not a float", "evaluate",
      {"scores.tsv": "t1\tzebra\tPASS\t0.0000\n"}, [], "UnparseableFloat"),
+    ("score value not finite", "evaluate",
+     {"scores.tsv": "t1\tnan\tPASS\t0.0000\n"}, [], "UnparseableFloat"),
+    ("cer value not finite", "evaluate",
+     {"scores.tsv": "t1\t0.5\tPASS\tinf\n"}, [], "UnparseableFloat"),
+    ("labeled trial listed twice", "evaluate",
+     {"trials.tsv": "t1\tm1\tu1\tTC\nt2\tm2\tu2\tIC\nt1\tm1\tu1\tIW\n"},
+     [], "DuplicateId"),
     ("duplicate score id", "evaluate",
      {"scores.tsv": "t1\t0.5\tPASS\t0.0000\nt1\t0.4\tPASS\t0.0000\n"},
      [], "DuplicateId"),

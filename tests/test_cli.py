@@ -190,6 +190,82 @@ class TestStrictLenient:
         assert "skip trl00003" in err
         assert len(scores.read_text(encoding="utf-8").splitlines()) == 39
 
+    def test_lenient_reports_enrollment_build_error(self, tmp_path):
+        data = simulate(tmp_path, seed=5)
+        trial_line = (data / "trials.tsv").read_text(encoding="utf-8").splitlines()[1]
+        trial_id, model_id = trial_line.split("\t")[:2]
+        emb = data / "embeddings_beta.tsv"
+        rep = f"{model_id}-rep1"
+        lines = emb.read_text(encoding="utf-8").splitlines()
+        emb.write_text(
+            "\n".join(l for l in lines if not l.startswith(rep + "\t")) + "\n",
+            encoding="utf-8",
+        )
+        reason = (
+            f"MissingSpace: repetition '{rep}' of model '{model_id}' "
+            "missing from space 'beta'"
+        )
+        scores = tmp_path / "scores.tsv"
+        code, _, err = run_cli(score_args(data, scores))
+        assert code == 1
+        assert err == f"error={reason}\n"
+        code, out, err = run_cli(score_args(data, scores) + ["--lenient"])
+        assert code == 0
+        skips = err.splitlines()
+        assert f"skip {trial_id}: {reason}" in skips
+        assert all(line.endswith(f": {reason}") for line in skips)
+        assert int(report_dict(out)["skipped"]) == len(skips) >= 1
+
+    def test_lenient_skips_duplicate_trial_id(self, tmp_path):
+        data = simulate(tmp_path, seed=5)
+        trials = data / "trials.tsv"
+        first = trials.read_text(encoding="utf-8").splitlines()[0]
+        with open(trials, "a", encoding="utf-8") as f:
+            f.write(first + "\n")
+        code, out, err = run_cli(score_args(data, tmp_path / "s.tsv") + ["--lenient"])
+        assert code == 0
+        assert report_dict(out) == {"scored": "40", "skipped": "1"}
+        trial_id = first.split("\t")[0]
+        assert err == f"skip {trial_id}: DuplicateId: duplicate trial id '{trial_id}'\n"
+
+
+class TestEvaluateInputs:
+    def _files(self, tmp_path, scores, trials):
+        (tmp_path / "scores.tsv").write_text(scores, encoding="utf-8")
+        (tmp_path / "trials.tsv").write_text(trials, encoding="utf-8")
+        return [
+            "--scores", str(tmp_path / "scores.tsv"),
+            "--trials", str(tmp_path / "trials.tsv"),
+        ]
+
+    def test_nonfinite_score_rejected(self, tmp_path):
+        files = self._files(
+            tmp_path,
+            "t1\tnan\tPASS\t0.0000\nt2\t0.5\tPASS\t0.0000\nt3\t0.1\tPASS\t0.0000\n",
+            "t1\tm1\tu1\tTC\nt2\tm1\tu2\tTC\nt3\tm2\tu3\tIW\n",
+        )
+        for cmd in (["evaluate"], ["det", "--out", str(tmp_path / "det.tsv")]):
+            code, out, err = run_cli(cmd + files)
+            assert code == 1
+            assert out == ""
+            assert err == (
+                f"error=UnparseableFloat: {tmp_path / 'scores.tsv'}:1: "
+                "column 2: non-finite value 'nan'\n"
+            )
+
+    def test_duplicate_labeled_trial_rejected(self, tmp_path):
+        files = self._files(
+            tmp_path,
+            "t1\t0.9\tPASS\t0.0000\nt2\t0.1\tPASS\t0.0000\n",
+            "t1\tm1\tu1\tTC\nt2\tm2\tu2\tIW\nt1\tm1\tu1\tIW\n",
+        )
+        for cmd in (["evaluate"], ["det", "--out", str(tmp_path / "det.tsv")]):
+            code, out, err = run_cli(cmd + files)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error=DuplicateId:")
+            assert "'t1'" in err
+
 
 class TestErrorContract:
     def test_missing_file_is_io_error(self, tmp_path):

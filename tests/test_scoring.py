@@ -350,3 +350,114 @@ class TestScoreRecord:
         labeled = dataclasses.replace(run.records[0], label=TrialLabel.TC)
         assert labeled.label is TrialLabel.TC
         assert labeled.score == run.records[0].score
+
+
+class TestBatchPath:
+    def test_matches_fused_cosine_per_trial(self):
+        rng = np.random.default_rng(34)
+        order = ["a", "b", "c"]
+        dims = {"a": 16, "b": 7, "c": 33}
+        tables = {s: {} for s in order}
+        phrases = {"p1": Phrase("p1", "open the door")}
+        models, trials, transcripts = {}, [], {}
+        for m in range(5):
+            reps = tuple(f"m{m}r{i}" for i in range(3))
+            for s in order:
+                for rid in reps:
+                    tables[s][rid] = rng.standard_normal(dims[s])
+            models[f"m{m}"] = build_enrollment(EnrollEntry(f"m{m}", "p1", reps), tables, order)
+        for i in range(60):
+            uid = f"u{i}"
+            for s in order:
+                tables[s][uid] = rng.standard_normal(dims[s]) * rng.uniform(0.1, 10.0)
+            text = "open the door" if i % 3 else "open the dour"
+            transcripts[uid] = Transcript(uid, text)
+            trials.append(Trial(f"t{i}", f"m{i % 5}", uid))
+        run = score_all(trials, models, tables, transcripts, phrases, GateConfig(), order)
+        assert len(run.records) == 60
+        for trial, rec in zip(trials, run.records):
+            model = models[trial.model_id]
+            fused = cosine(
+                fuse([model.centroid_per_space[s] for s in order]).values,
+                fuse([tables[s][trial.test_id] for s in order]).values,
+            )
+            assert abs(rec.score - fused) <= 1e-12
+            assert type(rec.score) is float
+
+    def test_gate_runs_once_per_distinct_pair(self, monkeypatch):
+        from tdsvkit import scoring
+
+        calls = []
+        real_gate = scoring.gate
+
+        def counting_gate(hyp, phrase, cfg):
+            calls.append((hyp.text, phrase.text))
+            return real_gate(hyp, phrase, cfg)
+
+        monkeypatch.setattr(scoring, "gate", counting_gate)
+        tables, models, transcripts, phrases = _world_for_batch()
+        for i, text in enumerate(["open the door", "open the door", "shut it", "shut it"]):
+            uid = f"v{i}"
+            transcripts[uid] = Transcript(uid, text)
+            for space in tables:
+                tables[space][uid] = tables[space]["u1"]
+        trials = [Trial(f"t{i}", "m1", f"v{i}") for i in range(4)]
+        run = score_all(trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        assert sorted(calls) == [("open the door", "open the door"), ("shut it", "open the door")]
+        assert [r.gate.passed for r in run.records] == [True, True, False, False]
+
+    def test_degenerate_test_vector_only_matters_when_gate_passes(self):
+        tables, models, transcripts, phrases = _world_for_batch()
+        for space in tables:
+            tables[space]["z1"] = np.zeros(2)
+            tables[space]["z2"] = np.zeros(2)
+        transcripts["z1"] = Transcript("z1", "completely different words")
+        transcripts["z2"] = Transcript("z2", "open the door")
+        bad_first = [Trial("t1", "m1", "z2"), Trial("t2", "nope", "u1")]
+        with pytest.raises(DegenerateVector) as exc_info:
+            score_all(bad_first, models, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        assert str(exc_info.value) == "trial 't1': cannot normalize vector with norm 0.000e+00"
+        trials = [Trial("t0", "m1", "z1"), Trial("t1", "m1", "z2"), Trial("t2", "m1", "u1")]
+        run = score_all(
+            trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            strict=False,
+        )
+        assert [(r.trial_id, r.score) for r in run.records][0] == ("t0", -1.0)
+        assert [r.trial_id for r in run.records] == ["t0", "t2"]
+        assert run.skipped == [
+            ("t1", "DegenerateVector: cannot normalize vector with norm 0.000e+00")
+        ]
+
+    def test_dimension_mismatch(self):
+        tables, models, transcripts, phrases = _world_for_batch()
+        tables["a"]["u1"] = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match="trial 't1': cosine of dim 4 against dim 5"):
+            score_all(
+                [Trial("t1", "m1", "u1")], models, tables, transcripts, phrases,
+                GateConfig(), ["a", "b"],
+            )
+
+    def test_enroll_errors_stand_in_for_missing_model(self):
+        tables, models, transcripts, phrases = _world_for_batch()
+        build_error = MissingSpace("repetition 'r1' of model 'm2' missing from space 'b'")
+        trials = [Trial("t1", "m2", "u1"), Trial("t2", "m1", "u1"), Trial("t3", "m2", "u1")]
+        run = score_all(
+            trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            strict=False, enroll_errors={"m2": build_error},
+        )
+        reason = f"MissingSpace: {build_error}"
+        assert run.skipped == [("t1", reason), ("t3", reason)]
+        assert [r.trial_id for r in run.records] == ["t2"]
+        with pytest.raises(MissingSpace, match="^trial 't1': repetition 'r1'"):
+            score_all(
+                trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+                enroll_errors={"m2": build_error},
+            )
+
+    def test_no_spaces_rejected(self):
+        tables, models, transcripts, phrases = _world_for_batch()
+        with pytest.raises(ValueError):
+            score_all(
+                [Trial("t1", "m1", "u1")], models, tables, transcripts, phrases,
+                GateConfig(), [],
+            )

@@ -256,6 +256,15 @@ class TestScoresFormat:
                 _write(tmp_path / "s.tsv", "t1\t0.5\tPASS\t0.1\nt1\t0.4\tPASS\t0.1\n")
             )
 
+    def test_rejects_nonfinite(self, tmp_path):
+        for bad in ("nan", "inf", "-inf", "NaN", "-Infinity"):
+            path = _write(tmp_path / "s.tsv", f"t0\t0.1\tPASS\t0.0\nt1\t{bad}\tPASS\t0.1\n")
+            with pytest.raises(UnparseableFloat, match=f":2: column 2: non-finite value '{bad}'"):
+                parse_scores(path)
+            path = _write(tmp_path / "s.tsv", f"t1\t0.5\tPUNITIVE\t{bad}\n")
+            with pytest.raises(UnparseableFloat, match=f":1: column 4: non-finite value '{bad}'"):
+                parse_scores(path)
+
 
 class TestDetFormat:
     def test_header_and_rows(self, tmp_path):
