@@ -10,17 +10,22 @@ Four batch subcommands wire the pipeline together:
 Any toolkit error prints a single machine-parseable stderr line
 `error=<ClassName>: <detail>` and exits 1; OS-level file problems report as
 `error=IoError: ...`. Reports go to stdout as stable key=value lines.
+evaluate and det report labeled trials that have no score line as one
+`warning: ...` stderr line.
 """
 
 import argparse
-import dataclasses
 import json
+import operator
 import sys
+from itertools import repeat
 from typing import Tuple
 
-from .core import TrialLabel
-from .errors import ConfigInvalid, DuplicateId, TdsvError, UnlabeledRecords
-from .metrics import SUBSETS, DcfParams, SubsetMode, det_points, eer, min_dcf, select_subset
+import numpy as np
+
+from .core import UNLABELED, TrialLabel
+from .errors import ConfigInvalid, TdsvError, UnlabeledRecords
+from .metrics import SUBSETS, DcfParams, SubsetMode, det_points, eer, min_dcf, split_scores, sweep
 from .scoring import build_enrollment, score_all
 from .synth import SimConfig, SpaceSpec, gen_dataset
 from .textgate import GateConfig
@@ -45,25 +50,36 @@ def _parse_space_args(pairs) -> Tuple[Tuple[str, str], ...]:
     return tuple(spaces)
 
 
-def _load_labeled_scores(scores_path, trials_path) -> list:
-    """Join a score file with the labels from a trial list."""
-    records = tsvio.parse_scores(scores_path)
-    labels = {}
-    for trial in tsvio.parse_trials(trials_path):
-        if trial.trial_id in labels:
-            raise DuplicateId(f"{trials_path}: duplicate trial id '{trial.trial_id}'")
-        labels[trial.trial_id] = trial.label
-    labeled = []
-    for rec in records:
-        if rec.trial_id not in labels:
-            raise UnlabeledRecords(
-                f"score record '{rec.trial_id}' has no matching trial"
-            )
-        label = labels[rec.trial_id]
-        if label is None:
-            raise UnlabeledRecords(f"trial '{rec.trial_id}' carries no label")
-        labeled.append(dataclasses.replace(rec, label=label))
-    return labeled
+# Join code of a score line whose trial id is not in the trial list.
+_NO_TRIAL = -2
+
+
+def _load_labeled_scores(scores_path, trials_path) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Join a score file with the labels from a trial list.
+
+    Returns (scores, label codes) in score-file order, plus the number of
+    labeled trials that have no score line.
+    """
+    columns = tsvio.parse_scores(scores_path)
+    labels = tsvio.parse_trials(trials_path, labels_only=True)
+    ids = columns.trial_ids
+    codes = np.fromiter(map(labels.get, ids, repeat(_NO_TRIAL)), np.int8, len(ids))
+    missing = np.flatnonzero(codes < 0)
+    if missing.size:
+        trial_id = ids[missing[0]]
+        if codes[missing[0]] == _NO_TRIAL:
+            raise UnlabeledRecords(f"score record '{trial_id}' has no matching trial")
+        raise UnlabeledRecords(f"trial '{trial_id}' carries no label")
+    n_labeled = len(labels) - operator.countOf(labels.values(), UNLABELED)
+    return columns.score, codes, n_labeled - len(ids)
+
+
+def _warn_unscored(n_unscored: int, trials_path) -> None:
+    if n_unscored:
+        print(
+            f"warning: {n_unscored} labeled trials in {trials_path} have no score line",
+            file=sys.stderr,
+        )
 
 
 def cmd_score(args) -> int:
@@ -108,30 +124,29 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    labeled = _load_labeled_scores(args.scores, args.trials)
+    scores, codes, n_unscored = _load_labeled_scores(args.scores, args.trials)
     mode: SubsetMode = SUBSETS[args.subset]
     params = DcfParams(args.c_miss, args.c_fa, args.p_target)
-    kept = select_subset(labeled, mode)
-    mdcf, threshold = min_dcf(kept, params)
-    eer_value = eer(kept)
+    targets, nontargets = split_scores(scores, codes, mode)
+    rates = sweep(targets, nontargets)
+    mdcf, threshold = min_dcf(rates, params)
+    eer_value = eer(rates)
 
-    by_label = {name: 0 for name in ("TC", "TW", "IC", "IW")}
-    for rec in labeled:
-        by_label[rec.label.name] += 1
-    n_target = sum(1 for r in kept if r.label.is_target)
+    # Label codes count up in TrialLabel order.
+    n_tc, n_tw, n_ic, n_iw = np.bincount(codes, minlength=len(TrialLabel)).tolist()
     report = [
         ("subset", mode.name),
-        ("n_total", len(labeled)),
-        ("n_tc", by_label["TC"]),
-        ("n_tw", by_label["TW"]),
-        ("n_ic", by_label["IC"]),
-        ("n_iw", by_label["IW"]),
-        ("n_target", n_target),
-        ("n_nontarget", len(kept) - n_target),
+        ("n_total", len(codes)),
+        ("n_tc", n_tc),
+        ("n_tw", n_tw),
+        ("n_ic", n_ic),
+        ("n_iw", n_iw),
+        ("n_target", targets.size),
+        ("n_nontarget", nontargets.size),
         ("min_dcf", f"{mdcf:.6f}"),
         ("argmin_threshold", f"{threshold:.6f}"),
         ("eer", f"{eer_value:.6f}"),
-        ("skipped", len(labeled) - len(kept)),
+        ("skipped", len(codes) - targets.size - nontargets.size),
     ]
     for key, value in report:
         print(f"{key}={value}")
@@ -143,15 +158,16 @@ def cmd_evaluate(args) -> int:
         with open(args.json, "w", encoding="utf-8", newline="\n") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
+    _warn_unscored(n_unscored, args.trials)
     return 0
 
 
 def cmd_det(args) -> int:
-    labeled = _load_labeled_scores(args.scores, args.trials)
-    kept = select_subset(labeled, SUBSETS[args.subset])
-    points = det_points(kept)
+    scores, codes, n_unscored = _load_labeled_scores(args.scores, args.trials)
+    points = det_points(sweep(*split_scores(scores, codes, SUBSETS[args.subset])))
     tsvio.write_det(points, args.out)
     print(f"points={len(points)}")
+    _warn_unscored(n_unscored, args.trials)
     return 0
 
 

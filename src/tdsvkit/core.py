@@ -38,6 +38,12 @@ class TrialLabel(Enum):
         return self in (TrialLabel.TC, TrialLabel.IC)
 
 
+# Columnar label arrays hold a label's position in TrialLabel; UNLABELED marks
+# a trial listed without a label.
+LABEL_CODES = {label: code for code, label in enumerate(TrialLabel)}
+UNLABELED = -1
+
+
 def check_token(value: str, what: str = "id") -> str:
     """Validate an opaque id token: non-empty, no tab or newline."""
     if not isinstance(value, str) or not value:

@@ -6,6 +6,10 @@ subset selection. Candidate thresholds are the midpoints between adjacent
 distinct scores plus one sentinel below the minimum and one above the
 maximum; the decision rule is accept iff score >= threshold. Along ascending
 thresholds p_miss is non-decreasing and p_fa is non-increasing.
+
+Labeled scores travel as columns: a score array and a label-code array
+(core.LABEL_CODES). One sweep yields the threshold, p_miss and p_fa arrays
+that min_dcf, eer and det_points all read.
 """
 
 import math
@@ -14,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TrialLabel
+from .core import LABEL_CODES, TrialLabel
 from .errors import (
     ConfigInvalid,
     EmptySide,
@@ -49,13 +53,18 @@ class DcfParams:
 
 @dataclass(frozen=True)
 class ErrorRates:
-    """One operating point of the threshold sweep."""
+    """Operating points of a threshold sweep as parallel arrays, one entry
+    per threshold; len() is the number of points. dcf() also takes a single
+    point given as scalars."""
 
-    threshold: float
-    p_miss: float
-    p_fa: float
+    threshold: np.ndarray
+    p_miss: np.ndarray
+    p_fa: np.ndarray
     n_target: int
     n_nontarget: int
+
+    def __len__(self) -> int:
+        return int(np.size(self.threshold))
 
 
 @dataclass(frozen=True)
@@ -73,9 +82,11 @@ TC_VS_IW = SubsetMode("tc-vs-iw", frozenset({TrialLabel.TC, TrialLabel.IW}))
 
 SUBSETS = {m.name: m for m in (ALL, TC_VS_TW, TC_VS_IC, TC_VS_IW)}
 
+_TARGET = LABEL_CODES[TrialLabel.TC]
 
-def dcf(rates: ErrorRates, params: DcfParams) -> Tuple[float, float]:
-    """Weighted detection cost of one operating point: (raw, normalized)."""
+
+def dcf(rates: ErrorRates, params: DcfParams) -> Tuple:
+    """Weighted detection cost at each operating point: (raw, normalized)."""
     raw = (
         params.c_miss * rates.p_miss * params.p_target
         + params.c_fa * rates.p_fa * (1.0 - params.p_target)
@@ -83,58 +94,37 @@ def dcf(rates: ErrorRates, params: DcfParams) -> Tuple[float, float]:
     return raw, raw / params.norm_const
 
 
-def _split_scores(records) -> Tuple[np.ndarray, np.ndarray]:
-    targets = []
-    nontargets = []
-    for rec in records:
-        if rec.label is None:
-            raise UnlabeledRecords(f"record '{rec.trial_id}' has no label")
-        if rec.label.is_target:
-            targets.append(rec.score)
-        else:
-            nontargets.append(rec.score)
-    if not targets:
-        raise NoTargets("score set has no target (TC) records")
-    if not nontargets:
-        raise NoNonTargets("score set has no non-target records")
-    return np.asarray(targets, dtype=np.float64), np.asarray(nontargets, dtype=np.float64)
-
-
-def sweep(records: Sequence) -> list:
+def sweep(target_scores, nontarget_scores) -> ErrorRates:
     """Error rates at every threshold that can change the confusion counts.
 
-    Output is sorted ascending by threshold, from accept-everything
-    (p_miss=0, p_fa=1) to reject-everything (p_miss=1, p_fa=0).
+    Thresholds ascend from accept-everything (p_miss=0, p_fa=1) to
+    reject-everything (p_miss=1, p_fa=0).
     """
-    target_scores, nontarget_scores = _split_scores(records)
-    distinct = np.unique(np.concatenate([target_scores, nontarget_scores]))
+    targets_sorted = np.sort(np.asarray(target_scores, dtype=np.float64))
+    nontargets_sorted = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
+    n_target = int(targets_sorted.size)
+    n_nontarget = int(nontargets_sorted.size)
+    if not n_target:
+        raise NoTargets("score set has no target (TC) records")
+    if not n_nontarget:
+        raise NoNonTargets("score set has no non-target records")
+    distinct = np.unique(np.concatenate([targets_sorted, nontargets_sorted]))
     midpoints = (distinct[:-1] + distinct[1:]) / 2.0
     thresholds = np.concatenate(
         [[distinct[0] - 1.0], midpoints, [distinct[-1] + 1.0]]
     )
-    targets_sorted = np.sort(target_scores)
-    nontargets_sorted = np.sort(nontarget_scores)
-    n_target = int(target_scores.size)
-    n_nontarget = int(nontarget_scores.size)
     # accept iff score >= threshold: misses are targets strictly below,
     # false alarms are non-targets at or above.
     misses = np.searchsorted(targets_sorted, thresholds, side="left")
     false_alarms = n_nontarget - np.searchsorted(
         nontargets_sorted, thresholds, side="left"
     )
-    return [
-        ErrorRates(
-            threshold=float(t),
-            p_miss=int(m) / n_target,
-            p_fa=int(f) / n_nontarget,
-            n_target=n_target,
-            n_nontarget=n_nontarget,
-        )
-        for t, m, f in zip(thresholds, misses, false_alarms)
-    ]
+    return ErrorRates(
+        thresholds, misses / n_target, false_alarms / n_nontarget, n_target, n_nontarget
+    )
 
 
-def min_dcf(records: Sequence, params: Optional[DcfParams] = None) -> Tuple[float, float]:
+def min_dcf(rates: ErrorRates, params: Optional[DcfParams] = None) -> Tuple[float, float]:
     """Minimum normalized detection cost over the sweep.
 
     Returns (normalized_min, argmin_threshold); ties on cost resolve to the
@@ -142,74 +132,79 @@ def min_dcf(records: Sequence, params: Optional[DcfParams] = None) -> Tuple[floa
     """
     if params is None:
         params = DcfParams()
-    best_value = math.inf
-    best_threshold = math.nan
-    for rates in sweep(records):
-        _, normalized = dcf(rates, params)
-        if normalized < best_value:
-            best_value = normalized
-            best_threshold = rates.threshold
-    return best_value, best_threshold
+    _, normalized = dcf(rates, params)
+    best = int(np.argmin(normalized))
+    return float(normalized[best]), float(rates.threshold[best])
 
 
-def eer(records: Sequence) -> float:
+def eer(rates: ErrorRates) -> float:
     """Equal error rate of the sweep.
 
-    If some operating point has p_miss == p_fa exactly, return that value.
-    Otherwise linearly interpolate across the adjacent pair of points whose
-    miss/false-alarm difference changes sign; if no crossing segment exists,
-    fall back to (p_miss + p_fa)/2 at the point minimizing |p_miss - p_fa|.
+    If some operating point has p_miss == p_fa exactly, return that value;
+    otherwise linearly interpolate across the adjacent pair of points whose
+    miss/false-alarm difference changes sign.
     """
-    points = sweep(records)
-    for pt in points:
-        if pt.p_miss == pt.p_fa:
-            return pt.p_miss
-    prev = points[0]
-    for cur in points[1:]:
-        d_prev = prev.p_miss - prev.p_fa
-        d_cur = cur.p_miss - cur.p_fa
-        if d_prev < 0.0 < d_cur:
-            m1, f1 = prev.p_miss, prev.p_fa
-            m2, f2 = cur.p_miss, cur.p_fa
-            alpha = (f1 - m1) / ((m2 - m1) + (f1 - f2))
-            return m1 + alpha * (m2 - m1)
-        prev = cur
-    best = min(points, key=lambda pt: abs(pt.p_miss - pt.p_fa))
-    return (best.p_miss + best.p_fa) / 2.0
+    diff = rates.p_miss - rates.p_fa
+    # The sweep starts at (0, 1), ends at (1, 0), and diff never decreases
+    # along it, so a first point with diff >= 0 always exists: an exact hit,
+    # or the first point past the one sign change. No nearest-point fallback
+    # can be needed.
+    i = int(np.argmax(diff >= 0.0))
+    m2, f2 = float(rates.p_miss[i]), float(rates.p_fa[i])
+    if m2 == f2:
+        return m2
+    m1, f1 = float(rates.p_miss[i - 1]), float(rates.p_fa[i - 1])
+    alpha = (f1 - m1) / ((m2 - m1) + (f1 - f2))
+    return m1 + alpha * (m2 - m1)
 
 
-def det_points(records: Sequence) -> list:
+def det_points(rates: ErrorRates) -> ErrorRates:
     """Sweep operating points with consecutive duplicate (p_miss, p_fa)
     pairs dropped; ordered by threshold, ready for external plotting."""
-    points = sweep(records)
-    out = [points[0]]
-    for pt in points[1:]:
-        if pt.p_miss != out[-1].p_miss or pt.p_fa != out[-1].p_fa:
-            out.append(pt)
-    return out
+    keep = np.ones(len(rates), dtype=bool)
+    keep[1:] = (rates.p_miss[1:] != rates.p_miss[:-1]) | (rates.p_fa[1:] != rates.p_fa[:-1])
+    return ErrorRates(
+        rates.threshold[keep], rates.p_miss[keep], rates.p_fa[keep],
+        rates.n_target, rates.n_nontarget,
+    )
 
 
-def select_subset(records: Sequence, mode: SubsetMode) -> list:
-    """Filter records to the labels the mode keeps, preserving order.
+def select_subset(codes, mode: SubsetMode) -> np.ndarray:
+    """Boolean mask of the label codes (see core.LABEL_CODES) the mode keeps.
 
-    Every record must be labeled, and the survivors must include at least
+    Every entry must be labeled, and the survivors must include at least
     one target and one non-target.
     """
-    kept = []
-    n_target = 0
-    n_nontarget = 0
+    codes = np.asarray(codes)
+    n_unlabeled = int(np.count_nonzero(codes < 0))
+    if n_unlabeled:
+        raise UnlabeledRecords(f"{n_unlabeled} of {codes.size} records have no label")
+    keeps = np.array([mode.keep is None or label in mode.keep for label in TrialLabel])
+    kept = keeps[codes]
+    n_target = int(np.count_nonzero(kept & (codes == _TARGET)))
+    if n_target == 0:
+        raise EmptySide(f"subset '{mode.name}' keeps no target (TC) records")
+    if n_target == np.count_nonzero(kept):
+        raise EmptySide(f"subset '{mode.name}' keeps no non-target records")
+    return kept
+
+
+def split_scores(scores, codes, mode: SubsetMode = ALL) -> Tuple[np.ndarray, np.ndarray]:
+    """Target and non-target scores among those whose labels mode keeps,
+    each in input order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    codes = np.asarray(codes)
+    kept = select_subset(codes, mode)
+    is_target = codes == _TARGET
+    return scores[kept & is_target], scores[kept & ~is_target]
+
+
+def record_columns(records: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """(scores, label codes) of labeled ScoreRecords, such as
+    ScoreRun.records, for split_scores."""
     for rec in records:
         if rec.label is None:
             raise UnlabeledRecords(f"record '{rec.trial_id}' has no label")
-        if mode.keep is not None and rec.label not in mode.keep:
-            continue
-        kept.append(rec)
-        if rec.label.is_target:
-            n_target += 1
-        else:
-            n_nontarget += 1
-    if n_target == 0:
-        raise EmptySide(f"subset '{mode.name}' keeps no target (TC) records")
-    if n_nontarget == 0:
-        raise EmptySide(f"subset '{mode.name}' keeps no non-target records")
-    return kept
+    scores = np.array([rec.score for rec in records], dtype=np.float64)
+    codes = np.array([LABEL_CODES[rec.label] for rec in records], dtype=np.int8)
+    return scores, codes

@@ -20,11 +20,12 @@ Formats:
 import math
 import os
 import re
-from typing import Mapping, Sequence, Tuple
+from itertools import repeat
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Trial, TrialLabel
+from .core import LABEL_CODES, UNLABELED, Trial, TrialLabel
 from .errors import (
     BadHeader,
     BadLabel,
@@ -35,11 +36,13 @@ from .errors import (
     TdsvError,
     UnparseableFloat,
 )
-from .scoring import REPS_PER_MODEL, EnrollEntry, ScoreRecord
-from .textgate import GateOutcome, Phrase, Transcript
+from .scoring import REPS_PER_MODEL, EnrollEntry
+from .textgate import Phrase, Transcript
 
 _HEADER_RE = re.compile(r"#dim (\d+)")
 _DET_HEADER = "#p_miss\tp_fa\tthreshold"
+_FLAGS = frozenset({"PASS", "PUNITIVE"})
+_NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
 
 
 def _lines(f, start: int = 1):
@@ -52,6 +55,23 @@ def _lines(f, start: int = 1):
         line = raw.rstrip("\n")
         if line:
             yield n, line
+
+
+def _nonblank_lines(path) -> List[str]:
+    """The file's non-empty lines, each as _lines yields it: split on the
+    newlines left by text mode's newline translation (str.splitlines would
+    also split on form feeds, U+2028 and other separators)."""
+    with open(path, encoding="utf-8") as f:
+        return list(filter(None, f.read().split("\n")))
+
+
+def _columns(lines: List[str], n_fields: int) -> Optional[List[list]]:
+    """The fields of tab-separated lines as n_fields column lists, or None
+    when some line has another number of fields."""
+    if set(map(str.count, lines, repeat("\t"))) - {n_fields - 1}:
+        return None
+    fields = "\t".join(lines).split("\t") if lines else []
+    return [fields[i::n_fields] for i in range(n_fields)]
 
 
 def _finite_field(path, n: int, col: int, token: str) -> float:
@@ -127,8 +147,20 @@ def write_embeddings(table: Mapping, dim: int, path) -> None:
             f.write(f"{utt_id}\t{floats}\n")
 
 
-def parse_trials(path) -> list:
-    """Read a trial list; the label column is optional per line."""
+def parse_trials(path, labels_only: bool = False):
+    """Read a trial list; the label column is optional per line.
+
+    Returns the Trials in file order. With labels_only, returns instead a
+    map from trial id to label code (core.LABEL_CODES, UNLABELED for a
+    trial without a label) for joining labels onto scores; a trial id listed
+    twice is then a DuplicateId, raised once the whole file has parsed. The
+    map comes from a bulk check of the file, and any anomaly re-reads it
+    line by line, so every diagnostic is the one the per-line parse gives.
+    """
+    if labels_only:
+        labels = _bulk_labels(_nonblank_lines(path))
+        if labels is not None:
+            return labels
     trials = []
     with open(path, encoding="utf-8") as f:
         for n, line in _lines(f):
@@ -149,7 +181,30 @@ def parse_trials(path) -> list:
                 trials.append(Trial(fields[0], fields[1], fields[2], label))
             except ValueError as exc:
                 raise MalformedLine(path, n, str(exc)) from None
-    return trials
+    if not labels_only:
+        return trials
+    labels = {}
+    for trial in trials:
+        if trial.trial_id in labels:
+            raise DuplicateId(f"{path}: duplicate trial id '{trial.trial_id}'")
+        labels[trial.trial_id] = UNLABELED if trial.label is None else LABEL_CODES[trial.label]
+    return labels
+
+
+def _bulk_labels(lines: List[str]) -> Optional[dict]:
+    """Trial id -> label code when every line is a well-formed labeled trial
+    and no trial id repeats; None otherwise."""
+    columns = _columns(lines, 4)
+    if columns is None:
+        return None
+    trial_ids, model_ids, test_ids, names = columns
+    if "" in trial_ids or "" in model_ids or "" in test_ids:
+        return None
+    codes = list(map(_NAME_CODES.get, names))
+    if None in codes:
+        return None
+    labels = dict(zip(trial_ids, codes))
+    return labels if len(labels) == len(trial_ids) else None
 
 
 def write_trials(trials: Sequence, path) -> None:
@@ -238,10 +293,50 @@ def write_enrollmap(entries: Sequence, path) -> None:
             f.write(f"{e.model_id}\t{e.phrase_id}\t{','.join(e.rep_ids)}\n")
 
 
-def parse_scores(path) -> list:
-    """Read a score file back into ScoreRecords (labels come from a trial
-    list, not from this file)."""
-    records = []
+class ScoreColumns(NamedTuple):
+    """A score file as columns in file order."""
+
+    trial_ids: list
+    score: np.ndarray  # float64
+    passed: np.ndarray  # bool: the gate flag is PASS
+    cer: np.ndarray  # float64
+
+
+def parse_scores(path) -> ScoreColumns:
+    """Read a score file into columns (labels come from a trial list, not
+    from this file).
+
+    The file is checked in bulk; any anomaly re-reads it line by line, so
+    the diagnostic names the first bad line as a per-line parse would.
+    """
+    columns = _bulk_scores(_nonblank_lines(path))
+    return columns if columns is not None else _scan_scores(path)
+
+
+def _bulk_scores(lines: List[str]) -> Optional[ScoreColumns]:
+    """The columns when every line is a well-formed score line and no trial
+    id repeats; None otherwise."""
+    columns = _columns(lines, 4)
+    if columns is None:
+        return None
+    trial_ids, score_s, flags, cer_s = columns
+    n = len(trial_ids)
+    if "" in trial_ids or len(set(trial_ids)) != n or not _FLAGS.issuperset(flags):
+        return None
+    try:
+        score = np.fromiter(map(float, score_s), np.float64, n)
+        cer = np.fromiter(map(float, cer_s), np.float64, n)
+    except ValueError:
+        return None
+    if not (np.isfinite(score).all() and np.isfinite(cer).all()):
+        return None
+    return ScoreColumns(trial_ids, score, np.fromiter(map("PASS".__eq__, flags), bool, n), cer)
+
+
+def _scan_scores(path) -> ScoreColumns:
+    """Parse a score file line by line, raising the first problem in line
+    and then column order."""
+    trial_ids, scores, passed, cers = [], [], [], []
     seen = set()
     with open(path, encoding="utf-8") as f:
         for n, line in _lines(f):
@@ -256,16 +351,20 @@ def parse_scores(path) -> list:
             if trial_id in seen:
                 raise DuplicateId(f"{path}:{n}: duplicate trial id '{trial_id}'")
             seen.add(trial_id)
-            score = _finite_field(path, n, 2, score_s)
-            if flag not in ("PASS", "PUNITIVE"):
+            scores.append(_finite_field(path, n, 2, score_s))
+            if flag not in _FLAGS:
                 raise MalformedLine(
                     path, n, f"gate flag must be PASS or PUNITIVE, got {flag!r}"
                 )
-            cer_value = _finite_field(path, n, 4, cer_s)
-            records.append(
-                ScoreRecord(trial_id, score, GateOutcome(flag == "PASS", cer_value))
-            )
-    return records
+            cers.append(_finite_field(path, n, 4, cer_s))
+            trial_ids.append(trial_id)
+            passed.append(flag == "PASS")
+    return ScoreColumns(
+        trial_ids,
+        np.array(scores, dtype=np.float64),
+        np.array(passed, dtype=bool),
+        np.array(cers, dtype=np.float64),
+    )
 
 
 def write_scores(records: Sequence, path) -> None:
@@ -276,12 +375,14 @@ def write_scores(records: Sequence, path) -> None:
             f.write(f"{r.trial_id}\t{r.score:.6f}\t{flag}\t{r.gate.cer:.4f}\n")
 
 
-def write_det(points: Sequence, path) -> None:
-    """Write DET operating points under a `#p_miss\\tp_fa\\tthreshold` header."""
+def write_det(points, path) -> None:
+    """Write DET operating points (metrics.ErrorRates) under a
+    `#p_miss\\tp_fa\\tthreshold` header."""
+    rows = zip(points.p_miss.tolist(), points.p_fa.tolist(), points.threshold.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(_DET_HEADER + "\n")
-        for pt in points:
-            f.write(f"{pt.p_miss:.6f}\t{pt.p_fa:.6f}\t{pt.threshold:.6f}\n")
+        for p_miss, p_fa, threshold in rows:
+            f.write(f"{p_miss:.6f}\t{p_fa:.6f}\t{threshold:.6f}\n")
 
 
 def write_dataset(ds, out_dir) -> dict:

@@ -1,11 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
 Deliberately written the slow, obvious way: a full-matrix dynamic program
-for edit distance, a value-by-value embedding file parser, and a pure-Python
-enumerator over every midpoint threshold for the detection metrics
-(per-threshold counting via binary search so the acceptance-scale runs stay
-inside their time budget). Nothing here imports the modules under test
-beyond the public record and error types.
+for edit distance, value-by-value parsers for the embedding and score files
+and for the label join of evaluate/det, and a pure-Python enumerator over
+every midpoint threshold for the detection metrics (per-threshold counting
+via binary search so the acceptance-scale runs stay inside their time
+budget). Nothing here imports the modules under test beyond the public
+record and error types.
 """
 
 import math
@@ -17,12 +18,14 @@ import numpy as np
 
 from tdsvkit import (
     BadHeader,
+    BadLabel,
     DimMismatch,
     DuplicateId,
     GateOutcome,
     MalformedLine,
     ScoreRecord,
     TrialLabel,
+    UnlabeledRecords,
     UnparseableFloat,
 )
 
@@ -91,6 +94,92 @@ def parse_embeddings_ref(path):
     return table, dim
 
 
+def _text_lines(path):
+    """(line number, line) of every non-empty line. A line ends at \\r\\n,
+    \\r or \\n, and nowhere else."""
+    with open(path, "rb") as f:
+        text = f.read().decode("utf-8")
+    lines = re.split(r"\r\n|\r|\n", text)
+    return [(n, line) for n, line in enumerate(lines, start=1) if line]
+
+
+def _float_field(path, n, col, token):
+    try:
+        value = float(token)
+    except ValueError:
+        raise UnparseableFloat(path, n, f"column {col}: {token!r} is not a float") from None
+    if not math.isfinite(value):
+        raise UnparseableFloat(path, n, f"column {col}: non-finite value {token!r}")
+    return value
+
+
+def parse_scores_ref(path):
+    """Score file parsed value by value: (trial ids, scores, PASS flags,
+    CERs) as lists, or the diagnostic of the first bad line, checked in the
+    order field count, empty id, duplicate id, score, flag, CER."""
+    ids, scores, passed, cers = [], [], [], []
+    for n, line in _text_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise MalformedLine(path, n, f"expected 4 tab-separated fields, got {len(fields)}")
+        trial_id, score, flag, cer = fields
+        if not trial_id:
+            raise MalformedLine(path, n, "empty trial id field")
+        if trial_id in ids:
+            raise DuplicateId(f"{path}:{n}: duplicate trial id '{trial_id}'")
+        scores.append(_float_field(path, n, 2, score))
+        if flag not in ("PASS", "PUNITIVE"):
+            raise MalformedLine(path, n, f"gate flag must be PASS or PUNITIVE, got {flag!r}")
+        cers.append(_float_field(path, n, 4, cer))
+        ids.append(trial_id)
+        passed.append(flag == "PASS")
+    return ids, scores, passed, cers
+
+
+_LABEL_NAMES = [label.name for label in TrialLabel]
+
+
+def join_labels_ref(scores_path, trials_path):
+    """The evaluate/det join: (scores, label codes, number of labeled
+    trials without a score line), where a label's code is its position in
+    TrialLabel. Errors come in the order: score file, each trial line
+    (field count, label, empty trial/model/test id), a trial id listed
+    twice, then the first score line whose trial is missing or unlabeled."""
+    ids, scores, _, _ = parse_scores_ref(scores_path)
+    trials = []
+    for n, line in _text_lines(trials_path):
+        fields = line.split("\t")
+        if len(fields) not in (3, 4):
+            raise MalformedLine(
+                trials_path, n, f"expected 3 or 4 tab-separated fields, got {len(fields)}"
+            )
+        code = None
+        if len(fields) == 4:
+            if fields[3] not in _LABEL_NAMES:
+                raise BadLabel(
+                    trials_path, n, f"label must be one of TC/TW/IC/IW, got {fields[3]!r}"
+                )
+            code = _LABEL_NAMES.index(fields[3])
+        for what, value in zip(("trial_id", "model_id", "test_id"), fields):
+            if not value:
+                raise MalformedLine(trials_path, n, f"{what} must be a non-empty string")
+        trials.append((fields[0], code))
+    labels = {}
+    for trial_id, code in trials:
+        if trial_id in labels:
+            raise DuplicateId(f"{trials_path}: duplicate trial id '{trial_id}'")
+        labels[trial_id] = code
+    codes = []
+    for trial_id in ids:
+        if trial_id not in labels:
+            raise UnlabeledRecords(f"score record '{trial_id}' has no matching trial")
+        if labels[trial_id] is None:
+            raise UnlabeledRecords(f"trial '{trial_id}' carries no label")
+        codes.append(labels[trial_id])
+    n_labeled = sum(1 for code in labels.values() if code is not None)
+    return scores, codes, n_labeled - len(ids)
+
+
 def sweep_ref(targets, nontargets):
     """(threshold, p_miss, p_fa) at {min-1} + midpoints + {max+1}.
 
@@ -141,6 +230,16 @@ def eer_ref(targets, nontargets):
             return m1 + alpha * (m2 - m1)
     best = min(points, key=lambda p: abs(p[1] - p[2]))
     return (best[1] + best[2]) / 2.0
+
+
+def det_points_ref(targets, nontargets):
+    """sweep_ref with each point dropped whose (p_miss, p_fa) equals the
+    last point kept."""
+    points = []
+    for point in sweep_ref(targets, nontargets):
+        if not points or point[1:] != points[-1][1:]:
+            points.append(point)
+    return points
 
 
 _NONTARGET_LABELS = (TrialLabel.TW, TrialLabel.IC, TrialLabel.IW)

@@ -14,6 +14,7 @@ import numpy as np
 
 from oracles import edit_distance_ref, eer_ref, make_records, min_dcf_ref
 from tdsvkit import (
+    ALL,
     DcfParams,
     ErrorRates,
     GateConfig,
@@ -30,8 +31,9 @@ from tdsvkit import (
     gen_dataset,
     l2_normalize,
     min_dcf,
+    record_columns,
     score_all,
-    select_subset,
+    split_scores,
     sweep,
 )
 from tdsvkit.cli import main
@@ -41,6 +43,11 @@ def _check(name: str, ok: bool, detail: str = "") -> None:
     tail = f" [{detail}]" if detail else ""
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}{tail}", flush=True)
     assert ok, f"{name}{tail}"
+
+
+def _rates(records, mode=ALL):
+    """The sweep of labeled ScoreRecords, through the columnar metrics API."""
+    return sweep(*split_scores(*record_columns(records), mode))
 
 
 def _run_cli(argv):
@@ -109,11 +116,11 @@ def test_detection_metrics_match_enumeration_oracle():
     worst_eer_gap = 0.0
     for i in range(200):
         targets, nontargets = _random_score_set(rng, i)
-        records = make_records(targets, nontargets, rng)
-        if min_dcf(records) != min_dcf_ref(targets, nontargets):
+        rates = _rates(make_records(targets, nontargets, rng))
+        if min_dcf(rates) != min_dcf_ref(targets, nontargets):
             bad += 1
             continue
-        gap = abs(eer(records) - eer_ref(targets, nontargets))
+        gap = abs(eer(rates) - eer_ref(targets, nontargets))
         worst_eer_gap = max(worst_eer_gap, gap)
         if gap > 1e-12:
             bad += 1
@@ -171,9 +178,10 @@ def test_noise_free_pipeline_scores_perfectly():
         master_seed=7,
     )
     records = _score_dataset(gen_dataset(cfg), GateConfig(0.3, -1.0))
-    v_all, _ = min_dcf(records)
-    e_all = eer(records)
-    sub = select_subset(records, TC_VS_TW)
+    rates = _rates(records)
+    v_all, _ = min_dcf(rates)
+    e_all = eer(rates)
+    sub = _rates(records, TC_VS_TW)
     v_sub, _ = min_dcf(sub)
     e_sub = eer(sub)
     elapsed = time.perf_counter() - t0
@@ -212,8 +220,8 @@ def test_phrase_gate_improves_min_dcf():
         }
         args = (ds.trials, enrollments, ds.embeddings, ds.transcripts,
                 ds.phrases)
-        gated, _ = min_dcf(score_all(*args, gated_cfg, order).records)
-        ungated, _ = min_dcf(score_all(*args, ungated_cfg, order).records)
+        gated, _ = min_dcf(_rates(score_all(*args, gated_cfg, order).records))
+        ungated, _ = min_dcf(_rates(score_all(*args, ungated_cfg, order).records))
         pairs.append((gated, ungated))
         leq_all = leq_all and gated <= ungated
         if gated < ungated:
@@ -233,14 +241,14 @@ def test_min_dcf_bound_and_sweep_monotonicity():
     violations = 0
     for i in range(100):
         targets, nontargets = _random_score_set(rng, i)
-        records = make_records(targets, nontargets, rng)
-        value, _ = min_dcf(records)
+        rates = _rates(make_records(targets, nontargets, rng))
+        value, _ = min_dcf(rates)
         if not value <= 1.0 + 1e-12:
             violations += 1
             continue
-        points = sweep(records)
-        for prev, cur in zip(points, points[1:]):
-            if cur.p_miss < prev.p_miss or cur.p_fa > prev.p_fa:
+        points = list(zip(rates.p_miss.tolist(), rates.p_fa.tolist()))
+        for (prev_miss, prev_fa), (cur_miss, cur_fa) in zip(points, points[1:]):
+            if cur_miss < prev_miss or cur_fa > prev_fa:
                 violations += 1
                 break
     _check(

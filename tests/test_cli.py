@@ -267,6 +267,35 @@ class TestEvaluateInputs:
             assert "'t1'" in err
 
 
+    def test_unscored_labeled_trials_warned(self, tmp_path):
+        # t3 and t4 are labeled but unscored; unlabeled t5 is not counted.
+        scores = "t1\t0.9\tPASS\t0.0000\nt2\t0.1\tPASS\t0.0000\n"
+        trials = "t1\tm1\tu1\tTC\nt2\tm2\tu2\tIW\nt3\tm1\tu3\tTC\nt4\tm2\tu4\tIC\nt5\tm2\tu5\n"
+        files = self._files(tmp_path, scores, trials)
+        warning = f"warning: 2 labeled trials in {tmp_path / 'trials.tsv'} have no score line\n"
+        code, out, err = run_cli(["evaluate"] + files)
+        assert (code, err) == (0, warning)
+        assert report_dict(out)["n_total"] == "2"
+        # stdout is what the same scores give against a trial list without them
+        (tmp_path / "trials.tsv").write_text(
+            "t1\tm1\tu1\tTC\nt2\tm2\tu2\tIW\n", encoding="utf-8"
+        )
+        assert run_cli(["evaluate"] + files) == (0, out, "")
+        self._files(tmp_path, scores, trials)
+        code, out, err = run_cli(["det", "--out", str(tmp_path / "det.tsv")] + files)
+        assert (code, out, err) == (0, "points=3\n", warning)
+
+    def test_all_labeled_trials_scored_no_warning(self, tmp_path):
+        files = self._files(
+            tmp_path,
+            "t1\t0.9\tPASS\t0.0000\nt2\t0.1\tPASS\t0.0000\n",
+            "t1\tm1\tu1\tTC\nt2\tm2\tu2\tIW\n",
+        )
+        for cmd in (["evaluate"], ["det", "--out", str(tmp_path / "det.tsv")]):
+            code, _, err = run_cli(cmd + files)
+            assert (code, err) == (0, "")
+
+
 class TestErrorContract:
     def test_missing_file_is_io_error(self, tmp_path):
         code, _, err = run_cli([

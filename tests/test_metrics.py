@@ -20,13 +20,16 @@ from tdsvkit import (
     NoTargets,
     ScoreRecord,
     SubsetMode,
+    UNLABELED,
     TrialLabel,
     UnlabeledRecords,
     dcf,
     det_points,
     eer,
     min_dcf,
+    record_columns,
     select_subset,
+    split_scores,
     sweep,
 )
 
@@ -76,55 +79,57 @@ class TestDcf:
         assert normalized == pytest.approx(9.9, rel=1e-12)
 
 
+def _pairs(rates):
+    return list(zip(rates.p_miss.tolist(), rates.p_fa.tolist()))
+
+
 class TestSweep:
     def test_separable_pair(self):
-        pts = sweep(make_records([0.9], [0.1]))
-        assert any(p.p_miss == 0.0 and p.p_fa == 0.0 for p in pts)
+        assert (0.0, 0.0) in _pairs(sweep([0.9], [0.1]))
 
     def test_all_scores_equal(self):
-        pts = sweep(make_records([0.5], [0.5, 0.5]))
-        assert [(p.p_miss, p.p_fa) for p in pts] == [(0.0, 1.0), (1.0, 0.0)]
+        assert _pairs(sweep([0.5], [0.5, 0.5])) == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_four_score_enumeration(self):
-        pts = sweep(make_records([0.9, 0.3], [0.5, 0.1]))
-        assert [(p.p_miss, p.p_fa) for p in pts] == [
+        rates = sweep([0.9, 0.3], [0.5, 0.1])
+        assert _pairs(rates) == [
             (0.0, 1.0),
             (0.0, 0.5),
             (0.5, 0.5),
             (0.5, 0.0),
             (1.0, 0.0),
         ]
-        assert all(p.n_target == 2 and p.n_nontarget == 2 for p in pts)
+        assert len(rates) == 5
+        assert rates.n_target == 2 and rates.n_nontarget == 2
 
     def test_thresholds_ascending(self):
-        pts = sweep(make_records([0.9, 0.3], [0.5, 0.1]))
-        ts = [p.threshold for p in pts]
+        ts = sweep([0.9, 0.3], [0.5, 0.1]).threshold.tolist()
         assert ts == sorted(ts)
 
     def test_requires_both_sides(self):
         with pytest.raises(NoTargets):
-            sweep(make_records([], [0.1, 0.2]))
+            sweep([], [0.1, 0.2])
         with pytest.raises(NoNonTargets):
-            sweep(make_records([0.1, 0.2], []))
+            sweep([0.1, 0.2], [])
 
     def test_requires_labels(self):
         rec = ScoreRecord("t", 0.5, GateOutcome(True, 0.0), None)
         with pytest.raises(UnlabeledRecords, match="'t'"):
-            sweep([rec])
+            record_columns([rec])
 
 
 class TestMinDcf:
     def test_separable(self):
-        value, _ = min_dcf(make_records([0.9, 0.8], [0.2, 0.1]))
+        value, _ = min_dcf(sweep([0.9, 0.8], [0.2, 0.1]))
         assert value == 0.0
 
     def test_four_score_example(self):
-        value, threshold = min_dcf(make_records([0.9, 0.3], [0.5, 0.1]))
+        value, threshold = min_dcf(sweep([0.9, 0.3], [0.5, 0.1]))
         assert value == 0.5
         assert threshold == 0.7
 
     def test_all_equal_prefers_reject_all(self):
-        value, threshold = min_dcf(make_records([0.5], [0.5]))
+        value, threshold = min_dcf(sweep([0.5], [0.5]))
         assert value == 1.0
         assert threshold == 1.5
 
@@ -132,108 +137,102 @@ class TestMinDcf:
         # inverted single pair with symmetric costs: accept-all and
         # reject-all both cost 1.0
         params = DcfParams(c_miss=1.0, c_fa=1.0, p_target=0.5)
-        value, threshold = min_dcf(make_records([0.4], [0.6]), params)
+        value, threshold = min_dcf(sweep([0.4], [0.6]), params)
         assert value == 1.0
         assert threshold == -0.6
 
     def test_punitive_records_are_ordinary_scores(self):
-        records = make_records([0.9, 0.8], [-1.0, -1.0, 0.2])
-        value, _ = min_dcf(records)
+        value, _ = min_dcf(sweep([0.9, 0.8], [-1.0, -1.0, 0.2]))
         assert value == 0.0
 
 
 class TestEer:
     def test_separable(self):
-        assert eer(make_records([0.9, 0.8], [0.2, 0.1])) == 0.0
+        assert eer(sweep([0.9, 0.8], [0.2, 0.1])) == 0.0
 
     def test_four_score_diagonal_point(self):
-        assert eer(make_records([0.9, 0.3], [0.5, 0.1])) == 0.5
+        assert eer(sweep([0.9, 0.3], [0.5, 0.1])) == 0.5
 
     def test_fully_inverted(self):
-        assert eer(make_records([0.1], [0.9])) == 1.0
+        assert eer(sweep([0.1], [0.9])) == 1.0
 
     def test_interpolated_crossing(self):
         # sweep hits (1/3, 1) then (1/3, 0); the diagonal crossing
         # interpolates to exactly 1/3
-        value = eer(make_records([0.3, 0.5, 0.9], [0.4]))
+        value = eer(sweep([0.3, 0.5, 0.9], [0.4]))
         assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 class TestDetPoints:
     def test_separable_contains_origin(self):
-        pts = det_points(make_records([0.9], [0.1]))
-        assert any(p.p_miss == 0.0 and p.p_fa == 0.0 for p in pts)
+        assert (0.0, 0.0) in _pairs(det_points(sweep([0.9], [0.1])))
 
     def test_four_score_count(self):
-        assert len(det_points(make_records([0.9, 0.3], [0.5, 0.1]))) == 5
+        assert len(det_points(sweep([0.9, 0.3], [0.5, 0.1]))) == 5
 
     def test_no_consecutive_duplicates(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
             targets = rng.choice(np.linspace(-1, 1, 9), size=30)
             nontargets = rng.choice(np.linspace(-1, 1, 9), size=40)
-            pts = det_points(make_records(targets, nontargets, rng))
-            pairs = [(p.p_miss, p.p_fa) for p in pts]
+            pairs = _pairs(det_points(sweep(targets, nontargets)))
             assert all(a != b for a, b in zip(pairs, pairs[1:]))
 
     def test_empty_subset_is_error(self):
         records = make_records([0.9], [0.5])  # non-target label cycles to TW
         with pytest.raises(EmptySide):
-            det_points(select_subset(records, TC_VS_IW))
+            split_scores(*record_columns(records), TC_VS_IW)
 
 
 class TestSelectSubset:
-    def _labeled(self):
-        labels = [TrialLabel.TC, TrialLabel.TW, TrialLabel.IC, TrialLabel.IW]
-        return [
-            ScoreRecord(f"t{i}", 0.1 * i, GateOutcome(True, 0.0), label)
-            for i, label in enumerate(labels)
-        ]
+    # label codes of TC, TW, IC, IW
+    CODES = [0, 1, 2, 3]
 
     def test_all_is_identity(self):
-        records = self._labeled()
-        assert select_subset(records, ALL) == records
+        assert select_subset(self.CODES, ALL).tolist() == [True] * 4
 
     def test_tc_vs_tw(self):
-        records = self._labeled()
-        kept = select_subset(records, TC_VS_TW)
-        assert kept == records[:2]
+        assert select_subset(self.CODES, TC_VS_TW).tolist() == [True, True, False, False]
 
     def test_other_modes(self):
-        records = self._labeled()
-        assert [r.label for r in select_subset(records, TC_VS_IC)] == [
-            TrialLabel.TC,
-            TrialLabel.IC,
-        ]
-        assert [r.label for r in select_subset(records, TC_VS_IW)] == [
-            TrialLabel.TC,
-            TrialLabel.IW,
-        ]
+        assert select_subset(self.CODES, TC_VS_IC).tolist() == [True, False, True, False]
+        assert select_subset(self.CODES, TC_VS_IW).tolist() == [True, False, False, True]
 
     def test_empty_side(self):
-        records = [
-            ScoreRecord("a", 0.9, GateOutcome(True, 0.0), TrialLabel.TC),
-            ScoreRecord("b", 0.1, GateOutcome(True, 0.0), TrialLabel.IC),
-        ]
         with pytest.raises(EmptySide, match="tc-vs-tw"):
-            select_subset(records, TC_VS_TW)
+            select_subset([0, 2], TC_VS_TW)
         with pytest.raises(EmptySide):
-            select_subset(
-                [ScoreRecord("b", 0.1, GateOutcome(True, 0.0), TrialLabel.IC)], ALL
-            )
+            select_subset([2], ALL)
 
     def test_unlabeled_rejected_in_all_mode(self):
+        with pytest.raises(UnlabeledRecords):
+            select_subset([0, 1, UNLABELED], ALL)
         records = [ScoreRecord("a", 0.9, GateOutcome(True, 0.0), None)]
         with pytest.raises(UnlabeledRecords):
-            select_subset(records, ALL)
+            record_columns(records)
 
     def test_custom_mode(self):
         custom = SubsetMode("tc-vs-nontc", frozenset(TrialLabel))
-        records = self._labeled()
-        assert select_subset(records, custom) == records
+        assert select_subset(self.CODES, custom).tolist() == [True] * 4
 
     def test_registry(self):
         assert set(SUBSETS) == {"all", "tc-vs-tw", "tc-vs-ic", "tc-vs-iw"}
+
+    def test_split_keeps_input_order(self):
+        scores = [0.4, 0.3, 0.2, 0.1, 0.0]
+        targets, nontargets = split_scores(scores, [1, 0, 3, 2, 0], TC_VS_TW)
+        assert targets.tolist() == [0.3, 0.0]
+        assert nontargets.tolist() == [0.4]
+
+    def test_record_columns(self):
+        labels = [TrialLabel.IW, TrialLabel.TC, TrialLabel.TW]
+        records = [
+            ScoreRecord(f"t{i}", 0.1 * i, GateOutcome(True, 0.0), label)
+            for i, label in enumerate(labels)
+        ]
+        scores, codes = record_columns(records)
+        assert scores.tolist() == [0.0, 0.1, 0.2]
+        assert codes.tolist() == [3, 0, 1]
 
 
 def _random_scores(rng):
@@ -254,31 +253,29 @@ class TestProperties:
         rng = np.random.default_rng(42)
         for _ in range(100):
             targets, nontargets = _random_scores(rng)
-            records = make_records(targets, nontargets, rng)
-            pts = sweep(records)
-            for a, b in zip(pts, pts[1:]):
-                assert b.p_miss >= a.p_miss
-                assert b.p_fa <= a.p_fa
-            value, _ = min_dcf(records)
+            rates = sweep(targets, nontargets)
+            assert (np.diff(rates.p_miss) >= 0).all()
+            assert (np.diff(rates.p_fa) <= 0).all()
+            value, _ = min_dcf(rates)
             assert value <= 1.0 + 1e-12
 
     def test_order_invariance(self):
         rng = np.random.default_rng(43)
         targets, nontargets = _random_scores(rng)
-        records = make_records(targets, nontargets, rng)
-        shuffled = records[:]
-        random.Random(7).shuffle(shuffled)
-        assert min_dcf(records) == min_dcf(shuffled)
-        assert eer(records) == eer(shuffled)
+        shuffled_t, shuffled_n = targets[:], nontargets[:]
+        random.Random(7).shuffle(shuffled_t)
+        random.Random(8).shuffle(shuffled_n)
+        rates = sweep(targets, nontargets)
+        shuffled = sweep(shuffled_t, shuffled_n)
+        assert min_dcf(rates) == min_dcf(shuffled)
+        assert eer(rates) == eer(shuffled)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(44)
         for shift in (2.0, -5.25):
             targets, nontargets = _random_scores(rng)
-            base = make_records(targets, nontargets, rng)
-            moved = make_records(
-                [s + shift for s in targets], [s + shift for s in nontargets]
-            )
+            base = sweep(targets, nontargets)
+            moved = sweep([s + shift for s in targets], [s + shift for s in nontargets])
             v0, t0 = min_dcf(base)
             v1, t1 = min_dcf(moved)
             assert v1 == v0
@@ -289,10 +286,10 @@ class TestProperties:
         rng = np.random.default_rng(45)
         for _ in range(20):
             targets, nontargets = _random_scores(rng)
-            records = make_records(targets, nontargets, rng)
-            impl_pts = [(p.threshold, p.p_miss, p.p_fa) for p in sweep(records)]
+            rates = sweep(*split_scores(*record_columns(make_records(targets, nontargets, rng))))
+            impl_pts = list(zip(rates.threshold.tolist(), rates.p_miss.tolist(), rates.p_fa.tolist()))
             assert impl_pts == sweep_ref(targets, nontargets)
-            assert min_dcf(records) == min_dcf_ref(targets, nontargets)
-            assert eer(records) == pytest.approx(
+            assert min_dcf(rates) == min_dcf_ref(targets, nontargets)
+            assert eer(rates) == pytest.approx(
                 eer_ref(targets, nontargets), abs=1e-12
             )

@@ -1,17 +1,29 @@
 """Property tests: the fast paths agree with the slow oracles.
 
-The bit-parallel edit distance is checked against the full-matrix DP, and
-the one-call-per-row embedding parser against a value-by-value parse,
-diagnostics included.
+The bit-parallel edit distance is checked against the full-matrix DP; the
+one-call-per-row embedding parser, the bulk-checked score reader and the
+evaluate/det label join against value-by-value parses, diagnostics
+included; and the array sweep, min-DCF, EER and DET points against the
+threshold-enumeration oracles.
 """
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import edit_distance_ref, parse_embeddings_ref
-from tdsvkit import TdsvError, edit_distance
-from tdsvkit.tsvio import parse_embeddings
+from oracles import (
+    det_points_ref,
+    edit_distance_ref,
+    eer_ref,
+    join_labels_ref,
+    min_dcf_ref,
+    parse_embeddings_ref,
+    parse_scores_ref,
+    sweep_ref,
+)
+from tdsvkit import DcfParams, TdsvError, det_points, edit_distance, eer, min_dcf, sweep
+from tdsvkit.cli import _load_labeled_scores
+from tdsvkit.tsvio import parse_embeddings, parse_scores
 
 # A small alphabet, so that matches are common: Latin and Persian letters, a
 # space, and combining marks that NFC composes with the letter before them
@@ -140,3 +152,251 @@ def test_parse_embeddings_matches_value_by_value_parse(tmp_path, defect, data):
     assert _outcome(parse_embeddings, str(path)) == expected
     if defect not in ("none", "odd token anywhere"):
         assert isinstance(expected[0], type) and issubclass(expected[0], TdsvError)
+
+
+# -- score files and the label join -------------------------------------------
+
+# Id characters that str.splitlines would treat as line breaks but a text
+# file's newline translation does not.
+_ID_CHARS = "ab\u00e9 \x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_SCORE_TOKENS = st.one_of(
+    st.floats(-1.0, 1.0).map(lambda v: f"{v:.6f}"),
+    st.sampled_from(["-1.000000", "0", "1e-3", " 0.5", "+.5"]),
+)
+_FLAGS = st.sampled_from(["PASS", "PUNITIVE"])
+SCORE_DEFECTS = (
+    "none",
+    "wrong field count",
+    "empty id",
+    "duplicate id",
+    "bad score",
+    "bad cer",
+    "bad flag",
+    "two defects",
+)
+JOIN_DEFECTS = (
+    "none",
+    "score file defect",
+    "bad label",
+    "wrong trial field count",
+    "empty trial field",
+    "duplicate trial id",
+    "score with no trial",
+    "unlabeled trial",
+    "unscored trials",
+    "two defects",
+)
+
+
+def _serialize(draw, rows):
+    """Rows joined by tabs, each line ended by \\n, \\r\\n or a lone \\r,
+    with blank lines scattered in between."""
+    out = []
+    for row in rows:
+        out.append(draw(st.sampled_from(["", "", "", "\n", "\r\n", "\r"])))
+        out.append("\t".join(row) + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])))
+    return "".join(out)
+
+
+def _score_rows(draw, n_rows):
+    id_chars = draw(st.sampled_from(["ab\u00e9 ", _ID_CHARS]))
+    return [
+        [
+            f"t{i}:" + draw(st.text(id_chars, max_size=3)),
+            draw(_SCORE_TOKENS),
+            draw(_FLAGS),
+            draw(st.floats(0.0, 2.0).map(lambda v: f"{v:.4f}")),
+        ]
+        for i in range(n_rows)
+    ]
+
+
+def _break_score_row(draw, rows, defect):
+    row = draw(st.integers(0, len(rows) - 1))
+    if defect == "wrong field count":
+        if draw(st.booleans()):
+            del rows[row][draw(st.integers(1, 3))]
+        else:
+            rows[row].insert(draw(st.integers(1, 4)), draw(_SCORE_TOKENS))
+    elif defect == "empty id":
+        rows[row][0] = ""
+    elif defect == "duplicate id":
+        rows.insert(draw(st.integers(row + 1, len(rows))), [rows[row][0]] + rows[row][1:])
+    elif defect in ("bad score", "bad cer"):
+        rows[row][1 if defect == "bad score" else 3] = draw(_ODD_TOKENS)
+    elif defect == "bad flag":
+        rows[row][2] = draw(st.one_of(
+            st.sampled_from(["pass", "", "PASS ", "FAIL"]), st.text(max_size=4)
+        ).filter(lambda t: "\t" not in t and "\n" not in t and "\r" not in t))
+
+
+def _apply_score_defect(draw, rows, defect):
+    if defect == "two defects":
+        for _ in range(2):
+            _break_score_row(draw, rows, draw(st.sampled_from(SCORE_DEFECTS[1:-1])))
+    elif defect != "none":
+        _break_score_row(draw, rows, defect)
+
+
+@st.composite
+def score_files(draw, defect):
+    rows = _score_rows(draw, draw(st.integers(1, 8)))
+    _apply_score_defect(draw, rows, defect)
+    return _serialize(draw, rows)
+
+
+def _write(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+def _score_outcome(parse, path):
+    try:
+        ids, score, passed, cer = parse(path)
+    except TdsvError as exc:
+        return type(exc), str(exc)
+    return list(ids), list(score), list(passed), list(cer)
+
+
+@pytest.mark.parametrize("defect", SCORE_DEFECTS)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_parse_scores_matches_value_by_value_parse(tmp_path, defect, data):
+    path = _write(tmp_path / "s.tsv", data.draw(score_files(defect)))
+    expected = _score_outcome(parse_scores_ref, path)
+    assert _score_outcome(parse_scores, path) == expected
+    if defect in ("empty id", "duplicate id", "wrong field count"):
+        assert issubclass(expected[0], TdsvError)
+
+
+@st.composite
+def labeled_pairs(draw, defect):
+    """A score file and a trial list that labels it, with one defect."""
+    score_rows = _score_rows(draw, draw(st.integers(2, 8)))
+    ids = [row[0] for row in score_rows]
+    trial_rows = [
+        [trial_id, f"m{i % 3}", f"u{i}", draw(st.sampled_from(["TC", "TW", "IC", "IW"]))]
+        for i, trial_id in enumerate(ids)
+    ]
+    if defect in ("unscored trials", "two defects") or draw(st.booleans()):
+        for j in range(draw(st.integers(1, 3))):
+            trial_rows.append([f"x{j}", "m0", f"v{j}", draw(st.sampled_from(["TC", "IW"]))])
+    trial_rows = draw(st.permutations(trial_rows))
+    kinds = [defect]
+    if defect == "two defects":
+        kinds = draw(st.lists(st.sampled_from(JOIN_DEFECTS[1:-2]), min_size=2, max_size=2))
+    for kind in kinds:
+        row = draw(st.integers(0, len(trial_rows) - 1))
+        if kind == "score file defect":
+            _break_score_row(draw, score_rows, draw(st.sampled_from(SCORE_DEFECTS[1:-1])))
+        elif kind == "bad label":
+            # A separator that str.splitlines honours would cut "TC\x0b" to "TC".
+            trial_rows[row][3] = draw(st.sampled_from(
+                ["tc", "", "XX", "TC ", "TC\x0b", "IW\x1c", "TW\u2028", "IC\x85"]
+            ))
+        elif kind == "wrong trial field count":
+            if draw(st.booleans()):
+                del trial_rows[row][draw(st.integers(1, 2))]
+            else:
+                trial_rows[row].append("extra")
+        elif kind == "empty trial field":
+            trial_rows[row][draw(st.integers(0, 2))] = ""
+        elif kind == "duplicate trial id":
+            trial_rows.insert(
+                draw(st.integers(row + 1, len(trial_rows))),
+                [trial_rows[row][0], "m9", "u9", draw(st.sampled_from(["TC", "IW"]))],
+            )
+        elif kind == "score with no trial":
+            missing = draw(st.sampled_from(ids))
+            trial_rows = [r for r in trial_rows if r[0] != missing] or [["z", "m", "u", "TC"]]
+        elif kind == "unlabeled trial":
+            trial_rows[row] = trial_rows[row][:3]
+    return _serialize(draw, score_rows), _serialize(draw, trial_rows)
+
+
+def _join_outcome(join, scores_path, trials_path):
+    try:
+        scores, codes, n_unscored = join(scores_path, trials_path)
+    except TdsvError as exc:
+        return type(exc), str(exc)
+    return list(scores), list(codes), n_unscored
+
+
+@pytest.mark.parametrize("defect", JOIN_DEFECTS)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_label_join_matches_value_by_value_join(tmp_path, defect, data):
+    scores_text, trials_text = data.draw(labeled_pairs(defect))
+    scores_path = _write(tmp_path / "s.tsv", scores_text)
+    trials_path = _write(tmp_path / "t.tsv", trials_text)
+    expected = _join_outcome(join_labels_ref, scores_path, trials_path)
+    assert _join_outcome(_load_labeled_scores, scores_path, trials_path) == expected
+    if defect == "unscored trials":
+        assert expected[2] > 0
+
+
+# -- detection metrics -----------------------------------------------------------
+
+_GRID = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
+_SCORES = st.one_of(_GRID, st.floats(-1.0, 1.0), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def score_sets(draw):
+    """Target and non-target scores: tie-heavy grids, arbitrary floats, a
+    single score on either side, all-equal sets, and a block of punitive
+    -1 scores."""
+    kind = draw(st.sampled_from(["grid", "any", "single", "equal"]))
+    if kind == "grid":
+        targets = draw(st.lists(_GRID, min_size=1, max_size=30))
+        nontargets = draw(st.lists(_GRID, min_size=1, max_size=30))
+    elif kind == "any":
+        targets = draw(st.lists(_SCORES, min_size=1, max_size=30))
+        nontargets = draw(st.lists(_SCORES, min_size=1, max_size=30))
+    elif kind == "single":
+        one, many = draw(_SCORES), draw(st.lists(_SCORES, min_size=1, max_size=30))
+        targets, nontargets = ([one], many) if draw(st.booleans()) else (many, [one])
+    else:
+        value = draw(_SCORES)
+        targets = [value] * draw(st.integers(1, 10))
+        nontargets = [value] * draw(st.integers(1, 10))
+    targets += [-1.0] * draw(st.integers(0, 40))
+    nontargets += [-1.0] * draw(st.integers(0, 80))
+    return targets, nontargets
+
+
+_PARAMS = st.builds(
+    DcfParams,
+    c_miss=st.floats(0.01, 100.0),
+    c_fa=st.floats(0.01, 100.0),
+    p_target=st.floats(0.001, 0.999),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_sets(), _PARAMS)
+@example(([0.5], [0.5]), DcfParams())
+@example(([-1.0] * 5 + [0.9], [-1.0] * 50 + [0.1]), DcfParams())
+@example(([0.4], [0.6]), DcfParams(c_miss=1.0, c_fa=1.0, p_target=0.5))
+def test_array_metrics_match_enumeration_oracles(scores, params):
+    targets, nontargets = scores
+    rates = sweep(targets, nontargets)
+    columns = list(zip(rates.threshold.tolist(), rates.p_miss.tolist(), rates.p_fa.tolist()))
+    assert columns == sweep_ref(targets, nontargets)
+    assert min_dcf(rates, params) == min_dcf_ref(
+        targets, nontargets, params.c_miss, params.c_fa, params.p_target
+    )
+    assert abs(eer(rates) - eer_ref(targets, nontargets)) <= 1e-12
+    points = det_points(rates)
+    assert len(points) == len(det_points_ref(targets, nontargets))
+    assert list(zip(
+        points.threshold.tolist(), points.p_miss.tolist(), points.p_fa.tolist()
+    )) == det_points_ref(targets, nontargets)

@@ -232,17 +232,18 @@ class TestScoresFormat:
         path = tmp_path / "s.tsv"
         write_scores(records, path)
         parsed = parse_scores(path)
-        assert [r.trial_id for r in parsed] == ["t1", "t2"]
-        assert parsed[0].score == pytest.approx(0.25, abs=1e-6)
-        assert parsed[0].gate.passed and not parsed[1].gate.passed
-        assert parsed[1].gate.cer == pytest.approx(1.5, abs=1e-4)
-        assert all(r.label is None for r in parsed)
+        assert parsed.trial_ids == ["t1", "t2"]
+        assert parsed.score.tolist() == pytest.approx([0.25, -1.0], abs=1e-6)
+        assert parsed.passed.tolist() == [True, False]
+        assert parsed.cer.tolist() == pytest.approx([0.1, 1.5], abs=1e-4)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.tsv"
         write_scores([], path)
         assert path.read_text(encoding="utf-8") == ""
-        assert parse_scores(path) == []
+        parsed = parse_scores(path)
+        assert parsed.trial_ids == []
+        assert parsed.score.size == parsed.passed.size == parsed.cer.size == 0
 
     def test_diagnostics(self, tmp_path):
         with pytest.raises(MalformedLine):
@@ -268,7 +269,9 @@ class TestScoresFormat:
 
 class TestDetFormat:
     def test_header_and_rows(self, tmp_path):
-        points = [ErrorRates(-1.0, 0.0, 1.0, 2, 3), ErrorRates(2.0, 1.0, 0.0, 2, 3)]
+        points = ErrorRates(
+            np.array([-1.0, 2.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]), 2, 3
+        )
         path = tmp_path / "d.tsv"
         write_det(points, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -278,7 +281,7 @@ class TestDetFormat:
 
     def test_empty_points(self, tmp_path):
         path = tmp_path / "d.tsv"
-        write_det([], path)
+        write_det(ErrorRates(np.empty(0), np.empty(0), np.empty(0), 0, 0), path)
         assert path.read_text(encoding="utf-8") == "#p_miss\tp_fa\tthreshold\n"
 
 
