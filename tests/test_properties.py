@@ -91,11 +91,16 @@ _BAD_TOKENS = st.sampled_from([
     ".", "-", "1e", "1,5",
 ])
 # Plus tokens that float() reads although numpy's own text parsers would not
-# (underscores, Arabic-Indic digits, padding), and arbitrary short text.
+# (underscores, Arabic-Indic digits, padding), and arbitrary short text
+# without surrogates, which no UTF-8 file can hold.
 _ODD_TOKENS = st.one_of(
     _BAD_TOKENS,
     st.sampled_from(["1_0", "\u0661\u0662", "+.5", "5.", " 1", "1\x0c"]),
-    st.text(st.characters(blacklist_characters="\n\r\t "), min_size=1, max_size=6),
+    st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r\t "),
+        min_size=1,
+        max_size=6,
+    ),
 )
 DEFECTS = (
     "none",
@@ -156,8 +161,8 @@ def test_parse_embeddings_matches_value_by_value_parse(tmp_path, defect, data):
 
 # -- score files and the label join -------------------------------------------
 
-# Id characters that str.splitlines would treat as line breaks but a text
-# file's newline translation does not.
+# Id characters, most of them ones that str.splitlines treats as line breaks
+# and a text file's newline translation does not.
 _ID_CHARS = "ab\u00e9 \x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _SCORE_TOKENS = st.one_of(
     st.floats(-1.0, 1.0).map(lambda v: f"{v:.6f}"),
@@ -226,8 +231,10 @@ def _break_score_row(draw, rows, defect):
         rows[row][1 if defect == "bad score" else 3] = draw(_ODD_TOKENS)
     elif defect == "bad flag":
         rows[row][2] = draw(st.one_of(
-            st.sampled_from(["pass", "", "PASS ", "FAIL"]), st.text(max_size=4)
-        ).filter(lambda t: "\t" not in t and "\n" not in t and "\r" not in t))
+            st.sampled_from(["pass", "", "PASS ", "FAIL", "PASS\x0b"]),
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                    max_size=4),
+        ))
 
 
 def _apply_score_defect(draw, rows, defect):
@@ -341,6 +348,35 @@ def test_label_join_matches_value_by_value_join(tmp_path, defect, data):
     assert _join_outcome(_load_labeled_scores, scores_path, trials_path) == expected
     if defect == "unscored trials":
         assert expected[2] > 0
+
+
+# Text near the two formats: fields, tabs, every newline form, separators
+# that are not newlines, and arbitrary characters.
+_NEAR_FORMAT = st.lists(st.one_of(
+    st.sampled_from(["\t", "\n", "\r", "\r\n", "\x0b", "\u2028", " ", "t1", "t2", "0.5",
+                     "-1", "nan", "PASS", "PUNITIVE", "TC", "IW", "m", "u"]),
+    st.characters(blacklist_categories=("Cs",)),
+), max_size=40).map("".join)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(scores_text=_NEAR_FORMAT, trials_text=_NEAR_FORMAT)
+@example("t1\t0.5\tPASS\t0.1\r\nt2\t-1\tPUNITIVE\t1\r", "t1\tm\tu\tTC\rt2\tm\tu\tIW\n")
+def test_readers_on_arbitrary_text_match_oracles(tmp_path, scores_text, trials_text):
+    """Any text either reads as the oracles read it or raises the same
+    TdsvError; a bare exception fails the test."""
+    scores_path = _write(tmp_path / "s.tsv", scores_text)
+    trials_path = _write(tmp_path / "t.tsv", trials_text)
+    assert _score_outcome(parse_scores, scores_path) == _score_outcome(
+        parse_scores_ref, scores_path
+    )
+    assert _join_outcome(_load_labeled_scores, scores_path, trials_path) == _join_outcome(
+        join_labels_ref, scores_path, trials_path
+    )
 
 
 # -- detection metrics -----------------------------------------------------------
