@@ -216,11 +216,19 @@ def _score_rows(draw, n_rows):
     ]
 
 
+def _put(row, index, value):
+    """Set a field, or append it where an earlier defect cut the row short."""
+    if index < len(row):
+        row[index] = value
+    else:
+        row.append(value)
+
+
 def _break_score_row(draw, rows, defect):
     row = draw(st.integers(0, len(rows) - 1))
     if defect == "wrong field count":
         if draw(st.booleans()):
-            del rows[row][draw(st.integers(1, 3))]
+            del rows[row][draw(st.integers(1, len(rows[row]) - 1))]
         else:
             rows[row].insert(draw(st.integers(1, 4)), draw(_SCORE_TOKENS))
     elif defect == "empty id":
@@ -228,13 +236,13 @@ def _break_score_row(draw, rows, defect):
     elif defect == "duplicate id":
         rows.insert(draw(st.integers(row + 1, len(rows))), [rows[row][0]] + rows[row][1:])
     elif defect in ("bad score", "bad cer"):
-        rows[row][1 if defect == "bad score" else 3] = draw(_ODD_TOKENS)
+        _put(rows[row], 1 if defect == "bad score" else 3, draw(_ODD_TOKENS))
     elif defect == "bad flag":
-        rows[row][2] = draw(st.one_of(
+        _put(rows[row], 2, draw(st.one_of(
             st.sampled_from(["pass", "", "PASS ", "FAIL", "PASS\x0b"]),
             st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
                     max_size=4),
-        ))
+        )))
 
 
 def _apply_score_defect(draw, rows, defect):
@@ -302,9 +310,9 @@ def labeled_pairs(draw, defect):
             _break_score_row(draw, score_rows, draw(st.sampled_from(SCORE_DEFECTS[1:-1])))
         elif kind == "bad label":
             # A separator that str.splitlines honours would cut "TC\x0b" to "TC".
-            trial_rows[row][3] = draw(st.sampled_from(
+            _put(trial_rows[row], 3, draw(st.sampled_from(
                 ["tc", "", "XX", "TC ", "TC\x0b", "IW\x1c", "TW\u2028", "IC\x85"]
-            ))
+            )))
         elif kind == "wrong trial field count":
             if draw(st.booleans()):
                 del trial_rows[row][draw(st.integers(1, 2))]
