@@ -190,7 +190,7 @@ def cmd_simulate(args) -> int:
     kwargs = {
         "n_speakers": args.n_speakers,
         "n_phrases": args.n_phrases,
-        "trials_per_type": {label: args.trials_per_type for label in TrialLabel},
+        "trials_per_type": args.trials_per_type,
         "transcript_error_rate_correct": args.err_correct,
         "transcript_error_rate_wrong": args.err_wrong,
         "master_seed": args.seed,

@@ -1,15 +1,17 @@
-"""Enrollment models, embedding fusion, and trial scoring.
+"""Enrollment models and trial scoring.
 
 An enrollment model is built from three repetitions of one phrase by one
 speaker: per embedding space, the repetitions are unit-normalized, averaged,
-and re-normalized. Multiple model spaces are fused by concatenating the
-per-space unit vectors in a declared order; the cosine of two such fused
-vectors equals the mean of the per-space cosines. A trial's final score is
-that cosine if the phrase gate passes, else the punitive floor.
+and re-normalized. The spaces are fused: a trial's score is the cosine of
+the concatenated per-space unit vectors (in the declared space order), which
+equals the mean of the per-space cosines, if the phrase gate passes, else
+the punitive floor.
 
-score_all computes the score as that mean of per-space cosines, clamped to
-[-1, 1], in one batch after a validation pass over all trials, and gates
-each distinct (hypothesis text, phrase text) pair once per run.
+score_all is the one scoring entry point. It computes that mean of
+per-space cosines, clamped to [-1, 1], in one batch after a validation pass
+over all trials, and gates each distinct (hypothesis text, phrase text) pair
+once per run. The tests check its scores against the concatenate-and-dot
+reference in tests/oracles.py.
 """
 
 import math
@@ -60,23 +62,7 @@ class EnrollmentModel:
 
     model_id: str
     phrase_id: str
-    rep_ids: tuple
     centroid_per_space: Mapping[str, np.ndarray]
-
-    def __post_init__(self):
-        if len(self.rep_ids) != REPS_PER_MODEL:
-            raise ValueError(
-                f"model '{self.model_id}' needs exactly {REPS_PER_MODEL} "
-                f"repetition ids, got {len(self.rep_ids)}"
-            )
-
-
-@dataclass(frozen=True)
-class FusedEmbedding:
-    """Concatenation of per-space unit vectors in declared space order."""
-
-    values: np.ndarray
-    dims: tuple
 
 
 @dataclass(frozen=True)
@@ -113,22 +99,6 @@ def enroll(reps: Sequence) -> np.ndarray:
     return l2_normalize(np.mean(units, axis=0))
 
 
-def fuse(per_space: Sequence) -> FusedEmbedding:
-    """Unit-normalize each space's vector and concatenate in the given order.
-
-    Every block carries weight 1.0; any uniform positive weight yields the
-    same cosines, and for two spaces cosine(fused, fused') is the mean of
-    the per-space cosines.
-    """
-    if not per_space:
-        raise ValueError("fuse requires at least one space")
-    blocks = [l2_normalize(v) for v in per_space]
-    return FusedEmbedding(
-        values=np.concatenate(blocks),
-        dims=tuple(b.shape[0] for b in blocks),
-    )
-
-
 def build_enrollment(
     entry: EnrollEntry,
     embeddings_by_space: Mapping[str, Mapping[str, np.ndarray]],
@@ -153,39 +123,8 @@ def build_enrollment(
     return EnrollmentModel(
         model_id=entry.model_id,
         phrase_id=entry.phrase_id,
-        rep_ids=tuple(entry.rep_ids),
         centroid_per_space=centroids,
     )
-
-
-def score_trial(
-    trial: Trial,
-    enrollment: EnrollmentModel,
-    test_per_space: Mapping[str, np.ndarray],
-    hyp: Optional[Transcript],
-    phrases: Mapping[str, Phrase],
-    cfg: GateConfig,
-    space_order: Sequence[str],
-) -> ScoreRecord:
-    """Score one trial: punitive floor on gate failure, fused cosine otherwise.
-
-    A one-trial run of the score_all path; raises its integrity error
-    unchanged, without the trial-id prefix score_all adds.
-    """
-    tables = {
-        space: {trial.test_id: test_per_space[space]} if space in test_per_space else {}
-        for space in space_order
-    }
-    transcripts = {} if hyp is None else {trial.test_id: hyp}
-
-    def reraise(_trial, exc):
-        raise exc
-
-    [record] = _score(
-        [trial], {trial.model_id: enrollment}, {}, tables, transcripts, phrases,
-        cfg, space_order, reraise,
-    )
-    return record
 
 
 def score_all(
@@ -199,43 +138,25 @@ def score_all(
     strict: bool = True,
     enroll_errors: Optional[Mapping[str, TdsvError]] = None,
 ) -> ScoreRun:
-    """Score every trial in input order.
+    """Score every trial in input order; the one scoring entry point.
 
     strict: abort on the first integrity error, with the offending trial id
     in the message. lenient: skip broken trials and report them in
-    ScoreRun.skipped. Duplicate trial ids are an integrity error.
-    enroll_errors maps a model id whose enrollment could not be built to
-    that build error, which then stands in for MissingModel on its trials.
-    """
-    run = ScoreRun()
+    ScoreRun.skipped as (trial id, "Class: message"). Duplicate trial ids
+    are an integrity error. enroll_errors maps a model id whose enrollment
+    could not be built to that build error, which then stands in for
+    MissingModel on its trials.
 
-    def on_error(trial, exc):
-        if strict:
-            raise type(exc)(f"trial '{trial.trial_id}': {exc}") from exc
-        run.skipped.append((trial.trial_id, f"{type(exc).__name__}: {exc}"))
-
-    run.records = _score(
-        trials, enrollments, enroll_errors or {}, test_embeddings, transcripts,
-        phrases, cfg, space_order, on_error,
-    )
-    return run
-
-
-def _score(
-    trials, enrollments, enroll_errors, test_embeddings, transcripts, phrases,
-    cfg, space_order, on_error,
-) -> list:
-    """The scoring path behind score_all and score_trial.
-
-    One validation pass in trial order resolves every reference, gates each
-    distinct (hypothesis, phrase) pair once, and hands each broken trial to
-    on_error, which raises or records it. The cosines of the gate-passed
-    trials are then computed together: per trial and space, the dot product
-    of centroid and test vector over the product of their norms; the score
-    is the mean over spaces, clamped to [-1, 1].
+    One validation pass in trial order resolves every reference and gates
+    each distinct (hypothesis, phrase) pair once. The cosines of the
+    gate-passed trials are then computed together: per trial and space, the
+    dot product of centroid and test vector over the product of their
+    norms; the score is the mean over spaces, clamped to [-1, 1].
     """
     if not space_order:
         raise ValueError("scoring requires at least one embedding space")
+    enroll_errors = enroll_errors or {}
+    run = ScoreRun()
     tables = [test_embeddings.get(space) for space in space_order]
     seen = set()
     outcomes = {}  # (hypothesis text, phrase text) -> GateOutcome
@@ -302,7 +223,9 @@ def _score(
                 test_vecs.extend(tests)
                 norm_products.extend(a * b for a, b in zip(centroid_norms, test_norms))
         except TdsvError as exc:
-            on_error(trial, exc)
+            if strict:
+                raise type(exc)(f"trial '{trial.trial_id}': {exc}") from exc
+            run.skipped.append((trial.trial_id, f"{type(exc).__name__}: {exc}"))
             continue
         scored.append((trial, outcome))
 
@@ -311,10 +234,11 @@ def _score(
         dots = np.array([c.dot(t) for c, t in zip(enr_vecs, test_vecs)])
         cosines = (dots / norm_products).reshape(len(passed), len(space_order))
         scores[passed] = np.clip(cosines.mean(axis=1), -1.0, 1.0)
-    return [
+    run.records = [
         ScoreRecord(trial.trial_id, score, outcome, trial.label)
         for (trial, outcome), score in zip(scored, scores.tolist())
     ]
+    return run
 
 
 def _centroids(enrollment: EnrollmentModel, space_order):

@@ -13,7 +13,6 @@ import hashlib
 import math
 import string
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -69,10 +68,6 @@ def _default_spaces() -> tuple:
     return (SpaceSpec("alpha", 64, 0.05), SpaceSpec("beta", 64, 0.05))
 
 
-def _default_trials() -> dict:
-    return {label: 10 for label in _LABEL_ORDER}
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Generator settings; validation names the offending field."""
@@ -80,8 +75,7 @@ class SimConfig:
     n_speakers: int = 50
     n_phrases: int = 10
     spaces: tuple = field(default_factory=_default_spaces)
-    reps_per_enrollment: int = REPS_PER_MODEL
-    trials_per_type: Mapping[TrialLabel, int] = field(default_factory=_default_trials)
+    trials_per_type: int = 10  # trials of each label
     transcript_error_rate_correct: float = 0.0
     transcript_error_rate_wrong: float = 0.0
     master_seed: int = 0
@@ -96,18 +90,10 @@ class SimConfig:
         names = [sp.name for sp in self.spaces]
         if len(set(names)) != len(names):
             raise ConfigInvalid(f"spaces contains duplicate names {names}")
-        if self.reps_per_enrollment != REPS_PER_MODEL:
+        if not (isinstance(self.trials_per_type, int) and self.trials_per_type >= 0):
             raise ConfigInvalid(
-                "reps_per_enrollment must be "
-                f"{REPS_PER_MODEL} (enrollment map format pins three repetitions)"
+                f"trials_per_type must be an int >= 0, got {self.trials_per_type!r}"
             )
-        for label, count in self.trials_per_type.items():
-            if not isinstance(label, TrialLabel):
-                raise ConfigInvalid(f"trials_per_type key {label!r} is not a TrialLabel")
-            if not (isinstance(count, int) and count >= 0):
-                raise ConfigInvalid(
-                    f"trials_per_type[{label.name}] must be an int >= 0, got {count!r}"
-                )
         for fname in ("transcript_error_rate_correct", "transcript_error_rate_wrong"):
             rate = getattr(self, fname)
             if not (0.0 <= rate <= 1.0):
@@ -218,11 +204,11 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     """Generate one full dataset: phrases, enrollments, trials, transcripts.
 
     Models pair speaker i with phrase i mod n_phrases. Trials are emitted in
-    label order TC, TW, IC, IW; each trial picks its model uniformly, then
-    (per its label) the same or a uniformly-chosen other speaker and the
-    same or a uniformly-chosen other phrase. The transcript corrupts the
-    phrase the test utterance actually speaks, at the correct-phrase rate
-    for TC/IC and the wrong-phrase rate for TW/IW.
+    label order TC, TW, IC, IW, trials_per_type of each; each trial picks
+    its model uniformly, then (per its label) the same or a uniformly-chosen
+    other speaker and the same or a uniformly-chosen other phrase. The
+    transcript corrupts the phrase the test utterance actually speaks, at
+    the correct-phrase rate for TC/IC and the wrong-phrase rate for TW/IW.
     """
     seed = cfg.master_seed
     phrase_ids = [f"phr{i:03d}" for i in range(cfg.n_phrases)]
@@ -245,7 +231,7 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     for i in range(cfg.n_speakers):
         model_id = f"mdl{i:04d}"
         phrase_id = phrase_ids[i % cfg.n_phrases]
-        rep_ids = tuple(f"{model_id}-rep{k}" for k in range(cfg.reps_per_enrollment))
+        rep_ids = tuple(f"{model_id}-rep{k}" for k in range(REPS_PER_MODEL))
         for j, sp in enumerate(cfg.spaces):
             for k, rep_id in enumerate(rep_ids):
                 embeddings[sp.name][rep_id] = gen_utterance(
@@ -260,7 +246,7 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     utt_phrase = {}
     counter = 0
     for li, label in enumerate(_LABEL_ORDER):
-        for t in range(cfg.trials_per_type.get(label, 0)):
+        for t in range(cfg.trials_per_type):
             rng = np.random.default_rng(derive_seed(seed, "trial", li, t))
             mi = int(rng.integers(cfg.n_speakers))
             model_id = f"mdl{mi:04d}"

@@ -49,9 +49,9 @@ class GateConfig:
     disables the gate (everything passes). The default 0.3 is the operating
     point of the strongest ASR configuration.
 
-    punitive_score: score assigned to gate-failed trials. Must be <= -1.0,
-    the floor of the cosine range, so punished trials rank below every
-    genuine cosine score.
+    punitive_score: score assigned to gate-failed trials. Must be finite
+    (score files hold finite values only) and <= -1.0, the floor of the
+    cosine range, so punished trials rank below every genuine cosine score.
     """
 
     cer_threshold: float = 0.3
@@ -62,9 +62,9 @@ class GateConfig:
             raise ConfigInvalid(
                 f"cer_threshold must be >= 0, got {self.cer_threshold}"
             )
-        if math.isnan(self.punitive_score) or self.punitive_score > -1.0:
+        if not (math.isfinite(self.punitive_score) and self.punitive_score <= -1.0):
             raise ConfigInvalid(
-                f"punitive_score must be <= -1.0, got {self.punitive_score}"
+                f"punitive_score must be finite and <= -1.0, got {self.punitive_score}"
             )
 
 

@@ -4,8 +4,9 @@ All files are UTF-8 text with one record per line and tab-separated fields.
 Embedding files open with a `#dim <D>` header and hold space-separated
 floats serialized at 17 significant digits, which round-trips doubles
 exactly. Parsers raise a per-line diagnostic (path:line: detail) on any
-malformed input instead of crashing; writers emit deterministic bytes for
-identical inputs ("\\n" endings on every platform).
+malformed input instead of crashing, bytes that are not UTF-8 included;
+writers emit deterministic bytes for identical inputs ("\\n" endings on
+every platform).
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -20,6 +21,7 @@ Formats:
 import math
 import os
 import re
+from contextlib import contextmanager
 from itertools import repeat
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -45,6 +47,35 @@ _FLAGS = frozenset({"PASS", "PUNITIVE"})
 _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
 
 
+@contextmanager
+def _reading(path):
+    """Open path as UTF-8 text. Bytes that are not UTF-8 raise MalformedLine
+    when the decoder reaches them, which may be before the reader reaches
+    an earlier bad line of the same buffer."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> MalformedLine:
+    """The diagnostic for the first undecodable byte of path, on the line
+    text mode gives it: one line break per \\r\\n, lone \\r or lone \\n
+    before it."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    else:  # the file changed since the failed read; blame its end
+        start = len(raw)
+    head = raw[:start]
+    line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    return MalformedLine(path, line, f"not valid UTF-8 at byte offset {start}")
+
+
 def _lines(f, start: int = 1):
     """Yield (line_no, line) pairs, newline-stripped, empty lines skipped.
 
@@ -61,7 +92,7 @@ def _nonblank_lines(path) -> List[str]:
     """The file's non-empty lines, each as _lines yields it: split on the
     newlines left by text mode's newline translation (str.splitlines would
     also split on form feeds, U+2028 and other separators)."""
-    with open(path, encoding="utf-8") as f:
+    with _reading(path) as f:
         return list(filter(None, f.read().split("\n")))
 
 
@@ -112,7 +143,7 @@ def parse_embeddings(path) -> Tuple[dict, int]:
     the same line and column as a per-value parse would.
     """
     table = {}
-    with open(path, encoding="utf-8") as f:
+    with _reading(path) as f:
         header = f.readline().rstrip("\n")
         m = _HEADER_RE.fullmatch(header)
         if m is None:
@@ -162,7 +193,7 @@ def parse_trials(path, labels_only: bool = False):
         if labels is not None:
             return labels
     trials = []
-    with open(path, encoding="utf-8") as f:
+    with _reading(path) as f:
         for n, line in _lines(f):
             fields = line.split("\t")
             if len(fields) not in (3, 4):
@@ -219,7 +250,7 @@ def write_trials(trials: Sequence, path) -> None:
 def _parse_id_text(path, factory, what: str) -> dict:
     """Shared reader for the two `<id>\\t<text>` formats."""
     table = {}
-    with open(path, encoding="utf-8") as f:
+    with _reading(path) as f:
         for n, line in _lines(f):
             if "\t" not in line:
                 raise MalformedLine(path, n, f"expected '<id>\\t<{what}>'")
@@ -262,7 +293,7 @@ def write_transcripts(transcripts: Mapping, path) -> None:
 def parse_enrollmap(path) -> dict:
     """Read the enrollment map: model_id -> EnrollEntry (three rep ids)."""
     entries = {}
-    with open(path, encoding="utf-8") as f:
+    with _reading(path) as f:
         for n, line in _lines(f):
             fields = line.split("\t")
             if len(fields) != 3:
@@ -338,7 +369,7 @@ def _scan_scores(path) -> ScoreColumns:
     and then column order."""
     trial_ids, scores, passed, cers = [], [], [], []
     seen = set()
-    with open(path, encoding="utf-8") as f:
+    with _reading(path) as f:
         for n, line in _lines(f):
             fields = line.split("\t")
             if len(fields) != 4:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Deliberately written the slow, obvious way: a full-matrix dynamic program
-for edit distance, value-by-value parsers for the embedding and score files
+for edit distance, the fused cosine as a dot product of concatenated unit
+blocks, value-by-value parsers for the embedding and score files
 and for the label join of evaluate/det, and a pure-Python enumerator over
 every midpoint threshold for the detection metrics (per-threshold counting
 via binary search so the acceptance-scale runs stay inside their time
@@ -49,6 +50,25 @@ def edit_distance_ref(a: str, b: str) -> int:
                 d[i - 1][j - 1] + cost,
             )
     return d[n][m]
+
+
+def fused_cosine_ref(blocks_a, blocks_b) -> float:
+    """Cosine of two fused embeddings. Each side's per-space blocks are
+    unit-normalized and concatenated in order; the result is the dot product
+    of the two concatenations over the product of their norms."""
+
+    def fused(blocks):
+        out = []
+        for block in blocks:
+            norm = math.sqrt(math.fsum(float(v) * float(v) for v in block))
+            out.extend(float(v) / norm for v in block)
+        return out
+
+    x, y = fused(blocks_a), fused(blocks_b)
+    dot = math.fsum(p * q for p, q in zip(x, y))
+    norm_x = math.sqrt(math.fsum(p * p for p in x))
+    norm_y = math.sqrt(math.fsum(q * q for q in y))
+    return dot / (norm_x * norm_y)
 
 
 def parse_embeddings_ref(path):

@@ -12,22 +12,23 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
-from oracles import edit_distance_ref, eer_ref, make_records, min_dcf_ref
+from oracles import edit_distance_ref, eer_ref, fused_cosine_ref, make_records, min_dcf_ref
 from tdsvkit import (
     ALL,
     DcfParams,
+    EnrollmentModel,
     ErrorRates,
     GateConfig,
+    Phrase,
     SimConfig,
     SpaceSpec,
     TC_VS_TW,
-    TrialLabel,
+    Transcript,
+    Trial,
     build_enrollment,
-    cosine,
     dcf,
     edit_distance,
     eer,
-    fuse,
     gen_dataset,
     l2_normalize,
     min_dcf,
@@ -149,22 +150,30 @@ def test_dcf_normalization_constants():
 
 def test_fusion_cosine_identity():
     rng = np.random.default_rng(303)
-    worst = 0.0
-    for _ in range(1000):
+    order = ["a", "b"]
+    phrases = {"p": Phrase("p", "open the door")}
+    enrollments, tables, transcripts, trials, pairs = {}, {"a": {}, "b": {}}, {}, [], []
+    for i in range(1000):
         d1 = int(rng.integers(16, 513))
         d2 = int(rng.integers(16, 513))
         a1 = l2_normalize(rng.normal(size=d1))
         b1 = l2_normalize(rng.normal(size=d1))
         a2 = l2_normalize(rng.normal(size=d2))
         b2 = l2_normalize(rng.normal(size=d2))
-        fused = cosine(fuse([a1, a2]).values, fuse([b1, b2]).values)
-        mean = (cosine(a1, b1) + cosine(a2, b2)) / 2.0
-        worst = max(worst, abs(fused - mean))
+        enrollments[f"m{i}"] = EnrollmentModel(f"m{i}", "p", {"a": a1, "b": a2})
+        tables["a"][f"u{i}"], tables["b"][f"u{i}"] = b1, b2
+        transcripts[f"u{i}"] = Transcript(f"u{i}", "open the door")
+        trials.append(Trial(f"t{i}", f"m{i}", f"u{i}"))
+        pairs.append(([a1, a2], [b1, b2]))
+    run = score_all(trials, enrollments, tables, transcripts, phrases, GateConfig(), order)
+    worst = max(
+        abs(rec.score - fused_cosine_ref(*pair)) for rec, pair in zip(run.records, pairs)
+    )
     _check(
-        "fused cosine equals mean of per-space cosines (1000 pairs, dims "
-        "16-512)",
-        worst <= 1e-9,
-        f"worst_gap={worst:.2e}",
+        "score_all equals the cosine of concatenated unit blocks (1000 pairs, "
+        "dims 16-512)",
+        len(run.records) == 1000 and worst <= 1e-9,
+        f"scored={len(run.records)} worst_gap={worst:.2e}",
     )
 
 
@@ -172,7 +181,7 @@ def test_noise_free_pipeline_scores_perfectly():
     t0 = time.perf_counter()
     cfg = SimConfig(
         spaces=(SpaceSpec("a", 64, 0.0), SpaceSpec("b", 64, 0.0)),
-        trials_per_type={label: 10 for label in TrialLabel},
+        trials_per_type=10,
         transcript_error_rate_correct=0.0,
         transcript_error_rate_wrong=0.0,
         master_seed=7,
@@ -207,7 +216,7 @@ def test_phrase_gate_improves_min_dcf():
             n_speakers=50,
             n_phrases=10,
             spaces=(SpaceSpec("a", 64, 0.15), SpaceSpec("b", 64, 0.15)),
-            trials_per_type={label: 100 for label in TrialLabel},
+            trials_per_type=100,
             transcript_error_rate_correct=0.0,
             transcript_error_rate_wrong=0.1,
             master_seed=seed,
@@ -380,6 +389,9 @@ _MALFORMED_CASES = [
      {"scores.tsv": "t1\tzebra\tPASS\t0.0000\n"}, [], "UnparseableFloat"),
     ("score value not finite", "evaluate",
      {"scores.tsv": "t1\tnan\tPASS\t0.0000\n"}, [], "UnparseableFloat"),
+    ("score id not valid UTF-8", "evaluate",
+     {"scores.tsv": "t1\t0.9\tPASS\t0.0000\nt\udcff\udcfe2\t0.1\tPASS\t0.0000\n"},
+     [], "MalformedLine"),
     ("cer value not finite", "evaluate",
      {"scores.tsv": "t1\t0.5\tPASS\tinf\n"}, [], "UnparseableFloat"),
     ("labeled trial listed twice", "evaluate",
@@ -436,7 +448,10 @@ def test_malformed_inputs_fail_with_named_diagnostics(tmp_path):
         case_dir.mkdir()
         base = _WORLD if cmd == "score" else _EVAL_WORLD
         for fname, content in {**base, **overrides}.items():
-            (case_dir / fname).write_text(content, encoding="utf-8")
+            # lone surrogates \udc80-\udcff stand for raw bytes 0x80-0xff
+            (case_dir / fname).write_text(
+                content, encoding="utf-8", errors="surrogateescape"
+            )
         try:
             code, _, err = _run_cli(_malformed_argv(case_dir, cmd, extra))
         except Exception as exc:  # a crash is itself a failure

@@ -353,6 +353,31 @@ class TestErrorContract:
         assert code == 1
         assert err.startswith("error=ConfigInvalid:")
 
+    def test_infinite_punitive_score_rejected(self, tmp_path):
+        data = simulate(tmp_path, seed=3, err_wrong=0.5)
+        scores = tmp_path / "s.tsv"
+        code, out, err = run_cli(score_args(data, scores) + ["--punitive-score=-inf"])
+        assert (code, out) == (1, "")
+        assert err == "error=ConfigInvalid: punitive_score must be finite and <= -1.0, got -inf\n"
+        assert not scores.exists()
+
+    def test_input_not_utf8(self, tmp_path):
+        # a score id holding the bytes ff fe, then an enrollmap model id
+        data = simulate(tmp_path, seed=5)
+        scores = tmp_path / "scores.tsv"
+        scores.write_bytes(b"trl00000\t0.9\tPASS\t0.0000\ntrl\xff\xfe1\t0.1\tPASS\t0.0000\n")
+        argv = ["evaluate", "--scores", str(scores), "--trials", str(data / "trials.tsv")]
+        assert run_cli(argv) == (
+            1, "", f"error=MalformedLine: {scores}:2: not valid UTF-8 at byte offset 28\n"
+        )
+        enrollmap = data / "enrollmap.tsv"
+        enrollmap.write_bytes(enrollmap.read_bytes().replace(b"mdl0001", b"mdl\xfe001", 1))
+        offset = enrollmap.read_bytes().index(b"\xfe")
+        assert run_cli(score_args(data, tmp_path / "s.tsv")) == (
+            1, "", f"error=MalformedLine: {enrollmap}:2: not valid UTF-8 at byte offset {offset}\n"
+        )
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc_info:
             run_cli(["evaluate", "--scores", "x", "--trials", "y", "--subset", "bogus"])

@@ -1,4 +1,4 @@
-"""Enrollment, fusion, and trial scoring."""
+"""Enrollment, fusion, and trial scoring through score_all."""
 
 import dataclasses
 import math
@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fused_cosine_ref
 from tdsvkit import (
     DegenerateVector,
     DimensionMismatch,
@@ -22,11 +23,8 @@ from tdsvkit import (
     Trial,
     TrialLabel,
     build_enrollment,
-    cosine,
     enroll,
-    fuse,
     score_all,
-    score_trial,
 )
 
 
@@ -76,29 +74,57 @@ class TestEnroll:
             assert perm == pytest.approx(base, abs=1e-12)
 
 
+def _score_one(model, test_per_space, hyp_text, phrases, order=("a", "b")):
+    """The record of trial t1 (model against test vectors u1) from a strict
+    one-trial score_all run; hyp_text None leaves u1 without a transcript."""
+    tables = {space: {"u1": vec} for space, vec in test_per_space.items()}
+    transcripts = {} if hyp_text is None else {"u1": Transcript("u1", hyp_text)}
+    run = score_all(
+        [Trial("t1", model.model_id, "u1")], {model.model_id: model}, tables,
+        transcripts, phrases, GateConfig(), list(order),
+    )
+    [record] = run.records
+    return record
+
+
+_PHRASES = {"p1": Phrase("p1", "open the door")}
+
+
+def _model(*centroids):
+    """Model m1 on phrase p1 with the given centroids in spaces a, b, ..."""
+    return EnrollmentModel("m1", "p1", dict(zip("abc", map(np.asarray, centroids))))
+
+
 class TestFuse:
+    """Fusion as score_all computes it: the cosine of the concatenated
+    per-space unit vectors."""
+
     def test_single_space_is_normalization(self):
-        f = fuse([[3.0, 4.0]])
-        assert np.array_equal(f.values, [0.6, 0.8])
-        assert f.dims == (2,)
+        model = _model([0.6, 0.8])
+        rec = _score_one(model, {"a": np.array([3.0, 4.0])}, "open the door", _PHRASES, ("a",))
+        assert rec.score == pytest.approx(1.0, abs=1e-12)
+        rec = _score_one(model, {"a": np.array([8.0, -6.0])}, "open the door", _PHRASES, ("a",))
+        assert rec.score == pytest.approx(0.0, abs=1e-12)
 
     def test_two_spaces(self):
-        f = fuse([[1.0, 0.0], [0.0, 2.0]])
-        assert np.array_equal(f.values, [1.0, 0.0, 0.0, 1.0])
-        assert f.dims == (2, 2)
-
-    def test_empty_list(self):
-        with pytest.raises(ValueError):
-            fuse([])
+        # each block is normalized on its own: the plain concatenations
+        # [1,0,0,1] and [1,0,0,2] would give 3/sqrt(10), not 1
+        model = _model([1.0, 0.0], [0.0, 1.0])
+        test = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])}
+        rec = _score_one(model, test, "open the door", _PHRASES)
+        assert rec.score == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_block(self):
+        model = _model([1.0, 0.0], [0.0, 1.0])
+        test = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 0.0])}
         with pytest.raises(DegenerateVector):
-            fuse([[1.0, 0.0], [0.0, 0.0]])
+            _score_one(model, test, "open the door", _PHRASES)
 
     def test_hand_identity_example(self):
-        f1 = fuse([[1.0, 0.0], [0.0, 1.0]])
-        f2 = fuse([[1.0, 0.0], [1.0, 0.0]])
-        assert cosine(f1.values, f2.values) == pytest.approx(0.5, abs=1e-12)
+        model = _model([1.0, 0.0], [0.0, 1.0])
+        test = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0])}
+        rec = _score_one(model, test, "open the door", _PHRASES)
+        assert rec.score == pytest.approx(0.5, abs=1e-12)
 
     def test_mean_of_cosines_identity(self):
         rng = np.random.default_rng(32)
@@ -107,9 +133,9 @@ class TestFuse:
             d2 = int(rng.integers(16, 513))
             a1, a2 = rng.standard_normal(d1), rng.standard_normal(d1)
             b1, b2 = rng.standard_normal(d2), rng.standard_normal(d2)
-            fused = cosine(fuse([a1, b1]).values, fuse([a2, b2]).values)
-            mean = (cosine(a1, a2) + cosine(b1, b2)) / 2.0
-            assert abs(fused - mean) <= 1e-9
+            test = {"a": a2, "b": b2}
+            rec = _score_one(_model(a1, b1), test, "open the door", _PHRASES)
+            assert abs(rec.score - fused_cosine_ref([a1, b1], [a2, b2])) <= 1e-9
 
 
 def _tiny_world():
@@ -155,23 +181,17 @@ class TestBuildEnrollment:
         with pytest.raises(ValueError):
             EnrollEntry("m1", "p1", ("r0", "r1"))
         with pytest.raises(ValueError):
-            EnrollmentModel("m1", "p1", ("r0",), {})
+            EnrollEntry("m1", "p1", ("r0", "r1", "r2", "r3"))
 
 
 class TestScoreTrial:
+    """One-trial runs of score_all."""
+
     def test_perfect_match_scores_one(self):
         tables, entry, phrases = _tiny_world()
         model = build_enrollment(entry, tables, ["a", "b"])
         test = {"a": model.centroid_per_space["a"], "b": model.centroid_per_space["b"]}
-        rec = score_trial(
-            Trial("t1", "m1", "u1"),
-            model,
-            test,
-            Transcript("u1", "open the door"),
-            phrases,
-            GateConfig(),
-            ["a", "b"],
-        )
+        rec = _score_one(model, test, "open the door", phrases)
         assert rec.gate.passed
         assert rec.score == pytest.approx(1.0, abs=1e-12)
         assert rec.score <= 1.0
@@ -180,17 +200,13 @@ class TestScoreTrial:
         tables, entry, phrases = _tiny_world()
         model = build_enrollment(entry, tables, ["a", "b"])
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
-        bad = Transcript("u1", "completely different words")
-        rec = score_trial(
-            Trial("t1", "m1", "u1"), model, test, bad, phrases, GateConfig(), ["a", "b"]
-        )
+        bad = "completely different words"
+        rec = _score_one(model, test, bad, phrases)
         assert not rec.gate.passed
         assert rec.score == -1.0
         # punitive scores ignore embedding content entirely
         test2 = {"a": tables["a"]["u1"] * 3.7, "b": -tables["b"]["u1"]}
-        rec2 = score_trial(
-            Trial("t1", "m1", "u1"), model, test2, bad, phrases, GateConfig(), ["a", "b"]
-        )
+        rec2 = _score_one(model, test2, bad, phrases)
         assert rec2.score == rec.score
 
     def test_mean_of_per_space_cosines(self):
@@ -198,54 +214,28 @@ class TestScoreTrial:
         model = build_enrollment(entry, tables, ["a", "b"])
         # centroids are [1,0] and [0,1]; pick tests with cosines 0.8 and 0.6
         test = {"a": np.array([0.8, 0.6]), "b": np.array([0.8, 0.6])}
-        rec = score_trial(
-            Trial("t1", "m1", "u1"),
-            model,
-            test,
-            Transcript("u1", "open the door"),
-            phrases,
-            GateConfig(),
-            ["a", "b"],
-        )
+        rec = _score_one(model, test, "open the door", phrases)
         assert rec.score == pytest.approx(0.7, abs=1e-9)
 
     def test_missing_phrase(self):
         tables, entry, _ = _tiny_world()
         model = build_enrollment(entry, tables, ["a", "b"])
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
-        with pytest.raises(MissingPhrase, match="'p1'"):
-            score_trial(
-                Trial("t1", "m1", "u1"),
-                model,
-                test,
-                Transcript("u1", "x"),
-                {},
-                GateConfig(),
-                ["a", "b"],
-            )
+        with pytest.raises(MissingPhrase, match="^trial 't1': phrase 'p1'"):
+            _score_one(model, test, "x", {})
 
     def test_missing_transcript(self):
         tables, entry, phrases = _tiny_world()
         model = build_enrollment(entry, tables, ["a", "b"])
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
-        with pytest.raises(MissingTranscript, match="'u1'"):
-            score_trial(
-                Trial("t1", "m1", "u1"), model, test, None, phrases, GateConfig(), ["a", "b"]
-            )
+        with pytest.raises(MissingTranscript, match="^trial 't1': .*'u1'"):
+            _score_one(model, test, None, phrases)
 
     def test_missing_test_space(self):
         tables, entry, phrases = _tiny_world()
         model = build_enrollment(entry, tables, ["a", "b"])
-        with pytest.raises(MissingSpace, match="'b'"):
-            score_trial(
-                Trial("t1", "m1", "u1"),
-                model,
-                {"a": tables["a"]["u1"]},
-                Transcript("u1", "open the door"),
-                phrases,
-                GateConfig(),
-                ["a", "b"],
-            )
+        with pytest.raises(MissingSpace, match="^trial 't1': .*'b'"):
+            _score_one(model, {"a": tables["a"]["u1"]}, "open the door", phrases)
 
 
 def _world_for_batch():
@@ -377,9 +367,9 @@ class TestBatchPath:
         assert len(run.records) == 60
         for trial, rec in zip(trials, run.records):
             model = models[trial.model_id]
-            fused = cosine(
-                fuse([model.centroid_per_space[s] for s in order]).values,
-                fuse([tables[s][trial.test_id] for s in order]).values,
+            fused = fused_cosine_ref(
+                [model.centroid_per_space[s] for s in order],
+                [tables[s][trial.test_id] for s in order],
             )
             assert abs(rec.score - fused) <= 1e-12
             assert type(rec.score) is float

@@ -64,7 +64,7 @@ class TestSimConfig:
         assert cfg.n_speakers == 50
         assert cfg.n_phrases == 10
         assert [sp.dim for sp in cfg.spaces] == [64, 64]
-        assert cfg.reps_per_enrollment == 3
+        assert cfg.trials_per_type == 10
 
     def test_field_validation(self):
         with pytest.raises(ConfigInvalid, match="n_speakers"):
@@ -75,12 +75,10 @@ class TestSimConfig:
             SimConfig(spaces=())
         with pytest.raises(ConfigInvalid, match="duplicate"):
             SimConfig(spaces=(SpaceSpec("a", 8, 0.0), SpaceSpec("a", 8, 0.0)))
-        with pytest.raises(ConfigInvalid, match="reps_per_enrollment"):
-            SimConfig(reps_per_enrollment=2)
         with pytest.raises(ConfigInvalid, match="trials_per_type"):
-            SimConfig(trials_per_type={TrialLabel.TC: -1})
+            SimConfig(trials_per_type=-1)
         with pytest.raises(ConfigInvalid, match="trials_per_type"):
-            SimConfig(trials_per_type={"TC": 5})
+            SimConfig(trials_per_type=2.5)
         with pytest.raises(ConfigInvalid, match="transcript_error_rate_correct"):
             SimConfig(transcript_error_rate_correct=1.5)
         with pytest.raises(ConfigInvalid, match="transcript_error_rate_wrong"):
@@ -198,7 +196,7 @@ def _small_cfg(**overrides):
         n_speakers=6,
         n_phrases=4,
         spaces=(SpaceSpec("a", 16, 0.05), SpaceSpec("b", 16, 0.05)),
-        trials_per_type={label: 5 for label in TrialLabel},
+        trials_per_type=5,
         master_seed=11,
     )
     defaults.update(overrides)

@@ -165,6 +165,8 @@ class TestConfigs:
             GateConfig(punitive_score=-0.5)
         with pytest.raises(ConfigInvalid):
             GateConfig(punitive_score=float("nan"))
+        with pytest.raises(ConfigInvalid, match="finite"):
+            GateConfig(punitive_score=float("-inf"))
 
     def test_punitive_below_floor_ok(self):
         assert GateConfig(punitive_score=-7.0).punitive_score == -7.0

@@ -267,6 +267,45 @@ class TestScoresFormat:
                 parse_scores(path)
 
 
+class TestNotUtf8:
+    """Every reader names the line of the first byte that is not UTF-8."""
+
+    READERS = {
+        "embeddings header": (parse_embeddings, b"#dim \xff2\nr1\t1 0\n", 1),
+        "embeddings row": (parse_embeddings, b"#dim 2\nr1\t1 0\nr\xfe2\t1 0\n", 3),
+        "trials": (parse_trials, b"t1\tm1\tu1\tTC\nt\xff\xfe2\tm1\tu1\tTC\n", 2),
+        "labeled trials": (
+            lambda path: parse_trials(path, labels_only=True),
+            b"t1\tm1\tu1\tTC\nt\xff\xfe2\tm1\tu1\tTC\n",
+            2,
+        ),
+        "phrases": (parse_phrases, b"p1\topen\np2\tshut \xff\n", 2),
+        "transcripts": (parse_transcripts, b"u1\t\nu2\t\xc3\n", 2),
+        "enrollmap": (parse_enrollmap, b"m1\tp1\tr1,r2,r3\nm\xfe\tp1\tr1,r2,r3\n", 2),
+        "scores": (parse_scores, b"t1\t0.5\tPASS\t0.1\nt\xff\xfe2\t0.4\tPASS\t0.1\n", 2),
+        "after crlf": (parse_scores, b"t1\t0.5\tPASS\t0.1\r\nt2\t0.4\tPASS\t0.1\r\n\xff\n", 3),
+        "after lone cr": (parse_scores, b"t1\t0.5\tPASS\t0.1\rt2\t0.4\tPASS\t0.1\r\xff", 3),
+        "mixed breaks and blanks": (parse_phrases, b"p1\ta\r\n\r\n\rp2\tb\n\np3\t\xff", 6),
+        "truncated sequence at end": (parse_phrases, b"p1\topen\np2\t\xd8", 2),
+        "past the first buffer": (
+            parse_trials,
+            b"".join(b"t%d\tm1\tu1\tTC\n" % i for i in range(20000)) + b"t\xff\tm1\tu1\n",
+            20001,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(READERS))
+    def test_names_line_of_first_bad_byte(self, tmp_path, case):
+        reader, raw, line = self.READERS[case]
+        path = tmp_path / "f.tsv"
+        path.write_bytes(raw)
+        offset = next(i for i, b in enumerate(raw) if b >= 0x80)
+        with pytest.raises(MalformedLine) as exc_info:
+            reader(path)
+        assert str(exc_info.value) == f"{path}:{line}: not valid UTF-8 at byte offset {offset}"
+        assert exc_info.value.line_no == line
+
+
 class TestDetFormat:
     def test_header_and_rows(self, tmp_path):
         points = ErrorRates(
@@ -291,7 +330,7 @@ class TestWriteDataset:
             n_speakers=4,
             n_phrases=3,
             spaces=(SpaceSpec("a", 8, 0.1), SpaceSpec("b", 12, 0.0)),
-            trials_per_type={label: 3 for label in TrialLabel},
+            trials_per_type=3,
             transcript_error_rate_wrong=0.2,
             master_seed=77,
         )
