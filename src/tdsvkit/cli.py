@@ -26,7 +26,7 @@ import numpy as np
 from .core import UNLABELED, TrialLabel
 from .errors import ConfigInvalid, TdsvError, UnlabeledRecords
 from .metrics import SUBSETS, DcfParams, SubsetMode, det_points, eer, min_dcf, split_scores, sweep
-from .scoring import build_enrollment, score_all
+from .scoring import score_all
 from .synth import SimConfig, SpaceSpec, gen_dataset
 from .textgate import GateConfig
 from . import tsvio
@@ -93,27 +93,8 @@ def cmd_score(args) -> int:
     tables = {}
     for name, path in spaces:
         tables[name], _ = tsvio.parse_embeddings(path)
-
-    enrollments = {}
-    build_errors = {}  # lenient: model id -> why it was left out
-    for entry in entries.values():
-        try:
-            enrollments[entry.model_id] = build_enrollment(entry, tables, space_order)
-        except TdsvError as exc:
-            if args.strict:
-                raise
-            build_errors[entry.model_id] = exc
-
     run = score_all(
-        trials,
-        enrollments,
-        tables,
-        transcripts,
-        phrases,
-        gate_cfg,
-        space_order,
-        strict=args.strict,
-        enroll_errors=build_errors,
+        trials, entries, tables, transcripts, phrases, gate_cfg, space_order, strict=args.strict
     )
     tsvio.write_scores(run.records, args.out)
     for trial_id, reason in run.skipped:

@@ -14,7 +14,7 @@ that min_dcf, eer and det_points all read.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -197,14 +197,3 @@ def split_scores(scores, codes, mode: SubsetMode = ALL) -> Tuple[np.ndarray, np.
     kept = select_subset(codes, mode)
     is_target = codes == _TARGET
     return scores[kept & is_target], scores[kept & ~is_target]
-
-
-def record_columns(records: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-    """(scores, label codes) of labeled ScoreRecords, such as
-    ScoreRun.records, for split_scores."""
-    for rec in records:
-        if rec.label is None:
-            raise UnlabeledRecords(f"record '{rec.trial_id}' has no label")
-    scores = np.array([rec.score for rec in records], dtype=np.float64)
-    codes = np.array([LABEL_CODES[rec.label] for rec in records], dtype=np.int8)
-    return scores, codes

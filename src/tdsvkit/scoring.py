@@ -7,20 +7,23 @@ the concatenated per-space unit vectors (in the declared space order), which
 equals the mean of the per-space cosines, if the phrase gate passes, else
 the punitive floor.
 
-score_all is the one scoring entry point. It computes that mean of
-per-space cosines, clamped to [-1, 1], in one batch after a validation pass
-over all trials, and gates each distinct (hypothesis text, phrase text) pair
-once per run. The tests check its scores against the concatenate-and-dot
-reference in tests/oracles.py.
+score_all is the one scoring entry point. It takes the enrollmap entries,
+builds every model, and owns the strict/lenient policy for build and trial
+errors alike. It computes that mean of per-space cosines, clamped to
+[-1, 1], in one batch after a validation pass over all trials, and gates
+each distinct (hypothesis text, phrase text) pair once per run. The scores
+come back as ScoreColumns, the one score-set type, which the score file
+writer and reader share. The tests check the scores against the
+concatenate-and-dot reference in tests/oracles.py.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import EPS, Trial, TrialLabel, as_embedding, check_token, l2_normalize
+from .core import EPS, LABEL_CODES, UNLABELED, Trial, as_embedding, check_token, l2_normalize
 from .errors import (
     DegenerateVector,
     DimensionMismatch,
@@ -31,7 +34,7 @@ from .errors import (
     MissingTranscript,
     TdsvError,
 )
-from .textgate import GateConfig, GateOutcome, Phrase, Transcript, gate
+from .textgate import GateConfig, Phrase, Transcript, gate
 
 REPS_PER_MODEL = 3
 
@@ -57,31 +60,29 @@ class EnrollEntry:
 
 
 @dataclass(frozen=True)
-class EnrollmentModel:
-    """Speaker model: one unit-norm centroid per embedding space."""
+class ScoreColumns:
+    """A score set as columns in trial order: what score_all returns,
+    tsvio.write_scores writes and tsvio.parse_scores reads. len() is the
+    number of rows."""
 
-    model_id: str
-    phrase_id: str
-    centroid_per_space: Mapping[str, np.ndarray]
+    trial_ids: list
+    score: np.ndarray  # float64
+    passed: np.ndarray  # bool: the gate passed (flag PASS)
+    cer: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.trial_ids)
 
 
 @dataclass(frozen=True)
-class ScoreRecord:
-    """Final trial score with its gate outcome; label carried for evaluation."""
-
-    trial_id: str
-    score: float
-    gate: GateOutcome
-    label: Optional[TrialLabel] = None
-
-
-@dataclass
 class ScoreRun:
-    """Batch scoring result. skipped holds (trial_id, reason) pairs and is
-    only populated in lenient mode."""
+    """Batch scoring result. labels holds the label code (core.LABEL_CODES,
+    UNLABELED for a trial without a label) of each scored trial; skipped
+    holds (trial_id, reason) pairs and is only populated in lenient mode."""
 
-    records: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
+    records: ScoreColumns
+    labels: np.ndarray  # int8
+    skipped: list
 
 
 def enroll(reps: Sequence) -> np.ndarray:
@@ -103,9 +104,9 @@ def build_enrollment(
     entry: EnrollEntry,
     embeddings_by_space: Mapping[str, Mapping[str, np.ndarray]],
     space_order: Sequence[str],
-) -> EnrollmentModel:
-    """Compute per-space centroids for one enrollmap entry."""
-    centroids = {}
+) -> tuple:
+    """The unit-norm centroids of one enrollmap entry, in space order."""
+    centroids = []
     for space in space_order:
         table = embeddings_by_space.get(space)
         if table is None:
@@ -119,33 +120,31 @@ def build_enrollment(
                     f"missing from space '{space}'"
                 )
             reps.append(vec)
-        centroids[space] = enroll(reps)
-    return EnrollmentModel(
-        model_id=entry.model_id,
-        phrase_id=entry.phrase_id,
-        centroid_per_space=centroids,
-    )
+        centroids.append(enroll(reps))
+    return tuple(centroids)
 
 
 def score_all(
     trials: Sequence[Trial],
-    enrollments: Mapping[str, EnrollmentModel],
-    test_embeddings: Mapping[str, Mapping[str, np.ndarray]],
+    entries: Mapping[str, EnrollEntry],
+    embeddings: Mapping[str, Mapping[str, np.ndarray]],
     transcripts: Mapping[str, Transcript],
     phrases: Mapping[str, Phrase],
     cfg: GateConfig,
     space_order: Sequence[str],
     strict: bool = True,
-    enroll_errors: Optional[Mapping[str, TdsvError]] = None,
 ) -> ScoreRun:
     """Score every trial in input order; the one scoring entry point.
 
-    strict: abort on the first integrity error, with the offending trial id
-    in the message. lenient: skip broken trials and report them in
-    ScoreRun.skipped as (trial id, "Class: message"). Duplicate trial ids
-    are an integrity error. enroll_errors maps a model id whose enrollment
-    could not be built to that build error, which then stands in for
-    MissingModel on its trials.
+    entries maps model id to its enrollmap entry, as tsvio.parse_enrollmap
+    returns it; embeddings maps each space to its id -> vector table, which
+    holds the repetitions and the test vectors alike. Every entry's model
+    is built first, in entry order. strict: abort on the first error; a
+    build error is raised as it is, a trial's error with the offending
+    trial id in the message. lenient: skip broken trials and report them in
+    ScoreRun.skipped as (trial id, "Class: message"), where a model's build
+    error is the reason for each of its trials. Duplicate trial ids are an
+    integrity error.
 
     One validation pass in trial order resolves every reference and gates
     each distinct (hypothesis, phrase) pair once. The cosines of the
@@ -155,14 +154,23 @@ def score_all(
     """
     if not space_order:
         raise ValueError("scoring requires at least one embedding space")
-    enroll_errors = enroll_errors or {}
-    run = ScoreRun()
-    tables = [test_embeddings.get(space) for space in space_order]
+    models = {}  # model id -> (entry, centroids, their norms), or the build error
+    for model_id, entry in entries.items():
+        try:
+            centroids = build_enrollment(entry, embeddings, space_order)
+        except TdsvError as exc:
+            if strict:
+                raise
+            models[model_id] = exc
+        else:
+            models[model_id] = (entry, centroids, [_norm(c) for c in centroids])
+    # Only a trial whose model built reads these, so none is None.
+    tables = [embeddings.get(space) for space in space_order]
     seen = set()
     outcomes = {}  # (hypothesis text, phrase text) -> GateOutcome
-    models = {}  # model id -> (centroids, their norms) in space order, or the error
-    scored = []  # (trial, outcome) of every valid trial, in input order
-    # Per gate-passed trial: its index in scored, then per space (flat, in
+    skipped = []
+    ids, gates, labels = [], [], []  # of every valid trial, in input order
+    # Per gate-passed trial: its index in ids, then per space (flat, in
     # space order) the centroid, the test vector and the product of norms.
     passed, enr_vecs, test_vecs, norm_products = [], [], [], []
     for trial in trials:
@@ -170,15 +178,14 @@ def score_all(
             if trial.trial_id in seen:
                 raise DuplicateId(f"duplicate trial id '{trial.trial_id}'")
             seen.add(trial.trial_id)
-            enrollment = enrollments.get(trial.model_id)
-            if enrollment is None:
-                if trial.model_id in enroll_errors:
-                    raise enroll_errors[trial.model_id].with_traceback(None)
+            model = models.get(trial.model_id)
+            if model is None:
                 raise MissingModel(f"no enrollment model '{trial.model_id}' in enrollmap")
+            if isinstance(model, TdsvError):
+                raise model.with_traceback(None)
+            entry, centroids, centroid_norms = model
             tests = []
             for space, table in zip(space_order, tables):
-                if table is None:
-                    raise MissingSpace(f"no embeddings for declared space '{space}'")
                 vec = table.get(trial.test_id)
                 if vec is None:
                     raise MissingSpace(
@@ -186,69 +193,48 @@ def score_all(
                         f"space '{space}'"
                     )
                 tests.append(vec)
-            phrase = phrases.get(enrollment.phrase_id)
+            phrase = phrases.get(entry.phrase_id)
             if phrase is None:
                 raise MissingPhrase(
-                    f"phrase '{enrollment.phrase_id}' of model "
-                    f"'{enrollment.model_id}' not in phrase table"
+                    f"phrase '{entry.phrase_id}' of model "
+                    f"'{entry.model_id}' not in phrase table"
                 )
             hyp = transcripts.get(trial.test_id)
             if hyp is None:
                 raise MissingTranscript(
                     f"no transcript for test utterance '{trial.test_id}'"
                 )
-            for i, space in enumerate(space_order):
-                if space not in enrollment.centroid_per_space:
-                    raise MissingSpace(
-                        f"model '{enrollment.model_id}' has no centroid for "
-                        f"space '{space}'"
-                    )
-                tests[i] = as_embedding(tests[i])
+            tests = [as_embedding(t) for t in tests]
 
             key = (hyp.text, phrase.text)
             outcome = outcomes.get(key)
             if outcome is None:
                 outcome = outcomes[key] = gate(hyp, phrase, cfg)
             if outcome.passed:
-                model = models.get(trial.model_id)
-                if model is None:
-                    model = models[trial.model_id] = _centroids(enrollment, space_order)
-                if isinstance(model, TdsvError):
-                    raise model.with_traceback(None)
-                centroids, centroid_norms = model
                 test_norms = [_norm(t) for t in tests]
                 _check_dims(centroids, tests)
-                passed.append(len(scored))
+                passed.append(len(ids))
                 enr_vecs.extend(centroids)
                 test_vecs.extend(tests)
                 norm_products.extend(a * b for a, b in zip(centroid_norms, test_norms))
         except TdsvError as exc:
             if strict:
                 raise type(exc)(f"trial '{trial.trial_id}': {exc}") from exc
-            run.skipped.append((trial.trial_id, f"{type(exc).__name__}: {exc}"))
+            skipped.append((trial.trial_id, f"{type(exc).__name__}: {exc}"))
             continue
-        scored.append((trial, outcome))
+        ids.append(trial.trial_id)
+        gates.append(outcome)
+        labels.append(LABEL_CODES.get(trial.label, UNLABELED))
 
-    scores = np.full(len(scored), cfg.punitive_score)
+    scores = np.full(len(ids), cfg.punitive_score)
     if passed:
         dots = np.array([c.dot(t) for c, t in zip(enr_vecs, test_vecs)])
         cosines = (dots / norm_products).reshape(len(passed), len(space_order))
         scores[passed] = np.clip(cosines.mean(axis=1), -1.0, 1.0)
-    run.records = [
-        ScoreRecord(trial.trial_id, score, outcome, trial.label)
-        for (trial, outcome), score in zip(scored, scores.tolist())
-    ]
-    return run
-
-
-def _centroids(enrollment: EnrollmentModel, space_order):
-    """The model's centroids and their norms in space order, or the error
-    that normalizing the first bad one raises."""
-    try:
-        centroids = [as_embedding(enrollment.centroid_per_space[s]) for s in space_order]
-        return centroids, [_norm(c) for c in centroids]
-    except TdsvError as exc:
-        return exc
+    records = ScoreColumns(
+        ids, scores, np.array([g.passed for g in gates], bool), np.array([g.cer for g in gates])
+    )
+    return ScoreRun(records, np.array(labels, dtype=np.int8), skipped)
 
 
 def _norm(v: np.ndarray) -> float:

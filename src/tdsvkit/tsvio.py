@@ -21,9 +21,8 @@ Formats:
 import math
 import os
 import re
-from contextlib import contextmanager
 from itertools import repeat
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,25 +37,34 @@ from .errors import (
     TdsvError,
     UnparseableFloat,
 )
-from .scoring import REPS_PER_MODEL, EnrollEntry
+from .scoring import REPS_PER_MODEL, EnrollEntry, ScoreColumns
 from .textgate import Phrase, Transcript
 
 _HEADER_RE = re.compile(r"#dim (\d+)")
+_SURROGATE_RE = re.compile("[\udc80-\udcff]")
 _DET_HEADER = "#p_miss\tp_fa\tthreshold"
 _FLAGS = frozenset({"PASS", "PUNITIVE"})
 _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
 
 
-@contextmanager
 def _reading(path):
-    """Open path as UTF-8 text. Bytes that are not UTF-8 raise MalformedLine
-    when the decoder reaches them, which may be before the reader reaches
-    an earlier bad line of the same buffer."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            yield f
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+    """Open path as UTF-8 text in which each byte that is not UTF-8 reads as
+    a lone surrogate (U+DC80-U+DCFF); see _check_utf8."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _undecodable(text: str) -> bool:
+    """Whether text, as _reading gives it, holds a byte that is not UTF-8.
+    str.isascii takes constant time, so ASCII text pays for no search."""
+    return not text.isascii() and _SURROGATE_RE.search(text) is not None
+
+
+def _check_utf8(path, text: str) -> None:
+    """Raise the diagnostic of path's first undecodable byte if text holds
+    one; readers call it on each line before any other check of the line,
+    so the first bad line wins whatever is wrong with it."""
+    if _undecodable(text):
+        raise _not_utf8(path)
 
 
 def _not_utf8(path) -> MalformedLine:
@@ -76,8 +84,9 @@ def _not_utf8(path) -> MalformedLine:
     return MalformedLine(path, line, f"not valid UTF-8 at byte offset {start}")
 
 
-def _lines(f, start: int = 1):
-    """Yield (line_no, line) pairs, newline-stripped, empty lines skipped.
+def _lines(path, f, start: int = 1):
+    """Yield (line_no, line) pairs of f, the open file path, newline-stripped,
+    empty lines skipped, each checked by _check_utf8.
 
     start is the physical line number of the first line still in f, so
     callers that already consumed a header pass 2.
@@ -85,21 +94,26 @@ def _lines(f, start: int = 1):
     for n, raw in enumerate(f, start=start):
         line = raw.rstrip("\n")
         if line:
+            _check_utf8(path, line)
             yield n, line
 
 
-def _nonblank_lines(path) -> List[str]:
+def _nonblank_lines(path) -> Optional[List[str]]:
     """The file's non-empty lines, each as _lines yields it: split on the
     newlines left by text mode's newline translation (str.splitlines would
-    also split on form feeds, U+2028 and other separators)."""
+    also split on form feeds, U+2028 and other separators). None when the
+    file holds a byte that is not UTF-8, so that the caller's per-line scan
+    names the first bad line."""
     with _reading(path) as f:
-        return list(filter(None, f.read().split("\n")))
+        text = f.read()
+    return None if _undecodable(text) else list(filter(None, text.split("\n")))
 
 
-def _columns(lines: List[str], n_fields: int) -> Optional[List[list]]:
+def _columns(lines: Optional[List[str]], n_fields: int) -> Optional[List[list]]:
     """The fields of tab-separated lines as n_fields column lists, or None
-    when some line has another number of fields."""
-    if set(map(str.count, lines, repeat("\t"))) - {n_fields - 1}:
+    when lines is None (see _nonblank_lines) or some line has another
+    number of fields."""
+    if lines is None or set(map(str.count, lines, repeat("\t"))) - {n_fields - 1}:
         return None
     fields = "\t".join(lines).split("\t") if lines else []
     return [fields[i::n_fields] for i in range(n_fields)]
@@ -145,13 +159,14 @@ def parse_embeddings(path) -> Tuple[dict, int]:
     table = {}
     with _reading(path) as f:
         header = f.readline().rstrip("\n")
+        _check_utf8(path, header)
         m = _HEADER_RE.fullmatch(header)
         if m is None:
             raise BadHeader(path, 1, f"expected '#dim <D>' header, got {header!r}")
         dim = int(m.group(1))
         if dim < 1:
             raise BadHeader(path, 1, f"declared dim must be >= 1, got {dim}")
-        for n, line in _lines(f, start=2):
+        for n, line in _lines(path, f, start=2):
             utt_id, tab, rest = line.partition("\t")
             try:
                 values = np.fromiter(map(float, rest.split(" ")), np.float64)
@@ -194,7 +209,7 @@ def parse_trials(path, labels_only: bool = False):
             return labels
     trials = []
     with _reading(path) as f:
-        for n, line in _lines(f):
+        for n, line in _lines(path, f):
             fields = line.split("\t")
             if len(fields) not in (3, 4):
                 raise MalformedLine(
@@ -251,7 +266,7 @@ def _parse_id_text(path, factory, what: str) -> dict:
     """Shared reader for the two `<id>\\t<text>` formats."""
     table = {}
     with _reading(path) as f:
-        for n, line in _lines(f):
+        for n, line in _lines(path, f):
             if "\t" not in line:
                 raise MalformedLine(path, n, f"expected '<id>\\t<{what}>'")
             key, text = line.split("\t", 1)
@@ -294,7 +309,7 @@ def parse_enrollmap(path) -> dict:
     """Read the enrollment map: model_id -> EnrollEntry (three rep ids)."""
     entries = {}
     with _reading(path) as f:
-        for n, line in _lines(f):
+        for n, line in _lines(path, f):
             fields = line.split("\t")
             if len(fields) != 3:
                 raise MalformedLine(
@@ -322,15 +337,6 @@ def write_enrollmap(entries: Sequence, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for e in entries:
             f.write(f"{e.model_id}\t{e.phrase_id}\t{','.join(e.rep_ids)}\n")
-
-
-class ScoreColumns(NamedTuple):
-    """A score file as columns in file order."""
-
-    trial_ids: list
-    score: np.ndarray  # float64
-    passed: np.ndarray  # bool: the gate flag is PASS
-    cer: np.ndarray  # float64
 
 
 def parse_scores(path) -> ScoreColumns:
@@ -370,7 +376,7 @@ def _scan_scores(path) -> ScoreColumns:
     trial_ids, scores, passed, cers = [], [], [], []
     seen = set()
     with _reading(path) as f:
-        for n, line in _lines(f):
+        for n, line in _lines(path, f):
             fields = line.split("\t")
             if len(fields) != 4:
                 raise MalformedLine(
@@ -398,12 +404,15 @@ def _scan_scores(path) -> ScoreColumns:
     )
 
 
-def write_scores(records: Sequence, path) -> None:
-    """Write score records: 6-decimal score, gate flag, 4-decimal CER."""
+def write_scores(records: ScoreColumns, path) -> None:
+    """Write a score set: 6-decimal score, gate flag, 4-decimal CER."""
+    rows = zip(
+        records.trial_ids, records.score.tolist(), records.passed.tolist(), records.cer.tolist()
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for r in records:
-            flag = "PASS" if r.gate.passed else "PUNITIVE"
-            f.write(f"{r.trial_id}\t{r.score:.6f}\t{flag}\t{r.gate.cer:.4f}\n")
+        for trial_id, score, passed, cer in rows:
+            flag = "PASS" if passed else "PUNITIVE"
+            f.write(f"{trial_id}\t{score:.6f}\t{flag}\t{cer:.4f}\n")
 
 
 def write_det(points, path) -> None:

@@ -7,7 +7,7 @@ and for the label join of evaluate/det, and a pure-Python enumerator over
 every midpoint threshold for the detection metrics (per-threshold counting
 via binary search so the acceptance-scale runs stay inside their time
 budget). Nothing here imports the modules under test beyond the public
-record and error types.
+label and error types.
 """
 
 import math
@@ -22,9 +22,7 @@ from tdsvkit import (
     BadLabel,
     DimMismatch,
     DuplicateId,
-    GateOutcome,
     MalformedLine,
-    ScoreRecord,
     TrialLabel,
     UnlabeledRecords,
     UnparseableFloat,
@@ -262,26 +260,18 @@ def det_points_ref(targets, nontargets):
     return points
 
 
-_NONTARGET_LABELS = (TrialLabel.TW, TrialLabel.IC, TrialLabel.IW)
+_NONTARGET_CODES = [_LABEL_NAMES.index(name) for name in ("TW", "IC", "IW")]
 
 
-def make_records(targets, nontargets, rng=None):
-    """Wrap raw score lists into labeled ScoreRecords for the metrics API.
+def make_labeled_scores(targets, nontargets, rng=None):
+    """(scores, label codes) of raw score lists, targets first, for the
+    metrics API.
 
     Targets get TC; non-target labels cycle TW/IC/IW, or are drawn from rng
     when one is given.
     """
-    records = []
-    for i, score in enumerate(targets):
-        records.append(
-            ScoreRecord(f"t{i}", float(score), GateOutcome(True, 0.0), TrialLabel.TC)
-        )
-    for i, score in enumerate(nontargets):
-        if rng is None:
-            label = _NONTARGET_LABELS[i % 3]
-        else:
-            label = _NONTARGET_LABELS[int(rng.integers(3))]
-        records.append(
-            ScoreRecord(f"n{i}", float(score), GateOutcome(True, 0.0), label)
-        )
-    return records
+    codes = [_LABEL_NAMES.index("TC")] * len(targets)
+    for i in range(len(nontargets)):
+        codes.append(_NONTARGET_CODES[i % 3 if rng is None else int(rng.integers(3))])
+    scores = [float(s) for s in targets] + [float(s) for s in nontargets]
+    return np.array(scores, dtype=np.float64), np.array(codes, dtype=np.int8)

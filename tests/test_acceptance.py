@@ -12,11 +12,17 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
-from oracles import edit_distance_ref, eer_ref, fused_cosine_ref, make_records, min_dcf_ref
+from oracles import (
+    edit_distance_ref,
+    eer_ref,
+    fused_cosine_ref,
+    make_labeled_scores,
+    min_dcf_ref,
+)
 from tdsvkit import (
     ALL,
     DcfParams,
-    EnrollmentModel,
+    EnrollEntry,
     ErrorRates,
     GateConfig,
     Phrase,
@@ -25,14 +31,12 @@ from tdsvkit import (
     TC_VS_TW,
     Transcript,
     Trial,
-    build_enrollment,
     dcf,
     edit_distance,
     eer,
     gen_dataset,
     l2_normalize,
     min_dcf,
-    record_columns,
     score_all,
     split_scores,
     sweep,
@@ -46,9 +50,10 @@ def _check(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name}{tail}"
 
 
-def _rates(records, mode=ALL):
-    """The sweep of labeled ScoreRecords, through the columnar metrics API."""
-    return sweep(*split_scores(*record_columns(records), mode))
+def _rates(labeled, mode=ALL):
+    """The sweep of a (scores, label codes) pair, through the columnar
+    metrics API."""
+    return sweep(*split_scores(*labeled, mode))
 
 
 def _run_cli(argv):
@@ -83,16 +88,13 @@ def _random_score_set(rng, index: int):
 
 
 def _score_dataset(ds, gate_cfg: GateConfig):
-    order = ds.space_order
-    enrollments = {
-        entry.model_id: build_enrollment(entry, ds.embeddings, order)
-        for entry in ds.enroll_entries
-    }
+    """(scores, label codes) of every trial of ds."""
+    entries = {entry.model_id: entry for entry in ds.enroll_entries}
     run = score_all(
-        ds.trials, enrollments, ds.embeddings, ds.transcripts, ds.phrases,
-        gate_cfg, order,
+        ds.trials, entries, ds.embeddings, ds.transcripts, ds.phrases,
+        gate_cfg, ds.space_order,
     )
-    return run.records
+    return run.records.score, run.labels
 
 
 def test_cer_matches_reference_oracle():
@@ -117,7 +119,7 @@ def test_detection_metrics_match_enumeration_oracle():
     worst_eer_gap = 0.0
     for i in range(200):
         targets, nontargets = _random_score_set(rng, i)
-        rates = _rates(make_records(targets, nontargets, rng))
+        rates = _rates(make_labeled_scores(targets, nontargets, rng))
         if min_dcf(rates) != min_dcf_ref(targets, nontargets):
             bad += 1
             continue
@@ -152,7 +154,7 @@ def test_fusion_cosine_identity():
     rng = np.random.default_rng(303)
     order = ["a", "b"]
     phrases = {"p": Phrase("p", "open the door")}
-    enrollments, tables, transcripts, trials, pairs = {}, {"a": {}, "b": {}}, {}, [], []
+    entries, tables, transcripts, trials, pairs = {}, {"a": {}, "b": {}}, {}, [], []
     for i in range(1000):
         d1 = int(rng.integers(16, 513))
         d2 = int(rng.integers(16, 513))
@@ -160,14 +162,17 @@ def test_fusion_cosine_identity():
         b1 = l2_normalize(rng.normal(size=d1))
         a2 = l2_normalize(rng.normal(size=d2))
         b2 = l2_normalize(rng.normal(size=d2))
-        enrollments[f"m{i}"] = EnrollmentModel(f"m{i}", "p", {"a": a1, "b": a2})
+        # each enrollment vector serves as all three of its repetitions
+        entries[f"m{i}"] = EnrollEntry(f"m{i}", "p", (f"r{i}",) * 3)
+        tables["a"][f"r{i}"], tables["b"][f"r{i}"] = a1, a2
         tables["a"][f"u{i}"], tables["b"][f"u{i}"] = b1, b2
         transcripts[f"u{i}"] = Transcript(f"u{i}", "open the door")
         trials.append(Trial(f"t{i}", f"m{i}", f"u{i}"))
         pairs.append(([a1, a2], [b1, b2]))
-    run = score_all(trials, enrollments, tables, transcripts, phrases, GateConfig(), order)
+    run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), order)
     worst = max(
-        abs(rec.score - fused_cosine_ref(*pair)) for rec, pair in zip(run.records, pairs)
+        abs(score - fused_cosine_ref(*pair))
+        for score, pair in zip(run.records.score.tolist(), pairs)
     )
     _check(
         "score_all equals the cosine of concatenated unit blocks (1000 pairs, "
@@ -186,11 +191,11 @@ def test_noise_free_pipeline_scores_perfectly():
         transcript_error_rate_wrong=0.0,
         master_seed=7,
     )
-    records = _score_dataset(gen_dataset(cfg), GateConfig(0.3, -1.0))
-    rates = _rates(records)
+    labeled = _score_dataset(gen_dataset(cfg), GateConfig(0.3, -1.0))
+    rates = _rates(labeled)
     v_all, _ = min_dcf(rates)
     e_all = eer(rates)
-    sub = _rates(records, TC_VS_TW)
+    sub = _rates(labeled, TC_VS_TW)
     v_sub, _ = min_dcf(sub)
     e_sub = eer(sub)
     elapsed = time.perf_counter() - t0
@@ -222,15 +227,8 @@ def test_phrase_gate_improves_min_dcf():
             master_seed=seed,
         )
         ds = gen_dataset(cfg)
-        order = ds.space_order
-        enrollments = {
-            entry.model_id: build_enrollment(entry, ds.embeddings, order)
-            for entry in ds.enroll_entries
-        }
-        args = (ds.trials, enrollments, ds.embeddings, ds.transcripts,
-                ds.phrases)
-        gated, _ = min_dcf(_rates(score_all(*args, gated_cfg, order).records))
-        ungated, _ = min_dcf(_rates(score_all(*args, ungated_cfg, order).records))
+        gated, _ = min_dcf(_rates(_score_dataset(ds, gated_cfg)))
+        ungated, _ = min_dcf(_rates(_score_dataset(ds, ungated_cfg)))
         pairs.append((gated, ungated))
         leq_all = leq_all and gated <= ungated
         if gated < ungated:
@@ -250,7 +248,7 @@ def test_min_dcf_bound_and_sweep_monotonicity():
     violations = 0
     for i in range(100):
         targets, nontargets = _random_score_set(rng, i)
-        rates = _rates(make_records(targets, nontargets, rng))
+        rates = _rates(make_labeled_scores(targets, nontargets, rng))
         value, _ = min_dcf(rates)
         if not value <= 1.0 + 1e-12:
             violations += 1

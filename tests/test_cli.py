@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -392,3 +396,43 @@ class TestErrorContract:
         lines = scores.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 40
         assert all(line.split("\t")[2] == "PASS" for line in lines)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_traced(tmp_path, argv):
+    """Run one CLI command under the benchmark's tracer (perfbench/tracer.py)
+    in a subprocess; returns (stdout, the tracer's JSON output)."""
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, json.loads(spans.read_text(encoding="utf-8"))
+
+
+class TestBenchmarkTracer:
+    """The benchmark patches functions by name and counts from their results;
+    a broken link shows only as a missing name or a hook error."""
+
+    def test_score_and_evaluate_under_tracer(self, tmp_path):
+        data = simulate(tmp_path, seed=42)
+        scores = tmp_path / "scores.tsv"
+        out, trace = run_traced(tmp_path, score_args(data, scores))
+        assert trace["absent"] == []
+        assert "trace.hook_errors" not in trace["counts"]
+        n_lines = len(scores.read_text(encoding="utf-8").splitlines())
+        assert trace["counts"]["scoring.trials_scored"] == int(report_dict(out)["scored"]) == n_lines
+        n_entries = len((data / "enrollmap.tsv").read_text(encoding="utf-8").splitlines())
+        builds = [span for span in trace["spans"] if span[0] == "scoring.build_enrollment"]
+        assert len(builds) == n_entries > 0
+        out, trace = run_traced(tmp_path, [
+            "evaluate", "--scores", str(scores), "--trials", str(data / "trials.tsv"),
+        ])
+        assert trace["absent"] == []
+        assert "trace.hook_errors" not in trace["counts"]
+        assert "min_dcf=" in out

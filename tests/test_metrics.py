@@ -15,10 +15,8 @@ from tdsvkit import (
     DcfParams,
     EmptySide,
     ErrorRates,
-    GateOutcome,
     NoNonTargets,
     NoTargets,
-    ScoreRecord,
     SubsetMode,
     UNLABELED,
     TrialLabel,
@@ -27,13 +25,12 @@ from tdsvkit import (
     det_points,
     eer,
     min_dcf,
-    record_columns,
     select_subset,
     split_scores,
     sweep,
 )
 
-from oracles import eer_ref, make_records, min_dcf_ref, sweep_ref
+from oracles import eer_ref, make_labeled_scores, min_dcf_ref, sweep_ref
 
 
 class TestDcfParams:
@@ -113,9 +110,8 @@ class TestSweep:
             sweep([0.1, 0.2], [])
 
     def test_requires_labels(self):
-        rec = ScoreRecord("t", 0.5, GateOutcome(True, 0.0), None)
-        with pytest.raises(UnlabeledRecords, match="'t'"):
-            record_columns([rec])
+        with pytest.raises(UnlabeledRecords, match="^1 of 2 records have no label$"):
+            split_scores([0.5, 0.1], [0, UNLABELED])
 
 
 class TestMinDcf:
@@ -179,9 +175,9 @@ class TestDetPoints:
             assert all(a != b for a, b in zip(pairs, pairs[1:]))
 
     def test_empty_subset_is_error(self):
-        records = make_records([0.9], [0.5])  # non-target label cycles to TW
+        labeled = make_labeled_scores([0.9], [0.5])  # non-target label cycles to TW
         with pytest.raises(EmptySide):
-            split_scores(*record_columns(records), TC_VS_IW)
+            split_scores(*labeled, TC_VS_IW)
 
 
 class TestSelectSubset:
@@ -207,9 +203,6 @@ class TestSelectSubset:
     def test_unlabeled_rejected_in_all_mode(self):
         with pytest.raises(UnlabeledRecords):
             select_subset([0, 1, UNLABELED], ALL)
-        records = [ScoreRecord("a", 0.9, GateOutcome(True, 0.0), None)]
-        with pytest.raises(UnlabeledRecords):
-            record_columns(records)
 
     def test_custom_mode(self):
         custom = SubsetMode("tc-vs-nontc", frozenset(TrialLabel))
@@ -223,16 +216,6 @@ class TestSelectSubset:
         targets, nontargets = split_scores(scores, [1, 0, 3, 2, 0], TC_VS_TW)
         assert targets.tolist() == [0.3, 0.0]
         assert nontargets.tolist() == [0.4]
-
-    def test_record_columns(self):
-        labels = [TrialLabel.IW, TrialLabel.TC, TrialLabel.TW]
-        records = [
-            ScoreRecord(f"t{i}", 0.1 * i, GateOutcome(True, 0.0), label)
-            for i, label in enumerate(labels)
-        ]
-        scores, codes = record_columns(records)
-        assert scores.tolist() == [0.0, 0.1, 0.2]
-        assert codes.tolist() == [3, 0, 1]
 
 
 def _random_scores(rng):
@@ -286,7 +269,7 @@ class TestProperties:
         rng = np.random.default_rng(45)
         for _ in range(20):
             targets, nontargets = _random_scores(rng)
-            rates = sweep(*split_scores(*record_columns(make_records(targets, nontargets, rng))))
+            rates = sweep(*split_scores(*make_labeled_scores(targets, nontargets, rng)))
             impl_pts = list(zip(rates.threshold.tolist(), rates.p_miss.tolist(), rates.p_fa.tolist()))
             assert impl_pts == sweep_ref(targets, nontargets)
             assert min_dcf(rates) == min_dcf_ref(targets, nontargets)

@@ -21,7 +21,16 @@ from oracles import (
     parse_scores_ref,
     sweep_ref,
 )
-from tdsvkit import DcfParams, TdsvError, det_points, edit_distance, eer, min_dcf, sweep
+from tdsvkit import (
+    DcfParams,
+    ScoreColumns,
+    TdsvError,
+    det_points,
+    edit_distance,
+    eer,
+    min_dcf,
+    sweep,
+)
 from tdsvkit.cli import _load_labeled_scores
 from tdsvkit.tsvio import parse_embeddings, parse_scores
 
@@ -266,11 +275,15 @@ def _write(path, text):
 
 
 def _score_outcome(parse, path):
+    """The columns as lists, or the error; parse_scores returns ScoreColumns
+    and parse_scores_ref a tuple of lists."""
     try:
-        ids, score, passed, cer = parse(path)
+        columns = parse(path)
     except TdsvError as exc:
         return type(exc), str(exc)
-    return list(ids), list(score), list(passed), list(cer)
+    if isinstance(columns, ScoreColumns):
+        columns = columns.trial_ids, columns.score, columns.passed, columns.cer
+    return tuple(map(list, columns))
 
 
 @pytest.mark.parametrize("defect", SCORE_DEFECTS)

@@ -1,6 +1,5 @@
 """Enrollment, fusion, and trial scoring through score_all."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +10,9 @@ from tdsvkit import (
     DegenerateVector,
     DimensionMismatch,
     DuplicateId,
+    LABEL_CODES,
+    UNLABELED,
     EnrollEntry,
-    EnrollmentModel,
     GateConfig,
     MissingModel,
     MissingPhrase,
@@ -22,9 +22,11 @@ from tdsvkit import (
     Transcript,
     Trial,
     TrialLabel,
+    UnlabeledRecords,
     build_enrollment,
     enroll,
     score_all,
+    split_scores,
 )
 
 
@@ -74,25 +76,24 @@ class TestEnroll:
             assert perm == pytest.approx(base, abs=1e-12)
 
 
-def _score_one(model, test_per_space, hyp_text, phrases, order=("a", "b")):
-    """The record of trial t1 (model against test vectors u1) from a strict
-    one-trial score_all run; hyp_text None leaves u1 without a transcript."""
-    tables = {space: {"u1": vec} for space, vec in test_per_space.items()}
+def _score_one(centroids, test_per_space, hyp_text, phrases, order=("a", "b")):
+    """(score, gate passed) of trial t1 from a strict one-trial score_all
+    run: model m1 on phrase p1, whose vector per space (centroids, in order)
+    serves as all three of its repetitions, against the test vectors u1.
+    hyp_text None leaves u1 without a transcript."""
+    tables = {space: {"e1": np.asarray(vec)} for space, vec in zip(order, centroids)}
+    for space, vec in test_per_space.items():
+        tables[space]["u1"] = vec
     transcripts = {} if hyp_text is None else {"u1": Transcript("u1", hyp_text)}
     run = score_all(
-        [Trial("t1", model.model_id, "u1")], {model.model_id: model}, tables,
+        [Trial("t1", "m1", "u1")], {"m1": EnrollEntry("m1", "p1", ("e1",) * 3)}, tables,
         transcripts, phrases, GateConfig(), list(order),
     )
-    [record] = run.records
-    return record
+    [score], [passed] = run.records.score.tolist(), run.records.passed.tolist()
+    return score, passed
 
 
 _PHRASES = {"p1": Phrase("p1", "open the door")}
-
-
-def _model(*centroids):
-    """Model m1 on phrase p1 with the given centroids in spaces a, b, ..."""
-    return EnrollmentModel("m1", "p1", dict(zip("abc", map(np.asarray, centroids))))
 
 
 class TestFuse:
@@ -100,31 +101,27 @@ class TestFuse:
     per-space unit vectors."""
 
     def test_single_space_is_normalization(self):
-        model = _model([0.6, 0.8])
-        rec = _score_one(model, {"a": np.array([3.0, 4.0])}, "open the door", _PHRASES, ("a",))
-        assert rec.score == pytest.approx(1.0, abs=1e-12)
-        rec = _score_one(model, {"a": np.array([8.0, -6.0])}, "open the door", _PHRASES, ("a",))
-        assert rec.score == pytest.approx(0.0, abs=1e-12)
+        for test, cosine in (([3.0, 4.0], 1.0), ([8.0, -6.0], 0.0)):
+            test = {"a": np.array(test)}
+            score, _ = _score_one([[0.6, 0.8]], test, "open the door", _PHRASES, ("a",))
+            assert score == pytest.approx(cosine, abs=1e-12)
 
     def test_two_spaces(self):
         # each block is normalized on its own: the plain concatenations
         # [1,0,0,1] and [1,0,0,2] would give 3/sqrt(10), not 1
-        model = _model([1.0, 0.0], [0.0, 1.0])
         test = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])}
-        rec = _score_one(model, test, "open the door", _PHRASES)
-        assert rec.score == pytest.approx(1.0, abs=1e-12)
+        score, _ = _score_one([[1.0, 0.0], [0.0, 1.0]], test, "open the door", _PHRASES)
+        assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_block(self):
-        model = _model([1.0, 0.0], [0.0, 1.0])
         test = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 0.0])}
         with pytest.raises(DegenerateVector):
-            _score_one(model, test, "open the door", _PHRASES)
+            _score_one([[1.0, 0.0], [0.0, 1.0]], test, "open the door", _PHRASES)
 
     def test_hand_identity_example(self):
-        model = _model([1.0, 0.0], [0.0, 1.0])
         test = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0])}
-        rec = _score_one(model, test, "open the door", _PHRASES)
-        assert rec.score == pytest.approx(0.5, abs=1e-12)
+        score, _ = _score_one([[1.0, 0.0], [0.0, 1.0]], test, "open the door", _PHRASES)
+        assert score == pytest.approx(0.5, abs=1e-12)
 
     def test_mean_of_cosines_identity(self):
         rng = np.random.default_rng(32)
@@ -134,8 +131,8 @@ class TestFuse:
             a1, a2 = rng.standard_normal(d1), rng.standard_normal(d1)
             b1, b2 = rng.standard_normal(d2), rng.standard_normal(d2)
             test = {"a": a2, "b": b2}
-            rec = _score_one(_model(a1, b1), test, "open the door", _PHRASES)
-            assert abs(rec.score - fused_cosine_ref([a1, b1], [a2, b2])) <= 1e-9
+            score, _ = _score_one([a1, b1], test, "open the door", _PHRASES)
+            assert abs(score - fused_cosine_ref([a1, b1], [a2, b2])) <= 1e-9
 
 
 def _tiny_world():
@@ -162,9 +159,10 @@ def _tiny_world():
 class TestBuildEnrollment:
     def test_happy_path(self):
         tables, entry, _ = _tiny_world()
-        model = build_enrollment(entry, tables, ["a", "b"])
-        assert model.centroid_per_space["a"] == pytest.approx([1.0, 0.0], abs=1e-12)
-        assert model.centroid_per_space["b"] == pytest.approx([0.0, 1.0], abs=1e-12)
+        centroids = build_enrollment(entry, tables, ["a", "b"])
+        assert len(centroids) == 2
+        assert centroids[0] == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert centroids[1] == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_missing_space_table(self):
         tables, entry, _ = _tiny_world()
@@ -189,91 +187,96 @@ class TestScoreTrial:
 
     def test_perfect_match_scores_one(self):
         tables, entry, phrases = _tiny_world()
-        model = build_enrollment(entry, tables, ["a", "b"])
-        test = {"a": model.centroid_per_space["a"], "b": model.centroid_per_space["b"]}
-        rec = _score_one(model, test, "open the door", phrases)
-        assert rec.gate.passed
-        assert rec.score == pytest.approx(1.0, abs=1e-12)
-        assert rec.score <= 1.0
+        centroids = build_enrollment(entry, tables, ["a", "b"])
+        score, passed = _score_one(centroids, dict(zip("ab", centroids)), "open the door", phrases)
+        assert passed
+        assert score == pytest.approx(1.0, abs=1e-12)
+        assert score <= 1.0
 
     def test_gate_fail_is_punitive_exactly(self):
         tables, entry, phrases = _tiny_world()
-        model = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, tables, ["a", "b"])
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         bad = "completely different words"
-        rec = _score_one(model, test, bad, phrases)
-        assert not rec.gate.passed
-        assert rec.score == -1.0
+        score, passed = _score_one(centroids, test, bad, phrases)
+        assert not passed
+        assert score == -1.0
         # punitive scores ignore embedding content entirely
         test2 = {"a": tables["a"]["u1"] * 3.7, "b": -tables["b"]["u1"]}
-        rec2 = _score_one(model, test2, bad, phrases)
-        assert rec2.score == rec.score
+        assert _score_one(centroids, test2, bad, phrases) == (score, passed)
 
     def test_mean_of_per_space_cosines(self):
         tables, entry, phrases = _tiny_world()
-        model = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, tables, ["a", "b"])
         # centroids are [1,0] and [0,1]; pick tests with cosines 0.8 and 0.6
         test = {"a": np.array([0.8, 0.6]), "b": np.array([0.8, 0.6])}
-        rec = _score_one(model, test, "open the door", phrases)
-        assert rec.score == pytest.approx(0.7, abs=1e-9)
+        score, _ = _score_one(centroids, test, "open the door", phrases)
+        assert score == pytest.approx(0.7, abs=1e-9)
 
     def test_missing_phrase(self):
         tables, entry, _ = _tiny_world()
-        model = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, tables, ["a", "b"])
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         with pytest.raises(MissingPhrase, match="^trial 't1': phrase 'p1'"):
-            _score_one(model, test, "x", {})
+            _score_one(centroids, test, "x", {})
 
     def test_missing_transcript(self):
         tables, entry, phrases = _tiny_world()
-        model = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, tables, ["a", "b"])
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         with pytest.raises(MissingTranscript, match="^trial 't1': .*'u1'"):
-            _score_one(model, test, None, phrases)
+            _score_one(centroids, test, None, phrases)
 
     def test_missing_test_space(self):
         tables, entry, phrases = _tiny_world()
-        model = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, tables, ["a", "b"])
         with pytest.raises(MissingSpace, match="^trial 't1': .*'b'"):
-            _score_one(model, {"a": tables["a"]["u1"]}, "open the door", phrases)
+            _score_one(centroids, {"a": tables["a"]["u1"]}, "open the door", phrases)
 
 
 def _world_for_batch():
     tables, entry, phrases = _tiny_world()
-    model_by_id = {"m1": build_enrollment(entry, tables, ["a", "b"])}
     transcripts = {"u1": Transcript("u1", "open the door")}
-    return tables, model_by_id, transcripts, phrases
+    return tables, {"m1": entry}, transcripts, phrases
 
 
 class TestScoreAll:
     def test_empty_input(self):
-        tables, models, transcripts, phrases = _world_for_batch()
-        run = score_all([], models, tables, transcripts, phrases, GateConfig(), ["a", "b"])
-        assert run.records == [] and run.skipped == []
+        tables, entries, transcripts, phrases = _world_for_batch()
+        run = score_all([], entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        assert len(run.records) == 0 and run.labels.size == 0 and run.skipped == []
 
     def test_order_and_labels_preserved(self):
-        tables, models, transcripts, phrases = _world_for_batch()
+        tables, entries, transcripts, phrases = _world_for_batch()
         transcripts["u1b"] = Transcript("u1b", "wrong phrase entirely")
         for space in tables:
             tables[space]["u1b"] = tables[space]["u1"]
         trials = [
             Trial("t1", "m1", "u1", TrialLabel.TC),
             Trial("t2", "m1", "u1b", TrialLabel.TW),
+            Trial("t3", "m1", "u1"),
         ]
-        run = score_all(trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"])
-        assert [r.trial_id for r in run.records] == ["t1", "t2"]
-        assert run.records[0].label is TrialLabel.TC
-        assert run.records[0].gate.passed
-        assert not run.records[1].gate.passed
-        assert run.records[1].score == -1.0
+        run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        assert run.records.trial_ids == ["t1", "t2", "t3"]
+        assert run.labels.dtype == np.int8
+        assert run.labels.tolist() == [
+            LABEL_CODES[TrialLabel.TC], LABEL_CODES[TrialLabel.TW], UNLABELED
+        ]
+        assert run.records.passed.tolist() == [True, False, True]
+        assert run.records.score[1] == -1.0
+        assert run.records.score[0] == run.records.score[2]
+        with pytest.raises(UnlabeledRecords):
+            split_scores(run.records.score, run.labels)
+        targets, nontargets = split_scores(run.records.score[:2], run.labels[:2])
+        assert targets.tolist() == [run.records.score[0]] and nontargets.tolist() == [-1.0]
 
     def test_duplicate_trial_id(self):
-        tables, models, transcripts, phrases = _world_for_batch()
+        tables, entries, transcripts, phrases = _world_for_batch()
         trials = [Trial("t1", "m1", "u1"), Trial("t1", "m1", "u1")]
         with pytest.raises(DuplicateId, match="trial 't1'"):
-            score_all(trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+            score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         run = score_all(
-            trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
             strict=False,
         )
         assert len(run.records) == 1
@@ -281,24 +284,24 @@ class TestScoreAll:
         assert run.skipped[0][1].startswith("DuplicateId")
 
     def test_missing_model_strict_names_trial(self):
-        tables, models, transcripts, phrases = _world_for_batch()
+        tables, entries, transcripts, phrases = _world_for_batch()
         trials = [Trial("t9", "nope", "u1")]
         with pytest.raises(MissingModel) as exc_info:
-            score_all(trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+            score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         assert "t9" in str(exc_info.value) and "nope" in str(exc_info.value)
 
     def test_lenient_skips_and_scores_rest(self):
-        tables, models, transcripts, phrases = _world_for_batch()
+        tables, entries, transcripts, phrases = _world_for_batch()
         trials = [
             Trial("t1", "m1", "u1"),
             Trial("t2", "nope", "u1"),
             Trial("t3", "m1", "missing-utt"),
         ]
         run = score_all(
-            trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
             strict=False,
         )
-        assert [r.trial_id for r in run.records] == ["t1"]
+        assert run.records.trial_ids == ["t1"]
         assert [tid for tid, _ in run.skipped] == ["t2", "t3"]
         assert run.skipped[0][1].startswith("MissingModel")
         assert run.skipped[1][1].startswith("MissingSpace")
@@ -312,9 +315,7 @@ class TestScoreAll:
         for space in tables:
             for rid in reps:
                 tables[space][rid] = rng.standard_normal(8)
-        models = {
-            "m1": build_enrollment(EnrollEntry("m1", "p1", reps), tables, ["a", "b"])
-        }
+        entries = {"m1": EnrollEntry("m1", "p1", reps)}
         trials = []
         for i in range(50):
             uid = f"u{i}"
@@ -323,23 +324,12 @@ class TestScoreAll:
             text = "open the door" if i % 2 == 0 else "shut the window now"
             transcripts[uid] = Transcript(uid, text)
             trials.append(Trial(f"t{i}", "m1", uid))
-        run = score_all(trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"])
-        for rec in run.records:
-            assert -1.0 <= rec.score <= 1.0
-            if not rec.gate.passed:
-                assert rec.score == -1.0
-
-
-class TestScoreRecord:
-    def test_replace_label(self):
-        tables, models, transcripts, phrases = _world_for_batch()
-        run = score_all(
-            [Trial("t1", "m1", "u1")], models, tables, transcripts, phrases,
-            GateConfig(), ["a", "b"],
-        )
-        labeled = dataclasses.replace(run.records[0], label=TrialLabel.TC)
-        assert labeled.label is TrialLabel.TC
-        assert labeled.score == run.records[0].score
+        run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        assert len(run.records) == 50
+        for score, passed in zip(run.records.score.tolist(), run.records.passed.tolist()):
+            assert -1.0 <= score <= 1.0
+            if not passed:
+                assert score == -1.0
 
 
 class TestBatchPath:
@@ -349,13 +339,13 @@ class TestBatchPath:
         dims = {"a": 16, "b": 7, "c": 33}
         tables = {s: {} for s in order}
         phrases = {"p1": Phrase("p1", "open the door")}
-        models, trials, transcripts = {}, [], {}
+        entries, trials, transcripts = {}, [], {}
         for m in range(5):
             reps = tuple(f"m{m}r{i}" for i in range(3))
             for s in order:
                 for rid in reps:
                     tables[s][rid] = rng.standard_normal(dims[s])
-            models[f"m{m}"] = build_enrollment(EnrollEntry(f"m{m}", "p1", reps), tables, order)
+            entries[f"m{m}"] = EnrollEntry(f"m{m}", "p1", reps)
         for i in range(60):
             uid = f"u{i}"
             for s in order:
@@ -363,16 +353,15 @@ class TestBatchPath:
             text = "open the door" if i % 3 else "open the dour"
             transcripts[uid] = Transcript(uid, text)
             trials.append(Trial(f"t{i}", f"m{i % 5}", uid))
-        run = score_all(trials, models, tables, transcripts, phrases, GateConfig(), order)
+        run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), order)
         assert len(run.records) == 60
-        for trial, rec in zip(trials, run.records):
-            model = models[trial.model_id]
+        assert run.records.score.dtype == np.float64
+        for trial, score in zip(trials, run.records.score.tolist()):
             fused = fused_cosine_ref(
-                [model.centroid_per_space[s] for s in order],
+                build_enrollment(entries[trial.model_id], tables, order),
                 [tables[s][trial.test_id] for s in order],
             )
-            assert abs(rec.score - fused) <= 1e-12
-            assert type(rec.score) is float
+            assert abs(score - fused) <= 1e-12
 
     def test_gate_runs_once_per_distinct_pair(self, monkeypatch):
         from tdsvkit import scoring
@@ -385,19 +374,19 @@ class TestBatchPath:
             return real_gate(hyp, phrase, cfg)
 
         monkeypatch.setattr(scoring, "gate", counting_gate)
-        tables, models, transcripts, phrases = _world_for_batch()
+        tables, entries, transcripts, phrases = _world_for_batch()
         for i, text in enumerate(["open the door", "open the door", "shut it", "shut it"]):
             uid = f"v{i}"
             transcripts[uid] = Transcript(uid, text)
             for space in tables:
                 tables[space][uid] = tables[space]["u1"]
         trials = [Trial(f"t{i}", "m1", f"v{i}") for i in range(4)]
-        run = score_all(trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         assert sorted(calls) == [("open the door", "open the door"), ("shut it", "open the door")]
-        assert [r.gate.passed for r in run.records] == [True, True, False, False]
+        assert run.records.passed.tolist() == [True, True, False, False]
 
     def test_degenerate_test_vector_only_matters_when_gate_passes(self):
-        tables, models, transcripts, phrases = _world_for_batch()
+        tables, entries, transcripts, phrases = _world_for_batch()
         for space in tables:
             tables[space]["z1"] = np.zeros(2)
             tables[space]["z2"] = np.zeros(2)
@@ -405,49 +394,53 @@ class TestBatchPath:
         transcripts["z2"] = Transcript("z2", "open the door")
         bad_first = [Trial("t1", "m1", "z2"), Trial("t2", "nope", "u1")]
         with pytest.raises(DegenerateVector) as exc_info:
-            score_all(bad_first, models, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+            score_all(bad_first, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         assert str(exc_info.value) == "trial 't1': cannot normalize vector with norm 0.000e+00"
         trials = [Trial("t0", "m1", "z1"), Trial("t1", "m1", "z2"), Trial("t2", "m1", "u1")]
         run = score_all(
-            trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
             strict=False,
         )
-        assert [(r.trial_id, r.score) for r in run.records][0] == ("t0", -1.0)
-        assert [r.trial_id for r in run.records] == ["t0", "t2"]
+        assert run.records.score[0] == -1.0
+        assert run.records.trial_ids == ["t0", "t2"]
         assert run.skipped == [
             ("t1", "DegenerateVector: cannot normalize vector with norm 0.000e+00")
         ]
 
     def test_dimension_mismatch(self):
-        tables, models, transcripts, phrases = _world_for_batch()
+        tables, entries, transcripts, phrases = _world_for_batch()
         tables["a"]["u1"] = np.array([1.0, 0.0, 0.0])
         with pytest.raises(DimensionMismatch, match="trial 't1': cosine of dim 4 against dim 5"):
             score_all(
-                [Trial("t1", "m1", "u1")], models, tables, transcripts, phrases,
+                [Trial("t1", "m1", "u1")], entries, tables, transcripts, phrases,
                 GateConfig(), ["a", "b"],
             )
 
-    def test_enroll_errors_stand_in_for_missing_model(self):
-        tables, models, transcripts, phrases = _world_for_batch()
-        build_error = MissingSpace("repetition 'r1' of model 'm2' missing from space 'b'")
+    def test_build_errors_stand_in_for_missing_model(self):
+        tables, entries, transcripts, phrases = _world_for_batch()
+        # m2 lacks a repetition in space b, m3 one in space a; m1 builds
+        entries["m2"] = EnrollEntry("m2", "p1", ("r0", "r9", "r2"))
+        entries["m3"] = EnrollEntry("m3", "p1", ("r8", "r1", "r2"))
+        tables["a"]["r9"] = tables["a"]["r0"]
+        build_error = "repetition 'r9' of model 'm2' missing from space 'b'"
         trials = [Trial("t1", "m2", "u1"), Trial("t2", "m1", "u1"), Trial("t3", "m2", "u1")]
         run = score_all(
-            trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"],
-            strict=False, enroll_errors={"m2": build_error},
+            trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            strict=False,
         )
         reason = f"MissingSpace: {build_error}"
         assert run.skipped == [("t1", reason), ("t3", reason)]
-        assert [r.trial_id for r in run.records] == ["t2"]
-        with pytest.raises(MissingSpace, match="^trial 't1': repetition 'r1'"):
+        assert run.records.trial_ids == ["t2"]
+        # strict: the first build error in entry order, as it is, before any trial
+        with pytest.raises(MissingSpace, match=f"^{build_error}$"):
             score_all(
-                trials, models, tables, transcripts, phrases, GateConfig(), ["a", "b"],
-                enroll_errors={"m2": build_error},
+                trials[1:2], entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
             )
 
     def test_no_spaces_rejected(self):
-        tables, models, transcripts, phrases = _world_for_batch()
+        tables, entries, transcripts, phrases = _world_for_batch()
         with pytest.raises(ValueError):
             score_all(
-                [Trial("t1", "m1", "u1")], models, tables, transcripts, phrases,
+                [Trial("t1", "m1", "u1")], entries, tables, transcripts, phrases,
                 GateConfig(), [],
             )

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from tdsvkit import (
+    LABEL_CODES,
     ConfigInvalid,
     GateConfig,
     SimConfig,
     SpaceSpec,
     TrialLabel,
-    build_enrollment,
     cer,
     corrupt_transcript,
     cosine,
@@ -267,19 +267,12 @@ class TestGenDataset:
         for seed in range(10):
             cfg = SimConfig(master_seed=seed)
             ds = gen_dataset(cfg)
-            tables = ds.embeddings
-            models = {
-                e.model_id: build_enrollment(e, tables, ds.space_order)
-                for e in ds.enroll_entries
-            }
+            entries = {e.model_id: e for e in ds.enroll_entries}
             run = score_all(
-                ds.trials, models, tables, ds.transcripts, ds.phrases,
+                ds.trials, entries, ds.embeddings, ds.transcripts, ds.phrases,
                 GateConfig(), ds.space_order,
             )
-            by_label = {}
-            label_by_id = {t.trial_id: t.label for t in ds.trials}
-            for rec in run.records:
-                by_label.setdefault(label_by_id[rec.trial_id], []).append(rec.score)
-            tc = np.mean(by_label[TrialLabel.TC])
-            ic = np.mean(by_label[TrialLabel.IC])
+            scores = run.records.score
+            tc = scores[run.labels == LABEL_CODES[TrialLabel.TC]].mean()
+            ic = scores[run.labels == LABEL_CODES[TrialLabel.IC]].mean()
             assert tc > ic + 0.3

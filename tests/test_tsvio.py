@@ -10,10 +10,10 @@ from tdsvkit import (
     DimMismatch,
     DuplicateId,
     EnrollEntry,
-    GateOutcome,
+    GateConfig,
     MalformedLine,
     Phrase,
-    ScoreRecord,
+    ScoreColumns,
     SimConfig,
     SpaceSpec,
     Transcript,
@@ -21,6 +21,7 @@ from tdsvkit import (
     TrialLabel,
     UnparseableFloat,
     gen_dataset,
+    score_all,
 )
 from tdsvkit.metrics import ErrorRates
 from tdsvkit.tsvio import (
@@ -212,12 +213,19 @@ class TestEnrollmapFormat:
             parse_enrollmap(_write(tmp_path / "em.tsv", content))
 
 
+def _score_columns(*rows):
+    """ScoreColumns of (trial id, score, passed, cer) rows."""
+    ids, scores, passed, cers = zip(*rows) if rows else ((), (), (), ())
+    return ScoreColumns(
+        list(ids), np.array(scores, dtype=np.float64), np.array(passed, dtype=bool),
+        np.array(cers, dtype=np.float64),
+    )
+
+
 class TestScoresFormat:
     def test_line_shape(self, tmp_path):
-        records = [
-            ScoreRecord("t1", 0.912345678, GateOutcome(True, 0.0)),
-            ScoreRecord("t2", -1.0, GateOutcome(False, 0.91234)),
-        ]
+        records = _score_columns(("t1", 0.912345678, True, 0.0), ("t2", -1.0, False, 0.91234))
+        assert len(records) == 2
         path = tmp_path / "s.tsv"
         write_scores(records, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -225,10 +233,7 @@ class TestScoresFormat:
         assert lines[1] == "t2\t-1.000000\tPUNITIVE\t0.9123"
 
     def test_roundtrip(self, tmp_path):
-        records = [
-            ScoreRecord("t1", 0.25, GateOutcome(True, 0.1)),
-            ScoreRecord("t2", -1.0, GateOutcome(False, 1.5)),
-        ]
+        records = _score_columns(("t1", 0.25, True, 0.1), ("t2", -1.0, False, 1.5))
         path = tmp_path / "s.tsv"
         write_scores(records, path)
         parsed = parse_scores(path)
@@ -237,9 +242,30 @@ class TestScoresFormat:
         assert parsed.passed.tolist() == [True, False]
         assert parsed.cer.tolist() == pytest.approx([0.1, 1.5], abs=1e-4)
 
+    def test_roundtrip_of_scored_dataset(self, tmp_path):
+        cfg = SimConfig(
+            n_speakers=10, trials_per_type=20, transcript_error_rate_correct=0.3,
+            transcript_error_rate_wrong=0.3, master_seed=9,
+        )
+        ds = gen_dataset(cfg)
+        entries = {e.model_id: e for e in ds.enroll_entries}
+        run = score_all(
+            ds.trials, entries, ds.embeddings, ds.transcripts, ds.phrases,
+            GateConfig(), ds.space_order,
+        )
+        records = run.records
+        assert records.passed.any() and not records.passed.all()
+        path = tmp_path / "s.tsv"
+        write_scores(records, path)
+        parsed = parse_scores(path)
+        assert parsed.trial_ids == records.trial_ids
+        assert parsed.passed.tolist() == records.passed.tolist()
+        assert parsed.score.tolist() == [round(x, 6) for x in records.score.tolist()]
+        assert parsed.cer.tolist() == [round(x, 4) for x in records.cer.tolist()]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.tsv"
-        write_scores([], path)
+        write_scores(_score_columns(), path)
         assert path.read_text(encoding="utf-8") == ""
         parsed = parse_scores(path)
         assert parsed.trial_ids == []
@@ -267,6 +293,12 @@ class TestScoresFormat:
                 parse_scores(path)
 
 
+# 20,000 good lines (3 to 20002), which take a later line past the first
+# 8 KiB decode buffer
+_FAR_TRIALS = b"".join(b"t%d\tm1\tu1\tTC\n" % i for i in range(3, 20003))
+_FAR_SCORES = b"".join(b"t%d\t0.5\tPASS\t0.1\n" % i for i in range(3, 20003))
+
+
 class TestNotUtf8:
     """Every reader names the line of the first byte that is not UTF-8."""
 
@@ -287,6 +319,11 @@ class TestNotUtf8:
         "after lone cr": (parse_scores, b"t1\t0.5\tPASS\t0.1\rt2\t0.4\tPASS\t0.1\r\xff", 3),
         "mixed breaks and blanks": (parse_phrases, b"p1\ta\r\n\r\n\rp2\tb\n\np3\t\xff", 6),
         "truncated sequence at end": (parse_phrases, b"p1\topen\np2\t\xd8", 2),
+        "byte before a far bad line": (
+            parse_scores,
+            b"t1\t0.5\tPASS\t0.1\nt\xff2\t0.5\tPASS\t0.1\n" + _FAR_SCORES + b"t9\t0.5\tPASS\n",
+            2,
+        ),
         "past the first buffer": (
             parse_trials,
             b"".join(b"t%d\tm1\tu1\tTC\n" % i for i in range(20000)) + b"t\xff\tm1\tu1\n",
@@ -304,6 +341,40 @@ class TestNotUtf8:
             reader(path)
         assert str(exc_info.value) == f"{path}:{line}: not valid UTF-8 at byte offset {offset}"
         assert exc_info.value.line_no == line
+
+    # A bad line and a later undecodable byte: the bad line is reported,
+    # however far the byte lies (past the first decode buffer or not).
+    FIRST_BAD_LINE = {
+        "trials, byte on the next line": (
+            parse_trials,
+            b"t1\tm1\tu1\tTC\nt2\tm1\nt\xff3\tm1\tu1\tTC\n",
+            "2: expected 3 or 4 tab-separated fields, got 2",
+        ),
+        "trials, far byte": (
+            parse_trials,
+            b"t1\tm1\tu1\tTC\nt2\tm1\n" + _FAR_TRIALS + b"t\xff\tm1\tu1\tTC\n",
+            "2: expected 3 or 4 tab-separated fields, got 2",
+        ),
+        "labeled trials, far byte": (
+            lambda path: parse_trials(path, labels_only=True),
+            b"t1\tm1\tu1\tTC\nt2\tm1\n" + _FAR_TRIALS + b"t\xff\tm1\tu1\tTC\n",
+            "2: expected 3 or 4 tab-separated fields, got 2",
+        ),
+        "scores, far byte": (
+            parse_scores,
+            b"t1\t0.5\tPASS\t0.1\nt2\t0.5\tPASS\n" + _FAR_SCORES + b"t\xff\t0.5\tPASS\t0.1\n",
+            "2: expected 4 tab-separated fields, got 3",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FIRST_BAD_LINE))
+    def test_first_bad_line_wins(self, tmp_path, case):
+        reader, raw, tail = self.FIRST_BAD_LINE[case]
+        path = tmp_path / "f.tsv"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedLine) as exc_info:
+            reader(path)
+        assert str(exc_info.value) == f"{path}:{tail}"
 
 
 class TestDetFormat:
