@@ -1,8 +1,9 @@
 """Golden digests: the seed-42 simulate -> score -> evaluate -> det pipeline.
 
-Pins the sha256 of scores.tsv, det.tsv and the evaluate stdout, so any
-change to the scoring, gate or metrics code must reproduce today's output
-bytes exactly. Two workloads: the default `simulate --seed 42` of the README
+Pins the sha256 of the six dataset files and the stdout of simulate, then
+of scores.tsv, det.tsv and the evaluate stdout, so any change to the
+generator, the file writers, or the scoring, gate or metrics code must
+reproduce today's bytes exactly. Two workloads: the default `simulate --seed 42` of the README
 quick start, and a larger one with transcript corruption, so that both gate
 outcomes and hundreds of distinct cosines are covered. On the larger one the
 evaluate report is also pinned for every subset, for non-default costs and
@@ -73,11 +74,36 @@ NOISY_VARIANTS = {
 }
 
 
+# The simulate output of each GOLDEN workload: file name -> sha256, and the
+# sha256 of simulate's stdout.
+DATASET = {
+    "default": {
+        "simulate.stdout": "a91be2d6521407d7838867cc3118f61c101d9b68a024cd7dd71f78dac83a5072",
+        "phrases.tsv": "6f6c02971309835a0dcd789f9f67b6d99f826e0af683f00fbc5604f832423ae0",
+        "enrollmap.tsv": "04554596fa6af2bc0d28eea9976051d87c7ef2648848b18b14bf61b6d86fd601",
+        "trials.tsv": "45c0f4f6f7fa2fee9d10e6d752e70d138501fb8ee8022808f28ee4aafe2e86e4",
+        "transcripts.tsv": "207457484935e3aa1e0726c85add1509eb763da616d3cb9ae3c92e7d2fad412d",
+        "embeddings_alpha.tsv": "47970259c32d42e079a5fac7b0350c7539f5cdd53ef30e801f59a10c10680208",
+        "embeddings_beta.tsv": "d7b5e23f6b9f29ea36088507849bcd854609e406053525fe50dcdaff053e131f",
+    },
+    "noisy-1000": {
+        "simulate.stdout": "4b981693fbc364ad590a1aa3be92ab1d8588f1b9726c11fffef4cd01b23affe3",
+        "phrases.tsv": "6f6c02971309835a0dcd789f9f67b6d99f826e0af683f00fbc5604f832423ae0",
+        "enrollmap.tsv": "1e61cd4d3cb93a7ac68e93e50b2aa32e8b6c449a481c2d634891906b8499c966",
+        "trials.tsv": "bff03d2a120d7eeaed5e677d0951f68c0be0a29e4b33a8e6e505039c3ddeffac",
+        "transcripts.tsv": "1d29e529d31d0dab697ca55e9e73d019a893c0ca61530284c6f62505ac32cf78",
+        "embeddings_alpha.tsv": "b1905401604e922256f86c33328a27f04297462a754772c252b772ee0e443b8e",
+        "embeddings_beta.tsv": "93883c1f732c19426d08eb922b10861e52a754ceda33e9cacb79bce524acc882",
+    },
+}
+
+
 def _pipeline(tmp_path, name):
-    """Simulate and score one GOLDEN workload; returns (trials, scores)."""
+    """Simulate and score one GOLDEN workload; returns (simulate stdout,
+    trials, scores)."""
     sim_flags, _ = GOLDEN[name]
     data = tmp_path / "data"
-    _run(["simulate", "--seed", "42", "--out", str(data)] + sim_flags)
+    sim_stdout = _run(["simulate", "--seed", "42", "--out", str(data)] + sim_flags)
     scores = tmp_path / "scores.tsv"
     _run([
         "score",
@@ -89,14 +115,17 @@ def _pipeline(tmp_path, name):
         "--embeddings", f"beta={data / 'embeddings_beta.tsv'}",
         "--out", str(scores),
     ])
-    return data / "trials.tsv", scores
+    return sim_stdout, data / "trials.tsv", scores
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seed42_pipeline_digests(tmp_path, name):
     _, expected = GOLDEN[name]
     data = tmp_path / "data"
-    _, scores = _pipeline(tmp_path, name)
+    sim_stdout, _, scores = _pipeline(tmp_path, name)
+    dataset = {path.name: _sha256(path.read_bytes()) for path in data.iterdir()}
+    dataset["simulate.stdout"] = _sha256(sim_stdout.encode("utf-8"))
+    assert dataset == DATASET[name]
     report = _run(["evaluate", "--scores", str(scores), "--trials", str(data / "trials.tsv")])
     det = tmp_path / "det.tsv"
     _run([
@@ -112,7 +141,8 @@ def test_seed42_pipeline_digests(tmp_path, name):
 
 @pytest.fixture(scope="module")
 def noisy_pipeline(tmp_path_factory):
-    return _pipeline(tmp_path_factory.mktemp("noisy"), "noisy-1000")
+    _, trials, scores = _pipeline(tmp_path_factory.mktemp("noisy"), "noisy-1000")
+    return trials, scores
 
 
 @pytest.mark.parametrize("variant", sorted(NOISY_VARIANTS))
