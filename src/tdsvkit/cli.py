@@ -16,7 +16,6 @@ evaluate and det report labeled trials that have no score line as one
 
 import argparse
 import json
-import operator
 import sys
 from itertools import repeat
 from typing import Tuple
@@ -24,7 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from .core import UNLABELED, TrialLabel
-from .errors import ConfigInvalid, TdsvError, UnlabeledRecords
+from .errors import ConfigInvalid, DuplicateId, TdsvError, UnlabeledRecords
 from .metrics import SUBSETS, DcfParams, SubsetMode, det_points, eer, min_dcf, split_scores, sweep
 from .scoring import score_all
 from .synth import SimConfig, SpaceSpec, gen_dataset
@@ -55,13 +54,18 @@ _NO_TRIAL = -2
 
 
 def _load_labeled_scores(scores_path, trials_path) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Join a score file with the labels from a trial list.
+    """Join a score file with the label column of a trial list.
 
     Returns (scores, label codes) in score-file order, plus the number of
     labeled trials that have no score line.
     """
     columns = tsvio.parse_scores(scores_path)
-    labels = tsvio.parse_trials(trials_path, labels_only=True)
+    trials = tsvio.parse_trials(trials_path)
+    labels = dict(zip(trials.trial_ids, trials.labels.tolist()))
+    if len(labels) != len(trials):
+        seen = set()
+        repeat_id = next(t for t in trials.trial_ids if t in seen or seen.add(t))
+        raise DuplicateId(f"{trials_path}: duplicate trial id '{repeat_id}'")
     ids = columns.trial_ids
     codes = np.fromiter(map(labels.get, ids, repeat(_NO_TRIAL)), np.int8, len(ids))
     missing = np.flatnonzero(codes < 0)
@@ -70,7 +74,7 @@ def _load_labeled_scores(scores_path, trials_path) -> Tuple[np.ndarray, np.ndarr
         if codes[missing[0]] == _NO_TRIAL:
             raise UnlabeledRecords(f"score record '{trial_id}' has no matching trial")
         raise UnlabeledRecords(f"trial '{trial_id}' carries no label")
-    n_labeled = len(labels) - operator.countOf(labels.values(), UNLABELED)
+    n_labeled = int(np.count_nonzero(trials.labels != UNLABELED))
     return columns.score, codes, n_labeled - len(ids)
 
 

@@ -1,13 +1,12 @@
 """Shared domain types and elementary vector operations.
 
-Embeddings are plain 1-D float64 numpy arrays; every public operation
-validates its inputs and works in double precision. All functions here are
-pure and safe for concurrent use.
+A trial list is one TrialColumns table. Embeddings are plain 1-D float64
+numpy arrays; every public operation validates its inputs and works in
+double precision. All functions here are pure and safe for concurrent use.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -24,10 +23,6 @@ class TrialLabel(Enum):
     TW = "TW"  # target speaker, wrong phrase
     IC = "IC"  # impostor, correct phrase
     IW = "IW"  # impostor, wrong phrase
-
-    @property
-    def is_target(self) -> bool:
-        return self is TrialLabel.TC
 
     @property
     def same_speaker(self) -> bool:
@@ -54,21 +49,39 @@ def check_token(value: str, what: str = "id") -> str:
 
 
 @dataclass(frozen=True)
-class Trial:
-    """One verification attempt: an enrollment model against a test utterance.
+class TrialColumns:
+    """A trial list as columns in file order, as tsvio reads and writes it,
+    synth.gen_dataset builds it and scoring.score_all scores it. labels
+    holds int8 label codes (LABEL_CODES; UNLABELED for no label). len() is
+    the number of rows. Columns of different lengths, an id that
+    check_token rejects, or a code outside UNLABELED..3 raise ValueError."""
 
-    The label is present for evaluation sets and absent for blind scoring.
-    """
-
-    trial_id: str
-    model_id: str
-    test_id: str
-    label: Optional[TrialLabel] = None
+    trial_ids: list
+    model_ids: list
+    test_ids: list
+    labels: np.ndarray  # int8
 
     def __post_init__(self):
-        check_token(self.trial_id, "trial_id")
-        check_token(self.model_id, "model_id")
-        check_token(self.test_id, "test_id")
+        codes = np.asarray(self.labels)
+        columns = dict(trial_id=self.trial_ids, model_id=self.model_ids, test_id=self.test_ids)
+        if {len(ids) for ids in columns.values()} != {len(codes)}:
+            raise ValueError("trial columns differ in length")
+        for what, ids in columns.items():
+            # check_token, for its message, only where one scan of the column fails
+            try:
+                joined = " ".join(ids)
+            except TypeError:  # an id that is not a string
+                joined = "\n"
+            if "" in ids or "\t" in joined or "\n" in joined or "\r" in joined:
+                for value in ids:
+                    check_token(value, what)
+        bad = codes[(codes < UNLABELED) | (codes >= len(TrialLabel))]
+        if bad.size:
+            raise ValueError(f"label code {bad[0]} is not in {UNLABELED}..{len(TrialLabel) - 1}")
+        object.__setattr__(self, "labels", codes.astype(np.int8, copy=False))
+
+    def __len__(self) -> int:
+        return len(self.trial_ids)
 
 
 def as_embedding(values) -> np.ndarray:
@@ -93,23 +106,3 @@ def l2_normalize(v) -> np.ndarray:
     if norm <= EPS:
         raise DegenerateVector(f"cannot normalize vector with norm {norm:.3e}")
     return v / norm
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity between two vectors, clamped to [-1, 1].
-
-    The clamp guards against floating-point overshoot of ~1e-16 so that
-    downstream threshold logic can assume the closed interval.
-    """
-    a = as_embedding(a)
-    b = as_embedding(b)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"cosine of dim {a.shape[0]} against dim {b.shape[0]}"
-        )
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na <= EPS or nb <= EPS:
-        raise DegenerateVector("cosine of a degenerate (near-zero) vector")
-    value = float(np.dot(a, b)) / (na * nb)
-    return min(1.0, max(-1.0, value))

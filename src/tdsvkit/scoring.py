@@ -7,10 +7,10 @@ the concatenated per-space unit vectors (in the declared space order), which
 equals the mean of the per-space cosines, if the phrase gate passes, else
 the punitive floor.
 
-score_all is the one scoring entry point. It takes the enrollmap entries,
-builds every model, and owns the strict/lenient policy for build and trial
-errors alike. It computes that mean of per-space cosines, clamped to
-[-1, 1], in one batch after a validation pass over all trials, and gates
+score_all is the one scoring entry point. It takes a TrialColumns table and
+the enrollmap entries, builds every model, and owns the strict/lenient
+policy for build and trial errors alike. It computes that mean of per-space
+cosines, clamped to [-1, 1], in one batch after a validation pass, and gates
 each distinct (hypothesis text, phrase text) pair once per run. The scores
 come back as ScoreColumns, the one score-set type, which the score file
 writer and reader share. The tests check the scores against the
@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import EPS, LABEL_CODES, UNLABELED, Trial, as_embedding, check_token, l2_normalize
+from .core import EPS, TrialColumns, as_embedding, check_token, l2_normalize
 from .errors import (
     DegenerateVector,
     DimensionMismatch,
@@ -125,7 +125,7 @@ def build_enrollment(
 
 
 def score_all(
-    trials: Sequence[Trial],
+    trials: TrialColumns,
     entries: Mapping[str, EnrollEntry],
     embeddings: Mapping[str, Mapping[str, np.ndarray]],
     transcripts: Mapping[str, Transcript],
@@ -134,7 +134,7 @@ def score_all(
     space_order: Sequence[str],
     strict: bool = True,
 ) -> ScoreRun:
-    """Score every trial in input order; the one scoring entry point.
+    """Score each row of a trial table in order; the one scoring entry point.
 
     entries maps model id to its enrollmap entry, as tsvio.parse_enrollmap
     returns it; embeddings maps each space to its id -> vector table, which
@@ -169,27 +169,28 @@ def score_all(
     seen = set()
     outcomes = {}  # (hypothesis text, phrase text) -> GateOutcome
     skipped = []
-    ids, gates, labels = [], [], []  # of every valid trial, in input order
+    kept, ids, gates = [], [], []  # row, id and gate of every valid trial, in order
     # Per gate-passed trial: its index in ids, then per space (flat, in
     # space order) the centroid, the test vector and the product of norms.
     passed, enr_vecs, test_vecs, norm_products = [], [], [], []
-    for trial in trials:
+    rows = zip(trials.trial_ids, trials.model_ids, trials.test_ids)
+    for row, (trial_id, model_id, test_id) in enumerate(rows):
         try:
-            if trial.trial_id in seen:
-                raise DuplicateId(f"duplicate trial id '{trial.trial_id}'")
-            seen.add(trial.trial_id)
-            model = models.get(trial.model_id)
+            if trial_id in seen:
+                raise DuplicateId(f"duplicate trial id '{trial_id}'")
+            seen.add(trial_id)
+            model = models.get(model_id)
             if model is None:
-                raise MissingModel(f"no enrollment model '{trial.model_id}' in enrollmap")
+                raise MissingModel(f"no enrollment model '{model_id}' in enrollmap")
             if isinstance(model, TdsvError):
                 raise model.with_traceback(None)
             entry, centroids, centroid_norms = model
             tests = []
             for space, table in zip(space_order, tables):
-                vec = table.get(trial.test_id)
+                vec = table.get(test_id)
                 if vec is None:
                     raise MissingSpace(
-                        f"test utterance '{trial.test_id}' missing from "
+                        f"test utterance '{test_id}' missing from "
                         f"space '{space}'"
                     )
                 tests.append(vec)
@@ -199,10 +200,10 @@ def score_all(
                     f"phrase '{entry.phrase_id}' of model "
                     f"'{entry.model_id}' not in phrase table"
                 )
-            hyp = transcripts.get(trial.test_id)
+            hyp = transcripts.get(test_id)
             if hyp is None:
                 raise MissingTranscript(
-                    f"no transcript for test utterance '{trial.test_id}'"
+                    f"no transcript for test utterance '{test_id}'"
                 )
             tests = [as_embedding(t) for t in tests]
 
@@ -219,12 +220,12 @@ def score_all(
                 norm_products.extend(a * b for a, b in zip(centroid_norms, test_norms))
         except TdsvError as exc:
             if strict:
-                raise type(exc)(f"trial '{trial.trial_id}': {exc}") from exc
-            skipped.append((trial.trial_id, f"{type(exc).__name__}: {exc}"))
+                raise type(exc)(f"trial '{trial_id}': {exc}") from exc
+            skipped.append((trial_id, f"{type(exc).__name__}: {exc}"))
             continue
-        ids.append(trial.trial_id)
+        kept.append(row)
+        ids.append(trial_id)
         gates.append(outcome)
-        labels.append(LABEL_CODES.get(trial.label, UNLABELED))
 
     scores = np.full(len(ids), cfg.punitive_score)
     if passed:
@@ -234,7 +235,7 @@ def score_all(
     records = ScoreColumns(
         ids, scores, np.array([g.passed for g in gates], bool), np.array([g.cer for g in gates])
     )
-    return ScoreRun(records, np.array(labels, dtype=np.int8), skipped)
+    return ScoreRun(records, trials.labels[kept], skipped)
 
 
 def _norm(v: np.ndarray) -> float:

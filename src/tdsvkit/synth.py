@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Trial, TrialLabel, l2_normalize
+from .core import LABEL_CODES, UNLABELED, TrialColumns, TrialLabel, l2_normalize
 from .errors import ConfigInvalid
 from .scoring import REPS_PER_MODEL, EnrollEntry
 from .textgate import Phrase, Transcript
 
 _LATIN = "abcdefghijklmnopqrstuvwxyz"
 _PERSIAN = "ءآابپتثجچحخدذرزژسشصضطظعغفقکگلمنوهی"
-_LABEL_ORDER = (TrialLabel.TC, TrialLabel.TW, TrialLabel.IC, TrialLabel.IW)
 
 
 def derive_seed(master_seed: int, kind: str, *indices: int) -> int:
@@ -117,7 +116,7 @@ class SyntheticDataset:
     enroll_entries: list
     embeddings: dict
     transcripts: dict
-    trials: list
+    trials: TrialColumns
     model_speaker: dict
     utt_speaker: dict
     utt_phrase: dict
@@ -203,8 +202,8 @@ def _phrase_text(master_seed: int, index: int) -> str:
 def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     """Generate one full dataset: phrases, enrollments, trials, transcripts.
 
-    Models pair speaker i with phrase i mod n_phrases. Trials are emitted in
-    label order TC, TW, IC, IW, trials_per_type of each; each trial picks
+    Models pair speaker i with phrase i mod n_phrases. The TrialColumns rows
+    come in TrialLabel order, trials_per_type of each; each trial picks
     its model uniformly, then (per its label) the same or a uniformly-chosen
     other speaker and the same or a uniformly-chosen other phrase. The
     transcript corrupts the phrase the test utterance actually speaks, at
@@ -240,12 +239,12 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
         enroll_entries.append(EnrollEntry(model_id, phrase_id, rep_ids))
         model_speaker[model_id] = i
 
-    trials = []
+    trial_ids, model_ids, test_ids = [], [], []
     transcripts = {}
     utt_speaker = {}
     utt_phrase = {}
     counter = 0
-    for li, label in enumerate(_LABEL_ORDER):
+    for li, label in enumerate(TrialLabel):
         for t in range(cfg.trials_per_type):
             rng = np.random.default_rng(derive_seed(seed, "trial", li, t))
             mi = int(rng.integers(cfg.n_speakers))
@@ -277,18 +276,21 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
                     spoken, rate, derive_seed(seed, "transcript", li, t), alphabet
                 ),
             )
-            trials.append(Trial(trial_id, model_id, utt_id, label))
+            trial_ids.append(trial_id)
+            model_ids.append(model_id)
+            test_ids.append(utt_id)
             utt_speaker[utt_id] = si
             utt_phrase[utt_id] = phrase_ids[pi]
             counter += 1
 
+    labels = np.repeat(np.arange(len(TrialLabel), dtype=np.int8), cfg.trials_per_type)
     return SyntheticDataset(
         config=cfg,
         phrases=phrases,
         enroll_entries=enroll_entries,
         embeddings=embeddings,
         transcripts=transcripts,
-        trials=trials,
+        trials=TrialColumns(trial_ids, model_ids, test_ids, labels),
         model_speaker=model_speaker,
         utt_speaker=utt_speaker,
         utt_phrase=utt_phrase,
@@ -304,9 +306,11 @@ def validate_labels(ds: SyntheticDataset) -> int:
     first inconsistency.
     """
     model_phrase = {e.model_id: e.phrase_id for e in ds.enroll_entries}
-    for trial in ds.trials:
-        same_speaker = ds.model_speaker[trial.model_id] == ds.utt_speaker[trial.test_id]
-        same_phrase = model_phrase[trial.model_id] == ds.utt_phrase[trial.test_id]
+    t = ds.trials
+    rows = zip(t.trial_ids, t.model_ids, t.test_ids, t.labels.tolist())
+    for trial_id, model_id, test_id, code in rows:
+        same_speaker = ds.model_speaker[model_id] == ds.utt_speaker[test_id]
+        same_phrase = model_phrase[model_id] == ds.utt_phrase[test_id]
         if same_speaker and same_phrase:
             expected = TrialLabel.TC
         elif same_speaker:
@@ -315,9 +319,9 @@ def validate_labels(ds: SyntheticDataset) -> int:
             expected = TrialLabel.IC
         else:
             expected = TrialLabel.IW
-        if trial.label is not expected:
+        if code != LABEL_CODES[expected]:
+            label = None if code == UNLABELED else list(TrialLabel)[code]
             raise ValueError(
-                f"trial '{trial.trial_id}' labeled {trial.label} but construction "
-                f"says {expected}"
+                f"trial '{trial_id}' labeled {label} but construction says {expected}"
             )
-    return len(ds.trials)
+    return len(t)

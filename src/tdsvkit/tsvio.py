@@ -26,7 +26,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import LABEL_CODES, UNLABELED, Trial, TrialLabel
+from .core import LABEL_CODES, UNLABELED, TrialColumns
 from .errors import (
     BadHeader,
     BadLabel,
@@ -45,6 +45,9 @@ _SURROGATE_RE = re.compile("[\udc80-\udcff]")
 _DET_HEADER = "#p_miss\tp_fa\tthreshold"
 _FLAGS = frozenset({"PASS", "PUNITIVE"})
 _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
+# The text after a trial's test id, per label code.
+_LABEL_FIELDS = {code: f"\t{name}" for name, code in _NAME_CODES.items()} | {UNLABELED: ""}
+_ID_FIELDS = ("trial_id", "model_id", "test_id")
 
 
 def _reading(path):
@@ -193,21 +196,37 @@ def write_embeddings(table: Mapping, dim: int, path) -> None:
             f.write(f"{utt_id}\t{floats}\n")
 
 
-def parse_trials(path, labels_only: bool = False):
-    """Read a trial list; the label column is optional per line.
+def parse_trials(path) -> TrialColumns:
+    """Read a trial list into columns; the label field is optional per line.
 
-    Returns the Trials in file order. With labels_only, returns instead a
-    map from trial id to label code (core.LABEL_CODES, UNLABELED for a
-    trial without a label) for joining labels onto scores; a trial id listed
-    twice is then a DuplicateId, raised once the whole file has parsed. The
-    map comes from a bulk check of the file, and any anomaly re-reads it
-    line by line, so every diagnostic is the one the per-line parse gives.
+    A file whose lines are all labeled or all unlabeled is checked in bulk;
+    any anomaly, a mix included, re-reads it line by line, so the diagnostic
+    names the first bad line as a per-line parse would. Trial ids may repeat.
     """
-    if labels_only:
-        labels = _bulk_labels(_nonblank_lines(path))
-        if labels is not None:
-            return labels
-    trials = []
+    columns = _bulk_trials(_nonblank_lines(path))
+    return columns if columns is not None else _scan_trials(path)
+
+
+def _bulk_trials(lines: Optional[List[str]]) -> Optional[TrialColumns]:
+    """The columns when every line is a well-formed trial line and all or
+    none of them carry a label; None otherwise."""
+    columns = _columns(lines, 4) or _columns(lines, 3)
+    if columns is None:
+        return None
+    trial_ids, model_ids, test_ids, *names = columns
+    codes = [UNLABELED] * len(trial_ids)
+    if names:  # an unknown name gets code -2, which TrialColumns rejects
+        codes = list(map(_NAME_CODES.get, names[0], repeat(-2)))
+    try:
+        return TrialColumns(trial_ids, model_ids, test_ids, codes)
+    except ValueError:  # an empty id or an unknown label name
+        return None
+
+
+def _scan_trials(path) -> TrialColumns:
+    """Parse a trial list line by line, raising the first problem in line
+    order, and within a line in the order field count, label, empty id."""
+    columns = [], [], [], []
     with _reading(path) as f:
         for n, line in _lines(path, f):
             fields = line.split("\t")
@@ -215,51 +234,25 @@ def parse_trials(path, labels_only: bool = False):
                 raise MalformedLine(
                     path, n, f"expected 3 or 4 tab-separated fields, got {len(fields)}"
                 )
-            label = None
+            code = UNLABELED
             if len(fields) == 4:
-                try:
-                    label = TrialLabel[fields[3]]
-                except KeyError:
-                    raise BadLabel(
-                        path, n, f"label must be one of TC/TW/IC/IW, got {fields[3]!r}"
-                    ) from None
-            try:
-                trials.append(Trial(fields[0], fields[1], fields[2], label))
-            except ValueError as exc:
-                raise MalformedLine(path, n, str(exc)) from None
-    if not labels_only:
-        return trials
-    labels = {}
-    for trial in trials:
-        if trial.trial_id in labels:
-            raise DuplicateId(f"{path}: duplicate trial id '{trial.trial_id}'")
-        labels[trial.trial_id] = UNLABELED if trial.label is None else LABEL_CODES[trial.label]
-    return labels
+                code = _NAME_CODES.get(fields[3])
+                if code is None:
+                    raise BadLabel(path, n, f"label must be one of TC/TW/IC/IW, got {fields[3]!r}")
+            if "" in fields[:3]:
+                what = _ID_FIELDS[fields.index("")]
+                raise MalformedLine(path, n, f"{what} must be a non-empty string")
+            for column, value in zip(columns, fields[:3] + [code]):
+                column.append(value)
+    return TrialColumns(*columns)
 
 
-def _bulk_labels(lines: List[str]) -> Optional[dict]:
-    """Trial id -> label code when every line is a well-formed labeled trial
-    and no trial id repeats; None otherwise."""
-    columns = _columns(lines, 4)
-    if columns is None:
-        return None
-    trial_ids, model_ids, test_ids, names = columns
-    if "" in trial_ids or "" in model_ids or "" in test_ids:
-        return None
-    codes = list(map(_NAME_CODES.get, names))
-    if None in codes:
-        return None
-    labels = dict(zip(trial_ids, codes))
-    return labels if len(labels) == len(trial_ids) else None
-
-
-def write_trials(trials: Sequence, path) -> None:
+def write_trials(trials: TrialColumns, path) -> None:
+    """Write a trial list; a trial without a label gets no label field."""
+    rows = zip(trials.trial_ids, trials.model_ids, trials.test_ids, trials.labels.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for t in trials:
-            if t.label is None:
-                f.write(f"{t.trial_id}\t{t.model_id}\t{t.test_id}\n")
-            else:
-                f.write(f"{t.trial_id}\t{t.model_id}\t{t.test_id}\t{t.label.name}\n")
+        for trial_id, model_id, test_id, code in rows:
+            f.write(f"{trial_id}\t{model_id}\t{test_id}{_LABEL_FIELDS[code]}\n")
 
 
 def _parse_id_text(path, factory, what: str) -> dict:

@@ -2,12 +2,13 @@
 
 Deliberately written the slow, obvious way: a full-matrix dynamic program
 for edit distance, the fused cosine as a dot product of concatenated unit
-blocks, value-by-value parsers for the embedding and score files
+blocks, value-by-value parsers for the embedding, score and trial files
 and for the label join of evaluate/det, and a pure-Python enumerator over
 every midpoint threshold for the detection metrics (per-threshold counting
 via binary search so the acceptance-scale runs stay inside their time
 budget). Nothing here imports the modules under test beyond the public
-label and error types.
+label and error types, and the TrialColumns type that trial_table builds
+for the tests.
 """
 
 import math
@@ -23,6 +24,8 @@ from tdsvkit import (
     DimMismatch,
     DuplicateId,
     MalformedLine,
+    UNLABELED,
+    TrialColumns,
     TrialLabel,
     UnlabeledRecords,
     UnparseableFloat,
@@ -114,11 +117,22 @@ def parse_embeddings_ref(path):
 
 def _text_lines(path):
     """(line number, line) of every non-empty line. A line ends at \\r\\n,
-    \\r or \\n, and nowhere else."""
+    \\r or \\n, and nowhere else. A line that is not UTF-8 raises, when it
+    is reached, the MalformedLine that names its first bad byte's offset."""
     with open(path, "rb") as f:
-        text = f.read().decode("utf-8")
-    lines = re.split(r"\r\n|\r|\n", text)
-    return [(n, line) for n, line in enumerate(lines, start=1) if line]
+        pieces = re.split(rb"(\r\n|\r|\n)", f.read())  # lines at even indices
+    offset = 0
+    for i, piece in enumerate(pieces):
+        n = i // 2 + 1
+        if i % 2 == 0 and piece:
+            try:
+                line = piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(
+                    path, n, f"not valid UTF-8 at byte offset {offset + exc.start}"
+                ) from None
+            yield n, line
+        offset += len(piece)
 
 
 def _float_field(path, n, col, token):
@@ -157,33 +171,54 @@ def parse_scores_ref(path):
 _LABEL_NAMES = [label.name for label in TrialLabel]
 
 
-def join_labels_ref(scores_path, trials_path):
-    """The evaluate/det join: (scores, label codes, number of labeled
-    trials without a score line), where a label's code is its position in
-    TrialLabel. Errors come in the order: score file, each trial line
-    (field count, label, empty trial/model/test id), a trial id listed
-    twice, then the first score line whose trial is missing or unlabeled."""
-    ids, scores, _, _ = parse_scores_ref(scores_path)
-    trials = []
-    for n, line in _text_lines(trials_path):
+def parse_trials_ref(path):
+    """Trial list parsed line by line: (trial ids, model ids, test ids,
+    label codes) as lists, where a label's code is its position in
+    TrialLabel and UNLABELED marks a line without a label; or the
+    diagnostic of the first bad line, checked in the order field count,
+    label, empty trial/model/test id. Repeated trial ids are kept."""
+    columns = [], [], [], []
+    for n, line in _text_lines(path):
         fields = line.split("\t")
         if len(fields) not in (3, 4):
-            raise MalformedLine(
-                trials_path, n, f"expected 3 or 4 tab-separated fields, got {len(fields)}"
-            )
-        code = None
+            raise MalformedLine(path, n, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
+        code = UNLABELED
         if len(fields) == 4:
             if fields[3] not in _LABEL_NAMES:
-                raise BadLabel(
-                    trials_path, n, f"label must be one of TC/TW/IC/IW, got {fields[3]!r}"
-                )
+                raise BadLabel(path, n, f"label must be one of TC/TW/IC/IW, got {fields[3]!r}")
             code = _LABEL_NAMES.index(fields[3])
         for what, value in zip(("trial_id", "model_id", "test_id"), fields):
             if not value:
-                raise MalformedLine(trials_path, n, f"{what} must be a non-empty string")
-        trials.append((fields[0], code))
+                raise MalformedLine(path, n, f"{what} must be a non-empty string")
+        for column, value in zip(columns, fields[:3] + [code]):
+            column.append(value)
+    return columns
+
+
+def trial_table(rows):
+    """The TrialColumns of (trial id, model id, test id[, label name]) rows:
+    how the tests build a trial list by hand."""
+    rows = [tuple(row) for row in rows]
+    codes = [_LABEL_NAMES.index(row[3]) if len(row) == 4 else UNLABELED for row in rows]
+    return TrialColumns(
+        [row[0] for row in rows], [row[1] for row in rows], [row[2] for row in rows], codes
+    )
+
+
+def trial_rows(trials):
+    """A TrialColumns as (trial id, model id, test id, label code) tuples."""
+    return list(zip(trials.trial_ids, trials.model_ids, trials.test_ids, trials.labels.tolist()))
+
+
+def join_labels_ref(scores_path, trials_path):
+    """The evaluate/det join: (scores, label codes, number of labeled
+    trials without a score line). Errors come in the order: score file,
+    trial file (see parse_trials_ref), a trial id listed twice, then the
+    first score line whose trial is missing or unlabeled."""
+    ids, scores, _, _ = parse_scores_ref(scores_path)
+    trial_ids, _, _, trial_codes = parse_trials_ref(trials_path)
     labels = {}
-    for trial_id, code in trials:
+    for trial_id, code in zip(trial_ids, trial_codes):
         if trial_id in labels:
             raise DuplicateId(f"{trials_path}: duplicate trial id '{trial_id}'")
         labels[trial_id] = code
@@ -191,10 +226,10 @@ def join_labels_ref(scores_path, trials_path):
     for trial_id in ids:
         if trial_id not in labels:
             raise UnlabeledRecords(f"score record '{trial_id}' has no matching trial")
-        if labels[trial_id] is None:
+        if labels[trial_id] == UNLABELED:
             raise UnlabeledRecords(f"trial '{trial_id}' carries no label")
         codes.append(labels[trial_id])
-    n_labeled = sum(1 for code in labels.values() if code is not None)
+    n_labeled = sum(1 for code in labels.values() if code != UNLABELED)
     return scores, codes, n_labeled - len(ids)
 
 

@@ -18,6 +18,7 @@ from oracles import (
     fused_cosine_ref,
     make_labeled_scores,
     min_dcf_ref,
+    trial_table,
 )
 from tdsvkit import (
     ALL,
@@ -30,7 +31,6 @@ from tdsvkit import (
     SpaceSpec,
     TC_VS_TW,
     Transcript,
-    Trial,
     dcf,
     edit_distance,
     eer,
@@ -154,7 +154,7 @@ def test_fusion_cosine_identity():
     rng = np.random.default_rng(303)
     order = ["a", "b"]
     phrases = {"p": Phrase("p", "open the door")}
-    entries, tables, transcripts, trials, pairs = {}, {"a": {}, "b": {}}, {}, [], []
+    entries, tables, transcripts, rows, pairs = {}, {"a": {}, "b": {}}, {}, [], []
     for i in range(1000):
         d1 = int(rng.integers(16, 513))
         d2 = int(rng.integers(16, 513))
@@ -167,9 +167,9 @@ def test_fusion_cosine_identity():
         tables["a"][f"r{i}"], tables["b"][f"r{i}"] = a1, a2
         tables["a"][f"u{i}"], tables["b"][f"u{i}"] = b1, b2
         transcripts[f"u{i}"] = Transcript(f"u{i}", "open the door")
-        trials.append(Trial(f"t{i}", f"m{i}", f"u{i}"))
+        rows.append((f"t{i}", f"m{i}", f"u{i}"))
         pairs.append(([a1, a2], [b1, b2]))
-    run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), order)
+    run = score_all(trial_table(rows), entries, tables, transcripts, phrases, GateConfig(), order)
     worst = max(
         abs(score - fused_cosine_ref(*pair))
         for score, pair in zip(run.records.score.tolist(), pairs)

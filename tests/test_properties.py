@@ -1,8 +1,8 @@
 """Property tests: the fast paths agree with the slow oracles.
 
 The bit-parallel edit distance is checked against the full-matrix DP; the
-one-call-per-row embedding parser, the bulk-checked score reader and the
-evaluate/det label join against value-by-value parses, diagnostics
+one-call-per-row embedding parser, the bulk-checked score and trial readers
+and the evaluate/det label join against value-by-value parses, diagnostics
 included; and the array sweep, min-DCF, EER and DET points against the
 threshold-enumeration oracles.
 """
@@ -19,12 +19,14 @@ from oracles import (
     min_dcf_ref,
     parse_embeddings_ref,
     parse_scores_ref,
+    parse_trials_ref,
     sweep_ref,
 )
 from tdsvkit import (
     DcfParams,
     ScoreColumns,
     TdsvError,
+    TrialColumns,
     det_points,
     edit_distance,
     eer,
@@ -32,7 +34,7 @@ from tdsvkit import (
     sweep,
 )
 from tdsvkit.cli import _load_labeled_scores
-from tdsvkit.tsvio import parse_embeddings, parse_scores
+from tdsvkit.tsvio import parse_embeddings, parse_scores, parse_trials
 
 # A small alphabet, so that matches are common: Latin and Persian letters, a
 # space, and combining marks that NFC composes with the letter before them
@@ -301,6 +303,83 @@ def test_parse_scores_matches_value_by_value_parse(tmp_path, defect, data):
         assert issubclass(expected[0], TdsvError)
 
 
+TRIAL_DEFECTS = (
+    "none",
+    "two fields",
+    "five fields",
+    "empty id",
+    "bad label",
+    "undecodable byte",
+    "two defects",
+)
+
+
+def _break_trial_row(draw, rows, defect):
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if defect == "two fields":
+        del row[draw(st.integers(1, 2)):]
+    elif defect == "five fields":
+        row[3:] = [draw(st.sampled_from(["TC", "XX"])), "extra"]
+    elif defect == "empty id":
+        _put(row, draw(st.integers(0, 2)), "")
+    elif defect == "bad label":
+        _put(row, 3, draw(st.sampled_from(["tc", "TC\x0b", ""])))
+
+
+@st.composite
+def trial_files(draw, defect):
+    """The bytes of a trial list whose lines are all labeled, all
+    unlabeled or mixed (none at all is an empty file), with one defect."""
+    id_chars = draw(st.sampled_from(["ab\u00e9 ", _ID_CHARS]))
+    labeling = draw(st.sampled_from(["labeled", "unlabeled", "mixed"]))
+    rows = []
+    for i in range(draw(st.integers(0 if defect == "none" else 1, 8))):
+        row = [f"t{i % 3}" + draw(st.text(id_chars, max_size=2)), f"m{i % 2}", f"u{i}"]
+        if labeling == "labeled" or labeling == "mixed" and draw(st.booleans()):
+            row.append(draw(st.sampled_from(["TC", "TW", "IC", "IW"])))
+        rows.append(row)
+    kinds = [defect]
+    if defect == "two defects":
+        kinds = draw(st.lists(st.sampled_from(TRIAL_DEFECTS[1:-1]), min_size=2, max_size=2))
+    for kind in kinds:
+        if kind not in ("none", "undecodable byte"):
+            _break_trial_row(draw, rows, kind)
+    raw = _serialize(draw, rows).encode("utf-8")
+    for kind in kinds:
+        if kind == "undecodable byte":
+            at = draw(st.integers(0, len(raw)))
+            raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + raw[at:]
+    return raw
+
+
+def _trial_outcome(parse, path):
+    """The columns as lists, or the error; parse_trials returns TrialColumns
+    and parse_trials_ref a tuple of lists."""
+    try:
+        columns = parse(path)
+    except TdsvError as exc:
+        return type(exc), str(exc)
+    if isinstance(columns, TrialColumns):
+        columns = columns.trial_ids, columns.model_ids, columns.test_ids, columns.labels.tolist()
+    return tuple(map(list, columns))
+
+
+@pytest.mark.parametrize("defect", TRIAL_DEFECTS)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_parse_trials_matches_value_by_value_parse(tmp_path, defect, data):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(data.draw(trial_files(defect)))
+    expected = _trial_outcome(parse_trials_ref, str(path))
+    assert _trial_outcome(parse_trials, str(path)) == expected
+    if defect not in ("none", "two defects"):  # two edits of one row can cancel
+        assert issubclass(expected[0], TdsvError)
+
+
 @st.composite
 def labeled_pairs(draw, defect):
     """A score file and a trial list that labels it, with one defect."""
@@ -394,6 +473,9 @@ def test_readers_on_arbitrary_text_match_oracles(tmp_path, scores_text, trials_t
     trials_path = _write(tmp_path / "t.tsv", trials_text)
     assert _score_outcome(parse_scores, scores_path) == _score_outcome(
         parse_scores_ref, scores_path
+    )
+    assert _trial_outcome(parse_trials, trials_path) == _trial_outcome(
+        parse_trials_ref, trials_path
     )
     assert _join_outcome(_load_labeled_scores, scores_path, trials_path) == _join_outcome(
         join_labels_ref, scores_path, trials_path

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fused_cosine_ref
+from oracles import fused_cosine_ref, trial_table
 from tdsvkit import (
     DegenerateVector,
     DimensionMismatch,
@@ -20,7 +20,6 @@ from tdsvkit import (
     MissingTranscript,
     Phrase,
     Transcript,
-    Trial,
     TrialLabel,
     UnlabeledRecords,
     build_enrollment,
@@ -86,7 +85,7 @@ def _score_one(centroids, test_per_space, hyp_text, phrases, order=("a", "b")):
         tables[space]["u1"] = vec
     transcripts = {} if hyp_text is None else {"u1": Transcript("u1", hyp_text)}
     run = score_all(
-        [Trial("t1", "m1", "u1")], {"m1": EnrollEntry("m1", "p1", ("e1",) * 3)}, tables,
+        trial_table([("t1", "m1", "u1")]), {"m1": EnrollEntry("m1", "p1", ("e1",) * 3)}, tables,
         transcripts, phrases, GateConfig(), list(order),
     )
     [score], [passed] = run.records.score.tolist(), run.records.passed.tolist()
@@ -243,7 +242,7 @@ def _world_for_batch():
 class TestScoreAll:
     def test_empty_input(self):
         tables, entries, transcripts, phrases = _world_for_batch()
-        run = score_all([], entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        run = score_all(trial_table([]), entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         assert len(run.records) == 0 and run.labels.size == 0 and run.skipped == []
 
     def test_order_and_labels_preserved(self):
@@ -251,11 +250,11 @@ class TestScoreAll:
         transcripts["u1b"] = Transcript("u1b", "wrong phrase entirely")
         for space in tables:
             tables[space]["u1b"] = tables[space]["u1"]
-        trials = [
-            Trial("t1", "m1", "u1", TrialLabel.TC),
-            Trial("t2", "m1", "u1b", TrialLabel.TW),
-            Trial("t3", "m1", "u1"),
-        ]
+        trials = trial_table([
+            ("t1", "m1", "u1", "TC"),
+            ("t2", "m1", "u1b", "TW"),
+            ("t3", "m1", "u1"),
+        ])
         run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         assert run.records.trial_ids == ["t1", "t2", "t3"]
         assert run.labels.dtype == np.int8
@@ -272,7 +271,7 @@ class TestScoreAll:
 
     def test_duplicate_trial_id(self):
         tables, entries, transcripts, phrases = _world_for_batch()
-        trials = [Trial("t1", "m1", "u1"), Trial("t1", "m1", "u1")]
+        trials = trial_table([("t1", "m1", "u1"), ("t1", "m1", "u1")])
         with pytest.raises(DuplicateId, match="trial 't1'"):
             score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         run = score_all(
@@ -285,18 +284,18 @@ class TestScoreAll:
 
     def test_missing_model_strict_names_trial(self):
         tables, entries, transcripts, phrases = _world_for_batch()
-        trials = [Trial("t9", "nope", "u1")]
+        trials = trial_table([("t9", "nope", "u1")])
         with pytest.raises(MissingModel) as exc_info:
             score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         assert "t9" in str(exc_info.value) and "nope" in str(exc_info.value)
 
     def test_lenient_skips_and_scores_rest(self):
         tables, entries, transcripts, phrases = _world_for_batch()
-        trials = [
-            Trial("t1", "m1", "u1"),
-            Trial("t2", "nope", "u1"),
-            Trial("t3", "m1", "missing-utt"),
-        ]
+        trials = trial_table([
+            ("t1", "m1", "u1"),
+            ("t2", "nope", "u1"),
+            ("t3", "m1", "missing-utt"),
+        ])
         run = score_all(
             trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
             strict=False,
@@ -316,15 +315,15 @@ class TestScoreAll:
             for rid in reps:
                 tables[space][rid] = rng.standard_normal(8)
         entries = {"m1": EnrollEntry("m1", "p1", reps)}
-        trials = []
+        rows = []
         for i in range(50):
             uid = f"u{i}"
             for space in tables:
                 tables[space][uid] = rng.standard_normal(8)
             text = "open the door" if i % 2 == 0 else "shut the window now"
             transcripts[uid] = Transcript(uid, text)
-            trials.append(Trial(f"t{i}", "m1", uid))
-        run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+            rows.append((f"t{i}", "m1", uid))
+        run = score_all(trial_table(rows), entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         assert len(run.records) == 50
         for score, passed in zip(run.records.score.tolist(), run.records.passed.tolist()):
             assert -1.0 <= score <= 1.0
@@ -339,7 +338,7 @@ class TestBatchPath:
         dims = {"a": 16, "b": 7, "c": 33}
         tables = {s: {} for s in order}
         phrases = {"p1": Phrase("p1", "open the door")}
-        entries, trials, transcripts = {}, [], {}
+        entries, rows, transcripts = {}, [], {}
         for m in range(5):
             reps = tuple(f"m{m}r{i}" for i in range(3))
             for s in order:
@@ -352,14 +351,14 @@ class TestBatchPath:
                 tables[s][uid] = rng.standard_normal(dims[s]) * rng.uniform(0.1, 10.0)
             text = "open the door" if i % 3 else "open the dour"
             transcripts[uid] = Transcript(uid, text)
-            trials.append(Trial(f"t{i}", f"m{i % 5}", uid))
-        run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), order)
+            rows.append((f"t{i}", f"m{i % 5}", uid))
+        run = score_all(trial_table(rows), entries, tables, transcripts, phrases, GateConfig(), order)
         assert len(run.records) == 60
         assert run.records.score.dtype == np.float64
-        for trial, score in zip(trials, run.records.score.tolist()):
+        for (_, model_id, test_id), score in zip(rows, run.records.score.tolist()):
             fused = fused_cosine_ref(
-                build_enrollment(entries[trial.model_id], tables, order),
-                [tables[s][trial.test_id] for s in order],
+                build_enrollment(entries[model_id], tables, order),
+                [tables[s][test_id] for s in order],
             )
             assert abs(score - fused) <= 1e-12
 
@@ -380,7 +379,7 @@ class TestBatchPath:
             transcripts[uid] = Transcript(uid, text)
             for space in tables:
                 tables[space][uid] = tables[space]["u1"]
-        trials = [Trial(f"t{i}", "m1", f"v{i}") for i in range(4)]
+        trials = trial_table((f"t{i}", "m1", f"v{i}") for i in range(4))
         run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         assert sorted(calls) == [("open the door", "open the door"), ("shut it", "open the door")]
         assert run.records.passed.tolist() == [True, True, False, False]
@@ -392,11 +391,11 @@ class TestBatchPath:
             tables[space]["z2"] = np.zeros(2)
         transcripts["z1"] = Transcript("z1", "completely different words")
         transcripts["z2"] = Transcript("z2", "open the door")
-        bad_first = [Trial("t1", "m1", "z2"), Trial("t2", "nope", "u1")]
+        bad_first = trial_table([("t1", "m1", "z2"), ("t2", "nope", "u1")])
         with pytest.raises(DegenerateVector) as exc_info:
             score_all(bad_first, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
         assert str(exc_info.value) == "trial 't1': cannot normalize vector with norm 0.000e+00"
-        trials = [Trial("t0", "m1", "z1"), Trial("t1", "m1", "z2"), Trial("t2", "m1", "u1")]
+        trials = trial_table([("t0", "m1", "z1"), ("t1", "m1", "z2"), ("t2", "m1", "u1")])
         run = score_all(
             trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
             strict=False,
@@ -412,7 +411,7 @@ class TestBatchPath:
         tables["a"]["u1"] = np.array([1.0, 0.0, 0.0])
         with pytest.raises(DimensionMismatch, match="trial 't1': cosine of dim 4 against dim 5"):
             score_all(
-                [Trial("t1", "m1", "u1")], entries, tables, transcripts, phrases,
+                trial_table([("t1", "m1", "u1")]), entries, tables, transcripts, phrases,
                 GateConfig(), ["a", "b"],
             )
 
@@ -423,9 +422,9 @@ class TestBatchPath:
         entries["m3"] = EnrollEntry("m3", "p1", ("r8", "r1", "r2"))
         tables["a"]["r9"] = tables["a"]["r0"]
         build_error = "repetition 'r9' of model 'm2' missing from space 'b'"
-        trials = [Trial("t1", "m2", "u1"), Trial("t2", "m1", "u1"), Trial("t3", "m2", "u1")]
+        rows = [("t1", "m2", "u1"), ("t2", "m1", "u1"), ("t3", "m2", "u1")]
         run = score_all(
-            trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            trial_table(rows), entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
             strict=False,
         )
         reason = f"MissingSpace: {build_error}"
@@ -434,13 +433,13 @@ class TestBatchPath:
         # strict: the first build error in entry order, as it is, before any trial
         with pytest.raises(MissingSpace, match=f"^{build_error}$"):
             score_all(
-                trials[1:2], entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+                trial_table(rows[1:2]), entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
             )
 
     def test_no_spaces_rejected(self):
         tables, entries, transcripts, phrases = _world_for_batch()
         with pytest.raises(ValueError):
             score_all(
-                [Trial("t1", "m1", "u1")], entries, tables, transcripts, phrases,
+                trial_table([("t1", "m1", "u1")]), entries, tables, transcripts, phrases,
                 GateConfig(), [],
             )

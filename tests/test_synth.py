@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import fused_cosine_ref, trial_rows
 from tdsvkit import (
     LABEL_CODES,
     ConfigInvalid,
@@ -12,7 +13,6 @@ from tdsvkit import (
     TrialLabel,
     cer,
     corrupt_transcript,
-    cosine,
     derive_seed,
     gen_dataset,
     gen_speakers,
@@ -109,7 +109,7 @@ class TestGenSpeakers:
         cosines = []
         for i in range(len(means)):
             for j in range(i + 1, len(means)):
-                cosines.append(abs(cosine(means[i], means[j])))
+                cosines.append(abs(fused_cosine_ref([means[i]], [means[j]])))
         assert len(cosines) >= 1000
         assert np.mean(cosines) < 0.1
 
@@ -151,7 +151,7 @@ class TestGenUtterance:
         # bounds here were measured, with margin, over many seeds
         mean = gen_speakers(1, 64, 2)[0]
         cosines = [
-            cosine(gen_utterance(mean, 0.05, derive_seed(2, "mc", k)), mean)
+            fused_cosine_ref([gen_utterance(mean, 0.05, derive_seed(2, "mc", k))], [mean])
             for k in range(1000)
         ]
         above = sum(1 for c in cosines if c > 0.9)
@@ -209,8 +209,9 @@ class TestGenDataset:
         assert len(ds.trials) == 20
         assert len(ds.enroll_entries) == 6
         assert len(ds.phrases) == 4
+        assert ds.trials.labels.dtype == np.int8
         for label in TrialLabel:
-            assert sum(1 for t in ds.trials if t.label is label) == 5
+            assert np.count_nonzero(ds.trials.labels == LABEL_CODES[label]) == 5
         # embeddings per space: 3 reps per model plus one test utt per trial
         for name in ("a", "b"):
             assert len(ds.embeddings[name]) == 6 * 3 + 20
@@ -222,7 +223,7 @@ class TestGenDataset:
     def test_deterministic(self):
         d1 = gen_dataset(_small_cfg())
         d2 = gen_dataset(_small_cfg())
-        assert d1.trials == d2.trials
+        assert trial_rows(d1.trials) == trial_rows(d2.trials)
         assert d1.enroll_entries == d2.enroll_entries
         assert {p: d1.phrases[p].text for p in d1.phrases} == {
             p: d2.phrases[p].text for p in d2.phrases
@@ -253,13 +254,13 @@ class TestGenDataset:
         # phrase: the enrolled one for TC/IC, a different one for TW/IW
         ds = gen_dataset(_small_cfg())
         enrolled = {e.model_id: e.phrase_id for e in ds.enroll_entries}
-        for trial in ds.trials:
-            spoken = ds.utt_phrase[trial.test_id]
-            assert ds.transcripts[trial.test_id].text == ds.phrases[spoken].text
-            if trial.label.same_phrase:
-                assert spoken == enrolled[trial.model_id]
+        for _, model_id, test_id, code in trial_rows(ds.trials):
+            spoken = ds.utt_phrase[test_id]
+            assert ds.transcripts[test_id].text == ds.phrases[spoken].text
+            if list(TrialLabel)[code].same_phrase:
+                assert spoken == enrolled[model_id]
             else:
-                assert spoken != enrolled[trial.model_id]
+                assert spoken != enrolled[model_id]
 
     def test_statistical_sanity_tc_above_ic(self):
         # at default noise the speaker signal dominates: mean TC cosine

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import trial_rows, trial_table
 from tdsvkit import (
     BadHeader,
     BadLabel,
@@ -11,14 +12,16 @@ from tdsvkit import (
     DuplicateId,
     EnrollEntry,
     GateConfig,
+    LABEL_CODES,
     MalformedLine,
     Phrase,
     ScoreColumns,
     SimConfig,
     SpaceSpec,
     Transcript,
-    Trial,
+    TrialColumns,
     TrialLabel,
+    UNLABELED,
     UnparseableFloat,
     gen_dataset,
     score_all,
@@ -112,18 +115,29 @@ class TestTrialsFormat:
     def test_labeled_and_unlabeled(self, tmp_path):
         path = _write(tmp_path / "t.tsv", "t1\tm1\tu1\tTW\nt2\tm1\tu2\n")
         trials = parse_trials(path)
-        assert trials[0].label is TrialLabel.TW
-        assert trials[1].label is None
+        assert isinstance(trials, TrialColumns) and len(trials) == 2
+        assert trials.labels.dtype == np.int8
+        assert trial_rows(trials) == [
+            ("t1", "m1", "u1", LABEL_CODES[TrialLabel.TW]),
+            ("t2", "m1", "u2", UNLABELED),
+        ]
 
     def test_roundtrip(self, tmp_path):
-        trials = [
-            Trial("t1", "m1", "u1", TrialLabel.TC),
-            Trial("t2", "m2", "u2", None),
-            Trial("t3", "m1", "u3", TrialLabel.IW),
+        # mixed labeled and unlabeled rows, all unlabeled rows, and no rows
+        cases = [
+            (
+                [("t1", "m1", "u1", "TC"), ("t2", "m2", "u2"), ("t3", "m1", "u3", "IW")],
+                "t1\tm1\tu1\tTC\nt2\tm2\tu2\nt3\tm1\tu3\tIW\n",
+            ),
+            ([("t1", "m1", "u1"), ("t2", "m2", "u2")], "t1\tm1\tu1\nt2\tm2\tu2\n"),
+            ([], ""),
         ]
         path = tmp_path / "t.tsv"
-        write_trials(trials, path)
-        assert parse_trials(path) == trials
+        for rows, text in cases:
+            trials = trial_table(rows)
+            write_trials(trials, path)
+            assert path.read_text(encoding="utf-8") == text
+            assert trial_rows(parse_trials(path)) == trial_rows(trials)
 
     def test_bad_label(self, tmp_path):
         with pytest.raises(BadLabel, match="XX"):
@@ -305,12 +319,8 @@ class TestNotUtf8:
     READERS = {
         "embeddings header": (parse_embeddings, b"#dim \xff2\nr1\t1 0\n", 1),
         "embeddings row": (parse_embeddings, b"#dim 2\nr1\t1 0\nr\xfe2\t1 0\n", 3),
-        "trials": (parse_trials, b"t1\tm1\tu1\tTC\nt\xff\xfe2\tm1\tu1\tTC\n", 2),
-        "labeled trials": (
-            lambda path: parse_trials(path, labels_only=True),
-            b"t1\tm1\tu1\tTC\nt\xff\xfe2\tm1\tu1\tTC\n",
-            2,
-        ),
+        "trials": (parse_trials, b"t1\tm1\tu1\nt\xff\xfe2\tm1\tu1\n", 2),
+        "labeled trials": (parse_trials, b"t1\tm1\tu1\tTC\nt\xff\xfe2\tm1\tu1\tTC\n", 2),
         "phrases": (parse_phrases, b"p1\topen\np2\tshut \xff\n", 2),
         "transcripts": (parse_transcripts, b"u1\t\nu2\t\xc3\n", 2),
         "enrollmap": (parse_enrollmap, b"m1\tp1\tr1,r2,r3\nm\xfe\tp1\tr1,r2,r3\n", 2),
@@ -352,11 +362,11 @@ class TestNotUtf8:
         ),
         "trials, far byte": (
             parse_trials,
-            b"t1\tm1\tu1\tTC\nt2\tm1\n" + _FAR_TRIALS + b"t\xff\tm1\tu1\tTC\n",
+            b"t1\tm1\tu1\nt2\tm1\n" + _FAR_TRIALS.replace(b"\tTC", b"") + b"t\xff\tm1\tu1\n",
             "2: expected 3 or 4 tab-separated fields, got 2",
         ),
         "labeled trials, far byte": (
-            lambda path: parse_trials(path, labels_only=True),
+            parse_trials,
             b"t1\tm1\tu1\tTC\nt2\tm1\n" + _FAR_TRIALS + b"t\xff\tm1\tu1\tTC\n",
             "2: expected 3 or 4 tab-separated fields, got 2",
         ),
@@ -415,7 +425,7 @@ class TestWriteDataset:
             "transcripts.tsv",
             "trials.tsv",
         ]
-        assert parse_trials(paths["trials"]) == ds.trials
+        assert trial_rows(parse_trials(paths["trials"])) == trial_rows(ds.trials)
         assert list(parse_enrollmap(paths["enrollmap"]).values()) == ds.enroll_entries
         parsed_phrases = parse_phrases(paths["phrases"])
         assert {k: v.text for k, v in parsed_phrases.items()} == {
