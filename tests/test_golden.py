@@ -7,7 +7,10 @@ reproduce today's bytes exactly. Two workloads: the default `simulate --seed 42`
 quick start, and a larger one with transcript corruption, so that both gate
 outcomes and hundreds of distinct cosines are covered. On the larger one the
 evaluate report is also pinned for every subset, for non-default costs and
-as the --json file, and det.tsv for one subset.
+as the --json file, and det.tsv for one subset. A third, simulate-only
+workload pins the generator's corners that the two others miss: a
+noise-free space (each utterance a copy of its speaker's mean), dim 2, and a
+large noise level in a large dim.
 """
 
 import hashlib
@@ -98,6 +101,33 @@ DATASET = {
 }
 
 
+# simulate-only workloads: (flags after --seed 42, file name -> sha256 of the
+# dataset files and of simulate's stdout).
+SIMULATE_ONLY = {
+    "z2-noise-free-w300": (
+        [
+            "--n-speakers", "3", "--n-phrases", "2", "--trials-per-type", "2",
+            "--space", "z:2:0", "--space", "w:300:2.5",
+        ],
+        {
+            "simulate.stdout": "4a41af3add4af8ba7e2dd79aaab992200dcace4d71e1fc0cf765823f733cf25a",
+            "phrases.tsv": "7bc6414360f8b2ada0c3b604cfc82ec6c0b75878731dbc278d7a8439af57d15c",
+            "enrollmap.tsv": "cc61b68c2303abbd750e2fe5efdb2b951f66f0b72d8c1350c39917f94a2f14c5",
+            "trials.tsv": "9e6fbef204e4e203b4c4e4dcc4494e783deec8af7b7bd7e54757f52b411f0b3e",
+            "transcripts.tsv": "d7a4ed7fe41caf58a649862eb3de4ccf41828d679ec395f6fc6a8359bb6faa60",
+            "embeddings_z.tsv": "073c9c40857fd0aa4484a713251892f4196e090c1f04c448ac64385ce5a58ccc",
+            "embeddings_w.tsv": "dd60a7868e43b7e15cf3575cd11f0e07c9c99ff25497d9abfa22245c7d580996",
+        },
+    ),
+}
+
+
+def _dataset_digests(data, sim_stdout) -> dict:
+    digests = {path.name: _sha256(path.read_bytes()) for path in data.iterdir()}
+    digests["simulate.stdout"] = _sha256(sim_stdout.encode("utf-8"))
+    return digests
+
+
 def _pipeline(tmp_path, name):
     """Simulate and score one GOLDEN workload; returns (simulate stdout,
     trials, scores)."""
@@ -123,9 +153,7 @@ def test_seed42_pipeline_digests(tmp_path, name):
     _, expected = GOLDEN[name]
     data = tmp_path / "data"
     sim_stdout, _, scores = _pipeline(tmp_path, name)
-    dataset = {path.name: _sha256(path.read_bytes()) for path in data.iterdir()}
-    dataset["simulate.stdout"] = _sha256(sim_stdout.encode("utf-8"))
-    assert dataset == DATASET[name]
+    assert _dataset_digests(data, sim_stdout) == DATASET[name]
     report = _run(["evaluate", "--scores", str(scores), "--trials", str(data / "trials.tsv")])
     det = tmp_path / "det.tsv"
     _run([
@@ -137,6 +165,14 @@ def test_seed42_pipeline_digests(tmp_path, name):
         "det.tsv": _sha256(det.read_bytes()),
         "evaluate.stdout": _sha256(report.encode("utf-8")),
     } == expected
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_ONLY))
+def test_seed42_simulate_digests(tmp_path, name):
+    flags, expected = SIMULATE_ONLY[name]
+    data = tmp_path / "data"
+    sim_stdout = _run(["simulate", "--seed", "42", "--out", str(data)] + flags)
+    assert _dataset_digests(data, sim_stdout) == expected
 
 
 @pytest.fixture(scope="module")
