@@ -5,7 +5,7 @@ numpy arrays; every public operation validates its inputs and works in
 double precision. All functions here are pure and safe for concurrent use.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -48,6 +48,37 @@ def check_token(value: str, what: str = "id") -> str:
     return value
 
 
+def check_tokens(values: list, what: str = "id") -> None:
+    """check_token over a list of values in one scan of their joined text;
+    check_token runs on each value, for its message, only where that scan
+    fails."""
+    try:
+        joined = " ".join(values)
+    except TypeError:  # a value that is not a string
+        joined = "\n"
+    if "" in values or "\t" in joined or "\n" in joined or "\r" in joined:
+        for value in values:
+            check_token(value, what)
+
+
+def columns_eq(a, b):
+    """== for the column tables (TrialColumns, scoring.ScoreColumns): equal
+    when b has a's type and every column matches, id lists by == and arrays
+    by dtype and np.array_equal. The dataclass default would compare the
+    arrays with ==, whose truth value is ambiguous past one row."""
+    if type(b) is not type(a):
+        return NotImplemented
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            x, y = np.asarray(x), np.asarray(y)
+            if x.dtype != y.dtype or not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class TrialColumns:
     """A trial list as columns in file order, as tsvio reads and writes it,
@@ -67,14 +98,7 @@ class TrialColumns:
         if {len(ids) for ids in columns.values()} != {len(codes)}:
             raise ValueError("trial columns differ in length")
         for what, ids in columns.items():
-            # check_token, for its message, only where one scan of the column fails
-            try:
-                joined = " ".join(ids)
-            except TypeError:  # an id that is not a string
-                joined = "\n"
-            if "" in ids or "\t" in joined or "\n" in joined or "\r" in joined:
-                for value in ids:
-                    check_token(value, what)
+            check_tokens(ids, what)
         bad = codes[(codes < UNLABELED) | (codes >= len(TrialLabel))]
         if bad.size:
             raise ValueError(f"label code {bad[0]} is not in {UNLABELED}..{len(TrialLabel) - 1}")
@@ -82,6 +106,8 @@ class TrialColumns:
 
     def __len__(self) -> int:
         return len(self.trial_ids)
+
+    __eq__ = columns_eq
 
 
 def as_embedding(values) -> np.ndarray:

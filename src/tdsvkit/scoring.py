@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import EPS, TrialColumns, as_embedding, check_token, l2_normalize
+from .core import EPS, TrialColumns, as_embedding, check_token, columns_eq, l2_normalize
 from .errors import (
     DegenerateVector,
     DimensionMismatch,
@@ -72,6 +72,8 @@ class ScoreColumns:
 
     def __len__(self) -> int:
         return len(self.trial_ids)
+
+    __eq__ = columns_eq
 
 
 @dataclass(frozen=True)

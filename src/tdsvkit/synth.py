@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LABEL_CODES, UNLABELED, TrialColumns, TrialLabel, l2_normalize
-from .errors import ConfigInvalid
+from .core import EPS, LABEL_CODES, UNLABELED, TrialColumns, TrialLabel
+from .errors import ConfigInvalid, DegenerateVector
 from .scoring import REPS_PER_MODEL, EnrollEntry
 from .textgate import Phrase, Transcript
 
@@ -126,6 +126,37 @@ class SyntheticDataset:
         return tuple(sp.name for sp in self.config.spaces)
 
 
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D float64 matrix scaled to unit norm, bit-for-bit as
+    core.l2_normalize scales it alone: sqrt(row.dot(row)) is the norm that
+    np.linalg.norm takes of a 1-D vector (a 2-D norm or einsum sums in
+    another order). Raises DegenerateVector when a value is not finite or a
+    norm is at or below EPS."""
+    if not np.isfinite(rows).all():
+        raise DegenerateVector("embedding contains NaN or infinite values")
+    norms = np.sqrt([row.dot(row) for row in rows])
+    small = norms[norms <= EPS]
+    if small.size:
+        raise DegenerateVector(f"cannot normalize vector with norm {small[0]:.3e}")
+    return rows / norms[:, np.newaxis]
+
+
+def _perturb(means: np.ndarray, speakers, sigma: float, noise) -> np.ndarray:
+    """Rows normalize(means[s] + sigma * g) for s, g in zip(speakers, noise).
+
+    means holds unit-norm speaker means, one per row. sigma = 0 returns the
+    means themselves (copied), bit-for-bit, and reads no noise.
+    """
+    if (np.abs(np.linalg.norm(means, axis=1) - 1.0) > 1e-6).any():
+        raise ConfigInvalid("speaker_mean must be unit norm")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ConfigInvalid(f"sigma must be finite and >= 0, got {sigma}")
+    rows = means[speakers]
+    if sigma == 0.0:
+        return rows
+    return _normalize_rows(rows + sigma * noise)
+
+
 def gen_speakers(n: int, dim: int, seed: int) -> np.ndarray:
     """n unit-norm mean directions, one independent sub-seeded draw each."""
     if n < 1:
@@ -134,9 +165,8 @@ def gen_speakers(n: int, dim: int, seed: int) -> np.ndarray:
         raise ConfigInvalid(f"dim must be >= 2, got {dim}")
     out = np.empty((n, dim), dtype=np.float64)
     for i in range(n):
-        rng = np.random.default_rng(derive_seed(seed, "speaker", i))
-        out[i] = l2_normalize(rng.standard_normal(dim))
-    return out
+        np.random.default_rng(derive_seed(seed, "speaker", i)).standard_normal(out=out[i])
+    return _normalize_rows(out)
 
 
 def gen_utterance(speaker_mean: np.ndarray, sigma: float, seed: int) -> np.ndarray:
@@ -144,15 +174,9 @@ def gen_utterance(speaker_mean: np.ndarray, sigma: float, seed: int) -> np.ndarr
 
     sigma = 0 returns the mean itself (copied), bit-for-bit.
     """
-    mean = np.asarray(speaker_mean, dtype=np.float64)
-    if abs(float(np.linalg.norm(mean)) - 1.0) > 1e-6:
-        raise ConfigInvalid("speaker_mean must be unit norm")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ConfigInvalid(f"sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0.0:
-        return mean.copy()
-    rng = np.random.default_rng(seed)
-    return l2_normalize(mean + sigma * rng.standard_normal(mean.shape[0]))
+    means = np.asarray(speaker_mean, dtype=np.float64)[np.newaxis]
+    noise = np.random.default_rng(seed).standard_normal(means.shape) if sigma > 0 else None
+    return _perturb(means, [0], sigma, noise)[0]
 
 
 def corrupt_transcript(
@@ -220,22 +244,31 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
         alphabet_chars.update(phrase.text)
     alphabet = "".join(sorted(alphabet_chars))
 
-    means = {}
-    for j, sp in enumerate(cfg.spaces):
-        means[sp.name] = gen_speakers(cfg.n_speakers, sp.dim, derive_seed(seed, "space", j))
-
-    embeddings = {sp.name: {} for sp in cfg.spaces}
+    means = [
+        gen_speakers(cfg.n_speakers, sp.dim, derive_seed(seed, "space", j))
+        for j, sp in enumerate(cfg.spaces)
+    ]
+    # Each space's utterance rows (repetitions, then test utterances) are made
+    # in one _perturb call: row r speaks as speaker row_speakers[r], and its
+    # noise, in a space with sigma > 0, comes from its own sub-seeded draw.
+    n_rows = cfg.n_speakers * REPS_PER_MODEL + len(TrialLabel) * cfg.trials_per_type
+    noise = [
+        np.empty((n_rows, sp.dim)) if sp.noise_sigma > 0 else None for sp in cfg.spaces
+    ]
+    row_ids, row_speakers = [], []
     enroll_entries = []
     model_speaker = {}
     for i in range(cfg.n_speakers):
         model_id = f"mdl{i:04d}"
         phrase_id = phrase_ids[i % cfg.n_phrases]
         rep_ids = tuple(f"{model_id}-rep{k}" for k in range(REPS_PER_MODEL))
-        for j, sp in enumerate(cfg.spaces):
-            for k, rep_id in enumerate(rep_ids):
-                embeddings[sp.name][rep_id] = gen_utterance(
-                    means[sp.name][i], sp.noise_sigma, derive_seed(seed, "rep", j, i, k)
-                )
+        for j, rows in enumerate(noise):
+            if rows is not None:
+                for k in range(REPS_PER_MODEL):
+                    rng = np.random.default_rng(derive_seed(seed, "rep", j, i, k))
+                    rng.standard_normal(out=rows[len(row_ids) + k])
+        row_ids.extend(rep_ids)
+        row_speakers.extend([i] * REPS_PER_MODEL)
         enroll_entries.append(EnrollEntry(model_id, phrase_id, rep_ids))
         model_speaker[model_id] = i
 
@@ -260,10 +293,12 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
                 pi = (enrolled_pi + 1 + int(rng.integers(cfg.n_phrases - 1))) % cfg.n_phrases
             utt_id = f"utt{counter:05d}"
             trial_id = f"trl{counter:05d}"
-            for j, sp in enumerate(cfg.spaces):
-                embeddings[sp.name][utt_id] = gen_utterance(
-                    means[sp.name][si], sp.noise_sigma, derive_seed(seed, "test", j, li, t)
-                )
+            for j, rows in enumerate(noise):
+                if rows is not None:
+                    rng = np.random.default_rng(derive_seed(seed, "test", j, li, t))
+                    rng.standard_normal(out=rows[len(row_ids)])
+            row_ids.append(utt_id)
+            row_speakers.append(si)
             rate = (
                 cfg.transcript_error_rate_correct
                 if label.same_phrase
@@ -282,6 +317,11 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
             utt_speaker[utt_id] = si
             utt_phrase[utt_id] = phrase_ids[pi]
             counter += 1
+
+    embeddings = {
+        sp.name: dict(zip(row_ids, _perturb(means[j], row_speakers, sp.noise_sigma, noise[j])))
+        for j, sp in enumerate(cfg.spaces)
+    }
 
     labels = np.repeat(np.arange(len(TrialLabel), dtype=np.int8), cfg.trials_per_type)
     return SyntheticDataset(

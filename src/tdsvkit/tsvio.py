@@ -26,11 +26,13 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import LABEL_CODES, UNLABELED, TrialColumns
+from .core import LABEL_CODES, UNLABELED, TrialColumns, check_tokens
 from .errors import (
     BadHeader,
     BadLabel,
     BadRepCount,
+    DegenerateVector,
+    DimensionMismatch,
     DimMismatch,
     DuplicateId,
     MalformedLine,
@@ -188,12 +190,35 @@ def parse_embeddings(path) -> Tuple[dict, int]:
 
 
 def write_embeddings(table: Mapping, dim: int, path) -> None:
-    """Write one embedding space in table iteration order."""
+    """Write one embedding space in table iteration order, every value at
+    17 significant digits, one row format applied to each row.
+
+    The table is checked as a whole before the file is opened, so that
+    parse_embeddings reads back every file written here, bit-equal: ids as
+    check_token checks them (ValueError), dim >= 1 and rows of dim values
+    (DimensionMismatch), and finite values (DegenerateVector).
+    """
+    ids = list(table)
+    check_tokens(ids, "embedding id")
+    vectors = list(table.values())
+    if dim < 1:
+        raise DimensionMismatch(f"embedding dim must be >= 1, got {dim}")
+    for utt_id, values in zip(ids, vectors):
+        if np.shape(values) != (dim,):
+            raise DimensionMismatch(
+                f"embedding '{utt_id}' has shape {np.shape(values)}, expected ({dim},)"
+            )
+    matrix = np.array(vectors, dtype=np.float64).reshape(len(ids), dim)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        utt_id = ids[int(np.argmin(finite))]
+        raise DegenerateVector(f"embedding '{utt_id}' contains NaN or infinite values")
+    # "%.17g" % x gives the bytes of f"{x:.17g}". The id is concatenated, not
+    # put into the format, since it may hold a '%'.
+    row = "\t" + " ".join(["%.17g"] * dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"#dim {dim}\n")
-        for utt_id, values in table.items():
-            floats = " ".join(f"{v:.17g}" for v in values)
-            f.write(f"{utt_id}\t{floats}\n")
+        f.writelines(utt_id + row % tuple(values.tolist()) for utt_id, values in zip(ids, matrix))
 
 
 def parse_trials(path) -> TrialColumns:

@@ -3,12 +3,12 @@
 Deliberately written the slow, obvious way: a full-matrix dynamic program
 for edit distance, the fused cosine as a dot product of concatenated unit
 blocks, value-by-value parsers for the embedding, score and trial files
-and for the label join of evaluate/det, and a pure-Python enumerator over
-every midpoint threshold for the detection metrics (per-threshold counting
-via binary search so the acceptance-scale runs stay inside their time
-budget). Nothing here imports the modules under test beyond the public
-label and error types, and the TrialColumns type that trial_table builds
-for the tests.
+and for the label join of evaluate/det, a value-by-value embedding
+writer, and a pure-Python enumerator over every midpoint threshold for
+the detection metrics (per-threshold counting via binary search so the
+acceptance-scale runs stay inside their time budget). Nothing here
+imports the modules under test beyond the public label and error types,
+and the TrialColumns type that trial_table builds for the tests.
 """
 
 import math
@@ -113,6 +113,17 @@ def parse_embeddings_ref(path):
             raise DimMismatch(path, n, f"expected {dim} values, got {len(values)}")
         table[utt_id] = np.array(values, dtype=np.float64)
     return table, dim
+
+
+def write_embeddings_ref(table, dim, path):
+    """Embedding file written value by value: the `#dim` header, then per
+    entry its id, a tab, and each value formatted alone by f"{v:.17g}",
+    space-separated."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"#dim {dim}\n")
+        for utt_id, values in table.items():
+            floats = " ".join(f"{v:.17g}" for v in values)
+            f.write(f"{utt_id}\t{floats}\n")
 
 
 def _text_lines(path):

@@ -438,3 +438,15 @@ class TestBenchmarkTracer:
         assert trace["absent"] == ["core.cosine"]
         assert "trace.hook_errors" not in trace["counts"]
         assert "min_dcf=" in out
+
+    def test_simulate_under_tracer(self, tmp_path):
+        # the set-up's per-layer metrics read one span of each
+        data = tmp_path / "data"
+        out, trace = run_traced(tmp_path, ["simulate", "--seed", "42", "--out", str(data)])
+        assert trace["absent"] == ["core.cosine"]
+        assert "trace.hook_errors" not in trace["counts"]
+        names = [span[0] for span in trace["spans"]]
+        assert names.count("synth.gen_dataset") == 1
+        assert names.count("tsvio.write_dataset") == 1
+        assert report_dict(out)["trials"] == "40"
+        assert (data / "embeddings_alpha.tsv").is_file()

@@ -12,6 +12,7 @@ from tdsvkit import (
     EnrollEntry,
     GateConfig,
     Phrase,
+    ScoreColumns,
     Transcript,
     TrialColumns,
     TrialLabel,
@@ -175,6 +176,44 @@ class TestTrialTypes:
             columns = [[f"x{i}" for i in range(n)] for n in lengths[:3]]
             with pytest.raises(ValueError, match="^trial columns differ in length$"):
                 TrialColumns(*columns, [0] * lengths[3])
+
+
+class TestColumnsEquality:
+    """== on the column tables compares id lists and arrays, dtype included,
+    and never asks an array for its truth value."""
+
+    @staticmethod
+    def _trials(test_ids=("u1", "u2", "u3"), codes=(0, 1, UNLABELED)):
+        return TrialColumns(["t1", "t2", "t3"], ["m1", "m1", "m2"], list(test_ids), list(codes))
+
+    @staticmethod
+    def _scores(trial_ids=("t1", "t2"), score=(0.5, -1.0), cer=(0.0, 0.25), dtype=np.float64):
+        return ScoreColumns(
+            list(trial_ids), np.array(score, dtype=dtype), np.array([True, False]),
+            np.array(cer, dtype=np.float64),
+        )
+
+    def test_equal(self):
+        assert self._trials() == self._trials()
+        assert not self._trials() != self._trials()
+        assert self._scores() == self._scores()
+        empty = TrialColumns([], [], [], [])
+        assert empty == TrialColumns([], [], [], np.array([], dtype=np.int8))
+
+    def test_differing_id(self):
+        assert self._trials() != self._trials(test_ids=("u1", "u2", "u4"))
+        assert self._scores() != self._scores(trial_ids=("t1", "t3"))
+
+    def test_differing_code_or_score(self):
+        assert self._trials() != self._trials(codes=(0, 2, UNLABELED))
+        assert self._scores() != self._scores(score=(0.5, -0.999999))
+        assert self._scores() != self._scores(cer=(0.0, 0.5))
+        assert self._scores() != self._scores(dtype=np.float32)
+
+    def test_different_type(self):
+        assert self._trials() != self._scores()
+        assert self._scores() != self._trials()
+        assert self._trials() != list(zip(["t1", "t2", "t3"]))
 
 
 class TestAsEmbedding:

@@ -1,12 +1,14 @@
 """Property tests: the fast paths agree with the slow oracles.
 
 The bit-parallel edit distance is checked against the full-matrix DP; the
+one-format-per-row embedding writer against a value-by-value writer; the
 one-call-per-row embedding parser, the bulk-checked score and trial readers
 and the evaluate/det label join against value-by-value parses, diagnostics
 included; and the array sweep, min-DCF, EER and DET points against the
 threshold-enumeration oracles.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from oracles import (
     parse_scores_ref,
     parse_trials_ref,
     sweep_ref,
+    write_embeddings_ref,
 )
 from tdsvkit import (
     DcfParams,
@@ -34,7 +37,7 @@ from tdsvkit import (
     sweep,
 )
 from tdsvkit.cli import _load_labeled_scores
-from tdsvkit.tsvio import parse_embeddings, parse_scores, parse_trials
+from tdsvkit.tsvio import parse_embeddings, parse_scores, parse_trials, write_embeddings
 
 # A small alphabet, so that matches are common: Latin and Persian letters, a
 # space, and combining marks that NFC composes with the letter before them
@@ -168,6 +171,51 @@ def test_parse_embeddings_matches_value_by_value_parse(tmp_path, defect, data):
     assert _outcome(parse_embeddings, str(path)) == expected
     if defect not in ("none", "odd token anywhere"):
         assert isinstance(expected[0], type) and issubclass(expected[0], TdsvError)
+
+
+# Doubles at the edges of the 17-digit text: signed zeros, subnormals, the
+# normal boundary, the largest finite values, and integers past 2**53.
+_EDGE_DOUBLES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e16, 1e17, 123456789012345680.0, 0.1, 1.0 / 3.0,
+])
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    _EDGE_DOUBLES,
+    st.integers(-(2**63), 2**63).map(float),
+)
+# Ids of any text a line can hold, ids with '%' format directives included.
+_WRITER_IDS = st.one_of(
+    st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from(["%", "%s", "%%", "%.17g", "%(a)s", "u%d\u00e9", "\u0633%"]),
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_write_embeddings_matches_value_by_value_writer(tmp_path, data):
+    dim = data.draw(st.integers(1, 8))
+    as_array = data.draw(st.booleans())
+    rows = st.lists(_DOUBLES, min_size=dim, max_size=dim)
+    rows = rows.map(np.array) if as_array else rows
+    table = data.draw(st.dictionaries(_WRITER_IDS, rows, max_size=6))
+    fast, ref = tmp_path / "fast.tsv", tmp_path / "ref.tsv"
+    write_embeddings(table, dim, fast)
+    write_embeddings_ref(table, dim, ref)
+    assert fast.read_bytes() == ref.read_bytes()
+    parsed, parsed_dim = parse_embeddings(fast)
+    assert parsed_dim == dim and list(parsed) == list(table)
+    for utt_id, values in table.items():
+        assert parsed[utt_id].tobytes() == np.array(values, dtype=np.float64).tobytes()
 
 
 # -- score files and the label join -------------------------------------------

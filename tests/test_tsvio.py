@@ -8,7 +8,9 @@ from tdsvkit import (
     BadHeader,
     BadLabel,
     BadRepCount,
+    DegenerateVector,
     DimMismatch,
+    DimensionMismatch,
     DuplicateId,
     EnrollEntry,
     GateConfig,
@@ -67,6 +69,42 @@ class TestEmbeddingsFormat:
         assert list(parsed) == list(table)  # order preserved
         for uid in table:
             assert np.array_equal(parsed[uid], table[uid])
+
+    def test_write_rejects_row_of_wrong_length(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        tables = (
+            {"x": [1.0, 2.0], "y": [float("nan"), 1.0, 2.0]},
+            {"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0, 4.0]},
+            {"x": np.zeros((1, 3))},
+            {"x": 1.0},
+        )
+        for table in tables:
+            with pytest.raises(DimensionMismatch, match="expected \\(3,\\)"):
+                write_embeddings(table, 3, path)
+        with pytest.raises(DimensionMismatch, match="dim must be >= 1"):
+            write_embeddings({"x": []}, 0, path)
+        assert not path.exists()
+
+    def test_write_rejects_nonfinite(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            table = {"x": [1.0, 2.0, 3.0], "y": np.array([2.0, bad, 1.0])}
+            with pytest.raises(DegenerateVector, match="'y' contains NaN or infinite"):
+                write_embeddings(table, 3, path)
+        assert not path.exists()
+
+    def test_write_rejects_ids_the_reader_rejects(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        for bad in ("", "a\tb", "a\nb", "a\rb", 7):
+            with pytest.raises(ValueError, match="embedding id"):
+                write_embeddings({"ok": [1.0], bad: [2.0]}, 1, path)
+        assert not path.exists()
+
+    def test_write_empty_table(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        write_embeddings({}, 4, path)
+        assert path.read_bytes() == b"#dim 4\n"
+        assert parse_embeddings(path) == ({}, 4)
 
     def test_skips_blank_lines(self, tmp_path):
         table, _ = parse_embeddings(
