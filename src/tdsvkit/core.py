@@ -122,13 +122,27 @@ def as_embedding(values) -> np.ndarray:
     return v
 
 
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D float64 matrix scaled to unit euclidean norm, as a
+    new matrix; the one normalization of the package. A row's norm is
+    sqrt(row.dot(row)), summed in the order of np.linalg.norm on a 1-D
+    vector, so a row comes out with the same bits whatever matrix holds it.
+
+    Raises DegenerateVector when a value is not finite or a norm is at or
+    below EPS.
+    """
+    if not np.isfinite(rows).all():
+        raise DegenerateVector("embedding contains NaN or infinite values")
+    norms = np.sqrt([row.dot(row) for row in rows])
+    small = norms[norms <= EPS]
+    if small.size:
+        raise DegenerateVector(f"cannot normalize vector with norm {small[0]:.3e}")
+    return rows / norms[:, np.newaxis]
+
+
 def l2_normalize(v) -> np.ndarray:
     """Scale v to unit euclidean norm, preserving direction.
 
     Raises DegenerateVector when the norm is at or below EPS.
     """
-    v = as_embedding(v)
-    norm = float(np.linalg.norm(v))
-    if norm <= EPS:
-        raise DegenerateVector(f"cannot normalize vector with norm {norm:.3e}")
-    return v / norm
+    return normalize_rows(as_embedding(v)[np.newaxis])[0]

@@ -16,13 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS, LABEL_CODES, UNLABELED, TrialColumns, TrialLabel
-from .errors import ConfigInvalid, DegenerateVector
+from .core import LABEL_CODES, UNLABELED, TrialColumns, TrialLabel, normalize_rows
+from .errors import ConfigInvalid
 from .scoring import REPS_PER_MODEL, EnrollEntry
 from .textgate import Phrase, Transcript
 
 _LATIN = "abcdefghijklmnopqrstuvwxyz"
 _PERSIAN = "ءآابپتثجچحخدذرزژسشصضطظعغفقکگلمنوهی"
+
+# Rows per block when _perturb builds a space's utterance rows.
+_BLOCK_ROWS = 256
 
 
 def derive_seed(master_seed: int, kind: str, *indices: int) -> int:
@@ -126,35 +129,28 @@ class SyntheticDataset:
         return tuple(sp.name for sp in self.config.spaces)
 
 
-def _normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D float64 matrix scaled to unit norm, bit-for-bit as
-    core.l2_normalize scales it alone: sqrt(row.dot(row)) is the norm that
-    np.linalg.norm takes of a 1-D vector (a 2-D norm or einsum sums in
-    another order). Raises DegenerateVector when a value is not finite or a
-    norm is at or below EPS."""
-    if not np.isfinite(rows).all():
-        raise DegenerateVector("embedding contains NaN or infinite values")
-    norms = np.sqrt([row.dot(row) for row in rows])
-    small = norms[norms <= EPS]
-    if small.size:
-        raise DegenerateVector(f"cannot normalize vector with norm {small[0]:.3e}")
-    return rows / norms[:, np.newaxis]
-
-
 def _perturb(means: np.ndarray, speakers, sigma: float, noise) -> np.ndarray:
     """Rows normalize(means[s] + sigma * g) for s, g in zip(speakers, noise).
 
-    means holds unit-norm speaker means, one per row. sigma = 0 returns the
-    means themselves (copied), bit-for-bit, and reads no noise.
+    means holds unit-norm speaker means, one per row. The rows are made in
+    the noise matrix itself, which is overwritten and returned, a block of
+    rows at a time, so that no temporary is as large as the matrix. IEEE
+    multiplication and addition commute, so the bits are the formula's.
+    sigma = 0 returns the means themselves (copied), bit-for-bit, and reads
+    no noise.
     """
     if (np.abs(np.linalg.norm(means, axis=1) - 1.0) > 1e-6).any():
         raise ConfigInvalid("speaker_mean must be unit norm")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ConfigInvalid(f"sigma must be finite and >= 0, got {sigma}")
-    rows = means[speakers]
     if sigma == 0.0:
-        return rows
-    return _normalize_rows(rows + sigma * noise)
+        return means[speakers]
+    for start in range(0, len(noise), _BLOCK_ROWS):
+        block = noise[start : start + _BLOCK_ROWS]
+        block *= sigma
+        block += means[speakers[start : start + _BLOCK_ROWS]]
+        block[:] = normalize_rows(block)
+    return noise
 
 
 def gen_speakers(n: int, dim: int, seed: int) -> np.ndarray:
@@ -166,7 +162,7 @@ def gen_speakers(n: int, dim: int, seed: int) -> np.ndarray:
     out = np.empty((n, dim), dtype=np.float64)
     for i in range(n):
         np.random.default_rng(derive_seed(seed, "speaker", i)).standard_normal(out=out[i])
-    return _normalize_rows(out)
+    return normalize_rows(out)
 
 
 def gen_utterance(speaker_mean: np.ndarray, sigma: float, seed: int) -> np.ndarray:
@@ -250,25 +246,18 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     ]
     # Each space's utterance rows (repetitions, then test utterances) are made
     # in one _perturb call: row r speaks as speaker row_speakers[r], and its
-    # noise, in a space with sigma > 0, comes from its own sub-seeded draw.
-    n_rows = cfg.n_speakers * REPS_PER_MODEL + len(TrialLabel) * cfg.trials_per_type
-    noise = [
-        np.empty((n_rows, sp.dim)) if sp.noise_sigma > 0 else None for sp in cfg.spaces
-    ]
-    row_ids, row_speakers = [], []
+    # noise, in a space j with sigma > 0, comes from its own draw, sub-seeded
+    # by row_keys[r] = (kind, indices) as derive_seed(seed, kind, j, *indices).
+    row_ids, row_speakers, row_keys = [], [], []
     enroll_entries = []
     model_speaker = {}
     for i in range(cfg.n_speakers):
         model_id = f"mdl{i:04d}"
         phrase_id = phrase_ids[i % cfg.n_phrases]
         rep_ids = tuple(f"{model_id}-rep{k}" for k in range(REPS_PER_MODEL))
-        for j, rows in enumerate(noise):
-            if rows is not None:
-                for k in range(REPS_PER_MODEL):
-                    rng = np.random.default_rng(derive_seed(seed, "rep", j, i, k))
-                    rng.standard_normal(out=rows[len(row_ids) + k])
         row_ids.extend(rep_ids)
         row_speakers.extend([i] * REPS_PER_MODEL)
+        row_keys.extend(("rep", (i, k)) for k in range(REPS_PER_MODEL))
         enroll_entries.append(EnrollEntry(model_id, phrase_id, rep_ids))
         model_speaker[model_id] = i
 
@@ -293,12 +282,9 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
                 pi = (enrolled_pi + 1 + int(rng.integers(cfg.n_phrases - 1))) % cfg.n_phrases
             utt_id = f"utt{counter:05d}"
             trial_id = f"trl{counter:05d}"
-            for j, rows in enumerate(noise):
-                if rows is not None:
-                    rng = np.random.default_rng(derive_seed(seed, "test", j, li, t))
-                    rng.standard_normal(out=rows[len(row_ids)])
             row_ids.append(utt_id)
             row_speakers.append(si)
+            row_keys.append(("test", (li, t)))
             rate = (
                 cfg.transcript_error_rate_correct
                 if label.same_phrase
@@ -318,10 +304,17 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
             utt_phrase[utt_id] = phrase_ids[pi]
             counter += 1
 
-    embeddings = {
-        sp.name: dict(zip(row_ids, _perturb(means[j], row_speakers, sp.noise_sigma, noise[j])))
-        for j, sp in enumerate(cfg.spaces)
-    }
+    # One space's noise matrix at a time: it becomes that space's rows.
+    embeddings = {}
+    for j, sp in enumerate(cfg.spaces):
+        noise = None
+        if sp.noise_sigma > 0:
+            noise = np.empty((len(row_ids), sp.dim))
+            for row, (kind, indices) in zip(noise, row_keys):
+                rng = np.random.default_rng(derive_seed(seed, kind, j, *indices))
+                rng.standard_normal(out=row)
+        rows = _perturb(means[j], row_speakers, sp.noise_sigma, noise)
+        embeddings[sp.name] = dict(zip(row_ids, rows))
 
     labels = np.repeat(np.arange(len(TrialLabel), dtype=np.int8), cfg.trials_per_type)
     return SyntheticDataset(

@@ -195,30 +195,35 @@ def write_embeddings(table: Mapping, dim: int, path) -> None:
 
     The table is checked as a whole before the file is opened, so that
     parse_embeddings reads back every file written here, bit-equal: ids as
-    check_token checks them (ValueError), dim >= 1 and rows of dim values
-    (DimensionMismatch), and finite values (DegenerateVector).
+    check_token checks them and encodable as UTF-8 (ValueError), dim >= 1
+    and rows of dim values (DimensionMismatch), and finite values
+    (DegenerateVector). The rows are checked one by one, not copied into a
+    matrix.
     """
     ids = list(table)
     check_tokens(ids, "embedding id")
-    vectors = list(table.values())
+    joined = "\n".join(ids)
+    try:
+        joined.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        utt_id = ids[joined.count("\n", 0, exc.start)]
+        raise ValueError(f"embedding id {utt_id!r} cannot be encoded as UTF-8") from None
     if dim < 1:
         raise DimensionMismatch(f"embedding dim must be >= 1, got {dim}")
-    for utt_id, values in zip(ids, vectors):
-        if np.shape(values) != (dim,):
+    rows = [np.asarray(values, dtype=np.float64) for values in table.values()]
+    for utt_id, values in zip(ids, rows):
+        if values.shape != (dim,):
             raise DimensionMismatch(
-                f"embedding '{utt_id}' has shape {np.shape(values)}, expected ({dim},)"
+                f"embedding '{utt_id}' has shape {values.shape}, expected ({dim},)"
             )
-    matrix = np.array(vectors, dtype=np.float64).reshape(len(ids), dim)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        utt_id = ids[int(np.argmin(finite))]
-        raise DegenerateVector(f"embedding '{utt_id}' contains NaN or infinite values")
+        if not np.isfinite(values).all():
+            raise DegenerateVector(f"embedding '{utt_id}' contains NaN or infinite values")
     # "%.17g" % x gives the bytes of f"{x:.17g}". The id is concatenated, not
     # put into the format, since it may hold a '%'.
     row = "\t" + " ".join(["%.17g"] * dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"#dim {dim}\n")
-        f.writelines(utt_id + row % tuple(values.tolist()) for utt_id, values in zip(ids, matrix))
+        f.writelines(utt_id + row % tuple(values.tolist()) for utt_id, values in zip(ids, rows))
 
 
 def parse_trials(path) -> TrialColumns:

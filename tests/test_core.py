@@ -21,7 +21,36 @@ from tdsvkit import (
     score_all,
     split_scores,
 )
-from tdsvkit.core import check_token
+from tdsvkit.core import check_token, normalize_rows
+
+
+class TestNormalizeRows:
+    def test_row_bits_do_not_depend_on_the_matrix(self):
+        # each row is divided by the norm np.linalg.norm takes of it alone; a
+        # 2-D norm or einsum sums in another order and moves last bits at
+        # dims like these
+        rng = np.random.default_rng(4)
+        for dim in (2, 3, 64, 67, 256, 300):
+            rows = rng.standard_normal((5, dim)) * rng.uniform(0.01, 100.0, (5, 1))
+            out = normalize_rows(rows)
+            for row, unit in zip(rows, out):
+                assert np.array_equal(unit, row / np.linalg.norm(row)), dim
+                assert np.array_equal(normalize_rows(row[np.newaxis])[0], unit)
+                assert np.array_equal(l2_normalize(row), unit)
+
+    def test_leaves_its_input(self):
+        rows = np.array([[3.0, 4.0], [0.0, 2.0]])
+        assert np.array_equal(normalize_rows(rows), [[0.6, 0.8], [0.0, 1.0]])
+        assert np.array_equal(rows, [[3.0, 4.0], [0.0, 2.0]])
+
+    def test_rejects_degenerate_rows(self):
+        with pytest.raises(DegenerateVector, match="norm 0.000e\\+00"):
+            normalize_rows(np.array([[3.0, 4.0], [0.0, 0.0]]))
+        with pytest.raises(DegenerateVector, match="norm 1.000e-13"):
+            normalize_rows(np.array([[1e-13, 0.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DegenerateVector, match="NaN or infinite"):
+                normalize_rows(np.array([[3.0, 4.0], [1.0, bad]]))
 
 
 class TestL2Normalize:

@@ -99,6 +99,13 @@ class TestEmbeddingsFormat:
             with pytest.raises(ValueError, match="embedding id"):
                 write_embeddings({"ok": [1.0], bad: [2.0]}, 1, path)
         assert not path.exists()
+        # a lone surrogate, as surrogateescape decodes a stray byte, has no
+        # UTF-8 form; the error names its id before the file is opened
+        path.write_text("#dim 1\nold\t1\n", encoding="utf-8")
+        table = {"ok": [1.0], "né": [2.0], "b\udc80c": [3.0], "z\udcff": [4.0]}
+        with pytest.raises(ValueError, match="embedding id 'b\\\\udc80c' cannot be encoded"):
+            write_embeddings(table, 1, path)
+        assert path.read_text(encoding="utf-8") == "#dim 1\nold\t1\n"
 
     def test_write_empty_table(self, tmp_path):
         path = tmp_path / "e.tsv"
