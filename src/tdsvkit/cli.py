@@ -94,9 +94,7 @@ def cmd_score(args) -> int:
     phrases = tsvio.parse_phrases(args.phrases)
     transcripts = tsvio.parse_transcripts(args.transcripts)
     space_order = [name for name, _ in spaces]
-    tables = {}
-    for name, path in spaces:
-        tables[name], _ = tsvio.parse_embeddings(path)
+    tables = {name: tsvio.parse_embeddings(path)[0] for name, path in spaces}
     run = score_all(
         trials, entries, tables, transcripts, phrases, gate_cfg, space_order, strict=args.strict
     )

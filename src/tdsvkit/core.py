@@ -1,16 +1,17 @@
 """Shared domain types and elementary vector operations.
 
-A trial list is one TrialColumns table. Embeddings are plain 1-D float64
-numpy arrays; every public operation validates its inputs and works in
-double precision. All functions here are pure and safe for concurrent use.
+A trial list is one TrialColumns table; an embedding space is one
+EmbeddingTable, ids plus an (N, D) float64 matrix. Every public operation
+validates its inputs and works in double precision. All functions here are
+pure and safe for concurrent use.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateVector, DimensionMismatch
+from .errors import DegenerateVector, DimensionMismatch, DuplicateId
 
 # Norms at or below this are treated as degenerate (zero-ish) vectors.
 EPS = 1e-12
@@ -110,6 +111,41 @@ class TrialColumns:
     __eq__ = columns_eq
 
 
+@dataclass(frozen=True)
+class EmbeddingTable:
+    """One embedding space: row i of the C-contiguous float64 (N, D) matrix
+    is the vector of ids[i]; rows maps each id to its row index, and len()
+    is N. An id that check_token rejects raises ValueError, an id listed
+    twice DuplicateId, a matrix that is not 2-D with D >= 1 and one row per
+    id DimensionMismatch, and a value that is not finite DegenerateVector."""
+
+    ids: list
+    matrix: np.ndarray
+    rows: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        matrix = as_matrix(self.matrix)
+        if len(self.ids) != len(matrix):
+            raise DimensionMismatch(f"{len(self.ids)} embedding ids for {len(matrix)} rows")
+        check_tokens(self.ids, "embedding id")
+        rows = dict(zip(self.ids, range(len(matrix))))
+        if len(rows) != len(matrix):
+            seen = set()
+            repeat_id = next(i for i in self.ids if i in seen or seen.add(i))
+            raise DuplicateId(f"duplicate embedding id '{repeat_id}'")
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            bad = self.ids[np.argmin(finite)]
+            raise DegenerateVector(f"embedding '{bad}' contains NaN or infinite values")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rows", rows)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    __eq__ = columns_eq
+
+
 def as_embedding(values) -> np.ndarray:
     """Coerce to a 1-D float64 vector, rejecting empty or non-finite input."""
     v = np.asarray(values, dtype=np.float64)
@@ -122,27 +158,54 @@ def as_embedding(values) -> np.ndarray:
     return v
 
 
-def normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D float64 matrix scaled to unit euclidean norm, as a
-    new matrix; the one normalization of the package. A row's norm is
-    sqrt(row.dot(row)), summed in the order of np.linalg.norm on a 1-D
-    vector, so a row comes out with the same bits whatever matrix holds it.
+def as_matrix(values) -> np.ndarray:
+    """Coerce to a C-contiguous 2-D float64 matrix of dim >= 1, copying only
+    what is not one already."""
+    try:
+        matrix = np.ascontiguousarray(values, dtype=np.float64)
+    except ValueError as exc:  # rows of different lengths, or not numbers
+        raise DimensionMismatch(f"embeddings do not form a matrix: {exc}") from None
+    if matrix.ndim != 2 or matrix.shape[1] < 1:
+        raise DimensionMismatch(f"embedding matrix must be 2-D with dim >= 1, got {matrix.shape}")
+    return matrix
 
-    Raises DegenerateVector when a value is not finite or a norm is at or
-    below EPS.
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's euclidean norm, sqrt(row.dot(row)): np.linalg.norm's sum
+    on a 1-D vector, so a row's norm does not depend on the matrix that
+    holds it. A norm that overflows is inf, with no numpy warning."""
+    with np.errstate(over="ignore"):
+        return np.sqrt([row.dot(row) for row in rows])
+
+
+def check_norm(norm: float) -> None:
+    """The package's one test that a vector of this norm can be normalized:
+    DegenerateVector unless EPS < norm < inf."""
+    if norm == np.inf:
+        raise DegenerateVector("cannot normalize vector: its norm overflows")
+    if not norm > EPS:
+        raise DegenerateVector(f"cannot normalize vector with norm {norm:.3e}")
+
+
+def normalize_rows(rows) -> np.ndarray:
+    """Each row of a 2-D float64 matrix (as_matrix) scaled to unit euclidean
+    norm, as a new matrix; the one normalization of the package. Each row
+    is divided by its row_norms norm, so it comes out with the same bits
+    whatever matrix holds it. Raises DegenerateVector when a value is not
+    finite or, at the first row it rejects, check_norm does.
     """
+    rows = as_matrix(rows)
     if not np.isfinite(rows).all():
         raise DegenerateVector("embedding contains NaN or infinite values")
-    norms = np.sqrt([row.dot(row) for row in rows])
-    small = norms[norms <= EPS]
-    if small.size:
-        raise DegenerateVector(f"cannot normalize vector with norm {small[0]:.3e}")
+    norms = row_norms(rows)
+    for norm in norms.tolist():
+        check_norm(norm)
     return rows / norms[:, np.newaxis]
 
 
 def l2_normalize(v) -> np.ndarray:
     """Scale v to unit euclidean norm, preserving direction.
 
-    Raises DegenerateVector when the norm is at or below EPS.
+    Raises DegenerateVector when the norm is at or below EPS or overflows.
     """
     return normalize_rows(as_embedding(v)[np.newaxis])[0]

@@ -13,11 +13,12 @@ class TdsvError(Exception):
 # -- vector / domain errors --------------------------------------------------
 
 class DegenerateVector(TdsvError):
-    """Vector norm at or below the degeneracy threshold, or non-finite values."""
+    """Vector norm at or below the degeneracy threshold or overflowing, or
+    non-finite values."""
 
 
 class DimensionMismatch(TdsvError):
-    """Vectors of incompatible dimensions were combined."""
+    """An embedding vector or matrix has the wrong shape for its use."""
 
 
 class EmptyReference(TdsvError):

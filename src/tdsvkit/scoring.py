@@ -17,16 +17,21 @@ writer and reader share. The tests check the scores against the
 concatenate-and-dot reference in tests/oracles.py.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import EPS, TrialColumns, as_embedding, check_token, columns_eq, l2_normalize
+from .core import (
+    EmbeddingTable,
+    TrialColumns,
+    check_norm,
+    check_token,
+    columns_eq,
+    normalize_rows,
+    row_norms,
+)
 from .errors import (
-    DegenerateVector,
-    DimensionMismatch,
     DuplicateId,
     MissingModel,
     MissingPhrase,
@@ -87,49 +92,44 @@ class ScoreRun:
     skipped: list
 
 
-def enroll(reps: Sequence) -> np.ndarray:
-    """Aggregate repetition embeddings into a unit-norm speaker centroid.
+def enroll(reps) -> np.ndarray:
+    """Aggregate a (k, D) matrix of repetition embeddings into a unit-norm
+    speaker centroid.
 
     normalize(mean(normalize(rep_i))): scale-invariant per repetition and
     permutation-invariant up to float summation order.
     """
-    if not reps:
-        raise DimensionMismatch("enroll requires at least one repetition")
-    units = [l2_normalize(r) for r in reps]
-    dims = {u.shape[0] for u in units}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"repetitions have mixed dims {sorted(dims)}")
-    return l2_normalize(np.mean(units, axis=0))
+    return normalize_rows(normalize_rows(reps).mean(axis=0)[np.newaxis])[0]
 
 
 def build_enrollment(
     entry: EnrollEntry,
-    embeddings_by_space: Mapping[str, Mapping[str, np.ndarray]],
+    embeddings: Mapping[str, EmbeddingTable],
     space_order: Sequence[str],
 ) -> tuple:
     """The unit-norm centroids of one enrollmap entry, in space order."""
     centroids = []
     for space in space_order:
-        table = embeddings_by_space.get(space)
+        table = embeddings.get(space)
         if table is None:
             raise MissingSpace(f"no embeddings for declared space '{space}'")
-        reps = []
+        rows = []
         for rid in entry.rep_ids:
-            vec = table.get(rid)
-            if vec is None:
+            row = table.rows.get(rid)
+            if row is None:
                 raise MissingSpace(
                     f"repetition '{rid}' of model '{entry.model_id}' "
                     f"missing from space '{space}'"
                 )
-            reps.append(vec)
-        centroids.append(enroll(reps))
+            rows.append(row)
+        centroids.append(enroll(table.matrix[rows]))
     return tuple(centroids)
 
 
 def score_all(
     trials: TrialColumns,
     entries: Mapping[str, EnrollEntry],
-    embeddings: Mapping[str, Mapping[str, np.ndarray]],
+    embeddings: Mapping[str, EmbeddingTable],
     transcripts: Mapping[str, Transcript],
     phrases: Mapping[str, Phrase],
     cfg: GateConfig,
@@ -139,7 +139,7 @@ def score_all(
     """Score each row of a trial table in order; the one scoring entry point.
 
     entries maps model id to its enrollmap entry, as tsvio.parse_enrollmap
-    returns it; embeddings maps each space to its id -> vector table, which
+    returns it; embeddings maps each space to its EmbeddingTable, which
     holds the repetitions and the test vectors alike. Every entry's model
     is built first, in entry order. strict: abort on the first error; a
     build error is raised as it is, a trial's error with the offending
@@ -148,33 +148,38 @@ def score_all(
     error is the reason for each of its trials. Duplicate trial ids are an
     integrity error.
 
-    One validation pass in trial order resolves every reference and gates
-    each distinct (hypothesis, phrase) pair once. The cosines of the
-    gate-passed trials are then computed together: per trial and space, the
-    dot product of centroid and test vector over the product of their
-    norms; the score is the mean over spaces, clamped to [-1, 1].
+    One validation pass in trial order resolves every model and test id to
+    a row index and gates each distinct (hypothesis, phrase) pair once. The
+    cosines of the gate-passed trials are then computed together by row
+    index: per trial and space, the dot product of centroid row and test
+    row over the product of their norms, each norm taken once per row; the
+    score is the mean over spaces, clamped to [-1, 1].
     """
     if not space_order:
         raise ValueError("scoring requires at least one embedding space")
-    models = {}  # model id -> (entry, centroids, their norms), or the build error
+    models = {}  # model id -> (entry, its row in centroids), or the build error
+    built = []  # per built model, its centroids in space order
     for model_id, entry in entries.items():
         try:
-            centroids = build_enrollment(entry, embeddings, space_order)
+            built.append(build_enrollment(entry, embeddings, space_order))
+            models[model_id] = (entry, len(built) - 1)
         except TdsvError as exc:
             if strict:
                 raise
             models[model_id] = exc
-        else:
-            models[model_id] = (entry, centroids, [_norm(c) for c in centroids])
-    # Only a trial whose model built reads these, so none is None.
-    tables = [embeddings.get(space) for space in space_order]
+    # Per space: the centroid matrix, one row per built model. Only a trial
+    # whose model built reads a table, and then every space has one.
+    centroids = [np.array(c) for c in zip(*built)]
+    tables = [embeddings.get(space) for space in space_order] if built else []
+    centroid_norms = [row_norms(c) for c in centroids]
+    test_norms = [row_norms(t.matrix) for t in tables]
     seen = set()
     outcomes = {}  # (hypothesis text, phrase text) -> GateOutcome
     skipped = []
     kept, ids, gates = [], [], []  # row, id and gate of every valid trial, in order
-    # Per gate-passed trial: its index in ids, then per space (flat, in
-    # space order) the centroid, the test vector and the product of norms.
-    passed, enr_vecs, test_vecs, norm_products = [], [], [], []
+    # Per gate-passed trial: its index in ids, its model's centroid row and
+    # its test rows, one per space.
+    passed, model_rows, test_rows = [], [], []
     rows = zip(trials.trial_ids, trials.model_ids, trials.test_ids)
     for row, (trial_id, model_id, test_id) in enumerate(rows):
         try:
@@ -186,16 +191,16 @@ def score_all(
                 raise MissingModel(f"no enrollment model '{model_id}' in enrollmap")
             if isinstance(model, TdsvError):
                 raise model.with_traceback(None)
-            entry, centroids, centroid_norms = model
-            tests = []
+            entry, model_row = model
+            test = []
             for space, table in zip(space_order, tables):
-                vec = table.get(test_id)
-                if vec is None:
+                test_row = table.rows.get(test_id)
+                if test_row is None:
                     raise MissingSpace(
                         f"test utterance '{test_id}' missing from "
                         f"space '{space}'"
                     )
-                tests.append(vec)
+                test.append(test_row)
             phrase = phrases.get(entry.phrase_id)
             if phrase is None:
                 raise MissingPhrase(
@@ -207,19 +212,17 @@ def score_all(
                 raise MissingTranscript(
                     f"no transcript for test utterance '{test_id}'"
                 )
-            tests = [as_embedding(t) for t in tests]
 
             key = (hyp.text, phrase.text)
             outcome = outcomes.get(key)
             if outcome is None:
                 outcome = outcomes[key] = gate(hyp, phrase, cfg)
             if outcome.passed:
-                test_norms = [_norm(t) for t in tests]
-                _check_dims(centroids, tests)
+                for norms, test_row in zip(test_norms, test):
+                    check_norm(norms[test_row])
                 passed.append(len(ids))
-                enr_vecs.extend(centroids)
-                test_vecs.extend(tests)
-                norm_products.extend(a * b for a, b in zip(centroid_norms, test_norms))
+                model_rows.append(model_row)
+                test_rows.append(test)
         except TdsvError as exc:
             if strict:
                 raise type(exc)(f"trial '{trial_id}': {exc}") from exc
@@ -231,26 +234,15 @@ def score_all(
 
     scores = np.full(len(ids), cfg.punitive_score)
     if passed:
-        dots = np.array([c.dot(t) for c, t in zip(enr_vecs, test_vecs)])
-        cosines = (dots / norm_products).reshape(len(passed), len(space_order))
+        cosines = np.empty((len(passed), len(tables)))
+        # each space's test rows as a list: a tuple would index as one
+        # multi-axis index
+        for s, space_rows in enumerate(map(list, zip(*test_rows))):
+            c, m = centroids[s], tables[s].matrix
+            dots = [c[i].dot(m[t]) for i, t in zip(model_rows, space_rows)]
+            cosines[:, s] = dots / (centroid_norms[s][model_rows] * test_norms[s][space_rows])
         scores[passed] = np.clip(cosines.mean(axis=1), -1.0, 1.0)
     records = ScoreColumns(
         ids, scores, np.array([g.passed for g in gates], bool), np.array([g.cer for g in gates])
     )
     return ScoreRun(records, trials.labels[kept], skipped)
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of v; a degenerate vector cannot be normalized."""
-    norm = math.sqrt(v.dot(v))
-    if norm <= EPS:
-        raise DegenerateVector(f"cannot normalize vector with norm {norm:.3e}")
-    return norm
-
-
-def _check_dims(centroids, tests) -> None:
-    """Each test vector must match its space's centroid in dimension."""
-    enr = [c.shape[0] for c in centroids]
-    test = [t.shape[0] for t in tests]
-    if enr != test:
-        raise DimensionMismatch(f"cosine of dim {sum(enr)} against dim {sum(test)}")

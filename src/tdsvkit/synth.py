@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LABEL_CODES, UNLABELED, TrialColumns, TrialLabel, normalize_rows
-from .errors import ConfigInvalid
+from .core import LABEL_CODES, UNLABELED, EmbeddingTable, TrialColumns, TrialLabel, normalize_rows
+from .errors import ConfigInvalid, DegenerateVector
 from .scoring import REPS_PER_MODEL, EnrollEntry
 from .textgate import Phrase, Transcript
 
@@ -108,10 +108,10 @@ class SimConfig:
 class SyntheticDataset:
     """Generated tables plus ground-truth maps for label auditing.
 
-    embeddings holds, per space, both enrollment repetitions and test
-    utterances, keyed by id. utt_speaker / utt_phrase / model_speaker record
-    the construction truth (speaker index, spoken phrase id) behind every
-    test utterance and model.
+    embeddings holds one EmbeddingTable per space, with the rows of both
+    enrollment repetitions and test utterances. utt_speaker / utt_phrase /
+    model_speaker record the construction truth (speaker index, spoken
+    phrase id) behind every test utterance and model.
     """
 
     config: SimConfig
@@ -137,7 +137,8 @@ def _perturb(means: np.ndarray, speakers, sigma: float, noise) -> np.ndarray:
     rows at a time, so that no temporary is as large as the matrix. IEEE
     multiplication and addition commute, so the bits are the formula's.
     sigma = 0 returns the means themselves (copied), bit-for-bit, and reads
-    no noise.
+    no noise. A sigma large enough to overflow raises DegenerateVector, with
+    no numpy warning.
     """
     if (np.abs(np.linalg.norm(means, axis=1) - 1.0) > 1e-6).any():
         raise ConfigInvalid("speaker_mean must be unit norm")
@@ -145,11 +146,12 @@ def _perturb(means: np.ndarray, speakers, sigma: float, noise) -> np.ndarray:
         raise ConfigInvalid(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return means[speakers]
-    for start in range(0, len(noise), _BLOCK_ROWS):
-        block = noise[start : start + _BLOCK_ROWS]
-        block *= sigma
-        block += means[speakers[start : start + _BLOCK_ROWS]]
-        block[:] = normalize_rows(block)
+    with np.errstate(over="ignore"):
+        for start in range(0, len(noise), _BLOCK_ROWS):
+            block = noise[start : start + _BLOCK_ROWS]
+            block *= sigma
+            block += means[speakers[start : start + _BLOCK_ROWS]]
+            block[:] = normalize_rows(block)
     return noise
 
 
@@ -313,8 +315,12 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
             for row, (kind, indices) in zip(noise, row_keys):
                 rng = np.random.default_rng(derive_seed(seed, kind, j, *indices))
                 rng.standard_normal(out=row)
-        rows = _perturb(means[j], row_speakers, sp.noise_sigma, noise)
-        embeddings[sp.name] = dict(zip(row_ids, rows))
+        try:
+            rows = _perturb(means[j], row_speakers, sp.noise_sigma, noise)
+        except DegenerateVector as exc:
+            message = f"space '{sp.name}' at noise_sigma {sp.noise_sigma!r}: {exc}"
+            raise DegenerateVector(message) from None
+        embeddings[sp.name] = EmbeddingTable(row_ids, rows)
 
     labels = np.repeat(np.arange(len(TrialLabel), dtype=np.int8), cfg.trials_per_type)
     return SyntheticDataset(

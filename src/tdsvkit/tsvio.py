@@ -26,13 +26,11 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import LABEL_CODES, UNLABELED, TrialColumns, check_tokens
+from .core import LABEL_CODES, UNLABELED, EmbeddingTable, TrialColumns
 from .errors import (
     BadHeader,
     BadLabel,
     BadRepCount,
-    DegenerateVector,
-    DimensionMismatch,
     DimMismatch,
     DuplicateId,
     MalformedLine,
@@ -43,7 +41,7 @@ from .scoring import REPS_PER_MODEL, EnrollEntry, ScoreColumns
 from .textgate import Phrase, Transcript
 
 _HEADER_RE = re.compile(r"#dim (\d+)")
-_SURROGATE_RE = re.compile("[\udc80-\udcff]")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 _DET_HEADER = "#p_miss\tp_fa\tthreshold"
 _FLAGS = frozenset({"PASS", "PUNITIVE"})
 _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
@@ -59,8 +57,9 @@ def _reading(path):
 
 
 def _undecodable(text: str) -> bool:
-    """Whether text, as _reading gives it, holds a byte that is not UTF-8.
-    str.isascii takes constant time, so ASCII text pays for no search."""
+    """Whether text holds a lone surrogate, which has no UTF-8 form: in text
+    as _reading gives it, a byte that is not UTF-8. str.isascii takes
+    constant time, so ASCII text pays for no search."""
     return not text.isascii() and _SURROGATE_RE.search(text) is not None
 
 
@@ -135,33 +134,15 @@ def _finite_field(path, n: int, col: int, token: str) -> float:
     return value
 
 
-def _scan_embedding_row(path, n: int, line: str, dim: int, table) -> np.ndarray:
-    """Check one embedding row field by field, raising the first problem in
-    column order; returns the row's values when there is none."""
-    if "\t" not in line:
-        raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
-    utt_id, rest = line.split("\t", 1)
-    if not utt_id:
-        raise MalformedLine(path, n, "empty id field")
-    if utt_id in table:
-        raise DuplicateId(f"{path}:{n}: duplicate id '{utt_id}'")
-    tokens = rest.split(" ")
-    values = np.empty(len(tokens), dtype=np.float64)
-    for col, token in enumerate(tokens, start=1):
-        values[col - 1] = _finite_field(path, n, col, token)
-    if values.size != dim:
-        raise DimMismatch(path, n, f"expected {dim} values, got {values.size}")
-    return values
+def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
+    """Read one embedding space; returns (its EmbeddingTable, declared dim).
 
-
-def parse_embeddings(path) -> Tuple[dict, int]:
-    """Read one embedding space; returns (id -> float64 vector, declared dim).
-
-    Each row is parsed in one call and checked once as a whole; a row that
-    fails that check is re-scanned value by value, so the diagnostic names
-    the same line and column as a per-value parse would.
+    A first pass counts the rows, so that each row is parsed straight into
+    its row of one matrix. A row's id is checked first, then its values are
+    parsed in one call and checked as a whole; values that fail that check
+    are re-scanned one by one, so the diagnostic names the same line and
+    column as a per-value parse would.
     """
-    table = {}
     with _reading(path) as f:
         header = f.readline().rstrip("\n")
         _check_utf8(path, header)
@@ -171,59 +152,59 @@ def parse_embeddings(path) -> Tuple[dict, int]:
         dim = int(m.group(1))
         if dim < 1:
             raise BadHeader(path, 1, f"declared dim must be >= 1, got {dim}")
-        for n, line in _lines(path, f, start=2):
+        matrix = np.empty((sum(raw != "\n" for raw in f), dim))
+        f.seek(0)
+        f.readline()
+        ids, seen = [], set()
+        for (n, line), row in zip(_lines(path, f, start=2), matrix):
             utt_id, tab, rest = line.partition("\t")
+            if not tab:
+                raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
+            if not utt_id:
+                raise MalformedLine(path, n, "empty id field")
+            if utt_id in seen:
+                raise DuplicateId(f"{path}:{n}: duplicate id '{utt_id}'")
+            tokens = rest.split(" ")
             try:
-                values = np.fromiter(map(float, rest.split(" ")), np.float64)
+                values = np.fromiter(map(float, tokens), np.float64)
             except ValueError:
                 values = None
-            if (
-                values is None
-                or values.size != dim
-                or not np.isfinite(values).all()
-                or not (tab and utt_id)
-                or utt_id in table
-            ):
-                values = _scan_embedding_row(path, n, line, dim, table)
-            table[utt_id] = values
-    return table, dim
+            if values is None or not np.isfinite(values).all():
+                for col, token in enumerate(tokens, start=1):
+                    _finite_field(path, n, col, token)
+            if values.size != dim:
+                raise DimMismatch(path, n, f"expected {dim} values, got {values.size}")
+            row[:] = values
+            seen.add(utt_id)
+            ids.append(utt_id)
+    return EmbeddingTable(ids, matrix), dim
 
 
-def write_embeddings(table: Mapping, dim: int, path) -> None:
-    """Write one embedding space in table iteration order, every value at
-    17 significant digits, one row format applied to each row.
+def _check_encodable(checked: dict) -> None:
+    """Raise ValueError naming the first id or text that has no UTF-8 form;
+    checked maps a field name to its values. Every writer runs it before it
+    opens its file, so that a failed write leaves the file as it was."""
+    for what, values in checked.items():
+        for value in values:
+            if _undecodable(value):
+                raise ValueError(f"{what} {value!r} cannot be encoded as UTF-8")
 
-    The table is checked as a whole before the file is opened, so that
-    parse_embeddings reads back every file written here, bit-equal: ids as
-    check_token checks them and encodable as UTF-8 (ValueError), dim >= 1
-    and rows of dim values (DimensionMismatch), and finite values
-    (DegenerateVector). The rows are checked one by one, not copied into a
-    matrix.
+
+def write_embeddings(table: EmbeddingTable, path) -> None:
+    """Write one embedding space in row order, every value at 17
+    significant digits, one row format applied to each row, so that
+    parse_embeddings reads back every file written here, bit-equal. A
+    table holds only ids and values the reader accepts, except for an id
+    with no UTF-8 form, which raises ValueError before the file is opened.
     """
-    ids = list(table)
-    check_tokens(ids, "embedding id")
-    joined = "\n".join(ids)
-    try:
-        joined.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        utt_id = ids[joined.count("\n", 0, exc.start)]
-        raise ValueError(f"embedding id {utt_id!r} cannot be encoded as UTF-8") from None
-    if dim < 1:
-        raise DimensionMismatch(f"embedding dim must be >= 1, got {dim}")
-    rows = [np.asarray(values, dtype=np.float64) for values in table.values()]
-    for utt_id, values in zip(ids, rows):
-        if values.shape != (dim,):
-            raise DimensionMismatch(
-                f"embedding '{utt_id}' has shape {values.shape}, expected ({dim},)"
-            )
-        if not np.isfinite(values).all():
-            raise DegenerateVector(f"embedding '{utt_id}' contains NaN or infinite values")
+    dim = table.matrix.shape[1]
     # "%.17g" % x gives the bytes of f"{x:.17g}". The id is concatenated, not
     # put into the format, since it may hold a '%'.
     row = "\t" + " ".join(["%.17g"] * dim) + "\n"
+    _check_encodable({"embedding id": table.ids})
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"#dim {dim}\n")
-        f.writelines(utt_id + row % tuple(values.tolist()) for utt_id, values in zip(ids, rows))
+        f.writelines(utt_id + row % tuple(v.tolist()) for utt_id, v in zip(table.ids, table.matrix))
 
 
 def parse_trials(path) -> TrialColumns:
@@ -279,7 +260,9 @@ def _scan_trials(path) -> TrialColumns:
 
 def write_trials(trials: TrialColumns, path) -> None:
     """Write a trial list; a trial without a label gets no label field."""
-    rows = zip(trials.trial_ids, trials.model_ids, trials.test_ids, trials.labels.tolist())
+    columns = trials.trial_ids, trials.model_ids, trials.test_ids
+    _check_encodable(dict(zip(_ID_FIELDS, columns)))
+    rows = zip(*columns, trials.labels.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for trial_id, model_id, test_id, code in rows:
             f.write(f"{trial_id}\t{model_id}\t{test_id}{_LABEL_FIELDS[code]}\n")
@@ -314,18 +297,19 @@ def parse_transcripts(path) -> dict:
     return _parse_id_text(path, Transcript, "text")
 
 
-def _write_id_text(items, path) -> None:
+def _write_id_text(items: list, what: str, path) -> None:
+    _check_encodable({what: [key for key, _ in items], "text": [text for _, text in items]})
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for key, text in items:
             f.write(f"{key}\t{text}\n")
 
 
 def write_phrases(phrases: Mapping, path) -> None:
-    _write_id_text(((p.phrase_id, p.text) for p in phrases.values()), path)
+    _write_id_text([(p.phrase_id, p.text) for p in phrases.values()], "phrase_id", path)
 
 
 def write_transcripts(transcripts: Mapping, path) -> None:
-    _write_id_text(((t.utt_id, t.text) for t in transcripts.values()), path)
+    _write_id_text([(t.utt_id, t.text) for t in transcripts.values()], "utt_id", path)
 
 
 def parse_enrollmap(path) -> dict:
@@ -357,6 +341,11 @@ def parse_enrollmap(path) -> dict:
 
 
 def write_enrollmap(entries: Sequence, path) -> None:
+    _check_encodable({
+        "model_id": [e.model_id for e in entries],
+        "phrase_id": [e.phrase_id for e in entries],
+        "rep_id": [rep_id for e in entries for rep_id in e.rep_ids],
+    })
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for e in entries:
             f.write(f"{e.model_id}\t{e.phrase_id}\t{','.join(e.rep_ids)}\n")
@@ -429,6 +418,7 @@ def _scan_scores(path) -> ScoreColumns:
 
 def write_scores(records: ScoreColumns, path) -> None:
     """Write a score set: 6-decimal score, gate flag, 4-decimal CER."""
+    _check_encodable({"trial_id": records.trial_ids})
     rows = zip(
         records.trial_ids, records.score.tolist(), records.passed.tolist(), records.cer.tolist()
     )
@@ -467,6 +457,6 @@ def write_dataset(ds, out_dir) -> dict:
     write_transcripts(ds.transcripts, paths["transcripts"])
     for sp in ds.config.spaces:
         path = os.path.join(out_dir, f"embeddings_{sp.name}.tsv")
-        write_embeddings(ds.embeddings[sp.name], sp.dim, path)
+        write_embeddings(ds.embeddings[sp.name], path)
         paths[f"embeddings_{sp.name}"] = path
     return paths

@@ -6,9 +6,11 @@ blocks, value-by-value parsers for the embedding, score and trial files
 and for the label join of evaluate/det, a value-by-value embedding
 writer, and a pure-Python enumerator over every midpoint threshold for
 the detection metrics (per-threshold counting via binary search so the
-acceptance-scale runs stay inside their time budget). Nothing here
-imports the modules under test beyond the public label and error types,
-and the TrialColumns type that trial_table builds for the tests.
+acceptance-scale runs stay inside their time budget), and the centroid
+built one repetition at a time. Nothing here imports the modules under
+test beyond the public label and error types, the TrialColumns and
+EmbeddingTable types that trial_table and embedding_table build for the
+tests, and l2_normalize, the one normalization that enroll_ref repeats.
 """
 
 import math
@@ -23,12 +25,14 @@ from tdsvkit import (
     BadLabel,
     DimMismatch,
     DuplicateId,
+    EmbeddingTable,
     MalformedLine,
     UNLABELED,
     TrialColumns,
     TrialLabel,
     UnlabeledRecords,
     UnparseableFloat,
+    l2_normalize,
 )
 
 
@@ -72,8 +76,28 @@ def fused_cosine_ref(blocks_a, blocks_b) -> float:
     return dot / (norm_x * norm_y)
 
 
+def enroll_ref(reps):
+    """The centroid of repetition vectors built one repetition at a time:
+    each one unit-normalized alone, the units averaged, the mean
+    normalized again."""
+    units = [l2_normalize(r) for r in reps]
+    return l2_normalize(np.mean(units, axis=0))
+
+
+def embedding_table(vectors, dim=None):
+    """The EmbeddingTable of an id -> vector mapping, in its order: how the
+    tests build an embedding space by hand. dim is read only when the
+    mapping is empty."""
+    return EmbeddingTable(list(vectors), list(vectors.values()) if vectors else np.empty((0, dim)))
+
+
+def embedding_tables(spaces):
+    """embedding_table of each space of a space -> (id -> vector) mapping."""
+    return {space: embedding_table(vectors) for space, vectors in spaces.items()}
+
+
 def parse_embeddings_ref(path):
-    """Embedding file parsed value by value: (id -> vector, dim), or the
+    """Embedding file parsed value by value: (EmbeddingTable, dim), or the
     per-line diagnostic of the first bad line, checked in the order tab,
     empty id, duplicate id, each value left to right, value count."""
     table = {}
@@ -111,17 +135,17 @@ def parse_embeddings_ref(path):
             values.append(value)
         if len(values) != dim:
             raise DimMismatch(path, n, f"expected {dim} values, got {len(values)}")
-        table[utt_id] = np.array(values, dtype=np.float64)
-    return table, dim
+        table[utt_id] = values
+    return embedding_table(table, dim), dim
 
 
-def write_embeddings_ref(table, dim, path):
+def write_embeddings_ref(table, path):
     """Embedding file written value by value: the `#dim` header, then per
-    entry its id, a tab, and each value formatted alone by f"{v:.17g}",
+    row its id, a tab, and each value formatted alone by f"{v:.17g}",
     space-separated."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"#dim {dim}\n")
-        for utt_id, values in table.items():
+        f.write(f"#dim {table.matrix.shape[1]}\n")
+        for utt_id, values in zip(table.ids, table.matrix.tolist()):
             floats = " ".join(f"{v:.17g}" for v in values)
             f.write(f"{utt_id}\t{floats}\n")
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from oracles import (
     edit_distance_ref,
+    embedding_tables,
     eer_ref,
     fused_cosine_ref,
     make_labeled_scores,
@@ -154,31 +155,31 @@ def test_fusion_cosine_identity():
     rng = np.random.default_rng(303)
     order = ["a", "b"]
     phrases = {"p": Phrase("p", "open the door")}
-    entries, tables, transcripts, rows, pairs = {}, {"a": {}, "b": {}}, {}, [], []
-    for i in range(1000):
+    # A space holds vectors of one dim, so each pair is scored in a one-trial
+    # run of its own; each enrollment vector serves as all three repetitions.
+    entries = {"m": EnrollEntry("m", "p", ("r",) * 3)}
+    transcripts = {"u": Transcript("u", "open the door")}
+    scores, pairs = [], []
+    for _ in range(1000):
         d1 = int(rng.integers(16, 513))
         d2 = int(rng.integers(16, 513))
         a1 = l2_normalize(rng.normal(size=d1))
         b1 = l2_normalize(rng.normal(size=d1))
         a2 = l2_normalize(rng.normal(size=d2))
         b2 = l2_normalize(rng.normal(size=d2))
-        # each enrollment vector serves as all three of its repetitions
-        entries[f"m{i}"] = EnrollEntry(f"m{i}", "p", (f"r{i}",) * 3)
-        tables["a"][f"r{i}"], tables["b"][f"r{i}"] = a1, a2
-        tables["a"][f"u{i}"], tables["b"][f"u{i}"] = b1, b2
-        transcripts[f"u{i}"] = Transcript(f"u{i}", "open the door")
-        rows.append((f"t{i}", f"m{i}", f"u{i}"))
+        tables = embedding_tables({"a": {"r": a1, "u": b1}, "b": {"r": a2, "u": b2}})
+        run = score_all(
+            trial_table([("t", "m", "u")]), entries, tables, transcripts, phrases, GateConfig(),
+            order,
+        )
+        scores.extend(run.records.score.tolist())
         pairs.append(([a1, a2], [b1, b2]))
-    run = score_all(trial_table(rows), entries, tables, transcripts, phrases, GateConfig(), order)
-    worst = max(
-        abs(score - fused_cosine_ref(*pair))
-        for score, pair in zip(run.records.score.tolist(), pairs)
-    )
+    worst = max(abs(score - fused_cosine_ref(*pair)) for score, pair in zip(scores, pairs))
     _check(
         "score_all equals the cosine of concatenated unit blocks (1000 pairs, "
         "dims 16-512)",
-        len(run.records) == 1000 and worst <= 1e-9,
-        f"scored={len(run.records)} worst_gap={worst:.2e}",
+        len(scores) == 1000 and worst <= 1e-9,
+        f"scored={len(scores)} worst_gap={worst:.2e}",
     )
 
 

@@ -319,6 +319,35 @@ class TestErrorContract:
         assert code == 1
         assert err.startswith("error=BadHeader:")
 
+    @pytest.mark.parametrize("sigma, detail", [
+        ("1e308", "embedding contains NaN or infinite values"),
+        ("1e200", "cannot normalize vector: its norm overflows"),
+    ])
+    def test_simulate_names_the_space_that_overflows(self, tmp_path, sigma, detail):
+        code, out, err = run_cli([
+            "simulate", "--n-speakers", "2", "--n-phrases", "2", "--trials-per-type", "1",
+            "--space", "ok:4:0.5", "--space", f"a:4:{sigma}", "--out", str(tmp_path / "d"),
+        ])
+        assert (code, out) == (1, "")
+        space = f"space 'a' at noise_sigma {float(sigma)!r}"
+        assert err == f"error=DegenerateVector: {space}: {detail}\n"
+
+    def test_score_rejects_embeddings_whose_norm_overflows(self, tmp_path):
+        # at 1e200 per value a squared norm overflows; the norm must not
+        # come out inf and scale every vector to zeros
+        data = simulate(tmp_path, seed=5)
+        emb = data / "embeddings_beta.tsv"
+        header, *rows = emb.read_text(encoding="utf-8").splitlines()
+        scaled = [header]
+        for row in rows:
+            utt_id, values = row.split("\t")
+            values = " ".join(f"{float(v) * 1e200:.17g}" for v in values.split())
+            scaled.append(f"{utt_id}\t{values}")
+        emb.write_text("\n".join(scaled) + "\n", encoding="utf-8")
+        code, out, err = run_cli(score_args(data, tmp_path / "s.tsv"))
+        assert (code, out) == (1, "")
+        assert err == "error=DegenerateVector: cannot normalize vector: its norm overflows\n"
+
     def test_bad_space_syntax(self, tmp_path):
         data = simulate(tmp_path, seed=5)
         argv = score_args(data, tmp_path / "s.tsv")
@@ -432,6 +461,12 @@ class TestBenchmarkTracer:
         n_entries = len((data / "enrollmap.tsv").read_text(encoding="utf-8").splitlines())
         builds = [span for span in trace["spans"] if span[0] == "scoring.build_enrollment"]
         assert len(builds) == n_entries > 0
+        # the row count of both spaces, read from the table parse_embeddings returns
+        n_rows = sum(
+            len((data / f"embeddings_{space}.tsv").read_text(encoding="utf-8").splitlines()) - 1
+            for space in ("alpha", "beta")
+        )
+        assert trace["counts"]["tsvio.parse_embeddings.rows"] == n_rows > 0
         out, trace = run_traced(tmp_path, [
             "evaluate", "--scores", str(scores), "--trials", str(data / "trials.tsv"),
         ])

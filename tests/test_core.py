@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import trial_table
+from oracles import embedding_tables, trial_table
 from tdsvkit import (
     LABEL_CODES,
     UNLABELED,
     DegenerateVector,
     DimensionMismatch,
+    DuplicateId,
+    EmbeddingTable,
     EnrollEntry,
     GateConfig,
     Phrase,
@@ -51,6 +53,13 @@ class TestNormalizeRows:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(DegenerateVector, match="NaN or infinite"):
                 normalize_rows(np.array([[3.0, 4.0], [1.0, bad]]))
+        # a finite row whose norm overflows is not scaled to zeros; the first
+        # rejected row names the error, and no numpy warning is issued
+        for rows, match in (([[3.0, 4.0], [1e200, 1e200]], "norm overflows"),
+                            ([[1e200, 0.0], [0.0, 0.0]], "norm overflows"),
+                            ([[0.0, 0.0], [1e200, 0.0]], "norm 0.000e\\+00")):
+            with pytest.raises(DegenerateVector, match=match):
+                normalize_rows(np.array(rows))
 
 
 class TestL2Normalize:
@@ -73,6 +82,14 @@ class TestL2Normalize:
         with pytest.raises(DegenerateVector):
             l2_normalize([1.0, float("nan")])
 
+    def test_overflowing_norm(self):
+        overflow = "^cannot normalize vector: its norm overflows$"
+        for v in ([1e200, 1e200], [1e154, -1e154], [1.7e308]):
+            with pytest.raises(DegenerateVector, match=overflow):
+                l2_normalize(v)
+        # a large norm that does not overflow still normalizes
+        assert np.allclose(l2_normalize([3e150, 4e150]), [0.6, 0.8], rtol=0, atol=1e-15)
+
     def test_not_1d(self):
         with pytest.raises(DimensionMismatch):
             l2_normalize([[1.0, 2.0], [3.0, 4.0]])
@@ -93,19 +110,21 @@ class TestL2Normalize:
 
 
 def _cosines(pairs):
-    """score_all's scores of a one-space trial table with one row per
-    (enrollment vector, test vector) pair. The enrollment vector serves as
-    all three repetitions of its model, and every transcript passes the
-    gate."""
-    tables, entries, transcripts, rows = {"a": {}}, {}, {}, []
-    for i, (enr, test) in enumerate(pairs):
-        tables["a"][f"r{i}"], tables["a"][f"u{i}"] = np.asarray(enr), np.asarray(test)
-        entries[f"m{i}"] = EnrollEntry(f"m{i}", "p", (f"r{i}",) * 3)
-        transcripts[f"u{i}"] = Transcript(f"u{i}", "open")
-        rows.append((f"t{i}", f"m{i}", f"u{i}"))
-    phrases = {"p": Phrase("p", "open")}
-    run = score_all(trial_table(rows), entries, tables, transcripts, phrases, GateConfig(), ["a"])
-    return run.records.score.tolist()
+    """score_all's score of each (enrollment vector, test vector) pair, from
+    a one-trial run in one space that holds the pair, since a space holds
+    vectors of one dim. The enrollment vector serves as all three
+    repetitions of the model, and the transcript passes the gate."""
+    entries = {"m": EnrollEntry("m", "p", ("r",) * 3)}
+    transcripts, phrases = {"u": Transcript("u", "open")}, {"p": Phrase("p", "open")}
+    scores = []
+    for enr, test in pairs:
+        tables = embedding_tables({"a": {"r": enr, "u": test}})
+        run = score_all(
+            trial_table([("t", "m", "u")]), entries, tables, transcripts, phrases, GateConfig(),
+            ["a"],
+        )
+        scores.extend(run.records.score.tolist())
+    return scores
 
 
 class TestCosine:
@@ -243,6 +262,55 @@ class TestColumnsEquality:
         assert self._trials() != self._scores()
         assert self._scores() != self._trials()
         assert self._trials() != list(zip(["t1", "t2", "t3"]))
+
+
+class TestEmbeddingTable:
+    def test_rows_and_len(self):
+        table = EmbeddingTable(["u1", "u2", "é"], [[1, 2], [3, 4], [5, 6]])
+        assert len(table) == 3 and table.rows == {"u1": 0, "u2": 1, "é": 2}
+        assert table.matrix.dtype == np.float64 and table.matrix.flags.c_contiguous
+        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        fortran = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        assert EmbeddingTable(["a", "b", "c"], fortran).matrix.flags.c_contiguous
+        matrix = np.zeros((2, 3))
+        assert EmbeddingTable(["a", "b"], matrix).matrix is matrix  # no copy
+        empty = EmbeddingTable([], np.empty((0, 4)))
+        assert len(empty) == 0 and empty.rows == {}
+
+    def test_not_a_matrix(self):
+        for matrix in ([1.0, 2.0], np.zeros((1, 2, 2)), np.zeros((1, 0)), [[1.0], [1.0, 2.0]], []):
+            with pytest.raises(DimensionMismatch):
+                EmbeddingTable(["a"] * max(len(matrix), 1), matrix)
+
+    def test_id_count_is_row_count(self):
+        with pytest.raises(DimensionMismatch, match="^2 embedding ids for 3 rows$"):
+            EmbeddingTable(["a", "b"], np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch, match="^1 embedding ids for 0 rows$"):
+            EmbeddingTable(["a"], np.empty((0, 2)))
+
+    def test_nonfinite_value_names_its_row(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            matrix = np.ones((3, 2))
+            matrix[1:, 0] = bad
+            with pytest.raises(DegenerateVector, match="^embedding 'b' contains NaN or infinite"):
+                EmbeddingTable(["a", "b", "c"], matrix)
+
+    def test_duplicate_id(self):
+        with pytest.raises(DuplicateId, match="^duplicate embedding id 'b'$"):
+            EmbeddingTable(["a", "b", "c", "b", "a"], np.ones((5, 2)))
+
+    def test_bad_token(self):
+        for bad in ("", "x\ty", "x\ny", "x\ry", 5):
+            with pytest.raises(ValueError, match="embedding id"):
+                EmbeddingTable(["a", bad], np.ones((2, 2)))
+
+    def test_equality(self):
+        table = EmbeddingTable(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
+        assert table == EmbeddingTable(["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert table != EmbeddingTable(["a", "c"], [[1.0, 2.0], [3.0, 4.0]])
+        assert table != EmbeddingTable(["a", "b"], [[1.0, 2.0], [3.0, 4.5]])
+        assert table != EmbeddingTable(["a"], [[1.0, 2.0]])
+        assert table != TrialColumns(["a", "b"], ["m", "m"], ["u", "u"], [0, 0])
 
 
 class TestAsEmbedding:

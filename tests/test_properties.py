@@ -2,10 +2,11 @@
 
 The bit-parallel edit distance is checked against the full-matrix DP; the
 one-format-per-row embedding writer against a value-by-value writer; the
-one-call-per-row embedding parser, the bulk-checked score and trial readers
-and the evaluate/det label join against value-by-value parses, diagnostics
-included; and the array sweep, min-DCF, EER and DET points against the
-threshold-enumeration oracles.
+enrollment centroids, gathered by row index, against the centroid built
+one repetition at a time; the one-call-per-row embedding parser, the
+bulk-checked score and trial readers and the evaluate/det label join
+against value-by-value parses, diagnostics included; and the array sweep,
+min-DCF, EER and DET points against the threshold-enumeration oracles.
 """
 
 import numpy as np
@@ -17,6 +18,8 @@ from oracles import (
     det_points_ref,
     edit_distance_ref,
     eer_ref,
+    embedding_table,
+    enroll_ref,
     join_labels_ref,
     min_dcf_ref,
     parse_embeddings_ref,
@@ -27,9 +30,12 @@ from oracles import (
 )
 from tdsvkit import (
     DcfParams,
+    EmbeddingTable,
+    EnrollEntry,
     ScoreColumns,
     TdsvError,
     TrialColumns,
+    build_enrollment,
     det_points,
     edit_distance,
     eer,
@@ -95,7 +101,7 @@ def _outcome(parse, path):
         table, dim = parse(path)
     except TdsvError as exc:
         return type(exc), str(exc)
-    return dim, [(key, values.tobytes()) for key, values in table.items()]
+    return dim, [(key, values.tobytes()) for key, values in zip(table.ids, table.matrix)]
 
 
 _VALUES = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}")
@@ -207,15 +213,58 @@ def test_write_embeddings_matches_value_by_value_writer(tmp_path, data):
     as_array = data.draw(st.booleans())
     rows = st.lists(_DOUBLES, min_size=dim, max_size=dim)
     rows = rows.map(np.array) if as_array else rows
-    table = data.draw(st.dictionaries(_WRITER_IDS, rows, max_size=6))
+    vectors = data.draw(st.dictionaries(_WRITER_IDS, rows, max_size=6))
+    table = embedding_table(vectors, dim)
     fast, ref = tmp_path / "fast.tsv", tmp_path / "ref.tsv"
-    write_embeddings(table, dim, fast)
-    write_embeddings_ref(table, dim, ref)
+    write_embeddings(table, fast)
+    write_embeddings_ref(table, ref)
     assert fast.read_bytes() == ref.read_bytes()
     parsed, parsed_dim = parse_embeddings(fast)
-    assert parsed_dim == dim and list(parsed) == list(table)
-    for utt_id, values in table.items():
-        assert parsed[utt_id].tobytes() == np.array(values, dtype=np.float64).tobytes()
+    assert parsed_dim == dim and parsed.ids == list(vectors)
+    for row, values in zip(parsed.matrix, vectors.values()):
+        assert row.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+# -- enrollment ------------------------------------------------------------------
+
+
+def _centroids(build):
+    """The centroids' bytes of a build, or its (error class, message)."""
+    try:
+        return [centroid.tobytes() for centroid in build()]
+    except TdsvError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_build_enrollment_matches_per_repetition_enroll(data):
+    # build_enrollment gathers a model's repetitions and normalizes them as
+    # one matrix; the reference normalizes each repetition alone. Rows are
+    # scaled over twelve decades, and one may be zero, the negation of
+    # another (two repetitions that cancel in the mean) or large enough for
+    # its norm to overflow.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ids = [f"u{i}" for i in range(data.draw(st.integers(3, 8)))]
+    tables = {}
+    for space in ("a", "b"):
+        dim = data.draw(st.sampled_from([1, 2, 3, 7, 64, 67, 192, 256, 300]))
+        matrix = rng.standard_normal((len(ids), dim)) * 10.0 ** rng.uniform(-6, 6, (len(ids), 1))
+        edit = data.draw(st.sampled_from(["none", "zero", "negate", "huge"]))
+        if edit == "zero":
+            matrix[1] = 0.0
+        elif edit == "negate":
+            matrix[1] = -matrix[0]
+        elif edit == "huge":
+            matrix[1] *= 1e200
+        tables[space] = EmbeddingTable(ids, matrix)
+    rep_ids = data.draw(st.lists(st.sampled_from(ids), min_size=3, max_size=3))
+    entry = EnrollEntry("m", "p", tuple(rep_ids))
+    expected = _centroids(lambda: [
+        enroll_ref([table.matrix[table.rows[rep_id]].copy() for rep_id in entry.rep_ids])
+        for table in tables.values()
+    ])
+    assert _centroids(lambda: build_enrollment(entry, tables, ["a", "b"])) == expected
 
 
 # -- score files and the label join -------------------------------------------

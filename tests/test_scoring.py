@@ -1,11 +1,12 @@
 """Enrollment, fusion, and trial scoring through score_all."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from oracles import fused_cosine_ref, trial_table
+from oracles import embedding_tables, fused_cosine_ref, trial_table
 from tdsvkit import (
     DegenerateVector,
     DimensionMismatch,
@@ -85,8 +86,8 @@ def _score_one(centroids, test_per_space, hyp_text, phrases, order=("a", "b")):
         tables[space]["u1"] = vec
     transcripts = {} if hyp_text is None else {"u1": Transcript("u1", hyp_text)}
     run = score_all(
-        trial_table([("t1", "m1", "u1")]), {"m1": EnrollEntry("m1", "p1", ("e1",) * 3)}, tables,
-        transcripts, phrases, GateConfig(), list(order),
+        trial_table([("t1", "m1", "u1")]), {"m1": EnrollEntry("m1", "p1", ("e1",) * 3)},
+        embedding_tables(tables), transcripts, phrases, GateConfig(), list(order),
     )
     [score], [passed] = run.records.score.tolist(), run.records.passed.tolist()
     return score, passed
@@ -158,7 +159,7 @@ def _tiny_world():
 class TestBuildEnrollment:
     def test_happy_path(self):
         tables, entry, _ = _tiny_world()
-        centroids = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
         assert len(centroids) == 2
         assert centroids[0] == pytest.approx([1.0, 0.0], abs=1e-12)
         assert centroids[1] == pytest.approx([0.0, 1.0], abs=1e-12)
@@ -166,13 +167,13 @@ class TestBuildEnrollment:
     def test_missing_space_table(self):
         tables, entry, _ = _tiny_world()
         with pytest.raises(MissingSpace, match="'c'"):
-            build_enrollment(entry, tables, ["a", "c"])
+            build_enrollment(entry, embedding_tables(tables), ["a", "c"])
 
     def test_missing_rep(self):
         tables, entry, _ = _tiny_world()
         del tables["b"]["r1"]
         with pytest.raises(MissingSpace, match="'r1'"):
-            build_enrollment(entry, tables, ["a", "b"])
+            build_enrollment(entry, embedding_tables(tables), ["a", "b"])
 
     def test_rep_count_pinned(self):
         with pytest.raises(ValueError):
@@ -186,7 +187,7 @@ class TestScoreTrial:
 
     def test_perfect_match_scores_one(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
         score, passed = _score_one(centroids, dict(zip("ab", centroids)), "open the door", phrases)
         assert passed
         assert score == pytest.approx(1.0, abs=1e-12)
@@ -194,7 +195,7 @@ class TestScoreTrial:
 
     def test_gate_fail_is_punitive_exactly(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         bad = "completely different words"
         score, passed = _score_one(centroids, test, bad, phrases)
@@ -206,7 +207,7 @@ class TestScoreTrial:
 
     def test_mean_of_per_space_cosines(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
         # centroids are [1,0] and [0,1]; pick tests with cosines 0.8 and 0.6
         test = {"a": np.array([0.8, 0.6]), "b": np.array([0.8, 0.6])}
         score, _ = _score_one(centroids, test, "open the door", phrases)
@@ -214,21 +215,21 @@ class TestScoreTrial:
 
     def test_missing_phrase(self):
         tables, entry, _ = _tiny_world()
-        centroids = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         with pytest.raises(MissingPhrase, match="^trial 't1': phrase 'p1'"):
             _score_one(centroids, test, "x", {})
 
     def test_missing_transcript(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         with pytest.raises(MissingTranscript, match="^trial 't1': .*'u1'"):
             _score_one(centroids, test, None, phrases)
 
     def test_missing_test_space(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, tables, ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
         with pytest.raises(MissingSpace, match="^trial 't1': .*'b'"):
             _score_one(centroids, {"a": tables["a"]["u1"]}, "open the door", phrases)
 
@@ -242,7 +243,10 @@ def _world_for_batch():
 class TestScoreAll:
     def test_empty_input(self):
         tables, entries, transcripts, phrases = _world_for_batch()
-        run = score_all(trial_table([]), entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        run = score_all(
+            trial_table([]), entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+            ["a", "b"],
+        )
         assert len(run.records) == 0 and run.labels.size == 0 and run.skipped == []
 
     def test_order_and_labels_preserved(self):
@@ -255,7 +259,10 @@ class TestScoreAll:
             ("t2", "m1", "u1b", "TW"),
             ("t3", "m1", "u1"),
         ])
-        run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        run = score_all(
+            trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+            ["a", "b"],
+        )
         assert run.records.trial_ids == ["t1", "t2", "t3"]
         assert run.labels.dtype == np.int8
         assert run.labels.tolist() == [
@@ -273,9 +280,13 @@ class TestScoreAll:
         tables, entries, transcripts, phrases = _world_for_batch()
         trials = trial_table([("t1", "m1", "u1"), ("t1", "m1", "u1")])
         with pytest.raises(DuplicateId, match="trial 't1'"):
-            score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+            score_all(
+                trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+                ["a", "b"],
+            )
         run = score_all(
-            trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+            ["a", "b"],
             strict=False,
         )
         assert len(run.records) == 1
@@ -286,7 +297,10 @@ class TestScoreAll:
         tables, entries, transcripts, phrases = _world_for_batch()
         trials = trial_table([("t9", "nope", "u1")])
         with pytest.raises(MissingModel) as exc_info:
-            score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+            score_all(
+                trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+                ["a", "b"],
+            )
         assert "t9" in str(exc_info.value) and "nope" in str(exc_info.value)
 
     def test_lenient_skips_and_scores_rest(self):
@@ -297,7 +311,8 @@ class TestScoreAll:
             ("t3", "m1", "missing-utt"),
         ])
         run = score_all(
-            trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+            ["a", "b"],
             strict=False,
         )
         assert run.records.trial_ids == ["t1"]
@@ -323,7 +338,10 @@ class TestScoreAll:
             text = "open the door" if i % 2 == 0 else "shut the window now"
             transcripts[uid] = Transcript(uid, text)
             rows.append((f"t{i}", "m1", uid))
-        run = score_all(trial_table(rows), entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        run = score_all(
+            trial_table(rows), entries, embedding_tables(tables), transcripts, phrases,
+            GateConfig(), ["a", "b"],
+        )
         assert len(run.records) == 50
         for score, passed in zip(run.records.score.tolist(), run.records.passed.tolist()):
             assert -1.0 <= score <= 1.0
@@ -352,12 +370,15 @@ class TestBatchPath:
             text = "open the door" if i % 3 else "open the dour"
             transcripts[uid] = Transcript(uid, text)
             rows.append((f"t{i}", f"m{i % 5}", uid))
-        run = score_all(trial_table(rows), entries, tables, transcripts, phrases, GateConfig(), order)
+        run = score_all(
+            trial_table(rows), entries, embedding_tables(tables), transcripts, phrases,
+            GateConfig(), order,
+        )
         assert len(run.records) == 60
         assert run.records.score.dtype == np.float64
         for (_, model_id, test_id), score in zip(rows, run.records.score.tolist()):
             fused = fused_cosine_ref(
-                build_enrollment(entries[model_id], tables, order),
+                build_enrollment(entries[model_id], embedding_tables(tables), order),
                 [tables[s][test_id] for s in order],
             )
             assert abs(score - fused) <= 1e-12
@@ -380,7 +401,10 @@ class TestBatchPath:
             for space in tables:
                 tables[space][uid] = tables[space]["u1"]
         trials = trial_table((f"t{i}", "m1", f"v{i}") for i in range(4))
-        run = score_all(trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+        run = score_all(
+            trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+            ["a", "b"],
+        )
         assert sorted(calls) == [("open the door", "open the door"), ("shut it", "open the door")]
         assert run.records.passed.tolist() == [True, True, False, False]
 
@@ -393,11 +417,15 @@ class TestBatchPath:
         transcripts["z2"] = Transcript("z2", "open the door")
         bad_first = trial_table([("t1", "m1", "z2"), ("t2", "nope", "u1")])
         with pytest.raises(DegenerateVector) as exc_info:
-            score_all(bad_first, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"])
+            score_all(
+                bad_first, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+                ["a", "b"],
+            )
         assert str(exc_info.value) == "trial 't1': cannot normalize vector with norm 0.000e+00"
         trials = trial_table([("t0", "m1", "z1"), ("t1", "m1", "z2"), ("t2", "m1", "u1")])
         run = score_all(
-            trials, entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+            ["a", "b"],
             strict=False,
         )
         assert run.records.score[0] == -1.0
@@ -406,14 +434,49 @@ class TestBatchPath:
             ("t1", "DegenerateVector: cannot normalize vector with norm 0.000e+00")
         ]
 
-    def test_dimension_mismatch(self):
+    def test_overflowing_test_vector_is_degenerate(self):
+        # its norm overflows; scoring it would divide a finite dot by inf
         tables, entries, transcripts, phrases = _world_for_batch()
-        tables["a"]["u1"] = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(DimensionMismatch, match="trial 't1': cosine of dim 4 against dim 5"):
+        for space in tables:
+            tables[space]["big"] = np.array([1e200, 1e200])
+        transcripts["big"] = Transcript("big", "open the door")
+        transcripts["big-wrong"] = Transcript("big-wrong", "completely different words")
+        for space in tables:
+            tables[space]["big-wrong"] = tables[space]["big"]
+        trials = trial_table([("t0", "m1", "big-wrong"), ("t1", "m1", "big"), ("t2", "m1", "u1")])
+        with pytest.raises(DegenerateVector, match="^trial 't1': .*norm overflows$"):
             score_all(
-                trial_table([("t1", "m1", "u1")]), entries, tables, transcripts, phrases,
-                GateConfig(), ["a", "b"],
+                trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+                ["a", "b"],
             )
+        run = score_all(
+            trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
+            ["a", "b"], strict=False,
+        )
+        assert run.records.trial_ids == ["t0", "t2"] and run.records.score[0] == -1.0
+        assert run.skipped == [
+            ("t1", "DegenerateVector: cannot normalize vector: its norm overflows")
+        ]
+
+    def test_build_error_order(self):
+        # per space in declared order, a missing repetition before a
+        # degenerate one: m2's zero repetition in space a is reported before
+        # its repetition missing from space b
+        tables, entries, transcripts, phrases = _world_for_batch()
+        tables["a"]["z"], tables["b"]["z"] = np.zeros(2), np.array([1.0, 0.0])
+        tables["a"]["r9"] = np.array([1.0, 0.0])
+        entries = {"m2": EnrollEntry("m2", "p1", ("r0", "z", "r9"))}
+        trials = trial_table([("t1", "m2", "u1")])
+        zero = "cannot normalize vector with norm 0.000e+00"
+        missing = "repetition 'r9' of model 'm2' missing from space 'b'"
+        for order, error, message in (
+            (["a", "b"], DegenerateVector, zero), (["b", "a"], MissingSpace, missing),
+        ):
+            args = trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig()
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                score_all(*args, order)
+            run = score_all(*args, order, strict=False)
+            assert run.skipped == [("t1", f"{error.__name__}: {message}")]
 
     def test_build_errors_stand_in_for_missing_model(self):
         tables, entries, transcripts, phrases = _world_for_batch()
@@ -424,7 +487,8 @@ class TestBatchPath:
         build_error = "repetition 'r9' of model 'm2' missing from space 'b'"
         rows = [("t1", "m2", "u1"), ("t2", "m1", "u1"), ("t3", "m2", "u1")]
         run = score_all(
-            trial_table(rows), entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+            trial_table(rows), entries, embedding_tables(tables), transcripts, phrases,
+            GateConfig(), ["a", "b"],
             strict=False,
         )
         reason = f"MissingSpace: {build_error}"
@@ -433,13 +497,15 @@ class TestBatchPath:
         # strict: the first build error in entry order, as it is, before any trial
         with pytest.raises(MissingSpace, match=f"^{build_error}$"):
             score_all(
-                trial_table(rows[1:2]), entries, tables, transcripts, phrases, GateConfig(), ["a", "b"],
+                trial_table(rows[1:2]), entries, embedding_tables(tables), transcripts, phrases,
+                GateConfig(), ["a", "b"],
             )
 
     def test_no_spaces_rejected(self):
         tables, entries, transcripts, phrases = _world_for_batch()
         with pytest.raises(ValueError):
             score_all(
-                trial_table([("t1", "m1", "u1")]), entries, tables, transcripts, phrases,
+                trial_table([("t1", "m1", "u1")]), entries, embedding_tables(tables), transcripts,
+                phrases,
                 GateConfig(), [],
             )

@@ -232,8 +232,8 @@ class TestGenDataset:
             u: d2.transcripts[u].text for u in d2.transcripts
         }
         for name in ("a", "b"):
-            for uid, vec in d1.embeddings[name].items():
-                assert np.array_equal(vec, d2.embeddings[name][uid])
+            assert d1.embeddings[name].ids == d2.embeddings[name].ids
+            assert d1.embeddings[name].matrix.tobytes() == d2.embeddings[name].matrix.tobytes()
 
     def test_seed_changes_content(self):
         d1 = gen_dataset(_small_cfg())
@@ -307,10 +307,10 @@ class TestPerEntityContract:
                     means[ds.utt_speaker[test_id]], sp.noise_sigma,
                     derive_seed(seed, "test", j, li, t),
                 )
-            assert list(table) == list(expected)
-            for utt_id, vector in expected.items():
-                assert table[utt_id].dtype == np.float64
-                assert np.array_equal(table[utt_id], vector), (sp.name, utt_id)
+            assert table.ids == list(expected)
+            assert table.matrix.dtype == np.float64
+            for vector, (utt_id, expected_vector) in zip(table.matrix, expected.items()):
+                assert np.array_equal(vector, expected_vector), (sp.name, utt_id)
             if sp.noise_sigma == 0.0:
                 for utt_id, speaker in ds.utt_speaker.items():
-                    assert np.array_equal(table[utt_id], means[speaker])
+                    assert np.array_equal(table.matrix[table.rows[utt_id]], means[speaker])

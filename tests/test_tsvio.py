@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import trial_rows, trial_table
+from oracles import embedding_table, trial_rows, trial_table
 from tdsvkit import (
     BadHeader,
     BadLabel,
@@ -56,68 +56,70 @@ class TestEmbeddingsFormat:
     def test_minimal_file(self, tmp_path):
         table, dim = parse_embeddings(_write(tmp_path / "e.tsv", "#dim 2\nu1\t0.6 0.8\n"))
         assert dim == 2
-        assert np.array_equal(table["u1"], [0.6, 0.8])
+        assert table == embedding_table({"u1": [0.6, 0.8]})
+        assert table.matrix.flags.c_contiguous
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(51)
-        table = {f"u{i}": rng.standard_normal(7) * 10.0 ** rng.integers(-8, 8)
-                 for i in range(40)}
+        table = embedding_table({f"u{i}": rng.standard_normal(7) * 10.0 ** rng.integers(-8, 8)
+                                 for i in range(40)})
         path = tmp_path / "e.tsv"
-        write_embeddings(table, 7, path)
+        write_embeddings(table, path)
         parsed, dim = parse_embeddings(path)
         assert dim == 7
-        assert list(parsed) == list(table)  # order preserved
-        for uid in table:
-            assert np.array_equal(parsed[uid], table[uid])
+        assert parsed.ids == table.ids  # order preserved
+        assert parsed.matrix.tobytes() == table.matrix.tobytes()
 
     def test_write_rejects_row_of_wrong_length(self, tmp_path):
+        # a table holds rows of one length, so no such table reaches the writer
         path = tmp_path / "e.tsv"
         tables = (
             {"x": [1.0, 2.0], "y": [float("nan"), 1.0, 2.0]},
             {"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0, 4.0]},
             {"x": np.zeros((1, 3))},
             {"x": 1.0},
+            {"x": []},
         )
-        for table in tables:
-            with pytest.raises(DimensionMismatch, match="expected \\(3,\\)"):
-                write_embeddings(table, 3, path)
-        with pytest.raises(DimensionMismatch, match="dim must be >= 1"):
-            write_embeddings({"x": []}, 0, path)
+        for vectors in tables:
+            with pytest.raises(DimensionMismatch):
+                write_embeddings(embedding_table(vectors), path)
         assert not path.exists()
 
     def test_write_rejects_nonfinite(self, tmp_path):
         path = tmp_path / "e.tsv"
         for bad in (float("nan"), float("inf"), float("-inf")):
-            table = {"x": [1.0, 2.0, 3.0], "y": np.array([2.0, bad, 1.0])}
+            vectors = {"x": [1.0, 2.0, 3.0], "y": np.array([2.0, bad, 1.0])}
             with pytest.raises(DegenerateVector, match="'y' contains NaN or infinite"):
-                write_embeddings(table, 3, path)
+                write_embeddings(embedding_table(vectors), path)
         assert not path.exists()
 
     def test_write_rejects_ids_the_reader_rejects(self, tmp_path):
         path = tmp_path / "e.tsv"
         for bad in ("", "a\tb", "a\nb", "a\rb", 7):
             with pytest.raises(ValueError, match="embedding id"):
-                write_embeddings({"ok": [1.0], bad: [2.0]}, 1, path)
+                write_embeddings(embedding_table({"ok": [1.0], bad: [2.0]}), path)
         assert not path.exists()
         # a lone surrogate, as surrogateescape decodes a stray byte, has no
         # UTF-8 form; the error names its id before the file is opened
         path.write_text("#dim 1\nold\t1\n", encoding="utf-8")
-        table = {"ok": [1.0], "né": [2.0], "b\udc80c": [3.0], "z\udcff": [4.0]}
+        table = embedding_table({"ok": [1.0], "né": [2.0], "b\udc80c": [3.0], "z\udcff": [4.0]})
         with pytest.raises(ValueError, match="embedding id 'b\\\\udc80c' cannot be encoded"):
-            write_embeddings(table, 1, path)
+            write_embeddings(table, path)
         assert path.read_text(encoding="utf-8") == "#dim 1\nold\t1\n"
 
     def test_write_empty_table(self, tmp_path):
         path = tmp_path / "e.tsv"
-        write_embeddings({}, 4, path)
+        write_embeddings(embedding_table({}, 4), path)
         assert path.read_bytes() == b"#dim 4\n"
-        assert parse_embeddings(path) == ({}, 4)
+        table, dim = parse_embeddings(path)
+        assert dim == 4 and len(table) == 0 and table.matrix.shape == (0, 4)
 
     def test_skips_blank_lines(self, tmp_path):
         table, _ = parse_embeddings(
             _write(tmp_path / "e.tsv", "#dim 1\nu1\t0.5\n\nu2\t1.5\n\n")
         )
-        assert list(table) == ["u1", "u2"]
+        assert table.ids == ["u1", "u2"]
+        assert table.matrix.tolist() == [[0.5], [1.5]]
 
     def test_bad_header(self, tmp_path):
         for content in ("", "dim 2\n", "#dim x\n", "#dim 0\n", "#dim -1\n", "u1\t0.5\n"):
@@ -432,6 +434,38 @@ class TestNotUtf8:
         assert str(exc_info.value) == f"{path}:{tail}"
 
 
+# Per writer: the writer, what it writes with a lone surrogate (as
+# surrogateescape decodes a stray byte) after a valid row, and the field
+# its error names.
+_BAD = "x\udcff"
+_UNWRITABLE = {
+    "embeddings": (write_embeddings, embedding_table({"ok": [1.0], _BAD: [2.0]}), "embedding id"),
+    "trials": (write_trials, trial_table([("t1", "m", "u"), ("t2", "m", _BAD)]), "test_id"),
+    "scores": (
+        write_scores, _score_columns(("t1", 0.5, True, 0.0), (_BAD, 0.5, True, 0.0)), "trial_id"
+    ),
+    "transcripts": (
+        write_transcripts, {"u": Transcript("u", "ok"), "v": Transcript("v", _BAD)}, "text"
+    ),
+    "phrases": (write_phrases, {"p": Phrase("p", "ok"), _BAD: Phrase(_BAD, "ok")}, "phrase_id"),
+    "enrollmap": (
+        write_enrollmap,
+        [EnrollEntry("m1", "p", ("a", "b", "c")), EnrollEntry("m2", "p", ("a", _BAD, "c"))],
+        "rep_id",
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_UNWRITABLE))
+def test_writer_checks_encoding_before_it_opens_the_file(tmp_path, writer):
+    write, data, what = _UNWRITABLE[writer]
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"old\tbytes\n")
+    with pytest.raises(ValueError, match=f"^{what} 'x\\\\udcff' cannot be encoded as UTF-8$"):
+        write(data, path)
+    assert path.read_bytes() == b"old\tbytes\n"
+
+
 class TestDetFormat:
     def test_header_and_rows(self, tmp_path):
         points = ErrorRates(
@@ -483,6 +517,4 @@ class TestWriteDataset:
         for name, dim in (("a", 8), ("b", 12)):
             table, parsed_dim = parse_embeddings(paths[f"embeddings_{name}"])
             assert parsed_dim == dim
-            assert set(table) == set(ds.embeddings[name])
-            for uid in table:
-                assert np.array_equal(table[uid], ds.embeddings[name][uid])
+            assert table == ds.embeddings[name]
