@@ -10,7 +10,9 @@ evaluate report is also pinned for every subset, for non-default costs and
 as the --json file, and det.tsv for one subset. A third, simulate-only
 workload pins the generator's corners that the two others miss: a
 noise-free space (each utterance a copy of its speaker's mean), dim 2, and a
-large noise level in a large dim.
+large noise level in a large dim. The raw float64 bits of each GOLDEN
+workload's scores are pinned too, from an in-process score_all: scores.tsv
+rounds to 6 decimals, so a change in summation order would pass it.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from tdsvkit import GateConfig, score_all, tsvio
 from tdsvkit.cli import main
 
 GOLDEN = {
@@ -122,6 +125,14 @@ SIMULATE_ONLY = {
 }
 
 
+# The sha256 of score_all's float64 score column, as bytes, on each GOLDEN
+# workload's dataset.
+RAW_SCORES = {
+    "default": "19f9ed092263a432da2c0719e3e9870a6213fe46fb1e9cc11cd92c69ae53c3da",
+    "noisy-1000": "2edb0fe41c99829ae8734f0ed3f87bf6b03126093229436480190f425d60c611",
+}
+
+
 def _dataset_digests(data, sim_stdout) -> dict:
     digests = {path.name: _sha256(path.read_bytes()) for path in data.iterdir()}
     digests["simulate.stdout"] = _sha256(sim_stdout.encode("utf-8"))
@@ -165,6 +176,27 @@ def test_seed42_pipeline_digests(tmp_path, name):
         "det.tsv": _sha256(det.read_bytes()),
         "evaluate.stdout": _sha256(report.encode("utf-8")),
     } == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seed42_raw_score_bits(tmp_path, name):
+    flags, _ = GOLDEN[name]
+    data = tmp_path / "data"
+    _run(["simulate", "--seed", "42", "--out", str(data)] + flags)
+    tables = {
+        space: tsvio.parse_embeddings(data / f"embeddings_{space}.tsv")[0]
+        for space in ("alpha", "beta")
+    }
+    run = score_all(
+        tsvio.parse_trials(data / "trials.tsv"),
+        tsvio.parse_enrollmap(data / "enrollmap.tsv"),
+        tables,
+        tsvio.parse_transcripts(data / "transcripts.tsv"),
+        tsvio.parse_phrases(data / "phrases.tsv"),
+        GateConfig(),
+        ["alpha", "beta"],
+    )
+    assert _sha256(run.records.score.tobytes()) == RAW_SCORES[name]
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_ONLY))
