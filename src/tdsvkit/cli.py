@@ -7,6 +7,9 @@ Four batch subcommands wire the pipeline together:
     evaluate   score file + labeled trials -> min-DCF / EER report
     det        score file + labeled trials -> DET points TSV
 
+score and simulate import the scoring code and the generator as they run,
+so that evaluate and det load neither.
+
 Any toolkit error prints a single machine-parseable stderr line
 `error=<ClassName>: <detail>` and exits 1; OS-level file problems report as
 `error=IoError: ...`. Reports go to stdout as stable key=value lines.
@@ -22,11 +25,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import UNLABELED, TrialLabel
+from .core import UNLABELED, TrialLabel, check_unique
 from .errors import ConfigInvalid, DuplicateId, TdsvError, UnlabeledRecords
 from .metrics import SUBSETS, DcfParams, SubsetMode, det_points, eer, min_dcf, split_scores, sweep
-from .scoring import score_all
-from .synth import SimConfig, SpaceSpec, gen_dataset
 from .textgate import GateConfig
 from . import tsvio
 
@@ -61,11 +62,11 @@ def _load_labeled_scores(scores_path, trials_path) -> Tuple[np.ndarray, np.ndarr
     """
     columns = tsvio.parse_scores(scores_path)
     trials = tsvio.parse_trials(trials_path)
+    try:
+        check_unique(trials.trial_ids, "trial id")
+    except DuplicateId as exc:
+        raise DuplicateId(f"{trials_path}: {exc}") from None
     labels = dict(zip(trials.trial_ids, trials.labels.tolist()))
-    if len(labels) != len(trials):
-        seen = set()
-        repeat_id = next(t for t in trials.trial_ids if t in seen or seen.add(t))
-        raise DuplicateId(f"{trials_path}: duplicate trial id '{repeat_id}'")
     ids = columns.trial_ids
     codes = np.fromiter(map(labels.get, ids, repeat(_NO_TRIAL)), np.int8, len(ids))
     missing = np.flatnonzero(codes < 0)
@@ -87,6 +88,8 @@ def _warn_unscored(n_unscored: int, trials_path) -> None:
 
 
 def cmd_score(args) -> int:
+    from .scoring import score_all
+
     spaces = _parse_space_args(args.embeddings)
     gate_cfg = GateConfig(args.cer_threshold, args.punitive_score)
     trials = tsvio.parse_trials(args.trials)
@@ -154,7 +157,9 @@ def cmd_det(args) -> int:
     return 0
 
 
-def _parse_space_spec(text: str) -> SpaceSpec:
+def _parse_space_spec(text: str):
+    from .synth import SpaceSpec
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigInvalid(f"--space expects '<name>:<dim>:<sigma>', got {text!r}")
@@ -170,6 +175,8 @@ def _parse_space_spec(text: str) -> SpaceSpec:
 
 
 def cmd_simulate(args) -> int:
+    from .synth import SimConfig, gen_dataset
+
     kwargs = {
         "n_speakers": args.n_speakers,
         "n_phrases": args.n_phrases,

@@ -1,9 +1,11 @@
-"""Shared domain types and elementary vector operations.
+"""Shared record types and elementary vector operations.
 
-A trial list is one TrialColumns table; an embedding space is one
-EmbeddingTable, ids plus an (N, D) float64 matrix. Every public operation
-validates its inputs and works in double precision. All functions here are
-pure and safe for concurrent use.
+Every record type the readers, writers, generator and scorer pass between
+them lives here: a trial list is one TrialColumns table, an embedding space
+one EmbeddingTable (ids plus an (N, D) float64 matrix), an enrollmap record
+one EnrollEntry and a score set one ScoreColumns table. Each checks itself
+when it is built. Every public operation validates its inputs and works in
+double precision. All functions here are pure and safe for concurrent use.
 """
 
 from dataclasses import dataclass, field, fields
@@ -15,6 +17,9 @@ from .errors import DegenerateVector, DimensionMismatch, DuplicateId
 
 # Norms at or below this are treated as degenerate (zero-ish) vectors.
 EPS = 1e-12
+
+# Repetitions per enrollment model.
+REPS_PER_MODEL = 3
 
 
 class TrialLabel(Enum):
@@ -62,8 +67,18 @@ def check_tokens(values: list, what: str = "id") -> None:
             check_token(value, what)
 
 
+def check_unique(values: list, what: str) -> None:
+    """Raise DuplicateId naming the first of values that repeats an earlier
+    one: "duplicate <what> '<value>'". One set test decides; the value by
+    value scan runs only to name the repeat."""
+    if len(set(values)) != len(values):
+        seen = set()
+        repeat_value = next(v for v in values if v in seen or seen.add(v))
+        raise DuplicateId(f"duplicate {what} '{repeat_value}'")
+
+
 def columns_eq(a, b):
-    """== for the column tables (TrialColumns, scoring.ScoreColumns): equal
+    """== for the column tables (TrialColumns, ScoreColumns): equal
     when b has a's type and every column matches, id lists by == and arrays
     by dtype and np.array_equal. The dataclass default would compare the
     arrays with ==, whose truth value is ambiguous past one row."""
@@ -128,20 +143,67 @@ class EmbeddingTable:
         if len(self.ids) != len(matrix):
             raise DimensionMismatch(f"{len(self.ids)} embedding ids for {len(matrix)} rows")
         check_tokens(self.ids, "embedding id")
-        rows = dict(zip(self.ids, range(len(matrix))))
-        if len(rows) != len(matrix):
-            seen = set()
-            repeat_id = next(i for i in self.ids if i in seen or seen.add(i))
-            raise DuplicateId(f"duplicate embedding id '{repeat_id}'")
+        check_unique(self.ids, "embedding id")
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
             bad = self.ids[np.argmin(finite)]
             raise DegenerateVector(f"embedding '{bad}' contains NaN or infinite values")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", dict(zip(self.ids, range(len(matrix)))))
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    __eq__ = columns_eq
+
+
+@dataclass(frozen=True)
+class EnrollEntry:
+    """Raw enrollmap record: which repetitions build which model."""
+
+    model_id: str
+    phrase_id: str
+    rep_ids: tuple
+
+    def __post_init__(self):
+        check_token(self.model_id, "model_id")
+        check_token(self.phrase_id, "phrase_id")
+        if len(self.rep_ids) != REPS_PER_MODEL:
+            raise ValueError(
+                f"model '{self.model_id}' needs exactly {REPS_PER_MODEL} "
+                f"repetition ids, got {len(self.rep_ids)}"
+            )
+        for rid in self.rep_ids:
+            check_token(rid, "rep_id")
+
+
+@dataclass(frozen=True)
+class ScoreColumns:
+    """A score set as columns in trial order: what scoring.score_all
+    returns, tsvio.write_scores writes and tsvio.parse_scores reads. len()
+    is the number of rows. Columns of different lengths, a trial id that
+    check_token rejects, a passed column that is not bool, or a score or
+    CER that is not finite raise ValueError, and a trial id listed twice
+    DuplicateId. The columns are checked as given, never converted."""
+
+    trial_ids: list
+    score: np.ndarray  # float64
+    passed: np.ndarray  # bool: the gate passed (flag PASS)
+    cer: np.ndarray  # float64
+
+    def __post_init__(self):
+        if {len(self.score), len(self.passed), len(self.cer)} != {len(self.trial_ids)}:
+            raise ValueError("score columns differ in length")
+        check_tokens(self.trial_ids, "trial_id")
+        if np.asarray(self.passed).dtype != bool:
+            raise ValueError("the passed column must be bool")
+        for what in ("score", "cer"):
+            if not np.isfinite(getattr(self, what)).all():
+                raise ValueError(f"{what} column holds NaN or infinite values")
+        check_unique(self.trial_ids, "trial id")
+
+    def __len__(self) -> int:
+        return len(self.trial_ids)
 
     __eq__ = columns_eq
 

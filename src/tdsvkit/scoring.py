@@ -13,8 +13,11 @@ policy for build and trial errors alike. It computes that mean of per-space
 cosines, clamped to [-1, 1], in one batch after a validation pass, and gates
 each distinct (hypothesis text, phrase text) pair once per run. The scores
 come back as ScoreColumns, the one score-set type, which the score file
-writer and reader share. The tests check the scores against the
-concatenate-and-dot reference in tests/oracles.py.
+writer and reader share. That type, EnrollEntry and TrialColumns live in
+core, so the readers and writers need nothing from this module. A model
+that cannot be built is named, with its space, in its error. The tests
+check the scores against the concatenate-and-dot reference in
+tests/oracles.py.
 """
 
 from dataclasses import dataclass
@@ -24,10 +27,10 @@ import numpy as np
 
 from .core import (
     EmbeddingTable,
+    EnrollEntry,
+    ScoreColumns,
     TrialColumns,
     check_norm,
-    check_token,
-    columns_eq,
     normalize_rows,
     row_norms,
 )
@@ -40,45 +43,6 @@ from .errors import (
     TdsvError,
 )
 from .textgate import GateConfig, Phrase, Transcript, gate
-
-REPS_PER_MODEL = 3
-
-
-@dataclass(frozen=True)
-class EnrollEntry:
-    """Raw enrollmap record: which repetitions build which model."""
-
-    model_id: str
-    phrase_id: str
-    rep_ids: tuple
-
-    def __post_init__(self):
-        check_token(self.model_id, "model_id")
-        check_token(self.phrase_id, "phrase_id")
-        if len(self.rep_ids) != REPS_PER_MODEL:
-            raise ValueError(
-                f"model '{self.model_id}' needs exactly {REPS_PER_MODEL} "
-                f"repetition ids, got {len(self.rep_ids)}"
-            )
-        for rid in self.rep_ids:
-            check_token(rid, "rep_id")
-
-
-@dataclass(frozen=True)
-class ScoreColumns:
-    """A score set as columns in trial order: what score_all returns,
-    tsvio.write_scores writes and tsvio.parse_scores reads. len() is the
-    number of rows."""
-
-    trial_ids: list
-    score: np.ndarray  # float64
-    passed: np.ndarray  # bool: the gate passed (flag PASS)
-    cer: np.ndarray  # float64
-
-    def __len__(self) -> int:
-        return len(self.trial_ids)
-
-    __eq__ = columns_eq
 
 
 @dataclass(frozen=True)
@@ -107,7 +71,9 @@ def build_enrollment(
     embeddings: Mapping[str, EmbeddingTable],
     space_order: Sequence[str],
 ) -> tuple:
-    """The unit-norm centroids of one enrollmap entry, in space order."""
+    """The unit-norm centroids of one enrollmap entry, in space order. A
+    centroid that cannot be built raises its error as
+    "model '<id>' in space '<space>': <message>", in the same class."""
     centroids = []
     for space in space_order:
         table = embeddings.get(space)
@@ -122,7 +88,10 @@ def build_enrollment(
                     f"missing from space '{space}'"
                 )
             rows.append(row)
-        centroids.append(enroll(table.matrix[rows]))
+        try:
+            centroids.append(enroll(table.matrix[rows]))
+        except TdsvError as exc:
+            raise type(exc)(f"model '{entry.model_id}' in space '{space}': {exc}") from exc
     return tuple(centroids)
 
 

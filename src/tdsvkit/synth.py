@@ -16,9 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LABEL_CODES, UNLABELED, EmbeddingTable, TrialColumns, TrialLabel, normalize_rows
+from .core import (
+    LABEL_CODES,
+    REPS_PER_MODEL,
+    UNLABELED,
+    EmbeddingTable,
+    EnrollEntry,
+    TrialColumns,
+    TrialLabel,
+    normalize_rows,
+)
 from .errors import ConfigInvalid, DegenerateVector
-from .scoring import REPS_PER_MODEL, EnrollEntry
 from .textgate import Phrase, Transcript
 
 _LATIN = "abcdefghijklmnopqrstuvwxyz"
@@ -350,14 +358,10 @@ def validate_labels(ds: SyntheticDataset) -> int:
     for trial_id, model_id, test_id, code in rows:
         same_speaker = ds.model_speaker[model_id] == ds.utt_speaker[test_id]
         same_phrase = model_phrase[model_id] == ds.utt_phrase[test_id]
-        if same_speaker and same_phrase:
-            expected = TrialLabel.TC
-        elif same_speaker:
-            expected = TrialLabel.TW
-        elif same_phrase:
-            expected = TrialLabel.IC
-        else:
-            expected = TrialLabel.IW
+        expected = next(
+            label for label in TrialLabel
+            if (label.same_speaker, label.same_phrase) == (same_speaker, same_phrase)
+        )
         if code != LABEL_CODES[expected]:
             label = None if code == UNLABELED else list(TrialLabel)[code]
             raise ValueError(

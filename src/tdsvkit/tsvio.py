@@ -6,7 +6,8 @@ floats serialized at 17 significant digits, which round-trips doubles
 exactly. Parsers raise a per-line diagnostic (path:line: detail) on any
 malformed input instead of crashing, bytes that are not UTF-8 included;
 writers emit deterministic bytes for identical inputs ("\\n" endings on
-every platform).
+every platform). The record types read and written here all come from
+core, so reading a file loads no scoring code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -26,7 +27,15 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import LABEL_CODES, UNLABELED, EmbeddingTable, TrialColumns
+from .core import (
+    LABEL_CODES,
+    REPS_PER_MODEL,
+    UNLABELED,
+    EmbeddingTable,
+    EnrollEntry,
+    ScoreColumns,
+    TrialColumns,
+)
 from .errors import (
     BadHeader,
     BadLabel,
@@ -37,7 +46,6 @@ from .errors import (
     TdsvError,
     UnparseableFloat,
 )
-from .scoring import REPS_PER_MODEL, EnrollEntry, ScoreColumns
 from .textgate import Phrase, Transcript
 
 _HEADER_RE = re.compile(r"#dim (\d+)")
@@ -362,7 +370,7 @@ def parse_scores(path) -> ScoreColumns:
     return columns if columns is not None else _scan_scores(path)
 
 
-def _bulk_scores(lines: List[str]) -> Optional[ScoreColumns]:
+def _bulk_scores(lines: Optional[List[str]]) -> Optional[ScoreColumns]:
     """The columns when every line is a well-formed score line and no trial
     id repeats; None otherwise."""
     columns = _columns(lines, 4)
@@ -370,16 +378,15 @@ def _bulk_scores(lines: List[str]) -> Optional[ScoreColumns]:
         return None
     trial_ids, score_s, flags, cer_s = columns
     n = len(trial_ids)
-    if "" in trial_ids or len(set(trial_ids)) != n or not _FLAGS.issuperset(flags):
+    if not _FLAGS.issuperset(flags):
         return None
     try:
         score = np.fromiter(map(float, score_s), np.float64, n)
         cer = np.fromiter(map(float, cer_s), np.float64, n)
-    except ValueError:
+        passed = np.fromiter(map("PASS".__eq__, flags), bool, n)
+        return ScoreColumns(trial_ids, score, passed, cer)
+    except (ValueError, TdsvError):  # a bad float, or what ScoreColumns rejects
         return None
-    if not (np.isfinite(score).all() and np.isfinite(cer).all()):
-        return None
-    return ScoreColumns(trial_ids, score, np.fromiter(map("PASS".__eq__, flags), bool, n), cer)
 
 
 def _scan_scores(path) -> ScoreColumns:
@@ -408,12 +415,7 @@ def _scan_scores(path) -> ScoreColumns:
             cers.append(_finite_field(path, n, 4, cer_s))
             trial_ids.append(trial_id)
             passed.append(flag == "PASS")
-    return ScoreColumns(
-        trial_ids,
-        np.array(scores, dtype=np.float64),
-        np.array(passed, dtype=bool),
-        np.array(cers, dtype=np.float64),
-    )
+    return ScoreColumns(trial_ids, np.array(scores), np.array(passed, bool), np.array(cers))
 
 
 def write_scores(records: ScoreColumns, path) -> None:

@@ -1,12 +1,45 @@
-"""The package's public name list and the README's Python API example."""
+"""The package's public name list, its import contract and the README's
+Python API example."""
 
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import tdsvkit
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+# tdsvkit.__all__, sorted: a name may move between modules, not drop out.
+PUBLIC_NAMES = [
+    "ALL", "BadHeader", "BadLabel", "BadRepCount", "ConfigInvalid", "DcfParams",
+    "DegenerateVector", "DimMismatch", "DimensionMismatch", "DuplicateId", "EPS",
+    "EmbeddingTable", "EmptyReference", "EmptySide", "EnrollEntry", "ErrorRates", "GateConfig",
+    "GateOutcome", "LABEL_CODES", "MalformedLine", "MissingModel", "MissingPhrase",
+    "MissingSpace", "MissingTranscript", "NoNonTargets", "NoTargets", "ParseError", "Phrase",
+    "REPS_PER_MODEL", "SUBSETS", "ScoreColumns", "ScoreRun", "SimConfig", "SpaceSpec",
+    "SubsetMode", "SyntheticDataset", "TC_VS_IC", "TC_VS_IW", "TC_VS_TW", "TdsvError",
+    "Transcript", "TrialColumns", "TrialLabel", "UNLABELED", "UnlabeledRecords",
+    "UnparseableFloat", "__version__", "as_embedding", "build_enrollment", "cer",
+    "corrupt_transcript", "dcf", "derive_seed", "det_points", "edit_distance", "eer", "enroll",
+    "gate", "gen_dataset", "gen_speakers", "gen_utterance", "l2_normalize", "min_dcf",
+    "normalize_text", "score_all", "select_subset", "split_scores", "sweep", "validate_labels",
+]
+
+
+def _loaded_after(statement):
+    """The tdsvkit modules a fresh interpreter holds after running statement."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tdsvkit'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 def test_every_exported_name_resolves_once():
@@ -20,3 +53,25 @@ def test_readme_python_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_public_names():
+    assert sorted(tdsvkit.__all__) == PUBLIC_NAMES
+
+
+def test_import_loads_no_module():
+    assert _loaded_after("import tdsvkit") == ["tdsvkit"]
+
+
+def test_cli_loads_neither_scoring_nor_synth():
+    # evaluate and det need neither; the readers and the generator take
+    # their record types from core
+    loaded = _loaded_after("import tdsvkit.cli")
+    assert "tdsvkit.cli" in loaded
+    assert "tdsvkit.scoring" not in loaded and "tdsvkit.synth" not in loaded
+    assert "tdsvkit.scoring" not in _loaded_after("import tdsvkit.synth")
+
+
+def test_submodule_resolves_after_plain_import():
+    out = _loaded_after("import tdsvkit; tdsvkit.core.EmbeddingTable; tdsvkit.errors.TdsvError")
+    assert out == ["tdsvkit", "tdsvkit.core", "tdsvkit.errors"]

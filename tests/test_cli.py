@@ -346,7 +346,10 @@ class TestErrorContract:
         emb.write_text("\n".join(scaled) + "\n", encoding="utf-8")
         code, out, err = run_cli(score_args(data, tmp_path / "s.tsv"))
         assert (code, out) == (1, "")
-        assert err == "error=DegenerateVector: cannot normalize vector: its norm overflows\n"
+        assert err == (
+            "error=DegenerateVector: model 'mdl0000' in space 'beta': "
+            "cannot normalize vector: its norm overflows\n"
+        )
 
     def test_bad_space_syntax(self, tmp_path):
         data = simulate(tmp_path, seed=5)
@@ -473,6 +476,15 @@ class TestBenchmarkTracer:
         assert trace["absent"] == ["core.cosine"]
         assert "trace.hook_errors" not in trace["counts"]
         assert "min_dcf=" in out
+        out, trace = run_traced(tmp_path, [
+            "det", "--scores", str(scores), "--trials", str(data / "trials.tsv"),
+            "--out", str(tmp_path / "det.tsv"),
+        ])
+        assert trace["absent"] == ["core.cosine"]
+        assert "trace.hook_errors" not in trace["counts"]
+        names = [span[0] for span in trace["spans"]]
+        assert names.count("cli.cmd_det") == names.count("metrics.det_points") == 1
+        assert trace["counts"]["metrics.det_points.points"] == int(report_dict(out)["points"]) > 0
 
     def test_simulate_under_tracer(self, tmp_path):
         # the set-up's per-layer metrics read one span of each

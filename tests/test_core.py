@@ -23,7 +23,9 @@ from tdsvkit import (
     score_all,
     split_scores,
 )
-from tdsvkit.core import check_token, normalize_rows
+from tdsvkit.core import check_token, check_unique, normalize_rows
+from tdsvkit.errors import TdsvError
+from tdsvkit.tsvio import parse_scores
 
 
 class TestNormalizeRows:
@@ -311,6 +313,78 @@ class TestEmbeddingTable:
         assert table != EmbeddingTable(["a", "b"], [[1.0, 2.0], [3.0, 4.5]])
         assert table != EmbeddingTable(["a"], [[1.0, 2.0]])
         assert table != TrialColumns(["a", "b"], ["m", "m"], ["u", "u"], [0, 0])
+
+
+class TestCheckUnique:
+    def test_names_the_first_repeat(self):
+        check_unique([], "id")
+        check_unique(["a", "b"], "id")
+        with pytest.raises(DuplicateId, match="^duplicate trial id 'b'$"):
+            check_unique(["a", "b", "c", "b", "a"], "trial id")
+
+
+def _score_columns(ids=("a", "b"), score=(0.5, -1.0), passed=(True, False), cer=(0.0, 0.5)):
+    return ScoreColumns(list(ids), np.array(score), np.array(passed), np.array(cer))
+
+
+class TestScoreColumns:
+    """ScoreColumns checks itself as it is built, so that write_scores never
+    writes what parse_scores rejects."""
+
+    def test_valid_columns_are_kept_as_given(self):
+        columns = _score_columns()
+        assert len(columns) == 2
+        score = np.array([0.5, -1.0], dtype=np.float32)
+        assert ScoreColumns(["a", "b"], score, columns.passed, columns.cer).score is score
+        assert len(ScoreColumns([], np.array([]), np.array([], bool), np.array([]))) == 0
+
+    def test_columns_of_different_lengths(self):
+        for columns in (
+            dict(ids=["a", "b", "c"]), dict(score=[0.1]), dict(passed=[True]), dict(cer=[]),
+        ):
+            with pytest.raises(ValueError, match="^score columns differ in length$"):
+                _score_columns(**columns)
+
+    def test_bad_trial_id(self):
+        for bad in ("", "x\ty", "x\ny", "x\ry", 5):
+            with pytest.raises(ValueError, match="trial_id"):
+                _score_columns(ids=("a", bad))
+
+    def test_passed_must_be_bool(self):
+        for passed in ([1, 0], [1.0, 0.0], ["PASS", "PUNITIVE"]):
+            with pytest.raises(ValueError, match="^the passed column must be bool$"):
+                _score_columns(passed=passed)
+
+    def test_nonfinite_score_or_cer(self):
+        for what in ("score", "cer"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"^{what} column holds NaN or infinite"):
+                    _score_columns(**{what: (0.0, bad)})
+
+    def test_repeated_trial_id(self):
+        with pytest.raises(DuplicateId, match="^duplicate trial id 'a'$"):
+            _score_columns(ids=("a", "a"))
+
+    def test_what_parse_scores_rejects_cannot_be_built(self, tmp_path):
+        # each row set, written as write_scores formats it, is a file
+        # parse_scores rejects; the table that would write it is refused
+        path = tmp_path / "scores.tsv"
+        for rows in (
+            [("a", 0.5, True, 0.0), ("b", np.nan, True, 0.0)],
+            [("a", 0.5, True, np.inf), ("b", 0.5, True, 0.0)],
+            [("a", 0.5, True, 0.0), ("a", 0.5, False, 0.0)],
+            [("a\tb", 0.5, True, 0.0)],
+            [("a\nb", 0.5, True, 0.0)],
+            [("", 0.5, True, 0.0)],
+        ):
+            lines = [
+                f"{i}\t{s:.6f}\t{'PASS' if p else 'PUNITIVE'}\t{c:.4f}\n" for i, s, p, c in rows
+            ]
+            path.write_text("".join(lines), encoding="utf-8")
+            with pytest.raises(TdsvError):
+                parse_scores(path)
+            with pytest.raises((ValueError, TdsvError)):
+                _score_columns(*zip(*rows))
 
 
 class TestAsEmbedding:

@@ -243,7 +243,8 @@ def test_build_enrollment_matches_per_repetition_enroll(data):
     # one matrix; the reference normalizes each repetition alone. Rows are
     # scaled over twelve decades, and one may be zero, the negation of
     # another (two repetitions that cancel in the mean) or large enough for
-    # its norm to overflow.
+    # its norm to overflow. build_enrollment names the model and the space
+    # whose centroid fails.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     ids = [f"u{i}" for i in range(data.draw(st.integers(3, 8)))]
     tables = {}
@@ -260,10 +261,18 @@ def test_build_enrollment_matches_per_repetition_enroll(data):
         tables[space] = EmbeddingTable(ids, matrix)
     rep_ids = data.draw(st.lists(st.sampled_from(ids), min_size=3, max_size=3))
     entry = EnrollEntry("m", "p", tuple(rep_ids))
-    expected = _centroids(lambda: [
-        enroll_ref([table.matrix[table.rows[rep_id]].copy() for rep_id in entry.rep_ids])
-        for table in tables.values()
-    ])
+
+    def reference():
+        centroids = []
+        for space, table in tables.items():
+            reps = [table.matrix[table.rows[rep_id]].copy() for rep_id in entry.rep_ids]
+            try:
+                centroids.append(enroll_ref(reps))
+            except TdsvError as exc:
+                raise type(exc)(f"model 'm' in space '{space}': {exc}") from None
+        return centroids
+
+    expected = _centroids(reference)
     assert _centroids(lambda: build_enrollment(entry, tables, ["a", "b"])) == expected
 
 

@@ -467,7 +467,7 @@ class TestBatchPath:
         tables["a"]["r9"] = np.array([1.0, 0.0])
         entries = {"m2": EnrollEntry("m2", "p1", ("r0", "z", "r9"))}
         trials = trial_table([("t1", "m2", "u1")])
-        zero = "cannot normalize vector with norm 0.000e+00"
+        zero = "model 'm2' in space 'a': cannot normalize vector with norm 0.000e+00"
         missing = "repetition 'r9' of model 'm2' missing from space 'b'"
         for order, error, message in (
             (["a", "b"], DegenerateVector, zero), (["b", "a"], MissingSpace, missing),

@@ -6,10 +6,12 @@ import pytest
 from oracles import fused_cosine_ref, trial_rows
 from tdsvkit import (
     LABEL_CODES,
+    UNLABELED,
     ConfigInvalid,
     GateConfig,
     SimConfig,
     SpaceSpec,
+    TrialColumns,
     TrialLabel,
     cer,
     corrupt_transcript,
@@ -219,6 +221,15 @@ class TestGenDataset:
     def test_label_construction_audit(self):
         assert validate_labels(gen_dataset(_small_cfg())) == 20
         assert validate_labels(gen_dataset(_small_cfg(master_seed=99))) == 20
+
+    def test_label_audit_names_the_first_wrong_label(self):
+        ds = gen_dataset(_small_cfg())
+        t = ds.trials
+        for labels, given in ((np.roll(t.labels, 1), "TrialLabel.IW"), ([UNLABELED] * 20, "None")):
+            ds.trials = TrialColumns(t.trial_ids, t.model_ids, t.test_ids, labels)
+            message = f"trial 'trl00000' labeled {given} but construction says TrialLabel.TC"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                validate_labels(ds)
 
     def test_deterministic(self):
         d1 = gen_dataset(_small_cfg())
