@@ -5,7 +5,7 @@ embedding fusion with cosine scoring, SRE08-style detection metrics, TSV
 pipeline formats, and a seeded synthetic dataset generator.
 
 `import tdsvkit` loads none of its modules: a public name, or a module
-named in _EXPORTS, is imported on first use (PEP 562) and then kept here.
+named in _SUBMODULES, is imported on first use (PEP 562) and then kept here.
 """
 
 import importlib
@@ -39,6 +39,8 @@ _EXPORTS = {
     ),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+# Every submodule, with the two whose names are not public names.
+_SUBMODULES = {*_EXPORTS, "tsvio", "cli"}
 
 __all__ = [*_HOMES, "__version__"]
 
@@ -46,7 +48,7 @@ __all__ = [*_HOMES, "__version__"]
 def __getattr__(name):
     if name in _HOMES:
         value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
-    elif name in _EXPORTS:
+    elif name in _SUBMODULES:
         value = importlib.import_module(f".{name}", __name__)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -74,12 +74,18 @@ class ConfigInvalid(TdsvError):
 # -- file parsing ------------------------------------------------------------
 
 class ParseError(TdsvError):
-    """Base for per-line file diagnostics; message carries path and line."""
+    """Base for per-line file diagnostics; message carries path and line:
+    `<path>:<line_no>: <detail>`."""
 
-    def __init__(self, path, line_no, msg):
-        super().__init__(f"{path}:{line_no}: {msg}")
+    def __init__(self, path, line_no, detail):
+        super().__init__(f"{path}:{line_no}: {detail}")
         self.path = str(path)
         self.line_no = line_no
+        self.detail = detail
+
+    def __reduce__(self):
+        # pickle calls the class with these arguments, not with the message
+        return type(self), (self.path, self.line_no, self.detail), self.__dict__
 
 
 class BadHeader(ParseError):

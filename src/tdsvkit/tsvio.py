@@ -6,8 +6,10 @@ floats serialized at 17 significant digits, which round-trips doubles
 exactly. Parsers raise a per-line diagnostic (path:line: detail) on any
 malformed input instead of crashing, bytes that are not UTF-8 included;
 writers emit deterministic bytes for identical inputs ("\\n" endings on
-every platform). The record types read and written here all come from
-core, so reading a file loads no scoring code.
+every platform). An embedding file of _SPLIT_BYTES or more is read and
+written in two processes, with the values, bytes and diagnostics of one
+pass. The record types read and written here all come from core, so
+reading a file loads no scoring code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -19,6 +21,7 @@ Formats:
     det          #p_miss\\tp_fa\\tthreshold   then  rows at .6f
 """
 
+import marshal
 import math
 import os
 import re
@@ -49,6 +52,13 @@ from .errors import (
 from .textgate import Phrase, Transcript
 
 _HEADER_RE = re.compile(r"#dim (\d+)")
+# The largest dim of a float64 matrix numpy can allocate, even with no rows.
+_MAX_DIM = int(np.iinfo(np.intp).max) // 8
+# An embedding file of at least this many bytes is read and written in two
+# processes (see _splits). Forking a process of score's size and collecting
+# a part's ids takes about 4 ms on a 2-core host, the time to parse about
+# 0.12 MB of embedding text, so below 1 MiB the saving is not worth a fork.
+_SPLIT_BYTES = 1 << 20
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 _DET_HEADER = "#p_miss\tp_fa\tthreshold"
 _FLAGS = frozenset({"PASS", "PUNITIVE"})
@@ -142,8 +152,95 @@ def _finite_field(path, n: int, col: int, token: str) -> float:
     return value
 
 
+def _declared_dim(path, header: str) -> int:
+    """The dim a `#dim <D>` header line declares, or BadHeader."""
+    m = _HEADER_RE.fullmatch(header)
+    if m is None:
+        raise BadHeader(path, 1, f"expected '#dim <D>' header, got {header!r}")
+    try:
+        dim = int(m.group(1))
+    except ValueError:  # more digits than int() converts
+        dim = _MAX_DIM + 1
+    if dim < 1:
+        raise BadHeader(path, 1, f"declared dim must be >= 1, got {dim}")
+    if dim > _MAX_DIM:
+        raise BadHeader(path, 1, f"declared dim must be at most {_MAX_DIM}, got {m.group(1)}")
+    return dim
+
+
+def _splits(size: int) -> bool:
+    """Whether an embedding file of size bytes is read or written in two
+    processes: it is at least _SPLIT_BYTES long, this platform can fork, and
+    this process may run on two or more CPUs."""
+    if size < _SPLIT_BYTES or not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _in_two_parts(first, second) -> Optional[tuple]:
+    """(first(), the bytes second() returns), where second runs in a forked
+    child that pipes its bytes back while this process runs first; None when
+    the fork or the child fails. The child is reaped before this returns or
+    raises, and killed first unless first() returned and its bytes were read.
+
+    A forked child, not a spawned one: it shares this process's memory and
+    modules, where a spawned one would import numpy again: about 0.1 s, what
+    a split saves on an 11 MB file. It runs only second() and exits, taking
+    no lock that another thread of this process might hold.
+    """
+    import gc  # here, as only a split needs them
+    import signal
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller does it all itself
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child, which never returns
+        status = 1
+        try:
+            gc.disable()  # so that no finalizer of this process's garbage runs twice
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(second())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    done = False
+    try:
+        with open(r, "rb") as pipe:
+            mine = first()
+            theirs = pipe.read()
+        done = True
+    finally:
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+        exited_ok = os.waitpid(pid, 0)[1] == 0
+    return (mine, theirs) if exited_ok else None
+
+
 def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     """Read one embedding space; returns (its EmbeddingTable, declared dim).
+
+    A file that _splits is read in two processes (_parse_split). A file that
+    does not, or that shows any anomaly there, is read in one pass
+    (_parse_one_pass), so the values and the diagnostics are those of the
+    one pass either way.
+    """
+    if _splits(os.path.getsize(path)):
+        parsed = _parse_split(path)
+        if parsed is not None:
+            return parsed
+    return _parse_one_pass(path)
+
+
+def _parse_one_pass(path) -> Tuple[EmbeddingTable, int]:
+    """parse_embeddings in one pass, naming the first bad line.
 
     A first pass counts the rows, so that each row is parsed straight into
     its row of one matrix. A row's id is checked first, then its values are
@@ -154,17 +251,20 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     with _reading(path) as f:
         header = f.readline().rstrip("\n")
         _check_utf8(path, header)
-        m = _HEADER_RE.fullmatch(header)
-        if m is None:
-            raise BadHeader(path, 1, f"expected '#dim <D>' header, got {header!r}")
-        dim = int(m.group(1))
-        if dim < 1:
-            raise BadHeader(path, 1, f"declared dim must be >= 1, got {dim}")
-        matrix = np.empty((sum(raw != "\n" for raw in f), dim))
+        dim = _declared_dim(path, header)
+        n_rows = n_chars = 0
+        for raw in f:
+            if raw != "\n":
+                n_rows += 1
+                n_chars += len(raw)
+        # A row of dim values takes at least 2 * dim + 1 characters. When the
+        # rows cannot all hold dim values no matrix is allocated, for some
+        # row will fail its value count.
+        matrix = np.empty((n_rows, dim)) if n_rows * (2 * dim + 1) <= n_chars else None
         f.seek(0)
         f.readline()
         ids, seen = [], set()
-        for (n, line), row in zip(_lines(path, f, start=2), matrix):
+        for i, (n, line) in enumerate(_lines(path, f, start=2)):
             utt_id, tab, rest = line.partition("\t")
             if not tab:
                 raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
@@ -182,10 +282,89 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
                     _finite_field(path, n, col, token)
             if values.size != dim:
                 raise DimMismatch(path, n, f"expected {dim} values, got {values.size}")
-            row[:] = values
+            if matrix is not None:
+                matrix[i] = values
             seen.add(utt_id)
             ids.append(utt_id)
     return EmbeddingTable(ids, matrix), dim
+
+
+def _parse_split(path) -> Optional[Tuple[EmbeddingTable, int]]:
+    """parse_embeddings in two processes, or None on any anomaly.
+
+    The rows split at the first line start at or after the file's byte
+    midpoint. _parse_rows parses each part into one matrix in shared
+    memory: the first part here, the second in a forked child that pipes
+    back only its ids. Only the first part's rows are counted first; the
+    second part gets room for as many rows as its bytes could hold. Any
+    anomaly returns None, so that the one pass names the first bad line: a
+    bad header or row, an id repeated anywhere in the file, a \\r, a blank
+    line, a missing final newline, bytes that are not UTF-8, a part without
+    rows, or a child that fails.
+    """
+    import mmap  # here, as only a split needs it
+
+    try:
+        with open(path, "rb") as f:
+            header = f.readline()
+            if not header.endswith(b"\n") or b"\r" in header:
+                return None
+            dim = _declared_dim(path, header[:-1].decode())
+            body = f.tell()
+            size = f.seek(0, os.SEEK_END)
+            f.seek(max(size // 2, body) - 1)
+            f.readline()
+            mid = f.tell()
+            n_head = _count_newlines(f, body, mid)
+        # A row of dim values takes at least 2 * dim + 2 bytes (see
+        # _parse_one_pass), which bounds the second part's row count.
+        n_tail = (size - mid) // (2 * dim + 2)
+        if not n_head or not n_tail or n_head * (2 * dim + 2) > mid - body:
+            return None
+        matrix = np.frombuffer(mmap.mmap(-1, (n_head + n_tail) * dim * 8), np.float64)
+        matrix = matrix.reshape(n_head + n_tail, dim)
+        parts = _in_two_parts(
+            lambda: _parse_rows(path, body, mid, matrix[:n_head]),
+            lambda: marshal.dumps(_parse_rows(path, mid, size, matrix[n_head:])),
+        )
+        if parts is None:
+            return None
+        ids = parts[0] + marshal.loads(parts[1])
+        return EmbeddingTable(ids, matrix[: len(ids)]), dim
+    except (OSError, ValueError, TdsvError):  # UnicodeDecodeError, BadHeader among them
+        return None
+
+
+def _count_newlines(f, start: int, end: int) -> int:
+    """The number of newlines in bytes [start, end) of the binary file f."""
+    f.seek(start)
+    n = 0
+    while start < end and (chunk := f.read(min(end - start, 1 << 20))):
+        n += chunk.count(b"\n")
+        start += len(chunk)
+    return n
+
+
+def _parse_rows(path, start: int, stop: int, out: np.ndarray) -> list:
+    """Parse the lines in bytes [start, stop) of path into the first rows of
+    out, one line a row, and return their ids. Each line must end in a
+    newline, be UTF-8 without a \\r, and hold an id, a tab and one float()
+    token a column, and the lines must fit out and end at stop, or
+    ValueError is raised; EmbeddingTable checks the ids and values."""
+    ids = []
+    dim = out.shape[1]
+    with open(path, "rb") as f:
+        f.seek(start)
+        for row, raw in zip(out, f):
+            utt_id, tab, rest = raw[:-1].decode().partition("\t")
+            tokens = rest.split(" ")
+            if not tab or len(tokens) != dim or raw[-1:] != b"\n" or b"\r" in raw:
+                raise ValueError("not an embedding row of the declared dim")
+            row[:] = np.fromiter(map(float, tokens), np.float64, dim)
+            ids.append(utt_id)
+        if f.tell() != stop:
+            raise ValueError("the rows do not end where the part does")
+    return ids
 
 
 def _check_encodable(checked: dict) -> None:
@@ -204,15 +383,37 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
     parse_embeddings reads back every file written here, bit-equal. A
     table holds only ids and values the reader accepts, except for an id
     with no UTF-8 form, which raises ValueError before the file is opened.
+
+    A file that _splits, by the size of its first row times its row count,
+    is written in two processes: a forked child formats the second half of
+    the rows and pipes back their bytes, which this process appends after it
+    has written the first half. If the child fails, the whole file is
+    written again in one pass, so the bytes are the same either way.
     """
     dim = table.matrix.shape[1]
     # "%.17g" % x gives the bytes of f"{x:.17g}". The id is concatenated, not
     # put into the format, since it may hold a '%'.
     row = "\t" + " ".join(["%.17g"] * dim) + "\n"
     _check_encodable({"embedding id": table.ids})
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"#dim {dim}\n")
-        f.writelines(utt_id + row % tuple(v.tolist()) for utt_id, v in zip(table.ids, table.matrix))
+
+    def lines(start, stop):
+        rows = zip(table.ids[start:stop], table.matrix[start:stop])
+        return (utt_id + row % tuple(v.tolist()) for utt_id, v in rows)
+
+    def write(stop):
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(f"#dim {dim}\n")
+            f.writelines(lines(0, stop))
+
+    n = len(table)
+    half = n // 2
+    if half and _splits(n * len(next(lines(0, 1)))):
+        parts = _in_two_parts(lambda: write(half), lambda: "".join(lines(half, n)).encode())
+        if parts is not None:
+            with open(path, "ab") as f:
+                f.write(parts[1])
+            return
+    write(n)
 
 
 def parse_trials(path) -> TrialColumns:

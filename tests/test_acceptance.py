@@ -337,6 +337,10 @@ _MALFORMED_CASES = [
      {"embeddings_a.tsv": "#dim 0\nr1\t\n"}, [], "BadHeader"),
     ("embeddings dim not a number", "score",
      {"embeddings_a.tsv": "#dim two\nr1\t1 0\n"}, [], "BadHeader"),
+    ("embeddings dim numpy cannot index", "score",
+     {"embeddings_a.tsv": "#dim 99999999999999999999\nr1\t1 0\n"}, [], "BadHeader"),
+    ("embeddings dim too large for its rows", "score",
+     {"embeddings_a.tsv": "#dim 100000000000\nr1\t1 0\n"}, [], "DimMismatch"),
     ("embedding row too long", "score",
      {"embeddings_a.tsv": "#dim 2\nr1\t1 0 3\n"}, [], "DimMismatch"),
     ("embedding row too short", "score",

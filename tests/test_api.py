@@ -2,6 +2,7 @@
 Python API example."""
 
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import tdsvkit
+from tdsvkit.errors import ParseError, TdsvError
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -75,3 +77,27 @@ def test_cli_loads_neither_scoring_nor_synth():
 def test_submodule_resolves_after_plain_import():
     out = _loaded_after("import tdsvkit; tdsvkit.core.EmbeddingTable; tdsvkit.errors.TdsvError")
     assert out == ["tdsvkit", "tdsvkit.core", "tdsvkit.errors"]
+    # the two modules that export no public name resolve too
+    out = _loaded_after("import tdsvkit; tdsvkit.tsvio.parse_trials; tdsvkit.cli.main")
+    assert {"tdsvkit.tsvio", "tdsvkit.cli"} <= set(out)
+    assert "tdsvkit.scoring" not in out and "tdsvkit.synth" not in out
+
+
+def _instances(cls):
+    """One instance of cls and of each of its subclasses."""
+    if issubclass(cls, ParseError):
+        yield cls("data/e.tsv", 3, "expected 2 values, got 1")
+    else:
+        yield cls("message")
+    for sub in cls.__subclasses__():
+        yield from _instances(sub)
+
+
+def test_errors_survive_pickling():
+    errors = list(_instances(TdsvError))
+    assert len(errors) == 21
+    for exc in errors:
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is type(exc)
+        assert str(copy) == str(exc)
+        assert vars(copy) == vars(exc)

@@ -7,6 +7,8 @@ one repetition at a time; the one-call-per-row embedding parser, the
 bulk-checked score and trial readers and the evaluate/det label join
 against value-by-value parses, diagnostics included; and the array sweep,
 min-DCF, EER and DET points against the threshold-enumeration oracles.
+The embedding reader and writer are checked a second time with every file
+split between two processes.
 """
 
 import numpy as np
@@ -41,9 +43,17 @@ from tdsvkit import (
     eer,
     min_dcf,
     sweep,
+    tsvio,
 )
 from tdsvkit.cli import _load_labeled_scores
 from tdsvkit.tsvio import parse_embeddings, parse_scores, parse_trials, write_embeddings
+
+# The split tests run every embedding file they read or write through the
+# two-process path, whatever its size; a host that cannot fork, or has one
+# CPU, has no such path.
+split_host = pytest.mark.skipif(
+    not tsvio._splits(tsvio._SPLIT_BYTES), reason="no two-process path on this host"
+)
 
 # A small alphabet, so that matches are common: Latin and Persian letters, a
 # space, and combining marks that NFC composes with the letter before them
@@ -171,6 +181,25 @@ def embedding_files(draw, defect):
 )
 @given(data=st.data())
 def test_parse_embeddings_matches_value_by_value_parse(tmp_path, defect, data):
+    _check_parse_embeddings(tmp_path, defect, data)
+
+
+@split_host
+@pytest.mark.parametrize("defect", DEFECTS)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_split_parse_embeddings_matches_value_by_value_parse(
+    tmp_path, monkeypatch, defect, data
+):
+    monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+    _check_parse_embeddings(tmp_path, defect, data)
+
+
+def _check_parse_embeddings(tmp_path, defect, data):
     path = tmp_path / "e.tsv"
     path.write_text(data.draw(embedding_files(defect)), encoding="utf-8", newline="\n")
     expected = _outcome(parse_embeddings_ref, str(path))
@@ -209,6 +238,22 @@ _WRITER_IDS = st.one_of(
 )
 @given(data=st.data())
 def test_write_embeddings_matches_value_by_value_writer(tmp_path, data):
+    _check_write_embeddings(tmp_path, data)
+
+
+@split_host
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_split_write_embeddings_matches_value_by_value_writer(tmp_path, monkeypatch, data):
+    monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+    _check_write_embeddings(tmp_path, data)
+
+
+def _check_write_embeddings(tmp_path, data):
     dim = data.draw(st.integers(1, 8))
     as_array = data.draw(st.booleans())
     rows = st.lists(_DOUBLES, min_size=dim, max_size=dim)

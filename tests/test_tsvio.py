@@ -1,9 +1,12 @@
 """TSV parsers and writers: round-trips and per-line diagnostics."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
-from oracles import embedding_table, trial_rows, trial_table
+from oracles import embedding_table, trial_rows, trial_table, write_embeddings_ref
 from tdsvkit import (
     BadHeader,
     BadLabel,
@@ -24,9 +27,11 @@ from tdsvkit import (
     TrialColumns,
     TrialLabel,
     UNLABELED,
+    TdsvError,
     UnparseableFloat,
     gen_dataset,
     score_all,
+    tsvio,
 )
 from tdsvkit.metrics import ErrorRates
 from tdsvkit.tsvio import (
@@ -156,6 +161,29 @@ class TestEmbeddingsFormat:
     def test_empty_id(self, tmp_path):
         with pytest.raises(MalformedLine):
             parse_embeddings(_write(tmp_path / "e.tsv", "#dim 1\n\t0.5\n"))
+
+    def test_dim_too_large_for_its_rows(self, tmp_path):
+        # no rows x dim matrix is allocated for a dim the rows cannot hold
+        path = _write(tmp_path / "e.tsv", "#dim 100000000000\nu1\t1 0\n")
+        with pytest.raises(DimMismatch) as exc:
+            parse_embeddings(path)
+        assert str(exc.value) == f"{path}:2: expected 100000000000 values, got 2"
+        # ... and a row that holds the dim may come before the short one
+        with pytest.raises(DimMismatch, match=":3: expected 4 values, got 1"):
+            parse_embeddings(_write(tmp_path / "f.tsv", "#dim 4\nu1\t1 2 3 4\nu2\t1\n"))
+
+    def test_dim_numpy_cannot_index(self, tmp_path):
+        largest = (2**63 - 1) // 8  # float64 values
+        for digits in ("99999999999999999999", "9" * 5000, str(largest + 1)):
+            for rows in ("u1\t1 0\n", ""):
+                path = _write(tmp_path / "e.tsv", f"#dim {digits}\n{rows}")
+                with pytest.raises(BadHeader) as exc:
+                    parse_embeddings(path)
+                assert str(exc.value) == (
+                    f"{path}:1: declared dim must be at most {largest}, got {digits}"
+                )
+        table, dim = parse_embeddings(_write(tmp_path / "e.tsv", f"#dim {largest}\n"))
+        assert dim == largest and table.matrix.shape == (0, largest)
 
 
 class TestTrialsFormat:
@@ -518,3 +546,141 @@ class TestWriteDataset:
             table, parsed_dim = parse_embeddings(paths[f"embeddings_{name}"])
             assert parsed_dim == dim
             assert table == ds.embeddings[name]
+
+
+def _outcome(path):
+    """(ids, value bytes) of parse_embeddings, or its (error class, message)."""
+    try:
+        table, _ = parse_embeddings(path)
+    except TdsvError as exc:
+        return type(exc), str(exc)
+    return table.ids, table.matrix.tobytes()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(
+    not tsvio._splits(tsvio._SPLIT_BYTES), reason="no two-process path on this host"
+)
+class TestSplitFiles:
+    """Embedding files of at least _SPLIT_BYTES, read and written in two
+    processes: the values, bytes and diagnostics of one pass, and no child
+    process left behind on any path."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        """A file of 4,000 rows at dim 16, about 1.3 MB, written in two
+        processes and checked against the value-by-value writer."""
+        rng = np.random.default_rng(5)
+        ids = [f"u{i}" for i in range(4000)]
+        table = embedding_table(dict(zip(ids, rng.standard_normal((4000, 16)))))
+        path, ref = tmp_path / "e.tsv", tmp_path / "ref.tsv"
+        write_embeddings(table, path)
+        write_embeddings_ref(table, ref)
+        assert path.stat().st_size >= tsvio._SPLIT_BYTES
+        assert path.read_bytes() == ref.read_bytes()
+        assert parse_embeddings(path) == (table, 16)
+        return path
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """One entry per fork: whether the child's part was used."""
+        calls, real = [], tsvio._in_two_parts
+
+        def spy(first, second):
+            parts = real(first, second)
+            calls.append(parts is not None)
+            return parts
+
+        monkeypatch.setattr(tsvio, "_in_two_parts", spy)
+        return calls
+
+    @staticmethod
+    def one_pass(path, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(tsvio, "_SPLIT_BYTES", float("inf"))
+            return _outcome(path)
+
+    def test_roundtrip(self, forks, path):
+        assert forks == [True, True]  # the fixture's write and read
+        _no_child_left()
+
+    # Edits of the last row, which is in the child's part.
+    ROW_EDITS = {
+        "bad token": lambda row: row.rsplit(" ", 1)[0] + " zap",
+        "non-finite value": lambda row: row.rsplit(" ", 1)[0] + " nan",
+        "too few values": lambda row: row.rsplit(" ", 1)[0],
+        "id of the first part": lambda row: "u7" + row[row.index("\t"):],
+        "empty id": lambda row: row[row.index("\t"):],
+        "byte not UTF-8": lambda row: row[:-3] + "\udcff" + row[-2:],
+        # one line to the split parse, two to the one pass, which reads in
+        # text mode; float() reads "\r0.5" as 0.5
+        "lone \\r after the tab": lambda row: row.replace("\t", "\t\r", 1),
+    }
+
+    @pytest.mark.parametrize("edit", ROW_EDITS)
+    def test_bad_row_in_the_childs_part(self, path, monkeypatch, forks, edit):
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[-2] = self.ROW_EDITS[edit](lines[-2])
+        path.write_text("\n".join(lines), encoding="utf-8", errors="surrogateescape")
+        outcome = _outcome(path)
+        assert isinstance(outcome[0], type) and issubclass(outcome[0], TdsvError)
+        assert outcome[1].startswith(f"{path}:4001: ")
+        assert outcome == self.one_pass(path, monkeypatch)
+        assert len(forks) == 1
+        _no_child_left()
+
+    # Text that one pass reads and the two-process path leaves to it.
+    FILE_EDITS = {
+        "\\r\\n line ends": lambda text: text.replace("\n", "\r\n"),
+        "blank lines": lambda text: text.replace("\n", "\n\n"),
+        "no final newline": lambda text: text[:-1],
+    }
+
+    @pytest.mark.parametrize("edit", FILE_EDITS)
+    def test_text_left_to_one_pass(self, path, monkeypatch, edit):
+        expected = _outcome(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(self.FILE_EDITS[edit](text), encoding="utf-8", newline="")
+        assert _outcome(path) == self.one_pass(path, monkeypatch) == expected
+        _no_child_left()
+
+    def test_child_that_dies(self, path, tmp_path, monkeypatch, forks):
+        real = tsvio._in_two_parts
+        monkeypatch.setattr(
+            tsvio, "_in_two_parts", lambda first, _: real(first, lambda: os._exit(3))
+        )
+        table, dim = parse_embeddings(path)
+        again = tmp_path / "again.tsv"
+        write_embeddings(table, again)
+        assert forks == [False, False]
+        assert again.read_bytes() == path.read_bytes()
+        assert _outcome(path) == self.one_pass(path, monkeypatch)
+        _no_child_left()
+
+    def test_interrupt_in_the_parent(self, path, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child that would outlast the call if not killed
+
+        monkeypatch.setattr(tsvio, "_parse_rows", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            parse_embeddings(path)
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_line_after_the_rows_a_part_has_room_for(self, tmp_path, monkeypatch):
+        # The second part, 5 rows of the fewest bytes a row can take and
+        # then 'x\n', has room for 5 rows; the line after them is read too.
+        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+        rows = "".join(f"{c}\t1\n" for c in "abcdefghij")
+        path = _write(tmp_path / "e.tsv", f"#dim 1\n{rows}x\n")
+        with pytest.raises(MalformedLine, match=":12: expected"):
+            parse_embeddings(path)
