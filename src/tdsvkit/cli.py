@@ -96,11 +96,9 @@ def cmd_score(args) -> int:
     entries = tsvio.parse_enrollmap(args.enrollmap)
     phrases = tsvio.parse_phrases(args.phrases)
     transcripts = tsvio.parse_transcripts(args.transcripts)
-    space_order = [name for name, _ in spaces]
+    # The mapping's order, that of --embeddings, is the fusion order.
     tables = {name: tsvio.parse_embeddings(path)[0] for name, path in spaces}
-    run = score_all(
-        trials, entries, tables, transcripts, phrases, gate_cfg, space_order, strict=args.strict
-    )
+    run = score_all(trials, entries, tables, transcripts, phrases, gate_cfg, strict=args.strict)
     tsvio.write_scores(run.records, args.out)
     for trial_id, reason in run.skipped:
         print(f"skip {trial_id}: {reason}", file=sys.stderr)

@@ -4,10 +4,13 @@ Every record type the readers, writers, generator and scorer pass between
 them lives here: a trial list is one TrialColumns table, an embedding space
 one EmbeddingTable (ids plus an (N, D) float64 matrix), an enrollmap record
 one EnrollEntry and a score set one ScoreColumns table. Each checks itself
-when it is built. Every public operation validates its inputs and works in
-double precision. All functions here are pure and safe for concurrent use.
+when it is built, by check_token and check_text: the package's one rule for
+what a TSV value may hold. Every public operation validates its inputs and
+works in double precision. All functions here are pure and safe for
+concurrent use.
 """
 
+import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -20,6 +23,8 @@ EPS = 1e-12
 
 # Repetitions per enrollment model.
 REPS_PER_MODEL = 3
+
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class TrialLabel(Enum):
@@ -45,13 +50,20 @@ LABEL_CODES = {label: code for code, label in enumerate(TrialLabel)}
 UNLABELED = -1
 
 
+def undecodable(text: str) -> bool:
+    """Whether text holds a lone surrogate (as "surrogateescape" reads a byte
+    that is not UTF-8), which has no UTF-8 form. ASCII text is not searched."""
+    return not text.isascii() and _SURROGATE_RE.search(text) is not None
+
+
 def check_token(value: str, what: str = "id") -> str:
-    """Validate an opaque id token: non-empty, no tab or newline."""
+    """Validate an opaque id token: non-empty, no tab or line break, and a
+    UTF-8 form (check_text)."""
     if not isinstance(value, str) or not value:
         raise ValueError(f"{what} must be a non-empty string")
     if "\t" in value or "\n" in value or "\r" in value:
         raise ValueError(f"{what} {value!r} contains tab or newline")
-    return value
+    return check_text(value, what)
 
 
 def check_tokens(values: list, what: str = "id") -> None:
@@ -62,9 +74,19 @@ def check_tokens(values: list, what: str = "id") -> None:
         joined = " ".join(values)
     except TypeError:  # a value that is not a string
         joined = "\n"
-    if "" in values or "\t" in joined or "\n" in joined or "\r" in joined:
+    if "" in values or "\t" in joined or "\n" in joined or "\r" in joined or undecodable(joined):
         for value in values:
             check_token(value, what)
+
+
+def check_text(value: str, what: str = "text") -> str:
+    """Validate the text that ends a line, which may be empty: no line break,
+    and a UTF-8 form."""
+    if "\n" in value or "\r" in value:
+        raise ValueError(f"{what} {value!r} contains a line break")
+    if undecodable(value):
+        raise ValueError(f"{what} {value!r} cannot be encoded as UTF-8")
+    return value
 
 
 def check_unique(values: list, what: str) -> None:
@@ -159,7 +181,8 @@ class EmbeddingTable:
 
 @dataclass(frozen=True)
 class EnrollEntry:
-    """Raw enrollmap record: which repetitions build which model."""
+    """Raw enrollmap record: which repetitions build which model. A rep id
+    may not hold ',', the enrollmap's separator."""
 
     model_id: str
     phrase_id: str
@@ -174,7 +197,8 @@ class EnrollEntry:
                 f"repetition ids, got {len(self.rep_ids)}"
             )
         for rid in self.rep_ids:
-            check_token(rid, "rep_id")
+            if "," in check_token(rid, "rep_id"):
+                raise ValueError(f"rep_id {rid!r} contains ','")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ class EmptyReference(TdsvError):
 # -- referential integrity ---------------------------------------------------
 
 class MissingSpace(TdsvError):
-    """A declared embedding space, or an embedding within it, is absent."""
+    """An embedding space lacks the vector of an id that scoring needs: a
+    model's repetition or a trial's test utterance."""
 
 
 class MissingPhrase(TdsvError):

@@ -3,9 +3,10 @@
 An enrollment model is built from three repetitions of one phrase by one
 speaker: per embedding space, the repetitions are unit-normalized, averaged,
 and re-normalized. The spaces are fused: a trial's score is the cosine of
-the concatenated per-space unit vectors (in the declared space order), which
-equals the mean of the per-space cosines, if the phrase gate passes, else
-the punitive floor.
+the concatenated per-space unit vectors, which equals the mean of the
+per-space cosines, if the phrase gate passes, else the punitive floor. The
+fusion order is the order of the embeddings mapping (space name ->
+EmbeddingTable) that build_enrollment and score_all take.
 
 score_all is the one scoring entry point. It takes a TrialColumns table and
 the enrollmap entries, builds every model, and owns the strict/lenient
@@ -21,7 +22,7 @@ tests/oracles.py.
 """
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -66,19 +67,13 @@ def enroll(reps) -> np.ndarray:
     return normalize_rows(normalize_rows(reps).mean(axis=0)[np.newaxis])[0]
 
 
-def build_enrollment(
-    entry: EnrollEntry,
-    embeddings: Mapping[str, EmbeddingTable],
-    space_order: Sequence[str],
-) -> tuple:
-    """The unit-norm centroids of one enrollmap entry, in space order. A
-    centroid that cannot be built raises its error as
+def build_enrollment(entry: EnrollEntry, embeddings: Mapping[str, EmbeddingTable]) -> tuple:
+    """The unit-norm centroids of one enrollmap entry, one per space in the
+    order of embeddings. A repetition missing from a space raises
+    MissingSpace, and a centroid that cannot be built raises its error as
     "model '<id>' in space '<space>': <message>", in the same class."""
     centroids = []
-    for space in space_order:
-        table = embeddings.get(space)
-        if table is None:
-            raise MissingSpace(f"no embeddings for declared space '{space}'")
+    for space, table in embeddings.items():
         rows = []
         for rid in entry.rep_ids:
             row = table.rows.get(rid)
@@ -102,15 +97,16 @@ def score_all(
     transcripts: Mapping[str, Transcript],
     phrases: Mapping[str, Phrase],
     cfg: GateConfig,
-    space_order: Sequence[str],
+    *,
     strict: bool = True,
 ) -> ScoreRun:
     """Score each row of a trial table in order; the one scoring entry point.
 
     entries maps model id to its enrollmap entry, as tsvio.parse_enrollmap
     returns it; embeddings maps each space to its EmbeddingTable, which
-    holds the repetitions and the test vectors alike. Every entry's model
-    is built first, in entry order. strict: abort on the first error; a
+    holds the repetitions and the test vectors alike, in fusion order (at
+    least one space, or ValueError). Every entry's model is built first, in
+    entry order. strict (keyword only): abort on the first error; a
     build error is raised as it is, a trial's error with the offending
     trial id in the message. lenient: skip broken trials and report them in
     ScoreRun.skipped as (trial id, "Class: message"), where a model's build
@@ -124,22 +120,21 @@ def score_all(
     row over the product of their norms, each norm taken once per row; the
     score is the mean over spaces, clamped to [-1, 1].
     """
-    if not space_order:
+    if not embeddings:
         raise ValueError("scoring requires at least one embedding space")
     models = {}  # model id -> (entry, its row in centroids), or the build error
     built = []  # per built model, its centroids in space order
     for model_id, entry in entries.items():
         try:
-            built.append(build_enrollment(entry, embeddings, space_order))
+            built.append(build_enrollment(entry, embeddings))
             models[model_id] = (entry, len(built) - 1)
         except TdsvError as exc:
             if strict:
                 raise
             models[model_id] = exc
-    # Per space: the centroid matrix, one row per built model. Only a trial
-    # whose model built reads a table, and then every space has one.
+    # Per space: the centroid matrix, one row per built model.
     centroids = [np.array(c) for c in zip(*built)]
-    tables = [embeddings.get(space) for space in space_order] if built else []
+    tables = list(embeddings.values())
     centroid_norms = [row_norms(c) for c in centroids]
     test_norms = [row_norms(t.matrix) for t in tables]
     seen = set()
@@ -162,7 +157,7 @@ def score_all(
                 raise model.with_traceback(None)
             entry, model_row = model
             test = []
-            for space, table in zip(space_order, tables):
+            for space, table in embeddings.items():
                 test_row = table.rows.get(test_id)
                 if test_row is None:
                     raise MissingSpace(

@@ -11,6 +11,7 @@ in isolation and batch output never depends on generation order.
 
 import hashlib
 import math
+import os
 import string
 from dataclasses import dataclass, field
 
@@ -53,18 +54,20 @@ def derive_seed(master_seed: int, kind: str, *indices: int) -> int:
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """One embedding space: its name, dimensionality, and noise level."""
+    """One embedding space: its name, dimensionality, and noise level. The
+    name is also part of a file name, embeddings_<name>.tsv, so it holds no
+    path separator."""
 
     name: str
     dim: int
     noise_sigma: float
 
     def __post_init__(self):
-        bad = set(":=\t\n\r ") & set(self.name)
+        bad = set(":=\t\n\r /" + os.sep + (os.altsep or "")) & set(self.name)
         if not self.name or bad:
             raise ConfigInvalid(
                 f"space name {self.name!r} must be non-empty with no "
-                "':', '=', or whitespace"
+                "':', '=', whitespace or path separator"
             )
         if not (isinstance(self.dim, int) and self.dim >= 2):
             raise ConfigInvalid(f"space '{self.name}': dim must be an int >= 2")
@@ -116,8 +119,9 @@ class SimConfig:
 class SyntheticDataset:
     """Generated tables plus ground-truth maps for label auditing.
 
-    embeddings holds one EmbeddingTable per space, with the rows of both
-    enrollment repetitions and test utterances. utt_speaker / utt_phrase /
+    embeddings holds one EmbeddingTable per space, in the order of
+    config.spaces (the fusion order), with the rows of both enrollment
+    repetitions and test utterances. utt_speaker / utt_phrase /
     model_speaker record the construction truth (speaker index, spoken
     phrase id) behind every test utterance and model.
     """
@@ -131,10 +135,6 @@ class SyntheticDataset:
     model_speaker: dict
     utt_speaker: dict
     utt_phrase: dict
-
-    @property
-    def space_order(self) -> tuple:
-        return tuple(sp.name for sp in self.config.spaces)
 
 
 def _perturb(means: np.ndarray, speakers, sigma: float, noise) -> np.ndarray:

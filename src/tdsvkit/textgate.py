@@ -11,6 +11,7 @@ import math
 import unicodedata
 from dataclasses import dataclass
 
+from .core import check_text, check_token
 from .errors import ConfigInvalid, EmptyReference
 
 
@@ -27,7 +28,8 @@ class Phrase:
     text: str
 
     def __post_init__(self):
-        if not normalize_text(self.text):
+        check_token(self.phrase_id, "phrase_id")
+        if not normalize_text(check_text(self.text)):
             raise EmptyReference(
                 f"phrase '{self.phrase_id}' is empty after normalization"
             )
@@ -39,6 +41,10 @@ class Transcript:
 
     utt_id: str
     text: str
+
+    def __post_init__(self):
+        check_token(self.utt_id, "utt_id")
+        check_text(self.text)
 
 
 @dataclass(frozen=True)

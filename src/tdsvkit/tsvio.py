@@ -6,10 +6,13 @@ floats serialized at 17 significant digits, which round-trips doubles
 exactly. Parsers raise a per-line diagnostic (path:line: detail) on any
 malformed input instead of crashing, bytes that are not UTF-8 included;
 writers emit deterministic bytes for identical inputs ("\\n" endings on
-every platform). An embedding file of _SPLIT_BYTES or more is read and
-written in two processes, with the values, bytes and diagnostics of one
-pass. The record types read and written here all come from core, so
-reading a file loads no scoring code.
+every platform). A writer writes what its records hold and checks nothing:
+the record types check themselves when they are built (core.check_token,
+core.check_text), so a file written here of records with distinct ids
+reads back as those records. An embedding file of _SPLIT_BYTES or more is
+read and written in two processes, with the values, bytes and diagnostics
+of one pass. The record types read and written here come from core and
+textgate, so reading a file loads no scoring code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -38,6 +41,7 @@ from .core import (
     EnrollEntry,
     ScoreColumns,
     TrialColumns,
+    undecodable,
 )
 from .errors import (
     BadHeader,
@@ -59,13 +63,11 @@ _MAX_DIM = int(np.iinfo(np.intp).max) // 8
 # a part's ids takes about 4 ms on a 2-core host, the time to parse about
 # 0.12 MB of embedding text, so below 1 MiB the saving is not worth a fork.
 _SPLIT_BYTES = 1 << 20
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 _DET_HEADER = "#p_miss\tp_fa\tthreshold"
 _FLAGS = frozenset({"PASS", "PUNITIVE"})
 _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
 # The text after a trial's test id, per label code.
 _LABEL_FIELDS = {code: f"\t{name}" for name, code in _NAME_CODES.items()} | {UNLABELED: ""}
-_ID_FIELDS = ("trial_id", "model_id", "test_id")
 
 
 def _reading(path):
@@ -74,18 +76,11 @@ def _reading(path):
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def _undecodable(text: str) -> bool:
-    """Whether text holds a lone surrogate, which has no UTF-8 form: in text
-    as _reading gives it, a byte that is not UTF-8. str.isascii takes
-    constant time, so ASCII text pays for no search."""
-    return not text.isascii() and _SURROGATE_RE.search(text) is not None
-
-
 def _check_utf8(path, text: str) -> None:
     """Raise the diagnostic of path's first undecodable byte if text holds
     one; readers call it on each line before any other check of the line,
     so the first bad line wins whatever is wrong with it."""
-    if _undecodable(text):
+    if undecodable(text):
         raise _not_utf8(path)
 
 
@@ -128,7 +123,7 @@ def _nonblank_lines(path) -> Optional[List[str]]:
     names the first bad line."""
     with _reading(path) as f:
         text = f.read()
-    return None if _undecodable(text) else list(filter(None, text.split("\n")))
+    return None if undecodable(text) else list(filter(None, text.split("\n")))
 
 
 def _columns(lines: Optional[List[str]], n_fields: int) -> Optional[List[list]]:
@@ -367,22 +362,11 @@ def _parse_rows(path, start: int, stop: int, out: np.ndarray) -> list:
     return ids
 
 
-def _check_encodable(checked: dict) -> None:
-    """Raise ValueError naming the first id or text that has no UTF-8 form;
-    checked maps a field name to its values. Every writer runs it before it
-    opens its file, so that a failed write leaves the file as it was."""
-    for what, values in checked.items():
-        for value in values:
-            if _undecodable(value):
-                raise ValueError(f"{what} {value!r} cannot be encoded as UTF-8")
-
-
 def write_embeddings(table: EmbeddingTable, path) -> None:
     """Write one embedding space in row order, every value at 17
     significant digits, one row format applied to each row, so that
-    parse_embeddings reads back every file written here, bit-equal. A
-    table holds only ids and values the reader accepts, except for an id
-    with no UTF-8 form, which raises ValueError before the file is opened.
+    parse_embeddings reads back every file written here, bit-equal: a
+    table holds only ids and values the reader accepts.
 
     A file that _splits, by the size of its first row times its row count,
     is written in two processes: a forked child formats the second half of
@@ -394,7 +378,6 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
     # "%.17g" % x gives the bytes of f"{x:.17g}". The id is concatenated, not
     # put into the format, since it may hold a '%'.
     row = "\t" + " ".join(["%.17g"] * dim) + "\n"
-    _check_encodable({"embedding id": table.ids})
 
     def lines(start, stop):
         rows = zip(table.ids[start:stop], table.matrix[start:stop])
@@ -460,7 +443,7 @@ def _scan_trials(path) -> TrialColumns:
                 if code is None:
                     raise BadLabel(path, n, f"label must be one of TC/TW/IC/IW, got {fields[3]!r}")
             if "" in fields[:3]:
-                what = _ID_FIELDS[fields.index("")]
+                what = ("trial_id", "model_id", "test_id")[fields.index("")]
                 raise MalformedLine(path, n, f"{what} must be a non-empty string")
             for column, value in zip(columns, fields[:3] + [code]):
                 column.append(value)
@@ -469,21 +452,19 @@ def _scan_trials(path) -> TrialColumns:
 
 def write_trials(trials: TrialColumns, path) -> None:
     """Write a trial list; a trial without a label gets no label field."""
-    columns = trials.trial_ids, trials.model_ids, trials.test_ids
-    _check_encodable(dict(zip(_ID_FIELDS, columns)))
-    rows = zip(*columns, trials.labels.tolist())
+    rows = zip(trials.trial_ids, trials.model_ids, trials.test_ids, trials.labels.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for trial_id, model_id, test_id, code in rows:
             f.write(f"{trial_id}\t{model_id}\t{test_id}{_LABEL_FIELDS[code]}\n")
 
 
-def _parse_id_text(path, factory, what: str) -> dict:
+def _parse_id_text(path, factory) -> dict:
     """Shared reader for the two `<id>\\t<text>` formats."""
     table = {}
     with _reading(path) as f:
         for n, line in _lines(path, f):
             if "\t" not in line:
-                raise MalformedLine(path, n, f"expected '<id>\\t<{what}>'")
+                raise MalformedLine(path, n, "expected '<id>\\t<text>'")
             key, text = line.split("\t", 1)
             if not key:
                 raise MalformedLine(path, n, "empty id field")
@@ -498,27 +479,26 @@ def _parse_id_text(path, factory, what: str) -> dict:
 
 def parse_phrases(path) -> dict:
     """Read the reference phrase table: phrase_id -> Phrase."""
-    return _parse_id_text(path, Phrase, "text")
+    return _parse_id_text(path, Phrase)
 
 
 def parse_transcripts(path) -> dict:
     """Read ASR hypotheses: utt_id -> Transcript. Empty text is legal."""
-    return _parse_id_text(path, Transcript, "text")
+    return _parse_id_text(path, Transcript)
 
 
-def _write_id_text(items: list, what: str, path) -> None:
-    _check_encodable({what: [key for key, _ in items], "text": [text for _, text in items]})
+def _write_id_text(items: list, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for key, text in items:
             f.write(f"{key}\t{text}\n")
 
 
 def write_phrases(phrases: Mapping, path) -> None:
-    _write_id_text([(p.phrase_id, p.text) for p in phrases.values()], "phrase_id", path)
+    _write_id_text([(p.phrase_id, p.text) for p in phrases.values()], path)
 
 
 def write_transcripts(transcripts: Mapping, path) -> None:
-    _write_id_text([(t.utt_id, t.text) for t in transcripts.values()], "utt_id", path)
+    _write_id_text([(t.utt_id, t.text) for t in transcripts.values()], path)
 
 
 def parse_enrollmap(path) -> dict:
@@ -550,11 +530,6 @@ def parse_enrollmap(path) -> dict:
 
 
 def write_enrollmap(entries: Sequence, path) -> None:
-    _check_encodable({
-        "model_id": [e.model_id for e in entries],
-        "phrase_id": [e.phrase_id for e in entries],
-        "rep_id": [rep_id for e in entries for rep_id in e.rep_ids],
-    })
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for e in entries:
             f.write(f"{e.model_id}\t{e.phrase_id}\t{','.join(e.rep_ids)}\n")
@@ -621,7 +596,6 @@ def _scan_scores(path) -> ScoreColumns:
 
 def write_scores(records: ScoreColumns, path) -> None:
     """Write a score set: 6-decimal score, gate flag, 4-decimal CER."""
-    _check_encodable({"trial_id": records.trial_ids})
     rows = zip(
         records.trial_ids, records.score.tolist(), records.passed.tolist(), records.cer.tolist()
     )

@@ -2,8 +2,9 @@
 
 Deliberately written the slow, obvious way: a full-matrix dynamic program
 for edit distance, the fused cosine as a dot product of concatenated unit
-blocks, value-by-value parsers for the embedding, score and trial files
-and for the label join of evaluate/det, a value-by-value embedding
+blocks, value-by-value parsers for the embedding, score, trial, enrollmap,
+phrase and transcript files and for the label join of evaluate/det, a
+value-by-value embedding
 writer, and a pure-Python enumerator over every midpoint threshold for
 the detection metrics (per-threshold counting via binary search so the
 acceptance-scale runs stay inside their time budget), and the centroid
@@ -23,6 +24,7 @@ import numpy as np
 from tdsvkit import (
     BadHeader,
     BadLabel,
+    BadRepCount,
     DimMismatch,
     DuplicateId,
     EmbeddingTable,
@@ -228,6 +230,55 @@ def parse_trials_ref(path):
         for column, value in zip(columns, fields[:3] + [code]):
             column.append(value)
     return columns
+
+
+def parse_enrollmap_ref(path):
+    """Enrollmap parsed line by line: (model id, phrase id, rep id tuple)
+    rows in file order, or the diagnostic of the first bad line, checked in
+    the order field count, duplicate model id, repetition count, then an
+    empty model id, phrase id or repetition id, left to right."""
+    rows, seen = [], set()
+    for n, line in _text_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLine(path, n, f"expected 3 tab-separated fields, got {len(fields)}")
+        model_id, phrase_id, reps = fields
+        if model_id in seen:
+            raise DuplicateId(f"{path}:{n}: duplicate model id '{model_id}'")
+        rep_ids = reps.split(",")
+        if len(rep_ids) != 3:
+            raise BadRepCount(
+                path, n, f"expected 3 comma-separated repetition ids, got {len(rep_ids)}"
+            )
+        named = [("model_id", model_id), ("phrase_id", phrase_id)]
+        for what, value in named + [("rep_id", rep_id) for rep_id in rep_ids]:
+            if not value:
+                raise MalformedLine(path, n, f"{what} must be a non-empty string")
+        seen.add(model_id)
+        rows.append((model_id, phrase_id, tuple(rep_ids)))
+    return rows
+
+
+def parse_id_text_ref(path, phrases):
+    """A phrase file (phrases true) or transcript file parsed line by line:
+    (id, text) pairs in file order, the text being all that follows the
+    first tab; or the diagnostic of the first bad line, checked in the
+    order tab, empty id, duplicate id and, in a phrase file, a text that is
+    empty once NFC-normalized and trimmed."""
+    rows, seen = [], set()
+    for n, line in _text_lines(path):
+        if "\t" not in line:
+            raise MalformedLine(path, n, "expected '<id>\\t<text>'")
+        key, text = line.split("\t", 1)
+        if not key:
+            raise MalformedLine(path, n, "empty id field")
+        if key in seen:
+            raise DuplicateId(f"{path}:{n}: duplicate id '{key}'")
+        if phrases and not unicodedata.normalize("NFC", text).strip():
+            raise MalformedLine(path, n, f"phrase '{key}' is empty after normalization")
+        seen.add(key)
+        rows.append((key, text))
+    return rows
 
 
 def trial_table(rows):

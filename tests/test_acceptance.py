@@ -93,7 +93,7 @@ def _score_dataset(ds, gate_cfg: GateConfig):
     entries = {entry.model_id: entry for entry in ds.enroll_entries}
     run = score_all(
         ds.trials, entries, ds.embeddings, ds.transcripts, ds.phrases,
-        gate_cfg, ds.space_order,
+        gate_cfg,
     )
     return run.records.score, run.labels
 
@@ -153,7 +153,6 @@ def test_dcf_normalization_constants():
 
 def test_fusion_cosine_identity():
     rng = np.random.default_rng(303)
-    order = ["a", "b"]
     phrases = {"p": Phrase("p", "open the door")}
     # A space holds vectors of one dim, so each pair is scored in a one-trial
     # run of its own; each enrollment vector serves as all three repetitions.
@@ -170,7 +169,6 @@ def test_fusion_cosine_identity():
         tables = embedding_tables({"a": {"r": a1, "u": b1}, "b": {"r": a2, "u": b2}})
         run = score_all(
             trial_table([("t", "m", "u")]), entries, tables, transcripts, phrases, GateConfig(),
-            order,
         )
         scores.extend(run.records.score.tolist())
         pairs.append(([a1, a2], [b1, b2]))

@@ -382,6 +382,16 @@ class TestErrorContract:
         assert code == 1
         assert err.startswith("error=ConfigInvalid:")
 
+    def test_simulate_space_name_with_path_separator(self, tmp_path):
+        # the name would make the file name embeddings_a/b.tsv; it is refused
+        # before any file is written
+        out = tmp_path / "d"
+        out.mkdir()
+        code, stdout, err = run_cli(["simulate", "--out", str(out), "--space", "a/b:8:0.1"])
+        assert code == 1 and stdout == ""
+        assert err.startswith("error=ConfigInvalid:") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     def test_bad_gate_threshold(self, tmp_path):
         data = simulate(tmp_path, seed=5)
         argv = score_args(data, tmp_path / "s.tsv") + ["--cer-threshold", "-1"]

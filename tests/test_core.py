@@ -123,7 +123,6 @@ def _cosines(pairs):
         tables = embedding_tables({"a": {"r": enr, "u": test}})
         run = score_all(
             trial_table([("t", "m", "u")]), entries, tables, transcripts, phrases, GateConfig(),
-            ["a"],
         )
         scores.extend(run.records.score.tolist())
     return scores

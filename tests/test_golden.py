@@ -194,7 +194,6 @@ def test_seed42_raw_score_bits(tmp_path, name):
         tsvio.parse_transcripts(data / "transcripts.tsv"),
         tsvio.parse_phrases(data / "phrases.tsv"),
         GateConfig(),
-        ["alpha", "beta"],
     )
     assert _sha256(run.records.score.tobytes()) == RAW_SCORES[name]
 

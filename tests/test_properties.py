@@ -4,16 +4,22 @@ The bit-parallel edit distance is checked against the full-matrix DP; the
 one-format-per-row embedding writer against a value-by-value writer; the
 enrollment centroids, gathered by row index, against the centroid built
 one repetition at a time; the one-call-per-row embedding parser, the
-bulk-checked score and trial readers and the evaluate/det label join
-against value-by-value parses, diagnostics included; and the array sweep,
-min-DCF, EER and DET points against the threshold-enumeration oracles.
-The embedding reader and writer are checked a second time with every file
-split between two processes.
+bulk-checked score and trial readers, the enrollmap, phrase and
+transcript readers and the evaluate/det label join against value-by-value
+parses, diagnostics included; and the array sweep, min-DCF, EER and DET
+points against the threshold-enumeration oracles. The embedding reader
+and writer are checked a second time with every file split between two
+processes. Every writer is checked against its reader: a record holding
+what its file format cannot is refused when it is built, and every other
+reads back equal.
 """
+
+from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -25,6 +31,8 @@ from oracles import (
     join_labels_ref,
     min_dcf_ref,
     parse_embeddings_ref,
+    parse_enrollmap_ref,
+    parse_id_text_ref,
     parse_scores_ref,
     parse_trials_ref,
     sweep_ref,
@@ -33,10 +41,14 @@ from oracles import (
 from tdsvkit import (
     DcfParams,
     EmbeddingTable,
+    EmptyReference,
     EnrollEntry,
+    Phrase,
     ScoreColumns,
     TdsvError,
+    Transcript,
     TrialColumns,
+    UNLABELED,
     build_enrollment,
     det_points,
     edit_distance,
@@ -46,7 +58,20 @@ from tdsvkit import (
     tsvio,
 )
 from tdsvkit.cli import _load_labeled_scores
-from tdsvkit.tsvio import parse_embeddings, parse_scores, parse_trials, write_embeddings
+from tdsvkit.tsvio import (
+    parse_embeddings,
+    parse_enrollmap,
+    parse_phrases,
+    parse_scores,
+    parse_transcripts,
+    parse_trials,
+    write_embeddings,
+    write_enrollmap,
+    write_phrases,
+    write_scores,
+    write_transcripts,
+    write_trials,
+)
 
 # The split tests run every embedding file they read or write through the
 # two-process path, whatever its size; a host that cannot fork, or has one
@@ -318,7 +343,7 @@ def test_build_enrollment_matches_per_repetition_enroll(data):
         return centroids
 
     expected = _centroids(reference)
-    assert _centroids(lambda: build_enrollment(entry, tables, ["a", "b"])) == expected
+    assert _centroids(lambda: build_enrollment(entry, tables)) == expected
 
 
 # -- score files and the label join -------------------------------------------
@@ -477,6 +502,25 @@ def _break_trial_row(draw, rows, defect):
         _put(row, 3, draw(st.sampled_from(["tc", "TC\x0b", ""])))
 
 
+def _with_defects(draw, rows, defect, defects, break_row):
+    """The bytes of rows as _serialize writes them, with defect applied:
+    "two defects" applies two drawn from defects[1:-1], "undecodable byte"
+    puts a byte sequence that is not UTF-8 at a drawn place, and break_row
+    applies each other one to the rows."""
+    kinds = [defect]
+    if defect == "two defects":
+        kinds = draw(st.lists(st.sampled_from(defects[1:-1]), min_size=2, max_size=2))
+    for kind in kinds:
+        if kind not in ("none", "undecodable byte"):
+            break_row(draw, rows, kind)
+    raw = _serialize(draw, rows).encode("utf-8")
+    for kind in kinds:
+        if kind == "undecodable byte":
+            at = draw(st.integers(0, len(raw)))
+            raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + raw[at:]
+    return raw
+
+
 @st.composite
 def trial_files(draw, defect):
     """The bytes of a trial list whose lines are all labeled, all
@@ -489,18 +533,7 @@ def trial_files(draw, defect):
         if labeling == "labeled" or labeling == "mixed" and draw(st.booleans()):
             row.append(draw(st.sampled_from(["TC", "TW", "IC", "IW"])))
         rows.append(row)
-    kinds = [defect]
-    if defect == "two defects":
-        kinds = draw(st.lists(st.sampled_from(TRIAL_DEFECTS[1:-1]), min_size=2, max_size=2))
-    for kind in kinds:
-        if kind not in ("none", "undecodable byte"):
-            _break_trial_row(draw, rows, kind)
-    raw = _serialize(draw, rows).encode("utf-8")
-    for kind in kinds:
-        if kind == "undecodable byte":
-            at = draw(st.integers(0, len(raw)))
-            raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + raw[at:]
-    return raw
+    return _with_defects(draw, rows, defect, TRIAL_DEFECTS, _break_trial_row)
 
 
 def _trial_outcome(parse, path):
@@ -631,6 +664,285 @@ def test_readers_on_arbitrary_text_match_oracles(tmp_path, scores_text, trials_t
     assert _join_outcome(_load_labeled_scores, scores_path, trials_path) == _join_outcome(
         join_labels_ref, scores_path, trials_path
     )
+
+
+# -- enrollmap, phrase and transcript files ------------------------------------
+
+ENROLL_DEFECTS = (
+    "none",
+    "wrong field count",
+    "empty field",
+    "duplicate model id",
+    "wrong rep count",
+    "undecodable byte",
+    "two defects",
+)
+
+
+def _break_enroll_row(draw, rows, defect):
+    index = draw(st.integers(0, len(rows) - 1))
+    row = rows[index]
+    if defect == "wrong field count":
+        if len(row) > 1 and draw(st.booleans()):
+            del row[draw(st.integers(1, len(row) - 1)):]
+        else:
+            row.append(draw(st.sampled_from(["r1,r2,r3", "extra", ""])))
+    elif defect == "empty field":
+        field = draw(st.integers(0, 3))
+        if field < 2:
+            _put(row, field, "")
+        else:  # an empty repetition id: r1,,r3 or ,r2,r3
+            _put(row, 2, ",".join("" if k == field - 2 else f"r{k}" for k in range(3)))
+    elif defect == "duplicate model id":
+        rows.insert(draw(st.integers(index + 1, len(rows))), [row[0], "p9", "r7,r8,r9"])
+    elif defect == "wrong rep count":
+        _put(row, 2, ",".join(f"r{k}" for k in range(draw(st.sampled_from([0, 1, 2, 4])))))
+
+
+@st.composite
+def enrollmap_files(draw, defect):
+    """The bytes of an enrollmap with one defect."""
+    id_chars = draw(st.sampled_from(["ab\u00e9 ", _ID_CHARS]))
+    rows = []
+    for i in range(draw(st.integers(0 if defect == "none" else 1, 6))):
+        reps = [f"r{i}{k}" + draw(st.text(id_chars, max_size=2)) for k in range(3)]
+        model_id = f"m{i % 4}" + draw(st.text(id_chars, max_size=2))
+        rows.append([model_id, f"p{i % 3}", ",".join(reps)])
+    return _with_defects(draw, rows, defect, ENROLL_DEFECTS, _break_enroll_row)
+
+
+def _enroll_outcome(parse, path):
+    """(model id, phrase id, rep ids) rows, or the error; parse_enrollmap
+    returns model id -> EnrollEntry, parse_enrollmap_ref the rows."""
+    try:
+        entries = parse(path)
+    except TdsvError as exc:
+        return type(exc), str(exc)
+    if isinstance(entries, dict):
+        assert all(key == entry.model_id for key, entry in entries.items())
+        entries = [astuple(entry) for entry in entries.values()]
+    return entries
+
+
+@pytest.mark.parametrize("defect", ENROLL_DEFECTS)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_parse_enrollmap_matches_value_by_value_parse(tmp_path, defect, data):
+    path = tmp_path / "em.tsv"
+    path.write_bytes(data.draw(enrollmap_files(defect)))
+    expected = _enroll_outcome(parse_enrollmap_ref, str(path))
+    assert _enroll_outcome(parse_enrollmap, str(path)) == expected
+    if defect not in ("none", "two defects"):
+        assert issubclass(expected[0], TdsvError)
+
+
+ID_TEXT_DEFECTS = (
+    "none",
+    "missing tab",
+    "empty id",
+    "duplicate id",
+    "blank text",
+    "undecodable byte",
+    "two defects",
+)
+# Text characters: tabs, spaces and separators that are not line breaks,
+# Latin and Persian letters, and a combining mark that NFC composes.
+_TEXT_CHARS = "ab\u00e9e\u0301 \t\x0b\x0c\x1c\x85\u2028\u0633"
+# Texts that are empty once NFC-normalized and trimmed.
+_BLANK_TEXTS = st.sampled_from(["", " ", "\t", " \x0b\u2028", "\u3000", "\x1c\x1d"])
+
+
+def _break_id_text_row(draw, rows, defect):
+    index = draw(st.integers(0, len(rows) - 1))
+    row = rows[index]
+    if defect == "missing tab":
+        rows[index] = [row[0] + " " + "".join(row[1:]).replace("\t", " ")]
+    elif defect == "empty id":
+        row[0] = ""
+    elif defect == "duplicate id":
+        rows.insert(draw(st.integers(index + 1, len(rows))), [row[0], draw(st.text(_TEXT_CHARS))])
+    elif defect == "blank text":
+        row[1:] = [draw(_BLANK_TEXTS)]
+
+
+@st.composite
+def id_text_files(draw, defect):
+    """The bytes of a phrase or transcript file with one defect."""
+    id_chars = draw(st.sampled_from(["ab\u00e9 ", _ID_CHARS]))
+    rows = [
+        [f"k{i % 4}" + draw(st.text(id_chars, max_size=2)), draw(st.text(_TEXT_CHARS, max_size=6))]
+        for i in range(draw(st.integers(0 if defect == "none" else 1, 6)))
+    ]
+    return _with_defects(draw, rows, defect, ID_TEXT_DEFECTS, _break_id_text_row)
+
+
+def _id_text_outcome(parse, path):
+    """(key, id, text) rows, or the error; parse_phrases and
+    parse_transcripts return id -> record, parse_id_text_ref (id, text)
+    pairs."""
+    try:
+        table = parse(path)
+    except TdsvError as exc:
+        return type(exc), str(exc)
+    if isinstance(table, dict):
+        return [(key,) + astuple(record) for key, record in table.items()]
+    return [(key, key, text) for key, text in table]
+
+
+_ID_TEXT_READERS = {
+    "phrases": (parse_phrases, lambda path: parse_id_text_ref(path, phrases=True)),
+    "transcripts": (parse_transcripts, lambda path: parse_id_text_ref(path, phrases=False)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_ID_TEXT_READERS))
+@pytest.mark.parametrize("defect", ID_TEXT_DEFECTS)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_parse_id_text_matches_value_by_value_parse(tmp_path, reader, defect, data):
+    parse, parse_ref = _ID_TEXT_READERS[reader]
+    path = tmp_path / "it.tsv"
+    path.write_bytes(data.draw(id_text_files(defect)))
+    expected = _id_text_outcome(parse_ref, str(path))
+    assert _id_text_outcome(parse, str(path)) == expected
+    if defect in ("missing tab", "empty id", "duplicate id", "undecodable byte"):
+        assert issubclass(expected[0], TdsvError)
+
+
+# Text near the enrollmap, phrase and transcript formats.
+_NEAR_LINES = st.lists(st.one_of(
+    st.sampled_from(["\t", "\n", "\r", "\r\n", ",", " ", "\x0b", "\u2028", "\u0301", "m1",
+                     "p1", "r1", "r1,r2,r3", "a b"]),
+    st.characters(blacklist_categories=("Cs",)),
+), max_size=40).map("".join)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_NEAR_LINES)
+@example("m1\tp1\tr1,r2,r3\r\nm2\tp1\tr1,r2,r3\rp1\t \u0301\n")
+def test_line_readers_on_arbitrary_text_match_oracles(tmp_path, text):
+    """Any text reads as enrollmap, phrases and transcripts as the oracles
+    read it, or raises the same TdsvError; a bare exception fails the
+    test."""
+    path = _write(tmp_path / "f.tsv", text)
+    assert _enroll_outcome(parse_enrollmap, path) == _enroll_outcome(parse_enrollmap_ref, path)
+    for parse, parse_ref in _ID_TEXT_READERS.values():
+        assert _id_text_outcome(parse, path) == _id_text_outcome(parse_ref, path)
+
+
+# -- every writer against its reader ------------------------------------------
+
+# Ids and texts over an alphabet of field and line separators, the
+# enrollmap's ',', a space, non-ASCII letters and a lone surrogate (as
+# surrogateescape reads a byte that is not UTF-8). A plain value is
+# non-empty text without the characters that every field refuses; a
+# hostile one is plain text with one of those inserted, or any text over
+# the whole alphabet.
+_PLAIN = st.text(", a\u00e9\u0633", min_size=1, max_size=4)
+_HOSTILE = st.one_of(
+    st.builds("{}{}{}".format, _PLAIN, st.sampled_from("\t\n\r\udcff"), _PLAIN),
+    st.text("\t\n\r, a\u00e9\u0633\udcff", max_size=4),
+)
+_ROUND_TRIP_VALUES = st.one_of(_PLAIN, _HOSTILE)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ROUND_TRIP_FORMATS = ("embeddings", "trials", "phrases", "transcripts", "enrollmap", "scores")
+
+
+def _built(build, *args, refusals=ValueError):
+    """build(*args), or None where it refuses its values."""
+    try:
+        return build(*args)
+    except refusals:
+        return None
+
+
+def _written_and_read(draw, fmt, path):
+    """(the records built, what the reader returns for the file the writer
+    wrote of them); a table refused as a whole is (None, None)."""
+    n = draw(st.integers(0, 4))
+
+    def column(values=_ROUND_TRIP_VALUES, unique=False):
+        return draw(st.lists(values, min_size=n, max_size=n, unique=unique))
+
+    def id_columns(*columns):
+        """A table's id columns of plain values, but for one hostile value,
+        if there is a row: one bad id refuses the whole table."""
+        if n:
+            draw(st.sampled_from(columns))[draw(st.integers(0, n - 1))] = draw(_HOSTILE)
+        return columns
+
+    if fmt == "embeddings":
+        (ids,) = id_columns(column(_PLAIN, unique=True))
+        assume(len(set(ids)) == n)
+        dim = draw(st.integers(1, 3))
+        matrix = np.array(column(st.lists(_DOUBLES, min_size=dim, max_size=dim))).reshape(n, dim)
+        table = _built(EmbeddingTable, ids, matrix)
+        write, read = write_embeddings, lambda p: parse_embeddings(p)[0]
+    elif fmt == "trials":
+        columns = id_columns(column(_PLAIN), column(_PLAIN), column(_PLAIN))
+        table = _built(TrialColumns, *columns, column(st.integers(UNLABELED, 3)))
+        write, read = write_trials, parse_trials
+    elif fmt == "scores":
+        (ids,) = id_columns(column(_PLAIN, unique=True))
+        assume(len(set(ids)) == n)
+        score, passed, cer = column(_FINITE), column(st.booleans()), column(_FINITE)
+        table = _built(ScoreColumns, ids, np.array(score), np.array(passed, bool), np.array(cer))
+        write, read = write_scores, parse_scores
+    elif fmt == "enrollmap":
+        model_ids, phrase_ids = column(unique=True), column()
+        reps = column(st.tuples(*[_ROUND_TRIP_VALUES] * 3))
+        entries = map(partial(_built, EnrollEntry), model_ids, phrase_ids, reps)
+        table = [entry for entry in entries if entry is not None]
+        write, read = write_enrollmap, lambda p: list(parse_enrollmap(p).values())
+    else:
+        record, refusals, write, read = {
+            "phrases": (Phrase, (ValueError, EmptyReference), write_phrases, parse_phrases),
+            "transcripts": (Transcript, ValueError, write_transcripts, parse_transcripts),
+        }[fmt]
+        pairs = zip(column(unique=True), column())
+        built = (_built(record, key, text, refusals=refusals) for key, text in pairs)
+        table = {r.phrase_id if fmt == "phrases" else r.utt_id: r for r in built if r is not None}
+    if table is None:
+        return None, None
+    write(table, path)
+    return table, read(path)
+
+
+@pytest.mark.parametrize("fmt", ROUND_TRIP_FORMATS)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_every_record_is_refused_or_reads_back_equal(tmp_path, fmt, data):
+    """Scores and CERs compare at their written .6f and .4f, embeddings
+    bit for bit, everything else by ==."""
+    written, read = _written_and_read(data.draw, fmt, tmp_path / "f.tsv")
+    if fmt == "scores" and written is not None:
+        assert read.trial_ids == written.trial_ids
+        assert read.passed.tolist() == written.passed.tolist()
+        for column, spec in (("score", ".6f"), ("cer", ".4f")):
+            assert [format(v, spec) for v in getattr(read, column).tolist()] == [
+                format(v, spec) for v in getattr(written, column).tolist()
+            ]
+    elif fmt == "embeddings" and written is not None:
+        assert read.ids == written.ids and read.matrix.tobytes() == written.matrix.tobytes()
+        assert read.matrix.shape == written.matrix.shape
+    else:
+        assert read == written
 
 
 # -- detection metrics -----------------------------------------------------------

@@ -87,7 +87,7 @@ def _score_one(centroids, test_per_space, hyp_text, phrases, order=("a", "b")):
     transcripts = {} if hyp_text is None else {"u1": Transcript("u1", hyp_text)}
     run = score_all(
         trial_table([("t1", "m1", "u1")]), {"m1": EnrollEntry("m1", "p1", ("e1",) * 3)},
-        embedding_tables(tables), transcripts, phrases, GateConfig(), list(order),
+        embedding_tables(tables), transcripts, phrases, GateConfig(),
     )
     [score], [passed] = run.records.score.tolist(), run.records.passed.tolist()
     return score, passed
@@ -159,21 +159,16 @@ def _tiny_world():
 class TestBuildEnrollment:
     def test_happy_path(self):
         tables, entry, _ = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables))
         assert len(centroids) == 2
         assert centroids[0] == pytest.approx([1.0, 0.0], abs=1e-12)
         assert centroids[1] == pytest.approx([0.0, 1.0], abs=1e-12)
-
-    def test_missing_space_table(self):
-        tables, entry, _ = _tiny_world()
-        with pytest.raises(MissingSpace, match="'c'"):
-            build_enrollment(entry, embedding_tables(tables), ["a", "c"])
 
     def test_missing_rep(self):
         tables, entry, _ = _tiny_world()
         del tables["b"]["r1"]
         with pytest.raises(MissingSpace, match="'r1'"):
-            build_enrollment(entry, embedding_tables(tables), ["a", "b"])
+            build_enrollment(entry, embedding_tables(tables))
 
     def test_rep_count_pinned(self):
         with pytest.raises(ValueError):
@@ -187,7 +182,7 @@ class TestScoreTrial:
 
     def test_perfect_match_scores_one(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables))
         score, passed = _score_one(centroids, dict(zip("ab", centroids)), "open the door", phrases)
         assert passed
         assert score == pytest.approx(1.0, abs=1e-12)
@@ -195,7 +190,7 @@ class TestScoreTrial:
 
     def test_gate_fail_is_punitive_exactly(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables))
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         bad = "completely different words"
         score, passed = _score_one(centroids, test, bad, phrases)
@@ -207,7 +202,7 @@ class TestScoreTrial:
 
     def test_mean_of_per_space_cosines(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables))
         # centroids are [1,0] and [0,1]; pick tests with cosines 0.8 and 0.6
         test = {"a": np.array([0.8, 0.6]), "b": np.array([0.8, 0.6])}
         score, _ = _score_one(centroids, test, "open the door", phrases)
@@ -215,21 +210,21 @@ class TestScoreTrial:
 
     def test_missing_phrase(self):
         tables, entry, _ = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables))
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         with pytest.raises(MissingPhrase, match="^trial 't1': phrase 'p1'"):
             _score_one(centroids, test, "x", {})
 
     def test_missing_transcript(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables))
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         with pytest.raises(MissingTranscript, match="^trial 't1': .*'u1'"):
             _score_one(centroids, test, None, phrases)
 
     def test_missing_test_space(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables), ["a", "b"])
+        centroids = build_enrollment(entry, embedding_tables(tables))
         with pytest.raises(MissingSpace, match="^trial 't1': .*'b'"):
             _score_one(centroids, {"a": tables["a"]["u1"]}, "open the door", phrases)
 
@@ -245,7 +240,6 @@ class TestScoreAll:
         tables, entries, transcripts, phrases = _world_for_batch()
         run = score_all(
             trial_table([]), entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-            ["a", "b"],
         )
         assert len(run.records) == 0 and run.labels.size == 0 and run.skipped == []
 
@@ -261,7 +255,6 @@ class TestScoreAll:
         ])
         run = score_all(
             trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-            ["a", "b"],
         )
         assert run.records.trial_ids == ["t1", "t2", "t3"]
         assert run.labels.dtype == np.int8
@@ -282,11 +275,9 @@ class TestScoreAll:
         with pytest.raises(DuplicateId, match="trial 't1'"):
             score_all(
                 trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-                ["a", "b"],
             )
         run = score_all(
             trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-            ["a", "b"],
             strict=False,
         )
         assert len(run.records) == 1
@@ -299,7 +290,6 @@ class TestScoreAll:
         with pytest.raises(MissingModel) as exc_info:
             score_all(
                 trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-                ["a", "b"],
             )
         assert "t9" in str(exc_info.value) and "nope" in str(exc_info.value)
 
@@ -312,7 +302,6 @@ class TestScoreAll:
         ])
         run = score_all(
             trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-            ["a", "b"],
             strict=False,
         )
         assert run.records.trial_ids == ["t1"]
@@ -340,7 +329,7 @@ class TestScoreAll:
             rows.append((f"t{i}", "m1", uid))
         run = score_all(
             trial_table(rows), entries, embedding_tables(tables), transcripts, phrases,
-            GateConfig(), ["a", "b"],
+            GateConfig(),
         )
         assert len(run.records) == 50
         for score, passed in zip(run.records.score.tolist(), run.records.passed.tolist()):
@@ -372,13 +361,13 @@ class TestBatchPath:
             rows.append((f"t{i}", f"m{i % 5}", uid))
         run = score_all(
             trial_table(rows), entries, embedding_tables(tables), transcripts, phrases,
-            GateConfig(), order,
+            GateConfig(),
         )
         assert len(run.records) == 60
         assert run.records.score.dtype == np.float64
         for (_, model_id, test_id), score in zip(rows, run.records.score.tolist()):
             fused = fused_cosine_ref(
-                build_enrollment(entries[model_id], embedding_tables(tables), order),
+                build_enrollment(entries[model_id], embedding_tables(tables)),
                 [tables[s][test_id] for s in order],
             )
             assert abs(score - fused) <= 1e-12
@@ -403,7 +392,6 @@ class TestBatchPath:
         trials = trial_table((f"t{i}", "m1", f"v{i}") for i in range(4))
         run = score_all(
             trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-            ["a", "b"],
         )
         assert sorted(calls) == [("open the door", "open the door"), ("shut it", "open the door")]
         assert run.records.passed.tolist() == [True, True, False, False]
@@ -419,13 +407,11 @@ class TestBatchPath:
         with pytest.raises(DegenerateVector) as exc_info:
             score_all(
                 bad_first, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-                ["a", "b"],
             )
         assert str(exc_info.value) == "trial 't1': cannot normalize vector with norm 0.000e+00"
         trials = trial_table([("t0", "m1", "z1"), ("t1", "m1", "z2"), ("t2", "m1", "u1")])
         run = score_all(
             trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-            ["a", "b"],
             strict=False,
         )
         assert run.records.score[0] == -1.0
@@ -447,11 +433,10 @@ class TestBatchPath:
         with pytest.raises(DegenerateVector, match="^trial 't1': .*norm overflows$"):
             score_all(
                 trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-                ["a", "b"],
             )
         run = score_all(
             trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig(),
-            ["a", "b"], strict=False,
+            strict=False,
         )
         assert run.records.trial_ids == ["t0", "t2"] and run.records.score[0] == -1.0
         assert run.skipped == [
@@ -459,7 +444,7 @@ class TestBatchPath:
         ]
 
     def test_build_error_order(self):
-        # per space in declared order, a missing repetition before a
+        # per space in the mapping's order, a missing repetition before a
         # degenerate one: m2's zero repetition in space a is reported before
         # its repetition missing from space b
         tables, entries, transcripts, phrases = _world_for_batch()
@@ -470,12 +455,13 @@ class TestBatchPath:
         zero = "model 'm2' in space 'a': cannot normalize vector with norm 0.000e+00"
         missing = "repetition 'r9' of model 'm2' missing from space 'b'"
         for order, error, message in (
-            (["a", "b"], DegenerateVector, zero), (["b", "a"], MissingSpace, missing),
+            ("ab", DegenerateVector, zero), ("ba", MissingSpace, missing),
         ):
-            args = trials, entries, embedding_tables(tables), transcripts, phrases, GateConfig()
+            spaces = embedding_tables({space: tables[space] for space in order})
+            args = trials, entries, spaces, transcripts, phrases, GateConfig()
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
-                score_all(*args, order)
-            run = score_all(*args, order, strict=False)
+                score_all(*args)
+            run = score_all(*args, strict=False)
             assert run.skipped == [("t1", f"{error.__name__}: {message}")]
 
     def test_build_errors_stand_in_for_missing_model(self):
@@ -488,7 +474,7 @@ class TestBatchPath:
         rows = [("t1", "m2", "u1"), ("t2", "m1", "u1"), ("t3", "m2", "u1")]
         run = score_all(
             trial_table(rows), entries, embedding_tables(tables), transcripts, phrases,
-            GateConfig(), ["a", "b"],
+            GateConfig(),
             strict=False,
         )
         reason = f"MissingSpace: {build_error}"
@@ -498,14 +484,13 @@ class TestBatchPath:
         with pytest.raises(MissingSpace, match=f"^{build_error}$"):
             score_all(
                 trial_table(rows[1:2]), entries, embedding_tables(tables), transcripts, phrases,
-                GateConfig(), ["a", "b"],
+                GateConfig(),
             )
 
     def test_no_spaces_rejected(self):
         tables, entries, transcripts, phrases = _world_for_batch()
         with pytest.raises(ValueError):
             score_all(
-                trial_table([("t1", "m1", "u1")]), entries, embedding_tables(tables), transcripts,
-                phrases,
-                GateConfig(), [],
+                trial_table([("t1", "m1", "u1")]), entries, {}, transcripts, phrases,
+                GateConfig(),
             )

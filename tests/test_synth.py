@@ -47,7 +47,7 @@ class TestSpaceSpec:
         assert sp.name == "alpha"
 
     def test_bad_names(self):
-        for name in ("", "a b", "a:b", "a=b", "a\tb"):
+        for name in ("", "a b", "a:b", "a=b", "a\tb", "a/b"):
             with pytest.raises(ConfigInvalid):
                 SpaceSpec(name, 8, 0.0)
 
@@ -282,7 +282,7 @@ class TestGenDataset:
             entries = {e.model_id: e for e in ds.enroll_entries}
             run = score_all(
                 ds.trials, entries, ds.embeddings, ds.transcripts, ds.phrases,
-                GateConfig(), ds.space_order,
+                GateConfig(),
             )
             scores = run.records.score
             tc = scores[run.labels == LABEL_CODES[TrialLabel.TC]].mean()

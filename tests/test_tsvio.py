@@ -105,11 +105,11 @@ class TestEmbeddingsFormat:
                 write_embeddings(embedding_table({"ok": [1.0], bad: [2.0]}), path)
         assert not path.exists()
         # a lone surrogate, as surrogateescape decodes a stray byte, has no
-        # UTF-8 form; the error names its id before the file is opened
+        # UTF-8 form; no table holds one, so the file is never opened
         path.write_text("#dim 1\nold\t1\n", encoding="utf-8")
-        table = embedding_table({"ok": [1.0], "né": [2.0], "b\udc80c": [3.0], "z\udcff": [4.0]})
         with pytest.raises(ValueError, match="embedding id 'b\\\\udc80c' cannot be encoded"):
-            write_embeddings(table, path)
+            vectors = {"ok": [1.0], "né": [2.0], "b\udc80c": [3.0], "z\udcff": [4.0]}
+            write_embeddings(embedding_table(vectors), path)
         assert path.read_text(encoding="utf-8") == "#dim 1\nold\t1\n"
 
     def test_write_empty_table(self, tmp_path):
@@ -340,7 +340,7 @@ class TestScoresFormat:
         entries = {e.model_id: e for e in ds.enroll_entries}
         run = score_all(
             ds.trials, entries, ds.embeddings, ds.transcripts, ds.phrases,
-            GateConfig(), ds.space_order,
+            GateConfig(),
         )
         records = run.records
         assert records.passed.any() and not records.passed.all()
@@ -462,36 +462,31 @@ class TestNotUtf8:
         assert str(exc_info.value) == f"{path}:{tail}"
 
 
-# Per writer: the writer, what it writes with a lone surrogate (as
+# Per writer: a builder of what it would write with a lone surrogate (as
 # surrogateescape decodes a stray byte) after a valid row, and the field
-# its error names.
+# the error names. No such record can be built, so no writer opens its file
+# to write one.
 _BAD = "x\udcff"
 _UNWRITABLE = {
-    "embeddings": (write_embeddings, embedding_table({"ok": [1.0], _BAD: [2.0]}), "embedding id"),
-    "trials": (write_trials, trial_table([("t1", "m", "u"), ("t2", "m", _BAD)]), "test_id"),
+    "embeddings": (lambda: embedding_table({"ok": [1.0], _BAD: [2.0]}), "embedding id"),
+    "trials": (lambda: trial_table([("t1", "m", "u"), ("t2", "m", _BAD)]), "test_id"),
     "scores": (
-        write_scores, _score_columns(("t1", 0.5, True, 0.0), (_BAD, 0.5, True, 0.0)), "trial_id"
+        lambda: _score_columns(("t1", 0.5, True, 0.0), (_BAD, 0.5, True, 0.0)), "trial_id"
     ),
-    "transcripts": (
-        write_transcripts, {"u": Transcript("u", "ok"), "v": Transcript("v", _BAD)}, "text"
-    ),
-    "phrases": (write_phrases, {"p": Phrase("p", "ok"), _BAD: Phrase(_BAD, "ok")}, "phrase_id"),
+    "transcripts": (lambda: {"u": Transcript("u", "ok"), "v": Transcript("v", _BAD)}, "text"),
+    "phrases": (lambda: {"p": Phrase("p", "ok"), _BAD: Phrase(_BAD, "ok")}, "phrase_id"),
     "enrollmap": (
-        write_enrollmap,
-        [EnrollEntry("m1", "p", ("a", "b", "c")), EnrollEntry("m2", "p", ("a", _BAD, "c"))],
+        lambda: [EnrollEntry("m1", "p", ("a", "b", "c")), EnrollEntry("m2", "p", ("a", _BAD, "c"))],
         "rep_id",
     ),
 }
 
 
 @pytest.mark.parametrize("writer", sorted(_UNWRITABLE))
-def test_writer_checks_encoding_before_it_opens_the_file(tmp_path, writer):
-    write, data, what = _UNWRITABLE[writer]
-    path = tmp_path / "out.tsv"
-    path.write_bytes(b"old\tbytes\n")
+def test_writer_checks_encoding_before_it_opens_the_file(writer):
+    build, what = _UNWRITABLE[writer]
     with pytest.raises(ValueError, match=f"^{what} 'x\\\\udcff' cannot be encoded as UTF-8$"):
-        write(data, path)
-    assert path.read_bytes() == b"old\tbytes\n"
+        build()
 
 
 class TestDetFormat:
