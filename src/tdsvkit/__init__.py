@@ -39,8 +39,8 @@ _EXPORTS = {
     ),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
-# Every submodule, with the two whose names are not public names.
-_SUBMODULES = {*_EXPORTS, "tsvio", "cli"}
+# Every submodule, with the three whose names are not public names.
+_SUBMODULES = {*_EXPORTS, "tsvio", "cli", "embcache"}
 
 __all__ = [*_HOMES, "__version__"]
 

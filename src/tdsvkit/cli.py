@@ -8,7 +8,8 @@ Four batch subcommands wire the pipeline together:
     det        score file + labeled trials -> DET points TSV
 
 score and simulate import the scoring code and the generator as they run,
-so that evaluate and det load neither.
+so that evaluate and det load neither; score also imports the embedding
+cache (embcache), which serves a large embedding file it has parsed before.
 
 Any toolkit error prints a single machine-parseable stderr line
 `error=<ClassName>: <detail>` and exits 1; OS-level file problems report as
@@ -88,6 +89,7 @@ def _warn_unscored(n_unscored: int, trials_path) -> None:
 
 
 def cmd_score(args) -> int:
+    from .embcache import load
     from .scoring import score_all
 
     spaces = _parse_space_args(args.embeddings)
@@ -97,7 +99,7 @@ def cmd_score(args) -> int:
     phrases = tsvio.parse_phrases(args.phrases)
     transcripts = tsvio.parse_transcripts(args.transcripts)
     # The mapping's order, that of --embeddings, is the fusion order.
-    tables = {name: tsvio.parse_embeddings(path)[0] for name, path in spaces}
+    tables = {name: load(path)[0] for name, path in spaces}
     run = score_all(trials, entries, tables, transcripts, phrases, gate_cfg, strict=args.strict)
     tsvio.write_scores(run.records, args.out)
     for trial_id, reason in run.skipped:

@@ -6,13 +6,15 @@ floats serialized at 17 significant digits, which round-trips doubles
 exactly. Parsers raise a per-line diagnostic (path:line: detail) on any
 malformed input instead of crashing, bytes that are not UTF-8 included;
 writers emit deterministic bytes for identical inputs ("\\n" endings on
-every platform). A writer writes what its records hold and checks nothing:
-the record types check themselves when they are built (core.check_token,
-core.check_text), so a file written here of records with distinct ids
-reads back as those records. An embedding file of _SPLIT_BYTES or more is
-read and written in two processes, with the values, bytes and diagnostics
-of one pass. The record types read and written here come from core and
-textgate, so reading a file loads no scoring code.
+every platform). The record types check their values when they are built
+(core.check_token, core.check_text); a writer checks only what no one
+record can, that no two of its records share an id where the format has
+one record per id, and leaves an existing file as it was if they do. So
+every file written here reads back as its records. An embedding file of
+_SPLIT_BYTES or more is read and written in two processes, with the
+values, bytes and diagnostics of one pass. The record types read and
+written here come from core and textgate, so reading a file loads no
+scoring code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -41,6 +43,7 @@ from .core import (
     EnrollEntry,
     ScoreColumns,
     TrialColumns,
+    check_unique,
     undecodable,
 )
 from .errors import (
@@ -487,18 +490,19 @@ def parse_transcripts(path) -> dict:
     return _parse_id_text(path, Transcript)
 
 
-def _write_id_text(items: list, path) -> None:
+def _write_id_text(items: list, path, what: str) -> None:
+    check_unique([key for key, _ in items], what)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for key, text in items:
             f.write(f"{key}\t{text}\n")
 
 
 def write_phrases(phrases: Mapping, path) -> None:
-    _write_id_text([(p.phrase_id, p.text) for p in phrases.values()], path)
+    _write_id_text([(p.phrase_id, p.text) for p in phrases.values()], path, "phrase id")
 
 
 def write_transcripts(transcripts: Mapping, path) -> None:
-    _write_id_text([(t.utt_id, t.text) for t in transcripts.values()], path)
+    _write_id_text([(t.utt_id, t.text) for t in transcripts.values()], path, "utterance id")
 
 
 def parse_enrollmap(path) -> dict:
@@ -530,6 +534,7 @@ def parse_enrollmap(path) -> dict:
 
 
 def write_enrollmap(entries: Sequence, path) -> None:
+    check_unique([e.model_id for e in entries], "model id")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for e in entries:
             f.write(f"{e.model_id}\t{e.phrase_id}\t{','.join(e.rep_ids)}\n")

@@ -1,12 +1,14 @@
 """The package's public name list, its import contract and the README's
 Python API example."""
 
+import io
 import os
 import pickle
 import re
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import tdsvkit
@@ -32,11 +34,12 @@ PUBLIC_NAMES = [
 ]
 
 
-def _loaded_after(statement):
-    """The tdsvkit modules a fresh interpreter holds after running statement."""
+def _loaded_after(statement, roots=("tdsvkit",)):
+    """The modules under roots a fresh interpreter holds after running
+    statement; whatever the statement prints comes first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tdsvkit'))"
+    code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
@@ -72,6 +75,43 @@ def test_cli_loads_neither_scoring_nor_synth():
     assert "tdsvkit.cli" in loaded
     assert "tdsvkit.scoring" not in loaded and "tdsvkit.synth" not in loaded
     assert "tdsvkit.scoring" not in _loaded_after("import tdsvkit.synth")
+
+
+def test_cli_loads_neither_the_cache_nor_openssl():
+    loaded = _loaded_after("import tdsvkit.cli", ("tdsvkit", "_hashlib"))
+    assert "tdsvkit.cli" in loaded
+    assert "tdsvkit.embcache" not in loaded and "_hashlib" not in loaded
+
+
+def test_evaluate_and_det_do_not_load_the_cache(tmp_path):
+    scores, trials = tmp_path / "scores.tsv", tmp_path / "trials.tsv"
+    scores.write_text("t1\t0.500000\tPASS\t0.0000\nt2\t0.100000\tPASS\t0.0000\n", encoding="utf-8")
+    trials.write_text("t1\tm1\tu1\tTC\nt2\tm1\tu2\tIC\n", encoding="utf-8")
+    files = ["--scores", str(scores), "--trials", str(trials)]
+    for argv in (["evaluate", *files], ["det", *files, "--out", str(tmp_path / "det.tsv")]):
+        loaded = _loaded_after(f"from tdsvkit.cli import main; assert main({argv!r}) == 0")
+        assert "tdsvkit.metrics" in loaded and "tdsvkit.embcache" not in loaded
+
+
+def test_score_path_loads_no_openssl(tmp_path, monkeypatch):
+    from tdsvkit import tsvio
+    from tdsvkit.cli import main
+
+    data = tmp_path / "data"
+    with redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--n-speakers", "80", "--space", "a:256:0.5", "--out", str(data)]) == 0
+    assert os.path.getsize(data / "embeddings_a.tsv") >= tsvio._SPLIT_BYTES
+    argv = ["score"] + [
+        a for name in ("trials", "enrollmap", "phrases", "transcripts")
+        for a in (f"--{name}", str(data / f"{name}.tsv"))
+    ] + ["--embeddings", f"a={data / 'embeddings_a.tsv'}", "--out", str(tmp_path / "s.tsv")]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    for run in ("miss", "hit"):
+        loaded = _loaded_after(
+            f"from tdsvkit.cli import main; assert main({argv!r}) == 0", ("tdsvkit", "_hashlib")
+        )
+        assert "tdsvkit.embcache" in loaded and "_hashlib" not in loaded, run
+        assert len(os.listdir(tmp_path / "cache" / "tdsvkit")) == 1, run
 
 
 def test_submodule_resolves_after_plain_import():

@@ -40,6 +40,7 @@ from oracles import (
 )
 from tdsvkit import (
     DcfParams,
+    DuplicateId,
     EmbeddingTable,
     EmptyReference,
     EnrollEntry,
@@ -868,13 +869,24 @@ def _built(build, *args, refusals=ValueError):
         return None
 
 
+# The id of a record in the formats whose writer refuses a repeated id.
+_RECORD_IDS = {"phrases": "phrase_id", "transcripts": "utt_id", "enrollmap": "model_id"}
+
+
 def _written_and_read(draw, fmt, path):
     """(the records built, what the reader returns for the file the writer
-    wrote of them); a table refused as a whole is (None, None)."""
+    wrote of them); a table refused as a whole, when built or by its writer,
+    is (None, None). A writer that refuses leaves the file as it was."""
     n = draw(st.integers(0, 4))
 
-    def column(values=_ROUND_TRIP_VALUES, unique=False):
-        return draw(st.lists(values, min_size=n, max_size=n, unique=unique))
+    def column(values=_ROUND_TRIP_VALUES, unique=False, repeat=False):
+        """n values; a unique column of ids that a writer checks (repeat)
+        may still get one repeated value."""
+        values = draw(st.lists(values, min_size=n, max_size=n, unique=unique))
+        if repeat and n > 1 and draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            values[j] = values[i]
+        return values
 
     def id_columns(*columns):
         """A table's id columns of plain values, but for one hostile value,
@@ -901,22 +913,34 @@ def _written_and_read(draw, fmt, path):
         table = _built(ScoreColumns, ids, np.array(score), np.array(passed, bool), np.array(cer))
         write, read = write_scores, parse_scores
     elif fmt == "enrollmap":
-        model_ids, phrase_ids = column(unique=True), column()
+        model_ids, phrase_ids = column(unique=True, repeat=True), column()
         reps = column(st.tuples(*[_ROUND_TRIP_VALUES] * 3))
         entries = map(partial(_built, EnrollEntry), model_ids, phrase_ids, reps)
         table = [entry for entry in entries if entry is not None]
         write, read = write_enrollmap, lambda p: list(parse_enrollmap(p).values())
     else:
-        record, refusals, write, read = {
+        record, refusals, writer, parser = {
             "phrases": (Phrase, (ValueError, EmptyReference), write_phrases, parse_phrases),
             "transcripts": (Transcript, ValueError, write_transcripts, parse_transcripts),
         }[fmt]
-        pairs = zip(column(unique=True), column())
+        pairs = zip(column(unique=True, repeat=True), column())
         built = (_built(record, key, text, refusals=refusals) for key, text in pairs)
-        table = {r.phrase_id if fmt == "phrases" else r.utt_id: r for r in built if r is not None}
+        table = [r for r in built if r is not None]
+        # keyed by position, as a mapping's keys need not be its records' ids
+        write, read = (
+            lambda records, p: writer(dict(enumerate(records)), p),
+            lambda p: list(parser(p).values()),
+        )
     if table is None:
         return None, None
-    write(table, path)
+    path.write_bytes(b"old\n")
+    try:
+        write(table, path)
+    except DuplicateId:
+        ids = [getattr(r, _RECORD_IDS[fmt]) for r in table]
+        assert len(set(ids)) < len(ids)
+        assert path.read_bytes() == b"old\n"
+        return None, None
     return table, read(path)
 
 

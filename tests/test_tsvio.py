@@ -489,6 +489,31 @@ def test_writer_checks_encoding_before_it_opens_the_file(writer):
         build()
 
 
+# Per writer of a one-record-per-id format: two records that share an id,
+# the writer, and the name the error gives the id.
+_SHARED_ID = {
+    "transcripts": (
+        {"a": Transcript("u1", "x"), "b": Transcript("u1", "y")}, write_transcripts, "utterance id"
+    ),
+    "phrases": ({"a": Phrase("p1", "x"), "b": Phrase("p1", "y")}, write_phrases, "phrase id"),
+    "enrollmap": (
+        [EnrollEntry("m1", "p", ("a", "b", "c")), EnrollEntry("m1", "q", ("d", "e", "f"))],
+        write_enrollmap,
+        "model id",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_SHARED_ID))
+def test_writer_refuses_a_shared_id_before_it_opens_the_file(tmp_path, fmt):
+    records, write, what = _SHARED_ID[fmt]
+    path = tmp_path / "f.tsv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(DuplicateId, match=f"^duplicate {what} '(u1|p1|m1)'$"):
+        write(records, path)
+    assert path.read_bytes() == b"old\n"
+
+
 class TestDetFormat:
     def test_header_and_rows(self, tmp_path):
         points = ErrorRates(
