@@ -134,9 +134,7 @@ def cmd_evaluate(args) -> int:
         ("eer", f"{eer_value:.6f}"),
         ("skipped", len(codes) - targets.size - nontargets.size),
     ]
-    for key, value in report:
-        print(f"{key}={value}")
-    if args.json is not None:
+    if args.json is not None:  # written first, so that a failed write prints no report
         payload = dict(report)
         payload["min_dcf"] = mdcf
         payload["argmin_threshold"] = threshold
@@ -144,6 +142,8 @@ def cmd_evaluate(args) -> int:
         with open(args.json, "w", encoding="utf-8", newline="\n") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
+    for key, value in report:
+        print(f"{key}={value}")
     _warn_unscored(n_unscored, args.trials)
     return 0
 

@@ -1,13 +1,14 @@
 """Shared record types and elementary vector operations.
 
-Every record type the readers, writers, generator and scorer pass between
-them lives here: a trial list is one TrialColumns table, an embedding space
-one EmbeddingTable (ids plus an (N, D) float64 matrix), an enrollmap record
-one EnrollEntry and a score set one ScoreColumns table. Each checks itself
-when it is built, by check_token and check_text: the package's one rule for
-what a TSV value may hold. Every public operation validates its inputs and
-works in double precision. All functions here are pure and safe for
-concurrent use.
+The record types the readers, writers, generator and scorer pass between
+them live here, but for Phrase and Transcript, which live in textgate with
+the gate that compares them: a trial list is one TrialColumns table, an
+embedding space one EmbeddingTable (ids plus an (N, D) float64 matrix), an
+enrollmap record one EnrollEntry and a score set one ScoreColumns table.
+Each checks itself when it is built, by check_token and check_text: the
+package's one rule for what a TSV value may hold. Every public operation
+validates its inputs and works in double precision. All functions here are
+pure and safe for concurrent use.
 """
 
 import re
@@ -123,7 +124,8 @@ class TrialColumns:
     synth.gen_dataset builds it and scoring.score_all scores it. labels
     holds int8 label codes (LABEL_CODES; UNLABELED for no label). len() is
     the number of rows. Columns of different lengths, an id that
-    check_token rejects, or a code outside UNLABELED..3 raise ValueError."""
+    check_token rejects, a code outside UNLABELED..3, or float or bool codes
+    in a column that is not empty raise ValueError."""
 
     trial_ids: list
     model_ids: list
@@ -137,6 +139,8 @@ class TrialColumns:
             raise ValueError("trial columns differ in length")
         for what, ids in columns.items():
             check_tokens(ids, what)
+        if codes.size and codes.dtype.kind not in "iu":
+            raise ValueError(f"label codes must be integers, got {codes.dtype} codes")
         bad = codes[(codes < UNLABELED) | (codes >= len(TrialLabel))]
         if bad.size:
             raise ValueError(f"label code {bad[0]} is not in {UNLABELED}..{len(TrialLabel) - 1}")
@@ -208,7 +212,8 @@ class ScoreColumns:
     is the number of rows. Columns of different lengths, a trial id that
     check_token rejects, a passed column that is not bool, or a score or
     CER that is not finite raise ValueError, and a trial id listed twice
-    DuplicateId. The columns are checked as given, never converted."""
+    DuplicateId. A value column is kept as np.asarray gives it: an array
+    as given, never converted, and a list as an array."""
 
     trial_ids: list
     score: np.ndarray  # float64
@@ -216,10 +221,12 @@ class ScoreColumns:
     cer: np.ndarray  # float64
 
     def __post_init__(self):
+        for what in ("score", "passed", "cer"):
+            object.__setattr__(self, what, np.asarray(getattr(self, what)))
         if {len(self.score), len(self.passed), len(self.cer)} != {len(self.trial_ids)}:
             raise ValueError("score columns differ in length")
         check_tokens(self.trial_ids, "trial_id")
-        if np.asarray(self.passed).dtype != bool:
+        if self.passed.dtype != bool:
             raise ValueError("the passed column must be bool")
         for what in ("score", "cer"):
             if not np.isfinite(getattr(self, what)).all():

@@ -10,11 +10,13 @@ every platform). The record types check their values when they are built
 (core.check_token, core.check_text); a writer checks only what no one
 record can, that no two of its records share an id where the format has
 one record per id, and leaves an existing file as it was if they do. So
-every file written here reads back as its records. An embedding file of
-_SPLIT_BYTES or more is read and written in two processes, with the
-values, bytes and diagnostics of one pass. The record types read and
-written here come from core and textgate, so reading a file loads no
-scoring code.
+every file written here reads back as its records. One reader parses every
+embedding file, in two processes when it is _SPLIT_BYTES or more and the
+host can fork onto a second CPU, and in one part otherwise; a file it
+refuses is scanned line by line, which names the first bad line. The
+writer splits such files too, with the bytes of one process. The record
+types read and written here come from core and textgate, so reading a
+file loads no scoring code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -225,44 +227,29 @@ def _in_two_parts(first, second) -> Optional[tuple]:
 def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     """Read one embedding space; returns (its EmbeddingTable, declared dim).
 
-    A file that _splits is read in two processes (_parse_split). A file that
-    does not, or that shows any anomaly there, is read in one pass
-    (_parse_one_pass), so the values and the diagnostics are those of the
-    one pass either way.
+    _parse_parts reads the file, in one part or, when it _splits, in two
+    processes. A file it refuses is read again by _scan_embeddings, which
+    names the first bad line, so the values and the diagnostics are those
+    of the scan either way.
     """
-    if _splits(os.path.getsize(path)):
-        parsed = _parse_split(path)
-        if parsed is not None:
-            return parsed
-    return _parse_one_pass(path)
+    parsed = _parse_parts(path)
+    return parsed if parsed is not None else _scan_embeddings(path)
 
 
-def _parse_one_pass(path) -> Tuple[EmbeddingTable, int]:
-    """parse_embeddings in one pass, naming the first bad line.
+def _scan_embeddings(path) -> Tuple[EmbeddingTable, int]:
+    """parse_embeddings line by line, naming the first bad line.
 
-    A first pass counts the rows, so that each row is parsed straight into
-    its row of one matrix. A row's id is checked first, then its values are
-    parsed in one call and checked as a whole; values that fail that check
-    are re-scanned one by one, so the diagnostic names the same line and
-    column as a per-value parse would.
+    A row's id is checked first, then its values are parsed in one call and
+    checked as a whole; values that fail that check are re-scanned one by
+    one, so the diagnostic names the same line and column as a per-value
+    parse would. The rows are stacked into one matrix at the end.
     """
     with _reading(path) as f:
         header = f.readline().rstrip("\n")
         _check_utf8(path, header)
         dim = _declared_dim(path, header)
-        n_rows = n_chars = 0
-        for raw in f:
-            if raw != "\n":
-                n_rows += 1
-                n_chars += len(raw)
-        # A row of dim values takes at least 2 * dim + 1 characters. When the
-        # rows cannot all hold dim values no matrix is allocated, for some
-        # row will fail its value count.
-        matrix = np.empty((n_rows, dim)) if n_rows * (2 * dim + 1) <= n_chars else None
-        f.seek(0)
-        f.readline()
-        ids, seen = [], set()
-        for i, (n, line) in enumerate(_lines(path, f, start=2)):
+        ids, rows, seen = [], [], set()
+        for n, line in _lines(path, f, start=2):
             utt_id, tab, rest = line.partition("\t")
             if not tab:
                 raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
@@ -280,54 +267,58 @@ def _parse_one_pass(path) -> Tuple[EmbeddingTable, int]:
                     _finite_field(path, n, col, token)
             if values.size != dim:
                 raise DimMismatch(path, n, f"expected {dim} values, got {values.size}")
-            if matrix is not None:
-                matrix[i] = values
             seen.add(utt_id)
             ids.append(utt_id)
-    return EmbeddingTable(ids, matrix), dim
+            rows.append(values)
+    return EmbeddingTable(ids, np.reshape(rows, (len(rows), dim))), dim
 
 
-def _parse_split(path) -> Optional[Tuple[EmbeddingTable, int]]:
-    """parse_embeddings in two processes, or None on any anomaly.
+def _parse_parts(path) -> Optional[Tuple[EmbeddingTable, int]]:
+    """parse_embeddings by _parse_rows, or None for a file it refuses.
 
-    The rows split at the first line start at or after the file's byte
-    midpoint. _parse_rows parses each part into one matrix in shared
-    memory: the first part here, the second in a forked child that pipes
-    back only its ids. Only the first part's rows are counted first; the
-    second part gets room for as many rows as its bytes could hold. Any
-    anomaly returns None, so that the one pass names the first bad line: a
-    bad header or row, an id repeated anywhere in the file, a \\r, a blank
-    line, a missing final newline, bytes that are not UTF-8, a part without
-    rows, or a child that fails.
+    A file that does not _splits is read in one part. One that does is split
+    at the first line start at or after its byte midpoint, and each part is
+    parsed into one matrix in shared memory: the first part here, the second
+    in a forked child that pipes back only its ids. The first part's
+    newlines are counted, so that its rows fill the matrix's first rows;
+    the one part or the second gets room for as many rows as its bytes
+    could hold. None is returned for anything the scan must name or this
+    reader does not take: a bad header or row, an id repeated anywhere in
+    the file, a \\r that does not end a line, bytes that are not UTF-8, a
+    blank line in the first of two parts, or a child that fails.
     """
     import mmap  # here, as only a split needs it
 
     try:
         with open(path, "rb") as f:
-            header = f.readline()
-            if not header.endswith(b"\n") or b"\r" in header:
-                return None
-            dim = _declared_dim(path, header[:-1].decode())
-            body = f.tell()
+            header = f.readline().removesuffix(b"\n").removesuffix(b"\r")
+            dim = _declared_dim(path, header.decode())
+            body = mid = f.tell()
             size = f.seek(0, os.SEEK_END)
-            f.seek(max(size // 2, body) - 1)
-            f.readline()
-            mid = f.tell()
+            if _splits(size):
+                f.seek(max(size // 2, body) - 1)
+                f.readline()
+                mid = f.tell() if f.tell() < size else body
             n_head = _count_newlines(f, body, mid)
-        # A row of dim values takes at least 2 * dim + 2 bytes (see
-        # _parse_one_pass), which bounds the second part's row count.
-        n_tail = (size - mid) // (2 * dim + 2)
-        if not n_head or not n_tail or n_head * (2 * dim + 2) > mid - body:
+        # A row of dim values takes at least 2 * dim + 1 bytes and a line end,
+        # but for the file's last row, which bounds a part's row count.
+        row_bytes = 2 * dim + 2
+        n_tail = (size - mid + 1) // row_bytes
+        if n_head * row_bytes > mid - body:
             return None
-        matrix = np.frombuffer(mmap.mmap(-1, (n_head + n_tail) * dim * 8), np.float64)
-        matrix = matrix.reshape(n_head + n_tail, dim)
-        parts = _in_two_parts(
-            lambda: _parse_rows(path, body, mid, matrix[:n_head]),
-            lambda: marshal.dumps(_parse_rows(path, mid, size, matrix[n_head:])),
-        )
-        if parts is None:
-            return None
-        ids = parts[0] + marshal.loads(parts[1])
+        if mid == body:
+            matrix = np.empty((n_tail, dim))
+            ids = _parse_rows(path, body, size, matrix)
+        else:
+            matrix = np.frombuffer(mmap.mmap(-1, (n_head + n_tail) * dim * 8), np.float64)
+            matrix = matrix.reshape(n_head + n_tail, dim)
+            parts = _in_two_parts(
+                lambda: _parse_rows(path, body, mid, matrix[:n_head]),
+                lambda: marshal.dumps(_parse_rows(path, mid, size, matrix[n_head:])),
+            )
+            if parts is None or len(parts[0]) != n_head:
+                return None
+            ids = parts[0] + marshal.loads(parts[1])
         return EmbeddingTable(ids, matrix[: len(ids)]), dim
     except (OSError, ValueError, TdsvError):  # UnicodeDecodeError, BadHeader among them
         return None
@@ -345,23 +336,27 @@ def _count_newlines(f, start: int, end: int) -> int:
 
 def _parse_rows(path, start: int, stop: int, out: np.ndarray) -> list:
     """Parse the lines in bytes [start, stop) of path into the first rows of
-    out, one line a row, and return their ids. Each line must end in a
-    newline, be UTF-8 without a \\r, and hold an id, a tab and one float()
-    token a column, and the lines must fit out and end at stop, or
-    ValueError is raised; EmbeddingTable checks the ids and values."""
+    out, one row a line that is not blank, and return their ids. A line
+    ends in \\n, in \\r\\n or at the end of the file; it must be UTF-8 with
+    no other \\r and hold an id, a tab and one float() token a column, and
+    the rows must fit out, or ValueError is raised; EmbeddingTable checks
+    the ids and values."""
     ids = []
     dim = out.shape[1]
     with open(path, "rb") as f:
         f.seek(start)
-        for row, raw in zip(out, f):
-            utt_id, tab, rest = raw[:-1].decode().partition("\t")
-            tokens = rest.split(" ")
-            if not tab or len(tokens) != dim or raw[-1:] != b"\n" or b"\r" in raw:
-                raise ValueError("not an embedding row of the declared dim")
-            row[:] = np.fromiter(map(float, tokens), np.float64, dim)
-            ids.append(utt_id)
-        if f.tell() != stop:
-            raise ValueError("the rows do not end where the part does")
+        for raw in f:
+            if start >= stop:
+                break
+            start += len(raw)
+            line = raw.removesuffix(b"\n").removesuffix(b"\r")
+            if line:
+                utt_id, tab, rest = line.decode().partition("\t")
+                tokens = rest.split(" ")
+                if not tab or len(tokens) != dim or b"\r" in line or len(ids) == len(out):
+                    raise ValueError("not an embedding row of the declared dim")
+                out[len(ids)] = np.fromiter(map(float, tokens), np.float64, dim)
+                ids.append(utt_id)
     return ids
 
 

@@ -309,6 +309,17 @@ class TestErrorContract:
         assert code == 1
         assert err.startswith("error=IoError:")
 
+    def test_unwritable_json_report_prints_no_report(self, tmp_path):
+        data = simulate(tmp_path, seed=5)
+        scores = tmp_path / "scores.tsv"
+        assert run_cli(score_args(data, scores))[0] == 0
+        code, out, err = run_cli([
+            "evaluate", "--scores", str(scores), "--trials", str(data / "trials.tsv"),
+            "--json", str(tmp_path / "missing" / "r.json"),
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith("error=IoError:") and err.count("\n") == 1
+
     def test_bad_embeddings_header(self, tmp_path):
         data = simulate(tmp_path, seed=5)
         bad = tmp_path / "bad.tsv"

@@ -25,7 +25,7 @@ from tdsvkit import (
 )
 from tdsvkit.core import check_token, check_unique, normalize_rows
 from tdsvkit.errors import TdsvError
-from tdsvkit.tsvio import parse_scores
+from tdsvkit.tsvio import parse_scores, write_scores
 
 
 class TestNormalizeRows:
@@ -209,6 +209,16 @@ class TestTrialTypes:
             with pytest.raises(ValueError, match=f"^label code {code} is not in -1..3$"):
                 TrialColumns(["t1", "t2"], ["m1", "m1"], ["u1", "u2"], [0, code])
 
+    @pytest.mark.parametrize("code", [0.5, 2.9, 3.7, True])
+    def test_codes_that_are_not_whole_numbers(self, code):
+        # astype(int8) would read these as TC, IC, IW and TW
+        with pytest.raises(ValueError, match="^label codes must be integers, got"):
+            TrialColumns(["t1"], ["m1"], ["u1"], [code])
+
+    def test_empty_label_column_of_any_dtype(self):
+        for codes in ([], np.array([]), np.array([], bool)):
+            assert TrialColumns([], [], [], codes).labels.dtype == np.int8
+
     def test_token_validation(self):
         # each id column fails as check_token fails on its first bad id
         for column, what in enumerate(("trial_id", "model_id", "test_id")):
@@ -336,6 +346,12 @@ class TestScoreColumns:
         score = np.array([0.5, -1.0], dtype=np.float32)
         assert ScoreColumns(["a", "b"], score, columns.passed, columns.cer).score is score
         assert len(ScoreColumns([], np.array([]), np.array([], bool), np.array([]))) == 0
+
+    def test_lists_become_arrays(self, tmp_path):
+        columns = ScoreColumns(["t1", "t2"], [0.5, -0.2], [True, False], [0.1, 0.2])
+        path = tmp_path / "scores.tsv"
+        write_scores(columns, path)
+        assert parse_scores(path) == columns
 
     def test_columns_of_different_lengths(self):
         for columns in (

@@ -234,6 +234,40 @@ def _check_parse_embeddings(tmp_path, defect, data):
         assert isinstance(expected[0], type) and issubclass(expected[0], TdsvError)
 
 
+@st.composite
+def relaid_files(draw, defect):
+    """An embedding file of embedding_files, laid out as text mode reads it
+    the same: each line end \\n or \\r\\n, blank lines anywhere after the
+    header, and the last line with or without its line end."""
+    lines = draw(embedding_files(defect)).split("\n")[:-1]
+    ends = st.sampled_from(["\n", "\r\n"])
+    text = lines[0] + draw(ends)
+    for line in lines[1:]:
+        text += "".join(draw(st.lists(ends, max_size=2))) + line + draw(ends)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@pytest.mark.parametrize("split", [False, pytest.param(True, marks=split_host)])
+@pytest.mark.parametrize("defect", DEFECTS)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_parse_embeddings_reads_any_line_layout(tmp_path, monkeypatch, split, defect, data):
+    # in one part the reader takes every such layout, and the scan is left
+    # only the files it must name a bad line of
+    if split:
+        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+    path = tmp_path / "e.tsv"
+    path.write_text(data.draw(relaid_files(defect)), encoding="utf-8", newline="")
+    expected = _outcome(parse_embeddings_ref, str(path))
+    assert _outcome(parse_embeddings, str(path)) == expected
+    if not split and not isinstance(expected[0], type):
+        assert _outcome(tsvio._parse_parts, str(path)) == expected
+
+
 # Doubles at the edges of the 17-digit text: signed zeros, subnormals, the
 # normal boundary, the largest finite values, and integers past 2**53.
 _EDGE_DOUBLES = st.sampled_from([

@@ -2,6 +2,7 @@
 
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,45 @@ class TestEmbeddingsFormat:
                 )
         table, dim = parse_embeddings(_write(tmp_path / "e.tsv", f"#dim {largest}\n"))
         assert dim == largest and table.matrix.shape == (0, largest)
+
+    def test_rows_are_bounded_by_the_bytes(self, tmp_path):
+        # a header-only file of a huge dim allocates no rows of that size,
+        # which a host that overcommits memory would grant
+        path = _write(tmp_path / "e.tsv", "#dim 100000000000\n")
+        tracemalloc.start()
+        try:
+            table, dim = parse_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (table.ids, table.matrix.shape, dim) == ([], (0, 10**11), 10**11)
+        assert peak < 1 << 20
+
+    # Layouts text mode reads as the plain file, each read without the scan.
+    LAYOUTS = {
+        "\\r\\n line ends": "#dim 2\r\nu1\t1 2\r\nu2\t3 4\r\n",
+        "no final newline": "#dim 2\nu1\t1 2\nu2\t3 4",
+        "blank lines": "#dim 2\n\nu1\t1 2\n\r\n\nu2\t3 4\n\n",
+        "\\r ending the file": "#dim 2\nu1\t1 2\nu2\t3 4\r",
+        "header only, no newline": "#dim 2",
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_layout_read_without_the_scan(self, tmp_path, monkeypatch, layout):
+        path = tmp_path / "e.tsv"
+        path.write_bytes(self.LAYOUTS[layout].encode())
+        monkeypatch.setattr(tsvio, "_scan_embeddings", _no_scan)
+        n = 0 if layout.startswith("header") else 2
+        assert _outcome(path) == (["u1", "u2"][:n], np.array([[1.0, 2], [3, 4]])[:n].tobytes())
+
+    @pytest.mark.parametrize(
+        "text", ["#dim 2\nu1\t1\r2\n", "#dim 2\ru1\t1 2\n", "#dim 1\nu\xe9\t1\n"]
+    )
+    def test_text_the_reader_leaves_to_the_scan(self, tmp_path, text):
+        # a \r that does not end a line, or bytes that are not UTF-8
+        path = tmp_path / "e.tsv"
+        path.write_bytes(text.encode("latin-1"))
+        assert tsvio._parse_parts(path) is None
 
 
 class TestTrialsFormat:
@@ -582,13 +622,17 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _no_scan(path):
+    raise AssertionError(f"{path} was left to the scan")
+
+
 @pytest.mark.skipif(
     not tsvio._splits(tsvio._SPLIT_BYTES), reason="no two-process path on this host"
 )
 class TestSplitFiles:
     """Embedding files of at least _SPLIT_BYTES, read and written in two
-    processes: the values, bytes and diagnostics of one pass, and no child
-    process left behind on any path."""
+    processes: the values, bytes and diagnostics of one part and of the
+    scan, and no child process left behind on any path."""
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -619,9 +663,15 @@ class TestSplitFiles:
         return calls
 
     @staticmethod
-    def one_pass(path, monkeypatch):
+    def one_part(path, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(tsvio, "_SPLIT_BYTES", float("inf"))
+            return _outcome(path)
+
+    @staticmethod
+    def scan(path, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(tsvio, "_parse_parts", lambda path: None)
             return _outcome(path)
 
     def test_roundtrip(self, forks, path):
@@ -636,8 +686,8 @@ class TestSplitFiles:
         "id of the first part": lambda row: "u7" + row[row.index("\t"):],
         "empty id": lambda row: row[row.index("\t"):],
         "byte not UTF-8": lambda row: row[:-3] + "\udcff" + row[-2:],
-        # one line to the split parse, two to the one pass, which reads in
-        # text mode; float() reads "\r0.5" as 0.5
+        # one line to the reader, which refuses it, two to the scan, which
+        # reads in text mode; float() reads "\r0.5" as 0.5
         "lone \\r after the tab": lambda row: row.replace("\t", "\t\r", 1),
     }
 
@@ -649,23 +699,40 @@ class TestSplitFiles:
         outcome = _outcome(path)
         assert isinstance(outcome[0], type) and issubclass(outcome[0], TdsvError)
         assert outcome[1].startswith(f"{path}:4001: ")
-        assert outcome == self.one_pass(path, monkeypatch)
+        assert outcome == self.one_part(path, monkeypatch) == self.scan(path, monkeypatch)
         assert len(forks) == 1
         _no_child_left()
 
-    # Text that one pass reads and the two-process path leaves to it.
+    # Layouts that text mode reads as the unedited file.
     FILE_EDITS = {
         "\\r\\n line ends": lambda text: text.replace("\n", "\r\n"),
-        "blank lines": lambda text: text.replace("\n", "\n\n"),
         "no final newline": lambda text: text[:-1],
+        "one trailing blank line": lambda text: text + "\n",
+        "blank lines": lambda text: text.replace("\n", "\n\n"),
     }
 
     @pytest.mark.parametrize("edit", FILE_EDITS)
-    def test_text_left_to_one_pass(self, path, monkeypatch, edit):
+    def test_layout_gives_the_unedited_table(self, path, monkeypatch, edit):
         expected = _outcome(path)
         text = path.read_text(encoding="utf-8")
         path.write_text(self.FILE_EDITS[edit](text), encoding="utf-8", newline="")
-        assert _outcome(path) == self.one_pass(path, monkeypatch) == expected
+        assert _outcome(path) == self.one_part(path, monkeypatch) == expected
+        assert self.scan(path, monkeypatch) == expected
+        _no_child_left()
+
+    @pytest.mark.parametrize("edit", FILE_EDITS)
+    def test_layout_read_without_the_scan(self, path, monkeypatch, forks, edit):
+        # in one part each layout, in two all but blank lines in the first
+        text = path.read_text(encoding="utf-8")
+        path.write_text(self.FILE_EDITS[edit](text), encoding="utf-8", newline="")
+        expected = self.scan(path, monkeypatch)
+        scans, real = [], tsvio._scan_embeddings
+        monkeypatch.setattr(tsvio, "_scan_embeddings", lambda p: scans.append(p) or real(p))
+        assert self.one_part(path, monkeypatch) == expected
+        assert (forks, scans) == ([], [])
+        assert _outcome(path) == expected
+        assert forks == [True]
+        assert len(scans) == (edit == "blank lines")
         _no_child_left()
 
     def test_child_that_dies(self, path, tmp_path, monkeypatch, forks):
@@ -678,7 +745,7 @@ class TestSplitFiles:
         write_embeddings(table, again)
         assert forks == [False, False]
         assert again.read_bytes() == path.read_bytes()
-        assert _outcome(path) == self.one_pass(path, monkeypatch)
+        assert _outcome(path) == self.one_part(path, monkeypatch) == self.scan(path, monkeypatch)
         _no_child_left()
 
     def test_interrupt_in_the_parent(self, path, monkeypatch):
