@@ -4,8 +4,11 @@ Implements the SRE08-style detection cost function, its normalized minimum
 over decision thresholds, equal error rate, DET operating points, and trial
 subset selection. Candidate thresholds are the midpoints between adjacent
 distinct scores plus one sentinel below the minimum and one above the
-maximum; the decision rule is accept iff score >= threshold. Along ascending
-thresholds p_miss is non-decreasing and p_fa is non-increasing.
+maximum; the decision rule is accept iff score >= threshold. At float64's
+edges a midpoint whose sum overflows is lo / 2 + hi / 2, one that rounds onto
+lo is hi, and the upper sentinel is at least the float after the maximum, so
+thresholds strictly ascend and each gap lo < hi holds one in (lo, hi]. Along
+ascending thresholds p_miss is non-decreasing and p_fa is non-increasing.
 
 Labeled scores travel as columns: a score array and a label-code array
 (core.LABEL_CODES). One sweep yields the threshold, p_miss and p_fa arrays
@@ -109,10 +112,13 @@ def sweep(target_scores, nontarget_scores) -> ErrorRates:
     if not n_nontarget:
         raise NoNonTargets("score set has no non-target records")
     distinct = np.unique(np.concatenate([targets_sorted, nontargets_sorted]))
-    midpoints = (distinct[:-1] + distinct[1:]) / 2.0
-    thresholds = np.concatenate(
-        [[distinct[0] - 1.0], midpoints, [distinct[-1] + 1.0]]
-    )
+    lo, hi = distinct[:-1], distinct[1:]
+    with np.errstate(over="ignore"):
+        midpoints = (lo + hi) / 2.0
+    midpoints = np.where(np.isinf(midpoints), lo / 2.0 + hi / 2.0, midpoints)
+    midpoints = np.where(midpoints > lo, midpoints, hi)
+    top = max(distinct[-1] + 1.0, math.nextafter(distinct[-1], math.inf))
+    thresholds = np.concatenate([[distinct[0] - 1.0], midpoints, [top]])
     # accept iff score >= threshold: misses are targets strictly below,
     # false alarms are non-targets at or above.
     misses = np.searchsorted(targets_sorted, thresholds, side="left")

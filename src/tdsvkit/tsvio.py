@@ -3,20 +3,22 @@
 All files are UTF-8 text with one record per line and tab-separated fields.
 Embedding files open with a `#dim <D>` header and hold space-separated
 floats serialized at 17 significant digits, which round-trips doubles
-exactly. Parsers raise a per-line diagnostic (path:line: detail) on any
-malformed input instead of crashing, bytes that are not UTF-8 included;
-writers emit deterministic bytes for identical inputs ("\\n" endings on
-every platform). The record types check their values when they are built
-(core.check_token, core.check_text); a writer checks only what no one
-record can, that no two of its records share an id where the format has
-one record per id, and leaves an existing file as it was if they do. So
-every file written here reads back as its records. One reader parses every
-embedding file, in two processes when it is _SPLIT_BYTES or more and the
-host can fork onto a second CPU, and in one part otherwise; a file it
-refuses is scanned line by line, which names the first bad line. The
-writer splits such files too, with the bytes of one process. The record
-types read and written here come from core and textgate, so reading a
-file loads no scoring code.
+exactly. Parsers read each input once, so a pipe serves as well as a file,
+and raise a per-line diagnostic (path:line: detail) on any malformed input
+instead of crashing, bytes that are not UTF-8 included. Every line they read
+one by one comes from _lines, which splits lines as text mode does. Writers
+emit deterministic bytes for identical inputs ("\\n" endings on every
+platform). The record types check their values when they are built
+(core.check_token, core.check_text); a writer checks only what no one record
+can, that no two of its records share an id where the format has one record
+per id, and leaves an existing file as it was if they do. So every file
+written here reads back as its records. One reader parses every embedding
+file, in two processes when it is _SPLIT_BYTES or more and the host can fork
+onto a second CPU, and in one part otherwise; a file it refuses, or a pipe,
+is scanned line by line, which names the first bad line. The writer splits
+such files too, with the bytes of one process. The record types read and
+written here come from core and textgate, so reading a file loads no scoring
+code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -46,7 +48,6 @@ from .core import (
     ScoreColumns,
     TrialColumns,
     check_unique,
-    undecodable,
 )
 from .errors import (
     BadHeader,
@@ -75,67 +76,49 @@ _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
 _LABEL_FIELDS = {code: f"\t{name}" for name, code in _NAME_CODES.items()} | {UNLABELED: ""}
 
 
-def _reading(path):
-    """Open path as UTF-8 text in which each byte that is not UTF-8 reads as
-    a lone surrogate (U+DC80-U+DCFF); see _check_utf8."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+def _lines(path, chunks):
+    """Yield (line_no, line) for every line, blank ones included, of chunks:
+    path's bytes in pieces that end at a line break or the end (a binary
+    file, or a list of bytes). Lines split and number as in text mode, at
+    \\n, \\r\\n or a lone \\r (bytes.splitlines splits at exactly these),
+    and decode strictly: a bad byte raises MalformedLine naming its offset."""
+    n = offset = 0
+    for chunk in chunks:
+        for raw in chunk.splitlines(True):
+            n += 1
+            try:
+                yield n, raw.rstrip(b"\r\n").decode()
+            except UnicodeDecodeError as exc:
+                detail = f"not valid UTF-8 at byte offset {offset + exc.start}"
+                raise MalformedLine(path, n, detail) from None
+            offset += len(raw)
 
 
-def _check_utf8(path, text: str) -> None:
-    """Raise the diagnostic of path's first undecodable byte if text holds
-    one; readers call it on each line before any other check of the line,
-    so the first bad line wins whatever is wrong with it."""
-    if undecodable(text):
-        raise _not_utf8(path)
-
-
-def _not_utf8(path) -> MalformedLine:
-    """The diagnostic for the first undecodable byte of path, on the line
-    text mode gives it: one line break per \\r\\n, lone \\r or lone \\n
-    before it."""
+def _bulk_or_scan(path, bulk, scan):
+    """Read path once: bulk(its non-empty lines), or, when its bytes are not
+    UTF-8 or bulk returns None, scan(path, _lines of them), which names the
+    first bad line. One copy of the file is alive at a time: the bytes go
+    once decoded, the text once split, and the scan gets the lines joined
+    by \\n, which it splits and numbers as it would the file."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        start = exc.start
-    else:  # the file changed since the failed read; blame its end
-        start = len(raw)
-    head = raw[:start]
-    line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-    return MalformedLine(path, line, f"not valid UTF-8 at byte offset {start}")
+        text = raw.decode()
+    except UnicodeDecodeError:
+        return scan(path, _lines(path, [raw]))
+    del raw
+    if "\r" in text:  # as _lines splits; str.splitlines also splits at \\f, U+2028, ...
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.removesuffix("\n").split("\n")
+    del text
+    parsed = bulk(lines if "" not in lines else list(filter(None, lines)))
+    return parsed if parsed is not None else scan(path, _lines(path, ["\n".join(lines).encode()]))
 
 
-def _lines(path, f, start: int = 1):
-    """Yield (line_no, line) pairs of f, the open file path, newline-stripped,
-    empty lines skipped, each checked by _check_utf8.
-
-    start is the physical line number of the first line still in f, so
-    callers that already consumed a header pass 2.
-    """
-    for n, raw in enumerate(f, start=start):
-        line = raw.rstrip("\n")
-        if line:
-            _check_utf8(path, line)
-            yield n, line
-
-
-def _nonblank_lines(path) -> Optional[List[str]]:
-    """The file's non-empty lines, each as _lines yields it: split on the
-    newlines left by text mode's newline translation (str.splitlines would
-    also split on form feeds, U+2028 and other separators). None when the
-    file holds a byte that is not UTF-8, so that the caller's per-line scan
-    names the first bad line."""
-    with _reading(path) as f:
-        text = f.read()
-    return None if undecodable(text) else list(filter(None, text.split("\n")))
-
-
-def _columns(lines: Optional[List[str]], n_fields: int) -> Optional[List[list]]:
+def _columns(lines: List[str], n_fields: int) -> Optional[List[list]]:
     """The fields of tab-separated lines as n_fields column lists, or None
-    when lines is None (see _nonblank_lines) or some line has another
-    number of fields."""
-    if lines is None or set(map(str.count, lines, repeat("\t"))) - {n_fields - 1}:
+    when some line has another number of fields."""
+    if set(map(str.count, lines, repeat("\t"))) - {n_fields - 1}:
         return None
     fields = "\t".join(lines).split("\t") if lines else []
     return [fields[i::n_fields] for i in range(n_fields)]
@@ -230,7 +213,10 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     _parse_parts reads the file, in one part or, when it _splits, in two
     processes. A file it refuses is read again by _scan_embeddings, which
     names the first bad line, so the values and the diagnostics are those
-    of the scan either way.
+    of the scan either way. The scan reads a valid regular file only when
+    its header ends in a lone \\r or the fork or the child fails; an input
+    that is not a regular file, such as a pipe, goes to the scan unread, so
+    that it is read once.
     """
     parsed = _parse_parts(path)
     return parsed if parsed is not None else _scan_embeddings(path)
@@ -244,12 +230,13 @@ def _scan_embeddings(path) -> Tuple[EmbeddingTable, int]:
     one, so the diagnostic names the same line and column as a per-value
     parse would. The rows are stacked into one matrix at the end.
     """
-    with _reading(path) as f:
-        header = f.readline().rstrip("\n")
-        _check_utf8(path, header)
-        dim = _declared_dim(path, header)
+    with open(path, "rb") as f:
+        lines = _lines(path, f)
+        dim = _declared_dim(path, next(lines, (1, ""))[1])
         ids, rows, seen = [], [], set()
-        for n, line in _lines(path, f, start=2):
+        for n, line in lines:
+            if not line:
+                continue
             utt_id, tab, rest = line.partition("\t")
             if not tab:
                 raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
@@ -279,81 +266,88 @@ def _parse_parts(path) -> Optional[Tuple[EmbeddingTable, int]]:
     A file that does not _splits is read in one part. One that does is split
     at the first line start at or after its byte midpoint, and each part is
     parsed into one matrix in shared memory: the first part here, the second
-    in a forked child that pipes back only its ids. The first part's
-    newlines are counted, so that its rows fill the matrix's first rows;
-    the one part or the second gets room for as many rows as its bytes
-    could hold. None is returned for anything the scan must name or this
-    reader does not take: a bad header or row, an id repeated anywhere in
-    the file, a \\r that does not end a line, bytes that are not UTF-8, a
-    blank line in the first of two parts, or a child that fails.
+    in a forked child that pipes back only its ids. The first part gets room
+    for as many rows as it has line breaks, the one part or the second for
+    as many as its bytes could hold, and the second part's rows are moved
+    down over the rows the first part's blank lines left unused. None is
+    returned for anything the scan must name or this reader does not take:
+    a bad header or row, an id repeated anywhere in the file, bytes that are
+    not UTF-8, a header that ends in a lone \\r, a child that fails, or an
+    input that is not a regular file, of which no byte is read.
     """
     import mmap  # here, as only a split needs it
 
     try:
+        if not os.path.isfile(path):
+            return None
         with open(path, "rb") as f:
             header = f.readline().removesuffix(b"\n").removesuffix(b"\r")
             dim = _declared_dim(path, header.decode())
             body = mid = f.tell()
             size = f.seek(0, os.SEEK_END)
             if _splits(size):
-                f.seek(max(size // 2, body) - 1)
-                f.readline()
-                mid = f.tell() if f.tell() < size else body
-            n_head = _count_newlines(f, body, mid)
+                start = f.seek(max(size // 2, body) - 1)
+                mid = start + len(f.readline().splitlines(True)[0])
+                mid = mid if mid < size else body
+            n_breaks = _count_breaks(f, body, mid)
         # A row of dim values takes at least 2 * dim + 1 bytes and a line end,
         # but for the file's last row, which bounds a part's row count.
         row_bytes = 2 * dim + 2
+        n_head = min(n_breaks, (mid - body) // row_bytes)
         n_tail = (size - mid + 1) // row_bytes
-        if n_head * row_bytes > mid - body:
-            return None
         if mid == body:
             matrix = np.empty((n_tail, dim))
             ids = _parse_rows(path, body, size, matrix)
         else:
-            matrix = np.frombuffer(mmap.mmap(-1, (n_head + n_tail) * dim * 8), np.float64)
-            matrix = matrix.reshape(n_head + n_tail, dim)
+            n = n_head + n_tail
+            matrix = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n, 1) * dim * 8))
             parts = _in_two_parts(
                 lambda: _parse_rows(path, body, mid, matrix[:n_head]),
                 lambda: marshal.dumps(_parse_rows(path, mid, size, matrix[n_head:])),
             )
-            if parts is None or len(parts[0]) != n_head:
+            if parts is None:
                 return None
-            ids = parts[0] + marshal.loads(parts[1])
+            head, tail = parts[0], marshal.loads(parts[1])
+            ids = head + tail
+            if len(head) < n_head:  # numpy moves a 1-D view in place, a 2-D one by a copy
+                flat = matrix.reshape(-1)
+                flat[len(head) * dim : len(ids) * dim] = flat[n_head * dim :][: len(tail) * dim]
         return EmbeddingTable(ids, matrix[: len(ids)]), dim
     except (OSError, ValueError, TdsvError):  # UnicodeDecodeError, BadHeader among them
         return None
 
 
-def _count_newlines(f, start: int, end: int) -> int:
-    """The number of newlines in bytes [start, end) of the binary file f."""
+def _count_breaks(f, start: int, end: int) -> int:
+    """The number of line breaks _lines counts in bytes [start, end) of the
+    binary file f; a \\r\\n split across two reads counts twice: more room."""
     f.seek(start)
     n = 0
     while start < end and (chunk := f.read(min(end - start, 1 << 20))):
-        n += chunk.count(b"\n")
+        n += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
         start += len(chunk)
     return n
 
 
 def _parse_rows(path, start: int, stop: int, out: np.ndarray) -> list:
-    """Parse the lines in bytes [start, stop) of path into the first rows of
-    out, one row a line that is not blank, and return their ids. A line
-    ends in \\n, in \\r\\n or at the end of the file; it must be UTF-8 with
-    no other \\r and hold an id, a tab and one float() token a column, and
-    the rows must fit out, or ValueError is raised; EmbeddingTable checks
-    the ids and values."""
+    """Parse the lines in bytes [start, stop) of path, split as _lines
+    splits them, into the first rows of out, one row a line that is not
+    blank, and return their ids. A line must be UTF-8 and hold an id, a tab
+    and one float() token a column, and the rows must fit out, or
+    ValueError is raised; EmbeddingTable checks the ids and values."""
     ids = []
     dim = out.shape[1]
     with open(path, "rb") as f:
         f.seek(start)
-        for raw in f:
+        # f splits at \n alone, so a piece holding a \r is split again, as _lines does
+        for raw in (r for c in f for r in (c.splitlines(True) if b"\r" in c else (c,))):
             if start >= stop:
                 break
             start += len(raw)
-            line = raw.removesuffix(b"\n").removesuffix(b"\r")
+            line = raw.rstrip(b"\r\n")
             if line:
                 utt_id, tab, rest = line.decode().partition("\t")
                 tokens = rest.split(" ")
-                if not tab or len(tokens) != dim or b"\r" in line or len(ids) == len(out):
+                if not tab or len(tokens) != dim or len(ids) == len(out):
                     raise ValueError("not an embedding row of the declared dim")
                 out[len(ids)] = np.fromiter(map(float, tokens), np.float64, dim)
                 ids.append(utt_id)
@@ -401,14 +395,13 @@ def parse_trials(path) -> TrialColumns:
     """Read a trial list into columns; the label field is optional per line.
 
     A file whose lines are all labeled or all unlabeled is checked in bulk;
-    any anomaly, a mix included, re-reads it line by line, so the diagnostic
-    names the first bad line as a per-line parse would. Trial ids may repeat.
+    any anomaly, a mix included, scans the lines already read one by one, so
+    the diagnostic names the first bad line. Trial ids may repeat.
     """
-    columns = _bulk_trials(_nonblank_lines(path))
-    return columns if columns is not None else _scan_trials(path)
+    return _bulk_or_scan(path, _bulk_trials, _scan_trials)
 
 
-def _bulk_trials(lines: Optional[List[str]]) -> Optional[TrialColumns]:
+def _bulk_trials(lines: List[str]) -> Optional[TrialColumns]:
     """The columns when every line is a well-formed trial line and all or
     none of them carry a label; None otherwise."""
     columns = _columns(lines, 4) or _columns(lines, 3)
@@ -424,27 +417,27 @@ def _bulk_trials(lines: Optional[List[str]]) -> Optional[TrialColumns]:
         return None
 
 
-def _scan_trials(path) -> TrialColumns:
-    """Parse a trial list line by line, raising the first problem in line
-    order, and within a line in the order field count, label, empty id."""
+def _scan_trials(path, lines) -> TrialColumns:
+    """Parse the _lines of a trial list one by one, raising the first
+    problem in line order, and within a line in the order field count,
+    label, empty id."""
     columns = [], [], [], []
-    with _reading(path) as f:
-        for n, line in _lines(path, f):
-            fields = line.split("\t")
-            if len(fields) not in (3, 4):
-                raise MalformedLine(
-                    path, n, f"expected 3 or 4 tab-separated fields, got {len(fields)}"
-                )
-            code = UNLABELED
-            if len(fields) == 4:
-                code = _NAME_CODES.get(fields[3])
-                if code is None:
-                    raise BadLabel(path, n, f"label must be one of TC/TW/IC/IW, got {fields[3]!r}")
-            if "" in fields[:3]:
-                what = ("trial_id", "model_id", "test_id")[fields.index("")]
-                raise MalformedLine(path, n, f"{what} must be a non-empty string")
-            for column, value in zip(columns, fields[:3] + [code]):
-                column.append(value)
+    for n, line in lines:
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (3, 4):
+            raise MalformedLine(path, n, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
+        code = UNLABELED
+        if len(fields) == 4:
+            code = _NAME_CODES.get(fields[3])
+            if code is None:
+                raise BadLabel(path, n, f"label must be one of TC/TW/IC/IW, got {fields[3]!r}")
+        if "" in fields[:3]:
+            what = ("trial_id", "model_id", "test_id")[fields.index("")]
+            raise MalformedLine(path, n, f"{what} must be a non-empty string")
+        for column, value in zip(columns, fields[:3] + [code]):
+            column.append(value)
     return TrialColumns(*columns)
 
 
@@ -459,8 +452,10 @@ def write_trials(trials: TrialColumns, path) -> None:
 def _parse_id_text(path, factory) -> dict:
     """Shared reader for the two `<id>\\t<text>` formats."""
     table = {}
-    with _reading(path) as f:
+    with open(path, "rb") as f:
         for n, line in _lines(path, f):
+            if not line:
+                continue
             if "\t" not in line:
                 raise MalformedLine(path, n, "expected '<id>\\t<text>'")
             key, text = line.split("\t", 1)
@@ -503,8 +498,10 @@ def write_transcripts(transcripts: Mapping, path) -> None:
 def parse_enrollmap(path) -> dict:
     """Read the enrollment map: model_id -> EnrollEntry (three rep ids)."""
     entries = {}
-    with _reading(path) as f:
+    with open(path, "rb") as f:
         for n, line in _lines(path, f):
+            if not line:
+                continue
             fields = line.split("\t")
             if len(fields) != 3:
                 raise MalformedLine(
@@ -539,14 +536,13 @@ def parse_scores(path) -> ScoreColumns:
     """Read a score file into columns (labels come from a trial list, not
     from this file).
 
-    The file is checked in bulk; any anomaly re-reads it line by line, so
-    the diagnostic names the first bad line as a per-line parse would.
+    The file is checked in bulk; any anomaly scans the lines already read
+    one by one, so the diagnostic names the first bad line.
     """
-    columns = _bulk_scores(_nonblank_lines(path))
-    return columns if columns is not None else _scan_scores(path)
+    return _bulk_or_scan(path, _bulk_scores, _scan_scores)
 
 
-def _bulk_scores(lines: Optional[List[str]]) -> Optional[ScoreColumns]:
+def _bulk_scores(lines: List[str]) -> Optional[ScoreColumns]:
     """The columns when every line is a well-formed score line and no trial
     id repeats; None otherwise."""
     columns = _columns(lines, 4)
@@ -565,32 +561,29 @@ def _bulk_scores(lines: Optional[List[str]]) -> Optional[ScoreColumns]:
         return None
 
 
-def _scan_scores(path) -> ScoreColumns:
-    """Parse a score file line by line, raising the first problem in line
-    and then column order."""
+def _scan_scores(path, lines) -> ScoreColumns:
+    """Parse the _lines of a score file one by one, raising the first
+    problem in line and then column order."""
     trial_ids, scores, passed, cers = [], [], [], []
     seen = set()
-    with _reading(path) as f:
-        for n, line in _lines(path, f):
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedLine(
-                    path, n, f"expected 4 tab-separated fields, got {len(fields)}"
-                )
-            trial_id, score_s, flag, cer_s = fields
-            if not trial_id:
-                raise MalformedLine(path, n, "empty trial id field")
-            if trial_id in seen:
-                raise DuplicateId(f"{path}:{n}: duplicate trial id '{trial_id}'")
-            seen.add(trial_id)
-            scores.append(_finite_field(path, n, 2, score_s))
-            if flag not in _FLAGS:
-                raise MalformedLine(
-                    path, n, f"gate flag must be PASS or PUNITIVE, got {flag!r}"
-                )
-            cers.append(_finite_field(path, n, 4, cer_s))
-            trial_ids.append(trial_id)
-            passed.append(flag == "PASS")
+    for n, line in lines:
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise MalformedLine(path, n, f"expected 4 tab-separated fields, got {len(fields)}")
+        trial_id, score_s, flag, cer_s = fields
+        if not trial_id:
+            raise MalformedLine(path, n, "empty trial id field")
+        if trial_id in seen:
+            raise DuplicateId(f"{path}:{n}: duplicate trial id '{trial_id}'")
+        seen.add(trial_id)
+        scores.append(_finite_field(path, n, 2, score_s))
+        if flag not in _FLAGS:
+            raise MalformedLine(path, n, f"gate flag must be PASS or PUNITIVE, got {flag!r}")
+        cers.append(_finite_field(path, n, 4, cer_s))
+        trial_ids.append(trial_id)
+        passed.append(flag == "PASS")
     return ScoreColumns(trial_ids, np.array(scores), np.array(passed, bool), np.array(cers))
 
 

@@ -1,6 +1,9 @@
-"""Fixtures shared by every test module."""
+"""Fixtures and helpers shared by every test module."""
 
+import contextlib
 import os
+import tempfile
+import threading
 
 import pytest
 
@@ -17,3 +20,36 @@ def private_cache_home(tmp_path_factory):
         del os.environ["XDG_CACHE_HOME"]
     else:
         os.environ["XDG_CACHE_HOME"] = saved
+
+
+@contextlib.contextmanager
+def piped(content: bytes):
+    """Yield a path that can be read only once: a FIFO that a writer thread
+    feeds content into once a reader opens it. The path becomes an empty
+    file before the first byte is written, so an open after a read sees an
+    empty stream, as a second open of a pipe from `<(...)` does, and never
+    waits for a writer: a reader that reads its path twice fails on its
+    output. The writer is always joined."""
+    with tempfile.TemporaryDirectory() as d:
+        path, empty = os.path.join(d, "pipe"), os.path.join(d, "empty")
+        os.mkfifo(path)
+        open(empty, "wb").close()
+
+        def feed():
+            with open(path, "wb") as f:  # waits for a reader
+                os.replace(empty, path)
+                try:
+                    f.write(content)
+                except BrokenPipeError:  # the reader closed the pipe first
+                    pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            yield path
+        finally:
+            # a writer still waiting for a reader is let go by one that
+            # reads nothing, and then finds the pipe closed
+            while writer.is_alive():
+                os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+                writer.join(0.01)

@@ -324,15 +324,21 @@ def sweep_ref(targets, nontargets):
 
     Decision rule: accept iff score >= threshold, so misses are the targets
     strictly below the threshold and false alarms the non-targets at or
-    above it.
+    above it. At the edges of float64: a midpoint whose sum overflows is
+    lo / 2 + hi / 2, one that rounds onto lo is hi, and when max + 1 == max
+    the last threshold is the float after max.
     """
     targets = sorted(float(s) for s in targets)
     nontargets = sorted(float(s) for s in nontargets)
     distinct = sorted(set(targets) | set(nontargets))
     thresholds = [distinct[0] - 1.0]
     for lo, hi in zip(distinct, distinct[1:]):
-        thresholds.append((lo + hi) / 2.0)
-    thresholds.append(distinct[-1] + 1.0)
+        mid = (lo + hi) / 2.0
+        if math.isinf(mid):
+            mid = lo / 2.0 + hi / 2.0
+        thresholds.append(mid if mid > lo else hi)
+    top = distinct[-1] + 1.0
+    thresholds.append(top if top > distinct[-1] else math.nextafter(distinct[-1], math.inf))
     n_t, n_n = len(targets), len(nontargets)
     points = []
     for t in thresholds:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import piped
 from tdsvkit.cli import main
 
 
@@ -96,6 +97,21 @@ class TestPipeline:
         assert lines[0] == "#p_miss\tp_fa\tthreshold"
         assert out.startswith("points=")
         assert len(lines) == 1 + int(out.strip().split("=")[1])
+
+    def test_score_reads_a_piped_trial_list_once(self, tmp_path):
+        # every other line without its label: a valid list the bulk check
+        # refuses, whose scan once opened the path a second time
+        data = simulate(tmp_path, seed=5)
+        lines = (data / "trials.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        mixed = "".join(line.rsplit("\t", 1)[0] + "\n" if i % 2 else line for i, line in enumerate(lines))
+        (data / "trials.tsv").write_text(mixed, encoding="utf-8")
+        assert run_cli(score_args(data, tmp_path / "by_path.tsv"))[0] == 0
+        argv = score_args(data, tmp_path / "piped.tsv")
+        with piped(mixed.encode()) as pipe:
+            argv[argv.index("--trials") + 1] = pipe
+            code, out, err = run_cli(argv)
+        assert (code, err, report_dict(out)["scored"]) == (0, "", "40")
+        assert (tmp_path / "piped.tsv").read_bytes() == (tmp_path / "by_path.tsv").read_bytes()
 
     def test_subset_report(self, tmp_path):
         data = simulate(tmp_path, seed=5)
@@ -319,6 +335,16 @@ class TestErrorContract:
         ])
         assert (code, out) == (1, "")
         assert err.startswith("error=IoError:") and err.count("\n") == 1
+
+    def test_scores_too_large_for_the_sentinel_to_move(self, tmp_path):
+        # 1e20 + 1.0 == 1e20: the sweep still ends at reject-everything
+        scores, trials = tmp_path / "scores.tsv", tmp_path / "trials.tsv"
+        scores.write_text("t1\t1e20\tPASS\t0.0\nt2\t1e20\tPASS\t0.0\n", encoding="utf-8")
+        trials.write_text("t1\tm1\tu1\tTC\nt2\tm2\tu2\tIC\n", encoding="utf-8")
+        code, out, err = run_cli(["evaluate", "--scores", str(scores), "--trials", str(trials)])
+        assert code == 0 and err.count("\n") <= 1
+        report = report_dict(out)
+        assert float(report["min_dcf"]) <= 1.0 and report["eer"] == "0.500000"
 
     def test_bad_embeddings_header(self, tmp_path):
         data = simulate(tmp_path, seed=5)

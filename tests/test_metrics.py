@@ -1,6 +1,7 @@
 """Detection cost, threshold sweep, EER, DET points, subset selection."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,31 @@ class TestSweep:
     def test_thresholds_ascending(self):
         ts = sweep([0.9, 0.3], [0.5, 0.1]).threshold.tolist()
         assert ts == sorted(ts)
+
+    # Scores at the edges of float64, with the (min_dcf, eer) each must give
+    # and its p_miss column: two adjacent floats, a maximum that + 1.0 does
+    # not move, and two scores whose sum overflows.
+    EDGES = {
+        "adjacent floats": ([1.0000000000000002], [1.0], (0.0, 0.0), [0.0, 0.0, 1.0]),
+        "max + 1 == max": ([1e20], [1e20], (1.0, 0.5), [0.0, 1.0]),
+        "sum overflows": ([1.7e308], [1.6e308], (0.0, 0.0), [0.0, 0.0, 1.0]),
+    }
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_edges_of_float64(self, edge):
+        targets, nontargets, (want_dcf, want_eer), p_miss = self.EDGES[edge]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = sweep(targets, nontargets)
+            assert (min_dcf(rates)[0], eer(rates)) == (want_dcf, want_eer)
+        ts = rates.threshold.tolist()
+        assert all(a < b for a, b in zip(ts, ts[1:]))
+        assert rates.p_miss.tolist() == p_miss
+        assert _pairs(rates)[0] == (0.0, 1.0) and _pairs(rates)[-1] == (1.0, 0.0)
+        distinct = sorted(set(targets + nontargets))
+        assert all(any(lo < t <= hi for t in ts) for lo, hi in zip(distinct, distinct[1:]))
+        points = list(zip(ts, rates.p_miss.tolist(), rates.p_fa.tolist()))
+        assert points == sweep_ref(targets, nontargets)
 
     def test_requires_both_sides(self):
         with pytest.raises(NoTargets):

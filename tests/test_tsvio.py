@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import piped
 from oracles import embedding_table, trial_rows, trial_table, write_embeddings_ref
 from tdsvkit import (
     BadHeader,
@@ -202,6 +203,7 @@ class TestEmbeddingsFormat:
     # Layouts text mode reads as the plain file, each read without the scan.
     LAYOUTS = {
         "\\r\\n line ends": "#dim 2\r\nu1\t1 2\r\nu2\t3 4\r\n",
+        "lone \\r line ends": "#dim 2\nu1\t1 2\ru2\t3 4\r",
         "no final newline": "#dim 2\nu1\t1 2\nu2\t3 4",
         "blank lines": "#dim 2\n\nu1\t1 2\n\r\n\nu2\t3 4\n\n",
         "\\r ending the file": "#dim 2\nu1\t1 2\nu2\t3 4\r",
@@ -502,6 +504,72 @@ class TestNotUtf8:
         assert str(exc_info.value) == f"{path}:{tail}"
 
 
+# Per reader: a valid file (a trial list that mixes labeled and unlabeled
+# lines, which the bulk check refuses), one with a bad line and one with a
+# byte that is not UTF-8.
+_READ_ONCE = {
+    "embeddings": (
+        parse_embeddings,
+        [b"#dim 2\nu1\t1 2\r\n\nu2\t3 4\r", b"#dim 2\nu1\t1 2\nu2\t3\n", b"#dim 2\nu\xff\t1 2\n"],
+    ),
+    "trials": (
+        parse_trials,
+        [b"t1\tm1\tu1\tTC\nt2\tm1\tu2\n", b"t1\tm1\tu1\tTC\nt2\tm1\tu2\tZZ\n", b"t1\tm1\tu\xfe\n"],
+    ),
+    "scores": (
+        parse_scores,
+        [b"t1\t0.5\tPASS\t0\r\n", b"t1\t0.5\tPASS\t0\nt2\tx\tPASS\t0\n", b"t\xff\t0.5\tPASS\t0\n"],
+    ),
+    "phrases": (parse_phrases, [b"p1\topen\rp2\tshut\n", b"p1\topen\np2\n", b"p1\t\xc3\n"]),
+    "transcripts": (parse_transcripts, [b"u1\t\nu2\tb\n", b"u1\ta\nu1\tb\n", b"u1\t\xc3(\n"]),
+    "enrollmap": (
+        parse_enrollmap,
+        [b"m1\tp1\tr1,r2,r3\n", b"m1\tp1\tr1,r2\n", b"m1\tp1\tr1,r\x802,r3\n"],
+    ),
+}
+_KINDS = ("valid", "bad line", "bad byte")
+
+
+def _read(parse, path):
+    """(None, parse(path)), or its (error class, message), the path named
+    <path>."""
+    try:
+        return None, parse(path)
+    except TdsvError as exc:
+        return type(exc), str(exc).replace(str(path), "<path>")
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("fmt", _READ_ONCE)
+def test_pipe_reads_as_the_file(tmp_path, fmt, kind):
+    # a pipe, which can be read once, gives what the file gives
+    parse, contents = _READ_ONCE[fmt]
+    content = contents[_KINDS.index(kind)]
+    path = tmp_path / "f.tsv"
+    path.write_bytes(content)
+    expected = _read(parse, path)
+    assert (expected[0] is None) == (kind == "valid")
+    with piped(content) as pipe:
+        assert _read(parse, pipe) == expected
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("fmt", ["trials", "scores", "phrases", "transcripts", "enrollmap"])
+def test_text_reader_opens_its_path_once(tmp_path, monkeypatch, fmt, kind):
+    parse, contents = _READ_ONCE[fmt]
+    path = tmp_path / "f.tsv"
+    path.write_bytes(contents[_KINDS.index(kind)])
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(tsvio, "open", counted, raising=False)
+    _read(parse, path)
+    assert opened == [path]
+
+
 # Per writer: a builder of what it would write with a lone surrogate (as
 # surrogateescape decodes a stray byte) after a valid row, and the field
 # the error names. No such record can be built, so no writer opens its file
@@ -686,8 +754,7 @@ class TestSplitFiles:
         "id of the first part": lambda row: "u7" + row[row.index("\t"):],
         "empty id": lambda row: row[row.index("\t"):],
         "byte not UTF-8": lambda row: row[:-3] + "\udcff" + row[-2:],
-        # one line to the reader, which refuses it, two to the scan, which
-        # reads in text mode; float() reads "\r0.5" as 0.5
+        # two lines to both readers, the first with one empty value
         "lone \\r after the tab": lambda row: row.replace("\t", "\t\r", 1),
     }
 
@@ -706,6 +773,8 @@ class TestSplitFiles:
     # Layouts that text mode reads as the unedited file.
     FILE_EDITS = {
         "\\r\\n line ends": lambda text: text.replace("\n", "\r\n"),
+        # but for the header's, which the scan alone reads if it ends in \r
+        "lone \\r line ends": lambda text: text.replace("\n", "\r").replace("\r", "\n", 1),
         "no final newline": lambda text: text[:-1],
         "one trailing blank line": lambda text: text + "\n",
         "blank lines": lambda text: text.replace("\n", "\n\n"),
@@ -722,7 +791,7 @@ class TestSplitFiles:
 
     @pytest.mark.parametrize("edit", FILE_EDITS)
     def test_layout_read_without_the_scan(self, path, monkeypatch, forks, edit):
-        # in one part each layout, in two all but blank lines in the first
+        # each layout, in one part and in two
         text = path.read_text(encoding="utf-8")
         path.write_text(self.FILE_EDITS[edit](text), encoding="utf-8", newline="")
         expected = self.scan(path, monkeypatch)
@@ -731,8 +800,7 @@ class TestSplitFiles:
         assert self.one_part(path, monkeypatch) == expected
         assert (forks, scans) == ([], [])
         assert _outcome(path) == expected
-        assert forks == [True]
-        assert len(scans) == (edit == "blank lines")
+        assert (forks, scans) == ([True], [])
         _no_child_left()
 
     def test_child_that_dies(self, path, tmp_path, monkeypatch, forks):
