@@ -25,6 +25,10 @@ EPS = 1e-12
 # Repetitions per enrollment model.
 REPS_PER_MODEL = 3
 
+# Values per block of row_dots. A block holds the two gathered row sets, so
+# a small one keeps a dot over many rows from raising the peak memory.
+_DOT_BLOCK = 1 << 13
+
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
@@ -263,12 +267,32 @@ def as_matrix(values) -> np.ndarray:
     return matrix
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Each row's euclidean norm, sqrt(row.dot(row)): np.linalg.norm's sum
-    on a 1-D vector, so a row's norm does not depend on the matrix that
-    holds it. A norm that overflows is inf, with no numpy warning."""
+def row_dots(a: np.ndarray, b: np.ndarray, a_rows, b_rows) -> np.ndarray:
+    """a[a_rows[k]] . b[b_rows[k]] for each k, as a float64 vector: the one
+    dot product of the package. Each is np.add.reduce over the product of
+    the two rows, numpy's pairwise sum, with no BLAS call and no fused
+    multiply-add, so its bits depend on neither the CPU, nor the matrix that
+    holds a row, nor the other pairs. The rows are gathered and multiplied a
+    block of _DOT_BLOCK values at a time, so no temporary grows with the
+    number of pairs. A dot that overflows is inf, with no numpy warning."""
+    a_rows = np.asarray(a_rows, dtype=np.intp)
+    b_rows = np.asarray(b_rows, dtype=np.intp)
+    out = np.empty(len(a_rows))
+    step = max(1, _DOT_BLOCK // max(1, a.shape[1]))
     with np.errstate(over="ignore"):
-        return np.sqrt([row.dot(row) for row in rows])
+        for start in range(0, len(a_rows), step):
+            block = np.take(a, a_rows[start : start + step], axis=0)
+            block *= np.take(b, b_rows[start : start + step], axis=0)
+            np.add.reduce(block, axis=1, out=out[start : start + step])
+    return out
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's euclidean norm, the square root of its row_dots with
+    itself, so a row's norm does not depend on the CPU or on the matrix that
+    holds it. A norm that overflows is inf, with no numpy warning."""
+    every = np.arange(len(rows))
+    return np.sqrt(row_dots(rows, rows, every, every))
 
 
 def check_norm(norm: float) -> None:

@@ -12,7 +12,9 @@ score_all is the one scoring entry point. It takes a TrialColumns table and
 the enrollmap entries, builds every model, and owns the strict/lenient
 policy for build and trial errors alike. It computes that mean of per-space
 cosines, clamped to [-1, 1], in one batch after a validation pass, and gates
-each distinct (hypothesis text, phrase text) pair once per run. The scores
+each distinct (hypothesis text, phrase text) pair once per run. Every dot
+product and norm is core.row_dots, the package's one reduction (numpy's
+pairwise sum, no BLAS), so no score bit depends on the CPU. The scores
 come back as ScoreColumns, the one score-set type, which the score file
 writer and reader share. That type, EnrollEntry and TrialColumns live in
 core, so the readers and writers need nothing from this module. A model
@@ -33,6 +35,7 @@ from .core import (
     TrialColumns,
     check_norm,
     normalize_rows,
+    row_dots,
     row_norms,
 )
 from .errors import (
@@ -116,8 +119,8 @@ def score_all(
     One validation pass in trial order resolves every model and test id to
     a row index and gates each distinct (hypothesis, phrase) pair once. The
     cosines of the gate-passed trials are then computed together by row
-    index: per trial and space, the dot product of centroid row and test
-    row over the product of their norms, each norm taken once per row; the
+    index: per trial and space, the row_dots of centroid row and test row
+    over the product of their row_norms, each norm taken once per row; the
     score is the mean over spaces, clamped to [-1, 1].
     """
     if not embeddings:
@@ -202,8 +205,7 @@ def score_all(
         # each space's test rows as a list: a tuple would index as one
         # multi-axis index
         for s, space_rows in enumerate(map(list, zip(*test_rows))):
-            c, m = centroids[s], tables[s].matrix
-            dots = [c[i].dot(m[t]) for i, t in zip(model_rows, space_rows)]
+            dots = row_dots(centroids[s], tables[s].matrix, model_rows, space_rows)
             cosines[:, s] = dots / (centroid_norms[s][model_rows] * test_norms[s][space_rows])
         scores[passed] = np.clip(cosines.mean(axis=1), -1.0, 1.0)
     records = ScoreColumns(

@@ -26,6 +26,7 @@ from .core import (
     TrialColumns,
     TrialLabel,
     normalize_rows,
+    row_norms,
 )
 from .errors import ConfigInvalid, DegenerateVector
 from .textgate import Phrase, Transcript
@@ -148,7 +149,7 @@ def _perturb(means: np.ndarray, speakers, sigma: float, noise) -> np.ndarray:
     no noise. A sigma large enough to overflow raises DegenerateVector, with
     no numpy warning.
     """
-    if (np.abs(np.linalg.norm(means, axis=1) - 1.0) > 1e-6).any():
+    if (np.abs(row_norms(means) - 1.0) > 1e-6).any():
         raise ConfigInvalid("speaker_mean must be unit norm")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ConfigInvalid(f"sigma must be finite and >= 0, got {sigma}")

@@ -30,15 +30,16 @@ from tdsvkit.tsvio import parse_scores, write_scores
 
 class TestNormalizeRows:
     def test_row_bits_do_not_depend_on_the_matrix(self):
-        # each row is divided by the norm np.linalg.norm takes of it alone; a
-        # 2-D norm or einsum sums in another order and moves last bits at
-        # dims like these
+        # each row is divided by the square root of numpy's pairwise sum of
+        # its own squares, the documented formula, whatever matrix holds it;
+        # np.linalg.norm is no reference, since on a 1-D row it is a BLAS
+        # ddot, whose summation order depends on the CPU
         rng = np.random.default_rng(4)
         for dim in (2, 3, 64, 67, 256, 300):
             rows = rng.standard_normal((5, dim)) * rng.uniform(0.01, 100.0, (5, 1))
             out = normalize_rows(rows)
             for row, unit in zip(rows, out):
-                assert np.array_equal(unit, row / np.linalg.norm(row)), dim
+                assert np.array_equal(unit, row / np.sqrt(np.add.reduce(row * row))), dim
                 assert np.array_equal(normalize_rows(row[np.newaxis])[0], unit)
                 assert np.array_equal(l2_normalize(row), unit)
 

@@ -12,15 +12,24 @@ workload pins the generator's corners that the two others miss: a
 noise-free space (each utterance a copy of its speaker's mean), dim 2, and a
 large noise level in a large dim. The raw float64 bits of each GOLDEN
 workload's scores are pinned too, from an in-process score_all: scores.tsv
-rounds to 6 decimals, so a change in summation order would pass it.
+rounds to 6 decimals, so a change in summation order would pass it. Every
+pin that simulate and score decide is also required of a child process that
+runs OpenBLAS's generic x86-64 kernel, so no pinned bit depends on the CPU.
 """
 
 import hashlib
 import io
+import json
+import os
+import platform
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import tdsvkit
 from tdsvkit import GateConfig, score_all, tsvio
 from tdsvkit.cli import main
 
@@ -89,8 +98,8 @@ DATASET = {
         "enrollmap.tsv": "04554596fa6af2bc0d28eea9976051d87c7ef2648848b18b14bf61b6d86fd601",
         "trials.tsv": "45c0f4f6f7fa2fee9d10e6d752e70d138501fb8ee8022808f28ee4aafe2e86e4",
         "transcripts.tsv": "207457484935e3aa1e0726c85add1509eb763da616d3cb9ae3c92e7d2fad412d",
-        "embeddings_alpha.tsv": "47970259c32d42e079a5fac7b0350c7539f5cdd53ef30e801f59a10c10680208",
-        "embeddings_beta.tsv": "d7b5e23f6b9f29ea36088507849bcd854609e406053525fe50dcdaff053e131f",
+        "embeddings_alpha.tsv": "eed3f72d10dbdf9b1247fd80e67ec1698fc43cac3af3e7865613192a6e4af0a6",
+        "embeddings_beta.tsv": "b640f03c84e11fa092e4c51d80adc5b9ce46d9deeeb653092038c8fb4299862a",
     },
     "noisy-1000": {
         "simulate.stdout": "4b981693fbc364ad590a1aa3be92ab1d8588f1b9726c11fffef4cd01b23affe3",
@@ -98,8 +107,8 @@ DATASET = {
         "enrollmap.tsv": "1e61cd4d3cb93a7ac68e93e50b2aa32e8b6c449a481c2d634891906b8499c966",
         "trials.tsv": "bff03d2a120d7eeaed5e677d0951f68c0be0a29e4b33a8e6e505039c3ddeffac",
         "transcripts.tsv": "1d29e529d31d0dab697ca55e9e73d019a893c0ca61530284c6f62505ac32cf78",
-        "embeddings_alpha.tsv": "b1905401604e922256f86c33328a27f04297462a754772c252b772ee0e443b8e",
-        "embeddings_beta.tsv": "93883c1f732c19426d08eb922b10861e52a754ceda33e9cacb79bce524acc882",
+        "embeddings_alpha.tsv": "aecd1d458519f95d78f0d2fde7aef8205539590863766a4a078121ba9a149b30",
+        "embeddings_beta.tsv": "f3ab00d96cd5890f40ca611a48559b89041576e4cd59b3a4e7169e26380f2202",
     },
 }
 
@@ -119,7 +128,7 @@ SIMULATE_ONLY = {
             "trials.tsv": "9e6fbef204e4e203b4c4e4dcc4494e783deec8af7b7bd7e54757f52b411f0b3e",
             "transcripts.tsv": "d7a4ed7fe41caf58a649862eb3de4ccf41828d679ec395f6fc6a8359bb6faa60",
             "embeddings_z.tsv": "073c9c40857fd0aa4484a713251892f4196e090c1f04c448ac64385ce5a58ccc",
-            "embeddings_w.tsv": "dd60a7868e43b7e15cf3575cd11f0e07c9c99ff25497d9abfa22245c7d580996",
+            "embeddings_w.tsv": "2fe1c393c283960ce5841b296f3e6350015f622399e47dbe4270d4302c8098fb",
         },
     ),
 }
@@ -128,8 +137,8 @@ SIMULATE_ONLY = {
 # The sha256 of score_all's float64 score column, as bytes, on each GOLDEN
 # workload's dataset.
 RAW_SCORES = {
-    "default": "19f9ed092263a432da2c0719e3e9870a6213fe46fb1e9cc11cd92c69ae53c3da",
-    "noisy-1000": "2edb0fe41c99829ae8734f0ed3f87bf6b03126093229436480190f425d60c611",
+    "default": "4d45eea1825d50445e1903518682d641511c9467ac77b69ea2b85dfe21a265d4",
+    "noisy-1000": "90667a9d8945d108bdc554630084119a18b2e568cc23bd74afff31111f8ecdb4",
 }
 
 
@@ -178,11 +187,9 @@ def test_seed42_pipeline_digests(tmp_path, name):
     } == expected
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_seed42_raw_score_bits(tmp_path, name):
-    flags, _ = GOLDEN[name]
-    data = tmp_path / "data"
-    _run(["simulate", "--seed", "42", "--out", str(data)] + flags)
+def _raw_score_digest(data) -> str:
+    """The sha256 of score_all's float64 score column on the dataset in
+    data."""
     tables = {
         space: tsvio.parse_embeddings(data / f"embeddings_{space}.tsv")[0]
         for space in ("alpha", "beta")
@@ -195,7 +202,15 @@ def test_seed42_raw_score_bits(tmp_path, name):
         tsvio.parse_phrases(data / "phrases.tsv"),
         GateConfig(),
     )
-    assert _sha256(run.records.score.tobytes()) == RAW_SCORES[name]
+    return _sha256(run.records.score.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seed42_raw_score_bits(tmp_path, name):
+    flags, _ = GOLDEN[name]
+    data = tmp_path / "data"
+    _run(["simulate", "--seed", "42", "--out", str(data)] + flags)
+    assert _raw_score_digest(data) == RAW_SCORES[name]
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_ONLY))
@@ -204,6 +219,53 @@ def test_seed42_simulate_digests(tmp_path, name):
     data = tmp_path / "data"
     sim_stdout = _run(["simulate", "--seed", "42", "--out", str(data)] + flags)
     assert _dataset_digests(data, sim_stdout) == expected
+
+
+def seed42_digests(tmp_path) -> dict:
+    """Every pin that simulate and score decide, computed in this process:
+    workload name -> the digests of its dataset files and simulate stdout,
+    plus, for a GOLDEN workload, of scores.tsv and of the raw score bits."""
+    digests = {}
+    for name in sorted(GOLDEN):
+        (tmp_path / name).mkdir()
+        sim_stdout, _, scores = _pipeline(tmp_path / name, name)
+        data = tmp_path / name / "data"
+        digests[name] = _dataset_digests(data, sim_stdout)
+        digests[name]["scores.tsv"] = _sha256(scores.read_bytes())
+        digests[name]["raw scores"] = _raw_score_digest(data)
+    for name, (flags, _) in SIMULATE_ONLY.items():
+        data = tmp_path / name
+        sim_stdout = _run(["simulate", "--seed", "42", "--out", str(data)] + flags)
+        digests[name] = _dataset_digests(data, sim_stdout)
+    return digests
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason=f"OPENBLAS_CORETYPE=Prescott names an x86-64 kernel; this host is {platform.machine()}",
+)
+def test_seed42_pins_hold_under_the_generic_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel once, when it loads, so the pins are taken
+    # again in a child process. Prescott is its generic x86-64 kernel, which
+    # runs on any x86-64 host and sums a BLAS dot product in another order
+    # than the AVX2 and AVX-512 kernels; no pinned bit may depend on that.
+    expected = {
+        name: {**DATASET[name], "scores.tsv": pins["scores.tsv"], "raw scores": RAW_SCORES[name]}
+        for name, (_, pins) in GOLDEN.items()
+    }
+    expected.update((name, pins) for name, (_, pins) in SIMULATE_ONLY.items())
+    path = [str(Path(__file__).parent), str(Path(tdsvkit.__file__).parents[1])]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import json, pathlib, sys, test_golden; "
+        "print(json.dumps(test_golden.seed42_digests(pathlib.Path(sys.argv[1]))))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == expected
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,13 @@ one repetition at a time; the one-call-per-row embedding parser, the
 bulk-checked score and trial readers, the enrollmap, phrase and
 transcript readers and the evaluate/det label join against value-by-value
 parses, diagnostics included; and the array sweep, min-DCF, EER and DET
-points against the threshold-enumeration oracles. The embedding reader
-and writer are checked a second time with every file split between two
-processes. Every writer is checked against its reader: a record holding
-what its file format cannot is refused when it is built, and every other
-reads back equal.
+points against the threshold-enumeration oracles. The one dot product,
+core.row_dots, is checked against the concatenate-and-dot cosine, and its
+bits against every block size and every matrix that holds a row. The
+embedding reader and writer are checked a second time with every file split
+between two processes. Every writer is checked against its reader: a record
+holding what its file format cannot is refused when it is built, and every
+other reads back equal.
 """
 
 from dataclasses import astuple
@@ -28,6 +30,7 @@ from oracles import (
     eer_ref,
     embedding_table,
     enroll_ref,
+    fused_cosine_ref,
     join_labels_ref,
     min_dcf_ref,
     parse_embeddings_ref,
@@ -58,6 +61,7 @@ from tdsvkit import (
     sweep,
     tsvio,
 )
+from tdsvkit import core
 from tdsvkit.cli import _load_labeled_scores
 from tdsvkit.tsvio import (
     parse_embeddings,
@@ -379,6 +383,39 @@ def test_build_enrollment_matches_per_repetition_enroll(data):
 
     expected = _centroids(reference)
     assert _centroids(lambda: build_enrollment(entry, tables)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_row_dots_bits_depend_on_no_block_or_matrix(data):
+    # row_dots gathers and multiplies a block of rows at a time, yet each dot
+    # has the bits of np.add.reduce over its two rows' product taken alone:
+    # no block size, from one row per block up to the whole matrix, and no
+    # matrix that holds a row moves one. Its cosines agree with the
+    # concatenate-and-dot reference.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dim = data.draw(st.integers(1, 600), label="dim")
+    a_count, b_count = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    a = rng.standard_normal((a_count, dim)) * 10.0 ** rng.uniform(-6, 6, (a_count, 1))
+    b = rng.standard_normal((b_count, dim)) * 10.0 ** rng.uniform(-6, 6, (b_count, 1))
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(0, a_count - 1), st.integers(0, b_count - 1)), max_size=20)
+        if a_count and b_count
+        else st.just([])
+    )
+    a_rows, b_rows = [i for i, _ in pairs], [j for _, j in pairs]
+    dots = core.row_dots(a, b, a_rows, b_rows)
+    assert dots.dtype == np.float64 and dots.shape == (len(pairs),)
+    for block in (1, dim, 3 * dim + 1, max(1, len(pairs)) * dim):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_DOT_BLOCK", block)
+            assert core.row_dots(a, b, a_rows, b_rows).tobytes() == dots.tobytes()
+    others = rng.standard_normal((3, dim))
+    for dot, i, j in zip(dots, a_rows, b_rows):
+        alone = core.row_dots(a[i : i + 1], np.vstack([others, b[j], others]), [0], [3])
+        assert alone.tobytes() == dot.tobytes() == np.add.reduce(a[i] * b[j]).tobytes()
+        norms = core.row_norms(np.array([a[i], b[j]]))
+        assert abs(dot / norms.prod() - fused_cosine_ref([a[i]], [b[j]])) <= 1e-12
 
 
 # -- score files and the label join -------------------------------------------
