@@ -230,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPACE=PATH",
         help="per-space embedding file; repeat to declare the fusion order",
     )
-    p_score.add_argument("--cer-threshold", type=float, default=0.3)
-    p_score.add_argument("--punitive-score", type=float, default=-1.0)
+    p_score.add_argument("--cer-threshold", type=float, default=GateConfig.cer_threshold)
+    p_score.add_argument("--punitive-score", type=float, default=GateConfig.punitive_score)
     mode = p_score.add_mutually_exclusive_group()
     mode.add_argument(
         "--strict",
@@ -253,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", help="min-DCF and EER report from a labeled score file"
     )
     _add_subset_flags(p_eval)
-    p_eval.add_argument("--c-miss", type=float, default=10.0)
-    p_eval.add_argument("--c-fa", type=float, default=1.0)
-    p_eval.add_argument("--p-target", type=float, default=0.01)
+    p_eval.add_argument("--c-miss", type=float, default=DcfParams.c_miss)
+    p_eval.add_argument("--c-fa", type=float, default=DcfParams.c_fa)
+    p_eval.add_argument("--p-target", type=float, default=DcfParams.p_target)
     p_eval.add_argument("--json", default=None, help="also write the report as JSON")
     p_eval.set_defaults(func=cmd_evaluate)
 

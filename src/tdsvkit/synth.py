@@ -28,7 +28,7 @@ from .core import (
     normalize_rows,
     row_norms,
 )
-from .errors import ConfigInvalid, DegenerateVector
+from .errors import ConfigInvalid, DegenerateVector, DimensionMismatch
 from .textgate import Phrase, Transcript
 
 _LATIN = "abcdefghijklmnopqrstuvwxyz"
@@ -149,7 +149,7 @@ def _perturb(means: np.ndarray, speakers, sigma: float, noise) -> np.ndarray:
     no noise. A sigma large enough to overflow raises DegenerateVector, with
     no numpy warning.
     """
-    if (np.abs(row_norms(means) - 1.0) > 1e-6).any():
+    if not (np.abs(row_norms(means) - 1.0) <= 1e-6).all():  # a NaN norm fails too
         raise ConfigInvalid("speaker_mean must be unit norm")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ConfigInvalid(f"sigma must be finite and >= 0, got {sigma}")
@@ -182,6 +182,8 @@ def gen_utterance(speaker_mean: np.ndarray, sigma: float, seed: int) -> np.ndarr
     sigma = 0 returns the mean itself (copied), bit-for-bit.
     """
     means = np.asarray(speaker_mean, dtype=np.float64)[np.newaxis]
+    if means.ndim != 2:
+        raise DimensionMismatch(f"speaker_mean must be 1-D, got shape {means.shape[1:]}")
     noise = np.random.default_rng(seed).standard_normal(means.shape) if sigma > 0 else None
     return _perturb(means, [0], sigma, noise)[0]
 

@@ -5,18 +5,18 @@ Embedding files open with a `#dim <D>` header and hold space-separated
 floats serialized at 17 significant digits, which round-trips doubles
 exactly. Parsers read each input once, so a pipe serves as well as a file,
 and raise a per-line diagnostic (path:line: detail) on any malformed input
-instead of crashing, bytes that are not UTF-8 included. Every line they read
-one by one comes from _lines, which splits lines as text mode does. Writers
+instead of crashing, bytes that are not UTF-8 included. Every reader splits
+lines as text mode does, at \\n, \\r\\n or a lone \\r, as _lines does. Writers
 emit deterministic bytes for identical inputs ("\\n" endings on every
 platform). The record types check their values when they are built
 (core.check_token, core.check_text); a writer checks only what no one record
 can, that no two of its records share an id where the format has one record
 per id, and leaves an existing file as it was if they do. So every file
-written here reads back as its records. One reader parses every embedding
-file, in two processes when it is _SPLIT_BYTES or more and the host can fork
-onto a second CPU, and in one part otherwise; a file it refuses, or a pipe,
-is scanned line by line, which names the first bad line. The writer splits
-such files too, with the bytes of one process. The record types read and
+written here reads back as its records. One row loop reads every embedding
+file: in two halves, one per process, if it is _SPLIT_BYTES or more and the
+host can fork onto a second CPU, and otherwise, for a pipe, or for a file
+the halves refuse, in one pass that names the first bad line. The writer
+splits such files too, with the bytes of one process. The record types read and
 written here come from core and textgate, so reading a file loads no scoring
 code.
 
@@ -34,6 +34,7 @@ import marshal
 import math
 import os
 import re
+import stat
 from itertools import repeat
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -78,13 +79,13 @@ _LABEL_FIELDS = {code: f"\t{name}" for name, code in _NAME_CODES.items()} | {UNL
 
 def _lines(path, chunks):
     """Yield (line_no, line) for every line, blank ones included, of chunks:
-    path's bytes in pieces that end at a line break or the end (a binary
-    file, or a list of bytes). Lines split and number as in text mode, at
-    \\n, \\r\\n or a lone \\r (bytes.splitlines splits at exactly these),
+    path's bytes in pieces split at \\n (a binary file) or at every line end.
+    Lines split and number as in text mode, at \\n, \\r\\n or a lone \\r
+    (bytes.splitlines splits again a piece that holds a \\r, at exactly these),
     and decode strictly: a bad byte raises MalformedLine naming its offset."""
     n = offset = 0
     for chunk in chunks:
-        for raw in chunk.splitlines(True):
+        for raw in chunk.splitlines(True) if b"\r" in chunk else (chunk,):
             n += 1
             try:
                 yield n, raw.rstrip(b"\r\n").decode()
@@ -96,23 +97,23 @@ def _lines(path, chunks):
 
 def _bulk_or_scan(path, bulk, scan):
     """Read path once: bulk(its non-empty lines), or, when its bytes are not
-    UTF-8 or bulk returns None, scan(path, _lines of them), which names the
-    first bad line. One copy of the file is alive at a time: the bytes go
-    once decoded, the text once split, and the scan gets the lines joined
-    by \\n, which it splits and numbers as it would the file."""
+    UTF-8 or bulk returns None, scan(path, (line_no, line) pairs), which
+    names the first bad line. One copy of the file is alive at a time: the
+    bytes go once decoded, the text once split into the lines the scan gets,
+    numbered as _lines would, as \\r\\n and a lone \\r became \\n first."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
         text = raw.decode()
     except UnicodeDecodeError:
-        return scan(path, _lines(path, [raw]))
+        return scan(path, _lines(path, raw.splitlines(True)))
     del raw
     if "\r" in text:  # as _lines splits; str.splitlines also splits at \\f, U+2028, ...
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.removesuffix("\n").split("\n")
     del text
     parsed = bulk(lines if "" not in lines else list(filter(None, lines)))
-    return parsed if parsed is not None else scan(path, _lines(path, ["\n".join(lines).encode()]))
+    return parsed if parsed is not None else scan(path, enumerate(lines, 1))
 
 
 def _columns(lines: List[str], n_fields: int) -> Optional[List[list]]:
@@ -210,110 +211,119 @@ def _in_two_parts(first, second) -> Optional[tuple]:
 def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     """Read one embedding space; returns (its EmbeddingTable, declared dim).
 
-    _parse_parts reads the file, in one part or, when it _splits, in two
-    processes. A file it refuses is read again by _scan_embeddings, which
-    names the first bad line, so the values and the diagnostics are those
-    of the scan either way. The scan reads a valid regular file only when
-    its header ends in a lone \\r or the fork or the child fails; an input
-    that is not a regular file, such as a pipe, goes to the scan unread, so
-    that it is read once.
+    _read_halves reads a regular file that _splits in two processes, and
+    _read_whole any other input, a pipe included, or a file the halves
+    refuse, in one pass that names the first bad line. Both check each row
+    with _read_rows, so values and diagnostics are the same either way. A
+    valid file is read twice only if its header ends in a lone \\r, or the
+    fork or the child fails.
     """
-    parsed = _parse_parts(path)
-    return parsed if parsed is not None else _scan_embeddings(path)
+    return _read_halves(path) or _read_whole(path)
 
 
-def _scan_embeddings(path) -> Tuple[EmbeddingTable, int]:
-    """parse_embeddings line by line, naming the first bad line.
+def _read_rows(path, lines, dim: int, out) -> list:
+    """The ids of the non-blank (line_no, line) pairs of lines, each checked
+    as a row of dim values and written to row i of the matrix out, or
+    appended to out when it is a list. The id is checked first, then the
+    values are parsed in one call and checked as a whole; values that fail
+    that check are parsed again one by one, so the diagnostic names the line
+    and column a per-value parse would."""
+    ids = {}  # a dict keeps the order and finds a repeated id at once
+    for n, line in lines:
+        if not line:
+            continue
+        utt_id, tab, rest = line.partition("\t")
+        if not tab:
+            raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
+        if not utt_id:
+            raise MalformedLine(path, n, "empty id field")
+        if utt_id in ids:
+            raise DuplicateId(f"{path}:{n}: duplicate id '{utt_id}'")
+        tokens = rest.split(" ")
+        try:
+            values = np.fromiter(map(float, tokens), np.float64)
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            for col, token in enumerate(tokens, start=1):
+                _finite_field(path, n, col, token)
+        if values.size != dim:
+            raise DimMismatch(path, n, f"expected {dim} values, got {values.size}")
+        if type(out) is list:
+            out.append(values)
+        else:
+            out[len(ids)] = values
+        ids[utt_id] = None
+    return list(ids)
 
-    A row's id is checked first, then its values are parsed in one call and
-    checked as a whole; values that fail that check are re-scanned one by
-    one, so the diagnostic names the same line and column as a per-value
-    parse would. The rows are stacked into one matrix at the end.
-    """
+
+def _read_whole(path) -> Tuple[EmbeddingTable, int]:
+    """parse_embeddings in one pass over the _lines of path. A regular
+    file's rows go into a matrix with _room for its bytes; those of a pipe,
+    which has no size, are stacked into one matrix at the end."""
     with open(path, "rb") as f:
         lines = _lines(path, f)
         dim = _declared_dim(path, next(lines, (1, ""))[1])
-        ids, rows, seen = [], [], set()
-        for n, line in lines:
-            if not line:
-                continue
-            utt_id, tab, rest = line.partition("\t")
-            if not tab:
-                raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
-            if not utt_id:
-                raise MalformedLine(path, n, "empty id field")
-            if utt_id in seen:
-                raise DuplicateId(f"{path}:{n}: duplicate id '{utt_id}'")
-            tokens = rest.split(" ")
-            try:
-                values = np.fromiter(map(float, tokens), np.float64)
-            except ValueError:
-                values = None
-            if values is None or not np.isfinite(values).all():
-                for col, token in enumerate(tokens, start=1):
-                    _finite_field(path, n, col, token)
-            if values.size != dim:
-                raise DimMismatch(path, n, f"expected {dim} values, got {values.size}")
-            seen.add(utt_id)
-            ids.append(utt_id)
-            rows.append(values)
-    return EmbeddingTable(ids, np.reshape(rows, (len(rows), dim))), dim
+        st = os.fstat(f.fileno())
+        rows = np.empty((_room(st.st_size, dim), dim)) if stat.S_ISREG(st.st_mode) else []
+        try:
+            ids = _read_rows(path, lines, dim, rows)
+        except IndexError:  # more rows than the file's size at open has _room for
+            raise OSError(f"{path}: the file grew while it was read") from None
+    return EmbeddingTable(ids, np.reshape(rows[: len(ids)], (len(ids), dim))), dim
 
 
-def _parse_parts(path) -> Optional[Tuple[EmbeddingTable, int]]:
-    """parse_embeddings by _parse_rows, or None for a file it refuses.
+def _room(n_bytes: int, dim: int) -> int:
+    """The most rows of dim values n_bytes of text can hold: a row takes at
+    least 2 * dim + 1 bytes and a line end, but for the file's last row."""
+    return (n_bytes + 1) // (2 * dim + 2)
 
-    A file that does not _splits is read in one part. One that does is split
-    at the first line start at or after its byte midpoint, and each part is
-    parsed into one matrix in shared memory: the first part here, the second
-    in a forked child that pipes back only its ids. The first part gets room
-    for as many rows as it has line breaks, the one part or the second for
-    as many as its bytes could hold, and the second part's rows are moved
-    down over the rows the first part's blank lines left unused. None is
-    returned for anything the scan must name or this reader does not take:
-    a bad header or row, an id repeated anywhere in the file, bytes that are
-    not UTF-8, a header that ends in a lone \\r, a child that fails, or an
-    input that is not a regular file, of which no byte is read.
+
+def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
+    """parse_embeddings in two processes, or None for a file it refuses.
+
+    The file is split at the first line start at or after its byte midpoint,
+    and _read_rows reads each part's _part_lines into one matrix in shared
+    memory: the first part here, with room for as many rows as it has line
+    breaks, the second in a forked child that pipes back only its ids, whose
+    rows are then moved down over the rows the first part's blank lines left
+    unused. None is returned, with no byte read, for an input that is not a
+    regular file or does not _splits; and for a bad header or row, rows that
+    do not fit their part, an id repeated anywhere, bytes that are not UTF-8,
+    a header ending in a lone \\r, or a child that fails.
     """
     import mmap  # here, as only a split needs it
 
     try:
-        if not os.path.isfile(path):
+        if not os.path.isfile(path) or not _splits(os.path.getsize(path)):
             return None
         with open(path, "rb") as f:
             header = f.readline().removesuffix(b"\n").removesuffix(b"\r")
             dim = _declared_dim(path, header.decode())
-            body = mid = f.tell()
+            body = f.tell()
             size = f.seek(0, os.SEEK_END)
-            if _splits(size):
-                start = f.seek(max(size // 2, body) - 1)
-                mid = start + len(f.readline().splitlines(True)[0])
-                mid = mid if mid < size else body
+            start = f.seek(max(size // 2, body) - 1)
+            mid = start + len(f.readline().splitlines(True)[0])
+            mid = mid if mid < size else body
             n_breaks = _count_breaks(f, body, mid)
-        # A row of dim values takes at least 2 * dim + 1 bytes and a line end,
-        # but for the file's last row, which bounds a part's row count.
-        row_bytes = 2 * dim + 2
-        n_head = min(n_breaks, (mid - body) // row_bytes)
-        n_tail = (size - mid + 1) // row_bytes
-        if mid == body:
-            matrix = np.empty((n_tail, dim))
-            ids = _parse_rows(path, body, size, matrix)
-        else:
-            n = n_head + n_tail
-            matrix = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n, 1) * dim * 8))
-            parts = _in_two_parts(
-                lambda: _parse_rows(path, body, mid, matrix[:n_head]),
-                lambda: marshal.dumps(_parse_rows(path, mid, size, matrix[n_head:])),
-            )
-            if parts is None:
-                return None
-            head, tail = parts[0], marshal.loads(parts[1])
-            ids = head + tail
-            if len(head) < n_head:  # numpy moves a 1-D view in place, a 2-D one by a copy
-                flat = matrix.reshape(-1)
-                flat[len(head) * dim : len(ids) * dim] = flat[n_head * dim :][: len(tail) * dim]
+        n_head = min(n_breaks, _room(mid - body, dim))
+        n = n_head + _room(size - mid, dim)
+        matrix = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n, 1) * dim * 8))
+        parts = _in_two_parts(
+            lambda: _read_rows(path, _part_lines(path, body, mid), dim, matrix[:n_head]),
+            lambda: marshal.dumps(
+                _read_rows(path, _part_lines(path, mid, size), dim, matrix[n_head:])
+            ),
+        )
+        if parts is None:
+            return None
+        head, tail = parts[0], marshal.loads(parts[1])
+        ids = head + tail
+        if len(head) < n_head:  # numpy moves a 1-D view in place, a 2-D one by a copy
+            flat = matrix.reshape(-1)
+            flat[len(head) * dim : len(ids) * dim] = flat[n_head * dim :][: len(tail) * dim]
         return EmbeddingTable(ids, matrix[: len(ids)]), dim
-    except (OSError, ValueError, TdsvError):  # UnicodeDecodeError, BadHeader among them
+    except (OSError, IndexError, ValueError, TdsvError):  # BadHeader, UnicodeDecodeError too
         return None
 
 
@@ -328,30 +338,17 @@ def _count_breaks(f, start: int, end: int) -> int:
     return n
 
 
-def _parse_rows(path, start: int, stop: int, out: np.ndarray) -> list:
-    """Parse the lines in bytes [start, stop) of path, split as _lines
-    splits them, into the first rows of out, one row a line that is not
-    blank, and return their ids. A line must be UTF-8 and hold an id, a tab
-    and one float() token a column, and the rows must fit out, or
-    ValueError is raised; EmbeddingTable checks the ids and values."""
-    ids = []
-    dim = out.shape[1]
+def _part_lines(path, start: int, stop: int):
+    """(0, line) for each line in bytes [start, stop) of path, split as _lines
+    splits them but not numbered, as the halves name no bad line."""
     with open(path, "rb") as f:
         f.seek(start)
-        # f splits at \n alone, so a piece holding a \r is split again, as _lines does
-        for raw in (r for c in f for r in (c.splitlines(True) if b"\r" in c else (c,))):
-            if start >= stop:
-                break
-            start += len(raw)
-            line = raw.rstrip(b"\r\n")
-            if line:
-                utt_id, tab, rest = line.decode().partition("\t")
-                tokens = rest.split(" ")
-                if not tab or len(tokens) != dim or len(ids) == len(out):
-                    raise ValueError("not an embedding row of the declared dim")
-                out[len(ids)] = np.fromiter(map(float, tokens), np.float64, dim)
-                ids.append(utt_id)
-    return ids
+        for chunk in f:  # f splits at \n alone, so a piece holding a \r is split again
+            for raw in chunk.splitlines(True) if b"\r" in chunk else (chunk,):
+                if start >= stop:
+                    return
+                start += len(raw)
+                yield 0, raw.rstrip(b"\r\n").decode()
 
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
@@ -418,9 +415,9 @@ def _bulk_trials(lines: List[str]) -> Optional[TrialColumns]:
 
 
 def _scan_trials(path, lines) -> TrialColumns:
-    """Parse the _lines of a trial list one by one, raising the first
-    problem in line order, and within a line in the order field count,
-    label, empty id."""
+    """Parse the (line_no, line) pairs of a trial list one by one, raising
+    the first problem in line order, and within a line in the order field
+    count, label, empty id."""
     columns = [], [], [], []
     for n, line in lines:
         if not line:
@@ -562,8 +559,8 @@ def _bulk_scores(lines: List[str]) -> Optional[ScoreColumns]:
 
 
 def _scan_scores(path, lines) -> ScoreColumns:
-    """Parse the _lines of a score file one by one, raising the first
-    problem in line and then column order."""
+    """Parse the (line_no, line) pairs of a score file one by one, raising
+    the first problem in line and then column order."""
     trial_ids, scores, passed, cers = [], [], [], []
     seen = set()
     for n, line in lines:

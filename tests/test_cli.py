@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from conftest import piped
-from tdsvkit.cli import main
+from tdsvkit import DcfParams, GateConfig, SimConfig
+from tdsvkit.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -47,6 +48,31 @@ def score_args(data, out):
 
 def report_dict(stdout):
     return dict(line.split("=", 1) for line in stdout.strip().splitlines())
+
+
+def test_option_defaults_are_the_config_defaults():
+    # score and evaluate read theirs from the dataclasses; simulate's stay
+    # literal, as reading SimConfig would load synth for every command
+    parse = build_parser().parse_args
+    score = parse(score_args(Path("d"), "s.tsv"))
+    evaluate = parse(["evaluate", "--scores", "s.tsv", "--trials", "t.tsv"])
+    simulate = parse(["simulate", "--out", "d"])
+    gate, dcf, sim = GateConfig(), DcfParams(), SimConfig()
+    pairs = [
+        (score.cer_threshold, gate.cer_threshold),
+        (score.punitive_score, gate.punitive_score),
+        (evaluate.c_miss, dcf.c_miss),
+        (evaluate.c_fa, dcf.c_fa),
+        (evaluate.p_target, dcf.p_target),
+        (simulate.seed, sim.master_seed),
+        (simulate.n_speakers, sim.n_speakers),
+        (simulate.n_phrases, sim.n_phrases),
+        (simulate.trials_per_type, sim.trials_per_type),
+        (simulate.err_correct, sim.transcript_error_rate_correct),
+        (simulate.err_wrong, sim.transcript_error_rate_wrong),
+    ]
+    # repr, so that an int default for a float field fails too
+    assert [repr(option) for option, _ in pairs] == [repr(field) for _, field in pairs]
 
 
 class TestPipeline:

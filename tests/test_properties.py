@@ -260,16 +260,16 @@ def relaid_files(draw, defect):
 )
 @given(data=st.data())
 def test_parse_embeddings_reads_any_line_layout(tmp_path, monkeypatch, split, defect, data):
-    # in one part the reader takes every such layout, and the scan is left
-    # only the files it must name a bad line of
+    # in two processes the halves alone take every such layout, and the
+    # whole pass is left only the files it must name a bad line of
     if split:
         monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
     path = tmp_path / "e.tsv"
     path.write_text(data.draw(relaid_files(defect)), encoding="utf-8", newline="")
     expected = _outcome(parse_embeddings_ref, str(path))
     assert _outcome(parse_embeddings, str(path)) == expected
-    if not split and not isinstance(expected[0], type):
-        assert _outcome(tsvio._parse_parts, str(path)) == expected
+    if split and not isinstance(expected[0], type):
+        assert _outcome(tsvio._read_halves, str(path)) == expected
 
 
 # Doubles at the edges of the 17-digit text: signed zeros, subnormals, the

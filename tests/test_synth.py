@@ -1,5 +1,7 @@
 """Synthetic dataset generator: determinism, validity, statistics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tdsvkit import (
     LABEL_CODES,
     UNLABELED,
     ConfigInvalid,
+    DimensionMismatch,
     GateConfig,
     SimConfig,
     SpaceSpec,
@@ -147,6 +150,17 @@ class TestGenUtterance:
             gen_utterance(np.array([3.0, 4.0]), 0.1, 0)
         with pytest.raises(ConfigInvalid):
             gen_utterance(np.array([1.0, 0.0]), -0.1, 0)
+
+    @pytest.mark.parametrize("mean", [np.float64(1.0), np.array([[0.6, 0.8]])])
+    def test_mean_must_be_one_vector(self, mean):
+        shape = np.shape(mean)
+        with pytest.raises(DimensionMismatch, match=f"got shape {re.escape(str(shape))}"):
+            gen_utterance(mean, 0.5, 1)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_nan_mean_is_not_unit_norm(self, sigma):
+        with pytest.raises(ConfigInvalid, match="unit norm"):
+            gen_utterance(np.array([np.nan, 1.0]), sigma, 1)
 
     def test_small_sigma_concentrates_near_mean(self):
         # at sigma 0.05 and dim 64 the cosine to the mean stays high; the

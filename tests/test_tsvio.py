@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import piped
-from oracles import embedding_table, trial_rows, trial_table, write_embeddings_ref
+from oracles import (
+    embedding_table,
+    parse_embeddings_ref,
+    trial_rows,
+    trial_table,
+    write_embeddings_ref,
+)
 from tdsvkit import (
     BadHeader,
     BadLabel,
@@ -200,7 +206,24 @@ class TestEmbeddingsFormat:
         assert (table.ids, table.matrix.shape, dim) == ([], (0, 10**11), 10**11)
         assert peak < 1 << 20
 
-    # Layouts text mode reads as the plain file, each read without the scan.
+    def test_file_that_grows_while_read(self, tmp_path, monkeypatch):
+        # rows appended after the size was read fail as an OSError, not an
+        # IndexError from a matrix with room for the rows of that size
+        path = _write(tmp_path / "e.tsv", "#dim 1\nu1\t1\n")
+        real = tsvio._lines
+
+        def growing(path, f):
+            for n, line in real(path, f):
+                yield n, line
+                if n == 1:
+                    with open(path, "a", encoding="utf-8") as out:
+                        out.write("".join(f"v{i}\t1\n" for i in range(100)))
+
+        monkeypatch.setattr(tsvio, "_lines", growing)
+        with pytest.raises(OSError, match="grew while it was read"):
+            parse_embeddings(path)
+
+    # Layouts text mode reads as the plain file, each read in one pass.
     LAYOUTS = {
         "\\r\\n line ends": "#dim 2\r\nu1\t1 2\r\nu2\t3 4\r\n",
         "lone \\r line ends": "#dim 2\nu1\t1 2\ru2\t3 4\r",
@@ -214,18 +237,33 @@ class TestEmbeddingsFormat:
     def test_layout_read_without_the_scan(self, tmp_path, monkeypatch, layout):
         path = tmp_path / "e.tsv"
         path.write_bytes(self.LAYOUTS[layout].encode())
-        monkeypatch.setattr(tsvio, "_scan_embeddings", _no_scan)
+        opened = []
+
+        def spy(*args):
+            opened.append(args[0])
+            return open(*args)
+
+        monkeypatch.setattr(tsvio, "open", spy, raising=False)
         n = 0 if layout.startswith("header") else 2
         assert _outcome(path) == (["u1", "u2"][:n], np.array([[1.0, 2], [3, 4]])[:n].tobytes())
+        assert opened == [path]
 
     @pytest.mark.parametrize(
         "text", ["#dim 2\nu1\t1\r2\n", "#dim 2\ru1\t1 2\n", "#dim 1\nu\xe9\t1\n"]
     )
-    def test_text_the_reader_leaves_to_the_scan(self, tmp_path, text):
-        # a \r that does not end a line, or bytes that are not UTF-8
+    def test_text_the_reader_leaves_to_the_scan(self, tmp_path, monkeypatch, text):
+        # a \r that does not end a line, or bytes that are not UTF-8: the
+        # halves refuse them, and the whole pass reads them as the oracle
+        # does, or names the byte the oracle cannot decode
+        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
         path = tmp_path / "e.tsv"
         path.write_bytes(text.encode("latin-1"))
-        assert tsvio._parse_parts(path) is None
+        assert tsvio._read_halves(path) is None
+        try:
+            expected = _outcome(path, parse_embeddings_ref)
+        except UnicodeDecodeError as exc:
+            expected = MalformedLine, f"{path}:2: not valid UTF-8 at byte offset {exc.start}"
+        assert _outcome(path) == expected
 
 
 class TestTrialsFormat:
@@ -676,10 +714,10 @@ class TestWriteDataset:
             assert table == ds.embeddings[name]
 
 
-def _outcome(path):
-    """(ids, value bytes) of parse_embeddings, or its (error class, message)."""
+def _outcome(path, parse=parse_embeddings):
+    """(ids, value bytes) of parse(path), or its (error class, message)."""
     try:
-        table, _ = parse_embeddings(path)
+        table, _ = parse(path)
     except TdsvError as exc:
         return type(exc), str(exc)
     return table.ids, table.matrix.tobytes()
@@ -690,17 +728,13 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _no_scan(path):
-    raise AssertionError(f"{path} was left to the scan")
-
-
 @pytest.mark.skipif(
     not tsvio._splits(tsvio._SPLIT_BYTES), reason="no two-process path on this host"
 )
 class TestSplitFiles:
     """Embedding files of at least _SPLIT_BYTES, read and written in two
-    processes: the values, bytes and diagnostics of one part and of the
-    scan, and no child process left behind on any path."""
+    processes: the values, bytes and diagnostics of the whole-file pass, and
+    no child process left behind on any path."""
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -731,15 +765,9 @@ class TestSplitFiles:
         return calls
 
     @staticmethod
-    def one_part(path, monkeypatch):
+    def whole(path, monkeypatch):
         with monkeypatch.context() as m:
-            m.setattr(tsvio, "_SPLIT_BYTES", float("inf"))
-            return _outcome(path)
-
-    @staticmethod
-    def scan(path, monkeypatch):
-        with monkeypatch.context() as m:
-            m.setattr(tsvio, "_parse_parts", lambda path: None)
+            m.setattr(tsvio, "_read_halves", lambda path: None)
             return _outcome(path)
 
     def test_roundtrip(self, forks, path):
@@ -766,14 +794,14 @@ class TestSplitFiles:
         outcome = _outcome(path)
         assert isinstance(outcome[0], type) and issubclass(outcome[0], TdsvError)
         assert outcome[1].startswith(f"{path}:4001: ")
-        assert outcome == self.one_part(path, monkeypatch) == self.scan(path, monkeypatch)
+        assert outcome == self.whole(path, monkeypatch)
         assert len(forks) == 1
         _no_child_left()
 
     # Layouts that text mode reads as the unedited file.
     FILE_EDITS = {
         "\\r\\n line ends": lambda text: text.replace("\n", "\r\n"),
-        # but for the header's, which the scan alone reads if it ends in \r
+        # but for the header's, which the whole pass alone reads if it ends in \r
         "lone \\r line ends": lambda text: text.replace("\n", "\r").replace("\r", "\n", 1),
         "no final newline": lambda text: text[:-1],
         "one trailing blank line": lambda text: text + "\n",
@@ -785,22 +813,19 @@ class TestSplitFiles:
         expected = _outcome(path)
         text = path.read_text(encoding="utf-8")
         path.write_text(self.FILE_EDITS[edit](text), encoding="utf-8", newline="")
-        assert _outcome(path) == self.one_part(path, monkeypatch) == expected
-        assert self.scan(path, monkeypatch) == expected
+        assert _outcome(path) == self.whole(path, monkeypatch) == expected
         _no_child_left()
 
     @pytest.mark.parametrize("edit", FILE_EDITS)
     def test_layout_read_without_the_scan(self, path, monkeypatch, forks, edit):
-        # each layout, in one part and in two
+        # each layout in two halves, which never fall back on the whole pass
         text = path.read_text(encoding="utf-8")
         path.write_text(self.FILE_EDITS[edit](text), encoding="utf-8", newline="")
-        expected = self.scan(path, monkeypatch)
-        scans, real = [], tsvio._scan_embeddings
-        monkeypatch.setattr(tsvio, "_scan_embeddings", lambda p: scans.append(p) or real(p))
-        assert self.one_part(path, monkeypatch) == expected
-        assert (forks, scans) == ([], [])
+        expected = self.whole(path, monkeypatch)
+        wholes, real = [], tsvio._read_whole
+        monkeypatch.setattr(tsvio, "_read_whole", lambda p: wholes.append(p) or real(p))
         assert _outcome(path) == expected
-        assert (forks, scans) == ([True], [])
+        assert (forks, wholes) == ([True], [])
         _no_child_left()
 
     def test_child_that_dies(self, path, tmp_path, monkeypatch, forks):
@@ -813,7 +838,7 @@ class TestSplitFiles:
         write_embeddings(table, again)
         assert forks == [False, False]
         assert again.read_bytes() == path.read_bytes()
-        assert _outcome(path) == self.one_part(path, monkeypatch) == self.scan(path, monkeypatch)
+        assert _outcome(path) == self.whole(path, monkeypatch)
         _no_child_left()
 
     def test_interrupt_in_the_parent(self, path, monkeypatch):
@@ -824,7 +849,7 @@ class TestSplitFiles:
                 raise KeyboardInterrupt
             time.sleep(60)  # a child that would outlast the call if not killed
 
-        monkeypatch.setattr(tsvio, "_parse_rows", interrupted)
+        monkeypatch.setattr(tsvio, "_part_lines", interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             parse_embeddings(path)
