@@ -7,6 +7,16 @@ actually-spoken phrase and take independent per-character corruption edits.
 Every entity draws its randomness from a sub-seed hashed out of
 (master_seed, entity kind, indices), so single entities can be regenerated
 in isolation and batch output never depends on generation order.
+
+An entity's draws are those of np.random.default_rng(its sub-seed), which the
+one-entity functions (gen_utterance, corrupt_transcript) and the phrases
+call. gen_speakers
+and gen_dataset seed all their generators in one batch instead (_generators):
+numpy's SeedSequence mixing runs over every sub-seed at once as uint32 arrays,
+PCG64's two seeding steps follow as Python ints, and one reused Generator takes
+each state in turn. The states are bit-equal to default_rng's; each batch
+first compares a few of them with numpy's own seeding and, on any mismatch,
+makes every generator of the batch with default_rng.
 """
 
 import hashlib
@@ -37,6 +47,22 @@ _PERSIAN = "ءآابپتثجچحخدذرزژسشصضطظعغفقکگلمنوهی
 # Rows per block when _perturb builds a space's utterance rows.
 _BLOCK_ROWS = 256
 
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe: a pool of four 32-bit
+# words, XSHIFT 16) and PCG64's 128-bit LCG multiplier, restated for
+# _generators. NEP 19 pins a seeded generator's stream, not this derivation,
+# so _generators checks it against numpy on _PROBE_SEEDS and a run's first
+# _CHECKED seeds.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# Seeds of one and of two 32-bit words, at their edges.
+_PROBE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+_CHECKED = 3
+# Seeds mixed per array pass, which bounds the batch's memory on large runs.
+_SEED_BLOCK = 4096
+
 
 def derive_seed(master_seed: int, kind: str, *indices: int) -> int:
     """Stable 64-bit sub-seed for one entity.
@@ -46,11 +72,107 @@ def derive_seed(master_seed: int, kind: str, *indices: int) -> int:
     other entities exist.
     """
     h = hashlib.blake2b(digest_size=8)
-    h.update(int(master_seed).to_bytes(8, "little"))
-    h.update(kind.encode("utf-8"))
-    for idx in indices:
-        h.update(int(idx).to_bytes(8, "little"))
+    try:
+        h.update(int(master_seed).to_bytes(8, "little"))
+        h.update(kind.encode("utf-8"))
+        for idx in indices:
+            h.update(int(idx).to_bytes(8, "little"))
+    except OverflowError:
+        for what, value in [("master_seed", master_seed)] + [("index", i) for i in indices]:
+            if not 0 <= int(value) < 2**64:
+                raise ConfigInvalid(
+                    f"derive_seed: {what} must be an unsigned 64-bit integer, got {value!r}"
+                ) from None
+        raise
     return int.from_bytes(h.digest(), "little")
+
+
+def _default_rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed) for one entity's seed, an unsigned 64-bit
+    integer, or ConfigInvalid naming it."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ConfigInvalid(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
+def _seeding_words(seeds) -> np.ndarray:
+    """The four uint64 words np.random.SeedSequence(s).generate_state(4,
+    np.uint64) gives for each 64-bit seed s, as a (len(seeds), 4) array.
+
+    SeedSequence's entropy is a seed's 32-bit words, low first, and a seed
+    below 2**32 mixes as [lo, 0] does: its pool's second word hashes 0
+    either way. So every seed takes one path: hash two words and two zeros
+    into the pool, mix each pool word into every other, then hash the pool
+    out into eight 32-bit words, low word of each uint64 first. The hash
+    constants step the same for every seed, so they stay Python ints.
+    """
+    seeds = np.array(seeds, dtype=np.uint64)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    pool = [hashmix(word) for word in entropy + [zero, zero]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2)], axis=1)
+
+
+def _pcg64_states(seeds):
+    """Yield PCG64's (state, inc) as np.random.PCG64(s) sets it, for each
+    64-bit seed s in turn. PCG64 takes the 128-bit words w0:w1 as its initial
+    state and w2:w3 as its stream, and seeds as pcg_setseq_128_srandom_r does:
+    inc = stream * 2 + 1, then two LCG steps from state 0, the initial state
+    added between them."""
+    for start in range(0, len(seeds), _SEED_BLOCK):
+        for w0, w1, w2, w3 in _seeding_words(seeds[start : start + _SEED_BLOCK]).tolist():
+            inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
+            yield ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _generators(seeds: list):
+    """Yield, for each 64-bit seed in turn, a generator that draws what
+    np.random.default_rng(seed) draws. It is one Generator, given each
+    seed's state through the bit generator's public state setter, which also
+    empties the 32-bit buffer of integers(); so draw from each before taking
+    the next. The states of _PROBE_SEEDS and of the first _CHECKED seeds are
+    first compared with numpy's own; on any mismatch, every generator comes
+    from default_rng."""
+    probes = list(_PROBE_SEEDS) + seeds[:_CHECKED]
+    states = _pcg64_states(probes + seeds)
+    for seed, (state, inc) in zip(probes, states):
+        if np.random.PCG64(seed).state["state"] != {"state": state, "inc": inc}:
+            yield from map(np.random.default_rng, seeds)
+            return
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -104,16 +226,31 @@ class SimConfig:
         names = [sp.name for sp in self.spaces]
         if len(set(names)) != len(names):
             raise ConfigInvalid(f"spaces contains duplicate names {names}")
-        if not (isinstance(self.trials_per_type, int) and self.trials_per_type >= 0):
+        if not (_is_int(self.trials_per_type) and self.trials_per_type >= 0):
             raise ConfigInvalid(
                 f"trials_per_type must be an int >= 0, got {self.trials_per_type!r}"
             )
         for fname in ("transcript_error_rate_correct", "transcript_error_rate_wrong"):
-            rate = getattr(self, fname)
-            if not (0.0 <= rate <= 1.0):
-                raise ConfigInvalid(f"{fname} must lie in [0, 1], got {rate}")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
-            raise ConfigInvalid("master_seed must be an unsigned 64-bit integer")
+            _check_rate(fname, getattr(self, fname))
+        if not (_is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
+            raise ConfigInvalid(
+                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}"
+            )
+
+
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool, which counts as one in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_rate(name: str, rate) -> None:
+    """ConfigInvalid unless rate is a number in [0, 1]."""
+    try:
+        valid = 0.0 <= rate <= 1.0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ConfigInvalid(f"{name} must lie in [0, 1], got {rate!r}")
 
 
 @dataclass
@@ -165,14 +302,22 @@ def _perturb(means: np.ndarray, speakers, sigma: float, noise) -> np.ndarray:
 
 
 def gen_speakers(n: int, dim: int, seed: int) -> np.ndarray:
-    """n unit-norm mean directions, one independent sub-seeded draw each."""
+    """n unit-norm mean directions, one independent sub-seeded draw each:
+    speaker i is normalize(default_rng(derive_seed(seed, "speaker", i))
+    .standard_normal(dim))."""
     if n < 1:
         raise ConfigInvalid(f"n must be >= 1, got {n}")
     if dim < 2:
         raise ConfigInvalid(f"dim must be >= 2, got {dim}")
+    seeds = [derive_seed(seed, "speaker", i) for i in range(n)]
+    return _speaker_means(n, dim, _generators(seeds))
+
+
+def _speaker_means(n: int, dim: int, rngs) -> np.ndarray:
+    """gen_speakers' n means, drawn from the next n generators of rngs."""
     out = np.empty((n, dim), dtype=np.float64)
-    for i in range(n):
-        np.random.default_rng(derive_seed(seed, "speaker", i)).standard_normal(out=out[i])
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
     return normalize_rows(out)
 
 
@@ -184,7 +329,8 @@ def gen_utterance(speaker_mean: np.ndarray, sigma: float, seed: int) -> np.ndarr
     means = np.asarray(speaker_mean, dtype=np.float64)[np.newaxis]
     if means.ndim != 2:
         raise DimensionMismatch(f"speaker_mean must be 1-D, got shape {means.shape[1:]}")
-    noise = np.random.default_rng(seed).standard_normal(means.shape) if sigma > 0 else None
+    rng = _default_rng(seed)
+    noise = rng.standard_normal(means.shape) if sigma > 0 else None
     return _perturb(means, [0], sigma, noise)[0]
 
 
@@ -197,11 +343,14 @@ def corrupt_transcript(
     from substitute / delete / insert-after, with replacement characters
     drawn from the alphabet.
     """
-    if not (0.0 <= rate <= 1.0):
-        raise ConfigInvalid(f"rate must lie in [0, 1], got {rate}")
+    _check_rate("rate", rate)
     if not alphabet:
         raise ConfigInvalid("alphabet must be non-empty")
-    rng = np.random.default_rng(seed)
+    return _corrupt(reference, rate, _default_rng(seed), alphabet)
+
+
+def _corrupt(reference: str, rate: float, rng, alphabet: str) -> str:
+    """corrupt_transcript with its draws taken from the generator rng."""
     out = []
     for ch in reference:
         if rng.random() >= rate:
@@ -253,15 +402,27 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
         alphabet_chars.update(phrase.text)
     alphabet = "".join(sorted(alphabet_chars))
 
-    means = [
-        gen_speakers(cfg.n_speakers, sp.dim, derive_seed(seed, "space", j))
-        for j, sp in enumerate(cfg.spaces)
-    ]
     # Each space's utterance rows (repetitions, then test utterances) are made
     # in one _perturb call: row r speaks as speaker row_speakers[r], and its
     # noise, in a space j with sigma > 0, comes from its own draw, sub-seeded
     # by row_keys[r] = (kind, indices) as derive_seed(seed, kind, j, *indices).
-    row_ids, row_speakers, row_keys = [], [], []
+    trial_keys = [(li, t) for li in range(len(TrialLabel)) for t in range(cfg.trials_per_type)]
+    row_keys = [("rep", (i, k)) for i in range(cfg.n_speakers) for k in range(REPS_PER_MODEL)]
+    row_keys += [("test", key) for key in trial_keys]
+    # Every generator of the run, seeded in one batch and taken in this order:
+    # each space's speaker means, each trial's picks and then its transcript,
+    # and each noisy space's utterance rows.
+    space_seeds = [derive_seed(seed, "space", j) for j in range(len(cfg.spaces))]
+    seeds = [derive_seed(s, "speaker", i) for s in space_seeds for i in range(cfg.n_speakers)]
+    for li, t in trial_keys:
+        seeds += [derive_seed(seed, "trial", li, t), derive_seed(seed, "transcript", li, t)]
+    for j, sp in enumerate(cfg.spaces):
+        if sp.noise_sigma > 0:
+            seeds += [derive_seed(seed, kind, j, *indices) for kind, indices in row_keys]
+    rngs = _generators(seeds)
+
+    means = [_speaker_means(cfg.n_speakers, sp.dim, rngs) for sp in cfg.spaces]
+    row_ids, row_speakers = [], []
     enroll_entries = []
     model_speaker = {}
     for i in range(cfg.n_speakers):
@@ -270,7 +431,6 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
         rep_ids = tuple(f"{model_id}-rep{k}" for k in range(REPS_PER_MODEL))
         row_ids.extend(rep_ids)
         row_speakers.extend([i] * REPS_PER_MODEL)
-        row_keys.extend(("rep", (i, k)) for k in range(REPS_PER_MODEL))
         enroll_entries.append(EnrollEntry(model_id, phrase_id, rep_ids))
         model_speaker[model_id] = i
 
@@ -281,7 +441,7 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     counter = 0
     for li, label in enumerate(TrialLabel):
         for t in range(cfg.trials_per_type):
-            rng = np.random.default_rng(derive_seed(seed, "trial", li, t))
+            rng = next(rngs)
             mi = int(rng.integers(cfg.n_speakers))
             model_id = f"mdl{mi:04d}"
             enrolled_pi = mi % cfg.n_phrases
@@ -297,19 +457,13 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
             trial_id = f"trl{counter:05d}"
             row_ids.append(utt_id)
             row_speakers.append(si)
-            row_keys.append(("test", (li, t)))
             rate = (
                 cfg.transcript_error_rate_correct
                 if label.same_phrase
                 else cfg.transcript_error_rate_wrong
             )
             spoken = phrases[phrase_ids[pi]].text
-            transcripts[utt_id] = Transcript(
-                utt_id,
-                corrupt_transcript(
-                    spoken, rate, derive_seed(seed, "transcript", li, t), alphabet
-                ),
-            )
+            transcripts[utt_id] = Transcript(utt_id, _corrupt(spoken, rate, next(rngs), alphabet))
             trial_ids.append(trial_id)
             model_ids.append(model_id)
             test_ids.append(utt_id)
@@ -323,8 +477,7 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
         noise = None
         if sp.noise_sigma > 0:
             noise = np.empty((len(row_ids), sp.dim))
-            for row, (kind, indices) in zip(noise, row_keys):
-                rng = np.random.default_rng(derive_seed(seed, kind, j, *indices))
+            for row, rng in zip(noise, rngs):
                 rng.standard_normal(out=row)
         try:
             rows = _perturb(means[j], row_speakers, sp.noise_sigma, noise)

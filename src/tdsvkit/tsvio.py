@@ -70,6 +70,10 @@ _MAX_DIM = int(np.iinfo(np.intp).max) // 8
 # a part's ids takes about 4 ms on a 2-core host, the time to parse about
 # 0.12 MB of embedding text, so below 1 MiB the saving is not worth a fork.
 _SPLIT_BYTES = 1 << 20
+# The most bytes _pieces reads at once. A line longer than this, a row of
+# more than about 10,000 values, is read in several pieces and joined.
+_PIECE_BYTES = 1 << 18
+_LF, _CR = ord("\n"), ord("\r")
 _DET_HEADER = "#p_miss\tp_fa\tthreshold"
 _FLAGS = frozenset({"PASS", "PUNITIVE"})
 _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
@@ -77,10 +81,38 @@ _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
 _LABEL_FIELDS = {code: f"\t{name}" for name, code in _NAME_CODES.items()} | {UNLABELED: ""}
 
 
+def _pieces(f):
+    """Yield the bytes of the binary file f from where it stands, in pieces
+    of whole lines. Where lines end in \\n, a piece is one line, as iterating
+    f gives. Where they end in a lone \\r, at which a line read does not
+    stop, a piece is the lines of one read of _PIECE_BYTES, led by the start
+    of a line the read before cut short. A read that ends in \\r takes one
+    byte more, the \\n it may pair with."""
+    held = []  # the start of a line that no read so far has ended
+    while piece := f.readline(_PIECE_BYTES):
+        if piece[-1] == _LF and not held:
+            yield piece
+            continue
+        if piece[-1] == _CR:
+            piece += f.read(1)
+        if piece[-1] == _LF:
+            end = len(piece)
+        else:  # a read cut short, or the file's end; a last \r may pair with a \n
+            end = piece.rfind(b"\r", 0, len(piece) - 1) + 1
+            if not end:
+                held.append(piece)
+                continue
+        held.append(piece[:end])
+        yield b"".join(held)
+        held = [piece[end:]] if end < len(piece) else []
+    if held:
+        yield b"".join(held)
+
+
 def _lines(path, chunks):
     """Yield (line_no, line) for every line, blank ones included, of chunks:
-    path's bytes in pieces split at \\n (a binary file) or at every line end.
-    Lines split and number as in text mode, at \\n, \\r\\n or a lone \\r
+    path's bytes in pieces of whole lines (_pieces of a binary file). Lines
+    split and number as in text mode, at \\n, \\r\\n or a lone \\r
     (bytes.splitlines splits again a piece that holds a \\r, at exactly these),
     and decode strictly: a bad byte raises MalformedLine naming its offset."""
     n = offset = 0
@@ -262,7 +294,7 @@ def _read_whole(path) -> Tuple[EmbeddingTable, int]:
     file's rows go into a matrix with _room for its bytes; those of a pipe,
     which has no size, are stacked into one matrix at the end."""
     with open(path, "rb") as f:
-        lines = _lines(path, f)
+        lines = _lines(path, _pieces(f))
         dim = _declared_dim(path, next(lines, (1, ""))[1])
         st = os.fstat(f.fileno())
         rows = np.empty((_room(st.st_size, dim), dim)) if stat.S_ISREG(st.st_mode) else []
@@ -298,12 +330,12 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
         if not os.path.isfile(path) or not _splits(os.path.getsize(path)):
             return None
         with open(path, "rb") as f:
-            header = f.readline().removesuffix(b"\n").removesuffix(b"\r")
+            header = f.readline(_PIECE_BYTES).removesuffix(b"\n").removesuffix(b"\r")
             dim = _declared_dim(path, header.decode())
             body = f.tell()
             size = f.seek(0, os.SEEK_END)
             start = f.seek(max(size // 2, body) - 1)
-            mid = start + len(f.readline().splitlines(True)[0])
+            mid = start + len(next(_pieces(f)).splitlines(True)[0])
             mid = mid if mid < size else body
             n_breaks = _count_breaks(f, body, mid)
         n_head = min(n_breaks, _room(mid - body, dim))
@@ -343,7 +375,7 @@ def _part_lines(path, start: int, stop: int):
     splits them but not numbered, as the halves name no bad line."""
     with open(path, "rb") as f:
         f.seek(start)
-        for chunk in f:  # f splits at \n alone, so a piece holding a \r is split again
+        for chunk in _pieces(f):  # a piece holding a \r is split again
             for raw in chunk.splitlines(True) if b"\r" in chunk else (chunk,):
                 if start >= stop:
                     return
@@ -450,7 +482,7 @@ def _parse_id_text(path, factory) -> dict:
     """Shared reader for the two `<id>\\t<text>` formats."""
     table = {}
     with open(path, "rb") as f:
-        for n, line in _lines(path, f):
+        for n, line in _lines(path, _pieces(f)):
             if not line:
                 continue
             if "\t" not in line:
@@ -496,7 +528,7 @@ def parse_enrollmap(path) -> dict:
     """Read the enrollment map: model_id -> EnrollEntry (three rep ids)."""
     entries = {}
     with open(path, "rb") as f:
-        for n, line in _lines(path, f):
+        for n, line in _lines(path, _pieces(f)):
             if not line:
                 continue
             fields = line.split("\t")

@@ -7,7 +7,9 @@ one repetition at a time; the one-call-per-row embedding parser, the
 bulk-checked score and trial readers, the enrollmap, phrase and
 transcript readers and the evaluate/det label join against value-by-value
 parses, diagnostics included; and the array sweep, min-DCF, EER and DET
-points against the threshold-enumeration oracles. The one dot product,
+points against the threshold-enumeration oracles. The line reader's
+bounded pieces are checked against bytes.splitlines, and the generators that
+synth seeds in one batch against np.random.default_rng. The one dot product,
 core.row_dots, is checked against the concatenate-and-dot cosine, and its
 bits against every block size and every matrix that holds a row. The
 embedding reader and writer are checked a second time with every file split
@@ -16,6 +18,7 @@ holding what its file format cannot is refused when it is built, and every
 other reads back equal.
 """
 
+import io
 from dataclasses import astuple
 from functools import partial
 
@@ -49,6 +52,8 @@ from tdsvkit import (
     EnrollEntry,
     Phrase,
     ScoreColumns,
+    SimConfig,
+    SpaceSpec,
     TdsvError,
     Transcript,
     TrialColumns,
@@ -57,8 +62,10 @@ from tdsvkit import (
     det_points,
     edit_distance,
     eer,
+    gen_dataset,
     min_dcf,
     sweep,
+    synth,
     tsvio,
 )
 from tdsvkit import core
@@ -1097,3 +1104,77 @@ def test_array_metrics_match_enumeration_oracles(scores, params):
     assert list(zip(
         points.threshold.tolist(), points.p_miss.tolist(), points.p_fa.tolist()
     )) == det_points_ref(targets, nontargets)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    data=st.lists(st.sampled_from([b"a", b"\xc3\xa9", b"\r", b"\n", b"\r\n"])).map(b"".join),
+    size=st.integers(1, 8),
+)
+def test_pieces_are_whole_lines_of_bounded_reads(monkeypatch, data, size):
+    # a piece is one line, or one read and a byte at most led by the start
+    # of a line; every \r\n stays whole, so the lines are bytes.splitlines'
+    monkeypatch.setattr(tsvio, "_PIECE_BYTES", size)
+    pieces = list(tsvio._pieces(io.BytesIO(data)))
+    lines = data.splitlines(True)
+    assert [line for piece in pieces for line in piece.splitlines(True)] == lines
+    assert all(len(piece) <= size + 1 + max(map(len, lines)) for piece in pieces)
+
+
+# Seeds of one 32-bit word and of two, at their edges and at the sign bit.
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _draws(rng, n, bound):
+    """What the synth entities draw: normals into a row, a uniform, and
+    integers; the last integers(bound) leaves half of a 64-bit draw in the
+    bit generator's 32-bit buffer, which the next seed's state must empty."""
+    normals = np.empty(n)
+    rng.standard_normal(out=normals)
+    return normals.tobytes(), rng.random(), int(rng.integers(2**40)), int(rng.integers(bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_EDGE_SEEDS)), min_size=1),
+    n=st.integers(0, 70),
+    bound=st.integers(1, 2**32 - 1),
+)
+@example(seeds=_EDGE_SEEDS, n=256, bound=3)
+def test_batch_generators_draw_what_default_rng_draws(seeds, n, bound):
+    rngs = synth._generators(seeds)
+    first = next(rngs)
+    drawn = [_draws(first, n, bound)]
+    for rng in rngs:
+        assert rng is first  # one Generator given each state: the batch, not its fallback
+        drawn.append(_draws(rng, n, bound))
+    assert drawn == [_draws(np.random.default_rng(seed), n, bound) for seed in seeds]
+
+
+def test_batch_that_disagrees_with_numpy_falls_back_to_default_rng(monkeypatch):
+    cfg = SimConfig(
+        n_speakers=5,
+        n_phrases=3,
+        spaces=(SpaceSpec("a", 9, 0.3), SpaceSpec("b", 4, 0.0)),
+        trials_per_type=6,
+        transcript_error_rate_correct=0.3,
+        transcript_error_rate_wrong=0.5,
+        master_seed=7,
+    )
+
+    def made():
+        ds = gen_dataset(cfg)
+        texts = {utt: t.text for utt, t in ds.transcripts.items()}
+        tables = {name: (t.ids, t.matrix.tobytes()) for name, t in ds.embeddings.items()}
+        return texts, tables, ds.trials, ds.utt_speaker, ds.utt_phrase
+
+    expected = made()
+    monkeypatch.setattr(synth, "_PCG_MULT", synth._PCG_MULT + 2)
+    state, inc = next(synth._pcg64_states([7]))
+    assert np.random.PCG64(7).state["state"] != {"state": state, "inc": inc}
+    assert len({id(rng) for rng in list(synth._generators([7, 8, 9]))}) == 3
+    assert made() == expected

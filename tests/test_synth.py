@@ -1,6 +1,7 @@
 """Synthetic dataset generator: determinism, validity, statistics."""
 
 import re
+import string
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from tdsvkit import (
     score_all,
     validate_labels,
 )
+from tdsvkit.core import normalize_rows
 
 
 class TestDeriveSeed:
@@ -42,6 +44,13 @@ class TestDeriveSeed:
         for seed in (0, 1, 2**64 - 1):
             value = derive_seed(seed, "anything", 0)
             assert 0 <= value < 2**64
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_value_out_of_range_is_named(self, bad):
+        with pytest.raises(ConfigInvalid, match=f"master_seed .* got {bad}$"):
+            derive_seed(bad, "trial", 1)
+        with pytest.raises(ConfigInvalid, match=f"index .* got {bad}$"):
+            derive_seed(0, "trial", 1, bad)
 
 
 class TestSpaceSpec:
@@ -93,6 +102,17 @@ class TestSimConfig:
         with pytest.raises(ConfigInvalid, match="master_seed"):
             SimConfig(master_seed=2**64)
 
+    def test_bool_is_not_an_int(self):
+        with pytest.raises(ConfigInvalid, match="master_seed .* got True"):
+            SimConfig(master_seed=True)
+        with pytest.raises(ConfigInvalid, match="trials_per_type .* got False"):
+            SimConfig(trials_per_type=False)
+
+    @pytest.mark.parametrize("rate", ["0.1", None, float("nan")])
+    def test_error_rate_must_be_a_number(self, rate):
+        with pytest.raises(ConfigInvalid, match=f"transcript_error_rate_wrong .* got {rate!r}"):
+            SimConfig(transcript_error_rate_wrong=rate)
+
 
 class TestGenSpeakers:
     def test_deterministic(self):
@@ -123,6 +143,8 @@ class TestGenSpeakers:
             gen_speakers(0, 16, 0)
         with pytest.raises(ConfigInvalid):
             gen_speakers(3, 1, 0)
+        with pytest.raises(ConfigInvalid, match="got -1$"):
+            gen_speakers(3, 16, -1)
 
 
 class TestGenUtterance:
@@ -150,6 +172,12 @@ class TestGenUtterance:
             gen_utterance(np.array([3.0, 4.0]), 0.1, 0)
         with pytest.raises(ConfigInvalid):
             gen_utterance(np.array([1.0, 0.0]), -0.1, 0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0])
+    def test_bad_seed_is_named(self, sigma, seed):
+        with pytest.raises(ConfigInvalid, match=f"seed .* got {seed!r}$"):
+            gen_utterance(np.array([0.6, 0.8]), sigma, seed)
 
     @pytest.mark.parametrize("mean", [np.float64(1.0), np.array([[0.6, 0.8]])])
     def test_mean_must_be_one_vector(self, mean):
@@ -205,6 +233,11 @@ class TestCorruptTranscript:
             corrupt_transcript("x", 1.5, 0)
         with pytest.raises(ConfigInvalid):
             corrupt_transcript("x", 0.5, 0, alphabet="")
+        with pytest.raises(ConfigInvalid, match="rate .* got 'x'$"):
+            corrupt_transcript("x", "x", 0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigInvalid, match=f"seed .* got {seed}$"):
+                corrupt_transcript("x", 0.5, seed)
 
 
 def _small_cfg(**overrides):
@@ -305,8 +338,62 @@ class TestGenDataset:
 
 
 class TestPerEntityContract:
-    """gen_dataset makes each space's rows in one batch; every row must still
-    be the utterance that gen_utterance makes alone from its own sub-seed."""
+    """gen_dataset seeds every generator of a run in one batch and makes each
+    space's rows in one batch; every speaker mean, row, trial and transcript
+    must still be what np.random.default_rng of its own sub-seed makes alone:
+    the one-entity functions, or the picks as gen_dataset states them."""
+
+    def test_every_speaker_mean_matches_its_own_draw(self):
+        cfg = _small_cfg(spaces=(SpaceSpec("a", 67, 0.0), SpaceSpec("b", 2, 0.0)))
+        ds = gen_dataset(cfg)
+        for j, sp in enumerate(cfg.spaces):
+            space_seed = derive_seed(cfg.master_seed, "space", j)
+            means = gen_speakers(cfg.n_speakers, sp.dim, space_seed)
+            for i, mean in enumerate(means):
+                rng = np.random.default_rng(derive_seed(space_seed, "speaker", i))
+                expected = normalize_rows(rng.standard_normal((1, sp.dim)))[0]
+                assert mean.tobytes() == expected.tobytes(), (sp.name, i)
+            # a noise-free space's rows are its speaker means
+            table = ds.embeddings[sp.name]
+            for utt_id, speaker in ds.utt_speaker.items():
+                assert table.matrix[table.rows[utt_id]].tobytes() == means[speaker].tobytes()
+
+    def test_every_trial_and_transcript_matches_its_own_generator(self):
+        cfg = _small_cfg(
+            trials_per_type=40,
+            transcript_error_rate_correct=0.3,
+            transcript_error_rate_wrong=0.6,
+        )
+        ds = gen_dataset(cfg)
+        seed, n, n_phrases = cfg.master_seed, cfg.n_speakers, cfg.n_phrases
+        phrase_ids = sorted(ds.phrases)
+        alphabet = "".join(
+            sorted(set(string.ascii_letters).union(*(p.text for p in ds.phrases.values())))
+        )
+        changed = 0
+        for row, (model_id, test_id) in enumerate(zip(ds.trials.model_ids, ds.trials.test_ids)):
+            li, t = divmod(row, cfg.trials_per_type)
+            label = list(TrialLabel)[li]
+            rng = np.random.default_rng(derive_seed(seed, "trial", li, t))
+            mi = int(rng.integers(n))
+            si = mi if label.same_speaker else (mi + 1 + int(rng.integers(n - 1))) % n
+            pi = mi % n_phrases
+            if not label.same_phrase:
+                pi = (pi + 1 + int(rng.integers(n_phrases - 1))) % n_phrases
+            assert (model_id, ds.utt_speaker[test_id]) == (f"mdl{mi:04d}", si), row
+            assert ds.utt_phrase[test_id] == phrase_ids[pi], row
+            rate = (
+                cfg.transcript_error_rate_correct
+                if label.same_phrase
+                else cfg.transcript_error_rate_wrong
+            )
+            spoken = ds.phrases[phrase_ids[pi]].text
+            expected = corrupt_transcript(
+                spoken, rate, derive_seed(seed, "transcript", li, t), alphabet
+            )
+            assert ds.transcripts[test_id].text == expected, row
+            changed += expected != spoken
+        assert changed > len(ds.trials) // 2  # the corruption draws are exercised
 
     def test_every_row_matches_gen_utterance(self):
         # dim 67 puts rows at offsets that are not 16-byte multiples and is

@@ -265,6 +265,26 @@ class TestEmbeddingsFormat:
             expected = MalformedLine, f"{path}:2: not valid UTF-8 at byte offset {exc.start}"
         assert _outcome(path) == expected
 
+    @pytest.mark.parametrize("header_end", ["\r", "\n"])
+    def test_lone_cr_file_is_read_in_bounded_pieces(self, tmp_path, monkeypatch, header_end):
+        # a line read stops only at \n, so a file of lone \r line ends would
+        # come as one piece; a piece holds one read and a byte at most, and
+        # the start of a line the read before cut short. The halves refuse a
+        # header that ends in \r, so the whole pass reads one file and the
+        # halves the other.
+        rows = [f"u{i}\t{i} {i / 7!r}" for i in range(300)]
+        lf = _write(tmp_path / "lf.tsv", "#dim 2\n" + "\n".join(rows) + "\n")
+        cr = _write(tmp_path / "cr.tsv", "#dim 2" + header_end + "\r".join(rows) + "\r")
+        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(tsvio, "_PIECE_BYTES", 64)
+        sizes, real = [], tsvio._pieces
+        monkeypatch.setattr(
+            tsvio, "_pieces", lambda f: (sizes.append(len(p)) or p for p in real(f))
+        )
+        assert _outcome(cr) == _outcome(lf)
+        assert len(sizes) > 100
+        assert max(sizes) <= 64 + 1 + max(len(row) + 1 for row in rows)
+
 
 class TestTrialsFormat:
     def test_labeled_and_unlabeled(self, tmp_path):
