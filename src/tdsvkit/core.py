@@ -55,6 +55,16 @@ LABEL_CODES = {label: code for code, label in enumerate(TrialLabel)}
 UNLABELED = -1
 
 
+def check_label_codes(codes) -> None:
+    """ValueError unless every one of codes is an integer in UNLABELED..3."""
+    codes = np.asarray(codes)
+    if codes.size and codes.dtype.kind not in "iu":
+        raise ValueError(f"label codes must be integers, got {codes.dtype} codes")
+    bad = codes[(codes < UNLABELED) | (codes >= len(TrialLabel))]
+    if bad.size:
+        raise ValueError(f"label code {bad[0]} is not in {UNLABELED}..{len(TrialLabel) - 1}")
+
+
 def undecodable(text: str) -> bool:
     """Whether text holds a lone surrogate (as "surrogateescape" reads a byte
     that is not UTF-8), which has no UTF-8 form. ASCII text is not searched."""
@@ -143,11 +153,7 @@ class TrialColumns:
             raise ValueError("trial columns differ in length")
         for what, ids in columns.items():
             check_tokens(ids, what)
-        if codes.size and codes.dtype.kind not in "iu":
-            raise ValueError(f"label codes must be integers, got {codes.dtype} codes")
-        bad = codes[(codes < UNLABELED) | (codes >= len(TrialLabel))]
-        if bad.size:
-            raise ValueError(f"label code {bad[0]} is not in {UNLABELED}..{len(TrialLabel) - 1}")
+        check_label_codes(codes)
         object.__setattr__(self, "labels", codes.astype(np.int8, copy=False))
 
     def __len__(self) -> int:

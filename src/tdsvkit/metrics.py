@@ -17,13 +17,15 @@ that min_dcf, eer and det_points all read.
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import LABEL_CODES, TrialLabel
+from .core import LABEL_CODES, TrialLabel, check_label_codes
 from .errors import (
     ConfigInvalid,
+    DegenerateVector,
     EmptySide,
     NoNonTargets,
     NoTargets,
@@ -40,11 +42,11 @@ class DcfParams:
     p_target: float = 0.01
 
     def __post_init__(self):
-        if not (math.isfinite(self.c_miss) and self.c_miss > 0):
+        if not (isinstance(self.c_miss, Real) and 0 < self.c_miss < math.inf):
             raise ConfigInvalid(f"c_miss must be finite and > 0, got {self.c_miss}")
-        if not (math.isfinite(self.c_fa) and self.c_fa > 0):
+        if not (isinstance(self.c_fa, Real) and 0 < self.c_fa < math.inf):
             raise ConfigInvalid(f"c_fa must be finite and > 0, got {self.c_fa}")
-        if not (0.0 < self.p_target < 1.0):
+        if not (isinstance(self.p_target, Real) and 0.0 < self.p_target < 1.0):
             raise ConfigInvalid(f"p_target must lie in (0, 1), got {self.p_target}")
 
     @property
@@ -101,7 +103,8 @@ def sweep(target_scores, nontarget_scores) -> ErrorRates:
     """Error rates at every threshold that can change the confusion counts.
 
     Thresholds ascend from accept-everything (p_miss=0, p_fa=1) to
-    reject-everything (p_miss=1, p_fa=0).
+    reject-everything (p_miss=1, p_fa=0). A NaN or infinite score raises
+    DegenerateVector.
     """
     targets_sorted = np.sort(np.asarray(target_scores, dtype=np.float64))
     nontargets_sorted = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
@@ -112,6 +115,8 @@ def sweep(target_scores, nontarget_scores) -> ErrorRates:
     if not n_nontarget:
         raise NoNonTargets("score set has no non-target records")
     distinct = np.unique(np.concatenate([targets_sorted, nontargets_sorted]))
+    if not np.isfinite(distinct[[0, -1]]).all():  # -inf sorts first, +inf and nan last
+        raise DegenerateVector(f"scores must be finite, got {distinct[~np.isfinite(distinct)][0]}")
     lo, hi = distinct[:-1], distinct[1:]
     with np.errstate(over="ignore"):
         midpoints = (lo + hi) / 2.0
@@ -178,13 +183,15 @@ def det_points(rates: ErrorRates) -> ErrorRates:
 def select_subset(codes, mode: SubsetMode) -> np.ndarray:
     """Boolean mask of the label codes (see core.LABEL_CODES) the mode keeps.
 
-    Every entry must be labeled, and the survivors must include at least
+    Every entry must be labeled (UnlabeledRecords) with a code that
+    core.check_label_codes takes, and the survivors must include at least
     one target and one non-target.
     """
     codes = np.asarray(codes)
     n_unlabeled = int(np.count_nonzero(codes < 0))
     if n_unlabeled:
         raise UnlabeledRecords(f"{n_unlabeled} of {codes.size} records have no label")
+    check_label_codes(codes)
     keeps = np.array([mode.keep is None or label in mode.keep for label in TrialLabel])
     kept = keeps[codes]
     n_target = int(np.count_nonzero(kept & (codes == _TARGET)))

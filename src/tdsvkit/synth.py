@@ -24,6 +24,7 @@ import math
 import os
 import string
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -194,7 +195,7 @@ class SpaceSpec:
             )
         if not (isinstance(self.dim, int) and self.dim >= 2):
             raise ConfigInvalid(f"space '{self.name}': dim must be an int >= 2")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+        if not (isinstance(self.noise_sigma, Real) and 0.0 <= self.noise_sigma < math.inf):
             raise ConfigInvalid(
                 f"space '{self.name}': noise_sigma must be finite and >= 0"
             )

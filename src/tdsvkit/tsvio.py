@@ -6,7 +6,7 @@ floats serialized at 17 significant digits, which round-trips doubles
 exactly. Parsers read each input once, so a pipe serves as well as a file,
 and raise a per-line diagnostic (path:line: detail) on any malformed input
 instead of crashing, bytes that are not UTF-8 included. Every reader splits
-lines as text mode does, at \\n, \\r\\n or a lone \\r, as _lines does. Writers
+lines as text mode does, at \\n, \\r\\n or a lone \\r, as _pieces does. Writers
 emit deterministic bytes for identical inputs ("\\n" endings on every
 platform). The record types check their values when they are built
 (core.check_token, core.check_text); a writer checks only what no one record
@@ -71,7 +71,7 @@ _MAX_DIM = int(np.iinfo(np.intp).max) // 8
 # 0.12 MB of embedding text, so below 1 MiB the saving is not worth a fork.
 _SPLIT_BYTES = 1 << 20
 # The most bytes _pieces reads at once. A line longer than this, a row of
-# more than about 10,000 values, is read in several pieces and joined.
+# more than about 10,000 values, is read in several reads and joined.
 _PIECE_BYTES = 1 << 18
 _LF, _CR = ord("\n"), ord("\r")
 _DET_HEADER = "#p_miss\tp_fa\tthreshold"
@@ -81,50 +81,53 @@ _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
 _LABEL_FIELDS = {code: f"\t{name}" for name, code in _NAME_CODES.items()} | {UNLABELED: ""}
 
 
-def _pieces(f):
-    """Yield the bytes of the binary file f from where it stands, in pieces
-    of whole lines. Where lines end in \\n, a piece is one line, as iterating
-    f gives. Where they end in a lone \\r, at which a line read does not
-    stop, a piece is the lines of one read of _PIECE_BYTES, led by the start
-    of a line the read before cut short. A read that ends in \\r takes one
-    byte more, the \\n it may pair with."""
+def _pieces(f, bound=math.inf):
+    """Yield the lines of the binary file f from where it stands, each with
+    its line end, as bytes.splitlines(True) splits them: at \\n, \\r\\n or a
+    lone \\r, as text mode does. Stop once the lines yielded hold bound bytes
+    or more. A line that ends in \\n is one line read, as iterating f gives;
+    a read that holds a \\r, at which a line read does not stop, is split.
+    No read takes more than _PIECE_BYTES. The last line of a read that does
+    not end in \\n may go on in the next read (a line cut short, or a \\r a
+    \\n may follow), so it is held, and joined once a read ends it."""
     held = []  # the start of a line that no read so far has ended
-    while piece := f.readline(_PIECE_BYTES):
-        if piece[-1] == _LF and not held:
-            yield piece
+    while bound > 0 and (read := f.readline(_PIECE_BYTES)):
+        if read[-1] == _LF and not held and b"\r" not in read:
+            bound -= len(read)
+            yield read
             continue
-        if piece[-1] == _CR:
-            piece += f.read(1)
-        if piece[-1] == _LF:
-            end = len(piece)
-        else:  # a read cut short, or the file's end; a last \r may pair with a \n
-            end = piece.rfind(b"\r", 0, len(piece) - 1) + 1
-            if not end:
-                held.append(piece)
+        if held and held[-1][-1] == _CR:
+            read = held.pop() + read
+        lines = read.splitlines(True)
+        if held:
+            held.append(lines[0])
+            if len(lines) == 1 and read[-1] != _LF:
                 continue
-        held.append(piece[:end])
-        yield b"".join(held)
-        held = [piece[end:]] if end < len(piece) else []
-    if held:
+            lines[0] = b"".join(held)
+            held = []
+        if read[-1] != _LF:
+            held.append(lines.pop())
+        for line in lines:
+            if bound <= 0:
+                return
+            bound -= len(line)
+            yield line
+    if held and bound > 0:
         yield b"".join(held)
 
 
-def _lines(path, chunks):
-    """Yield (line_no, line) for every line, blank ones included, of chunks:
-    path's bytes in pieces of whole lines (_pieces of a binary file). Lines
-    split and number as in text mode, at \\n, \\r\\n or a lone \\r
-    (bytes.splitlines splits again a piece that holds a \\r, at exactly these),
-    and decode strictly: a bad byte raises MalformedLine naming its offset."""
-    n = offset = 0
-    for chunk in chunks:
-        for raw in chunk.splitlines(True) if b"\r" in chunk else (chunk,):
-            n += 1
-            try:
-                yield n, raw.rstrip(b"\r\n").decode()
-            except UnicodeDecodeError as exc:
-                detail = f"not valid UTF-8 at byte offset {offset + exc.start}"
-                raise MalformedLine(path, n, detail) from None
-            offset += len(raw)
+def _lines(path, lines):
+    """Yield (line_no, line) for each line, with its line end, of lines
+    (_pieces of a binary file, or bytes.splitlines(True)), numbered from 1
+    and decoded strictly: a bad byte raises MalformedLine naming its offset."""
+    offset = 0
+    for n, raw in enumerate(lines, 1):
+        try:
+            yield n, raw.rstrip(b"\r\n").decode()
+        except UnicodeDecodeError as exc:
+            detail = f"not valid UTF-8 at byte offset {offset + exc.start}"
+            raise MalformedLine(path, n, detail) from None
+        offset += len(raw)
 
 
 def _bulk_or_scan(path, bulk, scan):
@@ -140,7 +143,7 @@ def _bulk_or_scan(path, bulk, scan):
     except UnicodeDecodeError:
         return scan(path, _lines(path, raw.splitlines(True)))
     del raw
-    if "\r" in text:  # as _lines splits; str.splitlines also splits at \\f, U+2028, ...
+    if "\r" in text:  # as _pieces splits; str.splitlines also splits at \\f, U+2028, ...
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.removesuffix("\n").split("\n")
     del text
@@ -247,8 +250,7 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     _read_whole any other input, a pipe included, or a file the halves
     refuse, in one pass that names the first bad line. Both check each row
     with _read_rows, so values and diagnostics are the same either way. A
-    valid file is read twice only if its header ends in a lone \\r, or the
-    fork or the child fails.
+    valid file is read twice only if the fork or the child fails.
     """
     return _read_halves(path) or _read_whole(path)
 
@@ -315,37 +317,42 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
     """parse_embeddings in two processes, or None for a file it refuses.
 
     The file is split at the first line start at or after its byte midpoint,
-    and _read_rows reads each part's _part_lines into one matrix in shared
-    memory: the first part here, with room for as many rows as it has line
-    breaks, the second in a forked child that pipes back only its ids, whose
-    rows are then moved down over the rows the first part's blank lines left
-    unused. None is returned, with no byte read, for an input that is not a
-    regular file or does not _splits; and for a bad header or row, rows that
-    do not fit their part, an id repeated anywhere, bytes that are not UTF-8,
-    a header ending in a lone \\r, or a child that fails.
+    and _read_rows reads the _pieces of each part into one matrix in shared
+    memory: the first part here, with room for at most as many rows as it
+    has lines, the second in a forked child that pipes back only its ids,
+    whose rows are then moved down over the rows the first part's blank
+    lines left unused. None is returned, with no byte read, for an input that
+    is not a regular file or does not _splits; and for a bad header or row,
+    rows that do not fit their part, an id repeated anywhere, bytes that are
+    not UTF-8, or a child that fails.
     """
     import mmap  # here, as only a split needs it
+
+    def rows(start, stop, out):
+        with open(path, "rb") as f:  # each process its own, as a seek moves both
+            f.seek(start)
+            return _read_rows(path, _lines(path, _pieces(f, stop - start)), dim, out)
 
     try:
         if not os.path.isfile(path) or not _splits(os.path.getsize(path)):
             return None
         with open(path, "rb") as f:
-            header = f.readline(_PIECE_BYTES).removesuffix(b"\n").removesuffix(b"\r")
-            dim = _declared_dim(path, header.decode())
-            body = f.tell()
+            header = next(_pieces(f), b"")
+            dim = _declared_dim(path, header.rstrip(b"\r\n").decode())
+            body = len(header)
             size = f.seek(0, os.SEEK_END)
             start = f.seek(max(size // 2, body) - 1)
-            mid = start + len(next(_pieces(f)).splitlines(True)[0])
+            mid = start + len(next(_pieces(f)))
             mid = mid if mid < size else body
-            n_breaks = _count_breaks(f, body, mid)
-        n_head = min(n_breaks, _room(mid - body, dim))
+            f.seek(body)
+            reads = (f.read(min(mid - at, 1 << 20)) for at in range(body, mid, 1 << 20))
+            n_lines = sum(len(read.splitlines()) for read in reads)  # a cut line counts twice
+        n_head = min(n_lines, _room(mid - body, dim))
         n = n_head + _room(size - mid, dim)
         matrix = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n, 1) * dim * 8))
         parts = _in_two_parts(
-            lambda: _read_rows(path, _part_lines(path, body, mid), dim, matrix[:n_head]),
-            lambda: marshal.dumps(
-                _read_rows(path, _part_lines(path, mid, size), dim, matrix[n_head:])
-            ),
+            lambda: rows(body, mid, matrix[:n_head]),
+            lambda: marshal.dumps(rows(mid, size, matrix[n_head:])),
         )
         if parts is None:
             return None
@@ -357,30 +364,6 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
         return EmbeddingTable(ids, matrix[: len(ids)]), dim
     except (OSError, IndexError, ValueError, TdsvError):  # BadHeader, UnicodeDecodeError too
         return None
-
-
-def _count_breaks(f, start: int, end: int) -> int:
-    """The number of line breaks _lines counts in bytes [start, end) of the
-    binary file f; a \\r\\n split across two reads counts twice: more room."""
-    f.seek(start)
-    n = 0
-    while start < end and (chunk := f.read(min(end - start, 1 << 20))):
-        n += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-        start += len(chunk)
-    return n
-
-
-def _part_lines(path, start: int, stop: int):
-    """(0, line) for each line in bytes [start, stop) of path, split as _lines
-    splits them but not numbered, as the halves name no bad line."""
-    with open(path, "rb") as f:
-        f.seek(start)
-        for chunk in _pieces(f):  # a piece holding a \r is split again
-            for raw in chunk.splitlines(True) if b"\r" in chunk else (chunk,):
-                if start >= stop:
-                    return
-                start += len(raw)
-                yield 0, raw.rstrip(b"\r\n").decode()
 
 
 def write_embeddings(table: EmbeddingTable, path) -> None:

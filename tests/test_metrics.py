@@ -14,12 +14,14 @@ from tdsvkit import (
     TC_VS_TW,
     ConfigInvalid,
     DcfParams,
+    DegenerateVector,
     EmptySide,
     ErrorRates,
     NoNonTargets,
     NoTargets,
     SubsetMode,
     UNLABELED,
+    TrialColumns,
     TrialLabel,
     UnlabeledRecords,
     dcf,
@@ -53,9 +55,14 @@ class TestDcfParams:
             {"p_target": 0.0},
             {"p_target": 1.0},
             {"p_target": float("nan")},
+            {"c_miss": "x"},
+            {"c_fa": None},
+            {"p_target": "x"},
         ):
-            with pytest.raises(ConfigInvalid):
+            with pytest.raises(ConfigInvalid, match=f"^{next(iter(kwargs))} "):
                 DcfParams(**kwargs)
+        with pytest.raises(ConfigInvalid, match="^c_miss "):
+            DcfParams("x")
 
 
 def _rates(p_miss, p_fa):
@@ -138,6 +145,15 @@ class TestSweep:
     def test_requires_labels(self):
         with pytest.raises(UnlabeledRecords, match="^1 of 2 records have no label$"):
             split_scores([0.5, 0.1], [0, UNLABELED])
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_refuses_scores_that_are_not_finite(self, side, value):
+        # not a perfect system, nor a sweep that ends short of (1, 0)
+        scores = [[0.9, 0.3], [0.5, 0.1]]
+        scores[side].append(value)
+        with pytest.raises(DegenerateVector, match=f"^scores must be finite, got {value}$"):
+            sweep(*scores)
 
 
 class TestMinDcf:
@@ -229,6 +245,27 @@ class TestSelectSubset:
     def test_unlabeled_rejected_in_all_mode(self):
         with pytest.raises(UnlabeledRecords):
             select_subset([0, 1, UNLABELED], ALL)
+        with pytest.raises(UnlabeledRecords, match="^1 of 2 records"):
+            select_subset([0, -2], ALL)
+
+    # Codes no label has, each with the message TrialColumns gives.
+    BAD_CODES = {
+        "code 4": ([0, 4], "^label code 4 is not in -1..3$"),
+        "code 7": ([7, 0, 1], "^label code 7 is not in -1..3$"),
+        "float codes": ([0.0, 1.0], "^label codes must be integers, got float64 codes$"),
+        "bool codes": ([True, False, True, False], "^label codes must be integers, got bool"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_CODES)
+    def test_codes_no_label_has(self, case):
+        codes, message = self.BAD_CODES[case]
+        for check in (
+            lambda: select_subset(codes, ALL),
+            lambda: split_scores([0.5] * len(codes), codes),
+            lambda: TrialColumns(*[[f"x{i}" for i in range(len(codes))]] * 3, codes),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check()
 
     def test_custom_mode(self):
         custom = SubsetMode("tc-vs-nontc", frozenset(TrialLabel))

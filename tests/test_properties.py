@@ -1114,15 +1114,30 @@ def test_array_metrics_match_enumeration_oracles(scores, params):
 @given(
     data=st.lists(st.sampled_from([b"a", b"\xc3\xa9", b"\r", b"\n", b"\r\n"])).map(b"".join),
     size=st.integers(1, 8),
+    bound=st.integers(0, 40),
 )
-def test_pieces_are_whole_lines_of_bounded_reads(monkeypatch, data, size):
-    # a piece is one line, or one read and a byte at most led by the start
-    # of a line; every \r\n stays whole, so the lines are bytes.splitlines'
+def test_pieces_are_whole_lines_of_bounded_reads(monkeypatch, data, size, bound):
+    # the pieces are bytes.splitlines' lines, every \r\n whole, read at most
+    # _PIECE_BYTES at a time; with a bound, the shortest prefix of those
+    # lines that holds bound bytes, or all of them
     monkeypatch.setattr(tsvio, "_PIECE_BYTES", size)
-    pieces = list(tsvio._pieces(io.BytesIO(data)))
+    reads = []
+
+    class Spy(io.BytesIO):
+        def read(self, n=-1):
+            reads.append(n)
+            return super().read(n)
+
+        def readline(self, n=-1):
+            reads.append(n)
+            return super().readline(n)
+
     lines = data.splitlines(True)
-    assert [line for piece in pieces for line in piece.splitlines(True)] == lines
-    assert all(len(piece) <= size + 1 + max(map(len, lines)) for piece in pieces)
+    assert list(tsvio._pieces(Spy(data))) == lines
+    assert all(0 < n <= size for n in reads)
+    ends = [sum(map(len, lines[:i])) for i in range(len(lines) + 1)]
+    prefix = lines[: next((i for i, end in enumerate(ends) if end >= bound), len(lines))]
+    assert list(tsvio._pieces(io.BytesIO(data), bound)) == prefix
 
 
 # Seeds of one 32-bit word and of two, at their edges and at the sign bit.

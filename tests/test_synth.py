@@ -70,6 +70,9 @@ class TestSpaceSpec:
             SpaceSpec("a", 8, -0.1)
         with pytest.raises(ConfigInvalid):
             SpaceSpec("a", 8, float("inf"))
+        for sigma in ("x", None):
+            with pytest.raises(ConfigInvalid, match="noise_sigma"):
+                SpaceSpec("a", 4, sigma)
 
 
 class TestSimConfig:

@@ -159,6 +159,8 @@ class TestConfigs:
             GateConfig(cer_threshold=-0.1)
         with pytest.raises(ConfigInvalid):
             GateConfig(cer_threshold=float("nan"))
+        with pytest.raises(ConfigInvalid, match="^cer_threshold must be >= 0, got x$"):
+            GateConfig("x")
 
     def test_bad_punitive(self):
         with pytest.raises(ConfigInvalid):
@@ -167,6 +169,8 @@ class TestConfigs:
             GateConfig(punitive_score=float("nan"))
         with pytest.raises(ConfigInvalid, match="finite"):
             GateConfig(punitive_score=float("-inf"))
+        with pytest.raises(ConfigInvalid, match="^punitive_score .* got None$"):
+            GateConfig(0.3, None)
 
     def test_punitive_below_floor_ok(self):
         assert GateConfig(punitive_score=-7.0).punitive_score == -7.0

@@ -1,5 +1,6 @@
 """TSV parsers and writers: round-trips and per-line diagnostics."""
 
+import io
 import os
 import time
 import tracemalloc
@@ -254,36 +255,43 @@ class TestEmbeddingsFormat:
     def test_text_the_reader_leaves_to_the_scan(self, tmp_path, monkeypatch, text):
         # a \r that does not end a line, or bytes that are not UTF-8: the
         # halves refuse them, and the whole pass reads them as the oracle
-        # does, or names the byte the oracle cannot decode
+        # does, or names the byte the oracle cannot decode. A lone \r that
+        # ends the header is a line end as any other: the halves read it.
         monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
         path = tmp_path / "e.tsv"
         path.write_bytes(text.encode("latin-1"))
-        assert tsvio._read_halves(path) is None
         try:
             expected = _outcome(path, parse_embeddings_ref)
         except UnicodeDecodeError as exc:
             expected = MalformedLine, f"{path}:2: not valid UTF-8 at byte offset {exc.start}"
+        if text.startswith("#dim 2\r") and tsvio._splits(0):
+            assert _outcome(path, tsvio._read_halves) == expected
+        else:
+            assert tsvio._read_halves(path) is None
         assert _outcome(path) == expected
 
     @pytest.mark.parametrize("header_end", ["\r", "\n"])
     def test_lone_cr_file_is_read_in_bounded_pieces(self, tmp_path, monkeypatch, header_end):
         # a line read stops only at \n, so a file of lone \r line ends would
-        # come as one piece; a piece holds one read and a byte at most, and
-        # the start of a line the read before cut short. The halves refuse a
-        # header that ends in \r, so the whole pass reads one file and the
-        # halves the other.
+        # come in one read if a line read were not bounded; every line read
+        # this process makes takes _PIECE_BYTES at most, in the halves and
+        # in the whole pass alike
         rows = [f"u{i}\t{i} {i / 7!r}" for i in range(300)]
         lf = _write(tmp_path / "lf.tsv", "#dim 2\n" + "\n".join(rows) + "\n")
         cr = _write(tmp_path / "cr.tsv", "#dim 2" + header_end + "\r".join(rows) + "\r")
         monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
         monkeypatch.setattr(tsvio, "_PIECE_BYTES", 64)
-        sizes, real = [], tsvio._pieces
-        monkeypatch.setattr(
-            tsvio, "_pieces", lambda f: (sizes.append(len(p)) or p for p in real(f))
-        )
+        sizes = []
+
+        class Spy(io.BufferedReader):
+            def readline(self, size=-1):
+                sizes.append(size)
+                return super().readline(size)
+
+        monkeypatch.setattr(tsvio, "open", lambda path, mode: Spy(io.FileIO(path)), raising=False)
         assert _outcome(cr) == _outcome(lf)
         assert len(sizes) > 100
-        assert max(sizes) <= 64 + 1 + max(len(row) + 1 for row in rows)
+        assert all(0 < size <= 64 for size in sizes)
 
 
 class TestTrialsFormat:
@@ -821,8 +829,8 @@ class TestSplitFiles:
     # Layouts that text mode reads as the unedited file.
     FILE_EDITS = {
         "\\r\\n line ends": lambda text: text.replace("\n", "\r\n"),
-        # but for the header's, which the whole pass alone reads if it ends in \r
         "lone \\r line ends": lambda text: text.replace("\n", "\r").replace("\r", "\n", 1),
+        "lone \\r line ends, header included": lambda text: text.replace("\n", "\r"),
         "no final newline": lambda text: text[:-1],
         "one trailing blank line": lambda text: text + "\n",
         "blank lines": lambda text: text.replace("\n", "\n\n"),
@@ -869,7 +877,7 @@ class TestSplitFiles:
                 raise KeyboardInterrupt
             time.sleep(60)  # a child that would outlast the call if not killed
 
-        monkeypatch.setattr(tsvio, "_part_lines", interrupted)
+        monkeypatch.setattr(tsvio, "_read_rows", interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             parse_embeddings(path)
