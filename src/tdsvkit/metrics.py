@@ -188,7 +188,7 @@ def select_subset(codes, mode: SubsetMode) -> np.ndarray:
     one target and one non-target.
     """
     codes = np.asarray(codes)
-    n_unlabeled = int(np.count_nonzero(codes < 0))
+    n_unlabeled = int(np.count_nonzero(codes < 0)) if codes.dtype.kind in "iu" else 0
     if n_unlabeled:
         raise UnlabeledRecords(f"{n_unlabeled} of {codes.size} records have no label")
     check_label_codes(codes)
@@ -207,6 +207,8 @@ def split_scores(scores, codes, mode: SubsetMode = ALL) -> Tuple[np.ndarray, np.
     each in input order."""
     scores = np.asarray(scores, dtype=np.float64)
     codes = np.asarray(codes)
+    if scores.size != codes.size:
+        raise ValueError("score and label columns differ in length")
     kept = select_subset(codes, mode)
     is_target = codes == _TARGET
     return scores[kept & is_target], scores[kept & ~is_target]

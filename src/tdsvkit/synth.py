@@ -9,14 +9,15 @@ Every entity draws its randomness from a sub-seed hashed out of
 in isolation and batch output never depends on generation order.
 
 An entity's draws are those of np.random.default_rng(its sub-seed), which the
-one-entity functions (gen_utterance, corrupt_transcript) and the phrases
-call. gen_speakers
-and gen_dataset seed all their generators in one batch instead (_generators):
-numpy's SeedSequence mixing runs over every sub-seed at once as uint32 arrays,
-PCG64's two seeding steps follow as Python ints, and one reused Generator takes
-each state in turn. The states are bit-equal to default_rng's; each batch
-first compares a few of them with numpy's own seeding and, on any mismatch,
-makes every generator of the batch with default_rng.
+one-entity functions (gen_utterance, corrupt_transcript) call. gen_speakers
+and gen_dataset seed their generators in batches instead (_generators), one
+batch where each kind of draw is taken: the phrases, a space's speaker means,
+the trials' picks, their transcripts, and a noisy space's utterance rows.
+numpy's SeedSequence mixing runs over every sub-seed of a batch at once as
+uint32 arrays, PCG64's two seeding steps follow as Python ints, and one reused
+Generator takes each state in turn. The states are bit-equal to default_rng's;
+each batch first compares a few of them with numpy's own seeding and, on any
+mismatch, makes every generator of the batch with default_rng.
 """
 
 import hashlib
@@ -51,7 +52,7 @@ _BLOCK_ROWS = 256
 # numpy's SeedSequence constants (O'Neill's seed_seq_fe: a pool of four 32-bit
 # words, XSHIFT 16) and PCG64's 128-bit LCG multiplier, restated for
 # _generators. NEP 19 pins a seeded generator's stream, not this derivation,
-# so _generators checks it against numpy on _PROBE_SEEDS and a run's first
+# so _generators checks it against numpy on _PROBE_SEEDS and a batch's first
 # _CHECKED seeds.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -311,13 +312,8 @@ def gen_speakers(n: int, dim: int, seed: int) -> np.ndarray:
     if dim < 2:
         raise ConfigInvalid(f"dim must be >= 2, got {dim}")
     seeds = [derive_seed(seed, "speaker", i) for i in range(n)]
-    return _speaker_means(n, dim, _generators(seeds))
-
-
-def _speaker_means(n: int, dim: int, rngs) -> np.ndarray:
-    """gen_speakers' n means, drawn from the next n generators of rngs."""
     out = np.empty((n, dim), dtype=np.float64)
-    for row, rng in zip(out, rngs):
+    for row, rng in zip(out, _generators(seeds)):
         rng.standard_normal(out=row)
     return normalize_rows(out)
 
@@ -368,9 +364,9 @@ def _corrupt(reference: str, rate: float, rng, alphabet: str) -> str:
     return "".join(out)
 
 
-def _phrase_text(master_seed: int, index: int) -> str:
-    """2-4 words of 3-8 characters; even indices Latin, odd Persian."""
-    rng = np.random.default_rng(derive_seed(master_seed, "phrase", index))
+def _phrase_text(rng, index: int) -> str:
+    """2-4 words of 3-8 characters drawn from the generator rng; even
+    indices Latin, odd Persian."""
     charset = _LATIN if index % 2 == 0 else _PERSIAN
     n_words = int(rng.integers(2, 5))
     words = []
@@ -394,8 +390,10 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     """
     seed = cfg.master_seed
     phrase_ids = [f"phr{i:03d}" for i in range(cfg.n_phrases)]
+    rngs = _generators([derive_seed(seed, "phrase", i) for i in range(cfg.n_phrases)])
     phrases = {
-        pid: Phrase(pid, _phrase_text(seed, i)) for i, pid in enumerate(phrase_ids)
+        pid: Phrase(pid, _phrase_text(rng, i))
+        for i, (pid, rng) in enumerate(zip(phrase_ids, rngs))
     }
 
     alphabet_chars = set(string.ascii_letters)
@@ -410,19 +408,6 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     trial_keys = [(li, t) for li in range(len(TrialLabel)) for t in range(cfg.trials_per_type)]
     row_keys = [("rep", (i, k)) for i in range(cfg.n_speakers) for k in range(REPS_PER_MODEL)]
     row_keys += [("test", key) for key in trial_keys]
-    # Every generator of the run, seeded in one batch and taken in this order:
-    # each space's speaker means, each trial's picks and then its transcript,
-    # and each noisy space's utterance rows.
-    space_seeds = [derive_seed(seed, "space", j) for j in range(len(cfg.spaces))]
-    seeds = [derive_seed(s, "speaker", i) for s in space_seeds for i in range(cfg.n_speakers)]
-    for li, t in trial_keys:
-        seeds += [derive_seed(seed, "trial", li, t), derive_seed(seed, "transcript", li, t)]
-    for j, sp in enumerate(cfg.spaces):
-        if sp.noise_sigma > 0:
-            seeds += [derive_seed(seed, kind, j, *indices) for kind, indices in row_keys]
-    rngs = _generators(seeds)
-
-    means = [_speaker_means(cfg.n_speakers, sp.dim, rngs) for sp in cfg.spaces]
     row_ids, row_speakers = [], []
     enroll_entries = []
     model_speaker = {}
@@ -439,49 +424,50 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     transcripts = {}
     utt_speaker = {}
     utt_phrase = {}
-    counter = 0
-    for li, label in enumerate(TrialLabel):
-        for t in range(cfg.trials_per_type):
-            rng = next(rngs)
-            mi = int(rng.integers(cfg.n_speakers))
-            model_id = f"mdl{mi:04d}"
-            enrolled_pi = mi % cfg.n_phrases
-            if label.same_speaker:
-                si = mi
-            else:
-                si = (mi + 1 + int(rng.integers(cfg.n_speakers - 1))) % cfg.n_speakers
-            if label.same_phrase:
-                pi = enrolled_pi
-            else:
-                pi = (enrolled_pi + 1 + int(rng.integers(cfg.n_phrases - 1))) % cfg.n_phrases
-            utt_id = f"utt{counter:05d}"
-            trial_id = f"trl{counter:05d}"
-            row_ids.append(utt_id)
-            row_speakers.append(si)
-            rate = (
-                cfg.transcript_error_rate_correct
-                if label.same_phrase
-                else cfg.transcript_error_rate_wrong
-            )
-            spoken = phrases[phrase_ids[pi]].text
-            transcripts[utt_id] = Transcript(utt_id, _corrupt(spoken, rate, next(rngs), alphabet))
-            trial_ids.append(trial_id)
-            model_ids.append(model_id)
-            test_ids.append(utt_id)
-            utt_speaker[utt_id] = si
-            utt_phrase[utt_id] = phrase_ids[pi]
-            counter += 1
+    picks = _generators([derive_seed(seed, "trial", li, t) for li, t in trial_keys])
+    edits = _generators([derive_seed(seed, "transcript", li, t) for li, t in trial_keys])
+    for counter, ((li, _), rng, edit_rng) in enumerate(zip(trial_keys, picks, edits)):
+        label = list(TrialLabel)[li]
+        mi = int(rng.integers(cfg.n_speakers))
+        model_id = f"mdl{mi:04d}"
+        enrolled_pi = mi % cfg.n_phrases
+        if label.same_speaker:
+            si = mi
+        else:
+            si = (mi + 1 + int(rng.integers(cfg.n_speakers - 1))) % cfg.n_speakers
+        if label.same_phrase:
+            pi = enrolled_pi
+        else:
+            pi = (enrolled_pi + 1 + int(rng.integers(cfg.n_phrases - 1))) % cfg.n_phrases
+        utt_id = f"utt{counter:05d}"
+        trial_id = f"trl{counter:05d}"
+        row_ids.append(utt_id)
+        row_speakers.append(si)
+        rate = (
+            cfg.transcript_error_rate_correct
+            if label.same_phrase
+            else cfg.transcript_error_rate_wrong
+        )
+        spoken = phrases[phrase_ids[pi]].text
+        transcripts[utt_id] = Transcript(utt_id, _corrupt(spoken, rate, edit_rng, alphabet))
+        trial_ids.append(trial_id)
+        model_ids.append(model_id)
+        test_ids.append(utt_id)
+        utt_speaker[utt_id] = si
+        utt_phrase[utt_id] = phrase_ids[pi]
 
     # One space's noise matrix at a time: it becomes that space's rows.
     embeddings = {}
     for j, sp in enumerate(cfg.spaces):
+        means = gen_speakers(cfg.n_speakers, sp.dim, derive_seed(seed, "space", j))
         noise = None
         if sp.noise_sigma > 0:
             noise = np.empty((len(row_ids), sp.dim))
+            rngs = _generators([derive_seed(seed, kind, j, *idx) for kind, idx in row_keys])
             for row, rng in zip(noise, rngs):
                 rng.standard_normal(out=row)
         try:
-            rows = _perturb(means[j], row_speakers, sp.noise_sigma, noise)
+            rows = _perturb(means, row_speakers, sp.noise_sigma, noise)
         except DegenerateVector as exc:
             message = f"space '{sp.name}' at noise_sigma {sp.noise_sigma!r}: {exc}"
             raise DegenerateVector(message) from None

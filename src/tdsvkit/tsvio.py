@@ -82,20 +82,15 @@ _LABEL_FIELDS = {code: f"\t{name}" for name, code in _NAME_CODES.items()} | {UNL
 
 
 def _pieces(f, bound=math.inf):
-    """Yield the lines of the binary file f from where it stands, each with
-    its line end, as bytes.splitlines(True) splits them: at \\n, \\r\\n or a
-    lone \\r, as text mode does. Stop once the lines yielded hold bound bytes
-    or more. A line that ends in \\n is one line read, as iterating f gives;
-    a read that holds a \\r, at which a line read does not stop, is split.
-    No read takes more than _PIECE_BYTES. The last line of a read that does
-    not end in \\n may go on in the next read (a line cut short, or a \\r a
-    \\n may follow), so it is held, and joined once a read ends it."""
+    """Yield the lines of the next bound bytes of the binary file f, or of
+    all the rest, each with its line end, as bytes.splitlines(True) splits
+    them: at \\n, \\r\\n or a lone \\r, as text mode does. The bytes come in
+    reads of _PIECE_BYTES at most, each split once. The last line of a read
+    that does not end in \\n may go on in the next read (a line cut short, or
+    a \\r a \\n may follow), so it is held, and joined once a read ends it."""
     held = []  # the start of a line that no read so far has ended
-    while bound > 0 and (read := f.readline(_PIECE_BYTES)):
-        if read[-1] == _LF and not held and b"\r" not in read:
-            bound -= len(read)
-            yield read
-            continue
+    while bound > 0 and (read := f.read(min(_PIECE_BYTES, bound))):
+        bound -= len(read)
         if held and held[-1][-1] == _CR:
             read = held.pop() + read
         lines = read.splitlines(True)
@@ -107,12 +102,8 @@ def _pieces(f, bound=math.inf):
             held = []
         if read[-1] != _LF:
             held.append(lines.pop())
-        for line in lines:
-            if bound <= 0:
-                return
-            bound -= len(line)
-            yield line
-    if held and bound > 0:
+        yield from lines
+    if held:
         yield b"".join(held)
 
 
@@ -317,9 +308,10 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
     """parse_embeddings in two processes, or None for a file it refuses.
 
     The file is split at the first line start at or after its byte midpoint,
-    and _read_rows reads the _pieces of each part into one matrix in shared
-    memory: the first part here, with room for at most as many rows as it
-    has lines, the second in a forked child that pipes back only its ids,
+    so each part's bytes are whole lines, and _read_rows reads the _pieces
+    of each part into one matrix in shared memory: the first part here, with
+    room for at most as many rows as its reads of _PIECE_BYTES hold lines,
+    the second in a forked child that pipes back only its ids,
     whose rows are then moved down over the rows the first part's blank
     lines left unused. None is returned, with no byte read, for an input that
     is not a regular file or does not _splits; and for a bad header or row,
@@ -345,7 +337,7 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
             mid = start + len(next(_pieces(f)))
             mid = mid if mid < size else body
             f.seek(body)
-            reads = (f.read(min(mid - at, 1 << 20)) for at in range(body, mid, 1 << 20))
+            reads = (f.read(min(mid - at, _PIECE_BYTES)) for at in range(body, mid, _PIECE_BYTES))
             n_lines = sum(len(read.splitlines()) for read in reads)  # a cut line counts twice
         n_head = min(n_lines, _room(mid - body, dim))
         n = n_head + _room(size - mid, dim)

@@ -146,6 +146,11 @@ class TestSweep:
         with pytest.raises(UnlabeledRecords, match="^1 of 2 records have no label$"):
             split_scores([0.5, 0.1], [0, UNLABELED])
 
+    def test_columns_of_different_lengths(self):
+        for scores, codes in (([0.1, 0.2, 0.3], [0, 1]), ([0.1], [0, 1, UNLABELED])):
+            with pytest.raises(ValueError, match="^score and label columns differ in length$"):
+                split_scores(scores, codes)
+
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_refuses_scores_that_are_not_finite(self, side, value):
@@ -254,6 +259,8 @@ class TestSelectSubset:
         "code 7": ([7, 0, 1], "^label code 7 is not in -1..3$"),
         "float codes": ([0.0, 1.0], "^label codes must be integers, got float64 codes$"),
         "bool codes": ([True, False, True, False], "^label codes must be integers, got bool"),
+        "string codes": (["a", "b"], "^label codes must be integers, got <U1 codes$"),
+        "object codes": ([0, None], "^label codes must be integers, got object codes$"),
     }
 
     @pytest.mark.parametrize("case", BAD_CODES)

@@ -272,10 +272,9 @@ class TestEmbeddingsFormat:
 
     @pytest.mark.parametrize("header_end", ["\r", "\n"])
     def test_lone_cr_file_is_read_in_bounded_pieces(self, tmp_path, monkeypatch, header_end):
-        # a line read stops only at \n, so a file of lone \r line ends would
-        # come in one read if a line read were not bounded; every line read
-        # this process makes takes _PIECE_BYTES at most, in the halves and
-        # in the whole pass alike
+        # a file of lone \r line ends reads as the same file with \n ends,
+        # in the halves where the host splits, and in the whole pass; every
+        # read this process makes of either file takes _PIECE_BYTES at most
         rows = [f"u{i}\t{i} {i / 7!r}" for i in range(300)]
         lf = _write(tmp_path / "lf.tsv", "#dim 2\n" + "\n".join(rows) + "\n")
         cr = _write(tmp_path / "cr.tsv", "#dim 2" + header_end + "\r".join(rows) + "\r")
@@ -284,12 +283,20 @@ class TestEmbeddingsFormat:
         sizes = []
 
         class Spy(io.BufferedReader):
-            def readline(self, size=-1):
+            def read(self, size=-1):
                 sizes.append(size)
-                return super().readline(size)
+                return super().read(size)
 
-        monkeypatch.setattr(tsvio, "open", lambda path, mode: Spy(io.FileIO(path)), raising=False)
-        assert _outcome(cr) == _outcome(lf)
+        def spy(file, *args):  # the fork's pipe ends pass through
+            return Spy(io.FileIO(file)) if file in (lf, cr) else open(file, *args)
+
+        monkeypatch.setattr(tsvio, "open", spy, raising=False)
+        wholes, real = [], tsvio._read_whole
+        monkeypatch.setattr(tsvio, "_read_whole", lambda p: wholes.append(p) or real(p))
+        expected = _outcome(lf)
+        assert _outcome(cr) == expected
+        assert wholes == ([] if tsvio._splits(0) else [lf, cr])
+        assert _outcome(cr, tsvio._read_whole) == expected
         assert len(sizes) > 100
         assert all(0 < size <= 64 for size in sizes)
 
