@@ -21,6 +21,7 @@ evaluate and det report labeled trials that have no score line as one
 import argparse
 import json
 import sys
+from dataclasses import fields
 from itertools import repeat
 from typing import Tuple
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import UNLABELED, TrialLabel, check_unique
 from .errors import ConfigInvalid, DuplicateId, TdsvError, UnlabeledRecords
-from .metrics import SUBSETS, DcfParams, SubsetMode, det_points, eer, min_dcf, split_scores, sweep
+from .metrics import ALL, SUBSETS, DcfParams, det_points, eer, min_dcf, split_scores, sweep
 from .textgate import GateConfig
 from . import tsvio
 
@@ -111,7 +112,7 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     scores, codes, n_unscored = _load_labeled_scores(args.scores, args.trials)
-    mode: SubsetMode = SUBSETS[args.subset]
+    mode = SUBSETS[args.subset]
     params = DcfParams(args.c_miss, args.c_fa, args.p_target)
     targets, nontargets = split_scores(scores, codes, mode)
     rates = sweep(targets, nontargets)
@@ -177,16 +178,10 @@ def _parse_space_spec(text: str):
 def cmd_simulate(args) -> int:
     from .synth import SimConfig, gen_dataset
 
-    kwargs = {
-        "n_speakers": args.n_speakers,
-        "n_phrases": args.n_phrases,
-        "trials_per_type": args.trials_per_type,
-        "transcript_error_rate_correct": args.err_correct,
-        "transcript_error_rate_wrong": args.err_wrong,
-        "master_seed": args.seed,
-    }
-    if args.space:
-        kwargs["spaces"] = tuple(_parse_space_spec(s) for s in args.space)
+    given = vars(args)  # only the flags given, each under its SimConfig field
+    kwargs = {f.name: given[f.name] for f in fields(SimConfig) if f.name in given}
+    if "spaces" in kwargs:
+        kwargs["spaces"] = tuple(map(_parse_space_spec, kwargs["spaces"]))
     cfg = SimConfig(**kwargs)
     ds = gen_dataset(cfg)
     tsvio.write_dataset(ds, args.out)
@@ -204,7 +199,7 @@ def _add_subset_flags(sub) -> None:
     sub.add_argument(
         "--subset",
         choices=sorted(SUBSETS),
-        default="all",
+        default=ALL.name,
         help="which trial labels enter the evaluation",
     )
 
@@ -232,19 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_score.add_argument("--cer-threshold", type=float, default=GateConfig.cer_threshold)
     p_score.add_argument("--punitive-score", type=float, default=GateConfig.punitive_score)
-    mode = p_score.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--strict",
-        dest="strict",
-        action="store_true",
-        default=True,
-        help="abort on the first broken reference (default)",
-    )
-    mode.add_argument(
+    p_score.add_argument(
         "--lenient",
         dest="strict",
         action="store_false",
-        help="skip broken trials and report them on stderr",
+        help="skip broken trials and report them on stderr instead of aborting",
     )
     p_score.add_argument("--out", required=True)
     p_score.set_defaults(func=cmd_score)
@@ -256,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--c-miss", type=float, default=DcfParams.c_miss)
     p_eval.add_argument("--c-fa", type=float, default=DcfParams.c_fa)
     p_eval.add_argument("--p-target", type=float, default=DcfParams.p_target)
-    p_eval.add_argument("--json", default=None, help="also write the report as JSON")
+    p_eval.add_argument("--json", help="also write the report as JSON")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_det = sub.add_parser("det", help="DET operating points from a score file")
@@ -264,21 +251,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--out", required=True)
     p_det.set_defaults(func=cmd_det)
 
-    p_sim = sub.add_parser("simulate", help="generate a seeded synthetic dataset")
-    p_sim.add_argument("--seed", type=int, default=0, help="master seed")
-    p_sim.add_argument("--n-speakers", type=int, default=50)
-    p_sim.add_argument("--n-phrases", type=int, default=10)
+    # Each flag's dest is a SimConfig field, and a flag not given is left out
+    # of the parsed args, so SimConfig states every default.
+    p_sim = sub.add_parser(
+        "simulate", help="generate a seeded synthetic dataset", argument_default=argparse.SUPPRESS
+    )
+    p_sim.add_argument("--seed", dest="master_seed", type=int, metavar="SEED", help="master seed")
+    p_sim.add_argument("--n-speakers", type=int)
+    p_sim.add_argument("--n-phrases", type=int)
     p_sim.add_argument(
         "--space",
+        dest="spaces",
         action="append",
         metavar="NAME:DIM:SIGMA",
-        help="embedding space spec; repeatable (default: alpha/beta, 64, 0.05)",
+        help="embedding space spec; repeatable",
+    )
+    p_sim.add_argument("--trials-per-type", type=int, help="trial count per label")
+    p_sim.add_argument(
+        "--err-correct", dest="transcript_error_rate_correct", type=float, metavar="RATE"
     )
     p_sim.add_argument(
-        "--trials-per-type", type=int, default=10, help="trial count per label"
+        "--err-wrong", dest="transcript_error_rate_wrong", type=float, metavar="RATE"
     )
-    p_sim.add_argument("--err-correct", type=float, default=0.0)
-    p_sim.add_argument("--err-wrong", type=float, default=0.0)
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -14,6 +14,7 @@ pure and safe for concurrent use.
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -63,6 +64,11 @@ def check_label_codes(codes) -> None:
     bad = codes[(codes < UNLABELED) | (codes >= len(TrialLabel))]
     if bad.size:
         raise ValueError(f"label code {bad[0]} is not in {UNLABELED}..{len(TrialLabel) - 1}")
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number and not a bool, which counts as one in Python."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def undecodable(text: str) -> bool:

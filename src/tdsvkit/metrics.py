@@ -17,12 +17,11 @@ that min_dcf, eer and det_points all read.
 
 import math
 from dataclasses import dataclass
-from numbers import Real
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .core import LABEL_CODES, TrialLabel, check_label_codes
+from .core import LABEL_CODES, TrialLabel, check_label_codes, is_real
 from .errors import (
     ConfigInvalid,
     DegenerateVector,
@@ -42,11 +41,11 @@ class DcfParams:
     p_target: float = 0.01
 
     def __post_init__(self):
-        if not (isinstance(self.c_miss, Real) and 0 < self.c_miss < math.inf):
+        if not (is_real(self.c_miss) and 0 < self.c_miss < math.inf):
             raise ConfigInvalid(f"c_miss must be finite and > 0, got {self.c_miss}")
-        if not (isinstance(self.c_fa, Real) and 0 < self.c_fa < math.inf):
+        if not (is_real(self.c_fa) and 0 < self.c_fa < math.inf):
             raise ConfigInvalid(f"c_fa must be finite and > 0, got {self.c_fa}")
-        if not (isinstance(self.p_target, Real) and 0.0 < self.p_target < 1.0):
+        if not (is_real(self.p_target) and 0.0 < self.p_target < 1.0):
             raise ConfigInvalid(f"p_target must lie in (0, 1), got {self.p_target}")
 
     @property
@@ -74,13 +73,13 @@ class ErrorRates:
 
 @dataclass(frozen=True)
 class SubsetMode:
-    """Which trial labels enter the evaluation. keep=None keeps everything."""
+    """Which trial labels enter the evaluation."""
 
     name: str
-    keep: Optional[frozenset] = None
+    keep: frozenset
 
 
-ALL = SubsetMode("all")
+ALL = SubsetMode("all", frozenset(TrialLabel))
 TC_VS_TW = SubsetMode("tc-vs-tw", frozenset({TrialLabel.TC, TrialLabel.TW}))
 TC_VS_IC = SubsetMode("tc-vs-ic", frozenset({TrialLabel.TC, TrialLabel.IC}))
 TC_VS_IW = SubsetMode("tc-vs-iw", frozenset({TrialLabel.TC, TrialLabel.IW}))
@@ -135,14 +134,12 @@ def sweep(target_scores, nontarget_scores) -> ErrorRates:
     )
 
 
-def min_dcf(rates: ErrorRates, params: Optional[DcfParams] = None) -> Tuple[float, float]:
+def min_dcf(rates: ErrorRates, params: DcfParams = DcfParams()) -> Tuple[float, float]:
     """Minimum normalized detection cost over the sweep.
 
     Returns (normalized_min, argmin_threshold); ties on cost resolve to the
     smallest threshold.
     """
-    if params is None:
-        params = DcfParams()
     _, normalized = dcf(rates, params)
     best = int(np.argmin(normalized))
     return float(normalized[best]), float(rates.threshold[best])
@@ -188,11 +185,13 @@ def select_subset(codes, mode: SubsetMode) -> np.ndarray:
     one target and one non-target.
     """
     codes = np.asarray(codes)
+    if not codes.size:  # [] reads as float64 codes, which cannot index
+        codes = codes.astype(np.int8)
     n_unlabeled = int(np.count_nonzero(codes < 0)) if codes.dtype.kind in "iu" else 0
     if n_unlabeled:
         raise UnlabeledRecords(f"{n_unlabeled} of {codes.size} records have no label")
     check_label_codes(codes)
-    keeps = np.array([mode.keep is None or label in mode.keep for label in TrialLabel])
+    keeps = np.array([label in mode.keep for label in TrialLabel])
     kept = keeps[codes]
     n_target = int(np.count_nonzero(kept & (codes == _TARGET)))
     if n_target == 0:

@@ -24,8 +24,7 @@ import hashlib
 import math
 import os
 import string
-from dataclasses import dataclass, field
-from numbers import Real
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .core import (
     EnrollEntry,
     TrialColumns,
     TrialLabel,
+    is_real,
     normalize_rows,
     row_norms,
 )
@@ -196,14 +196,10 @@ class SpaceSpec:
             )
         if not (isinstance(self.dim, int) and self.dim >= 2):
             raise ConfigInvalid(f"space '{self.name}': dim must be an int >= 2")
-        if not (isinstance(self.noise_sigma, Real) and 0.0 <= self.noise_sigma < math.inf):
+        if not (is_real(self.noise_sigma) and 0.0 <= self.noise_sigma < math.inf):
             raise ConfigInvalid(
                 f"space '{self.name}': noise_sigma must be finite and >= 0"
             )
-
-
-def _default_spaces() -> tuple:
-    return (SpaceSpec("alpha", 64, 0.05), SpaceSpec("beta", 64, 0.05))
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,7 @@ class SimConfig:
 
     n_speakers: int = 50
     n_phrases: int = 10
-    spaces: tuple = field(default_factory=_default_spaces)
+    spaces: tuple = (SpaceSpec("alpha", 64, 0.05), SpaceSpec("beta", 64, 0.05))
     trials_per_type: int = 10  # trials of each label
     transcript_error_rate_correct: float = 0.0
     transcript_error_rate_wrong: float = 0.0
@@ -246,12 +242,8 @@ def _is_int(value) -> bool:
 
 
 def _check_rate(name: str, rate) -> None:
-    """ConfigInvalid unless rate is a number in [0, 1]."""
-    try:
-        valid = 0.0 <= rate <= 1.0
-    except TypeError:
-        valid = False
-    if not valid:
+    """ConfigInvalid unless rate is a number in [0, 1], and not a bool."""
+    if not (is_real(rate) and 0.0 <= rate <= 1.0):
         raise ConfigInvalid(f"{name} must lie in [0, 1], got {rate!r}")
 
 

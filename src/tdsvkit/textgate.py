@@ -10,9 +10,8 @@ exceed 1.0 for long hypotheses (gross ASR failures are not clipped).
 import math
 import unicodedata
 from dataclasses import dataclass
-from numbers import Real
 
-from .core import check_text, check_token
+from .core import check_text, check_token, is_real
 from .errors import ConfigInvalid, EmptyReference
 
 
@@ -65,11 +64,11 @@ class GateConfig:
     punitive_score: float = -1.0
 
     def __post_init__(self):
-        if not (isinstance(self.cer_threshold, Real) and self.cer_threshold >= 0.0):
+        if not (is_real(self.cer_threshold) and self.cer_threshold >= 0.0):
             raise ConfigInvalid(
                 f"cer_threshold must be >= 0, got {self.cer_threshold}"
             )
-        if not (isinstance(self.punitive_score, Real) and -math.inf < self.punitive_score <= -1):
+        if not (is_real(self.punitive_score) and -math.inf < self.punitive_score <= -1):
             raise ConfigInvalid(
                 f"punitive_score must be finite and <= -1.0, got {self.punitive_score}"
             )

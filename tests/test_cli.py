@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -51,28 +52,32 @@ def report_dict(stdout):
 
 
 def test_option_defaults_are_the_config_defaults():
-    # score and evaluate read theirs from the dataclasses; simulate's stay
-    # literal, as reading SimConfig would load synth for every command
+    # score and evaluate read theirs from the dataclasses
     parse = build_parser().parse_args
     score = parse(score_args(Path("d"), "s.tsv"))
     evaluate = parse(["evaluate", "--scores", "s.tsv", "--trials", "t.tsv"])
-    simulate = parse(["simulate", "--out", "d"])
-    gate, dcf, sim = GateConfig(), DcfParams(), SimConfig()
+    gate, dcf = GateConfig(), DcfParams()
     pairs = [
         (score.cer_threshold, gate.cer_threshold),
         (score.punitive_score, gate.punitive_score),
         (evaluate.c_miss, dcf.c_miss),
         (evaluate.c_fa, dcf.c_fa),
         (evaluate.p_target, dcf.p_target),
-        (simulate.seed, sim.master_seed),
-        (simulate.n_speakers, sim.n_speakers),
-        (simulate.n_phrases, sim.n_phrases),
-        (simulate.trials_per_type, sim.trials_per_type),
-        (simulate.err_correct, sim.transcript_error_rate_correct),
-        (simulate.err_wrong, sim.transcript_error_rate_wrong),
     ]
     # repr, so that an int default for a float field fails too
     assert [repr(option) for option, _ in pairs] == [repr(field) for _, field in pairs]
+    # strict, as in score_all, unless --lenient is given
+    assert score.strict is True
+    assert parse(score_args(Path("d"), "s.tsv") + ["--lenient"]).strict is False
+    # simulate leaves a flag not given out of its parsed args, so SimConfig
+    # states each default; and some flag reaches each SimConfig field
+    sim_fields = {f.name for f in fields(SimConfig)}
+    assert not sim_fields & set(vars(parse(["simulate", "--out", "d"])))
+    every_flag = parse([
+        "simulate", "--out", "d", "--seed", "1", "--n-speakers", "2", "--n-phrases", "2",
+        "--space", "a:2:0", "--trials-per-type", "1", "--err-correct", "0", "--err-wrong", "0",
+    ])
+    assert sim_fields <= set(vars(every_flag))
 
 
 class TestPipeline:
@@ -488,9 +493,13 @@ class TestErrorContract:
         assert not (tmp_path / "s.tsv").exists()
 
     def test_usage_error_exits_two(self):
-        with pytest.raises(SystemExit) as exc_info:
-            run_cli(["evaluate", "--scores", "x", "--trials", "y", "--subset", "bogus"])
-        assert exc_info.value.code == 2
+        for argv in (
+            ["evaluate", "--scores", "x", "--trials", "y", "--subset", "bogus"],
+            score_args(Path("d"), "s.tsv") + ["--strict"],  # strict is the default, not a flag
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                run_cli(argv)
+            assert exc_info.value.code == 2
 
     def test_infinite_threshold_accepted(self, tmp_path):
         data = simulate(tmp_path, seed=5)

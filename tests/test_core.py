@@ -7,6 +7,8 @@ from oracles import embedding_tables, trial_table
 from tdsvkit import (
     LABEL_CODES,
     UNLABELED,
+    ConfigInvalid,
+    DcfParams,
     DegenerateVector,
     DimensionMismatch,
     DuplicateId,
@@ -15,10 +17,13 @@ from tdsvkit import (
     GateConfig,
     Phrase,
     ScoreColumns,
+    SimConfig,
+    SpaceSpec,
     Transcript,
     TrialColumns,
     TrialLabel,
     as_embedding,
+    corrupt_transcript,
     l2_normalize,
     score_all,
     split_scores,
@@ -414,3 +419,29 @@ class TestAsEmbedding:
             as_embedding([])
         with pytest.raises(DegenerateVector):
             as_embedding([1.0, float("inf")])
+
+
+# A config number given True, which Python counts as the number 1, each with
+# the message that names its field.
+BOOL_NUMBERS = {
+    "cer_threshold": (lambda: GateConfig(True), r"^cer_threshold must be >= 0, got True$"),
+    "c_miss": (lambda: DcfParams(True), r"^c_miss must be finite and > 0, got True$"),
+    "c_fa": (lambda: DcfParams(c_fa=True), r"^c_fa must be finite and > 0, got True$"),
+    "noise_sigma": (lambda: SpaceSpec("a", 4, True), r"^space 'a': noise_sigma must be finite"),
+    "transcript_error_rate_correct": (
+        lambda: SimConfig(transcript_error_rate_correct=True),
+        r"^transcript_error_rate_correct must lie in \[0, 1\], got True$",
+    ),
+    "transcript_error_rate_wrong": (
+        lambda: SimConfig(transcript_error_rate_wrong=True),
+        r"^transcript_error_rate_wrong must lie in \[0, 1\], got True$",
+    ),
+    "rate": (lambda: corrupt_transcript("abc", True, 0), r"^rate must lie in \[0, 1\], got True$"),
+}
+
+
+@pytest.mark.parametrize("name", BOOL_NUMBERS)
+def test_config_numbers_refuse_bool(name):
+    build, message = BOOL_NUMBERS[name]
+    with pytest.raises(ConfigInvalid, match=message):
+        build()

@@ -246,6 +246,11 @@ class TestSelectSubset:
             select_subset([0, 2], TC_VS_TW)
         with pytest.raises(EmptySide):
             select_subset([2], ALL)
+        # [] reads as float64 codes, which cannot index
+        with pytest.raises(EmptySide, match="^subset 'all' keeps no target"):
+            select_subset([], ALL)
+        with pytest.raises(EmptySide, match="^subset 'all' keeps no target"):
+            split_scores([], [])
 
     def test_unlabeled_rejected_in_all_mode(self):
         with pytest.raises(UnlabeledRecords):
