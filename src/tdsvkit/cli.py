@@ -140,7 +140,7 @@ def cmd_evaluate(args) -> int:
         payload["min_dcf"] = mdcf
         payload["argmin_threshold"] = threshold
         payload["eer"] = eer_value
-        with open(args.json, "w", encoding="utf-8", newline="\n") as f:
+        with tsvio.output_file(args.json) as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
     for key, value in report:

@@ -14,7 +14,7 @@ pure and safe for concurrent use.
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -69,6 +69,12 @@ def check_label_codes(codes) -> None:
 def is_real(value) -> bool:
     """Whether value is a real number and not a bool, which counts as one in Python."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer, numpy's included, and not a bool. A plain
+    int is answered before the slower abstract-class test."""
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def undecodable(text: str) -> bool:

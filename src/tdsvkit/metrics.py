@@ -64,8 +64,6 @@ class ErrorRates:
     threshold: np.ndarray
     p_miss: np.ndarray
     p_fa: np.ndarray
-    n_target: int
-    n_nontarget: int
 
     def __len__(self) -> int:
         return int(np.size(self.threshold))
@@ -129,9 +127,7 @@ def sweep(target_scores, nontarget_scores) -> ErrorRates:
     false_alarms = n_nontarget - np.searchsorted(
         nontargets_sorted, thresholds, side="left"
     )
-    return ErrorRates(
-        thresholds, misses / n_target, false_alarms / n_nontarget, n_target, n_nontarget
-    )
+    return ErrorRates(thresholds, misses / n_target, false_alarms / n_nontarget)
 
 
 def min_dcf(rates: ErrorRates, params: DcfParams = DcfParams()) -> Tuple[float, float]:
@@ -171,10 +167,7 @@ def det_points(rates: ErrorRates) -> ErrorRates:
     pairs dropped; ordered by threshold, ready for external plotting."""
     keep = np.ones(len(rates), dtype=bool)
     keep[1:] = (rates.p_miss[1:] != rates.p_miss[:-1]) | (rates.p_fa[1:] != rates.p_fa[:-1])
-    return ErrorRates(
-        rates.threshold[keep], rates.p_miss[keep], rates.p_fa[keep],
-        rates.n_target, rates.n_nontarget,
-    )
+    return ErrorRates(rates.threshold[keep], rates.p_miss[keep], rates.p_fa[keep])
 
 
 def select_subset(codes, mode: SubsetMode) -> np.ndarray:

@@ -20,6 +20,7 @@ each batch first compares a few of them with numpy's own seeding and, on any
 mismatch, makes every generator of the batch with default_rng.
 """
 
+import functools
 import hashlib
 import math
 import os
@@ -36,6 +37,7 @@ from .core import (
     EnrollEntry,
     TrialColumns,
     TrialLabel,
+    is_int,
     is_real,
     normalize_rows,
     row_norms,
@@ -66,35 +68,35 @@ _CHECKED = 3
 _SEED_BLOCK = 4096
 
 
+def _seed(value, what: str = "seed") -> int:
+    """value as an int if it is a seed, an is_int value in [0, 2**64), the
+    package's one seed rule; otherwise ConfigInvalid naming it as what."""
+    if is_int(value) and 0 <= value < 2**64:
+        return int(value)
+    raise ConfigInvalid(f"{what} must be an unsigned 64-bit integer, got {value!r}")
+
+
 def derive_seed(master_seed: int, kind: str, *indices: int) -> int:
     """Stable 64-bit sub-seed for one entity.
 
-    blake2b over the master seed, a kind tag, and the entity indices. Unique
-    per (kind, indices) for practical purposes, and independent of how many
-    other entities exist.
+    blake2b over the master seed, a kind tag, and the entity indices, each
+    a _seed. Unique per (kind, indices) for practical purposes, and
+    independent of how many other entities exist.
     """
-    h = hashlib.blake2b(digest_size=8)
-    try:
-        h.update(int(master_seed).to_bytes(8, "little"))
-        h.update(kind.encode("utf-8"))
-        for idx in indices:
-            h.update(int(idx).to_bytes(8, "little"))
-    except OverflowError:
-        for what, value in [("master_seed", master_seed)] + [("index", i) for i in indices]:
-            if not 0 <= int(value) < 2**64:
-                raise ConfigInvalid(
-                    f"derive_seed: {what} must be an unsigned 64-bit integer, got {value!r}"
-                ) from None
-        raise
+    h = _hashed(_seed(master_seed, "derive_seed: master_seed"), kind).copy()
+    for idx in indices:
+        h.update(_seed(idx, "derive_seed: index").to_bytes(8, "little"))
     return int.from_bytes(h.digest(), "little")
 
 
-def _default_rng(seed) -> np.random.Generator:
-    """np.random.default_rng(seed) for one entity's seed, an unsigned 64-bit
-    integer, or ConfigInvalid naming it."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
-        raise ConfigInvalid(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return np.random.default_rng(seed)
+@functools.lru_cache(maxsize=64)
+def _hashed(master_seed: int, kind: str):
+    """derive_seed's blake2b state after the master seed and the kind, which
+    a run's many sub-seeds of one kind share; each caller copies it."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(master_seed.to_bytes(8, "little"))
+    h.update(kind.encode("utf-8"))
+    return h
 
 
 def _seeding_words(seeds) -> np.ndarray:
@@ -194,7 +196,7 @@ class SpaceSpec:
                 f"space name {self.name!r} must be non-empty with no "
                 "':', '=', whitespace or path separator"
             )
-        if not (isinstance(self.dim, int) and self.dim >= 2):
+        if not (is_int(self.dim) and self.dim >= 2):
             raise ConfigInvalid(f"space '{self.name}': dim must be an int >= 2")
         if not (is_real(self.noise_sigma) and 0.0 <= self.noise_sigma < math.inf):
             raise ConfigInvalid(
@@ -215,30 +217,22 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n_speakers, int) and self.n_speakers >= 2):
+        if not (is_int(self.n_speakers) and self.n_speakers >= 2):
             raise ConfigInvalid("n_speakers must be an int >= 2 (impostors must exist)")
-        if not (isinstance(self.n_phrases, int) and self.n_phrases >= 2):
+        if not (is_int(self.n_phrases) and self.n_phrases >= 2):
             raise ConfigInvalid("n_phrases must be an int >= 2 (wrong phrases must exist)")
         if not self.spaces:
             raise ConfigInvalid("spaces must declare at least one embedding space")
         names = [sp.name for sp in self.spaces]
         if len(set(names)) != len(names):
             raise ConfigInvalid(f"spaces contains duplicate names {names}")
-        if not (_is_int(self.trials_per_type) and self.trials_per_type >= 0):
+        if not (is_int(self.trials_per_type) and self.trials_per_type >= 0):
             raise ConfigInvalid(
                 f"trials_per_type must be an int >= 0, got {self.trials_per_type!r}"
             )
         for fname in ("transcript_error_rate_correct", "transcript_error_rate_wrong"):
             _check_rate(fname, getattr(self, fname))
-        if not (_is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
-            raise ConfigInvalid(
-                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}"
-            )
-
-
-def _is_int(value) -> bool:
-    """Whether value is an int and not a bool, which counts as one in Python."""
-    return isinstance(value, int) and not isinstance(value, bool)
+        _seed(self.master_seed, "master_seed")
 
 
 def _check_rate(name: str, rate) -> None:
@@ -251,16 +245,17 @@ def _check_rate(name: str, rate) -> None:
 class SyntheticDataset:
     """Generated tables plus ground-truth maps for label auditing.
 
-    embeddings holds one EmbeddingTable per space, in the order of
-    config.spaces (the fusion order), with the rows of both enrollment
-    repetitions and test utterances. utt_speaker / utt_phrase /
-    model_speaker record the construction truth (speaker index, spoken
-    phrase id) behind every test utterance and model.
+    enroll_entries maps model id to EnrollEntry, as tsvio.parse_enrollmap
+    returns it and scoring.score_all takes it. embeddings holds one
+    EmbeddingTable per space, in the order of SimConfig.spaces (the fusion
+    order), with the rows of both enrollment repetitions and test
+    utterances. utt_speaker / utt_phrase / model_speaker record the
+    construction truth (speaker index, spoken phrase id) behind every test
+    utterance and model.
     """
 
-    config: SimConfig
     phrases: dict
-    enroll_entries: list
+    enroll_entries: dict
     embeddings: dict
     transcripts: dict
     trials: TrialColumns
@@ -299,9 +294,9 @@ def gen_speakers(n: int, dim: int, seed: int) -> np.ndarray:
     """n unit-norm mean directions, one independent sub-seeded draw each:
     speaker i is normalize(default_rng(derive_seed(seed, "speaker", i))
     .standard_normal(dim))."""
-    if n < 1:
+    if not (is_int(n) and n >= 1):
         raise ConfigInvalid(f"n must be >= 1, got {n}")
-    if dim < 2:
+    if not (is_int(dim) and dim >= 2):
         raise ConfigInvalid(f"dim must be >= 2, got {dim}")
     seeds = [derive_seed(seed, "speaker", i) for i in range(n)]
     out = np.empty((n, dim), dtype=np.float64)
@@ -318,7 +313,7 @@ def gen_utterance(speaker_mean: np.ndarray, sigma: float, seed: int) -> np.ndarr
     means = np.asarray(speaker_mean, dtype=np.float64)[np.newaxis]
     if means.ndim != 2:
         raise DimensionMismatch(f"speaker_mean must be 1-D, got shape {means.shape[1:]}")
-    rng = _default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     noise = rng.standard_normal(means.shape) if sigma > 0 else None
     return _perturb(means, [0], sigma, noise)[0]
 
@@ -335,7 +330,7 @@ def corrupt_transcript(
     _check_rate("rate", rate)
     if not alphabet:
         raise ConfigInvalid("alphabet must be non-empty")
-    return _corrupt(reference, rate, _default_rng(seed), alphabet)
+    return _corrupt(reference, rate, np.random.default_rng(_seed(seed)), alphabet)
 
 
 def _corrupt(reference: str, rate: float, rng, alphabet: str) -> str:
@@ -401,7 +396,7 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     row_keys = [("rep", (i, k)) for i in range(cfg.n_speakers) for k in range(REPS_PER_MODEL)]
     row_keys += [("test", key) for key in trial_keys]
     row_ids, row_speakers = [], []
-    enroll_entries = []
+    enroll_entries = {}
     model_speaker = {}
     for i in range(cfg.n_speakers):
         model_id = f"mdl{i:04d}"
@@ -409,7 +404,7 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
         rep_ids = tuple(f"{model_id}-rep{k}" for k in range(REPS_PER_MODEL))
         row_ids.extend(rep_ids)
         row_speakers.extend([i] * REPS_PER_MODEL)
-        enroll_entries.append(EnrollEntry(model_id, phrase_id, rep_ids))
+        enroll_entries[model_id] = EnrollEntry(model_id, phrase_id, rep_ids)
         model_speaker[model_id] = i
 
     trial_ids, model_ids, test_ids = [], [], []
@@ -467,7 +462,6 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
 
     labels = np.repeat(np.arange(len(TrialLabel), dtype=np.int8), cfg.trials_per_type)
     return SyntheticDataset(
-        config=cfg,
         phrases=phrases,
         enroll_entries=enroll_entries,
         embeddings=embeddings,
@@ -487,12 +481,11 @@ def validate_labels(ds: SyntheticDataset) -> int:
     neither. Returns the number of trials checked; raises ValueError on the
     first inconsistency.
     """
-    model_phrase = {e.model_id: e.phrase_id for e in ds.enroll_entries}
     t = ds.trials
     rows = zip(t.trial_ids, t.model_ids, t.test_ids, t.labels.tolist())
     for trial_id, model_id, test_id, code in rows:
         same_speaker = ds.model_speaker[model_id] == ds.utt_speaker[test_id]
-        same_phrase = model_phrase[model_id] == ds.utt_phrase[test_id]
+        same_phrase = ds.enroll_entries[model_id].phrase_id == ds.utt_phrase[test_id]
         expected = next(
             label for label in TrialLabel
             if (label.same_speaker, label.same_phrase) == (same_speaker, same_phrase)

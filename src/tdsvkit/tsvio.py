@@ -12,13 +12,14 @@ platform). The record types check their values when they are built
 (core.check_token, core.check_text); a writer checks only what no one record
 can, that no two of its records share an id where the format has one record
 per id, and leaves an existing file as it was if they do. So every file
-written here reads back as its records. One row loop reads every embedding
-file: in two halves, one per process, if it is _SPLIT_BYTES or more and the
-host can fork onto a second CPU, and otherwise, for a pipe, or for a file
-the halves refuse, in one pass that names the first bad line. The writer
-splits such files too, with the bytes of one process. The record types read and
-written here come from core and textgate, so reading a file loads no scoring
-code.
+written here reads back as its records. Every writer writes through
+output_file, so a write that fails partway leaves its path as it was too.
+One row loop reads every embedding file: in two halves, one per process, if
+it is _SPLIT_BYTES or more and the host can fork onto a second CPU, and
+otherwise, for a pipe, or for a file the halves refuse, in one pass that
+names the first bad line. The writer splits such files too, with the bytes
+of one process. The record types read and written here come from core and
+textgate, so reading a file loads no scoring code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -35,8 +36,9 @@ import math
 import os
 import re
 import stat
+from contextlib import contextmanager
 from itertools import repeat
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -358,6 +360,45 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
         return None
 
 
+@contextmanager
+def output_file(path):
+    """Open path for writing text, as open(path, "w", encoding="utf-8",
+    newline="\\n") would, such that path holds either its earlier bytes or
+    all the new ones. Every writer of the package writes through it.
+
+    The text goes to a new file beside path, made with the permissions
+    open would give, an existing file's own included. When the with block
+    ends, os.replace moves it over path, or over the file a symlink path
+    names; on any exception it is unlinked and path is left as it was. A
+    path that exists and is not a regular file (a FIFO, /dev/stdout) is
+    written in place, since replacing it would replace the device node.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        return
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    new = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named as open(path) names it
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        if st is not None:
+            os.chmod(new, stat.S_IMODE(st.st_mode))
+        with open(fd, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(new, target)
+    except BaseException:
+        os.unlink(new)
+        raise
+
+
 def write_embeddings(table: EmbeddingTable, path) -> None:
     """Write one embedding space in row order, every value at 17
     significant digits, one row format applied to each row, so that
@@ -367,8 +408,8 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
     A file that _splits, by the size of its first row times its row count,
     is written in two processes: a forked child formats the second half of
     the rows and pipes back their bytes, which this process appends after it
-    has written the first half. If the child fails, the whole file is
-    written again in one pass, so the bytes are the same either way.
+    has written the first half. If the fork or the child fails, this process
+    writes the rows it has not, so the bytes are the same either way.
     """
     dim = table.matrix.shape[1]
     # "%.17g" % x gives the bytes of f"{x:.17g}". The id is concatenated, not
@@ -379,20 +420,25 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
         rows = zip(table.ids[start:stop], table.matrix[start:stop])
         return (utt_id + row % tuple(v.tolist()) for utt_id, v in rows)
 
-    def write(stop):
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(f"#dim {dim}\n")
-            f.writelines(lines(0, stop))
-
     n = len(table)
     half = n // 2
-    if half and _splits(n * len(next(lines(0, 1)))):
-        parts = _in_two_parts(lambda: write(half), lambda: "".join(lines(half, n)).encode())
-        if parts is not None:
-            with open(path, "ab") as f:
-                f.write(parts[1])
-            return
-    write(n)
+    written = 0  # rows this process has written
+
+    def head():
+        nonlocal written
+        f.writelines(lines(0, half))
+        written = half
+
+    with output_file(path) as f:
+        f.write(f"#dim {dim}\n")
+        parts = None
+        if half and _splits(n * len(next(lines(0, 1)))):
+            parts = _in_two_parts(head, lambda: "".join(lines(half, n)).encode())
+        if parts is None:
+            f.writelines(lines(written, n))
+        else:
+            f.flush()
+            f.buffer.write(parts[1])
 
 
 def parse_trials(path) -> TrialColumns:
@@ -448,7 +494,7 @@ def _scan_trials(path, lines) -> TrialColumns:
 def write_trials(trials: TrialColumns, path) -> None:
     """Write a trial list; a trial without a label gets no label field."""
     rows = zip(trials.trial_ids, trials.model_ids, trials.test_ids, trials.labels.tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with output_file(path) as f:
         for trial_id, model_id, test_id, code in rows:
             f.write(f"{trial_id}\t{model_id}\t{test_id}{_LABEL_FIELDS[code]}\n")
 
@@ -486,7 +532,7 @@ def parse_transcripts(path) -> dict:
 
 def _write_id_text(items: list, path, what: str) -> None:
     check_unique([key for key, _ in items], what)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with output_file(path) as f:
         for key, text in items:
             f.write(f"{key}\t{text}\n")
 
@@ -529,10 +575,10 @@ def parse_enrollmap(path) -> dict:
     return entries
 
 
-def write_enrollmap(entries: Sequence, path) -> None:
-    check_unique([e.model_id for e in entries], "model id")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for e in entries:
+def write_enrollmap(entries: Mapping, path) -> None:
+    check_unique([e.model_id for e in entries.values()], "model id")
+    with output_file(path) as f:
+        for e in entries.values():
             f.write(f"{e.model_id}\t{e.phrase_id}\t{','.join(e.rep_ids)}\n")
 
 
@@ -596,7 +642,7 @@ def write_scores(records: ScoreColumns, path) -> None:
     rows = zip(
         records.trial_ids, records.score.tolist(), records.passed.tolist(), records.cer.tolist()
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with output_file(path) as f:
         for trial_id, score, passed, cer in rows:
             flag = "PASS" if passed else "PUNITIVE"
             f.write(f"{trial_id}\t{score:.6f}\t{flag}\t{cer:.4f}\n")
@@ -606,7 +652,7 @@ def write_det(points, path) -> None:
     """Write DET operating points (metrics.ErrorRates) under a
     `#p_miss\\tp_fa\\tthreshold` header."""
     rows = zip(points.p_miss.tolist(), points.p_fa.tolist(), points.threshold.tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with output_file(path) as f:
         f.write(_DET_HEADER + "\n")
         for p_miss, p_fa, threshold in rows:
             f.write(f"{p_miss:.6f}\t{p_fa:.6f}\t{threshold:.6f}\n")
@@ -616,7 +662,9 @@ def write_dataset(ds, out_dir) -> dict:
     """Write a synthetic dataset under fixed file names; returns the paths.
 
     Emits phrases.tsv, enrollmap.tsv, trials.tsv, transcripts.tsv, and one
-    embeddings_<space>.tsv per declared space.
+    embeddings_<space>.tsv per space of ds.embeddings. Each file is whole or
+    as it was (output_file), but the directory is not: a failed run may leave
+    some files new and the rest old.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {
@@ -629,8 +677,8 @@ def write_dataset(ds, out_dir) -> dict:
     write_enrollmap(ds.enroll_entries, paths["enrollmap"])
     write_trials(ds.trials, paths["trials"])
     write_transcripts(ds.transcripts, paths["transcripts"])
-    for sp in ds.config.spaces:
-        path = os.path.join(out_dir, f"embeddings_{sp.name}.tsv")
-        write_embeddings(ds.embeddings[sp.name], path)
-        paths[f"embeddings_{sp.name}"] = path
+    for name, table in ds.embeddings.items():
+        path = os.path.join(out_dir, f"embeddings_{name}.tsv")
+        write_embeddings(table, path)
+        paths[f"embeddings_{name}"] = path
     return paths

@@ -53,3 +53,31 @@ def piped(content: bytes):
             while writer.is_alive():
                 os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
                 writer.join(0.01)
+
+
+@contextlib.contextmanager
+def drained():
+    """Yield (path, got): a FIFO whose bytes a reader thread reads to the
+    end, once a writer opens it, and appends to the list got as one bytes
+    object. The reader is always joined, so got holds them after the with
+    block."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "fifo")
+        os.mkfifo(path)
+        got = []
+
+        def drain():
+            with open(path, "rb") as f:  # waits for a writer
+                got.append(f.read())
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            yield path, got
+        finally:
+            # a reader still waiting for a writer is let go by one that
+            # writes nothing
+            while reader.is_alive():
+                with contextlib.suppress(OSError):
+                    os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(0.01)

@@ -4,11 +4,11 @@ Deliberately written the slow, obvious way: a full-matrix dynamic program
 for edit distance, the fused cosine as a dot product of concatenated unit
 blocks, value-by-value parsers for the embedding, score, trial, enrollmap,
 phrase and transcript files and for the label join of evaluate/det, a
-value-by-value embedding
-writer, and a pure-Python enumerator over every midpoint threshold for
-the detection metrics (per-threshold counting via binary search so the
-acceptance-scale runs stay inside their time budget), and the centroid
-built one repetition at a time. Nothing here imports the modules under
+value-by-value embedding writer, a trial-by-trial scorer with score_all's
+strict and lenient policy, and a pure-Python enumerator over every
+midpoint threshold for the detection metrics (per-threshold counting via
+binary search so the acceptance-scale runs stay inside their time
+budget), and the centroid built one repetition at a time. Nothing here imports the modules under
 test beyond the public label and error types, the TrialColumns and
 EmbeddingTable types that trial_table and embedding_table build for the
 tests, and l2_normalize, the one normalization that enroll_ref repeats.
@@ -25,10 +25,16 @@ from tdsvkit import (
     BadHeader,
     BadLabel,
     BadRepCount,
+    DegenerateVector,
     DimMismatch,
     DuplicateId,
     EmbeddingTable,
     MalformedLine,
+    MissingModel,
+    MissingPhrase,
+    MissingSpace,
+    MissingTranscript,
+    TdsvError,
     UNLABELED,
     TrialColumns,
     TrialLabel,
@@ -279,6 +285,93 @@ def parse_id_text_ref(path, phrases):
         seen.add(key)
         rows.append((key, text))
     return rows
+
+
+def _centroid_ref(entry, space, vectors):
+    """enroll_ref of an entry's repetitions in one space (id -> vector), or
+    the error build_enrollment names: a missing repetition first, then a
+    centroid that cannot be built."""
+    for rid in entry.rep_ids:
+        if rid not in vectors:
+            raise MissingSpace(
+                f"repetition '{rid}' of model '{entry.model_id}' missing from space '{space}'"
+            )
+    try:
+        return enroll_ref([vectors[rid] for rid in entry.rep_ids])
+    except DegenerateVector as exc:
+        raise DegenerateVector(f"model '{entry.model_id}' in space '{space}': {exc}") from None
+
+
+def _check_norm_ref(vector):
+    """The DegenerateVector a test vector raises when its norm, summed
+    exactly, is at most 1e-12 or overflows."""
+    norm = math.sqrt(math.fsum(float(v) * float(v) for v in vector))
+    if norm == math.inf:
+        raise DegenerateVector("cannot normalize vector: its norm overflows")
+    if not norm > 1e-12:
+        raise DegenerateVector(f"cannot normalize vector with norm {norm:.3e}")
+
+
+def score_all_ref(trials, entries, embeddings, transcripts, phrases, cfg, strict=True):
+    """score_all one trial at a time: (rows, skipped), with one (trial id,
+    score, gate passed, CER, label code) row per trial scored. Every model is built
+    first, in entry order; strict raises the first build error as it is,
+    and lenient gives it as the reason of each of its model's trials. Each
+    trial is checked in the order: repeated trial id, model, test vector
+    per space, phrase, transcript, then the gate, and for a passed trial
+    the test vectors' norms. strict raises a trial's error with a
+    "trial '<id>': " prefix; lenient lists (trial id, "Class: message")
+    in skipped. A passed trial scores fused_cosine_ref of centroids and
+    test vectors, clamped to [-1, 1], and a failed one cfg.punitive_score.
+    """
+    spaces = {space: dict(zip(t.ids, t.matrix)) for space, t in embeddings.items()}
+    models = {}
+    for model_id, entry in entries.items():
+        try:
+            models[model_id] = [_centroid_ref(entry, s, v) for s, v in spaces.items()]
+        except TdsvError as exc:
+            if strict:
+                raise
+            models[model_id] = exc
+    rows, skipped = [], []
+    seen = set()
+    for trial_id, model_id, test_id, code in trial_rows(trials):
+        try:
+            if trial_id in seen:
+                raise DuplicateId(f"duplicate trial id '{trial_id}'")
+            seen.add(trial_id)
+            if model_id not in models:
+                raise MissingModel(f"no enrollment model '{model_id}' in enrollmap")
+            if isinstance(models[model_id], TdsvError):
+                raise models[model_id]
+            tests = []
+            for space, vectors in spaces.items():
+                if test_id not in vectors:
+                    raise MissingSpace(f"test utterance '{test_id}' missing from space '{space}'")
+                tests.append(vectors[test_id])
+            entry = entries[model_id]
+            if entry.phrase_id not in phrases:
+                raise MissingPhrase(
+                    f"phrase '{entry.phrase_id}' of model '{entry.model_id}' not in phrase table"
+                )
+            if test_id not in transcripts:
+                raise MissingTranscript(f"no transcript for test utterance '{test_id}'")
+            hyp = unicodedata.normalize("NFC", transcripts[test_id].text).strip()
+            ref = unicodedata.normalize("NFC", phrases[entry.phrase_id].text).strip()
+            cer = edit_distance_ref(hyp, ref) / len(ref)
+            passed = cer <= cfg.cer_threshold
+            score = cfg.punitive_score
+            if passed:
+                for vector in tests:
+                    _check_norm_ref(vector)
+                score = min(1.0, max(-1.0, fused_cosine_ref(models[model_id], tests)))
+        except TdsvError as exc:
+            if strict:
+                raise type(exc)(f"trial '{trial_id}': {exc}") from None
+            skipped.append((trial_id, f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.append((trial_id, score, passed, cer, code))
+    return rows, skipped
 
 
 def trial_table(rows):

@@ -90,9 +90,8 @@ def _random_score_set(rng, index: int):
 
 def _score_dataset(ds, gate_cfg: GateConfig):
     """(scores, label codes) of every trial of ds."""
-    entries = {entry.model_id: entry for entry in ds.enroll_entries}
     run = score_all(
-        ds.trials, entries, ds.embeddings, ds.transcripts, ds.phrases,
+        ds.trials, ds.enroll_entries, ds.embeddings, ds.transcripts, ds.phrases,
         gate_cfg,
     )
     return run.records.score, run.labels
@@ -140,9 +139,7 @@ def test_detection_metrics_match_enumeration_oracle():
 
 def test_dcf_normalization_constants():
     params = DcfParams()
-    rates = ErrorRates(
-        threshold=0.0, p_miss=1.0, p_fa=0.0, n_target=10, n_nontarget=10
-    )
+    rates = ErrorRates(threshold=0.0, p_miss=1.0, p_fa=0.0)
     raw, normalized = dcf(rates, params)
     _check(
         "default DCF: norm_const 0.1, all-miss point normalizes to 1.0",

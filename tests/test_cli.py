@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import piped
+from conftest import drained, piped
 from tdsvkit import DcfParams, GateConfig, SimConfig
 from tdsvkit.cli import build_parser, main
 
@@ -143,6 +143,22 @@ class TestPipeline:
             code, out, err = run_cli(argv)
         assert (code, err, report_dict(out)["scored"]) == (0, "", "40")
         assert (tmp_path / "piped.tsv").read_bytes() == (tmp_path / "by_path.tsv").read_bytes()
+
+    def test_outputs_to_a_fifo(self, tmp_path):
+        # a FIFO is written in place, not replaced by a regular file
+        data = simulate(tmp_path, seed=5)
+        scores = tmp_path / "scores.tsv"
+        assert run_cli(score_args(data, scores))[0] == 0
+        evaluate = ["evaluate", "--scores", str(scores), "--trials", str(data / "trials.tsv")]
+        assert run_cli(evaluate + ["--json", str(tmp_path / "r.json")])[0] == 0
+        for argv, want in (
+            (score_args(data, "FIFO"), scores), (evaluate + ["--json", "FIFO"], tmp_path / "r.json")
+        ):
+            with drained() as (fifo, got):
+                argv[argv.index("FIFO")] = fifo
+                assert run_cli(argv)[0] == 0
+                assert os.path.exists(fifo) and not os.path.isfile(fifo)
+            assert got == [want.read_bytes()]
 
     def test_subset_report(self, tmp_path):
         data = simulate(tmp_path, seed=5)
@@ -356,6 +372,38 @@ class TestErrorContract:
         assert code == 1
         assert err.startswith("error=IoError:")
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs resource limits and fork")
+    def test_score_past_the_file_size_limit_keeps_the_previous_scores(self, tmp_path):
+        # The score file outgrows RLIMIT_FSIZE, set in the child only, with
+        # SIGXFSZ ignored so that the write fails with EFBIG: the run exits
+        # 1, and the scores.tsv of an earlier run is left as it was.
+        import resource
+        import signal
+
+        data = tmp_path / "data"
+        spaces = ["--space", "alpha:2:0.1", "--space", "beta:2:0.1"]
+        simulate_argv = ["simulate", "--out", str(data), "--trials-per-type", "750", *spaces]
+        assert run_cli(simulate_argv)[0] == 0
+        scores = tmp_path / "scores.tsv"
+        assert run_cli(score_args(data, scores) + ["--cer-threshold", "inf"])[0] == 0
+        before = scores.read_bytes()
+        assert len(before) > 60_000
+
+        def limited():
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (60_000, hard))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "tdsvkit.cli", *score_args(data, scores)],
+            cwd=ROOT, env=child_env(), capture_output=True, text=True, timeout=120,
+            preexec_fn=limited,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error=IoError: [Errno 27] File too large")
+        assert scores.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["data", "scores.tsv"]
+
     def test_unwritable_json_report_prints_no_report(self, tmp_path):
         data = simulate(tmp_path, seed=5)
         scores = tmp_path / "scores.tsv"
@@ -515,15 +563,20 @@ class TestErrorContract:
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def child_env():
+    """os.environ with this checkout's src first on PYTHONPATH, for a child."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_traced(tmp_path, argv):
     """Run one CLI command under the benchmark's tracer (perfbench/tracer.py)
     in a subprocess; returns (stdout, the tracer's JSON output)."""
     spans = tmp_path / "spans.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), *argv],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout, json.loads(spans.read_text(encoding="utf-8"))

@@ -66,7 +66,7 @@ class TestDcfParams:
 
 
 def _rates(p_miss, p_fa):
-    return ErrorRates(0.0, p_miss, p_fa, 1, 1)
+    return ErrorRates(0.0, p_miss, p_fa)
 
 
 class TestDcf:
@@ -105,7 +105,6 @@ class TestSweep:
             (1.0, 0.0),
         ]
         assert len(rates) == 5
-        assert rates.n_target == 2 and rates.n_nontarget == 2
 
     def test_thresholds_ascending(self):
         ts = sweep([0.9, 0.3], [0.5, 0.1]).threshold.tolist()

@@ -41,6 +41,7 @@ from oracles import (
     parse_id_text_ref,
     parse_scores_ref,
     parse_trials_ref,
+    score_all_ref,
     sweep_ref,
     write_embeddings_ref,
 )
@@ -50,6 +51,7 @@ from tdsvkit import (
     EmbeddingTable,
     EmptyReference,
     EnrollEntry,
+    GateConfig,
     Phrase,
     ScoreColumns,
     SimConfig,
@@ -64,6 +66,7 @@ from tdsvkit import (
     eer,
     gen_dataset,
     min_dcf,
+    score_all,
     sweep,
     synth,
     tsvio,
@@ -423,6 +426,78 @@ def test_row_dots_bits_depend_on_no_block_or_matrix(data):
         assert alone.tobytes() == dot.tobytes() == np.add.reduce(a[i] * b[j]).tobytes()
         norms = core.row_norms(np.array([a[i], b[j]]))
         assert abs(dot / norms.prod() - fused_cosine_ref([a[i]], [b[j]])) <= 1e-12
+
+
+# Vectors whose fate no summation order decides, one in seven degenerate: a
+# zero and one whose norm overflows; and texts at CER 0, near 0, far and empty.
+_POLICY_VECTORS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-1.0, 0.0)] * 3
+_POLICY_VECTORS += [(0.0, 0.0), (1e200, 1e200)]
+_POLICY_PHRASES = ["open the door", "shut it", "door"]
+_POLICY_UTTS = ["r0", "r1", "r2", "r3", "u0", "u1", "u2", "u3"]
+
+
+def _policy_outcome(score):
+    """(rows, skipped) of score(), as score_all_ref gives them, or the
+    error's (class, message)."""
+    try:
+        run = score()
+    except TdsvError as exc:
+        return type(exc), str(exc)
+    if isinstance(run, tuple):
+        return run
+    records = run.records
+    columns = records.score.tolist(), records.passed.tolist(), records.cer.tolist()
+    return list(zip(records.trial_ids, *columns, run.labels.tolist())), run.skipped
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_score_all_policy_matches_trial_by_trial_reference(data):
+    # A small world in which any id may be missing: repetitions and test
+    # vectors absent from a space or degenerate, models that are not in the
+    # enrollmap or cannot be built, phrases and transcripts absent, and trial
+    # ids repeated. In both modes score_all keeps and skips the trials the
+    # reference does, for the same reasons, or raises its first error.
+    draw = data.draw
+
+    def some(ids):
+        """ids, each left out now and then."""
+        return [i for i in ids if draw(st.sampled_from([True] * 7 + [False]))]
+
+    tables = {}
+    for space in ("a", "b")[: draw(st.integers(1, 2))]:
+        ids = some(_POLICY_UTTS)
+        vectors = [draw(st.sampled_from(_POLICY_VECTORS)) for _ in ids]
+        tables[space] = EmbeddingTable(ids, np.array(vectors).reshape(len(ids), 2))
+    phrase_ids = ["p0", "p1", "p2"]
+    phrases = {p: Phrase(p, draw(st.sampled_from(_POLICY_PHRASES))) for p in some(phrase_ids)}
+    texts = st.sampled_from(_POLICY_PHRASES + ["open the dor", ""])
+    transcripts = {u: Transcript(u, draw(texts)) for u in some(_POLICY_UTTS)}
+    entries = {}
+    for model_id in some(["m0", "m1", "m2"]):
+        reps = draw(st.lists(st.sampled_from(_POLICY_UTTS[:3]), min_size=3, max_size=3))
+        entries[model_id] = EnrollEntry(model_id, draw(st.sampled_from(phrase_ids)), tuple(reps))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from([f"t{i}" for i in range(8)]),
+        st.sampled_from(["m0", "m1", "m2"] * 3 + ["m3"]),
+        st.sampled_from(_POLICY_UTTS + ["x"]),
+        st.integers(UNLABELED, 3),
+    ), max_size=8))
+    trials = TrialColumns(*map(list, zip(*rows))) if rows else TrialColumns([], [], [], [])
+    cfg = GateConfig(draw(st.sampled_from([0.0, 0.3, 1.0])))
+    args = trials, entries, tables, transcripts, phrases, cfg
+    for strict in (True, False):
+        expected = _policy_outcome(lambda: score_all_ref(*args, strict=strict))
+        got = _policy_outcome(lambda: score_all(*args, strict=strict))
+        if isinstance(expected[0], type):
+            assert got == expected
+            continue
+        (got_rows, got_skipped), (want_rows, want_skipped) = got, expected
+        assert got_skipped == want_skipped
+        unscored = [row[:1] + row[2:] for row in want_rows]
+        assert [row[:1] + row[2:] for row in got_rows] == unscored
+        for got_row, want_row in zip(got_rows, want_rows):
+            assert abs(got_row[1] - want_row[1]) <= 1e-12
 
 
 # -- score files and the label join -------------------------------------------
@@ -995,7 +1070,10 @@ def _written_and_read(draw, fmt, path):
         reps = column(st.tuples(*[_ROUND_TRIP_VALUES] * 3))
         entries = map(partial(_built, EnrollEntry), model_ids, phrase_ids, reps)
         table = [entry for entry in entries if entry is not None]
-        write, read = write_enrollmap, lambda p: list(parse_enrollmap(p).values())
+        write, read = (
+            lambda records, p: write_enrollmap(dict(enumerate(records)), p),
+            lambda p: list(parse_enrollmap(p).values()),
+        )
     else:
         record, refusals, writer, parser = {
             "phrases": (Phrase, (ValueError, EmptyReference), write_phrases, parse_phrases),

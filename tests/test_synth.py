@@ -52,6 +52,17 @@ class TestDeriveSeed:
         with pytest.raises(ConfigInvalid, match=f"index .* got {bad}$"):
             derive_seed(0, "trial", 1, bad)
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, False, "1"])
+    def test_value_that_is_not_an_int_is_named(self, bad):
+        # a float is not truncated, and a bool is not taken as 0 or 1
+        with pytest.raises(ConfigInvalid, match=f"master_seed .* got {re.escape(repr(bad))}$"):
+            derive_seed(bad, "trial", 1)
+        with pytest.raises(ConfigInvalid, match=f"index .* got {re.escape(repr(bad))}$"):
+            derive_seed(0, "trial", 1, bad)
+
+    def test_numpy_integers_are_seeds(self):
+        assert derive_seed(np.uint64(2**64 - 1), "x", np.int8(3)) == derive_seed(2**64 - 1, "x", 3)
+
 
 class TestSpaceSpec:
     def test_valid(self):
@@ -63,9 +74,13 @@ class TestSpaceSpec:
             with pytest.raises(ConfigInvalid):
                 SpaceSpec(name, 8, 0.0)
 
+    def test_numpy_integer_dim(self):
+        assert SpaceSpec("a", np.int64(8), 0.0) == SpaceSpec("a", 8, 0.0)
+
     def test_bad_dim_and_sigma(self):
-        with pytest.raises(ConfigInvalid):
-            SpaceSpec("a", 1, 0.0)
+        for dim in (1, 8.0, True):
+            with pytest.raises(ConfigInvalid, match="dim must be an int >= 2"):
+                SpaceSpec("a", dim, 0.0)
         with pytest.raises(ConfigInvalid):
             SpaceSpec("a", 8, -0.1)
         with pytest.raises(ConfigInvalid):
@@ -110,6 +125,24 @@ class TestSimConfig:
             SimConfig(master_seed=True)
         with pytest.raises(ConfigInvalid, match="trials_per_type .* got False"):
             SimConfig(trials_per_type=False)
+        for field in ("n_speakers", "n_phrases"):
+            with pytest.raises(ConfigInvalid, match=f"^{field} must be an int >= 2"):
+                SimConfig(**{field: True})
+        with pytest.raises(ConfigInvalid, match="master_seed .* got 1.5"):
+            SimConfig(master_seed=1.5)
+
+    def test_numpy_integers_are_ints(self):
+        # the dataset of numpy integer counts and seed is that of the same ints
+        spaces = (SpaceSpec("a", np.int32(16), 0.05), SpaceSpec("b", np.uint16(16), 0.05))
+        cfg = SimConfig(
+            n_speakers=np.int64(6), n_phrases=np.int8(4), spaces=spaces,
+            trials_per_type=np.uint8(5), master_seed=np.uint64(11),
+        )
+        got, want = gen_dataset(cfg), gen_dataset(_small_cfg())
+        assert got.trials == want.trials
+        assert got.enroll_entries == want.enroll_entries
+        assert got.transcripts == want.transcripts
+        assert got.embeddings == want.embeddings
 
     @pytest.mark.parametrize("rate", ["0.1", None, float("nan")])
     def test_error_rate_must_be_a_number(self, rate):
@@ -148,6 +181,21 @@ class TestGenSpeakers:
             gen_speakers(3, 1, 0)
         with pytest.raises(ConfigInvalid, match="got -1$"):
             gen_speakers(3, 16, -1)
+        for n, dim, message in (
+            (2.0, 16, "n .* 2.0"), (True, 16, "n .* True"), (3, 16.0, "dim .* 16.0")
+        ):
+            with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+                gen_speakers(n, dim, 0)
+
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True])
+    def test_seed_that_is_not_an_int_is_refused(self, seed):
+        # at one time 7.9 was taken as 7
+        with pytest.raises(ConfigInvalid, match=f"master_seed .* got {seed!r}$"):
+            gen_speakers(3, 16, seed)
+
+    def test_numpy_integer_arguments(self):
+        expected = gen_speakers(3, 16, 7)
+        assert np.array_equal(gen_speakers(np.int64(3), np.uint8(16), np.uint64(7)), expected)
 
 
 class TestGenUtterance:
@@ -177,7 +225,7 @@ class TestGenUtterance:
             gen_utterance(np.array([1.0, 0.0]), -0.1, 0)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
     def test_bad_seed_is_named(self, sigma, seed):
         with pytest.raises(ConfigInvalid, match=f"seed .* got {seed!r}$"):
             gen_utterance(np.array([0.6, 0.8]), sigma, seed)
@@ -238,7 +286,7 @@ class TestCorruptTranscript:
             corrupt_transcript("x", 0.5, 0, alphabet="")
         with pytest.raises(ConfigInvalid, match="rate .* got 'x'$"):
             corrupt_transcript("x", "x", 0)
-        for seed in (-1, 2**64):
+        for seed in (-1, 2**64, 0.0, False):
             with pytest.raises(ConfigInvalid, match=f"seed .* got {seed}$"):
                 corrupt_transcript("x", 0.5, seed)
 
@@ -314,14 +362,11 @@ class TestGenDataset:
         # with zero error rates the transcript equals the actually-spoken
         # phrase: the enrolled one for TC/IC, a different one for TW/IW
         ds = gen_dataset(_small_cfg())
-        enrolled = {e.model_id: e.phrase_id for e in ds.enroll_entries}
         for _, model_id, test_id, code in trial_rows(ds.trials):
             spoken = ds.utt_phrase[test_id]
             assert ds.transcripts[test_id].text == ds.phrases[spoken].text
-            if list(TrialLabel)[code].same_phrase:
-                assert spoken == enrolled[model_id]
-            else:
-                assert spoken != enrolled[model_id]
+            enrolled = ds.enroll_entries[model_id].phrase_id
+            assert (spoken == enrolled) == list(TrialLabel)[code].same_phrase
 
     def test_statistical_sanity_tc_above_ic(self):
         # at default noise the speaker signal dominates: mean TC cosine
@@ -329,9 +374,8 @@ class TestGenDataset:
         for seed in range(10):
             cfg = SimConfig(master_seed=seed)
             ds = gen_dataset(cfg)
-            entries = {e.model_id: e for e in ds.enroll_entries}
             run = score_all(
-                ds.trials, entries, ds.embeddings, ds.transcripts, ds.phrases,
+                ds.trials, ds.enroll_entries, ds.embeddings, ds.transcripts, ds.phrases,
                 GateConfig(),
             )
             scores = run.records.score
@@ -411,7 +455,7 @@ class TestPerEntityContract:
             means = gen_speakers(cfg.n_speakers, sp.dim, derive_seed(seed, "space", j))
             table = ds.embeddings[sp.name]
             expected = {}
-            for i, entry in enumerate(ds.enroll_entries):
+            for i, entry in enumerate(ds.enroll_entries.values()):
                 for k, rep_id in enumerate(entry.rep_ids):
                     expected[rep_id] = gen_utterance(
                         means[i], sp.noise_sigma, derive_seed(seed, "rep", j, i, k)

@@ -1,14 +1,16 @@
 """TSV parsers and writers: round-trips and per-line diagnostics."""
 
+import errno
 import io
 import os
+import stat
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import piped
+from conftest import drained, piped
 from oracles import (
     embedding_table,
     parse_embeddings_ref,
@@ -388,14 +390,13 @@ class TestIdTextFormats:
 
 class TestEnrollmapFormat:
     def test_roundtrip(self, tmp_path):
-        entries = [
-            EnrollEntry("m1", "p1", ("r1", "r2", "r3")),
-            EnrollEntry("m2", "p2", ("r4", "r5", "r6")),
-        ]
+        entries = {
+            "m1": EnrollEntry("m1", "p1", ("r1", "r2", "r3")),
+            "m2": EnrollEntry("m2", "p2", ("r4", "r5", "r6")),
+        }
         path = tmp_path / "em.tsv"
         write_enrollmap(entries, path)
-        parsed = parse_enrollmap(path)
-        assert list(parsed.values()) == entries
+        assert parse_enrollmap(path) == entries
 
     def test_bad_rep_count(self, tmp_path):
         with pytest.raises(BadRepCount, match="got 2"):
@@ -452,9 +453,8 @@ class TestScoresFormat:
             transcript_error_rate_wrong=0.3, master_seed=9,
         )
         ds = gen_dataset(cfg)
-        entries = {e.model_id: e for e in ds.enroll_entries}
         run = score_all(
-            ds.trials, entries, ds.embeddings, ds.transcripts, ds.phrases,
+            ds.trials, ds.enroll_entries, ds.embeddings, ds.transcripts, ds.phrases,
             GateConfig(),
         )
         records = run.records
@@ -678,7 +678,10 @@ _SHARED_ID = {
     ),
     "phrases": ({"a": Phrase("p1", "x"), "b": Phrase("p1", "y")}, write_phrases, "phrase id"),
     "enrollmap": (
-        [EnrollEntry("m1", "p", ("a", "b", "c")), EnrollEntry("m1", "q", ("d", "e", "f"))],
+        {
+            "a": EnrollEntry("m1", "p", ("a", "b", "c")),
+            "b": EnrollEntry("m1", "q", ("d", "e", "f")),
+        },
         write_enrollmap,
         "model id",
     ),
@@ -698,7 +701,7 @@ def test_writer_refuses_a_shared_id_before_it_opens_the_file(tmp_path, fmt):
 class TestDetFormat:
     def test_header_and_rows(self, tmp_path):
         points = ErrorRates(
-            np.array([-1.0, 2.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]), 2, 3
+            np.array([-1.0, 2.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])
         )
         path = tmp_path / "d.tsv"
         write_det(points, path)
@@ -709,7 +712,7 @@ class TestDetFormat:
 
     def test_empty_points(self, tmp_path):
         path = tmp_path / "d.tsv"
-        write_det(ErrorRates(np.empty(0), np.empty(0), np.empty(0), 0, 0), path)
+        write_det(ErrorRates(np.empty(0), np.empty(0), np.empty(0)), path)
         assert path.read_text(encoding="utf-8") == "#p_miss\tp_fa\tthreshold\n"
 
 
@@ -734,7 +737,7 @@ class TestWriteDataset:
             "trials.tsv",
         ]
         assert trial_rows(parse_trials(paths["trials"])) == trial_rows(ds.trials)
-        assert list(parse_enrollmap(paths["enrollmap"]).values()) == ds.enroll_entries
+        assert parse_enrollmap(paths["enrollmap"]) == ds.enroll_entries
         parsed_phrases = parse_phrases(paths["phrases"])
         assert {k: v.text for k, v in parsed_phrases.items()} == {
             k: v.text for k, v in ds.phrases.items()
@@ -747,6 +750,141 @@ class TestWriteDataset:
             table, parsed_dim = parse_embeddings(paths[f"embeddings_{name}"])
             assert parsed_dim == dim
             assert table == ds.embeddings[name]
+
+
+class _DiskFull:
+    """A text file that raises ENOSPC, as a full disk does, once more than
+    limit characters have been written to it."""
+
+    def __init__(self, file, limit):
+        self._file, self._left = file, limit
+
+    def write(self, text):
+        self._left -= len(text)
+        if self._left < 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._file.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+
+# Per writer: a call that writes some 400 characters or more to a path.
+_WRITES = {
+    "embeddings": lambda path: write_embeddings(
+        embedding_table({f"u{i}": [i / 7, 1.0] for i in range(20)}), path
+    ),
+    "trials": lambda path: write_trials(
+        trial_table([(f"t{i}", "m", "u") for i in range(40)]), path
+    ),
+    "scores": lambda path: write_scores(
+        _score_columns(*[(f"t{i}", 0.5, True, 0.0) for i in range(20)]), path
+    ),
+    "det": lambda path: write_det(ErrorRates(*[np.zeros(20)] * 3), path),
+    "phrases": lambda path: write_phrases({i: Phrase(f"p{i}", "open it") for i in range(40)}, path),
+    "transcripts": lambda path: write_transcripts(
+        {i: Transcript(f"u{i}", "open it") for i in range(40)}, path
+    ),
+    "enrollmap": lambda path: write_enrollmap(
+        {i: EnrollEntry(f"m{i}", "p", ("a", "b", "c")) for i in range(40)}, path
+    ),
+}
+
+
+class TestOutputFile:
+    """Every writer goes through tsvio.output_file: its path holds either
+    what it held before or all of the new bytes, and no other file is left
+    beside it."""
+
+    @staticmethod
+    def disk_full(monkeypatch, limit):
+        """Make the text files the writers open raise ENOSPC past limit characters."""
+
+        def full(file, mode="r", **kwargs):
+            return _DiskFull(open(file, mode, **kwargs), limit) if "w" in mode else open(
+                file, mode, **kwargs
+            )
+
+        monkeypatch.setattr(tsvio, "open", full, raising=False)
+
+    @pytest.mark.parametrize("existed", [True, False])
+    @pytest.mark.parametrize("fmt", sorted(_WRITES))
+    def test_writer_that_fails_partway_leaves_the_earlier_file(
+        self, tmp_path, monkeypatch, fmt, existed
+    ):
+        path = tmp_path / "f.tsv"
+        if existed:
+            path.write_bytes(b"old\n")
+        self.disk_full(monkeypatch, 100)
+        with pytest.raises(OSError, match="No space left"):
+            _WRITES[fmt](path)
+        assert os.listdir(tmp_path) == (["f.tsv"] if existed else [])
+        if existed:
+            assert path.read_bytes() == b"old\n"
+
+    @pytest.mark.skipif(
+        not tsvio._splits(tsvio._SPLIT_BYTES), reason="no two-process path on this host"
+    )
+    def test_split_embedding_writer_that_fails_partway(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.tsv"
+        path.write_bytes(b"old\n")
+        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+        self.disk_full(monkeypatch, 100)
+        with pytest.raises(OSError, match="No space left"):
+            _WRITES["embeddings"](path)
+        assert os.listdir(tmp_path) == ["e.tsv"] and path.read_bytes() == b"old\n"
+        _no_child_left()
+
+    @pytest.mark.parametrize("fmt", sorted(_WRITES))
+    def test_file_gets_the_mode_open_gives(self, tmp_path, fmt):
+        # a new file 0o666 less the umask, an existing one its own mode
+        umask = os.umask(0o022)
+        os.umask(umask)
+        new, old = tmp_path / "new.tsv", tmp_path / "old.tsv"
+        old.write_bytes(b"old\n")
+        old.chmod(0o640)
+        for path in (new, old):
+            _WRITES[fmt](path)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert old.read_bytes() == new.read_bytes() != b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["new.tsv", "old.tsv"]
+
+    @pytest.mark.parametrize("fmt", sorted(_WRITES))
+    def test_symlink_keeps_pointing_at_the_new_bytes(self, tmp_path, fmt):
+        plain, target, link = tmp_path / "plain.tsv", tmp_path / "target.tsv", tmp_path / "link"
+        _WRITES[fmt](plain)
+        target.write_bytes(b"old\n")
+        link.symlink_to(target.name)
+        _WRITES[fmt](link)
+        assert link.is_symlink() and target.read_bytes() == plain.read_bytes()
+        target.unlink()  # a dangling link: the file it names is made
+        _WRITES[fmt](link)
+        assert link.is_symlink() and target.read_bytes() == plain.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["link", "plain.tsv", "target.tsv"]
+
+    @pytest.mark.parametrize("fmt", sorted(_WRITES) + ["embeddings in two processes"])
+    def test_fifo_is_written_in_place(self, tmp_path, monkeypatch, fmt):
+        if fmt not in _WRITES:
+            if not tsvio._splits(tsvio._SPLIT_BYTES):
+                pytest.skip("no two-process path on this host")
+            monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+            fmt = "embeddings"
+        _WRITES[fmt](tmp_path / "plain.tsv")
+        with drained() as (fifo, got):
+            _WRITES[fmt](fifo)
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert got == [(tmp_path / "plain.tsv").read_bytes()]
 
 
 def _outcome(path, parse=parse_embeddings):
