@@ -5,10 +5,12 @@ them live here, but for Phrase and Transcript, which live in textgate with
 the gate that compares them: a trial list is one TrialColumns table, an
 embedding space one EmbeddingTable (ids plus an (N, D) float64 matrix), an
 enrollmap record one EnrollEntry and a score set one ScoreColumns table.
-Each checks itself when it is built, by check_token and check_text: the
-package's one rule for what a TSV value may hold. Every public operation
-validates its inputs and works in double precision. All functions here are
-pure and safe for concurrent use.
+Each id is stated once: a column of a table, or the key of the mapping
+(phrase, transcript or model id -> record) that holds a record, which has no
+id of its own. Each type checks itself when it is built, by check_token and
+check_text: the package's one rule for what a TSV value may hold. Every
+public operation validates its inputs and works in double precision. All
+functions here are pure and safe for concurrent use.
 """
 
 import re
@@ -107,8 +109,10 @@ def check_tokens(values: list, what: str = "id") -> None:
 
 
 def check_text(value: str, what: str = "text") -> str:
-    """Validate the text that ends a line, which may be empty: no line break,
-    and a UTF-8 form."""
+    """Validate the text that ends a line, which may be empty: a str, no
+    line break, and a UTF-8 form."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
     if "\n" in value or "\r" in value:
         raise ValueError(f"{what} {value!r} contains a line break")
     if undecodable(value):
@@ -207,20 +211,22 @@ class EmbeddingTable:
 
 @dataclass(frozen=True)
 class EnrollEntry:
-    """Raw enrollmap record: which repetitions build which model. A rep id
-    may not hold ',', the enrollmap's separator."""
+    """Raw enrollmap record: the phrase and the repetitions that build the
+    model whose id keys it in an enrollmap mapping. rep_ids is any sequence
+    but a str, kept as a tuple. A rep id may not hold ',', the enrollmap's
+    separator."""
 
-    model_id: str
     phrase_id: str
     rep_ids: tuple
 
     def __post_init__(self):
-        check_token(self.model_id, "model_id")
         check_token(self.phrase_id, "phrase_id")
+        if isinstance(self.rep_ids, str):
+            raise ValueError(f"rep_ids must be a sequence of ids, not the str {self.rep_ids!r}")
+        object.__setattr__(self, "rep_ids", tuple(self.rep_ids))
         if len(self.rep_ids) != REPS_PER_MODEL:
             raise ValueError(
-                f"model '{self.model_id}' needs exactly {REPS_PER_MODEL} "
-                f"repetition ids, got {len(self.rep_ids)}"
+                f"a model needs exactly {REPS_PER_MODEL} repetition ids, got {len(self.rep_ids)}"
             )
         for rid in self.rep_ids:
             if "," in check_token(rid, "rep_id"):

@@ -18,9 +18,9 @@ pairwise sum, no BLAS), so no score bit depends on the CPU. The scores
 come back as ScoreColumns, the one score-set type, which the score file
 writer and reader share. That type, EnrollEntry and TrialColumns live in
 core, so the readers and writers need nothing from this module. A model
-that cannot be built is named, with its space, in its error. The tests
-check the scores against the concatenate-and-dot reference in
-tests/oracles.py.
+that cannot be built is named, with its space, by its key in the entries,
+the one place its id lives. The tests check the scores against the
+concatenate-and-dot reference in tests/oracles.py.
 """
 
 from dataclasses import dataclass
@@ -70,9 +70,11 @@ def enroll(reps) -> np.ndarray:
     return normalize_rows(normalize_rows(reps).mean(axis=0)[np.newaxis])[0]
 
 
-def build_enrollment(entry: EnrollEntry, embeddings: Mapping[str, EmbeddingTable]) -> tuple:
-    """The unit-norm centroids of one enrollmap entry, one per space in the
-    order of embeddings. A repetition missing from a space raises
+def build_enrollment(
+    model_id: str, entry: EnrollEntry, embeddings: Mapping[str, EmbeddingTable]
+) -> tuple:
+    """The unit-norm centroids of the enrollmap entry of model_id, one per
+    space in the order of embeddings. A repetition missing from a space raises
     MissingSpace, and a centroid that cannot be built raises its error as
     "model '<id>' in space '<space>': <message>", in the same class."""
     centroids = []
@@ -82,14 +84,14 @@ def build_enrollment(entry: EnrollEntry, embeddings: Mapping[str, EmbeddingTable
             row = table.rows.get(rid)
             if row is None:
                 raise MissingSpace(
-                    f"repetition '{rid}' of model '{entry.model_id}' "
+                    f"repetition '{rid}' of model '{model_id}' "
                     f"missing from space '{space}'"
                 )
             rows.append(row)
         try:
             centroids.append(enroll(table.matrix[rows]))
         except TdsvError as exc:
-            raise type(exc)(f"model '{entry.model_id}' in space '{space}': {exc}") from exc
+            raise type(exc)(f"model '{model_id}' in space '{space}': {exc}") from exc
     return tuple(centroids)
 
 
@@ -129,7 +131,7 @@ def score_all(
     built = []  # per built model, its centroids in space order
     for model_id, entry in entries.items():
         try:
-            built.append(build_enrollment(entry, embeddings))
+            built.append(build_enrollment(model_id, entry, embeddings))
             models[model_id] = (entry, len(built) - 1)
         except TdsvError as exc:
             if strict:
@@ -172,7 +174,7 @@ def score_all(
             if phrase is None:
                 raise MissingPhrase(
                     f"phrase '{entry.phrase_id}' of model "
-                    f"'{entry.model_id}' not in phrase table"
+                    f"'{model_id}' not in phrase table"
                 )
             hyp = transcripts.get(test_id)
             if hyp is None:

@@ -379,7 +379,7 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
     phrase_ids = [f"phr{i:03d}" for i in range(cfg.n_phrases)]
     rngs = _generators([derive_seed(seed, "phrase", i) for i in range(cfg.n_phrases)])
     phrases = {
-        pid: Phrase(pid, _phrase_text(rng, i))
+        pid: Phrase(_phrase_text(rng, i))
         for i, (pid, rng) in enumerate(zip(phrase_ids, rngs))
     }
 
@@ -404,7 +404,7 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
         rep_ids = tuple(f"{model_id}-rep{k}" for k in range(REPS_PER_MODEL))
         row_ids.extend(rep_ids)
         row_speakers.extend([i] * REPS_PER_MODEL)
-        enroll_entries[model_id] = EnrollEntry(model_id, phrase_id, rep_ids)
+        enroll_entries[model_id] = EnrollEntry(phrase_id, rep_ids)
         model_speaker[model_id] = i
 
     trial_ids, model_ids, test_ids = [], [], []
@@ -436,7 +436,7 @@ def gen_dataset(cfg: SimConfig) -> SyntheticDataset:
             else cfg.transcript_error_rate_wrong
         )
         spoken = phrases[phrase_ids[pi]].text
-        transcripts[utt_id] = Transcript(utt_id, _corrupt(spoken, rate, edit_rng, alphabet))
+        transcripts[utt_id] = Transcript(_corrupt(spoken, rate, edit_rng, alphabet))
         trial_ids.append(trial_id)
         model_ids.append(model_id)
         test_ids.append(utt_id)

@@ -11,7 +11,7 @@ import math
 import unicodedata
 from dataclasses import dataclass
 
-from .core import check_text, check_token, is_real
+from .core import check_text, is_real
 from .errors import ConfigInvalid, EmptyReference
 
 
@@ -22,28 +22,22 @@ def normalize_text(text: str) -> str:
 
 @dataclass(frozen=True)
 class Phrase:
-    """A reference phrase (Persian or English script)."""
+    """A reference phrase (Persian or English script), keyed by its id."""
 
-    phrase_id: str
     text: str
 
     def __post_init__(self):
-        check_token(self.phrase_id, "phrase_id")
         if not normalize_text(check_text(self.text)):
-            raise EmptyReference(
-                f"phrase '{self.phrase_id}' is empty after normalization"
-            )
+            raise EmptyReference("phrase is empty after normalization")
 
 
 @dataclass(frozen=True)
 class Transcript:
-    """ASR hypothesis for one test utterance; text may be empty."""
+    """ASR hypothesis for a test utterance, keyed by its id; text may be empty."""
 
-    utt_id: str
     text: str
 
     def __post_init__(self):
-        check_token(self.utt_id, "utt_id")
         check_text(self.text)
 
 

@@ -9,10 +9,11 @@ instead of crashing, bytes that are not UTF-8 included. Every reader splits
 lines as text mode does, at \\n, \\r\\n or a lone \\r, as _pieces does. Writers
 emit deterministic bytes for identical inputs ("\\n" endings on every
 platform). The record types check their values when they are built
-(core.check_token, core.check_text); a writer checks only what no one record
-can, that no two of its records share an id where the format has one record
-per id, and leaves an existing file as it was if they do. So every file
-written here reads back as its records. Every writer writes through
+(core.check_token, core.check_text). A phrase, transcript or enrollmap
+record holds no id: it is read and written as id -> record. A writer checks
+only what no one record can, those keys (core.check_tokens), and leaves an
+existing file as it was if one is refused. So every file written here
+reads back as what was written. Every writer writes through
 output_file, so a write that fails partway leaves its path as it was too.
 One row loop reads every embedding file: in two halves, one per process, if
 it is _SPLIT_BYTES or more and the host can fork onto a second CPU, and
@@ -50,7 +51,8 @@ from .core import (
     EnrollEntry,
     ScoreColumns,
     TrialColumns,
-    check_unique,
+    check_token,
+    check_tokens,
 )
 from .errors import (
     BadHeader,
@@ -58,6 +60,7 @@ from .errors import (
     BadRepCount,
     DimMismatch,
     DuplicateId,
+    EmptyReference,
     MalformedLine,
     TdsvError,
     UnparseableFloat,
@@ -360,6 +363,14 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
         return None
 
 
+def _open_on(fd: int, st: os.stat_result) -> bool:
+    """Whether descriptor fd is open on the file st is the stat of."""
+    try:
+        return os.path.samestat(os.fstat(fd), st)
+    except OSError:  # fd is closed
+        return False
+
+
 @contextmanager
 def output_file(path):
     """Open path for writing text, as open(path, "w", encoding="utf-8",
@@ -369,18 +380,24 @@ def output_file(path):
     The text goes to a new file beside path, made with the permissions
     open would give, an existing file's own included. When the with block
     ends, os.replace moves it over path, or over the file a symlink path
-    names; on any exception it is unlinked and path is left as it was. A
-    path that exists and is not a regular file (a FIFO, /dev/stdout) is
-    written in place, since replacing it would replace the device node.
+    names; on any exception it is unlinked and path is left as it was. Two
+    kinds of path are written in place, with no such guarantee. The file
+    this process's stdout or stderr is open on (/dev/stdout redirected to a
+    file) is written through a dup of that descriptor, at its offset, so
+    what the process prints next follows the text, not into a file that
+    was replaced. Any other path that exists and is not a regular file (a
+    FIFO) is opened, since replacing it would replace the device node.
     """
     try:
         st = os.stat(path)
     except FileNotFoundError:
         st = None
-    if st is not None and not stat.S_ISREG(st.st_mode):
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            yield f
-        return
+    if st is not None:
+        std = [fd for fd in (1, 2) if _open_on(fd, st)]
+        if std or not stat.S_ISREG(st.st_mode):
+            with open(os.dup(std[0]) if std else path, "w", encoding="utf-8", newline="\n") as f:
+                yield f
+            return
     target = os.path.realpath(path)
     head, name = os.path.split(target)
     new = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
@@ -500,7 +517,7 @@ def write_trials(trials: TrialColumns, path) -> None:
 
 
 def _parse_id_text(path, factory) -> dict:
-    """Shared reader for the two `<id>\\t<text>` formats."""
+    """Shared reader for the two `<id>\\t<text>` formats: id -> factory(text)."""
     table = {}
     with open(path, "rb") as f:
         for n, line in _lines(path, _pieces(f)):
@@ -514,9 +531,10 @@ def _parse_id_text(path, factory) -> dict:
             if key in table:
                 raise DuplicateId(f"{path}:{n}: duplicate id '{key}'")
             try:
-                table[key] = factory(key, text)
-            except (TdsvError, ValueError) as exc:
-                raise MalformedLine(path, n, str(exc)) from None
+                table[key] = factory(text)
+            except EmptyReference:  # the one way a text fails; the phrase lacks its id
+                detail = f"phrase '{key}' is empty after normalization"
+                raise MalformedLine(path, n, detail) from None
     return table
 
 
@@ -530,19 +548,20 @@ def parse_transcripts(path) -> dict:
     return _parse_id_text(path, Transcript)
 
 
-def _write_id_text(items: list, path, what: str) -> None:
-    check_unique([key for key, _ in items], what)
+def _write_keyed(table: Mapping, path, what: str, fields) -> None:
+    """Write id -> record as `<id>\\t<fields(record)>` lines, every id checked first."""
+    check_tokens(list(table), what)
     with output_file(path) as f:
-        for key, text in items:
-            f.write(f"{key}\t{text}\n")
+        for key, record in table.items():
+            f.write(f"{key}\t{fields(record)}\n")
 
 
 def write_phrases(phrases: Mapping, path) -> None:
-    _write_id_text([(p.phrase_id, p.text) for p in phrases.values()], path, "phrase id")
+    _write_keyed(phrases, path, "phrase_id", lambda r: r.text)
 
 
 def write_transcripts(transcripts: Mapping, path) -> None:
-    _write_id_text([(t.utt_id, t.text) for t in transcripts.values()], path, "utterance id")
+    _write_keyed(transcripts, path, "utt_id", lambda r: r.text)
 
 
 def parse_enrollmap(path) -> dict:
@@ -569,17 +588,15 @@ def parse_enrollmap(path) -> dict:
                     f"got {len(rep_ids)}",
                 )
             try:
-                entries[model_id] = EnrollEntry(model_id, phrase_id, tuple(rep_ids))
+                check_token(model_id, "model_id")
+                entries[model_id] = EnrollEntry(phrase_id, rep_ids)
             except ValueError as exc:
                 raise MalformedLine(path, n, str(exc)) from None
     return entries
 
 
 def write_enrollmap(entries: Mapping, path) -> None:
-    check_unique([e.model_id for e in entries.values()], "model id")
-    with output_file(path) as f:
-        for e in entries.values():
-            f.write(f"{e.model_id}\t{e.phrase_id}\t{','.join(e.rep_ids)}\n")
+    _write_keyed(entries, path, "model_id", lambda e: f"{e.phrase_id}\t{','.join(e.rep_ids)}")
 
 
 def parse_scores(path) -> ScoreColumns:

@@ -22,6 +22,14 @@ def private_cache_home(tmp_path_factory):
         os.environ["XDG_CACHE_HOME"] = saved
 
 
+def child_env():
+    """os.environ with this checkout's src first on PYTHONPATH, for a child."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @contextlib.contextmanager
 def piped(content: bytes):
     """Yield a path that can be read only once: a FIFO that a writer thread

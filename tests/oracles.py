@@ -287,19 +287,19 @@ def parse_id_text_ref(path, phrases):
     return rows
 
 
-def _centroid_ref(entry, space, vectors):
+def _centroid_ref(model_id, entry, space, vectors):
     """enroll_ref of an entry's repetitions in one space (id -> vector), or
     the error build_enrollment names: a missing repetition first, then a
     centroid that cannot be built."""
     for rid in entry.rep_ids:
         if rid not in vectors:
             raise MissingSpace(
-                f"repetition '{rid}' of model '{entry.model_id}' missing from space '{space}'"
+                f"repetition '{rid}' of model '{model_id}' missing from space '{space}'"
             )
     try:
         return enroll_ref([vectors[rid] for rid in entry.rep_ids])
     except DegenerateVector as exc:
-        raise DegenerateVector(f"model '{entry.model_id}' in space '{space}': {exc}") from None
+        raise DegenerateVector(f"model '{model_id}' in space '{space}': {exc}") from None
 
 
 def _check_norm_ref(vector):
@@ -328,7 +328,7 @@ def score_all_ref(trials, entries, embeddings, transcripts, phrases, cfg, strict
     models = {}
     for model_id, entry in entries.items():
         try:
-            models[model_id] = [_centroid_ref(entry, s, v) for s, v in spaces.items()]
+            models[model_id] = [_centroid_ref(model_id, entry, s, v) for s, v in spaces.items()]
         except TdsvError as exc:
             if strict:
                 raise
@@ -352,7 +352,7 @@ def score_all_ref(trials, entries, embeddings, transcripts, phrases, cfg, strict
             entry = entries[model_id]
             if entry.phrase_id not in phrases:
                 raise MissingPhrase(
-                    f"phrase '{entry.phrase_id}' of model '{entry.model_id}' not in phrase table"
+                    f"phrase '{entry.phrase_id}' of model '{model_id}' not in phrase table"
                 )
             if test_id not in transcripts:
                 raise MissingTranscript(f"no transcript for test utterance '{test_id}'")

@@ -150,11 +150,11 @@ def test_dcf_normalization_constants():
 
 def test_fusion_cosine_identity():
     rng = np.random.default_rng(303)
-    phrases = {"p": Phrase("p", "open the door")}
+    phrases = {"p": Phrase("open the door")}
     # A space holds vectors of one dim, so each pair is scored in a one-trial
     # run of its own; each enrollment vector serves as all three repetitions.
-    entries = {"m": EnrollEntry("m", "p", ("r",) * 3)}
-    transcripts = {"u": Transcript("u", "open the door")}
+    entries = {"m": EnrollEntry("p", ("r",) * 3)}
+    transcripts = {"u": Transcript("open the door")}
     scores, pairs = [], []
     for _ in range(1000):
         d1 = int(rng.integers(16, 513))

@@ -1,17 +1,20 @@
 """The package's public name list, its import contract and the README's
-Python API example."""
+Python API example and CLI quick start."""
 
 import io
 import os
 import pickle
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import tdsvkit
+from conftest import child_env
 from tdsvkit.errors import ParseError, TdsvError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,11 +40,9 @@ PUBLIC_NAMES = [
 def _loaded_after(statement, roots=("tdsvkit",)):
     """The modules under roots a fresh interpreter holds after running
     statement; whatever the statement prints comes first."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
@@ -58,6 +59,26 @@ def test_readme_python_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_cli_quick_start_runs(tmp_path):
+    # each command of the block, as `python -m tdsvkit.cli`, in an empty
+    # directory: every one exits 0, and every file it names is there after
+    readme = README.read_text(encoding="utf-8")
+    [block] = re.findall(r"^## CLI quick start\n\n```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [words for words in map(partial(shlex.split, comments=True), lines) if words]
+    assert [words[0] for words in commands] == ["tdsvkit"] * 4
+    for words in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tdsvkit.cli", *words[1:]],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, (words, proc.stderr)
+    named = [arg.rpartition("=")[2] for words in commands for arg in words]
+    named = [path for path in named if path.endswith((".tsv", "/"))]
+    assert {"data/", "scores.tsv", "det.tsv"} <= set(named)
+    assert [path for path in named if not (tmp_path / path).exists()] == []
 
 
 def test_public_names():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import drained, piped
+from conftest import child_env, drained, piped
 from tdsvkit import DcfParams, GateConfig, SimConfig
 from tdsvkit.cli import build_parser, main
 
@@ -159,6 +159,32 @@ class TestPipeline:
                 assert run_cli(argv)[0] == 0
                 assert os.path.exists(fifo) and not os.path.isfile(fifo)
             assert got == [want.read_bytes()]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("command", ["score", "det", "evaluate"])
+    def test_output_to_dev_stdout_that_is_a_file(self, tmp_path, command):
+        # /dev/stdout names the file stdout writes to, which is written at
+        # the stream's offset, not replaced: the file holds the output and
+        # then the report, as the same command's stdout through a pipe does
+        data = simulate(tmp_path, seed=5)
+        scores = tmp_path / "scores.tsv"
+        assert run_cli(score_args(data, scores))[0] == 0
+        labeled = ["--scores", str(scores), "--trials", str(data / "trials.tsv")]
+        argv = {
+            "score": score_args(data, "/dev/stdout"),
+            "det": ["det", *labeled, "--out", "/dev/stdout"],
+            "evaluate": ["evaluate", *labeled, "--json", "/dev/stdout"],
+        }[command]
+        child = [sys.executable, "-m", "tdsvkit.cli", *argv]
+        run = dict(cwd=ROOT, env=child_env(), stderr=subprocess.PIPE, timeout=120)
+        through_pipe = subprocess.run(child, stdout=subprocess.PIPE, **run)
+        assert through_pipe.returncode == 0, through_pipe.stderr
+        assert b"=" in through_pipe.stdout.splitlines()[-1]  # a report line ends it
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as f:
+            assert subprocess.run(child, stdout=f, **run).returncode == 0
+        assert out.read_bytes() == through_pipe.stdout
+        assert sorted(os.listdir(tmp_path)) == ["data", "out.txt", "scores.tsv"]
 
     def test_subset_report(self, tmp_path):
         data = simulate(tmp_path, seed=5)
@@ -561,13 +587,6 @@ class TestErrorContract:
 
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def child_env():
-    """os.environ with this checkout's src first on PYTHONPATH, for a child."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 def run_traced(tmp_path, argv):

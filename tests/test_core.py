@@ -1,5 +1,8 @@
 """Vector primitives, shared domain types, and the cosine score."""
 
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from tdsvkit import (
     score_all,
     split_scores,
 )
-from tdsvkit.core import check_token, check_unique, normalize_rows
+from tdsvkit.core import check_text, check_token, check_unique, normalize_rows
 from tdsvkit.errors import TdsvError
 from tdsvkit.tsvio import parse_scores, write_scores
 
@@ -122,8 +125,8 @@ def _cosines(pairs):
     a one-trial run in one space that holds the pair, since a space holds
     vectors of one dim. The enrollment vector serves as all three
     repetitions of the model, and the transcript passes the gate."""
-    entries = {"m": EnrollEntry("m", "p", ("r",) * 3)}
-    transcripts, phrases = {"u": Transcript("u", "open")}, {"p": Phrase("p", "open")}
+    entries = {"m": EnrollEntry("p", ("r",) * 3)}
+    transcripts, phrases = {"u": Transcript("open")}, {"p": Phrase("open")}
     scores = []
     for enr, test in pairs:
         tables = embedding_tables({"a": {"r": enr, "u": test}})
@@ -336,6 +339,36 @@ class TestCheckUnique:
         check_unique(["a", "b"], "id")
         with pytest.raises(DuplicateId, match="^duplicate trial id 'b'$"):
             check_unique(["a", "b", "c", "b", "a"], "trial id")
+
+
+class TestKeyedRecords:
+    """A phrase, transcript or enrollmap record holds no id: its key in the
+    mapping that holds it is the only one."""
+
+    def test_no_record_holds_an_id(self):
+        assert [f.name for f in fields(Phrase)] == ["text"]
+        assert [f.name for f in fields(Transcript)] == ["text"]
+        assert [f.name for f in fields(EnrollEntry)] == ["phrase_id", "rep_ids"]
+
+    @pytest.mark.parametrize("value", [None, b"x", 5, ["x"]], ids=["None", "bytes", "int", "list"])
+    def test_text_that_is_not_a_string_is_named(self, value):
+        message = f"^text must be a string, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            check_text(value)
+        for record in (Phrase, Transcript):
+            with pytest.raises(ValueError, match=message):
+                record(value)
+
+    def test_a_str_is_not_three_rep_ids(self):
+        message = "^rep_ids must be a sequence of ids, not the str 'abc'$"
+        with pytest.raises(ValueError, match=message):
+            EnrollEntry("p", "abc")
+
+    @pytest.mark.parametrize("kind", [list, tuple, iter])
+    def test_rep_ids_are_kept_as_a_tuple(self, kind):
+        entry = EnrollEntry("p", kind(["a", "b", "c"]))
+        assert entry.rep_ids == ("a", "b", "c")
+        assert hash(entry) == hash(EnrollEntry("p", ("a", "b", "c")))
 
 
 def _score_columns(ids=("a", "b"), score=(0.5, -1.0), passed=(True, False), cer=(0.0, 0.5)):

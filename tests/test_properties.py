@@ -19,6 +19,7 @@ other reads back equal.
 """
 
 import io
+import os
 from dataclasses import astuple
 from functools import partial
 
@@ -47,7 +48,6 @@ from oracles import (
 )
 from tdsvkit import (
     DcfParams,
-    DuplicateId,
     EmbeddingTable,
     EmptyReference,
     EnrollEntry,
@@ -379,7 +379,7 @@ def test_build_enrollment_matches_per_repetition_enroll(data):
             matrix[1] *= 1e200
         tables[space] = EmbeddingTable(ids, matrix)
     rep_ids = data.draw(st.lists(st.sampled_from(ids), min_size=3, max_size=3))
-    entry = EnrollEntry("m", "p", tuple(rep_ids))
+    entry = EnrollEntry("p", rep_ids)
 
     def reference():
         centroids = []
@@ -392,7 +392,7 @@ def test_build_enrollment_matches_per_repetition_enroll(data):
         return centroids
 
     expected = _centroids(reference)
-    assert _centroids(lambda: build_enrollment(entry, tables)) == expected
+    assert _centroids(lambda: build_enrollment("m", entry, tables)) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -450,15 +450,11 @@ def _policy_outcome(score):
     return list(zip(records.trial_ids, *columns, run.labels.tolist())), run.skipped
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_score_all_policy_matches_trial_by_trial_reference(data):
-    # A small world in which any id may be missing: repetitions and test
-    # vectors absent from a space or degenerate, models that are not in the
-    # enrollmap or cannot be built, phrases and transcripts absent, and trial
-    # ids repeated. In both modes score_all keeps and skips the trials the
-    # reference does, for the same reasons, or raises its first error.
-    draw = data.draw
+def _policy_world(draw):
+    """score_all's arguments but strict for a small world in which any id
+    may be missing: repetitions and test vectors absent from a space or
+    degenerate, models that are not in the enrollmap or cannot be built,
+    phrases and transcripts absent, and trial ids repeated."""
 
     def some(ids):
         """ids, each left out now and then."""
@@ -470,13 +466,13 @@ def test_score_all_policy_matches_trial_by_trial_reference(data):
         vectors = [draw(st.sampled_from(_POLICY_VECTORS)) for _ in ids]
         tables[space] = EmbeddingTable(ids, np.array(vectors).reshape(len(ids), 2))
     phrase_ids = ["p0", "p1", "p2"]
-    phrases = {p: Phrase(p, draw(st.sampled_from(_POLICY_PHRASES))) for p in some(phrase_ids)}
+    phrases = {p: Phrase(draw(st.sampled_from(_POLICY_PHRASES))) for p in some(phrase_ids)}
     texts = st.sampled_from(_POLICY_PHRASES + ["open the dor", ""])
-    transcripts = {u: Transcript(u, draw(texts)) for u in some(_POLICY_UTTS)}
+    transcripts = {u: Transcript(draw(texts)) for u in some(_POLICY_UTTS)}
     entries = {}
     for model_id in some(["m0", "m1", "m2"]):
         reps = draw(st.lists(st.sampled_from(_POLICY_UTTS[:3]), min_size=3, max_size=3))
-        entries[model_id] = EnrollEntry(model_id, draw(st.sampled_from(phrase_ids)), tuple(reps))
+        entries[model_id] = EnrollEntry(draw(st.sampled_from(phrase_ids)), reps)
     rows = draw(st.lists(st.tuples(
         st.sampled_from([f"t{i}" for i in range(8)]),
         st.sampled_from(["m0", "m1", "m2"] * 3 + ["m3"]),
@@ -485,7 +481,15 @@ def test_score_all_policy_matches_trial_by_trial_reference(data):
     ), max_size=8))
     trials = TrialColumns(*map(list, zip(*rows))) if rows else TrialColumns([], [], [], [])
     cfg = GateConfig(draw(st.sampled_from([0.0, 0.3, 1.0])))
-    args = trials, entries, tables, transcripts, phrases, cfg
+    return trials, entries, tables, transcripts, phrases, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_score_all_policy_matches_trial_by_trial_reference(data):
+    # In both modes score_all keeps and skips the trials the reference does,
+    # for the same reasons, or raises its first error.
+    args = _policy_world(data.draw)
     for strict in (True, False):
         expected = _policy_outcome(lambda: score_all_ref(*args, strict=strict))
         got = _policy_outcome(lambda: score_all(*args, strict=strict))
@@ -498,6 +502,37 @@ def test_score_all_policy_matches_trial_by_trial_reference(data):
         assert [row[:1] + row[2:] for row in got_rows] == unscored
         for got_row, want_row in zip(got_rows, want_rows):
             assert abs(got_row[1] - want_row[1]) <= 1e-12
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_score_all_of_a_world_equals_that_of_its_files(tmp_path, data):
+    # Every table is written and read back, and score_all, in both modes,
+    # gives the same scores, bit for bit, the same skips or the same error:
+    # the ids it looks records up by are the ids the files hold.
+    trials, entries, tables, transcripts, phrases, cfg = _policy_world(data.draw)
+    write_trials(trials, tmp_path / "trials.tsv")
+    write_enrollmap(entries, tmp_path / "enrollmap.tsv")
+    write_transcripts(transcripts, tmp_path / "transcripts.tsv")
+    write_phrases(phrases, tmp_path / "phrases.tsv")
+    for space, table in tables.items():
+        write_embeddings(table, tmp_path / f"{space}.tsv")
+    read = (
+        parse_trials(tmp_path / "trials.tsv"),
+        parse_enrollmap(tmp_path / "enrollmap.tsv"),
+        {space: parse_embeddings(tmp_path / f"{space}.tsv")[0] for space in tables},
+        parse_transcripts(tmp_path / "transcripts.tsv"),
+        parse_phrases(tmp_path / "phrases.tsv"),
+        cfg,
+    )
+    args = trials, entries, tables, transcripts, phrases, cfg
+    for strict in (True, False):
+        expected = _policy_outcome(lambda: score_all(*args, strict=strict))
+        assert _policy_outcome(lambda: score_all(*read, strict=strict)) == expected
 
 
 # -- score files and the label join -------------------------------------------
@@ -873,8 +908,7 @@ def _enroll_outcome(parse, path):
     except TdsvError as exc:
         return type(exc), str(exc)
     if isinstance(entries, dict):
-        assert all(key == entry.model_id for key, entry in entries.items())
-        entries = [astuple(entry) for entry in entries.values()]
+        entries = [(key,) + astuple(entry) for key, entry in entries.items()]
     return entries
 
 
@@ -935,16 +969,15 @@ def id_text_files(draw, defect):
 
 
 def _id_text_outcome(parse, path):
-    """(key, id, text) rows, or the error; parse_phrases and
-    parse_transcripts return id -> record, parse_id_text_ref (id, text)
-    pairs."""
+    """(id, text) rows, or the error; parse_phrases and parse_transcripts
+    return id -> record, parse_id_text_ref the rows."""
     try:
         table = parse(path)
     except TdsvError as exc:
         return type(exc), str(exc)
     if isinstance(table, dict):
         return [(key,) + astuple(record) for key, record in table.items()]
-    return [(key, key, text) for key, text in table]
+    return table
 
 
 _ID_TEXT_READERS = {
@@ -1022,24 +1055,21 @@ def _built(build, *args, refusals=ValueError):
         return None
 
 
-# The id of a record in the formats whose writer refuses a repeated id.
-_RECORD_IDS = {"phrases": "phrase_id", "transcripts": "utt_id", "enrollmap": "model_id"}
+# The formats whose records are keyed by their ids: a mapping, id -> record,
+# whose writer refuses a key that check_token refuses.
+_KEYED_FORMATS = ("phrases", "transcripts", "enrollmap")
 
 
 def _written_and_read(draw, fmt, path):
     """(the records built, what the reader returns for the file the writer
     wrote of them); a table refused as a whole, when built or by its writer,
-    is (None, None). A writer that refuses leaves the file as it was."""
+    is (None, None). A writer that refuses leaves the file as it was, and
+    no other file."""
     n = draw(st.integers(0, 4))
 
-    def column(values=_ROUND_TRIP_VALUES, unique=False, repeat=False):
-        """n values; a unique column of ids that a writer checks (repeat)
-        may still get one repeated value."""
-        values = draw(st.lists(values, min_size=n, max_size=n, unique=unique))
-        if repeat and n > 1 and draw(st.booleans()):
-            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-            values[j] = values[i]
-        return values
+    def column(values=_ROUND_TRIP_VALUES, unique=False):
+        """n values."""
+        return draw(st.lists(values, min_size=n, max_size=n, unique=unique))
 
     def id_columns(*columns):
         """A table's id columns of plain values, but for one hostile value,
@@ -1065,38 +1095,35 @@ def _written_and_read(draw, fmt, path):
         score, passed, cer = column(_FINITE), column(st.booleans()), column(_FINITE)
         table = _built(ScoreColumns, ids, np.array(score), np.array(passed, bool), np.array(cer))
         write, read = write_scores, parse_scores
-    elif fmt == "enrollmap":
-        model_ids, phrase_ids = column(unique=True, repeat=True), column()
-        reps = column(st.tuples(*[_ROUND_TRIP_VALUES] * 3))
-        entries = map(partial(_built, EnrollEntry), model_ids, phrase_ids, reps)
-        table = [entry for entry in entries if entry is not None]
-        write, read = (
-            lambda records, p: write_enrollmap(dict(enumerate(records)), p),
-            lambda p: list(parse_enrollmap(p).values()),
-        )
     else:
-        record, refusals, writer, parser = {
-            "phrases": (Phrase, (ValueError, EmptyReference), write_phrases, parse_phrases),
-            "transcripts": (Transcript, ValueError, write_transcripts, parse_transcripts),
-        }[fmt]
-        pairs = zip(column(unique=True, repeat=True), column())
-        built = (_built(record, key, text, refusals=refusals) for key, text in pairs)
-        table = [r for r in built if r is not None]
-        # keyed by position, as a mapping's keys need not be its records' ids
-        write, read = (
-            lambda records, p: writer(dict(enumerate(records)), p),
-            lambda p: list(parser(p).values()),
-        )
+        # Drawn keys of plain values, but now and then for one hostile or
+        # non-str key; a record refused when built is left out.
+        keys = column(_PLAIN, unique=True)
+        if n and draw(st.booleans()):
+            bad = st.one_of(_HOSTILE, st.sampled_from([0, None, b"k"]))
+            keys[draw(st.integers(0, n - 1))] = draw(bad)
+        if fmt == "enrollmap":
+            reps = column(st.tuples(*[_ROUND_TRIP_VALUES] * 3))
+            records = map(partial(_built, EnrollEntry), column(), reps)
+            write, read = write_enrollmap, parse_enrollmap
+        else:
+            record, refusals, write, read = {
+                "phrases": (Phrase, (ValueError, EmptyReference), write_phrases, parse_phrases),
+                "transcripts": (Transcript, ValueError, write_transcripts, parse_transcripts),
+            }[fmt]
+            records = (_built(record, text, refusals=refusals) for text in column())
+        table = {key: r for key, r in zip(keys, records) if r is not None}
     if table is None:
         return None, None
+    refused = fmt in _KEYED_FORMATS and None in map(partial(_built, core.check_token), table)
     path.write_bytes(b"old\n")
     try:
         write(table, path)
-    except DuplicateId:
-        ids = [getattr(r, _RECORD_IDS[fmt]) for r in table]
-        assert len(set(ids)) < len(ids)
-        assert path.read_bytes() == b"old\n"
+    except ValueError:
+        assert refused
+        assert path.read_bytes() == b"old\n" and os.listdir(path.parent) == [path.name]
         return None, None
+    assert not refused
     return table, read(path)
 
 

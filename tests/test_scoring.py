@@ -84,16 +84,16 @@ def _score_one(centroids, test_per_space, hyp_text, phrases, order=("a", "b")):
     tables = {space: {"e1": np.asarray(vec)} for space, vec in zip(order, centroids)}
     for space, vec in test_per_space.items():
         tables[space]["u1"] = vec
-    transcripts = {} if hyp_text is None else {"u1": Transcript("u1", hyp_text)}
+    transcripts = {} if hyp_text is None else {"u1": Transcript(hyp_text)}
     run = score_all(
-        trial_table([("t1", "m1", "u1")]), {"m1": EnrollEntry("m1", "p1", ("e1",) * 3)},
+        trial_table([("t1", "m1", "u1")]), {"m1": EnrollEntry("p1", ("e1",) * 3)},
         embedding_tables(tables), transcripts, phrases, GateConfig(),
     )
     [score], [passed] = run.records.score.tolist(), run.records.passed.tolist()
     return score, passed
 
 
-_PHRASES = {"p1": Phrase("p1", "open the door")}
+_PHRASES = {"p1": Phrase("open the door")}
 
 
 class TestFuse:
@@ -151,15 +151,15 @@ def _tiny_world():
             "u1": np.array([0.6, 0.8]),
         },
     }
-    entry = EnrollEntry("m1", "p1", ("r0", "r1", "r2"))
-    phrases = {"p1": Phrase("p1", "open the door")}
+    entry = EnrollEntry("p1", ("r0", "r1", "r2"))
+    phrases = {"p1": Phrase("open the door")}
     return tables, entry, phrases
 
 
 class TestBuildEnrollment:
     def test_happy_path(self):
         tables, entry, _ = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables))
+        centroids = build_enrollment("m1", entry, embedding_tables(tables))
         assert len(centroids) == 2
         assert centroids[0] == pytest.approx([1.0, 0.0], abs=1e-12)
         assert centroids[1] == pytest.approx([0.0, 1.0], abs=1e-12)
@@ -168,13 +168,13 @@ class TestBuildEnrollment:
         tables, entry, _ = _tiny_world()
         del tables["b"]["r1"]
         with pytest.raises(MissingSpace, match="'r1'"):
-            build_enrollment(entry, embedding_tables(tables))
+            build_enrollment("m1", entry, embedding_tables(tables))
 
     def test_rep_count_pinned(self):
-        with pytest.raises(ValueError):
-            EnrollEntry("m1", "p1", ("r0", "r1"))
-        with pytest.raises(ValueError):
-            EnrollEntry("m1", "p1", ("r0", "r1", "r2", "r3"))
+        with pytest.raises(ValueError, match="^a model needs exactly 3 repetition ids, got 2$"):
+            EnrollEntry("p1", ("r0", "r1"))
+        with pytest.raises(ValueError, match="^a model needs exactly 3 repetition ids, got 4$"):
+            EnrollEntry("p1", ("r0", "r1", "r2", "r3"))
 
 
 class TestScoreTrial:
@@ -182,7 +182,7 @@ class TestScoreTrial:
 
     def test_perfect_match_scores_one(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables))
+        centroids = build_enrollment("m1", entry, embedding_tables(tables))
         score, passed = _score_one(centroids, dict(zip("ab", centroids)), "open the door", phrases)
         assert passed
         assert score == pytest.approx(1.0, abs=1e-12)
@@ -190,7 +190,7 @@ class TestScoreTrial:
 
     def test_gate_fail_is_punitive_exactly(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables))
+        centroids = build_enrollment("m1", entry, embedding_tables(tables))
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         bad = "completely different words"
         score, passed = _score_one(centroids, test, bad, phrases)
@@ -202,7 +202,7 @@ class TestScoreTrial:
 
     def test_mean_of_per_space_cosines(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables))
+        centroids = build_enrollment("m1", entry, embedding_tables(tables))
         # centroids are [1,0] and [0,1]; pick tests with cosines 0.8 and 0.6
         test = {"a": np.array([0.8, 0.6]), "b": np.array([0.8, 0.6])}
         score, _ = _score_one(centroids, test, "open the door", phrases)
@@ -210,28 +210,28 @@ class TestScoreTrial:
 
     def test_missing_phrase(self):
         tables, entry, _ = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables))
+        centroids = build_enrollment("m1", entry, embedding_tables(tables))
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         with pytest.raises(MissingPhrase, match="^trial 't1': phrase 'p1'"):
             _score_one(centroids, test, "x", {})
 
     def test_missing_transcript(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables))
+        centroids = build_enrollment("m1", entry, embedding_tables(tables))
         test = {"a": tables["a"]["u1"], "b": tables["b"]["u1"]}
         with pytest.raises(MissingTranscript, match="^trial 't1': .*'u1'"):
             _score_one(centroids, test, None, phrases)
 
     def test_missing_test_space(self):
         tables, entry, phrases = _tiny_world()
-        centroids = build_enrollment(entry, embedding_tables(tables))
+        centroids = build_enrollment("m1", entry, embedding_tables(tables))
         with pytest.raises(MissingSpace, match="^trial 't1': .*'b'"):
             _score_one(centroids, {"a": tables["a"]["u1"]}, "open the door", phrases)
 
 
 def _world_for_batch():
     tables, entry, phrases = _tiny_world()
-    transcripts = {"u1": Transcript("u1", "open the door")}
+    transcripts = {"u1": Transcript("open the door")}
     return tables, {"m1": entry}, transcripts, phrases
 
 
@@ -245,7 +245,7 @@ class TestScoreAll:
 
     def test_order_and_labels_preserved(self):
         tables, entries, transcripts, phrases = _world_for_batch()
-        transcripts["u1b"] = Transcript("u1b", "wrong phrase entirely")
+        transcripts["u1b"] = Transcript("wrong phrase entirely")
         for space in tables:
             tables[space]["u1b"] = tables[space]["u1"]
         trials = trial_table([
@@ -313,19 +313,19 @@ class TestScoreAll:
         rng = np.random.default_rng(33)
         tables = {"a": {}, "b": {}}
         transcripts = {}
-        phrases = {"p1": Phrase("p1", "open the door")}
+        phrases = {"p1": Phrase("open the door")}
         reps = ("r0", "r1", "r2")
         for space in tables:
             for rid in reps:
                 tables[space][rid] = rng.standard_normal(8)
-        entries = {"m1": EnrollEntry("m1", "p1", reps)}
+        entries = {"m1": EnrollEntry("p1", reps)}
         rows = []
         for i in range(50):
             uid = f"u{i}"
             for space in tables:
                 tables[space][uid] = rng.standard_normal(8)
             text = "open the door" if i % 2 == 0 else "shut the window now"
-            transcripts[uid] = Transcript(uid, text)
+            transcripts[uid] = Transcript(text)
             rows.append((f"t{i}", "m1", uid))
         run = score_all(
             trial_table(rows), entries, embedding_tables(tables), transcripts, phrases,
@@ -344,20 +344,20 @@ class TestBatchPath:
         order = ["a", "b", "c"]
         dims = {"a": 16, "b": 7, "c": 33}
         tables = {s: {} for s in order}
-        phrases = {"p1": Phrase("p1", "open the door")}
+        phrases = {"p1": Phrase("open the door")}
         entries, rows, transcripts = {}, [], {}
         for m in range(5):
             reps = tuple(f"m{m}r{i}" for i in range(3))
             for s in order:
                 for rid in reps:
                     tables[s][rid] = rng.standard_normal(dims[s])
-            entries[f"m{m}"] = EnrollEntry(f"m{m}", "p1", reps)
+            entries[f"m{m}"] = EnrollEntry("p1", reps)
         for i in range(60):
             uid = f"u{i}"
             for s in order:
                 tables[s][uid] = rng.standard_normal(dims[s]) * rng.uniform(0.1, 10.0)
             text = "open the door" if i % 3 else "open the dour"
-            transcripts[uid] = Transcript(uid, text)
+            transcripts[uid] = Transcript(text)
             rows.append((f"t{i}", f"m{i % 5}", uid))
         run = score_all(
             trial_table(rows), entries, embedding_tables(tables), transcripts, phrases,
@@ -367,7 +367,7 @@ class TestBatchPath:
         assert run.records.score.dtype == np.float64
         for (_, model_id, test_id), score in zip(rows, run.records.score.tolist()):
             fused = fused_cosine_ref(
-                build_enrollment(entries[model_id], embedding_tables(tables)),
+                build_enrollment(model_id, entries[model_id], embedding_tables(tables)),
                 [tables[s][test_id] for s in order],
             )
             assert abs(score - fused) <= 1e-12
@@ -386,7 +386,7 @@ class TestBatchPath:
         tables, entries, transcripts, phrases = _world_for_batch()
         for i, text in enumerate(["open the door", "open the door", "shut it", "shut it"]):
             uid = f"v{i}"
-            transcripts[uid] = Transcript(uid, text)
+            transcripts[uid] = Transcript(text)
             for space in tables:
                 tables[space][uid] = tables[space]["u1"]
         trials = trial_table((f"t{i}", "m1", f"v{i}") for i in range(4))
@@ -401,8 +401,8 @@ class TestBatchPath:
         for space in tables:
             tables[space]["z1"] = np.zeros(2)
             tables[space]["z2"] = np.zeros(2)
-        transcripts["z1"] = Transcript("z1", "completely different words")
-        transcripts["z2"] = Transcript("z2", "open the door")
+        transcripts["z1"] = Transcript("completely different words")
+        transcripts["z2"] = Transcript("open the door")
         bad_first = trial_table([("t1", "m1", "z2"), ("t2", "nope", "u1")])
         with pytest.raises(DegenerateVector) as exc_info:
             score_all(
@@ -425,8 +425,8 @@ class TestBatchPath:
         tables, entries, transcripts, phrases = _world_for_batch()
         for space in tables:
             tables[space]["big"] = np.array([1e200, 1e200])
-        transcripts["big"] = Transcript("big", "open the door")
-        transcripts["big-wrong"] = Transcript("big-wrong", "completely different words")
+        transcripts["big"] = Transcript("open the door")
+        transcripts["big-wrong"] = Transcript("completely different words")
         for space in tables:
             tables[space]["big-wrong"] = tables[space]["big"]
         trials = trial_table([("t0", "m1", "big-wrong"), ("t1", "m1", "big"), ("t2", "m1", "u1")])
@@ -450,7 +450,7 @@ class TestBatchPath:
         tables, entries, transcripts, phrases = _world_for_batch()
         tables["a"]["z"], tables["b"]["z"] = np.zeros(2), np.array([1.0, 0.0])
         tables["a"]["r9"] = np.array([1.0, 0.0])
-        entries = {"m2": EnrollEntry("m2", "p1", ("r0", "z", "r9"))}
+        entries = {"m2": EnrollEntry("p1", ("r0", "z", "r9"))}
         trials = trial_table([("t1", "m2", "u1")])
         zero = "model 'm2' in space 'a': cannot normalize vector with norm 0.000e+00"
         missing = "repetition 'r9' of model 'm2' missing from space 'b'"
@@ -467,8 +467,8 @@ class TestBatchPath:
     def test_build_errors_stand_in_for_missing_model(self):
         tables, entries, transcripts, phrases = _world_for_batch()
         # m2 lacks a repetition in space b, m3 one in space a; m1 builds
-        entries["m2"] = EnrollEntry("m2", "p1", ("r0", "r9", "r2"))
-        entries["m3"] = EnrollEntry("m3", "p1", ("r8", "r1", "r2"))
+        entries["m2"] = EnrollEntry("p1", ("r0", "r9", "r2"))
+        entries["m3"] = EnrollEntry("p1", ("r8", "r1", "r2"))
         tables["a"]["r9"] = tables["a"]["r0"]
         build_error = "repetition 'r9' of model 'm2' missing from space 'b'"
         rows = [("t1", "m2", "u1"), ("t2", "m1", "u1"), ("t3", "m2", "u1")]

@@ -99,16 +99,16 @@ class TestCer:
 class TestGate:
     def test_pass_on_exact_match(self):
         out = gate(
-            Transcript("u1", "hello world"),
-            Phrase("p1", "hello world"),
+            Transcript("hello world"),
+            Phrase("hello world"),
             GateConfig(),
         )
         assert out.passed and out.cer == 0.0
 
     def test_fail_above_threshold(self):
         out = gate(
-            Transcript("u1", "hallo"),
-            Phrase("p1", "hello"),
+            Transcript("hallo"),
+            Phrase("hello"),
             GateConfig(cer_threshold=0.1),
         )
         assert not out.passed
@@ -116,20 +116,20 @@ class TestGate:
 
     def test_boundary_inclusive(self):
         out = gate(
-            Transcript("u1", "hallo"),
-            Phrase("p1", "hello"),
+            Transcript("hallo"),
+            Phrase("hello"),
             GateConfig(cer_threshold=0.2),
         )
         assert out.passed
 
     def test_threshold_zero_exact_only(self):
         cfg = GateConfig(cer_threshold=0.0)
-        assert gate(Transcript("u", "café"), Phrase("p", "café"), cfg).passed
-        assert not gate(Transcript("u", "cafe"), Phrase("p", "café"), cfg).passed
+        assert gate(Transcript("café"), Phrase("café"), cfg).passed
+        assert not gate(Transcript("cafe"), Phrase("café"), cfg).passed
 
     def test_infinite_threshold_disables(self):
-        hyp = Transcript("u", "zzz")
-        ref = Phrase("p", "hello there")
+        hyp = Transcript("zzz")
+        ref = Phrase("hello there")
         assert not gate(hyp, ref, GateConfig()).passed
         assert gate(hyp, ref, GateConfig(cer_threshold=math.inf)).passed
 
@@ -141,7 +141,7 @@ class TestGate:
             if not normalize_text(ref):
                 continue
             outcomes = [
-                gate(Transcript("u", hyp), Phrase("p", ref), GateConfig(t)).passed
+                gate(Transcript(hyp), Phrase(ref), GateConfig(t)).passed
                 for t in (0.0, 0.1, 0.3, 0.5, 1.0, 2.0)
             ]
             # once passing, stays passing as the threshold loosens
@@ -177,9 +177,9 @@ class TestConfigs:
 
     def test_phrase_requires_text(self):
         with pytest.raises(EmptyReference):
-            Phrase("p1", "")
+            Phrase("")
         with pytest.raises(EmptyReference):
-            Phrase("p1", " \t ")
+            Phrase(" \t ")
 
     def test_transcript_may_be_empty(self):
-        assert Transcript("u1", "").text == ""
+        assert Transcript("").text == ""

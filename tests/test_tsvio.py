@@ -44,6 +44,7 @@ from tdsvkit import (
     score_all,
     tsvio,
 )
+from tdsvkit.core import check_token
 from tdsvkit.metrics import ErrorRates
 from tdsvkit.tsvio import (
     parse_embeddings,
@@ -351,23 +352,19 @@ class TestTrialsFormat:
 class TestIdTextFormats:
     def test_phrases_roundtrip_mixed_script(self, tmp_path):
         phrases = {
-            "p1": Phrase("p1", "hello there world"),
-            "p2": Phrase("p2", "سلام بر همه"),
+            "p1": Phrase("hello there world"),
+            "p2": Phrase("سلام بر همه"),
         }
         path = tmp_path / "p.tsv"
         write_phrases(phrases, path)
-        parsed = parse_phrases(path)
-        assert {k: v.text for k, v in parsed.items()} == {
-            k: v.text for k, v in phrases.items()
-        }
+        assert parse_phrases(path) == phrases
 
     def test_transcripts_allow_empty_text(self, tmp_path):
-        transcripts = {"u1": Transcript("u1", ""), "u2": Transcript("u2", "a b")}
+        transcripts = {"u1": Transcript(""), "u2": Transcript("a b")}
         path = tmp_path / "tr.tsv"
         write_transcripts(transcripts, path)
-        parsed = parse_transcripts(path)
-        assert parsed["u1"].text == ""
-        assert parsed["u2"].text == "a b"
+        assert path.read_bytes() == b"u1\t\nu2\ta b\n"
+        assert parse_transcripts(path) == transcripts
 
     def test_phrase_empty_text_rejected(self, tmp_path):
         with pytest.raises(MalformedLine, match="empty"):
@@ -391,11 +388,12 @@ class TestIdTextFormats:
 class TestEnrollmapFormat:
     def test_roundtrip(self, tmp_path):
         entries = {
-            "m1": EnrollEntry("m1", "p1", ("r1", "r2", "r3")),
-            "m2": EnrollEntry("m2", "p2", ("r4", "r5", "r6")),
+            "m1": EnrollEntry("p1", ("r1", "r2", "r3")),
+            "m2": EnrollEntry("p2", ("r4", "r5", "r6")),
         }
         path = tmp_path / "em.tsv"
         write_enrollmap(entries, path)
+        assert path.read_bytes() == b"m1\tp1\tr1,r2,r3\nm2\tp2\tr4,r5,r6\n"
         assert parse_enrollmap(path) == entries
 
     def test_bad_rep_count(self, tmp_path):
@@ -654,10 +652,10 @@ _UNWRITABLE = {
     "scores": (
         lambda: _score_columns(("t1", 0.5, True, 0.0), (_BAD, 0.5, True, 0.0)), "trial_id"
     ),
-    "transcripts": (lambda: {"u": Transcript("u", "ok"), "v": Transcript("v", _BAD)}, "text"),
-    "phrases": (lambda: {"p": Phrase("p", "ok"), _BAD: Phrase(_BAD, "ok")}, "phrase_id"),
+    "transcripts": (lambda: {"u": Transcript("ok"), "v": Transcript(_BAD)}, "text"),
+    "phrases": (lambda: {"p": Phrase("ok"), "q": Phrase(_BAD)}, "text"),
     "enrollmap": (
-        lambda: [EnrollEntry("m1", "p", ("a", "b", "c")), EnrollEntry("m2", "p", ("a", _BAD, "c"))],
+        lambda: {"m1": EnrollEntry("p", ("a", "b", "c")), "m2": EnrollEntry("p", ("a", _BAD, "c"))},
         "rep_id",
     ),
 }
@@ -670,32 +668,31 @@ def test_writer_checks_encoding_before_it_opens_the_file(writer):
         build()
 
 
-# Per writer of a one-record-per-id format: two records that share an id,
-# the writer, and the name the error gives the id.
-_SHARED_ID = {
-    "transcripts": (
-        {"a": Transcript("u1", "x"), "b": Transcript("u1", "y")}, write_transcripts, "utterance id"
-    ),
-    "phrases": ({"a": Phrase("p1", "x"), "b": Phrase("p1", "y")}, write_phrases, "phrase id"),
-    "enrollmap": (
-        {
-            "a": EnrollEntry("m1", "p", ("a", "b", "c")),
-            "b": EnrollEntry("m1", "q", ("d", "e", "f")),
-        },
-        write_enrollmap,
-        "model id",
-    ),
+# Per writer of a format keyed by id (id -> record, the key its record's
+# only id): a record, the writer, and the name the error gives the key.
+_KEYED = {
+    "transcripts": (Transcript("x"), write_transcripts, "utt_id"),
+    "phrases": (Phrase("x"), write_phrases, "phrase_id"),
+    "enrollmap": (EnrollEntry("p", ("a", "b", "c")), write_enrollmap, "model_id"),
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(_SHARED_ID))
-def test_writer_refuses_a_shared_id_before_it_opens_the_file(tmp_path, fmt):
-    records, write, what = _SHARED_ID[fmt]
+@pytest.mark.parametrize("fmt", sorted(_KEYED))
+def test_writer_refuses_a_bad_key_before_it_opens_the_file(tmp_path, monkeypatch, fmt):
+    # A mapping cannot repeat a key, so what the writer checks is that each
+    # key is an id: check_token's refusal, raised before output_file runs.
+    record, write, what = _KEYED[fmt]
     path = tmp_path / "f.tsv"
     path.write_bytes(b"old\n")
-    with pytest.raises(DuplicateId, match=f"^duplicate {what} '(u1|p1|m1)'$"):
-        write(records, path)
+    monkeypatch.setattr(tsvio, "output_file", lambda path: pytest.fail("the file was opened"))
+    for key in (5, None, b"k", "", "a\tb", "a\nb", "a\rb", _BAD):
+        with pytest.raises(ValueError) as expected:
+            check_token(key, what)
+        with pytest.raises(ValueError) as refused:
+            write({"ok": record, key: record}, path)
+        assert str(refused.value) == str(expected.value)
     assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["f.tsv"]
 
 
 class TestDetFormat:
@@ -791,12 +788,12 @@ _WRITES = {
         _score_columns(*[(f"t{i}", 0.5, True, 0.0) for i in range(20)]), path
     ),
     "det": lambda path: write_det(ErrorRates(*[np.zeros(20)] * 3), path),
-    "phrases": lambda path: write_phrases({i: Phrase(f"p{i}", "open it") for i in range(40)}, path),
+    "phrases": lambda path: write_phrases({f"p{i}": Phrase("open it") for i in range(40)}, path),
     "transcripts": lambda path: write_transcripts(
-        {i: Transcript(f"u{i}", "open it") for i in range(40)}, path
+        {f"u{i}": Transcript("open it") for i in range(40)}, path
     ),
     "enrollmap": lambda path: write_enrollmap(
-        {i: EnrollEntry(f"m{i}", "p", ("a", "b", "c")) for i in range(40)}, path
+        {f"m{i}": EnrollEntry("p", ("a", "b", "c")) for i in range(40)}, path
     ),
 }
 
