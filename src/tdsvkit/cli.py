@@ -60,17 +60,23 @@ def _load_labeled_scores(scores_path, trials_path) -> Tuple[np.ndarray, np.ndarr
     """Join a score file with the label column of a trial list.
 
     Returns (scores, label codes) in score-file order, plus the number of
-    labeled trials that have no score line.
+    labeled trials that have no score line. A score file that lists the
+    trial list's ids in its order, as score writes it when it skips no
+    trial, takes the label column as it is: ScoreColumns has proved those
+    ids unique. Any other pair is joined one id lookup per score line.
     """
     columns = tsvio.parse_scores(scores_path)
     trials = tsvio.parse_trials(trials_path)
-    try:
-        check_unique(trials.trial_ids, "trial id")
-    except DuplicateId as exc:
-        raise DuplicateId(f"{trials_path}: {exc}") from None
-    labels = dict(zip(trials.trial_ids, trials.labels.tolist()))
     ids = columns.trial_ids
-    codes = np.fromiter(map(labels.get, ids, repeat(_NO_TRIAL)), np.int8, len(ids))
+    if ids == trials.trial_ids:
+        codes = trials.labels
+    else:
+        try:
+            check_unique(trials.trial_ids, "trial id")
+        except DuplicateId as exc:
+            raise DuplicateId(f"{trials_path}: {exc}") from None
+        labels = dict(zip(trials.trial_ids, trials.labels.tolist()))
+        codes = np.fromiter(map(labels.get, ids, repeat(_NO_TRIAL)), np.int8, len(ids))
     missing = np.flatnonzero(codes < 0)
     if missing.size:
         trial_id = ids[missing[0]]

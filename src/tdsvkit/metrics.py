@@ -102,6 +102,12 @@ def sweep(target_scores, nontarget_scores) -> ErrorRates:
     Thresholds ascend from accept-everything (p_miss=0, p_fa=1) to
     reject-everything (p_miss=1, p_fa=0). A NaN or infinite score raises
     DegenerateVector.
+
+    The distinct scores come from one sort of both sides together and a mask
+    of the adjacent differences (np.unique's sort-based form). np.unique
+    itself imports numpy.ma on its first call, 10-25 ms that evaluate and
+    det would pay for nothing. Of 0.0 and -0.0 either may survive; no
+    threshold depends on which.
     """
     targets_sorted = np.sort(np.asarray(target_scores, dtype=np.float64))
     nontargets_sorted = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
@@ -111,9 +117,13 @@ def sweep(target_scores, nontarget_scores) -> ErrorRates:
         raise NoTargets("score set has no target (TC) records")
     if not n_nontarget:
         raise NoNonTargets("score set has no non-target records")
-    distinct = np.unique(np.concatenate([targets_sorted, nontargets_sorted]))
-    if not np.isfinite(distinct[[0, -1]]).all():  # -inf sorts first, +inf and nan last
-        raise DegenerateVector(f"scores must be finite, got {distinct[~np.isfinite(distinct)][0]}")
+    pooled = np.sort(np.concatenate([targets_sorted, nontargets_sorted]))
+    if not np.isfinite(pooled[[0, -1]]).all():  # -inf sorts first, +inf and nan last
+        raise DegenerateVector(f"scores must be finite, got {pooled[~np.isfinite(pooled)][0]}")
+    is_new = np.empty(pooled.size, dtype=bool)
+    is_new[0] = True
+    np.not_equal(pooled[1:], pooled[:-1], out=is_new[1:])
+    distinct = pooled[is_new]
     lo, hi = distinct[:-1], distinct[1:]
     with np.errstate(over="ignore"):
         midpoints = (lo + hi) / 2.0

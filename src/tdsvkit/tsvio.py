@@ -38,7 +38,7 @@ import os
 import re
 import stat
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import chain, repeat
 from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -80,7 +80,8 @@ _SPLIT_BYTES = 1 << 20
 _PIECE_BYTES = 1 << 18
 _LF, _CR = ord("\n"), ord("\r")
 _DET_HEADER = "#p_miss\tp_fa\tthreshold"
-_FLAGS = frozenset({"PASS", "PUNITIVE"})
+_FLAG_NAMES = ("PUNITIVE", "PASS")  # indexed by the passed flag
+_FLAGS = frozenset(_FLAG_NAMES)
 _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
 # The text after a trial's test id, per label code.
 _LABEL_FIELDS = {code: f"\t{name}" for name, code in _NAME_CODES.items()} | {UNLABELED: ""}
@@ -654,15 +655,20 @@ def _scan_scores(path, lines) -> ScoreColumns:
     return ScoreColumns(trial_ids, np.array(scores), np.array(passed, bool), np.array(cers))
 
 
+def _format_rows(row: str, width: int, rows) -> str:
+    """Every row (a tuple of width values) formatted by row, in one %: the
+    bytes of one f-string per row, as "%.6f" % x gives those of f"{x:.6f}".
+    Each value is an argument, so a '%' in an id stays literal."""
+    values = tuple(chain.from_iterable(rows))
+    return row * (len(values) // width) % values
+
+
 def write_scores(records: ScoreColumns, path) -> None:
     """Write a score set: 6-decimal score, gate flag, 4-decimal CER."""
-    rows = zip(
-        records.trial_ids, records.score.tolist(), records.passed.tolist(), records.cer.tolist()
-    )
+    flags = map(_FLAG_NAMES.__getitem__, records.passed.tolist())
+    rows = zip(records.trial_ids, records.score.tolist(), flags, records.cer.tolist())
     with output_file(path) as f:
-        for trial_id, score, passed, cer in rows:
-            flag = "PASS" if passed else "PUNITIVE"
-            f.write(f"{trial_id}\t{score:.6f}\t{flag}\t{cer:.4f}\n")
+        f.write(_format_rows("%s\t%.6f\t%s\t%.4f\n", 4, rows))
 
 
 def write_det(points, path) -> None:
@@ -671,8 +677,7 @@ def write_det(points, path) -> None:
     rows = zip(points.p_miss.tolist(), points.p_fa.tolist(), points.threshold.tolist())
     with output_file(path) as f:
         f.write(_DET_HEADER + "\n")
-        for p_miss, p_fa, threshold in rows:
-            f.write(f"{p_miss:.6f}\t{p_fa:.6f}\t{threshold:.6f}\n")
+        f.write(_format_rows("%.6f\t%.6f\t%.6f\n", 3, rows))
 
 
 def write_dataset(ds, out_dir) -> dict:

@@ -4,14 +4,15 @@ Deliberately written the slow, obvious way: a full-matrix dynamic program
 for edit distance, the fused cosine as a dot product of concatenated unit
 blocks, value-by-value parsers for the embedding, score, trial, enrollmap,
 phrase and transcript files and for the label join of evaluate/det, a
-value-by-value embedding writer, a trial-by-trial scorer with score_all's
-strict and lenient policy, and a pure-Python enumerator over every
-midpoint threshold for the detection metrics (per-threshold counting via
-binary search so the acceptance-scale runs stay inside their time
-budget), and the centroid built one repetition at a time. Nothing here imports the modules under
-test beyond the public label and error types, the TrialColumns and
-EmbeddingTable types that trial_table and embedding_table build for the
-tests, and l2_normalize, the one normalization that enroll_ref repeats.
+value-by-value embedding writer, row-by-row score and DET writers, a
+trial-by-trial scorer with score_all's strict and lenient policy, a
+pure-Python enumerator over every midpoint threshold for the detection
+metrics (per-threshold counting via binary search so the acceptance-scale
+runs stay inside their time budget), and the centroid built one
+repetition at a time. Nothing here imports the modules under test beyond
+the public label and error types, the TrialColumns and EmbeddingTable
+types that trial_table and embedding_table build for the tests, and
+l2_normalize, the one normalization that enroll_ref repeats.
 """
 
 import math
@@ -156,6 +157,28 @@ def write_embeddings_ref(table, path):
         for utt_id, values in zip(table.ids, table.matrix.tolist()):
             floats = " ".join(f"{v:.17g}" for v in values)
             f.write(f"{utt_id}\t{floats}\n")
+
+
+def write_scores_ref(records, path):
+    """Score file written one row at a time: id, score by f"{:.6f}", the
+    gate flag, CER by f"{:.4f}"."""
+    rows = zip(
+        records.trial_ids, records.score.tolist(), records.passed.tolist(), records.cer.tolist()
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for trial_id, score, passed, cer in rows:
+            flag = "PASS" if passed else "PUNITIVE"
+            f.write(f"{trial_id}\t{score:.6f}\t{flag}\t{cer:.4f}\n")
+
+
+def write_det_ref(points, path):
+    """DET file written one row at a time: the header, then p_miss, p_fa
+    and threshold by f"{:.6f}", as many rows as the shortest column."""
+    rows = zip(points.p_miss.tolist(), points.p_fa.tolist(), points.threshold.tolist())
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("#p_miss\tp_fa\tthreshold\n")
+        for p_miss, p_fa, threshold in rows:
+            f.write(f"{p_miss:.6f}\t{p_fa:.6f}\t{threshold:.6f}\n")
 
 
 def _text_lines(path):

@@ -186,6 +186,31 @@ class TestPipeline:
         assert out.read_bytes() == through_pipe.stdout
         assert sorted(os.listdir(tmp_path)) == ["data", "out.txt", "scores.tsv"]
 
+    @pytest.mark.parametrize("order", ["trial order", "reversed"])
+    @pytest.mark.parametrize("command", ["evaluate", "det"])
+    def test_evaluate_and_det_leave_numpy_ma_unimported(self, tmp_path, command, order):
+        # np.unique and np.isin import numpy.ma on their first call, 10-25 ms
+        # of a fresh process that evaluate and det have no use for
+        data = simulate(tmp_path, seed=5)
+        scores = tmp_path / "scores.tsv"
+        assert run_cli(score_args(data, scores))[0] == 0
+        if order == "reversed":  # the looked-up join, not the in-order one
+            lines = scores.read_text(encoding="utf-8").splitlines(True)
+            scores.write_text("".join(reversed(lines)), encoding="utf-8")
+        argv = [command, "--scores", str(scores), "--trials", str(data / "trials.tsv")]
+        if command == "det":
+            argv += ["--out", str(tmp_path / "det.tsv")]
+        child = (
+            "import sys\nfrom tdsvkit.cli import main\ncode = main(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules)\nsys.exit(code)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            cwd=ROOT, env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_subset_report(self, tmp_path):
         data = simulate(tmp_path, seed=5)
         scores = tmp_path / "scores.tsv"

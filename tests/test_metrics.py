@@ -1,6 +1,8 @@
 """Detection cost, threshold sweep, EER, DET points, subset selection."""
 
+import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -34,6 +36,20 @@ from tdsvkit import (
 )
 
 from oracles import eer_ref, make_labeled_scores, min_dcf_ref, sweep_ref
+
+
+def _unique_form_thresholds(targets, nontargets):
+    """sweep's thresholds as they were built from np.unique's distinct
+    scores."""
+    sides = [np.sort(np.asarray(side, dtype=np.float64)) for side in (targets, nontargets)]
+    distinct = np.unique(np.concatenate(sides))
+    lo, hi = distinct[:-1], distinct[1:]
+    with np.errstate(over="ignore"):
+        midpoints = (lo + hi) / 2.0
+    midpoints = np.where(np.isinf(midpoints), lo / 2.0 + hi / 2.0, midpoints)
+    midpoints = np.where(midpoints > lo, midpoints, hi)
+    top = max(distinct[-1] + 1.0, math.nextafter(distinct[-1], math.inf))
+    return np.concatenate([[distinct[0] - 1.0], midpoints, [top]])
 
 
 class TestDcfParams:
@@ -134,6 +150,30 @@ class TestSweep:
         assert all(any(lo < t <= hi for t in ts) for lo, hi in zip(distinct, distinct[1:]))
         points = list(zip(ts, rates.p_miss.tolist(), rates.p_fa.tolist()))
         assert points == sweep_ref(targets, nontargets)
+
+    # Score sets whose distinct values np.unique and a sort may pick
+    # differently (0.0 against -0.0) or that sit at float64's edges.
+    BIT_EDGES = {
+        "signed zeros": ([0.0, -0.0, 0.5], [-0.0, 0.0, -0.5]),
+        "zeros only": ([-0.0, 0.0], [0.0, -0.0]),
+        "midpoint at zero": ([0.5, -0.5], [-0.5, 0.5]),
+        "repeats across sides": ([0.25, 0.25, 0.5, -1.0], [0.5, 0.25, -1.0, -1.0]),
+        "adjacent floats": (
+            [1.0, math.nextafter(1.0, 2.0)], [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
+        ),
+        "float max": (
+            [sys.float_info.max, -sys.float_info.max], [sys.float_info.max, 0.0, -0.0]
+        ),
+        "subnormals": ([5e-324, -5e-324, 2.2250738585072009e-308], [-5e-324, 0.0, -0.0, 1e-320]),
+    }
+
+    @pytest.mark.parametrize("edge", BIT_EDGES)
+    def test_thresholds_keep_the_bits_of_the_unique_form(self, edge):
+        # sweep_ref compares with ==, which cannot see a sign flip
+        targets, nontargets = self.BIT_EDGES[edge]
+        for sides in ((targets, nontargets), (nontargets, targets)):
+            want = _unique_form_thresholds(*sides)
+            assert sweep(*sides).threshold.tobytes() == want.tobytes()
 
     def test_requires_both_sides(self):
         with pytest.raises(NoTargets):

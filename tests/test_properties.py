@@ -1,7 +1,8 @@
 """Property tests: the fast paths agree with the slow oracles.
 
 The bit-parallel edit distance is checked against the full-matrix DP; the
-one-format-per-row embedding writer against a value-by-value writer; the
+one-format-per-row embedding writer against a value-by-value writer, and
+the one-format score and DET writers against row-by-row ones; the
 enrollment centroids, gathered by row index, against the centroid built
 one repetition at a time; the one-call-per-row embedding parser, the
 bulk-checked score and trial readers, the enrollmap, phrase and
@@ -19,6 +20,7 @@ other reads back equal.
 """
 
 import io
+import math
 import os
 from dataclasses import astuple
 from functools import partial
@@ -44,7 +46,9 @@ from oracles import (
     parse_trials_ref,
     score_all_ref,
     sweep_ref,
+    write_det_ref,
     write_embeddings_ref,
+    write_scores_ref,
 )
 from tdsvkit import (
     DcfParams,
@@ -73,6 +77,7 @@ from tdsvkit import (
 )
 from tdsvkit import core
 from tdsvkit.cli import _load_labeled_scores
+from tdsvkit.metrics import ErrorRates
 from tdsvkit.tsvio import (
     parse_embeddings,
     parse_enrollmap,
@@ -80,6 +85,7 @@ from tdsvkit.tsvio import (
     parse_scores,
     parse_transcripts,
     parse_trials,
+    write_det,
     write_embeddings,
     write_enrollmap,
     write_phrases,
@@ -342,6 +348,58 @@ def _check_write_embeddings(tmp_path, data):
     assert parsed_dim == dim and parsed.ids == list(vectors)
     for row, values in zip(parsed.matrix, vectors.values()):
         assert row.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+# Score and DET columns of a drawn dtype: float64 (any double, or only the
+# finite ones a score set holds; 1e300 is 301 digits in "%.6f"), int64 or
+# bool.
+_FINITE_DOUBLES = st.one_of(_DOUBLES, st.sampled_from([-0.0, 1e300, -1e300]))
+_ANY_DOUBLES = st.one_of(_FINITE_DOUBLES, st.sampled_from([math.nan, math.inf, -math.inf]))
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+def _value_column(draw, n, finite=True):
+    floats = _FINITE_DOUBLES if finite else _ANY_DOUBLES
+    values, dtype = draw(st.sampled_from(
+        [(floats, np.float64), (_INT64, np.int64), (st.booleans(), bool)]
+    ))
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_write_scores_matches_row_by_row_writer(tmp_path, data):
+    ids = data.draw(st.lists(_WRITER_IDS, max_size=6, unique=True))
+    n = len(ids)
+    passed = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    records = ScoreColumns(
+        ids, _value_column(data.draw, n), passed, _value_column(data.draw, n)
+    )
+    fast, ref = tmp_path / "fast.tsv", tmp_path / "ref.tsv"
+    write_scores(records, fast)
+    write_scores_ref(records, ref)
+    assert fast.read_bytes() == ref.read_bytes()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_write_det_matches_row_by_row_writer(tmp_path, data):
+    """Columns of unequal length write as many rows as the shortest."""
+    points = ErrorRates(*[
+        _value_column(data.draw, data.draw(st.integers(0, 6)), finite=False) for _ in range(3)
+    ])
+    fast, ref = tmp_path / "fast.tsv", tmp_path / "ref.tsv"
+    write_det(points, fast)
+    write_det_ref(points, ref)
+    assert fast.read_bytes() == ref.read_bytes()
 
 
 # -- enrollment ------------------------------------------------------------------
@@ -755,17 +813,25 @@ def test_parse_trials_matches_value_by_value_parse(tmp_path, defect, data):
 
 @st.composite
 def labeled_pairs(draw, defect):
-    """A score file and a trial list that labels it, with one defect."""
+    """A score file and a trial list that labels it, with one defect. For
+    half the draws the trial list holds the score file's ids in its order,
+    followed by extra trials only for "unscored trials", so that each
+    defect that keeps the ids in order meets both the in-order and the
+    looked-up join."""
     score_rows = _score_rows(draw, draw(st.integers(2, 8)))
     ids = [row[0] for row in score_rows]
     trial_rows = [
         [trial_id, f"m{i % 3}", f"u{i}", draw(st.sampled_from(["TC", "TW", "IC", "IW"]))]
         for i, trial_id in enumerate(ids)
     ]
-    if defect in ("unscored trials", "two defects") or draw(st.booleans()):
+    in_order = draw(st.booleans())
+    if defect == "unscored trials" or not in_order and (
+        defect == "two defects" or draw(st.booleans())
+    ):
         for j in range(draw(st.integers(1, 3))):
             trial_rows.append([f"x{j}", "m0", f"v{j}", draw(st.sampled_from(["TC", "IW"]))])
-    trial_rows = draw(st.permutations(trial_rows))
+    if not in_order:
+        trial_rows = draw(st.permutations(trial_rows))
     kinds = [defect]
     if defect == "two defects":
         kinds = draw(st.lists(st.sampled_from(JOIN_DEFECTS[1:-2]), min_size=2, max_size=2))
@@ -1043,6 +1109,8 @@ _HOSTILE = st.one_of(
     st.text("\t\n\r, a\u00e9\u0633\udcff", max_size=4),
 )
 _ROUND_TRIP_VALUES = st.one_of(_PLAIN, _HOSTILE)
+# Plain values without the ',' that a rep id may not hold.
+_PLAIN_REP_IDS = st.text(" a\u00e9\u0633", min_size=1, max_size=4)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 ROUND_TRIP_FORMATS = ("embeddings", "trials", "phrases", "transcripts", "enrollmap", "scores")
 
@@ -1103,8 +1171,10 @@ def _written_and_read(draw, fmt, path):
             bad = st.one_of(_HOSTILE, st.sampled_from([0, None, b"k"]))
             keys[draw(st.integers(0, n - 1))] = draw(bad)
         if fmt == "enrollmap":
-            reps = column(st.tuples(*[_ROUND_TRIP_VALUES] * 3))
-            records = map(partial(_built, EnrollEntry), column(), reps)
+            # Phrase and rep ids of plain values without ',', the rep
+            # separator, but for one hostile value: one entry is refused.
+            phrase_ids, *reps = id_columns(*[column(_PLAIN_REP_IDS) for _ in range(4)])
+            records = map(partial(_built, EnrollEntry), phrase_ids, zip(*reps))
             write, read = write_enrollmap, parse_enrollmap
         else:
             record, refusals, write, read = {
