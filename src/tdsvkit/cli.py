@@ -142,13 +142,9 @@ def cmd_evaluate(args) -> int:
         ("skipped", len(codes) - targets.size - nontargets.size),
     ]
     if args.json is not None:  # written first, so that a failed write prints no report
-        payload = dict(report)
-        payload["min_dcf"] = mdcf
-        payload["argmin_threshold"] = threshold
-        payload["eer"] = eer_value
+        exact = {"min_dcf": mdcf, "argmin_threshold": threshold, "eer": eer_value}
         with tsvio.output_file(args.json) as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
+            f.write(json.dumps(dict(report) | exact, indent=2) + "\n")
     for key, value in report:
         print(f"{key}={value}")
     _warn_unscored(n_unscored, args.trials)

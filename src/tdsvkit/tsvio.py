@@ -8,13 +8,15 @@ and raise a per-line diagnostic (path:line: detail) on any malformed input
 instead of crashing, bytes that are not UTF-8 included. Every reader splits
 lines as text mode does, at \\n, \\r\\n or a lone \\r, as _pieces does. Writers
 emit deterministic bytes for identical inputs ("\\n" endings on every
-platform). The record types check their values when they are built
-(core.check_token, core.check_text). A phrase, transcript or enrollmap
-record holds no id: it is read and written as id -> record. A writer checks
-only what no one record can, those keys (core.check_tokens), and leaves an
-existing file as it was if one is refused. So every file written here
-reads back as what was written. Every writer writes through
-output_file, so a write that fails partway leaves its path as it was too.
+platform). Each table's rows but an embedding space's are formatted by one
+% (_format_rows), every id an argument, so a '%' in an id stays literal.
+The record types check their values when they are built (core.check_token,
+core.check_text). A phrase, transcript or enrollmap record holds no id: it
+is read and written as id -> record. A writer checks only what no one
+record can, those keys (core.check_tokens), and leaves an existing file as
+it was if one is refused. So every file written here reads back as what
+was written. Every writer writes through output_file, so a write that
+fails partway leaves its path as it was too.
 One row loop reads every embedding file: in two halves, one per process, if
 it is _SPLIT_BYTES or more and the host can fork onto a second CPU, and
 otherwise, for a pipe, or for a file the halves refuse, in one pass that
@@ -79,7 +81,6 @@ _SPLIT_BYTES = 1 << 20
 # more than about 10,000 values, is read in several reads and joined.
 _PIECE_BYTES = 1 << 18
 _LF, _CR = ord("\n"), ord("\r")
-_DET_HEADER = "#p_miss\tp_fa\tthreshold"
 _FLAG_NAMES = ("PUNITIVE", "PASS")  # indexed by the passed flag
 _FLAGS = frozenset(_FLAG_NAMES)
 _NAME_CODES = {label.name: code for label, code in LABEL_CODES.items()}
@@ -204,14 +205,18 @@ def _in_two_parts(first, second) -> Optional[tuple]:
     A forked child, not a spawned one: it shares this process's memory and
     modules, where a spawned one would import numpy again: about 0.1 s, what
     a split saves on an 11 MB file. It runs only second() and exits, taking
-    no lock that another thread of this process might hold.
+    no lock that another thread of this process might hold, so the warning
+    of Python 3.12+ that a fork with threads (numpy's) may deadlock is ignored.
     """
     import gc  # here, as only a split needs them
     import signal
+    import warnings
 
     r, w = os.pipe()
     try:
-        pid = os.fork()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded")
+            pid = os.fork()
     except OSError:  # no process to spare: the caller does it all itself
         os.close(r)
         os.close(w)
@@ -511,10 +516,10 @@ def _scan_trials(path, lines) -> TrialColumns:
 
 def write_trials(trials: TrialColumns, path) -> None:
     """Write a trial list; a trial without a label gets no label field."""
-    rows = zip(trials.trial_ids, trials.model_ids, trials.test_ids, trials.labels.tolist())
+    labels = map(_LABEL_FIELDS.__getitem__, trials.labels.tolist())
+    rows = zip(trials.trial_ids, trials.model_ids, trials.test_ids, labels)
     with output_file(path) as f:
-        for trial_id, model_id, test_id, code in rows:
-            f.write(f"{trial_id}\t{model_id}\t{test_id}{_LABEL_FIELDS[code]}\n")
+        f.write(_format_rows("%s\t%s\t%s%s\n", rows))
 
 
 def _parse_id_text(path, factory) -> dict:
@@ -552,9 +557,9 @@ def parse_transcripts(path) -> dict:
 def _write_keyed(table: Mapping, path, what: str, fields) -> None:
     """Write id -> record as `<id>\\t<fields(record)>` lines, every id checked first."""
     check_tokens(list(table), what)
+    rows = ((key, fields(record)) for key, record in table.items())
     with output_file(path) as f:
-        for key, record in table.items():
-            f.write(f"{key}\t{fields(record)}\n")
+        f.write(_format_rows("%s\t%s\n", rows))
 
 
 def write_phrases(phrases: Mapping, path) -> None:
@@ -655,12 +660,12 @@ def _scan_scores(path, lines) -> ScoreColumns:
     return ScoreColumns(trial_ids, np.array(scores), np.array(passed, bool), np.array(cers))
 
 
-def _format_rows(row: str, width: int, rows) -> str:
-    """Every row (a tuple of width values) formatted by row, in one %: the
-    bytes of one f-string per row, as "%.6f" % x gives those of f"{x:.6f}".
-    Each value is an argument, so a '%' in an id stays literal."""
+def _format_rows(row: str, rows) -> str:
+    """Every row, a tuple of one value per conversion in row, formatted by
+    row in one %: the bytes of one f-string per row, as "%.6f" % x gives
+    those of f"{x:.6f}". Each value is an argument, so a '%' stays literal."""
     values = tuple(chain.from_iterable(rows))
-    return row * (len(values) // width) % values
+    return row * (len(values) // row.count("%")) % values
 
 
 def write_scores(records: ScoreColumns, path) -> None:
@@ -668,7 +673,7 @@ def write_scores(records: ScoreColumns, path) -> None:
     flags = map(_FLAG_NAMES.__getitem__, records.passed.tolist())
     rows = zip(records.trial_ids, records.score.tolist(), flags, records.cer.tolist())
     with output_file(path) as f:
-        f.write(_format_rows("%s\t%.6f\t%s\t%.4f\n", 4, rows))
+        f.write(_format_rows("%s\t%.6f\t%s\t%.4f\n", rows))
 
 
 def write_det(points, path) -> None:
@@ -676,8 +681,8 @@ def write_det(points, path) -> None:
     `#p_miss\\tp_fa\\tthreshold` header."""
     rows = zip(points.p_miss.tolist(), points.p_fa.tolist(), points.threshold.tolist())
     with output_file(path) as f:
-        f.write(_DET_HEADER + "\n")
-        f.write(_format_rows("%.6f\t%.6f\t%.6f\n", 3, rows))
+        f.write("#p_miss\tp_fa\tthreshold\n")
+        f.write(_format_rows("%.6f\t%.6f\t%.6f\n", rows))
 
 
 def write_dataset(ds, out_dir) -> dict:
@@ -689,18 +694,14 @@ def write_dataset(ds, out_dir) -> dict:
     some files new and the rest old.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "phrases": os.path.join(out_dir, "phrases.tsv"),
-        "enrollmap": os.path.join(out_dir, "enrollmap.tsv"),
-        "trials": os.path.join(out_dir, "trials.tsv"),
-        "transcripts": os.path.join(out_dir, "transcripts.tsv"),
-    }
-    write_phrases(ds.phrases, paths["phrases"])
-    write_enrollmap(ds.enroll_entries, paths["enrollmap"])
-    write_trials(ds.trials, paths["trials"])
-    write_transcripts(ds.transcripts, paths["transcripts"])
-    for name, table in ds.embeddings.items():
-        path = os.path.join(out_dir, f"embeddings_{name}.tsv")
-        write_embeddings(table, path)
-        paths[f"embeddings_{name}"] = path
+    files = [
+        ("phrases", write_phrases, ds.phrases),
+        ("enrollmap", write_enrollmap, ds.enroll_entries),
+        ("trials", write_trials, ds.trials),
+        ("transcripts", write_transcripts, ds.transcripts),
+    ] + [(f"embeddings_{name}", write_embeddings, table) for name, table in ds.embeddings.items()]
+    paths = {}
+    for name, write, value in files:
+        paths[name] = os.path.join(out_dir, f"{name}.tsv")
+        write(value, paths[name])
     return paths

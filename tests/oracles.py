@@ -4,15 +4,16 @@ Deliberately written the slow, obvious way: a full-matrix dynamic program
 for edit distance, the fused cosine as a dot product of concatenated unit
 blocks, value-by-value parsers for the embedding, score, trial, enrollmap,
 phrase and transcript files and for the label join of evaluate/det, a
-value-by-value embedding writer, row-by-row score and DET writers, a
-trial-by-trial scorer with score_all's strict and lenient policy, a
-pure-Python enumerator over every midpoint threshold for the detection
-metrics (per-threshold counting via binary search so the acceptance-scale
-runs stay inside their time budget), and the centroid built one
-repetition at a time. Nothing here imports the modules under test beyond
-the public label and error types, the TrialColumns and EmbeddingTable
-types that trial_table and embedding_table build for the tests, and
-l2_normalize, the one normalization that enroll_ref repeats.
+value-by-value embedding writer, row-by-row score, DET, trial, phrase,
+transcript and enrollmap writers, a trial-by-trial scorer with
+score_all's strict and lenient policy, a pure-Python enumerator over
+every midpoint threshold for the detection metrics (per-threshold
+counting via binary search so the acceptance-scale runs stay inside their
+time budget), and the centroid built one repetition at a time. Nothing
+here imports the modules under test beyond the public label and error
+types, the TrialColumns and EmbeddingTable types that trial_table and
+embedding_table build for the tests, and l2_normalize, the one
+normalization that enroll_ref repeats.
 """
 
 import math
@@ -179,6 +180,28 @@ def write_det_ref(points, path):
         f.write("#p_miss\tp_fa\tthreshold\n")
         for p_miss, p_fa, threshold in rows:
             f.write(f"{p_miss:.6f}\t{p_fa:.6f}\t{threshold:.6f}\n")
+
+
+def write_trials_ref(trials, path):
+    """Trial list written one row at a time: the three ids, then a tab and
+    the label's name, or nothing for a trial without a label."""
+    rows = zip(trials.trial_ids, trials.model_ids, trials.test_ids, trials.labels.tolist())
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for trial_id, model_id, test_id, code in rows:
+            label = "" if code == UNLABELED else f"\t{_LABEL_NAMES[code]}"
+            f.write(f"{trial_id}\t{model_id}\t{test_id}{label}\n")
+
+
+def write_keyed_ref(table, path):
+    """A phrase, transcript or enrollmap mapping, id -> record, written one
+    row at a time: the id, a tab, then the record's text, or its phrase id,
+    a tab and its rep ids joined by ','."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for key, record in table.items():
+            if hasattr(record, "rep_ids"):
+                f.write(f"{key}\t{record.phrase_id}\t{','.join(record.rep_ids)}\n")
+            else:
+                f.write(f"{key}\t{record.text}\n")
 
 
 def _text_lines(path):

@@ -2,12 +2,13 @@
 
 The bit-parallel edit distance is checked against the full-matrix DP; the
 one-format-per-row embedding writer against a value-by-value writer, and
-the one-format score and DET writers against row-by-row ones; the
-enrollment centroids, gathered by row index, against the centroid built
-one repetition at a time; the one-call-per-row embedding parser, the
-bulk-checked score and trial readers, the enrollmap, phrase and
-transcript readers and the evaluate/det label join against value-by-value
-parses, diagnostics included; and the array sweep, min-DCF, EER and DET
+the one-format score, DET, trial, phrase, transcript and enrollmap writers
+against row-by-row ones; the enrollment centroids, gathered by row
+index, against the centroid built one repetition at a time; the
+one-call-per-row embedding parser, the bulk-checked score and trial
+readers, the enrollmap, phrase and transcript readers and the
+evaluate/det label join against value-by-value parses, diagnostics
+included; and the array sweep, min-DCF, EER and DET
 points against the threshold-enumeration oracles. The line reader's
 bounded pieces are checked against bytes.splitlines, and the generators that
 synth seeds in one batch against np.random.default_rng. The one dot product,
@@ -48,7 +49,9 @@ from oracles import (
     sweep_ref,
     write_det_ref,
     write_embeddings_ref,
+    write_keyed_ref,
     write_scores_ref,
+    write_trials_ref,
 )
 from tdsvkit import (
     DcfParams,
@@ -307,7 +310,7 @@ _WRITER_IDS = st.one_of(
         min_size=1,
         max_size=8,
     ),
-    st.sampled_from(["%", "%s", "%%", "%.17g", "%(a)s", "u%d\u00e9", "\u0633%"]),
+    st.sampled_from(["%", "%s", "%%", "%.17g", "%(x)s", "{}", "u%d\u00e9", "\u0633%"]),
 )
 
 
@@ -399,6 +402,62 @@ def test_write_det_matches_row_by_row_writer(tmp_path, data):
     fast, ref = tmp_path / "fast.tsv", tmp_path / "ref.tsv"
     write_det(points, fast)
     write_det_ref(points, ref)
+    assert fast.read_bytes() == ref.read_bytes()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_write_trials_matches_row_by_row_writer(tmp_path, data):
+    """Every trial labeled, none, or a mix; zero rows included."""
+    n = data.draw(st.integers(0, 6))
+    codes = data.draw(st.sampled_from(
+        [st.just(UNLABELED), st.integers(0, 3), st.integers(UNLABELED, 3)]
+    ))
+    columns = [data.draw(st.lists(_WRITER_IDS, min_size=n, max_size=n)) for _ in range(3)]
+    trials = TrialColumns(*columns, data.draw(st.lists(codes, min_size=n, max_size=n)))
+    fast, ref = tmp_path / "fast.tsv", tmp_path / "ref.tsv"
+    write_trials(trials, fast)
+    write_trials_ref(trials, ref)
+    assert fast.read_bytes() == ref.read_bytes()
+
+
+# Texts a phrase or transcript line can hold: tabs, non-ASCII letters,
+# format directives and braces, or nothing.
+_WRITER_TEXTS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), max_size=8),
+    st.sampled_from(["", "%", "%s", "%%", "%(x)s", "{}", "a\t%s\t{0}", "\u0633 %d\t\u00e9"]),
+)
+_KEYED_WRITERS = {
+    "phrases": (write_phrases, _WRITER_TEXTS.map(
+        lambda text: _built(Phrase, text, refusals=EmptyReference)
+    )),
+    "transcripts": (write_transcripts, _WRITER_TEXTS.map(Transcript)),
+    "enrollmap": (write_enrollmap, st.builds(
+        EnrollEntry, _WRITER_IDS, st.tuples(*[_WRITER_IDS.filter(lambda s: "," not in s)] * 3)
+    )),
+}
+
+
+@pytest.mark.parametrize("fmt", _KEYED_WRITERS)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_keyed_writers_match_row_by_row_writer(tmp_path, fmt, data):
+    """Empty transcripts and zero rows included; a phrase empty once
+    normalized is left out."""
+    write, records = _KEYED_WRITERS[fmt]
+    table = data.draw(st.dictionaries(_WRITER_IDS, records, max_size=6))
+    table = {key: record for key, record in table.items() if record is not None}
+    fast, ref = tmp_path / "fast.tsv", tmp_path / "ref.tsv"
+    write(table, fast)
+    write_keyed_ref(table, ref)
     assert fast.read_bytes() == ref.read_bytes()
 
 
@@ -1140,9 +1199,10 @@ def _written_and_read(draw, fmt, path):
         return draw(st.lists(values, min_size=n, max_size=n, unique=unique))
 
     def id_columns(*columns):
-        """A table's id columns of plain values, but for one hostile value,
-        if there is a row: one bad id refuses the whole table."""
-        if n:
+        """A table's id columns of plain values, but for one hostile value
+        in a table of two rows or more: one bad id refuses the whole table,
+        or, in an enrollmap, its entry, which leaves a row to read back."""
+        if n >= 2:
             draw(st.sampled_from(columns))[draw(st.integers(0, n - 1))] = draw(_HOSTILE)
         return columns
 

@@ -4,13 +4,16 @@ import errno
 import io
 import os
 import stat
+import subprocess
+import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import drained, piped
+from conftest import child_env, drained, piped
 from oracles import (
     embedding_table,
     parse_embeddings_ref,
@@ -1010,6 +1013,57 @@ class TestSplitFiles:
         assert again.read_bytes() == path.read_bytes()
         assert _outcome(path) == self.whole(path, monkeypatch)
         _no_child_left()
+
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_fork_warning_of_a_threaded_process(self, path, tmp_path, monkeypatch, forks, op):
+        """Python 3.12+ warns in the parent of a fork of a process with
+        threads, as numpy's OpenBLAS ones are; the split ignores that one
+        warning, so under an "error" filter it neither fails nor falls back."""
+        table, _ = parse_embeddings(path)
+        real = os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                warnings.warn(
+                    f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                    "may lead to deadlocks in the child.",
+                    DeprecationWarning,
+                    stacklevel=2,
+                )
+            return pid
+
+        monkeypatch.setattr(tsvio.os, "fork", fork)
+        again = tmp_path / "again.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if op == "read":
+                assert parse_embeddings(path) == (table, 16)
+            else:
+                write_embeddings(table, again)
+                assert again.read_bytes() == path.read_bytes()
+        assert forks[-1] is True
+        _no_child_left()
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="the fork warning is new in Python 3.12")
+    def test_split_read_and_write_print_nothing_in_dev_mode(self, path, tmp_path):
+        """-X dev shows every DeprecationWarning, and numpy's threads run in
+        the child; its stderr stays empty all the same."""
+        child = (
+            "import sys\nfrom tdsvkit import tsvio\n"
+            "real, calls = tsvio._in_two_parts, []\n"
+            "tsvio._in_two_parts = lambda *parts: calls.append(1) or real(*parts)\n"
+            "table, dim = tsvio.parse_embeddings(sys.argv[1])\n"
+            "tsvio.write_embeddings(table, sys.argv[2])\n"
+            "print(len(calls))\n"
+        )
+        again = tmp_path / "again.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", child, str(path), str(again)],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+        assert again.read_bytes() == path.read_bytes()
 
     def test_interrupt_in_the_parent(self, path, monkeypatch):
         parent = os.getpid()
