@@ -34,22 +34,20 @@ from .textgate import GateConfig
 from . import tsvio
 
 
-def _parse_space_args(pairs) -> Tuple[Tuple[str, str], ...]:
-    """Each --embeddings argument is '<space>=<path>'; order is the declared
-    fusion order."""
-    spaces = []
-    seen = set()
+def _parse_space_args(pairs) -> dict:
+    """Each --embeddings argument is '<space>=<path>'; returns space -> path
+    in argument order, the declared fusion order."""
+    spaces = {}
     for pair in pairs:
         name, sep, path = pair.partition("=")
         if not sep or not name or not path:
             raise ConfigInvalid(
                 f"--embeddings expects '<space>=<path>', got {pair!r}"
             )
-        if name in seen:
+        if name in spaces:
             raise ConfigInvalid(f"--embeddings declares space '{name}' twice")
-        seen.add(name)
-        spaces.append((name, path))
-    return tuple(spaces)
+        spaces[name] = path
+    return spaces
 
 
 # Join code of a score line whose trial id is not in the trial list.
@@ -106,7 +104,7 @@ def cmd_score(args) -> int:
     phrases = tsvio.parse_phrases(args.phrases)
     transcripts = tsvio.parse_transcripts(args.transcripts)
     # The mapping's order, that of --embeddings, is the fusion order.
-    tables = {name: load(path)[0] for name, path in spaces}
+    tables = {name: load(path)[0] for name, path in spaces.items()}
     run = score_all(trials, entries, tables, transcripts, phrases, gate_cfg, strict=args.strict)
     tsvio.write_scores(run.records, args.out)
     for trial_id, reason in run.skipped:
@@ -124,16 +122,11 @@ def cmd_evaluate(args) -> int:
     rates = sweep(targets, nontargets)
     mdcf, threshold = min_dcf(rates, params)
     eer_value = eer(rates)
-
-    # Label codes count up in TrialLabel order.
-    n_tc, n_tw, n_ic, n_iw = np.bincount(codes, minlength=len(TrialLabel)).tolist()
+    counts = np.bincount(codes, minlength=len(TrialLabel)).tolist()
     report = [
         ("subset", mode.name),
         ("n_total", len(codes)),
-        ("n_tc", n_tc),
-        ("n_tw", n_tw),
-        ("n_ic", n_ic),
-        ("n_iw", n_iw),
+        *((f"n_{label.name.lower()}", n) for label, n in zip(TrialLabel, counts)),
         ("n_target", targets.size),
         ("n_nontarget", nontargets.size),
         ("min_dcf", f"{mdcf:.6f}"),

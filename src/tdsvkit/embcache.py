@@ -13,12 +13,14 @@ key and the ids, one a line (an id holds no newline, so this splits back
 exactly; a numpy string array would drop an id's trailing NULs), and
 `matrix`, the float64 matrix. An entry that is missing, corrupt, written
 for another key or of another form is a miss, and a failed write leaves
-the cache as it was: neither changes an output byte. A miss stores its
-table only when the file hashes to the key again after the parse, so an
-entry is never the parse of other bytes than its key's. A file that fails
-to parse is never stored, so its diagnostic is the parser's. After each
-store, the oldest entries by mtime (a hit refreshes it) go until the
-directory fits BUDGET_BYTES.
+the cache as it was, as every write through tsvio.output_file does:
+neither changes an output byte. A miss stores its table only when the
+file hashes to the key again after the parse, so an entry is never the
+parse of other bytes than its key's. A file that fails to parse is never
+stored, so its diagnostic is the parser's. After each store, the oldest
+entries by mtime (a hit refreshes it) go until the directory fits
+BUDGET_BYTES, output_file's temporary files that a killed store left
+included.
 
 The entries live in $XDG_CACHE_HOME/tdsvkit, or ~/.cache/tdsvkit. The
 cache is off, and costs no hash, unless that directory can be made or is
@@ -172,24 +174,19 @@ def _read(entry: str, key: str) -> Optional[EmbeddingTable]:
 
 
 def _store(entry: str, key: str, path, table: EmbeddingTable) -> None:
-    """Write the entry of table, parsed from path, unless path no longer
-    hashes to key, then prune; any OSError leaves the cache as it is, with
-    at most a temporary file that a later prune removes."""
+    """Write the entry of table, parsed from path, through tsvio.output_file
+    unless path no longer hashes to key, then prune; any OSError leaves the
+    cache as it is."""
     blob = np.frombuffer("\n".join([key, *table.ids]).encode("utf-8"), np.uint8)
     if blob.nbytes + table.matrix.nbytes > BUDGET_BYTES:
         return
-    temp = f"{entry}.{os.getpid()}.tmp"
     try:
-        try:
-            with open(temp, "xb") as f:
-                _write_npz(f, ids=blob, matrix=table.matrix)
+        with tsvio.output_file(entry) as f:
+            _write_npz(f.buffer, ids=blob, matrix=table.matrix)
             # The bytes may have changed while they were parsed, even
             # to the same size and mtime.
-            if _key(path) == key:
-                os.replace(temp, entry)
-        finally:
-            if os.path.exists(temp):
-                os.unlink(temp)
+            if _key(path) != key:
+                raise OSError(f"{path} changed while it was parsed")
         _prune(os.path.dirname(entry))
     except OSError:
         pass

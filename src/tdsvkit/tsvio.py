@@ -21,8 +21,10 @@ One row loop reads every embedding file: in two halves, one per process, if
 it is _SPLIT_BYTES or more and the host can fork onto a second CPU, and
 otherwise, for a pipe, or for a file the halves refuse, in one pass that
 names the first bad line. The writer splits such files too, with the bytes
-of one process. The record types read and written here come from core and
-textgate, so reading a file loads no scoring code.
+of one process. Where the fork or the child fails, this process reads or
+writes the child's half itself (_in_two_parts). The record types read and
+written here come from core and textgate, so reading a file loads no
+scoring code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -39,7 +41,7 @@ import math
 import os
 import re
 import stat
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain, repeat
 from typing import List, Mapping, Optional, Tuple
 
@@ -196,11 +198,13 @@ def _splits(size: int) -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _in_two_parts(first, second) -> Optional[tuple]:
-    """(first(), the bytes second() returns), where second runs in a forked
-    child that pipes its bytes back while this process runs first; None when
-    the fork or the child fails. The child is reaped before this returns or
-    raises, and killed first unless first() returned and its bytes were read.
+def _in_two_parts(first, second) -> tuple:
+    """(first(), the bytes second() returns), where first runs in this
+    process and second in a forked child that pipes its bytes back
+    meanwhile. The bytes are None when no process can be forked or the
+    child fails: the caller then does second's part itself. Both pipe ends
+    are closed, and a forked child reaped, before this returns or raises;
+    the child is killed first unless its bytes were read.
 
     A forked child, not a spawned one: it shares this process's memory and
     modules, where a spawned one would import numpy again: about 0.1 s, what
@@ -212,37 +216,35 @@ def _in_two_parts(first, second) -> Optional[tuple]:
     import signal
     import warnings
 
-    r, w = os.pipe()
+    r, w = ends = list(os.pipe())
+    pid = theirs = None
     try:
-        with warnings.catch_warnings():
+        with suppress(OSError), warnings.catch_warnings():  # OSError: no process to spare
             warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded")
             pid = os.fork()
-    except OSError:  # no process to spare: the caller does it all itself
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child, which never returns
-        status = 1
-        try:
-            gc.disable()  # so that no finalizer of this process's garbage runs twice
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(second())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    done = False
-    try:
-        with open(r, "rb") as pipe:
-            mine = first()
-            theirs = pipe.read()
-        done = True
+        if pid == 0:  # the child, which never returns
+            status = 1
+            try:
+                gc.disable()  # so that no finalizer of this process's garbage runs twice
+                os.close(r)  # so that its write fails, not blocks, once the parent's end is closed
+                with open(w, "wb") as pipe:
+                    pipe.write(second())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(ends.pop())  # w, so that the pipe ends when the child does
+        mine = first()
+        if pid is not None:
+            theirs = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
     finally:
-        if not done:
-            os.kill(pid, signal.SIGKILL)
-        exited_ok = os.waitpid(pid, 0)[1] == 0
-    return (mine, theirs) if exited_ok else None
+        for end in ends:
+            os.close(end)
+        if pid:
+            if theirs is None:
+                os.kill(pid, signal.SIGKILL)
+            if os.waitpid(pid, 0)[1]:
+                theirs = None
+    return mine, theirs
 
 
 def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
@@ -251,8 +253,9 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     _read_halves reads a regular file that _splits in two processes, and
     _read_whole any other input, a pipe included, or a file the halves
     refuse, in one pass that names the first bad line. Both check each row
-    with _read_rows, so values and diagnostics are the same either way. A
-    valid file is read twice only if the fork or the child fails.
+    with _read_rows, so values and diagnostics are the same either way. If
+    the fork or the child fails, _read_halves reads the child's half itself,
+    so a valid file that _splits is never read in the one pass.
     """
     return _read_halves(path) or _read_whole(path)
 
@@ -321,20 +324,28 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
     The file is split at the first line start at or after its byte midpoint,
     so each part's bytes are whole lines, and _read_rows reads the _pieces
     of each part into one matrix in shared memory: the first part here, with
-    room for at most as many rows as its reads of _PIECE_BYTES hold lines,
-    the second in a forked child that pipes back only its ids,
-    whose rows are then moved down over the rows the first part's blank
-    lines left unused. None is returned, with no byte read, for an input that
-    is not a regular file or does not _splits; and for a bad header or row,
-    rows that do not fit their part, an id repeated anywhere, bytes that are
-    not UTF-8, or a child that fails.
+    room for at most as many rows as it has lines, the second in a forked
+    child that pipes back only its ids, or here too when _in_two_parts gets
+    no bytes from a child. The second part's rows are then moved down over
+    the rows the first part's blank lines left unused. None is returned,
+    with no byte read, for an input that is not a regular file or does not
+    _splits; and for a bad header or row, rows that do not fit their part,
+    an id repeated anywhere, or bytes that are not UTF-8.
     """
     import mmap  # here, as only a split needs it
+
+    refused = (OSError, IndexError, ValueError, TdsvError)  # BadHeader, UnicodeDecodeError too
 
     def rows(start, stop, out):
         with open(path, "rb") as f:  # each process its own, as a seek moves both
             f.seek(start)
             return _read_rows(path, _lines(path, _pieces(f, stop - start)), dim, out)
+
+    def second():  # None for a part it refuses, which no process then reads again
+        try:
+            return rows(mid, size, matrix[n_head:])
+        except refused:
+            return None
 
     try:
         if not os.path.isfile(path) or not _splits(os.path.getsize(path)):
@@ -348,24 +359,22 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
             mid = start + len(next(_pieces(f)))
             mid = mid if mid < size else body
             f.seek(body)
-            reads = (f.read(min(mid - at, _PIECE_BYTES)) for at in range(body, mid, _PIECE_BYTES))
-            n_lines = sum(len(read.splitlines()) for read in reads)  # a cut line counts twice
+            n_lines = sum(1 for _ in _pieces(f, mid - body))
         n_head = min(n_lines, _room(mid - body, dim))
         n = n_head + _room(size - mid, dim)
         matrix = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n, 1) * dim * 8))
-        parts = _in_two_parts(
-            lambda: rows(body, mid, matrix[:n_head]),
-            lambda: marshal.dumps(rows(mid, size, matrix[n_head:])),
+        head, tail = _in_two_parts(
+            lambda: rows(body, mid, matrix[:n_head]), lambda: marshal.dumps(second())
         )
-        if parts is None:
+        tail = second() if tail is None else marshal.loads(tail)
+        if tail is None:
             return None
-        head, tail = parts[0], marshal.loads(parts[1])
         ids = head + tail
         if len(head) < n_head:  # numpy moves a 1-D view in place, a 2-D one by a copy
             flat = matrix.reshape(-1)
             flat[len(head) * dim : len(ids) * dim] = flat[n_head * dim :][: len(tail) * dim]
         return EmbeddingTable(ids, matrix[: len(ids)]), dim
-    except (OSError, IndexError, ValueError, TdsvError):  # BadHeader, UnicodeDecodeError too
+    except refused:
         return None
 
 
@@ -432,7 +441,7 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
     is written in two processes: a forked child formats the second half of
     the rows and pipes back their bytes, which this process appends after it
     has written the first half. If the fork or the child fails, this process
-    writes the rows it has not, so the bytes are the same either way.
+    writes the second half too, so the bytes are the same either way.
     """
     dim = table.matrix.shape[1]
     # "%.17g" % x gives the bytes of f"{x:.17g}". The id is concatenated, not
@@ -444,24 +453,19 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
         return (utt_id + row % tuple(v.tolist()) for utt_id, v in rows)
 
     n = len(table)
-    half = n // 2
-    written = 0  # rows this process has written
-
-    def head():
-        nonlocal written
-        f.writelines(lines(0, half))
-        written = half
-
+    half = n // 2 if n > 1 and _splits(n * len(next(lines(0, 1)))) else 0
     with output_file(path) as f:
         f.write(f"#dim {dim}\n")
-        parts = None
-        if half and _splits(n * len(next(lines(0, 1)))):
-            parts = _in_two_parts(head, lambda: "".join(lines(half, n)).encode())
-        if parts is None:
-            f.writelines(lines(written, n))
+        tail = None
+        if half:
+            _, tail = _in_two_parts(
+                lambda: f.writelines(lines(0, half)), lambda: "".join(lines(half, n)).encode()
+            )
+        if tail is None:
+            f.writelines(lines(half, n))
         else:
             f.flush()
-            f.buffer.write(parts[1])
+            f.buffer.write(tail)
 
 
 def parse_trials(path) -> TrialColumns:

@@ -237,6 +237,20 @@ def test_file_rewritten_while_parsed_is_not_stored(dataset, cache, tmp_path, mon
     assert _entries(cache) == []
 
 
+def test_leftover_temporary_file_does_not_stop_a_store(dataset, cache, parses):
+    """A store that was killed leaves its temporary file beside the entry;
+    the next miss of that key, in a process of the same pid, stores all
+    the same."""
+    path = dataset / "embeddings_a.tsv"
+    cache.mkdir(parents=True, mode=0o700)
+    entry = cache / (embcache._key(path) + ".npz")
+    (cache / f"{entry.name}.{os.getpid()}.tmp").write_bytes(b"PK")
+    cold = embcache.load(path)[0]
+    assert entry.exists()
+    warm = embcache.load(path)[0]
+    assert len(parses) == 1 and _same_table(cold, warm)
+
+
 def test_changed_source_digest_is_a_miss(dataset, cache, monkeypatch, parses):
     path = dataset / "embeddings_a.tsv"
     first = embcache.load(path)[0]

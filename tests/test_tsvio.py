@@ -3,6 +3,7 @@
 import errno
 import io
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -901,6 +902,27 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+def _exits_within(pid, seconds):
+    """Whether child pid exits within seconds; it is reaped either way,
+    killed first if it has not exited."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if os.waitpid(pid, os.WNOHANG)[0]:
+            return True
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return False
+
+
 @pytest.mark.skipif(
     not tsvio._splits(tsvio._SPLIT_BYTES), reason="no two-process path on this host"
 )
@@ -931,7 +953,7 @@ class TestSplitFiles:
 
         def spy(first, second):
             parts = real(first, second)
-            calls.append(parts is not None)
+            calls.append(parts[1] is not None)
             return parts
 
         monkeypatch.setattr(tsvio, "_in_two_parts", spy)
@@ -1043,6 +1065,59 @@ class TestSplitFiles:
                 write_embeddings(table, again)
                 assert again.read_bytes() == path.read_bytes()
         assert forks[-1] is True
+        _no_child_left()
+
+    def test_no_process_to_fork(self, path, tmp_path, monkeypatch, forks):
+        """A fork that fails leaves this process to read or write the
+        child's half itself: the read takes no whole-file pass."""
+        table, _ = parse_embeddings(path)
+
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(tsvio.os, "fork", fork)
+        wholes, real = [], tsvio._read_whole
+        monkeypatch.setattr(tsvio, "_read_whole", lambda p: wholes.append(p) or real(p))
+        assert parse_embeddings(path) == (table, 16)
+        again = tmp_path / "again.tsv"
+        write_embeddings(table, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert (forks[1:], wholes) == ([False, False], [])
+        _no_child_left()
+
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_error_in_the_parent_just_after_the_fork(self, path, tmp_path, monkeypatch, op):
+        """An error the fork raises in the parent once the child exists (an
+        interrupt, a warning turned into an error) closes both pipe ends,
+        so the child, whose pid the split never learns, exits on its own:
+        the write's child fails to write its 650 kB instead of blocking."""
+        table, _ = parse_embeddings(path)
+        real_pipe, real_fork, ends, children = os.pipe, os.fork, [], []
+
+        def pipe():
+            ends.extend(real_pipe())
+            return tuple(ends[-2:])
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                children.append(pid)
+                raise RuntimeError("after the fork")
+            return pid
+
+        monkeypatch.setattr(tsvio.os, "pipe", pipe)
+        monkeypatch.setattr(tsvio.os, "fork", fork)
+        with pytest.raises(RuntimeError, match="after the fork"):
+            if op == "read":
+                parse_embeddings(path)
+            else:
+                write_embeddings(table, tmp_path / "again.tsv")
+        open_ends = [end for end in ends if _is_open(end)]
+        exited = [_exits_within(pid, 10) for pid in children]
+        for end in open_ends:
+            os.close(end)
+        assert (len(ends), len(children)) == (2, 1)
+        assert (open_ends, exited) == ([], [True])
         _no_child_left()
 
     @pytest.mark.skipif(sys.version_info < (3, 12), reason="the fork warning is new in Python 3.12")
