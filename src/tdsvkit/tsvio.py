@@ -21,10 +21,9 @@ One row loop reads every embedding file: in two halves, one per process, if
 it is _SPLIT_BYTES or more and the host can fork onto a second CPU, and
 otherwise, for a pipe, or for a file the halves refuse, in one pass that
 names the first bad line. The writer splits such files too, with the bytes
-of one process. Where the fork or the child fails, this process reads or
-writes the child's half itself (_in_two_parts). The record types read and
-written here come from core and textgate, so reading a file loads no
-scoring code.
+of one process, and writes the child's half itself where the fork or the
+child fails (_in_two_parts). The record types read and written here come
+from core and textgate, so reading a file loads no scoring code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -235,7 +234,7 @@ def _in_two_parts(first, second) -> tuple:
         os.close(ends.pop())  # w, so that the pipe ends when the child does
         mine = first()
         if pid is not None:
-            theirs = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+            theirs = os.fdopen(r, "rb", closefd=False).read()
     finally:
         for end in ends:
             os.close(end)
@@ -253,9 +252,9 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     _read_halves reads a regular file that _splits in two processes, and
     _read_whole any other input, a pipe included, or a file the halves
     refuse, in one pass that names the first bad line. Both check each row
-    with _read_rows, so values and diagnostics are the same either way. If
-    the fork or the child fails, _read_halves reads the child's half itself,
-    so a valid file that _splits is never read in the one pass.
+    with _read_rows, so values and diagnostics are the same either way. A
+    valid file is read in the one pass too only if the fork or the child
+    fails.
     """
     return _read_halves(path) or _read_whole(path)
 
@@ -325,27 +324,19 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
     so each part's bytes are whole lines, and _read_rows reads the _pieces
     of each part into one matrix in shared memory: the first part here, with
     room for at most as many rows as it has lines, the second in a forked
-    child that pipes back only its ids, or here too when _in_two_parts gets
-    no bytes from a child. The second part's rows are then moved down over
+    child that pipes back only its ids, whose rows are then moved down over
     the rows the first part's blank lines left unused. None is returned,
     with no byte read, for an input that is not a regular file or does not
     _splits; and for a bad header or row, rows that do not fit their part,
-    an id repeated anywhere, or bytes that are not UTF-8.
+    an id repeated anywhere, bytes that are not UTF-8, or no bytes from a
+    child (_in_two_parts).
     """
     import mmap  # here, as only a split needs it
-
-    refused = (OSError, IndexError, ValueError, TdsvError)  # BadHeader, UnicodeDecodeError too
 
     def rows(start, stop, out):
         with open(path, "rb") as f:  # each process its own, as a seek moves both
             f.seek(start)
             return _read_rows(path, _lines(path, _pieces(f, stop - start)), dim, out)
-
-    def second():  # None for a part it refuses, which no process then reads again
-        try:
-            return rows(mid, size, matrix[n_head:])
-        except refused:
-            return None
 
     try:
         if not os.path.isfile(path) or not _splits(os.path.getsize(path)):
@@ -364,17 +355,18 @@ def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
         n = n_head + _room(size - mid, dim)
         matrix = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n, 1) * dim * 8))
         head, tail = _in_two_parts(
-            lambda: rows(body, mid, matrix[:n_head]), lambda: marshal.dumps(second())
+            lambda: rows(body, mid, matrix[:n_head]),
+            lambda: marshal.dumps(rows(mid, size, matrix[n_head:])),
         )
-        tail = second() if tail is None else marshal.loads(tail)
         if tail is None:
             return None
+        tail = marshal.loads(tail)
         ids = head + tail
         if len(head) < n_head:  # numpy moves a 1-D view in place, a 2-D one by a copy
             flat = matrix.reshape(-1)
             flat[len(head) * dim : len(ids) * dim] = flat[n_head * dim :][: len(tail) * dim]
         return EmbeddingTable(ids, matrix[: len(ids)]), dim
-    except refused:
+    except (OSError, IndexError, ValueError, TdsvError):  # BadHeader, UnicodeDecodeError too
         return None
 
 
