@@ -17,13 +17,15 @@ record can, those keys (core.check_tokens), and leaves an existing file as
 it was if one is refused. So every file written here reads back as what
 was written. Every writer writes through output_file, so a write that
 fails partway leaves its path as it was too.
-One row loop reads every embedding file: in two halves, one per process, if
+One row loop reads every embedding file: in two parts, one per process, if
 it is _SPLIT_BYTES or more and the host can fork onto a second CPU, and
-otherwise, for a pipe, or for a file the halves refuse, in one pass that
-names the first bad line. The writer splits such files too, with the bytes
-of one process, and writes the child's half itself where the fork or the
-child fails (_in_two_parts). The record types read and written here come
-from core and textgate, so reading a file loads no scoring code.
+otherwise, a pipe included, in one. Each part numbers its lines and bytes
+from its place in the file, so the part that meets a bad line names it;
+after a failed fork or child this process reads the second part itself.
+The writer splits such files too, with the bytes of one process, and
+writes the child's half itself where the fork or the child fails
+(_in_two_parts). The record types read and written here come from core
+and textgate, so reading a file loads no scoring code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -115,12 +117,12 @@ def _pieces(f, bound=math.inf):
         yield b"".join(held)
 
 
-def _lines(path, lines):
+def _lines(path, lines, n=1, offset=0):
     """Yield (line_no, line) for each line, with its line end, of lines
-    (_pieces of a binary file, or bytes.splitlines(True)), numbered from 1
-    and decoded strictly: a bad byte raises MalformedLine naming its offset."""
-    offset = 0
-    for n, raw in enumerate(lines, 1):
+    (_pieces of a binary file, or bytes.splitlines(True)), numbered from n
+    and decoded strictly: a bad byte raises MalformedLine naming its offset,
+    counted from offset, where the lines start in their file."""
+    for n, raw in enumerate(lines, n):
         try:
             yield n, raw.rstrip(b"\r\n").decode()
         except UnicodeDecodeError as exc:
@@ -249,23 +251,76 @@ def _in_two_parts(first, second) -> tuple:
 def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     """Read one embedding space; returns (its EmbeddingTable, declared dim).
 
-    _read_halves reads a regular file that _splits in two processes, and
-    _read_whole any other input, a pipe included, or a file the halves
-    refuse, in one pass that names the first bad line. Both check each row
-    with _read_rows, so values and diagnostics are the same either way. A
-    valid file is read in the one pass too only if the fork or the child
-    fails.
+    A regular file is read up to its size at open, into a matrix with _room
+    for its bytes: in one part, or, if it _splits, in two, split at the
+    first line start at or after its byte midpoint. The first part is read
+    here, into room for as many rows as it has lines, and the second in a
+    forked child (_in_two_parts), into the same shared matrix, which pipes
+    back only its ids; its rows are then moved down over the rows the first
+    part's blank lines left unused. Each part numbers its lines and bytes
+    from its place in the file, so the part that meets a bad line names it
+    as one pass over the file would. When the child's ids do not come back
+    (the fork failed, or the child did, as it does on a bad line) or repeat
+    an id of the first part, this process reads the second part itself,
+    the first part's ids taken. A pipe, which has no size, is read in one
+    part, its rows stacked at the end. A file found to have grown or
+    changed while it was read raises OSError.
     """
-    return _read_halves(path) or _read_whole(path)
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        pipe = not stat.S_ISREG(st.st_mode)
+        size = math.inf if pipe else st.st_size
+        pieces = _pieces(f, size)
+        header = next(pieces, b"")
+        dim = _declared_dim(path, next(_lines(path, [header]))[1])
+        body = len(header)
+        if pipe or not _splits(size):
+            rows = [] if pipe else np.empty((_room(size - body, dim), dim))
+            ids = list(_read_rows(path, _lines(path, pieces, 2, body), dim, rows))
+        else:
+            import mmap  # here, as only a split needs it
+
+            del pieces  # and the bytes it read past the header, which the parts read again
+            f.seek(max(size // 2, body) - 1)
+            mid = f.tell() + len(next(_pieces(f)))
+            mid = mid if mid < size else body
+            f.seek(body)
+            n_lines = sum(1 for _ in _pieces(f, mid - body))
+            n_head = min(n_lines, _room(mid - body, dim))
+            n = n_head + _room(size - mid, dim)
+            rows = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n * dim * 8, 1)))
+
+            def part(f, start, stop, line_no, out, taken=()):
+                f.seek(start)
+                lines = _lines(path, _pieces(f, stop - start), line_no, start)
+                return _read_rows(path, lines, dim, out, taken)
+
+            def second():
+                with open(path, "rb") as g:  # the child's own, as a seek of f would move both
+                    return marshal.dumps(part(g, mid, size, 2 + n_lines, rows[n_head:]))
+
+            head, tail = _in_two_parts(lambda: part(f, body, mid, 2, rows[:n_head]), second)
+            tail = None if tail is None else marshal.loads(tail)
+            if tail is None or not head.keys().isdisjoint(tail):
+                tail = part(f, mid, size, 2 + n_lines, rows[len(head) :], head)
+            elif len(head) < n_head:  # numpy moves a 1-D view in place, a 2-D one by a copy
+                flat = rows.reshape(-1)
+                flat[len(head) * dim :][: len(tail) * dim] = flat[n_head * dim :][: len(tail) * dim]
+            ids = [*head, *tail]
+        if os.fstat(f.fileno()).st_size > size:
+            raise OSError(f"{path}: the file grew while it was read")
+    return EmbeddingTable(ids, np.reshape(rows[: len(ids)], (len(ids), dim))), dim
 
 
-def _read_rows(path, lines, dim: int, out) -> list:
-    """The ids of the non-blank (line_no, line) pairs of lines, each checked
-    as a row of dim values and written to row i of the matrix out, or
-    appended to out when it is a list. The id is checked first, then the
-    values are parsed in one call and checked as a whole; values that fail
-    that check are parsed again one by one, so the diagnostic names the line
-    and column a per-value parse would."""
+def _read_rows(path, lines, dim: int, out, taken=()) -> dict:
+    """The ids of the non-blank (line_no, line) pairs of lines, in order, as
+    a dict's keys, each checked as a row of dim values and written to row i
+    of the matrix out, or appended to out when it is a list. An id seen
+    before, in lines or in taken, is a DuplicateId. The id is checked first,
+    then the values are parsed in one call and checked as a whole; values
+    that fail that check are parsed again one by one, so the diagnostic
+    names the line and column a per-value parse would. A row past the end of
+    out raises OSError: out had room for the file as it was."""
     ids = {}  # a dict keeps the order and finds a repeated id at once
     for n, line in lines:
         if not line:
@@ -275,7 +330,7 @@ def _read_rows(path, lines, dim: int, out) -> list:
             raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
         if not utt_id:
             raise MalformedLine(path, n, "empty id field")
-        if utt_id in ids:
+        if utt_id in ids or utt_id in taken:
             raise DuplicateId(f"{path}:{n}: duplicate id '{utt_id}'")
         tokens = rest.split(" ")
         try:
@@ -289,85 +344,18 @@ def _read_rows(path, lines, dim: int, out) -> list:
             raise DimMismatch(path, n, f"expected {dim} values, got {values.size}")
         if type(out) is list:
             out.append(values)
-        else:
+        elif len(ids) < len(out):
             out[len(ids)] = values
+        else:
+            raise OSError(f"{path}: the file changed while it was read")
         ids[utt_id] = None
-    return list(ids)
-
-
-def _read_whole(path) -> Tuple[EmbeddingTable, int]:
-    """parse_embeddings in one pass over the _lines of path. A regular
-    file's rows go into a matrix with _room for its bytes; those of a pipe,
-    which has no size, are stacked into one matrix at the end."""
-    with open(path, "rb") as f:
-        lines = _lines(path, _pieces(f))
-        dim = _declared_dim(path, next(lines, (1, ""))[1])
-        st = os.fstat(f.fileno())
-        rows = np.empty((_room(st.st_size, dim), dim)) if stat.S_ISREG(st.st_mode) else []
-        try:
-            ids = _read_rows(path, lines, dim, rows)
-        except IndexError:  # more rows than the file's size at open has _room for
-            raise OSError(f"{path}: the file grew while it was read") from None
-    return EmbeddingTable(ids, np.reshape(rows[: len(ids)], (len(ids), dim))), dim
+    return ids
 
 
 def _room(n_bytes: int, dim: int) -> int:
     """The most rows of dim values n_bytes of text can hold: a row takes at
     least 2 * dim + 1 bytes and a line end, but for the file's last row."""
     return (n_bytes + 1) // (2 * dim + 2)
-
-
-def _read_halves(path) -> Optional[Tuple[EmbeddingTable, int]]:
-    """parse_embeddings in two processes, or None for a file it refuses.
-
-    The file is split at the first line start at or after its byte midpoint,
-    so each part's bytes are whole lines, and _read_rows reads the _pieces
-    of each part into one matrix in shared memory: the first part here, with
-    room for at most as many rows as it has lines, the second in a forked
-    child that pipes back only its ids, whose rows are then moved down over
-    the rows the first part's blank lines left unused. None is returned,
-    with no byte read, for an input that is not a regular file or does not
-    _splits; and for a bad header or row, rows that do not fit their part,
-    an id repeated anywhere, bytes that are not UTF-8, or no bytes from a
-    child (_in_two_parts).
-    """
-    import mmap  # here, as only a split needs it
-
-    def rows(start, stop, out):
-        with open(path, "rb") as f:  # each process its own, as a seek moves both
-            f.seek(start)
-            return _read_rows(path, _lines(path, _pieces(f, stop - start)), dim, out)
-
-    try:
-        if not os.path.isfile(path) or not _splits(os.path.getsize(path)):
-            return None
-        with open(path, "rb") as f:
-            header = next(_pieces(f), b"")
-            dim = _declared_dim(path, header.rstrip(b"\r\n").decode())
-            body = len(header)
-            size = f.seek(0, os.SEEK_END)
-            start = f.seek(max(size // 2, body) - 1)
-            mid = start + len(next(_pieces(f)))
-            mid = mid if mid < size else body
-            f.seek(body)
-            n_lines = sum(1 for _ in _pieces(f, mid - body))
-        n_head = min(n_lines, _room(mid - body, dim))
-        n = n_head + _room(size - mid, dim)
-        matrix = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n, 1) * dim * 8))
-        head, tail = _in_two_parts(
-            lambda: rows(body, mid, matrix[:n_head]),
-            lambda: marshal.dumps(rows(mid, size, matrix[n_head:])),
-        )
-        if tail is None:
-            return None
-        tail = marshal.loads(tail)
-        ids = head + tail
-        if len(head) < n_head:  # numpy moves a 1-D view in place, a 2-D one by a copy
-            flat = matrix.reshape(-1)
-            flat[len(head) * dim : len(ids) * dim] = flat[n_head * dim :][: len(tail) * dim]
-        return EmbeddingTable(ids, matrix[: len(ids)]), dim
-    except (OSError, IndexError, ValueError, TdsvError):  # BadHeader, UnicodeDecodeError too
-        return None
 
 
 def _open_on(fd: int, st: os.stat_result) -> bool:

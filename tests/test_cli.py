@@ -525,6 +525,13 @@ class TestErrorContract:
         code, _, err = run_cli(argv)
         assert code == 1
         assert err.startswith("error=ConfigInvalid:")
+        # one space named twice
+        out = tmp_path / "twice.tsv"
+        argv = ["score", "--embeddings", "a=x", "--embeddings", "a=y"] + score_args(data, out)[1:]
+        assert run_cli(argv) == (
+            1, "", "error=ConfigInvalid: --embeddings declares space 'a' twice\n"
+        )
+        assert not out.exists()
 
     def test_unlabeled_trials_rejected_by_evaluate(self, tmp_path):
         data = simulate(tmp_path, seed=5)
@@ -548,6 +555,12 @@ class TestErrorContract:
         ])
         assert code == 1
         assert err.startswith("error=ConfigInvalid:")
+        # a dim that is not an integer
+        argv = ["simulate", "--out", str(tmp_path / "d"), "--space", "x:eight:0.5"]
+        assert run_cli(argv) == (1, "", (
+            "error=ConfigInvalid: --space expects integer dim and float sigma, got 'x:eight:0.5'\n"
+        ))
+        assert list(tmp_path.iterdir()) == []
 
     def test_simulate_space_name_with_path_separator(self, tmp_path):
         # the name would make the file name embeddings_a/b.tsv; it is refused

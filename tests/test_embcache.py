@@ -116,6 +116,16 @@ def test_cold_warm_and_unwritable_give_the_same_output(
     assert len(parses) == 3 and len(hashes) == 3  # off: not even a hash
 
 
+def test_relative_cache_home_means_the_home_cache(dataset, tmp_path, monkeypatch):
+    # the XDG rule: a relative XDG_CACHE_HOME is ignored, as if unset
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", "xdg")
+    monkeypatch.chdir(tmp_path)
+    embcache.load(dataset / "embeddings_a.tsv")
+    assert len(_entries(tmp_path / "home" / ".cache" / "tdsvkit")) == 1
+    assert os.listdir(tmp_path) == ["home"]
+
+
 def _open_to_all(cache, monkeypatch):
     cache.mkdir(parents=True)
     cache.chmod(0o777)

@@ -2,6 +2,7 @@
 
 import errno
 import io
+import mmap
 import os
 import signal
 import stat
@@ -214,22 +215,46 @@ class TestEmbeddingsFormat:
         assert (table.ids, table.matrix.shape, dim) == ([], (0, 10**11), 10**11)
         assert peak < 1 << 20
 
-    def test_file_that_grows_while_read(self, tmp_path, monkeypatch):
-        # rows appended after the size was read fail as an OSError, not an
-        # IndexError from a matrix with room for the rows of that size
-        path = _write(tmp_path / "e.tsv", "#dim 1\nu1\t1\n")
+    def test_file_rewritten_while_read(self, tmp_path, monkeypatch):
+        # the first of two parts has room for as many rows as it had lines
+        # when they were counted; more rows by the time it is parsed mean
+        # the file was rewritten meanwhile: an OSError, not an IndexError
+        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+        path = _write(tmp_path / "e.tsv", "#dim 1\n" + "".join(f"u{i}\t1\n" for i in range(20)))
         real = tsvio._lines
 
-        def growing(path, f):
-            for n, line in real(path, f):
+        def rewritten(path, lines, n=1, offset=0):
+            if n == 2:  # the first part: each line now two rows
+                lines = (row for line in lines for row in (line, b"x" + line))
+            return real(path, lines, n, offset)
+
+        monkeypatch.setattr(tsvio, "_lines", rewritten)
+        with pytest.raises(OSError) as exc:
+            parse_embeddings(path)
+        assert str(exc.value) == f"{path}: the file changed while it was read"
+        _no_child_left()
+
+    def test_file_that_grows_while_read(self, tmp_path, monkeypatch):
+        # rows appended after the size was read fail as an OSError, not an
+        # IndexError from a matrix with room for the rows of that size, nor
+        # a table of the rows up to it: in one part and, where the host
+        # splits, in two
+        real = tsvio._lines
+
+        def growing(path, f, *args):
+            for n, line in real(path, f, *args):
                 yield n, line
-                if n == 1:
+                if n == 2:  # the first row
                     with open(path, "a", encoding="utf-8") as out:
                         out.write("".join(f"v{i}\t1\n" for i in range(100)))
 
         monkeypatch.setattr(tsvio, "_lines", growing)
-        with pytest.raises(OSError, match="grew while it was read"):
-            parse_embeddings(path)
+        for split_bytes in (tsvio._SPLIT_BYTES, 0):
+            monkeypatch.setattr(tsvio, "_SPLIT_BYTES", split_bytes)
+            path = _write(tmp_path / "e.tsv", "#dim 1\nu1\t1\nu2\t1\n")
+            with pytest.raises(OSError, match="grew while it was read"):
+                parse_embeddings(path)
+        _no_child_left()
 
     # Layouts text mode reads as the plain file, each read in one pass.
     LAYOUTS = {
@@ -260,28 +285,26 @@ class TestEmbeddingsFormat:
         "text", ["#dim 2\nu1\t1\r2\n", "#dim 2\ru1\t1 2\n", "#dim 1\nu\xe9\t1\n"]
     )
     def test_text_the_reader_leaves_to_the_scan(self, tmp_path, monkeypatch, text):
-        # a \r that does not end a line, or bytes that are not UTF-8: the
-        # halves refuse them, and the whole pass reads them as the oracle
-        # does, or names the byte the oracle cannot decode. A lone \r that
-        # ends the header is a line end as any other: the halves read it.
-        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+        # a \r that does not end a line, or bytes that are not UTF-8: read
+        # as the oracle reads them, or the byte it cannot decode named, in
+        # one part and, where the host splits, in two. A lone \r that ends
+        # the header is a line end as any other.
         path = tmp_path / "e.tsv"
         path.write_bytes(text.encode("latin-1"))
         try:
             expected = _outcome(path, parse_embeddings_ref)
         except UnicodeDecodeError as exc:
             expected = MalformedLine, f"{path}:2: not valid UTF-8 at byte offset {exc.start}"
-        if text.startswith("#dim 2\r") and tsvio._splits(0):
-            assert _outcome(path, tsvio._read_halves) == expected
-        else:
-            assert tsvio._read_halves(path) is None
+        assert _outcome(path) == expected
+        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
         assert _outcome(path) == expected
 
     @pytest.mark.parametrize("header_end", ["\r", "\n"])
     def test_lone_cr_file_is_read_in_bounded_pieces(self, tmp_path, monkeypatch, header_end):
         # a file of lone \r line ends reads as the same file with \n ends,
-        # in the halves where the host splits, and in the whole pass; every
-        # read this process makes of either file takes _PIECE_BYTES at most
+        # in two parts where the host splits, the second the child's, and in
+        # one; every read this process makes of either file takes
+        # _PIECE_BYTES at most
         rows = [f"u{i}\t{i} {i / 7!r}" for i in range(300)]
         lf = _write(tmp_path / "lf.tsv", "#dim 2\n" + "\n".join(rows) + "\n")
         cr = _write(tmp_path / "cr.tsv", "#dim 2" + header_end + "\r".join(rows) + "\r")
@@ -298,12 +321,13 @@ class TestEmbeddingsFormat:
             return Spy(io.FileIO(file)) if file in (lf, cr) else open(file, *args)
 
         monkeypatch.setattr(tsvio, "open", spy, raising=False)
-        wholes, real = [], tsvio._read_whole
-        monkeypatch.setattr(tsvio, "_read_whole", lambda p: wholes.append(p) or real(p))
+        parts, real = [], tsvio._read_rows
+        monkeypatch.setattr(tsvio, "_read_rows", lambda p, *args: parts.append(p) or real(p, *args))
         expected = _outcome(lf)
         assert _outcome(cr) == expected
-        assert wholes == ([] if tsvio._splits(0) else [lf, cr])
-        assert _outcome(cr, tsvio._read_whole) == expected
+        assert parts == [lf, cr]  # one part each in this process
+        monkeypatch.setattr(tsvio, "_splits", lambda size: False)
+        assert _outcome(cr) == expected
         assert len(sizes) > 100
         assert all(0 < size <= 64 for size in sizes)
 
@@ -928,7 +952,7 @@ def _exits_within(pid, seconds):
 )
 class TestSplitFiles:
     """Embedding files of at least _SPLIT_BYTES, read and written in two
-    processes: the values, bytes and diagnostics of the whole-file pass, and
+    processes: the values, bytes and diagnostics of a read in one part, and
     no child process left behind on any path."""
 
     @pytest.fixture
@@ -947,6 +971,19 @@ class TestSplitFiles:
         return path
 
     @pytest.fixture
+    def parts(self, monkeypatch):
+        """One entry per part this process parses: the number of ids it
+        takes as the first part's, 0 for the first part or a whole file."""
+        calls, real = [], tsvio._read_rows
+
+        def spy(path, lines, dim, out, taken=()):
+            calls.append(len(taken))
+            return real(path, lines, dim, out, taken)
+
+        monkeypatch.setattr(tsvio, "_read_rows", spy)
+        return calls
+
+    @pytest.fixture
     def forks(self, monkeypatch):
         """One entry per fork: whether the child's part was used."""
         calls, real = [], tsvio._in_two_parts
@@ -962,7 +999,7 @@ class TestSplitFiles:
     @staticmethod
     def whole(path, monkeypatch):
         with monkeypatch.context() as m:
-            m.setattr(tsvio, "_read_halves", lambda path: None)
+            m.setattr(tsvio, "_splits", lambda size: False)
             return _outcome(path)
 
     def test_roundtrip(self, forks, path):
@@ -982,13 +1019,18 @@ class TestSplitFiles:
     }
 
     @pytest.mark.parametrize("edit", ROW_EDITS)
-    def test_bad_row_in_the_childs_part(self, path, monkeypatch, forks, edit):
+    def test_bad_row_in_the_childs_part(self, path, monkeypatch, forks, parts, edit):
+        # the child fails, or its ids repeat one of the first part's: this
+        # process then reads the second part itself, the first part's ids
+        # taken, and parses the first part once
         lines = path.read_text(encoding="utf-8").split("\n")
         lines[-2] = self.ROW_EDITS[edit](lines[-2])
         path.write_text("\n".join(lines), encoding="utf-8", errors="surrogateescape")
+        del parts[:]
         outcome = _outcome(path)
         assert isinstance(outcome[0], type) and issubclass(outcome[0], TdsvError)
         assert outcome[1].startswith(f"{path}:4001: ")
+        assert len(parts) == 2 and parts[0] == 0 < parts[1]
         assert outcome == self.whole(path, monkeypatch)
         assert len(forks) == 1
         _no_child_left()
@@ -1012,15 +1054,15 @@ class TestSplitFiles:
         _no_child_left()
 
     @pytest.mark.parametrize("edit", FILE_EDITS)
-    def test_layout_read_without_the_scan(self, path, monkeypatch, forks, edit):
-        # each layout in two halves, which never fall back on the whole pass
+    def test_layout_read_without_the_scan(self, path, monkeypatch, forks, parts, edit):
+        # each layout in two parts, the second the child's: this process
+        # parses the first part only
         text = path.read_text(encoding="utf-8")
         path.write_text(self.FILE_EDITS[edit](text), encoding="utf-8", newline="")
         expected = self.whole(path, monkeypatch)
-        wholes, real = [], tsvio._read_whole
-        monkeypatch.setattr(tsvio, "_read_whole", lambda p: wholes.append(p) or real(p))
+        del parts[:]
         assert _outcome(path) == expected
-        assert (forks, wholes) == ([True], [])
+        assert (forks, parts) == ([True], [0])
         _no_child_left()
 
     def test_child_that_dies(self, path, tmp_path, monkeypatch, forks):
@@ -1067,16 +1109,19 @@ class TestSplitFiles:
         assert forks[-1] is True
         _no_child_left()
 
-    def test_no_process_to_fork(self, path, tmp_path, monkeypatch, forks):
-        """A fork that fails leaves the read to the whole-file pass and the
-        child's half of the write to this process: same table, same bytes."""
+    def test_no_process_to_fork(self, path, tmp_path, monkeypatch, forks, parts):
+        """A fork that fails leaves the child's part of the read and of the
+        write to this process, which parses the first part once: same
+        table, same bytes."""
         table, _ = parse_embeddings(path)
 
         def fork():
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
         monkeypatch.setattr(tsvio.os, "fork", fork)
+        del parts[:]
         assert parse_embeddings(path) == (table, 16)
+        assert len(parts) == 2 and parts[0] == 0 < parts[1]
         again = tmp_path / "again.tsv"
         write_embeddings(table, again)
         assert again.read_bytes() == path.read_bytes()
@@ -1151,6 +1196,19 @@ class TestSplitFiles:
         with pytest.raises(KeyboardInterrupt):
             parse_embeddings(path)
         assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_dim_too_large_for_its_rows(self, tmp_path, monkeypatch):
+        # no mapping is asked for rows that a dim of 10**11 leaves no room
+        # for: the first row's DimMismatch, as in one part
+        path = _write(tmp_path / "e.tsv", "#dim 100000000000\n" + "u\t1 0\n" * 200_000)
+        assert os.path.getsize(path) >= tsvio._SPLIT_BYTES
+        sizes, real = [], mmap.mmap
+        monkeypatch.setattr(mmap, "mmap", lambda fd, size: sizes.append(size) or real(fd, size))
+        with pytest.raises(DimMismatch) as exc:
+            parse_embeddings(path)
+        assert str(exc.value) == f"{path}:2: expected 100000000000 values, got 2"
+        assert sizes == [1]
         _no_child_left()
 
     def test_line_after_the_rows_a_part_has_room_for(self, tmp_path, monkeypatch):
