@@ -9,7 +9,7 @@ instead of crashing, bytes that are not UTF-8 included. Every reader splits
 lines as text mode does, at \\n, \\r\\n or a lone \\r, as _pieces does. Writers
 emit deterministic bytes for identical inputs ("\\n" endings on every
 platform). Each table's rows but an embedding space's are formatted by one
-% (_format_rows), every id an argument, so a '%' in an id stays literal.
+% (_write_rows), every id an argument, so a '%' in an id stays literal.
 The record types check their values when they are built (core.check_token,
 core.check_text). A phrase, transcript or enrollmap record holds no id: it
 is read and written as id -> record. A writer checks only what no one
@@ -19,9 +19,10 @@ was written. Every writer writes through output_file, so a write that
 fails partway leaves its path as it was too.
 One row loop reads every embedding file: in two parts, one per process, if
 it is _SPLIT_BYTES or more and the host can fork onto a second CPU, and
-otherwise, a pipe included, in one. Each part numbers its lines and bytes
-from its place in the file, so the part that meets a bad line names it;
-after a failed fork or child this process reads the second part itself.
+otherwise in one; an input that is not a regular file (a pipe) is read as
+a temporary copy. Each part numbers its lines and bytes from its place in
+the file, so the part that meets a bad line names it; after a failed fork
+or child this process reads the second part itself.
 The writer splits such files too, with the bytes of one process, and
 writes the child's half itself where the fork or the child fails
 (_in_two_parts). The record types read and written here come from core
@@ -41,8 +42,10 @@ import marshal
 import math
 import os
 import re
+import shutil
 import stat
-from contextlib import contextmanager, suppress
+import tempfile
+from contextlib import ExitStack, contextmanager, suppress
 from itertools import chain, repeat
 from typing import List, Mapping, Optional, Tuple
 
@@ -262,20 +265,23 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     as one pass over the file would. When the child's ids do not come back
     (the fork failed, or the child did, as it does on a bad line) or repeat
     an id of the first part, this process reads the second part itself,
-    the first part's ids taken. A pipe, which has no size, is read in one
-    part, its rows stacked at the end. A file found to have grown or
+    the first part's ids taken. Any other input (a pipe) is copied once to
+    a temporary file, read as above though every diagnostic names path, and
+    removed before this returns or raises. A file found to have grown or
     changed while it was read raises OSError.
     """
-    with open(path, "rb") as f:
-        st = os.fstat(f.fileno())
-        pipe = not stat.S_ISREG(st.st_mode)
-        size = math.inf if pipe else st.st_size
+    with open(path, "rb") as f, ExitStack() as stack:
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a copy has a size, seeks and reopens
+            given, f = f, stack.enter_context(tempfile.NamedTemporaryFile())
+            shutil.copyfileobj(given, f)
+            f.seek(0)  # which also writes out what the copy still buffers
+        size = os.fstat(f.fileno()).st_size
         pieces = _pieces(f, size)
         header = next(pieces, b"")
         dim = _declared_dim(path, next(_lines(path, [header]))[1])
         body = len(header)
-        if pipe or not _splits(size):
-            rows = [] if pipe else np.empty((_room(size - body, dim), dim))
+        if not _splits(size):
+            rows = np.empty((_room(size - body, dim), dim))
             ids = list(_read_rows(path, _lines(path, pieces, 2, body), dim, rows))
         else:
             import mmap  # here, as only a split needs it
@@ -296,7 +302,7 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
                 return _read_rows(path, lines, dim, out, taken)
 
             def second():
-                with open(path, "rb") as g:  # the child's own, as a seek of f would move both
+                with open(f.name, "rb") as g:  # the child's own, as a seek of f would move both
                     return marshal.dumps(part(g, mid, size, 2 + n_lines, rows[n_head:]))
 
             head, tail = _in_two_parts(lambda: part(f, body, mid, 2, rows[:n_head]), second)
@@ -309,18 +315,18 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
             ids = [*head, *tail]
         if os.fstat(f.fileno()).st_size > size:
             raise OSError(f"{path}: the file grew while it was read")
-    return EmbeddingTable(ids, np.reshape(rows[: len(ids)], (len(ids), dim))), dim
+    return EmbeddingTable(ids, rows[: len(ids)]), dim
 
 
 def _read_rows(path, lines, dim: int, out, taken=()) -> dict:
     """The ids of the non-blank (line_no, line) pairs of lines, in order, as
     a dict's keys, each checked as a row of dim values and written to row i
-    of the matrix out, or appended to out when it is a list. An id seen
-    before, in lines or in taken, is a DuplicateId. The id is checked first,
-    then the values are parsed in one call and checked as a whole; values
-    that fail that check are parsed again one by one, so the diagnostic
-    names the line and column a per-value parse would. A row past the end of
-    out raises OSError: out had room for the file as it was."""
+    of the matrix out. An id seen before, in lines or in taken, is a
+    DuplicateId. The id is checked first, then the values are parsed in one
+    call and checked as a whole; values that fail that check are parsed
+    again one by one, so the diagnostic names the line and column a
+    per-value parse would. A row past the end of out raises OSError: out
+    had room for the file as it was."""
     ids = {}  # a dict keeps the order and finds a repeated id at once
     for n, line in lines:
         if not line:
@@ -342,12 +348,9 @@ def _read_rows(path, lines, dim: int, out, taken=()) -> dict:
                 _finite_field(path, n, col, token)
         if values.size != dim:
             raise DimMismatch(path, n, f"expected {dim} values, got {values.size}")
-        if type(out) is list:
-            out.append(values)
-        elif len(ids) < len(out):
-            out[len(ids)] = values
-        else:
+        if len(ids) == len(out):
             raise OSError(f"{path}: the file changed while it was read")
+        out[len(ids)] = values
         ids[utt_id] = None
     return ids
 
@@ -502,8 +505,7 @@ def write_trials(trials: TrialColumns, path) -> None:
     """Write a trial list; a trial without a label gets no label field."""
     labels = map(_LABEL_FIELDS.__getitem__, trials.labels.tolist())
     rows = zip(trials.trial_ids, trials.model_ids, trials.test_ids, labels)
-    with output_file(path) as f:
-        f.write(_format_rows("%s\t%s\t%s%s\n", rows))
+    _write_rows(path, "%s\t%s\t%s%s\n", rows)
 
 
 def _parse_id_text(path, factory) -> dict:
@@ -541,9 +543,7 @@ def parse_transcripts(path) -> dict:
 def _write_keyed(table: Mapping, path, what: str, fields) -> None:
     """Write id -> record as `<id>\\t<fields(record)>` lines, every id checked first."""
     check_tokens(list(table), what)
-    rows = ((key, fields(record)) for key, record in table.items())
-    with output_file(path) as f:
-        f.write(_format_rows("%s\t%s\n", rows))
+    _write_rows(path, "%s\t%s\n", ((key, fields(record)) for key, record in table.items()))
 
 
 def write_phrases(phrases: Mapping, path) -> None:
@@ -644,29 +644,29 @@ def _scan_scores(path, lines) -> ScoreColumns:
     return ScoreColumns(trial_ids, np.array(scores), np.array(passed, bool), np.array(cers))
 
 
-def _format_rows(row: str, rows) -> str:
-    """Every row, a tuple of one value per conversion in row, formatted by
-    row in one %: the bytes of one f-string per row, as "%.6f" % x gives
-    those of f"{x:.6f}". Each value is an argument, so a '%' stays literal."""
+def _write_rows(path, row: str, rows, head: str = "") -> None:
+    """Write head, then every row, a tuple of one value per conversion in
+    row, formatted by row in one % (the bytes of one f-string per row, as
+    "%.6f" % x gives those of f"{x:.6f}"). Each value is an argument, so a
+    '%' stays literal."""
     values = tuple(chain.from_iterable(rows))
-    return row * (len(values) // row.count("%")) % values
+    with output_file(path) as f:
+        f.write(head)
+        f.write(row * (len(values) // row.count("%")) % values)
 
 
 def write_scores(records: ScoreColumns, path) -> None:
     """Write a score set: 6-decimal score, gate flag, 4-decimal CER."""
     flags = map(_FLAG_NAMES.__getitem__, records.passed.tolist())
     rows = zip(records.trial_ids, records.score.tolist(), flags, records.cer.tolist())
-    with output_file(path) as f:
-        f.write(_format_rows("%s\t%.6f\t%s\t%.4f\n", rows))
+    _write_rows(path, "%s\t%.6f\t%s\t%.4f\n", rows)
 
 
 def write_det(points, path) -> None:
     """Write DET operating points (metrics.ErrorRates) under a
     `#p_miss\\tp_fa\\tthreshold` header."""
     rows = zip(points.p_miss.tolist(), points.p_fa.tolist(), points.threshold.tolist())
-    with output_file(path) as f:
-        f.write("#p_miss\tp_fa\tthreshold\n")
-        f.write(_format_rows("%.6f\t%.6f\t%.6f\n", rows))
+    _write_rows(path, "%.6f\t%.6f\t%.6f\n", rows, "#p_miss\tp_fa\tthreshold\n")
 
 
 def write_dataset(ds, out_dir) -> dict:

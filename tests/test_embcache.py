@@ -2,6 +2,7 @@
 and every output byte of a parse, and no entry that is bad, stale or
 foreign, and no cache directory that fails, changes an output byte."""
 
+import errno
 import io
 import os
 import shutil
@@ -164,6 +165,41 @@ def test_hit_refreshes_the_entry_mtime(dataset, cache):
     os.utime(entry, (1, 1))
     embcache.load(dataset / "embeddings_a.tsv")
     assert entry.stat().st_mtime > 1
+
+
+def test_hit_whose_mtime_cannot_be_refreshed(dataset, cache, monkeypatch, parses):
+    # the table comes back all the same; the entry only ages for pruning
+    path = dataset / "embeddings_a.tsv"
+    cold, refused = embcache.load(path), []
+
+    def utime(*args):
+        refused.append(args)
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+    monkeypatch.setattr(embcache.os, "utime", utime)
+    warm = embcache.load(path)
+    assert len(parses) == 1 and len(refused) == 1
+    assert warm[1] == cold[1] and _same_table(warm[0], cold[0])
+
+
+def test_file_whose_halves_cannot_be_hashed(dataset, cache, monkeypatch, parses):
+    # a read of either half that fails leaves no key: the parse's table,
+    # and nothing stored
+    path = dataset / "embeddings_a.tsv"
+    parsed, dim = tsvio.parse_embeddings(path)
+    for half in (0, 1):
+        real = embcache._digest
+
+        def digest(p, start, stop):
+            if start == half * (os.path.getsize(p) // 2):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real(p, start, stop)
+
+        with monkeypatch.context() as m:
+            m.setattr(embcache, "_digest", digest)
+            table, got = embcache.load(path)
+        assert got == dim and _same_table(table, parsed)
+    assert len(parses) == 3 and _entries(cache) == []
 
 
 def test_small_file_is_not_cached(cache, tmp_path):

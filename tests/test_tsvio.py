@@ -8,6 +8,7 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -911,6 +912,24 @@ class TestOutputFile:
             assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert got == [(tmp_path / "plain.tsv").read_bytes()]
 
+    def test_process_whose_stdout_is_closed(self, tmp_path):
+        # with no descriptor 1 to compare the path with (a job run as
+        # `cmd >&-`), the path is written by temporary file and replace
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"old\n")
+        before = path.stat().st_ino
+        child = (
+            "import os, sys\nfrom tdsvkit import tsvio\nos.close(1)\n"
+            "with tsvio.output_file(sys.argv[1]) as f:\n    f.write('new\\n')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(path)],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert path.read_bytes() == b"new\n" and path.stat().st_ino != before
+        assert os.listdir(tmp_path) == ["f.tsv"]
+
 
 def _outcome(path, parse=parse_embeddings):
     """(ids, value bytes) of parse(path), or its (error class, message)."""
@@ -945,6 +964,17 @@ def _exits_within(pid, seconds):
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
     return False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+@pytest.mark.parametrize("cpus, splits", [(None, False), (1, False), (2, True)])
+def test_split_without_cpu_affinity(monkeypatch, cpus, splits):
+    # a platform that can fork but has no sched_getaffinity (macOS): the
+    # CPU count decides, and no count is one CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert tsvio._splits(tsvio._SPLIT_BYTES) is splits
+    assert tsvio._splits(tsvio._SPLIT_BYTES - 1) is False
 
 
 @pytest.mark.skipif(
@@ -1209,6 +1239,47 @@ class TestSplitFiles:
             parse_embeddings(path)
         assert str(exc.value) == f"{path}:2: expected 100000000000 values, got 2"
         assert sizes == [1]
+        _no_child_left()
+
+    # Inputs of 40 rows that a pipe gives as the file does, each with
+    # whether the child's part comes back when the child is forked.
+    PIPED = {
+        "valid": ("", True),
+        "bad row in the second part": ("u35\t1 zap\n", False),
+        "id repeated across the parts": ("u3\t1 2\n", True),
+        "byte not UTF-8": ("u\udcff\t1 2\n", False),
+    }
+
+    @pytest.mark.parametrize("fork", ["works", "fails"])
+    @pytest.mark.parametrize("case", PIPED)
+    def test_pipe_in_two_parts(self, tmp_path, monkeypatch, forks, case, fork):
+        # a pipe is copied once to a temporary file and read as the file,
+        # in two parts, the child opening the copy; the copy is gone after
+        # the read returns or raises
+        row, child_part_used = self.PIPED[case]
+        rows = [f"u{i}\t{i} {i / 7!r}\n" for i in range(40)]
+        if row:
+            rows[35] = row
+        content = "".join(["#dim 2\n", *rows]).encode(errors="surrogateescape")
+        path = tmp_path / "e.tsv"
+        path.write_bytes(content)
+        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+        expected = _read(parse_embeddings, path)
+        assert (expected[0] is None) == (case == "valid")
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        if fork == "fails":
+            monkeypatch.setattr(tsvio.os, "fork", no_fork)
+        del forks[:]
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        with piped(content) as pipe:
+            monkeypatch.setattr(tempfile, "tempdir", str(spool))
+            assert _read(parse_embeddings, pipe) == expected
+        assert forks == [fork == "works" and child_part_used]
+        assert os.listdir(spool) == []
         _no_child_left()
 
     def test_line_after_the_rows_a_part_has_room_for(self, tmp_path, monkeypatch):
