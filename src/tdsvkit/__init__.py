@@ -39,8 +39,8 @@ _EXPORTS = {
     ),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
-# Every submodule, with the three whose names are not public names.
-_SUBMODULES = {*_EXPORTS, "tsvio", "cli", "embcache"}
+# Every submodule, with the four that export no public name.
+_SUBMODULES = {*_EXPORTS, "tsvio", "cli", "embcache", "fmt17"}
 
 __all__ = [*_HOMES, "__version__"]
 

@@ -7,6 +7,9 @@ core.py) and the digests of the file's two halves, so an entry can only
 serve the bytes and the code it was made from. A hit loads the stored ids and matrix, which
 EmbeddingTable checks again; a miss parses the file and stores its table.
 A smaller file parses in 17-32 ms (1.04 MB, 2 CPUs) and is never cached.
+An input that is not a regular file (a pipe) is copied once to a temporary
+file, which is keyed, parsed and hashed again in its place, so it hits the
+entry of the same bytes read from a file.
 
 An entry is an .npz of two arrays: `ids`, the UTF-8 bytes of the entry's
 key and the ids, one a line (an id holds no newline, so this splits back
@@ -61,25 +64,34 @@ def _cache_dir() -> str:
 def load(path) -> Tuple[EmbeddingTable, int]:
     """tsvio.parse_embeddings(path): the same table and dim, or the same
     error, read from the cache when this code has parsed these bytes
-    before."""
-    try:
-        large = os.path.getsize(path) >= tsvio._SPLIT_BYTES
-    except OSError:  # the parse reports the file's own problem
-        large = False
-    directory = _private_dir() if large else None
-    try:
-        key = _key(path) if directory else None
-    except OSError:
-        key = None
-    if key is None:
+    before. An input that is not a regular file (a pipe) is copied once to
+    a temporary file (tsvio._regular_file), which is keyed, parsed and
+    hashed again before a store in its place, and removed before this
+    returns or raises."""
+    with tsvio._regular_file(path) as f:
+        large = os.fstat(f.fileno()).st_size >= tsvio._SPLIT_BYTES
+        directory = _private_dir() if large else None
+        try:
+            key = _key(f.name) if directory else None
+        except OSError:
+            key = None
+        if key is None:
+            return _parse(path, f)
+        entry = os.path.join(directory, key + ".npz")
+        table = _read(entry, key)
+        if table is not None:
+            return table, table.matrix.shape[1]
+        table, dim = _parse(path, f)
+        _store(entry, key, f.name, table)
+        return table, dim
+
+
+def _parse(path, f) -> Tuple[EmbeddingTable, int]:
+    """tsvio.parse_embeddings(path) when f is path's own file, else the
+    parse of f, path's temporary copy, whose diagnostics name path."""
+    if f.name == os.fspath(path):
         return tsvio.parse_embeddings(path)
-    entry = os.path.join(directory, key + ".npz")
-    table = _read(entry, key)
-    if table is not None:
-        return table, table.matrix.shape[1]
-    table, dim = tsvio.parse_embeddings(path)
-    _store(entry, key, path, table)
-    return table, dim
+    return tsvio._read_embeddings(path, f)
 
 
 def _private_dir() -> Optional[str]:

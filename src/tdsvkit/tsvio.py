@@ -9,7 +9,10 @@ instead of crashing, bytes that are not UTF-8 included. Every reader splits
 lines as text mode does, at \\n, \\r\\n or a lone \\r, as _pieces does. Writers
 emit deterministic bytes for identical inputs ("\\n" endings on every
 platform). Each table's rows but an embedding space's are formatted by one
-% (_write_rows), every id an argument, so a '%' in an id stays literal.
+% (_write_rows), every id an argument, so a '%' in an id stays literal. An
+embedding space's values are formatted in blocks by fmt17.format_rows,
+which gives the bytes of "%.17g": exactly, by numpy arithmetic, for every
+value x with 1e-4 <= |x| < 1, and by Python's "%.17g" for the rest.
 The record types check their values when they are built (core.check_token,
 core.check_text). A phrase, transcript or enrollmap record holds no id: it
 is read and written as id -> record. A writer checks only what no one
@@ -45,7 +48,7 @@ import re
 import shutil
 import stat
 import tempfile
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from itertools import chain, repeat
 from typing import List, Mapping, Optional, Tuple
 
@@ -86,6 +89,9 @@ _SPLIT_BYTES = 1 << 20
 # The most bytes _pieces reads at once. A line longer than this, a row of
 # more than about 10,000 values, is read in several reads and joined.
 _PIECE_BYTES = 1 << 18
+# The most values write_embeddings formats at once (a row at least), so that
+# no temporary of the formatter grows with the table: about 2 MiB of lanes.
+_FORMAT_VALUES = 1 << 16
 _LF, _CR = ord("\n"), ord("\r")
 _FLAG_NAMES = ("PUNITIVE", "PASS")  # indexed by the passed flag
 _FLAGS = frozenset(_FLAG_NAMES)
@@ -251,11 +257,37 @@ def _in_two_parts(first, second) -> tuple:
     return mine, theirs
 
 
+@contextmanager
+def _regular_file(path):
+    """path opened for reading bytes when it is a regular file; any other
+    input (a pipe) copied once to a temporary file, which is yielded open
+    at its start, as a file that has a size, seeks and reopens by its name,
+    and removed on exit."""
+    with open(path, "rb") as f:
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            yield f
+            return
+        with tempfile.NamedTemporaryFile() as copy:
+            shutil.copyfileobj(f, copy)
+            copy.seek(0)  # which also writes out what the copy still buffers
+            yield copy
+
+
 def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     """Read one embedding space; returns (its EmbeddingTable, declared dim).
+    An input that is not a regular file (a pipe) is read from a temporary
+    copy (_regular_file), removed before this returns or raises; every
+    diagnostic names path all the same (_read_embeddings)."""
+    with _regular_file(path) as f:
+        return _read_embeddings(path, f)
 
-    A regular file is read up to its size at open, into a matrix with _room
-    for its bytes: in one part, or, if it _splits, in two, split at the
+
+def _read_embeddings(path, f) -> Tuple[EmbeddingTable, int]:
+    """parse_embeddings(path), read from f, the open regular file of path's
+    bytes (_regular_file(path)), at its start; every diagnostic names path.
+
+    f is read up to its size at this call, into a matrix with _room for its
+    bytes: in one part, or, if it _splits, in two, split at the
     first line start at or after its byte midpoint. The first part is read
     here, into room for as many rows as it has lines, and the second in a
     forked child (_in_two_parts), into the same shared matrix, which pipes
@@ -265,56 +297,49 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
     as one pass over the file would. When the child's ids do not come back
     (the fork failed, or the child did, as it does on a bad line) or repeat
     an id of the first part, this process reads the second part itself,
-    the first part's ids taken. Any other input (a pipe) is copied once to
-    a temporary file, read as above though every diagnostic names path, and
-    removed before this returns or raises. A file found to have grown or
-    changed while it was read raises OSError.
+    the first part's ids taken. A file found to have grown or changed while
+    it was read raises OSError.
     """
-    with open(path, "rb") as f, ExitStack() as stack:
-        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a copy has a size, seeks and reopens
-            given, f = f, stack.enter_context(tempfile.NamedTemporaryFile())
-            shutil.copyfileobj(given, f)
-            f.seek(0)  # which also writes out what the copy still buffers
-        size = os.fstat(f.fileno()).st_size
-        pieces = _pieces(f, size)
-        header = next(pieces, b"")
-        dim = _declared_dim(path, next(_lines(path, [header]))[1])
-        body = len(header)
-        if not _splits(size):
-            rows = np.empty((_room(size - body, dim), dim))
-            ids = list(_read_rows(path, _lines(path, pieces, 2, body), dim, rows))
-        else:
-            import mmap  # here, as only a split needs it
+    size = os.fstat(f.fileno()).st_size
+    pieces = _pieces(f, size)
+    header = next(pieces, b"")
+    dim = _declared_dim(path, next(_lines(path, [header]))[1])
+    body = len(header)
+    if not _splits(size):
+        rows = np.empty((_room(size - body, dim), dim))
+        ids = list(_read_rows(path, _lines(path, pieces, 2, body), dim, rows))
+    else:
+        import mmap  # here, as only a split needs it
 
-            del pieces  # and the bytes it read past the header, which the parts read again
-            f.seek(max(size // 2, body) - 1)
-            mid = f.tell() + len(next(_pieces(f)))
-            mid = mid if mid < size else body
-            f.seek(body)
-            n_lines = sum(1 for _ in _pieces(f, mid - body))
-            n_head = min(n_lines, _room(mid - body, dim))
-            n = n_head + _room(size - mid, dim)
-            rows = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n * dim * 8, 1)))
+        del pieces  # and the bytes it read past the header, which the parts read again
+        f.seek(max(size // 2, body) - 1)
+        mid = f.tell() + len(next(_pieces(f)))
+        mid = mid if mid < size else body
+        f.seek(body)
+        n_lines = sum(1 for _ in _pieces(f, mid - body))
+        n_head = min(n_lines, _room(mid - body, dim))
+        n = n_head + _room(size - mid, dim)
+        rows = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n * dim * 8, 1)))
 
-            def part(f, start, stop, line_no, out, taken=()):
-                f.seek(start)
-                lines = _lines(path, _pieces(f, stop - start), line_no, start)
-                return _read_rows(path, lines, dim, out, taken)
+        def part(f, start, stop, line_no, out, taken=()):
+            f.seek(start)
+            lines = _lines(path, _pieces(f, stop - start), line_no, start)
+            return _read_rows(path, lines, dim, out, taken)
 
-            def second():
-                with open(f.name, "rb") as g:  # the child's own, as a seek of f would move both
-                    return marshal.dumps(part(g, mid, size, 2 + n_lines, rows[n_head:]))
+        def second():
+            with open(f.name, "rb") as g:  # the child's own, as a seek of f would move both
+                return marshal.dumps(part(g, mid, size, 2 + n_lines, rows[n_head:]))
 
-            head, tail = _in_two_parts(lambda: part(f, body, mid, 2, rows[:n_head]), second)
-            tail = None if tail is None else marshal.loads(tail)
-            if tail is None or not head.keys().isdisjoint(tail):
-                tail = part(f, mid, size, 2 + n_lines, rows[len(head) :], head)
-            elif len(head) < n_head:  # numpy moves a 1-D view in place, a 2-D one by a copy
-                flat = rows.reshape(-1)
-                flat[len(head) * dim :][: len(tail) * dim] = flat[n_head * dim :][: len(tail) * dim]
-            ids = [*head, *tail]
-        if os.fstat(f.fileno()).st_size > size:
-            raise OSError(f"{path}: the file grew while it was read")
+        head, tail = _in_two_parts(lambda: part(f, body, mid, 2, rows[:n_head]), second)
+        tail = None if tail is None else marshal.loads(tail)
+        if tail is None or not head.keys().isdisjoint(tail):
+            tail = part(f, mid, size, 2 + n_lines, rows[len(head) :], head)
+        elif len(head) < n_head:  # numpy moves a 1-D view in place, a 2-D one by a copy
+            flat = rows.reshape(-1)
+            flat[len(head) * dim :][: len(tail) * dim] = flat[n_head * dim :][: len(tail) * dim]
+        ids = [*head, *tail]
+    if os.fstat(f.fileno()).st_size > size:
+        raise OSError(f"{path}: the file grew while it was read")
     return EmbeddingTable(ids, rows[: len(ids)]), dim
 
 
@@ -416,9 +441,18 @@ def output_file(path):
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
     """Write one embedding space in row order, every value at 17
-    significant digits, one row format applied to each row, so that
-    parse_embeddings reads back every file written here, bit-equal: a
-    table holds only ids and values the reader accepts.
+    significant digits, so that parse_embeddings reads back every file
+    written here, bit-equal: a table holds only ids and values the reader
+    accepts. Each line is the bytes of f"{id}\\t{v1:.17g} ... {vD:.17g}\\n".
+
+    The values are formatted in whole rows, at most _FORMAT_VALUES (or one
+    row) at a time, by fmt17.format_rows:
+    a numpy kernel gives each value x with 1e-4 <= |x| < 1 its "%.17g"
+    text exactly (a double-double product with the power of ten that brings
+    its 17 digits before the point, rounded half to even as "%.17g" rounds),
+    and every other value takes Python's own "%.17g". So a file keeps the
+    bytes of C's "%.17g", as every file written before and its digests do,
+    for under a third of the cost of one % per row.
 
     A file that _splits, by the size of its first row times its row count,
     is written in two processes: a forked child formats the second half of
@@ -426,14 +460,15 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
     has written the first half. If the fork or the child fails, this process
     writes the second half too, so the bytes are the same either way.
     """
+    from .fmt17 import format_rows  # here, as no other command writes an embedding file
+
     dim = table.matrix.shape[1]
-    # "%.17g" % x gives the bytes of f"{x:.17g}". The id is concatenated, not
-    # put into the format, since it may hold a '%'.
-    row = "\t" + " ".join(["%.17g"] * dim) + "\n"
+    step = max(1, _FORMAT_VALUES // dim)
 
     def lines(start, stop):
-        rows = zip(table.ids[start:stop], table.matrix[start:stop])
-        return (utt_id + row % tuple(v.tolist()) for utt_id, v in rows)
+        for i in range(start, stop, step):
+            j = min(i + step, stop)
+            yield "".join(map("{}\t{}\n".format, table.ids[i:j], format_rows(table.matrix[i:j])))
 
     n = len(table)
     half = n // 2 if n > 1 and _splits(n * len(next(lines(0, 1)))) else 0

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import tdsvkit
 from conftest import child_env
+from tdsvkit import tsvio
 from tdsvkit.errors import ParseError, TdsvError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -133,6 +134,35 @@ def test_score_path_loads_no_openssl(tmp_path, monkeypatch):
         )
         assert "tdsvkit.embcache" in loaded and "_hashlib" not in loaded, run
         assert len(os.listdir(tmp_path / "cache" / "tdsvkit")) == 1, run
+
+
+def test_readers_do_not_load_the_formatter():
+    # the "%.17g" kernel is imported by write_embeddings alone
+    assert "fmt17" in tdsvkit._SUBMODULES
+    for statement in ("import tdsvkit.cli", "import tdsvkit.tsvio"):
+        loaded = _loaded_after(statement)
+        assert statement.split()[1] in loaded and "tdsvkit.fmt17" not in loaded
+
+
+def test_only_simulate_loads_the_formatter(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    simulate = ["simulate", "--n-speakers", "80", "--space", "a:256:0.5", "--out", str(data)]
+    scores, det = tmp_path / "scores.tsv", tmp_path / "det.tsv"
+    score = ["score"] + [
+        a for name in ("trials", "enrollmap", "phrases", "transcripts")
+        for a in (f"--{name}", str(data / f"{name}.tsv"))
+    ] + ["--embeddings", f"a={data / 'embeddings_a.tsv'}", "--out", str(scores)]
+    labeled = ["--scores", str(scores), "--trials", str(data / "trials.tsv")]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    runs = {
+        "simulate": simulate, "score (miss)": score, "score (hit)": score,
+        "evaluate": ["evaluate", *labeled], "det": ["det", *labeled, "--out", str(det)],
+    }
+    for run, argv in runs.items():
+        loaded = _loaded_after(f"from tdsvkit.cli import main; assert main({argv!r}) == 0")
+        assert ("tdsvkit.fmt17" in loaded) == (run == "simulate"), run
+    assert os.path.getsize(data / "embeddings_a.tsv") >= tsvio._SPLIT_BYTES
+    assert len(os.listdir(tmp_path / "cache" / "tdsvkit")) == 1
 
 
 def test_submodule_resolves_after_plain_import():

@@ -6,14 +6,17 @@ import errno
 import io
 import os
 import shutil
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+from conftest import piped
 from tdsvkit import embcache, tsvio
 from tdsvkit.cli import main
 from tdsvkit.core import EmbeddingTable
+from tdsvkit.errors import UnparseableFloat
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +319,45 @@ def test_malformed_file_is_not_stored(dataset, cache, tmp_path, monkeypatch):
     assert _score(dataset, tmp_path / "s1.tsv", embeddings=bad) == want
     assert _score(dataset, tmp_path / "s2.tsv", embeddings=bad) == want
     assert _entries(cache) == []
+
+
+@pytest.fixture
+def spool(tmp_path, monkeypatch):
+    """An empty directory that tempfile makes its files in for one test."""
+    directory = tmp_path / "spool"
+    directory.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(directory))
+    return directory
+
+
+def test_piped_file_misses_then_hits(dataset, cache, spool, parses, hashes):
+    # the pipe's temporary copy is keyed, parsed and hashed again before
+    # the store; the entry is the one the file itself hits
+    path = dataset / "embeddings_a.tsv"
+    parsed, dim = tsvio.parse_embeddings(path)
+    del parses[:]
+    for run, n_hashes in (("miss", 2), ("hit", 3)):
+        with piped(path.read_bytes()) as pipe:
+            table, got = embcache.load(pipe)
+        assert got == dim and _same_table(table, parsed), run
+        assert len(_entries(cache)) == 1 and len(hashes) == n_hashes, run
+        assert os.listdir(spool) == [], run
+    assert _same_table(embcache.load(path)[0], parsed)
+    assert parses == [] and len(_entries(cache)) == 1
+
+
+def test_bad_piped_row_gives_the_file_diagnostic(dataset, cache, spool, tmp_path):
+    raw = (dataset / "embeddings_a.tsv").read_bytes()
+    cut = raw.rindex(b" ", 0, len(raw) - 1) + 1
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(raw[:cut] + b"x\n")  # the last value is no float
+    with pytest.raises(UnparseableFloat) as from_file:
+        embcache.load(bad)
+    with piped(bad.read_bytes()) as pipe:
+        with pytest.raises(UnparseableFloat) as from_pipe:
+            embcache.load(pipe)
+        assert str(from_pipe.value) == str(from_file.value).replace(str(bad), pipe)
+    assert _entries(cache) == [] and os.listdir(spool) == []
 
 
 def test_missing_file_gives_the_parser_error(dataset, cache, tmp_path, monkeypatch):
