@@ -8,8 +8,13 @@ Four batch subcommands wire the pipeline together:
     det        score file + labeled trials -> DET points TSV
 
 score and simulate import the scoring code and the generator as they run,
-so that evaluate and det load neither; score also imports the embedding
-cache (embcache), which serves a large embedding file it has parsed before.
+so that evaluate and det load neither. score reads its embedding files
+and trial list, and evaluate and det their score file and trial list,
+through the cache of parsed tables (embcache), which serves a file of 1
+MiB or more that this code has parsed before. A regular file under 1 MiB
+is never cached, and a piped score file or trial list is read once as it
+streams, so evaluate and det import the cache only for a regular file of
+1 MiB or more.
 
 Any toolkit error prints a single machine-parseable stderr line
 `error=<ClassName>: <detail>` and exits 1; OS-level file problems report as
@@ -20,6 +25,8 @@ evaluate and det report labeled trials that have no score line as one
 
 import argparse
 import json
+import os
+import stat
 import sys
 from dataclasses import fields
 from itertools import repeat
@@ -54,8 +61,28 @@ def _parse_space_args(pairs) -> dict:
 _NO_TRIAL = -2
 
 
+def _read(path, kind: str):
+    """tsvio.parse_<kind>(path), read through the cache of parsed tables
+    (embcache.load_<kind>) when path is a regular file of
+    tsvio._SPLIT_BYTES or more. Any other input is parsed as it is: a
+    smaller file is never cached, so it imports no cache code; a pipe is
+    read once, with no temporary copy; and a path that cannot be looked
+    at is the parser's to report."""
+    try:
+        st = os.stat(path)
+        cached = stat.S_ISREG(st.st_mode) and st.st_size >= tsvio._SPLIT_BYTES
+    except OSError:
+        cached = False
+    if not cached:
+        return getattr(tsvio, f"parse_{kind}")(path)
+    from . import embcache
+
+    return getattr(embcache, f"load_{kind}")(path)
+
+
 def _load_labeled_scores(scores_path, trials_path) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Join a score file with the label column of a trial list.
+    """Join a score file with the label column of a trial list, both read
+    by _read, the score file first.
 
     Returns (scores, label codes) in score-file order, plus the number of
     labeled trials that have no score line. A score file that lists the
@@ -63,8 +90,8 @@ def _load_labeled_scores(scores_path, trials_path) -> Tuple[np.ndarray, np.ndarr
     trial, takes the label column as it is: ScoreColumns has proved those
     ids unique. Any other pair is joined one id lookup per score line.
     """
-    columns = tsvio.parse_scores(scores_path)
-    trials = tsvio.parse_trials(trials_path)
+    columns = _read(scores_path, "scores")
+    trials = _read(trials_path, "trials")
     ids = columns.trial_ids
     if ids == trials.trial_ids:
         codes = trials.labels
@@ -99,7 +126,7 @@ def cmd_score(args) -> int:
 
     spaces = _parse_space_args(args.embeddings)
     gate_cfg = GateConfig(args.cer_threshold, args.punitive_score)
-    trials = tsvio.parse_trials(args.trials)
+    trials = _read(args.trials, "trials")
     entries = tsvio.parse_enrollmap(args.enrollmap)
     phrases = tsvio.parse_phrases(args.phrases)
     transcripts = tsvio.parse_transcripts(args.transcripts)

@@ -11,8 +11,9 @@ import pytest
 @pytest.fixture(scope="session", autouse=True)
 def private_cache_home(tmp_path_factory):
     """Point XDG_CACHE_HOME at a directory of this session, so that the
-    embedding cache of `score`, in process and in the CLI subprocesses that
-    inherit os.environ, never reads or writes the user's own cache."""
+    cache of parsed tables that `score`, `evaluate` and `det` read through,
+    in process and in the CLI subprocesses that inherit os.environ, never
+    reads or writes the user's own cache."""
     saved = os.environ.get("XDG_CACHE_HOME")
     os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("cache-home"))
     yield
@@ -28,6 +29,33 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def write_labeled_set(directory, n=40000, seed=7):
+    """Write scores.tsv and trials.tsv of n trials into directory, each
+    file 1 MiB or more, so that the commands read both through the cache
+    of parsed tables: the four labels in even shares in a seeded order,
+    scores in trial-list order, and a tie block of PUNITIVE scores at -1
+    made mostly of wrong-phrase trials, as the benchmark's score set."""
+    import numpy as np
+
+    from tdsvkit import tsvio
+    from tdsvkit.core import ScoreColumns, TrialColumns
+
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % 4).astype(np.int8)
+    wrong_phrase = labels % 2 == 1  # TW and IW
+    passed = rng.random(n) >= np.where(wrong_phrase, 0.9, 0.05)
+    means = np.array([0.65, 0.45, 0.15, 0.05])[labels]
+    score = np.where(passed, np.round(np.clip(rng.normal(means, 0.15), -1, 1), 6), -1.0)
+    cer = np.round(np.where(passed, rng.uniform(0, 0.3, n), rng.uniform(0.31, 1.2, n)), 4)
+    ids = [f"trial{i:07d}" for i in range(n)]
+    models, tests = [f"model{i % 997:04d}" for i in range(n)], [f"utt{i:07d}" for i in range(n)]
+    os.makedirs(directory, exist_ok=True)
+    trials, scores = os.path.join(directory, "trials.tsv"), os.path.join(directory, "scores.tsv")
+    tsvio.write_trials(TrialColumns(ids, models, tests, labels), trials)
+    tsvio.write_scores(ScoreColumns(ids, score, passed, cer), scores)
+    assert min(map(os.path.getsize, (trials, scores))) >= tsvio._SPLIT_BYTES
 
 
 @contextlib.contextmanager

@@ -14,7 +14,7 @@ from functools import partial
 from pathlib import Path
 
 import tdsvkit
-from conftest import child_env
+from conftest import child_env, write_labeled_set
 from tdsvkit import tsvio
 from tdsvkit.errors import ParseError, TdsvError
 
@@ -113,6 +113,20 @@ def test_evaluate_and_det_do_not_load_the_cache(tmp_path):
     for argv in (["evaluate", *files], ["det", *files, "--out", str(tmp_path / "det.tsv")]):
         loaded = _loaded_after(f"from tdsvkit.cli import main; assert main({argv!r}) == 0")
         assert "tdsvkit.metrics" in loaded and "tdsvkit.embcache" not in loaded
+
+
+def test_evaluate_and_det_of_large_inputs_load_the_cache_but_no_openssl(tmp_path, monkeypatch):
+    # the counterpart of the test above: a score file and a trial list of
+    # 1 MiB or more are read through the cache, one entry each
+    write_labeled_set(tmp_path)
+    files = ["--scores", str(tmp_path / "scores.tsv"), "--trials", str(tmp_path / "trials.tsv")]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    for argv in (["evaluate", *files], ["det", *files, "--out", str(tmp_path / "det.tsv")]):
+        loaded = _loaded_after(
+            f"from tdsvkit.cli import main; assert main({argv!r}) == 0", ("tdsvkit", "_hashlib")
+        )
+        assert "tdsvkit.embcache" in loaded and "_hashlib" not in loaded, argv[0]
+        assert len(os.listdir(tmp_path / "cache" / "tdsvkit")) == 2, argv[0]
 
 
 def test_score_path_loads_no_openssl(tmp_path, monkeypatch):

@@ -3,16 +3,18 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from conftest import child_env, drained, piped
-from tdsvkit import DcfParams, GateConfig, SimConfig
+from conftest import child_env, drained, piped, write_labeled_set
+from tdsvkit import SUBSETS, DcfParams, GateConfig, SimConfig
 from tdsvkit.cli import build_parser, main
 
 
@@ -689,3 +691,108 @@ class TestBenchmarkTracer:
         assert names.count("tsvio.write_dataset") == 1
         assert report_dict(out)["trials"] == "40"
         assert (data / "embeddings_alpha.tsv").is_file()
+
+
+class TestLargeInputsThroughTheCache:
+    """evaluate and det read a score file and a trial list of 1 MiB or more
+    through the cache of parsed tables. Each command gives the same stdout,
+    stderr, exit code and output files with the cache cold, warm and off,
+    its errors included."""
+
+    @pytest.fixture(scope="class")
+    def labeled(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("labeled")
+        write_labeled_set(data)
+        return data
+
+    @staticmethod
+    def _runs(tmp_path, monkeypatch, argv, outputs=()):
+        """The outcome of argv, (exit code, stdout, stderr, the bytes of
+        each output), with a cold cache, then warm, then off (its home a
+        regular file); and the names of the entries it left."""
+        cache = tmp_path / "cache"
+        shutil.rmtree(cache, ignore_errors=True)
+        (tmp_path / "no-cache").write_bytes(b"")
+        runs = []
+        for home in (cache, cache, tmp_path / "no-cache"):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+            for path in outputs:
+                path.unlink(missing_ok=True)
+            code, out, err = run_cli(argv)
+            runs.append((code, out, err, [p.read_bytes() if p.exists() else None for p in outputs]))
+        entries = sorted(os.listdir(cache / "tdsvkit")) if (cache / "tdsvkit").exists() else []
+        return runs, entries
+
+    @pytest.mark.parametrize("command", ["evaluate", "det"])
+    @pytest.mark.parametrize("subset", sorted(SUBSETS))
+    def test_cold_warm_and_off_give_the_same_bytes(
+        self, labeled, tmp_path, monkeypatch, command, subset
+    ):
+        output = tmp_path / ("report.json" if command == "evaluate" else "det.tsv")
+        flag = "--json" if command == "evaluate" else "--out"
+        argv = [command, "--scores", str(labeled / "scores.tsv"), "--trials",
+                str(labeled / "trials.tsv"), "--subset", subset, flag, str(output)]
+        (cold, warm, off), entries = self._runs(tmp_path, monkeypatch, argv, [output])
+        assert cold == warm == off
+        assert off[0] == 0 and off[2] == "" and off[3][0]
+        assert len(entries) == 2
+
+    @pytest.mark.parametrize("bad", ["scores.tsv", "trials.tsv"])
+    def test_bad_last_line_gives_the_same_error_and_no_entry(
+        self, labeled, tmp_path, monkeypatch, bad
+    ):
+        for name in ("scores.tsv", "trials.tsv"):
+            shutil.copy(labeled / name, tmp_path / name)
+        raw = bytearray((labeled / bad).read_bytes())
+        raw[-2] = ord("x")  # the last score's CER, or the last label
+        (tmp_path / bad).write_bytes(bytes(raw))
+        argv = ["evaluate", "--scores", str(tmp_path / "scores.tsv"),
+                "--trials", str(tmp_path / "trials.tsv")]
+        (cold, warm, off), entries = self._runs(tmp_path, monkeypatch, argv)
+        assert cold == warm == off
+        n_lines = raw.count(b"\n")
+        assert off[:2] == (1, "") and off[2].startswith("error=")
+        assert f"{tmp_path / bad}:{n_lines}:" in off[2]
+        # the score file, read first, is stored when the trial list is bad
+        assert len(entries) == (bad == "trials.tsv")
+
+    @pytest.mark.parametrize("lines", [100, None])
+    def test_piped_inputs_stream_with_no_copy(self, labeled, tmp_path, monkeypatch, lines):
+        # a piped score file or trial list, small or large, is read once as
+        # it streams, as without the cache: it needs no temporary directory
+        # and leaves no entry
+        files = {}
+        for name in ("scores.tsv", "trials.tsv"):
+            files[name] = tmp_path / name
+            files[name].write_bytes(b"".join((labeled / name).read_bytes().splitlines(True)[:lines]))
+        want = run_cli(["evaluate", "--scores", str(files["scores.tsv"]),
+                        "--trials", str(files["trials.tsv"])])
+        assert want[0] == 0 and want[1]
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        with piped(files["scores.tsv"].read_bytes()) as scores:
+            with piped(files["trials.tsv"].read_bytes()) as trials:
+                # where no temporary file can be made
+                monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "none"))
+                assert run_cli(["evaluate", "--scores", scores, "--trials", trials]) == want
+        assert not (tmp_path / "cache").exists()
+
+    def test_join_errors_do_not_change_on_a_warm_cache(self, labeled, tmp_path, monkeypatch):
+        scores = (labeled / "scores.tsv").read_text(encoding="utf-8")
+        trials = (labeled / "trials.tsv").read_text(encoding="utf-8")
+        first_trial = trials[: trials.index("\n") + 1]
+        cases = {
+            # a score line whose trial id is in no trial list
+            "UnlabeledRecords": (scores + "stray\t0.500000\tPASS\t0.0000\n", trials),
+            # a repeated trial id, which only the looked-up join rejects
+            "DuplicateId": ("".join(reversed(scores.splitlines(True))), trials + first_trial),
+        }
+        for error, (score_text, trial_text) in cases.items():
+            (tmp_path / "scores.tsv").write_text(score_text, encoding="utf-8")
+            (tmp_path / "trials.tsv").write_text(trial_text, encoding="utf-8")
+            for command in (["evaluate"], ["det", "--out", str(tmp_path / "det.tsv")]):
+                argv = [*command, "--scores", str(tmp_path / "scores.tsv"),
+                        "--trials", str(tmp_path / "trials.tsv")]
+                (cold, warm, off), entries = self._runs(tmp_path, monkeypatch, argv)
+                assert cold == warm == off, error
+                assert off[:2] == (1, "") and off[2].startswith(f"error={error}: "), error
+                assert len(entries) == 2, error
