@@ -87,8 +87,10 @@ def _load_labeled_scores(scores_path, trials_path) -> Tuple[np.ndarray, np.ndarr
     Returns (scores, label codes) in score-file order, plus the number of
     labeled trials that have no score line. A score file that lists the
     trial list's ids in its order, as score writes it when it skips no
-    trial, takes the label column as it is: ScoreColumns has proved those
-    ids unique. Any other pair is joined one id lookup per score line.
+    trial, takes the label column as it is: one comparison of the two id
+    columns' buffers finds it, with no str per id, and ScoreColumns has
+    proved those ids unique. Any other pair is joined one id lookup per
+    score line.
     """
     columns = _read(scores_path, "scores")
     trials = _read(trials_path, "trials")

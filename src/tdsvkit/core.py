@@ -11,9 +11,20 @@ id of its own. Each type checks itself when it is built, by check_token and
 check_text: the package's one rule for what a TSV value may hold. Every
 public operation validates its inputs and works in double precision. All
 functions here are pure and safe for concurrent use.
+
+The id columns of a trial list and a score set are IdColumns: one UTF-8
+buffer with a "\\n" before each id, in the layout of Apache Arrow's
+variable-size binary column, so a column holds no Python object per id.
+The tables take a list of str as before and convert it, checking its ids
+in scans of the buffer. A cache hit (embcache) rebuilds a column from the
+entry's bytes, which hold this very buffer after the entry's key, and
+checks it by the same scans; nothing makes a str per id until a caller
+iterates the column or calls tolist().
 """
 
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from numbers import Integral, Real
@@ -33,6 +44,14 @@ REPS_PER_MODEL = 3
 _DOT_BLOCK = 1 << 13
 
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+_LF = ord("\n")
+# The fewest ids IdColumn.distinct hashes. Below this a set of the ids is
+# as fast, and a run loads no numpy sort code: about 0.3 MB less peak RSS
+# for score's 3,000 trials.
+_HASHED_IDS = 1 << 12
+# The multiplier of IdColumn's row hash: odd, so each step is a bijection.
+_MIX = np.uint64(0xFF51AFD7ED558CCD)
 
 
 class TrialLabel(Enum):
@@ -96,16 +115,9 @@ def check_token(value: str, what: str = "id") -> str:
 
 
 def check_tokens(values: list, what: str = "id") -> None:
-    """check_token over a list of values in one scan of their joined text;
-    check_token runs on each value, for its message, only where that scan
-    fails."""
-    try:
-        joined = " ".join(values)
-    except TypeError:  # a value that is not a string
-        joined = "\n"
-    if "" in values or "\t" in joined or "\n" in joined or "\r" in joined or undecodable(joined):
-        for value in values:
-            check_token(value, what)
+    """check_token over a list of values, in scans of their UTF-8 bytes:
+    what IdColumn(values, what) checks."""
+    IdColumn(values, what)
 
 
 def check_text(value: str, what: str = "text") -> str:
@@ -120,20 +132,171 @@ def check_text(value: str, what: str = "text") -> str:
     return value
 
 
-def check_unique(values: list, what: str) -> None:
-    """Raise DuplicateId naming the first of values that repeats an earlier
-    one: "duplicate <what> '<value>'". One set test decides; the value by
-    value scan runs only to name the repeat."""
+def check_unique(values, what: str) -> None:
+    """Raise DuplicateId naming the first of values, a list or an IdColumn,
+    that repeats an earlier one: "duplicate <what> '<value>'". One set test
+    decides, or for an IdColumn its own test (IdColumn.distinct); the value
+    by value scan runs only to name the repeat."""
+    if isinstance(values, IdColumn):
+        if values.distinct():
+            return
+        values = values.tolist()
     if len(set(values)) != len(values):
         seen = set()
         repeat_value = next(v for v in values if v in seen or seen.add(v))
         raise DuplicateId(f"duplicate {what} '{repeat_value}'")
 
 
+class IdColumn(Sequence):
+    """A read-only sequence of ids (str) held as one UTF-8 buffer, the ids in
+    order, each after a "\\n": b"\\nt1\\nt2" for ["t1", "t2"], b"" for none.
+    This is the layout of Apache Arrow's variable-size binary column, with
+    the separators kept in the buffer: the n + 1 offsets are where each
+    id's "\\n" is, and the buffer's length. They are found by one scan of
+    the buffer the first time an id is looked up by index; a column that is
+    only counted, compared, iterated or converted never holds them.
+
+    IdColumn(values, what) takes a sequence of str, and from_buffer a
+    buffer; either refuses what check_token refuses of any one id, and
+    with check_token's message for the first such id: the buffer is
+    checked by a few scans (no empty id, no tab or \\r byte, and UTF-8),
+    and check_token runs on each id only when a scan fails.
+    len() is the number of ids; == is one comparison of buffers with
+    another IdColumn and id by id with a list; iteration and tolist()
+    decode the buffer once and split it."""
+
+    __slots__ = ("_buffer", "_n", "_offsets")
+
+    def __init__(self, values=(), what: str = "id"):
+        values = values if isinstance(values, list) else list(values)
+        try:
+            buffer = ("\n" + "\n".join(values)).encode() if values else b""
+        except (TypeError, UnicodeEncodeError):  # a value not a str, or a lone surrogate
+            buffer = b"\n"  # which the scans refuse
+        if _count_ids(buffer) != len(values):  # a "\n" in an id, or a scan failed
+            _refuse(values, what)
+        self._buffer, self._n, self._offsets = buffer, len(values), None
+
+    @classmethod
+    def from_buffer(cls, buffer: bytes, what: str = "id") -> "IdColumn":
+        """The column whose buffer (see IdColumn) is buffer, checked as the
+        ids IdColumn takes are; ValueError also when buffer does not start
+        with a "\\n"."""
+        buffer = bytes(buffer)
+        n = _count_ids(buffer)
+        if n < 0 or not (buffer.isascii() or _decodes(buffer)):
+            ids = buffer.decode("utf-8", "surrogateescape").split("\n")
+            if ids[0]:
+                raise ValueError("an id column buffer must start with a newline")
+            _refuse(ids[1:], what)
+        column = cls.__new__(cls)
+        column._buffer, column._n, column._offsets = buffer, n, None
+        return column
+
+    @property
+    def buffer(self) -> bytes:
+        return self._buffer
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index) -> str:
+        i = operator.index(index)
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("id column index out of range")
+        if self._offsets is None:
+            seps = np.flatnonzero(np.frombuffer(self._buffer, np.uint8) == _LF)
+            self._offsets = np.append(seps, len(self._buffer))
+        start, stop = self._offsets[i : i + 2].tolist()
+        return self._buffer[start + 1 : stop].decode()
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, IdColumn):
+            return self._buffer == other._buffer
+        if isinstance(other, list):
+            return self.tolist() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"IdColumn({self.tolist()!r})"
+
+    def tolist(self) -> list:
+        """The ids as a new list of str."""
+        return self._buffer.decode().split("\n")[1:]
+
+    def distinct(self) -> bool:
+        """Whether no id repeats. A column of _HASHED_IDS or more ids of one
+        length is decided by one sort of a 64-bit hash of each id's row of
+        bytes (its "\\n" included): ids whose hashes all differ are
+        distinct. Any other column, or a hash that repeats, is decided by a
+        set of the ids' bytes."""
+        n, buffer = self._n, self._buffer
+        if n >= _HASHED_IDS:
+            width, rest = divmod(len(buffer), n)
+            bytes_ = np.frombuffer(buffer, np.uint8)
+            if not rest and (bytes_[::width] == _LF).all():  # one width
+                hashes = np.sort(_row_hashes(bytes_.reshape(n, width)))
+                if (hashes[1:] != hashes[:-1]).all():
+                    return True
+        return len(set(buffer.split(b"\n"))) == n + 1
+
+
+def _count_ids(buffer: bytes) -> int:
+    """The number of ids in buffer, its "\\n"s, when it is empty or starts
+    with a "\\n" and holds no empty id and no tab or \\r byte; else -1.
+    Two scans for a byte and one pass of numpy over a mask of the "\\n"s."""
+    if b"\t" in buffer or b"\r" in buffer:
+        return -1
+    seps = np.frombuffer(buffer, np.uint8) == _LF
+    if buffer and (not seps[0] or seps[-1] or (seps[1:] & seps[:-1]).any()):
+        return -1
+    return int(np.count_nonzero(seps))
+
+
+def _decodes(buffer: bytes) -> bool:
+    """Whether buffer is UTF-8, which has no form for a surrogate."""
+    try:
+        buffer.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _refuse(values: list, what: str):
+    """Raise check_token's error for the first of values it refuses."""
+    for value in values:
+        check_token(value, what)
+    raise ValueError(f"{what} column cannot be held as one buffer")  # check_token refused none
+
+
+def _row_hashes(rows: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each row of an (n, width) uint8 matrix, mixing in
+    8 bytes at a time by xor, an odd multiply and a xor-shift: equal rows
+    hash alike."""
+    words = np.zeros((len(rows), -(-rows.shape[1] // 8) * 8), np.uint8)
+    words[:, : rows.shape[1]] = rows
+    hashes = np.zeros(len(rows), np.uint64)
+    for word in words.view(np.uint64).T:
+        hashes ^= word
+        hashes *= _MIX
+        hashes ^= hashes >> np.uint64(29)
+    return hashes
+
+
+def _id_column(values, what: str) -> IdColumn:
+    """values as an IdColumn: itself if it is one, else IdColumn(values, what)."""
+    return values if isinstance(values, IdColumn) else IdColumn(values, what)
+
+
 def columns_eq(a, b):
-    """== for the column tables (TrialColumns, ScoreColumns): equal
-    when b has a's type and every column matches, id lists by == and arrays
-    by dtype and np.array_equal. The dataclass default would compare the
+    """== for the column tables (TrialColumns, ScoreColumns): equal when b
+    has a's type and every column matches, id columns by == and arrays by
+    dtype and np.array_equal. The dataclass default would compare the
     arrays with ==, whose truth value is ambiguous past one row."""
     if type(b) is not type(a):
         return NotImplemented
@@ -152,14 +315,15 @@ def columns_eq(a, b):
 class TrialColumns:
     """A trial list as columns in file order, as tsvio reads and writes it,
     synth.gen_dataset builds it and scoring.score_all scores it. labels
-    holds int8 label codes (LABEL_CODES; UNLABELED for no label). len() is
-    the number of rows. Columns of different lengths, an id that
-    check_token rejects, a code outside UNLABELED..3, or float or bool codes
-    in a column that is not empty raise ValueError."""
+    holds int8 label codes (LABEL_CODES; UNLABELED for no label), and each
+    id column an IdColumn, built from the list of str (or the IdColumn) it
+    is given. len() is the number of rows. Columns of different lengths, an
+    id that check_token rejects, a code outside UNLABELED..3, or float or
+    bool codes in a column that is not empty raise ValueError."""
 
-    trial_ids: list
-    model_ids: list
-    test_ids: list
+    trial_ids: IdColumn
+    model_ids: IdColumn
+    test_ids: IdColumn
     labels: np.ndarray  # int8
 
     def __post_init__(self):
@@ -168,7 +332,7 @@ class TrialColumns:
         if {len(ids) for ids in columns.values()} != {len(codes)}:
             raise ValueError("trial columns differ in length")
         for what, ids in columns.items():
-            check_tokens(ids, what)
+            object.__setattr__(self, f"{what}s", _id_column(ids, what))
         check_label_codes(codes)
         object.__setattr__(self, "labels", codes.astype(np.int8, copy=False))
 
@@ -182,7 +346,8 @@ class TrialColumns:
 class EmbeddingTable:
     """One embedding space: row i of the C-contiguous float64 (N, D) matrix
     is the vector of ids[i]; rows maps each id to its row index, and len()
-    is N. An id that check_token rejects raises ValueError, an id listed
+    is N. ids is a list (an IdColumn, as a cache hit gives, is made one).
+    An id that check_token rejects raises ValueError, an id listed
     twice DuplicateId, a matrix that is not 2-D with D >= 1 and one row per
     id DimensionMismatch, and a value that is not finite DegenerateVector."""
 
@@ -191,6 +356,8 @@ class EmbeddingTable:
     rows: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.ids, IdColumn):
+            object.__setattr__(self, "ids", self.ids.tolist())
         matrix = as_matrix(self.matrix)
         if len(self.ids) != len(matrix):
             raise DimensionMismatch(f"{len(self.ids)} embedding ids for {len(matrix)} rows")
@@ -240,10 +407,11 @@ class ScoreColumns:
     is the number of rows. Columns of different lengths, a trial id that
     check_token rejects, a passed column that is not bool, or a score or
     CER that is not finite raise ValueError, and a trial id listed twice
-    DuplicateId. A value column is kept as np.asarray gives it: an array
-    as given, never converted, and a list as an array."""
+    DuplicateId. trial_ids is an IdColumn, built from the list of str (or
+    the IdColumn) it is given. A value column is kept as np.asarray gives
+    it: an array as given, never converted, and a list as an array."""
 
-    trial_ids: list
+    trial_ids: IdColumn
     score: np.ndarray  # float64
     passed: np.ndarray  # bool: the gate passed (flag PASS)
     cer: np.ndarray  # float64
@@ -253,7 +421,7 @@ class ScoreColumns:
             object.__setattr__(self, what, np.asarray(getattr(self, what)))
         if {len(self.score), len(self.passed), len(self.cer)} != {len(self.trial_ids)}:
             raise ValueError("score columns differ in length")
-        check_tokens(self.trial_ids, "trial_id")
+        object.__setattr__(self, "trial_ids", _id_column(self.trial_ids, "trial_id"))
         if self.passed.dtype != bool:
             raise ValueError("the passed column must be bool")
         for what in ("score", "cer"):

@@ -23,10 +23,14 @@ same bytes read from a file. A piped score file or trial list, which its
 parser reads once as it streams, is parsed as it is and never cached.
 
 An entry is an .npz of one array per field of the table. An id column is
-the UTF-8 bytes of the entry's key and the ids, one a line (an id holds no
-newline, so this splits back exactly; a numpy string array would drop an
-id's trailing NULs); a value column is the array the parse gives, of the
-kind's dtype and ndim. An entry that is missing, corrupt, written for
+the UTF-8 bytes of the entry's key and then the ids, each after a newline:
+the key, then the buffer of the column as a core.IdColumn (a numpy string
+array would drop an id's trailing NULs). A hit checks the key and builds
+the IdColumn straight from the bytes after it, with no str per id; a few
+scans of those bytes, and for a score file one sort, check them again. A
+trial list or score file keeps that column; an embedding space makes it a
+list. A value column is the array the parse gives, of the kind's dtype and
+ndim. An entry that is missing, corrupt, written for
 another key or of another form (another field, dtype or ndim) is a miss,
 and a failed write leaves the cache as it was, as every write through
 tsvio.output_file does: neither changes an output byte. A miss stores its
@@ -252,11 +256,10 @@ def _read(entry: str, key: str, kind: _Kind):
         for name, array in columns.items():
             if (array.dtype, array.ndim) != kind.arrays.get(name, (np.uint8, 1)):
                 return None
-            if name not in kind.arrays:  # an id column
-                head, _, text = array.tobytes().decode("utf-8").partition("\n")
-                if head != key:
+            if name not in kind.arrays:  # an id column: its key, then its buffer
+                if array[: len(key)].tobytes() != key.encode():
                     return None
-                columns[name] = text.split("\n") if text else []
+                columns[name] = core.IdColumn.from_buffer(array[len(key) :].tobytes())
         table = kind.table(**columns)
     except Exception:
         # An entry is input from outside this run: zipfile alone raises
@@ -280,7 +283,7 @@ def _store(entry: str, key: str, path, table, kind: _Kind) -> None:
     for name in kind.columns:
         column = getattr(table, name)
         if name not in kind.arrays:
-            column = np.frombuffer("\n".join([key, *column]).encode("utf-8"), np.uint8)
+            column = np.frombuffer(key.encode() + core._id_column(column, name).buffer, np.uint8)
         columns[name] = column
     if sum(column.nbytes for column in columns.values()) > BUDGET_BYTES:
         return

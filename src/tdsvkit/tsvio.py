@@ -214,7 +214,9 @@ def _in_two_parts(first, second) -> tuple:
     meanwhile. The bytes are None when no process can be forked or the
     child fails: the caller then does second's part itself. Both pipe ends
     are closed, and a forked child reaped, before this returns or raises;
-    the child is killed first unless its bytes were read.
+    the child is killed first unless its bytes were read, and killed then
+    reaped if the wait for it is interrupted, which is raised once the
+    child is gone.
 
     A forked child, not a spawned one: it shares this process's memory and
     modules, where a spawned one would import numpy again: about 0.1 s, what
@@ -250,10 +252,17 @@ def _in_two_parts(first, second) -> tuple:
         for end in ends:
             os.close(end)
         if pid:
-            if theirs is None:
-                os.kill(pid, signal.SIGKILL)
-            if os.waitpid(pid, 0)[1]:
-                theirs = None
+            try:
+                if theirs is None:
+                    os.kill(pid, signal.SIGKILL)
+                if os.waitpid(pid, 0)[1]:
+                    theirs = None
+            except BaseException:  # an interrupt in the wait: the child goes all the same
+                with suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(ChildProcessError):  # reaped before the interrupt
+                    os.waitpid(pid, 0)
+                raise
     return mine, theirs
 
 
@@ -429,9 +438,14 @@ def output_file(path):
     except OSError as exc:  # named as open(path) names it
         raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
-        if st is not None:
-            os.chmod(new, stat.S_IMODE(st.st_mode))
-        with open(fd, "w", encoding="utf-8", newline="\n") as f:
+        try:
+            if st is not None:
+                os.chmod(new, stat.S_IMODE(st.st_mode))
+            f = open(fd, "w", encoding="utf-8", newline="\n")
+        except BaseException:  # fd is not yet the file's to close
+            os.close(fd)
+            raise
+        with f:
             yield f
         os.replace(new, target)
     except BaseException:

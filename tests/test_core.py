@@ -31,7 +31,8 @@ from tdsvkit import (
     score_all,
     split_scores,
 )
-from tdsvkit.core import check_text, check_token, check_unique, normalize_rows
+from tdsvkit import core
+from tdsvkit.core import IdColumn, check_text, check_token, check_unique, normalize_rows
 from tdsvkit.errors import TdsvError
 from tdsvkit.tsvio import parse_scores, write_scores
 
@@ -247,7 +248,7 @@ class TestTrialTypes:
 
 
 class TestColumnsEquality:
-    """== on the column tables compares id lists and arrays, dtype included,
+    """== on the column tables compares id columns and arrays, dtype included,
     and never asks an array for its truth value."""
 
     @staticmethod
@@ -333,12 +334,61 @@ class TestEmbeddingTable:
         assert table != TrialColumns(["a", "b"], ["m", "m"], ["u", "u"], [0, 0])
 
 
+class TestIdColumn:
+    """The id columns of TrialColumns and ScoreColumns: one buffer, read as
+    a list of str."""
+
+    def test_sequence_of_str(self):
+        ids = ["t1", "é", "a\x00", "t1"]
+        column = IdColumn(ids)
+        assert column.buffer == "\nt1\né\na\x00\nt1".encode()
+        assert len(column) == 4 and column.tolist() == ids and list(column) == ids
+        assert (column[0], column[-1], column[np.int64(1)]) == ("t1", "t1", "é")
+        assert "é" in column and column.index("t1") == 0 and column.count("t1") == 2
+        assert repr(column) == f"IdColumn({ids!r})"
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                column[index]
+        empty = IdColumn()
+        assert (len(empty), empty.tolist(), empty.buffer) == (0, [], b"")
+
+    def test_equality(self):
+        column = IdColumn(["a", "b"])
+        assert column == IdColumn(("a", "b")) == ["a", "b"] and not column != ["a", "b"]
+        assert column != IdColumn(["a", "c"]) and column != ["a"] and column != ("a", "b")
+        assert IdColumn.from_buffer(b"\na\nb") == column
+        with pytest.raises(TypeError):
+            hash(column)
+
+    def test_tables_hold_id_columns(self):
+        trials = TrialColumns(["t1", "t2"], ["m", "m"], ["u1", "u2"], [0, 1])
+        scores = ScoreColumns(trials.trial_ids, [0.5, 0.5], [True, True], [0.0, 0.0])
+        for column in (trials.trial_ids, trials.model_ids, trials.test_ids, scores.trial_ids):
+            assert type(column) is IdColumn
+        assert scores.trial_ids is trials.trial_ids and trials.model_ids == ["m", "m"]
+        table = EmbeddingTable(IdColumn(["a", "b"]), np.ones((2, 2)))
+        assert type(table.ids) is list and table.rows == {"a": 0, "b": 1}
+
+    def test_buffer_must_start_at_a_separator(self):
+        for buffer in (b"a", b"a\nb"):
+            with pytest.raises(ValueError, match="^an id column buffer must start with a newline$"):
+                IdColumn.from_buffer(buffer)
+
+
 class TestCheckUnique:
     def test_names_the_first_repeat(self):
         check_unique([], "id")
         check_unique(["a", "b"], "id")
         with pytest.raises(DuplicateId, match="^duplicate trial id 'b'$"):
             check_unique(["a", "b", "c", "b", "a"], "trial id")
+
+    def test_id_column(self, monkeypatch):
+        monkeypatch.setattr(core, "_HASHED_IDS", 2)  # the hash decides a column of two ids or more
+        check_unique(IdColumn(["a", "b"]), "id")
+        for ids in (["ab", "cd", "ab"], ["a", "bc", "bc"], ["u\x00", "u\x00"]):
+            with pytest.raises(DuplicateId, match=f"^duplicate trial id '{ids[-1]}'$"):
+                check_unique(IdColumn(ids), "trial id")
+        check_unique(IdColumn(["u\x00", "u\x00\x00", "u"]), "id")  # NULs are bytes of the id
 
 
 class TestKeyedRecords:

@@ -9,10 +9,12 @@ and in TestScoreFilesAndTrialLists on a score file and a trial list that
 them; a test of embedding files alone does not take it."""
 
 import errno
+import gc
 import inspect
 import io
 import os
 import shutil
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields
@@ -421,11 +423,37 @@ def _wrong_key_line(arrays):
         arrays[name] = np.frombuffer(b"\n".join([b"0" * len(key), ids]), np.uint8)
 
 
+def _bad_first_id(end):
+    """A forge that makes the first id of the first id column end in end in
+    place of its last byte: the same number of ids, one that no parse gives."""
+
+    def forge(arrays):
+        name = _id_columns(arrays)[0]
+        key, first, *rest = arrays[name].tobytes().split(b"\n")
+        arrays[name] = np.frombuffer(b"\n".join([key, first[:-1] + end, *rest]), np.uint8)
+
+    forge.__name__ = f"_first_id_ending_in_{end!r}"
+    return forge
+
+
+# A tab, a \r, a byte that is not UTF-8 and the UTF-8 form of a surrogate.
+_BAD_IDS = tuple(map(_bad_first_id, [b"\t", b"\r", b"\xff", b"\xed\xa0\x80"]))
+
+
+def _empty_id(arrays):
+    name = _id_columns(arrays)[0]
+    key, _, *rest = arrays[name].tobytes().split(b"\n")
+    arrays[name] = np.frombuffer(b"\n".join([key, b"", *rest]), np.uint8)
+
+
 # A trial list may repeat a trial id, so its table takes a duplicate.
 _FORGED = {
-    "embeddings": (_duplicate_id, _wrong_key_line),
-    "scores": (_float32_score, _two_dimensional_passed, _duplicate_id, _wrong_key_line),
-    "trials": (_int64_labels, _label_code_out_of_range, _wrong_key_line),
+    "embeddings": (_duplicate_id, _wrong_key_line, _empty_id, *_BAD_IDS),
+    "scores": (
+        _float32_score, _two_dimensional_passed, _duplicate_id, _wrong_key_line, _empty_id,
+        *_BAD_IDS,
+    ),
+    "trials": (_int64_labels, _label_code_out_of_range, _wrong_key_line, _empty_id, *_BAD_IDS),
 }
 
 
@@ -565,6 +593,24 @@ def test_pruning_keeps_the_newest_within_the_budget(case, cache, tmp_path, monke
     monkeypatch.setattr(embcache, "BUDGET_BYTES", 1000)
     case.load()
     assert list(cache.iterdir()) == [new]
+
+
+def test_hit_makes_no_object_per_id(labeled, cache):
+    """A warm load of a score file and a trial list allocates a few objects
+    per column, not one str per id: the blocks the tables hold stay below
+    a tenth of their rows."""
+    paths = labeled / "scores.tsv", labeled / "trials.tsv"
+    rows = len(paths[0].read_bytes().splitlines())
+    assert min(map(os.path.getsize, paths)) >= tsvio._SPLIT_BYTES
+    embcache.load_scores(paths[0]), embcache.load_trials(paths[1])  # the misses that store them
+    gc.collect()
+    before = sys.getallocatedblocks()
+    tables = embcache.load_scores(paths[0]), embcache.load_trials(paths[1])
+    gc.collect()
+    held = sys.getallocatedblocks() - before
+    assert held < rows / 10, held
+    assert [len(table) for table in tables] == [rows, rows]
+    assert tables[0].trial_ids == tables[1].trial_ids
 
 
 def test_same_bytes_have_a_key_per_kind(case):

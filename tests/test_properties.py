@@ -17,7 +17,9 @@ bits against every block size and every matrix that holds a row. The
 embedding reader and writer are checked a second time with every file split
 between two processes. Every writer is checked against its reader: a record
 holding what its file format cannot is refused when it is built, and every
-other reads back equal.
+other reads back equal. The id column, core.IdColumn, is checked against
+check_token and check_unique on lists of hostile ids, and against the
+bytes a file or a cache entry may hold.
 """
 
 import io
@@ -80,6 +82,8 @@ from tdsvkit import (
 )
 from tdsvkit import core
 from tdsvkit.cli import _load_labeled_scores
+from tdsvkit.core import check_token, check_unique
+from tdsvkit.errors import DuplicateId
 from tdsvkit.metrics import ErrorRates
 from tdsvkit.tsvio import (
     parse_embeddings,
@@ -1423,3 +1427,103 @@ def test_batch_that_disagrees_with_numpy_falls_back_to_default_rng(monkeypatch):
     assert np.random.PCG64(7).state["state"] != {"state": state, "inc": inc}
     assert len({id(rng) for rng in list(synth._generators([7, 8, 9]))}) == 3
     assert made() == expected
+
+
+# Ids built of what check_token refuses (an empty id, a tab or line break, a
+# lone surrogate, a value not a str) and of what it takes but a careless
+# byte scan might not: NUL, U+0085, U+2028 and non-ASCII letters.
+_HOSTILE_IDS = st.one_of(
+    st.text("a\x00\x85\u2028\u00e9\t\n\r\ud800", max_size=3),
+    st.sampled_from([5, None, b"a"]),
+)
+# The UTF-8 forms of such ids, and bytes no UTF-8 text holds: a lone
+# continuation byte, 0xff, and the UTF-8-encoded surrogate U+D800.
+_HOSTILE_BYTES = st.lists(
+    st.sampled_from([b"a", b"\x00", b"\t", b"\n", b"\r", b"\xc2\x85", b"\xe2\x80\xa8",
+                     b"\xc3\xa9", b"\x80", b"\xff", b"\xed\xa0\x80"]),
+    max_size=4,
+).map(b"".join)
+
+
+def _first_refusal(ids, what):
+    """The message of check_token's error for the first of ids it refuses,
+    or None."""
+    try:
+        for value in ids:
+            check_token(value, what)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _same_ids(column, ids):
+    assert len(column) == len(ids) and column.tolist() == ids and list(column) == ids
+    assert column == ids and [column[i] for i in range(-len(ids), len(ids))] == ids * 2
+    assert core.IdColumn.from_buffer(column.buffer) == column
+
+
+@settings(max_examples=400, deadline=None)
+@given(ids=st.lists(_HOSTILE_IDS, max_size=5), what=st.sampled_from(["trial_id", "id"]))
+def test_id_column_refuses_what_check_token_refuses(ids, what):
+    expected = _first_refusal(ids, what)
+    try:
+        column = core.IdColumn(ids, what)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        _same_ids(column, ids)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ids=st.lists(_HOSTILE_BYTES, max_size=5), start=st.sampled_from([b"", b"x"]))
+def test_id_column_from_bytes_refuses_what_check_token_refuses(ids, start):
+    # the bytes of a cache entry's id column after its key: each id after a
+    # newline, read as a file's id field is, bad bytes as lone surrogates
+    buffer = start + b"".join(b"\n" + i for i in ids)
+    decoded = buffer.decode("utf-8", "surrogateescape").split("\n")
+    expected = _first_refusal(decoded[1:], "id")
+    if decoded[0]:
+        expected = "an id column buffer must start with a newline"
+    try:
+        column = core.IdColumn.from_buffer(buffer)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        _same_ids(column, decoded[1:])
+
+
+# Ids of one length or several, ASCII or not, that differ in NUL bytes: the
+# hash of equal-width ids, and the set of ids of several widths.
+_DISTINCT_CASES = st.one_of(
+    st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.text("a\x00", min_size=width, max_size=width), max_size=12)
+    ),
+    st.lists(st.text("a\x00\u00e9", min_size=1, max_size=3), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=_DISTINCT_CASES, collide=st.booleans())
+def test_id_column_uniqueness_is_check_unique(ids, collide):
+    column = core.IdColumn(ids)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(core, "_HASHED_IDS", 2)  # the hash decides a column of two ids or more
+        if collide:  # every hash alike: the set decides
+            m.setattr(core, "_row_hashes", lambda rows: np.zeros(len(rows), np.uint64))
+        assert column.distinct() == (len(set(ids)) == len(ids))
+        try:
+            check_unique(ids, "trial id")
+        except DuplicateId as exc:
+            expected = str(exc)
+        else:
+            expected = None
+        for given_ids in (ids, column):
+            try:
+                zeros = np.zeros(len(ids))
+                ScoreColumns(given_ids, zeros, np.ones(len(ids), bool), zeros)
+            except DuplicateId as exc:
+                assert str(exc) == expected
+            else:
+                assert expected is None

@@ -912,6 +912,37 @@ class TestOutputFile:
             assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert got == [(tmp_path / "plain.tsv").read_bytes()]
 
+    @pytest.mark.parametrize("fails", ["chmod", "open"])
+    def test_descriptor_is_closed_when_the_file_cannot_be_opened(
+        self, tmp_path, monkeypatch, fails
+    ):
+        # the new file's descriptor is closed and the file unlinked when
+        # giving it the path's mode, or opening it as text, raises
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"old\n")
+        fds, real_open = [], os.open
+
+        def os_open(*args, **kwargs):
+            fds.append(real_open(*args, **kwargs))
+            return fds[-1]
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(tsvio.os, "open", os_open)
+        if fails == "chmod":
+            monkeypatch.setattr(tsvio.os, "chmod", refuse)
+        else:
+            monkeypatch.setattr(tsvio, "open", refuse, raising=False)
+        with pytest.raises(OSError, match="Input/output error"):
+            with tsvio.output_file(path) as f:
+                f.write("new\n")
+        assert len(fds) == 1
+        with pytest.raises(OSError) as exc:
+            os.fstat(fds[0])
+        assert exc.value.errno == errno.EBADF
+        assert os.listdir(tmp_path) == ["f.tsv"] and path.read_bytes() == b"old\n"
+
     def test_process_whose_stdout_is_closed(self, tmp_path):
         # with no descriptor 1 to compare the path with (a job run as
         # `cmd >&-`), the path is written by temporary file and replace
@@ -1227,6 +1258,39 @@ class TestSplitFiles:
             parse_embeddings(path)
         assert time.monotonic() - start < 30
         _no_child_left()
+
+    def test_interrupt_in_the_wait_for_the_child(self, path, monkeypatch):
+        # an interrupt in the parent's wait kills and reaps the child, and
+        # closes both pipe ends, before it is raised
+        real_pipe, real_fork, real_wait = os.pipe, os.fork, os.waitpid
+        ends, children, waits = [], [], []
+
+        def pipe():
+            ends.extend(real_pipe())
+            return tuple(ends[-2:])
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        def waitpid(pid, options):
+            waits.append(pid)
+            if len(waits) == 1:
+                raise KeyboardInterrupt
+            return real_wait(pid, options)
+
+        monkeypatch.setattr(tsvio.os, "pipe", pipe)
+        monkeypatch.setattr(tsvio.os, "fork", fork)
+        monkeypatch.setattr(tsvio.os, "waitpid", waitpid)
+        with pytest.raises(KeyboardInterrupt):
+            parse_embeddings(path)
+        monkeypatch.undo()
+        assert len(children) == 1 and waits == children * 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(children[0], os.WNOHANG)
+        assert (len(ends), [end for end in ends if _is_open(end)]) == (2, [])
 
     def test_dim_too_large_for_its_rows(self, tmp_path, monkeypatch):
         # no mapping is asked for rows that a dim of 10**11 leaves no room
