@@ -46,10 +46,6 @@ _DOT_BLOCK = 1 << 13
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 _LF = ord("\n")
-# The fewest ids IdColumn.distinct hashes. Below this a set of the ids is
-# as fast, and a run loads no numpy sort code: about 0.3 MB less peak RSS
-# for score's 3,000 trials.
-_HASHED_IDS = 1 << 12
 # The multiplier of IdColumn's row hash: odd, so each step is a bijection.
 _MIX = np.uint64(0xFF51AFD7ED558CCD)
 
@@ -230,13 +226,13 @@ class IdColumn(Sequence):
         return self._buffer.decode().split("\n")[1:]
 
     def distinct(self) -> bool:
-        """Whether no id repeats. A column of _HASHED_IDS or more ids of one
-        length is decided by one sort of a 64-bit hash of each id's row of
-        bytes (its "\\n" included): ids whose hashes all differ are
-        distinct. Any other column, or a hash that repeats, is decided by a
-        set of the ids' bytes."""
+        """Whether no id repeats. A column of ids of one length is decided
+        by one sort of a 64-bit hash of each id's row of bytes (its "\\n"
+        included): ids whose hashes all differ are distinct. Any other
+        column, or a hash that repeats, is decided by a set of the ids'
+        bytes."""
         n, buffer = self._n, self._buffer
-        if n >= _HASHED_IDS:
+        if n > 1:
             width, rest = divmod(len(buffer), n)
             bytes_ = np.frombuffer(buffer, np.uint8)
             if not rest and (bytes_[::width] == _LF).all():  # one width
@@ -346,8 +342,9 @@ class TrialColumns:
 class EmbeddingTable:
     """One embedding space: row i of the C-contiguous float64 (N, D) matrix
     is the vector of ids[i]; rows maps each id to its row index, and len()
-    is N. ids is a list (an IdColumn, as a cache hit gives, is made one).
-    An id that check_token rejects raises ValueError, an id listed
+    is N. ids is a list; an IdColumn, as a cache hit gives, is made one,
+    its ids already checked by its own scans. An id that check_token
+    rejects raises ValueError, an id listed
     twice DuplicateId, a matrix that is not 2-D with D >= 1 and one row per
     id DimensionMismatch, and a value that is not finite DegenerateVector."""
 
@@ -356,12 +353,14 @@ class EmbeddingTable:
     rows: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.ids, IdColumn):
+        checked = isinstance(self.ids, IdColumn)
+        if checked:
             object.__setattr__(self, "ids", self.ids.tolist())
         matrix = as_matrix(self.matrix)
         if len(self.ids) != len(matrix):
             raise DimensionMismatch(f"{len(self.ids)} embedding ids for {len(matrix)} rows")
-        check_tokens(self.ids, "embedding id")
+        if not checked:
+            check_tokens(self.ids, "embedding id")
         check_unique(self.ids, "embedding id")
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
@@ -408,8 +407,10 @@ class ScoreColumns:
     check_token rejects, a passed column that is not bool, or a score or
     CER that is not finite raise ValueError, and a trial id listed twice
     DuplicateId. trial_ids is an IdColumn, built from the list of str (or
-    the IdColumn) it is given. A value column is kept as np.asarray gives
-    it: an array as given, never converted, and a list as an array."""
+    the IdColumn) it is given. Uniqueness is tested on what was given: a
+    list by a set of the str it holds, a column (a cache hit) by
+    IdColumn.distinct. A value column is kept as np.asarray gives it: an
+    array as given, never converted, and a list as an array."""
 
     trial_ids: IdColumn
     score: np.ndarray  # float64
@@ -421,13 +422,14 @@ class ScoreColumns:
             object.__setattr__(self, what, np.asarray(getattr(self, what)))
         if {len(self.score), len(self.passed), len(self.cer)} != {len(self.trial_ids)}:
             raise ValueError("score columns differ in length")
-        object.__setattr__(self, "trial_ids", _id_column(self.trial_ids, "trial_id"))
+        given = self.trial_ids
+        object.__setattr__(self, "trial_ids", _id_column(given, "trial_id"))
         if self.passed.dtype != bool:
             raise ValueError("the passed column must be bool")
         for what in ("score", "cer"):
             if not np.isfinite(getattr(self, what)).all():
                 raise ValueError(f"{what} column holds NaN or infinite values")
-        check_unique(self.trial_ids, "trial id")
+        check_unique(given, "trial id")
 
     def __len__(self) -> int:
         return len(self.trial_ids)

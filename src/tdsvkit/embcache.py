@@ -27,13 +27,14 @@ the UTF-8 bytes of the entry's key and then the ids, each after a newline:
 the key, then the buffer of the column as a core.IdColumn (a numpy string
 array would drop an id's trailing NULs). A hit checks the key and builds
 the IdColumn straight from the bytes after it, with no str per id; a few
-scans of those bytes, and for a score file one sort, check them again. A
-trial list or score file keeps that column; an embedding space makes it a
-list. A value column is the array the parse gives, of the kind's dtype and
-ndim. An entry that is missing, corrupt, written for
-another key or of another form (another field, dtype or ndim) is a miss,
-and a failed write leaves the cache as it was, as every write through
-tsvio.output_file does: neither changes an output byte. A miss stores its
+scans of those bytes, and for a score file IdColumn.distinct, check them
+again. A trial list or score file keeps that column; an embedding space
+makes it a list, its ids already checked by those scans. A value column
+is the array the parse gives, of the kind's dtype and ndim. An entry that
+is missing, corrupt, written for another key or of another form (another
+field, dtype or ndim) is a miss, and a failed write leaves the cache as
+it was, as every write through tsvio.output_file does: neither changes an
+output byte. A miss stores its
 table only when the file hashes to the key again after the parse, so an
 entry is never the parse of other bytes than its key's. A file that fails
 to parse is never stored, so its diagnostic is the parser's. After each

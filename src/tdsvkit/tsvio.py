@@ -441,12 +441,10 @@ def output_file(path):
         try:
             if st is not None:
                 os.chmod(new, stat.S_IMODE(st.st_mode))
-            f = open(fd, "w", encoding="utf-8", newline="\n")
-        except BaseException:  # fd is not yet the file's to close
-            os.close(fd)
-            raise
-        with f:
-            yield f
+            with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as f:
+                yield f
+        finally:
+            os.close(fd)  # here alone: the file leaves fd open, also when open fails
         os.replace(new, target)
     except BaseException:
         os.unlink(new)

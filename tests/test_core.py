@@ -369,6 +369,21 @@ class TestIdColumn:
         table = EmbeddingTable(IdColumn(["a", "b"]), np.ones((2, 2)))
         assert type(table.ids) is list and table.rows == {"a": 0, "b": 1}
 
+    def test_tables_check_ids_once(self, monkeypatch):
+        # a column's ids were checked when it was built: an embedding space
+        # does not check them again, and a score set given a list tests its
+        # uniqueness on that list's str
+        def unexpected(*args):
+            raise AssertionError("checked again")
+
+        column = IdColumn(["a", "b"])
+        monkeypatch.setattr(core, "check_tokens", unexpected)
+        EmbeddingTable(column, np.ones((2, 2)))
+        monkeypatch.setattr(IdColumn, "distinct", unexpected)
+        ScoreColumns(["a", "b"], [0.5, 0.5], [True, True], [0.0, 0.0])
+        with pytest.raises(AssertionError, match="^checked again$"):
+            ScoreColumns(column, [0.5, 0.5], [True, True], [0.0, 0.0])
+
     def test_buffer_must_start_at_a_separator(self):
         for buffer in (b"a", b"a\nb"):
             with pytest.raises(ValueError, match="^an id column buffer must start with a newline$"):
@@ -382,13 +397,20 @@ class TestCheckUnique:
         with pytest.raises(DuplicateId, match="^duplicate trial id 'b'$"):
             check_unique(["a", "b", "c", "b", "a"], "trial id")
 
-    def test_id_column(self, monkeypatch):
-        monkeypatch.setattr(core, "_HASHED_IDS", 2)  # the hash decides a column of two ids or more
+    def test_id_column(self):
         check_unique(IdColumn(["a", "b"]), "id")
         for ids in (["ab", "cd", "ab"], ["a", "bc", "bc"], ["u\x00", "u\x00"]):
             with pytest.raises(DuplicateId, match=f"^duplicate trial id '{ids[-1]}'$"):
                 check_unique(IdColumn(ids), "trial id")
         check_unique(IdColumn(["u\x00", "u\x00\x00", "u"]), "id")  # NULs are bytes of the id
+
+    def test_ids_of_several_lengths(self, monkeypatch):
+        # no hash decides: a set of the ids' bytes does, at any size
+        monkeypatch.setattr(core, "_row_hashes", None)
+        ids = [f"t{i}" for i in range(20_000)]
+        check_unique(IdColumn(ids), "trial id")
+        with pytest.raises(DuplicateId, match="^duplicate trial id 't123'$"):
+            check_unique(IdColumn(ids + ["t123"]), "trial id")
 
 
 class TestKeyedRecords:

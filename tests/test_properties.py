@@ -1509,7 +1509,6 @@ _DISTINCT_CASES = st.one_of(
 def test_id_column_uniqueness_is_check_unique(ids, collide):
     column = core.IdColumn(ids)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(core, "_HASHED_IDS", 2)  # the hash decides a column of two ids or more
         if collide:  # every hash alike: the set decides
             m.setattr(core, "_row_hashes", lambda rows: np.zeros(len(rows), np.uint64))
         assert column.distinct() == (len(set(ids)) == len(ids))

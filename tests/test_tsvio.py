@@ -912,12 +912,14 @@ class TestOutputFile:
             assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert got == [(tmp_path / "plain.tsv").read_bytes()]
 
-    @pytest.mark.parametrize("fails", ["chmod", "open"])
+    @pytest.mark.parametrize("fails", ["chmod", "open", "open after wrapping"])
     def test_descriptor_is_closed_when_the_file_cannot_be_opened(
         self, tmp_path, monkeypatch, fails
     ):
-        # the new file's descriptor is closed and the file unlinked when
-        # giving it the path's mode, or opening it as text, raises
+        # the new file's descriptor is closed once, and the file unlinked,
+        # when giving it the path's mode or opening it as text raises, also
+        # when open fails after wrapping it (open then closes what it made);
+        # the error raised is open's own
         path = tmp_path / "f.tsv"
         path.write_bytes(b"old\n")
         fds, real_open = [], os.open
@@ -927,6 +929,8 @@ class TestOutputFile:
             return fds[-1]
 
         def refuse(*args, **kwargs):
+            if fails == "open after wrapping":
+                open(*args, **kwargs).close()
             raise OSError(errno.EIO, os.strerror(errno.EIO))
 
         monkeypatch.setattr(tsvio.os, "open", os_open)
@@ -934,9 +938,10 @@ class TestOutputFile:
             monkeypatch.setattr(tsvio.os, "chmod", refuse)
         else:
             monkeypatch.setattr(tsvio, "open", refuse, raising=False)
-        with pytest.raises(OSError, match="Input/output error"):
+        with pytest.raises(OSError, match="Input/output error") as raised:
             with tsvio.output_file(path) as f:
                 f.write("new\n")
+        assert raised.value.errno == errno.EIO and raised.value.__context__ is None
         assert len(fds) == 1
         with pytest.raises(OSError) as exc:
             os.fstat(fds[0])
