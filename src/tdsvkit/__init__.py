@@ -39,8 +39,8 @@ _EXPORTS = {
     ),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
-# Every submodule, with the four that export no public name.
-_SUBMODULES = {*_EXPORTS, "tsvio", "cli", "embcache", "fmt17"}
+# Every submodule, with the five that export no public name.
+_SUBMODULES = {*_EXPORTS, "tsvio", "cli", "embcache", "fmt17", "fmt6"}
 
 __all__ = [*_HOMES, "__version__"]
 

@@ -8,11 +8,15 @@ and raise a per-line diagnostic (path:line: detail) on any malformed input
 instead of crashing, bytes that are not UTF-8 included. Every reader splits
 lines as text mode does, at \\n, \\r\\n or a lone \\r, as _pieces does. Writers
 emit deterministic bytes for identical inputs ("\\n" endings on every
-platform). Each table's rows but an embedding space's are formatted by one
-% (_write_rows), every id an argument, so a '%' in an id stays literal. An
-embedding space's values are formatted in blocks by fmt17.format_rows,
-which gives the bytes of "%.17g": exactly, by numpy arithmetic, for every
-value x with 1e-4 <= |x| < 1, and by Python's "%.17g" for the rest.
+platform). Each table's rows but an embedding space's and a DET file's are
+formatted by one % (_write_rows), every id an argument, so a '%' in an id
+stays literal. An embedding space's values are formatted in blocks by
+fmt17.format_rows, which gives the bytes of "%.17g": exactly, by numpy
+arithmetic, for every value x with 1e-4 <= |x| < 1, and by Python's
+"%.17g" for the rest. A DET file's points are formatted by
+fmt6.format_columns, which gives the bytes of "%.6f" by numpy arithmetic
+when every value is a float64 that rounds below 1000 (|x| < 999.9999995);
+any other DET table is formatted by one % whole.
 The record types check their values when they are built (core.check_token,
 core.check_text). A phrase, transcript or enrollmap record holds no id: it
 is read and written as id -> record. A writer checks only what no one
@@ -711,9 +715,30 @@ def write_scores(records: ScoreColumns, path) -> None:
 
 def write_det(points, path) -> None:
     """Write DET operating points (metrics.ErrorRates) under a
-    `#p_miss\\tp_fa\\tthreshold` header."""
-    rows = zip(points.p_miss.tolist(), points.p_fa.tolist(), points.threshold.tolist())
-    _write_rows(path, "%.6f\t%.6f\t%.6f\n", rows, "#p_miss\tp_fa\tthreshold\n")
+    `#p_miss\\tp_fa\\tthreshold` header: p_miss, p_fa and threshold at 6
+    decimals, as many rows as the shortest column has values.
+
+    fmt6.format_columns gives the rows the bytes of "%.6f" by numpy
+    arithmetic when all three columns are float64 and every value rounds
+    to at most three digits before the point (|x| < 999.9999995): p_miss
+    and p_fa always do, and the thresholds of metrics.sweep do for every
+    score within +-998. Any other table (a NaN, an infinity, a larger
+    value, an int or bool column) is written whole by one % (_write_rows),
+    so the bytes are the same either way."""
+    from .fmt6 import format_columns  # here, as no other command writes a DET file
+
+    head = "#p_miss\tp_fa\tthreshold\n"
+    columns = (points.p_miss, points.p_fa, points.threshold)
+    text = None
+    if all(column.dtype == np.float64 for column in columns):
+        n = min(map(len, columns))
+        text = format_columns([column[:n] for column in columns])
+    if text is None:
+        _write_rows(path, "%.6f\t%.6f\t%.6f\n", zip(*(c.tolist() for c in columns)), head)
+        return
+    with output_file(path) as f:
+        f.write(head)
+        f.write(text)
 
 
 def write_dataset(ds, out_dir) -> dict:

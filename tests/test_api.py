@@ -150,15 +150,17 @@ def test_score_path_loads_no_openssl(tmp_path, monkeypatch):
         assert len(os.listdir(tmp_path / "cache" / "tdsvkit")) == 1, run
 
 
-def test_readers_do_not_load_the_formatter():
-    # the "%.17g" kernel is imported by write_embeddings alone
-    assert "fmt17" in tdsvkit._SUBMODULES
+def test_readers_load_no_formatter():
+    # the "%.17g" kernel is imported by write_embeddings alone, the "%.6f"
+    # kernel by write_det alone
+    assert {"fmt17", "fmt6"} <= tdsvkit._SUBMODULES
     for statement in ("import tdsvkit.cli", "import tdsvkit.tsvio"):
         loaded = _loaded_after(statement)
-        assert statement.split()[1] in loaded and "tdsvkit.fmt17" not in loaded
+        assert statement.split()[1] in loaded
+        assert "tdsvkit.fmt17" not in loaded and "tdsvkit.fmt6" not in loaded
 
 
-def test_only_simulate_loads_the_formatter(tmp_path, monkeypatch):
+def test_only_simulate_and_det_load_a_formatter(tmp_path, monkeypatch):
     data = tmp_path / "data"
     simulate = ["simulate", "--n-speakers", "80", "--space", "a:256:0.5", "--out", str(data)]
     scores, det = tmp_path / "scores.tsv", tmp_path / "det.tsv"
@@ -175,6 +177,7 @@ def test_only_simulate_loads_the_formatter(tmp_path, monkeypatch):
     for run, argv in runs.items():
         loaded = _loaded_after(f"from tdsvkit.cli import main; assert main({argv!r}) == 0")
         assert ("tdsvkit.fmt17" in loaded) == (run == "simulate"), run
+        assert ("tdsvkit.fmt6" in loaded) == (run == "det"), run
     assert os.path.getsize(data / "embeddings_a.tsv") >= tsvio._SPLIT_BYTES
     assert len(os.listdir(tmp_path / "cache" / "tdsvkit")) == 1
 

@@ -22,6 +22,7 @@ from oracles import (
     parse_embeddings_ref,
     trial_rows,
     trial_table,
+    write_det_ref,
     write_embeddings_ref,
 )
 from tdsvkit import (
@@ -51,7 +52,7 @@ from tdsvkit import (
     tsvio,
 )
 from tdsvkit.core import check_token
-from tdsvkit.metrics import ErrorRates
+from tdsvkit.metrics import ErrorRates, det_points, sweep
 from tdsvkit.tsvio import (
     parse_embeddings,
     parse_enrollmap,
@@ -740,6 +741,82 @@ class TestDetFormat:
         path = tmp_path / "d.tsv"
         write_det(ErrorRates(np.empty(0), np.empty(0), np.empty(0)), path)
         assert path.read_text(encoding="utf-8") == "#p_miss\tp_fa\tthreshold\n"
+
+    @staticmethod
+    def written_by(monkeypatch, tmp_path, points):
+        """(the bytes write_det writes for points, whether it wrote them by
+        _write_rows), after checking them against write_det_ref's."""
+        calls = []
+
+        def rows(*args):
+            calls.append(args)
+            return write_rows(*args)
+
+        write_rows = tsvio._write_rows
+        monkeypatch.setattr(tsvio, "_write_rows", rows)
+        fast, ref = tmp_path / "fast.tsv", tmp_path / "ref.tsv"
+        write_det(points, fast)
+        write_det_ref(points, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+        return fast.read_bytes(), bool(calls)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [[0.5, np.nan], [0.25, 0.0], [0.0, 1.0]],
+            [[0.5, 0.0], [np.inf, 0.0], [0.0, 1.0]],
+            [[0.5, 0.0], [0.25, 0.0], [-1.0, -np.inf]],
+            [[0.5, 0.0], [0.25, 0.0], [-1.0, 1e300]],
+            [[0.5, 0.0], [0.25, 0.0], [-1.0, 999.9999996]],  # rounds to 1000.000000
+            [np.array([3, -7]), [0.25, 0.0], [-1.0, 2.0]],
+            [[0.5, 0.0], np.array([True, False]), [-1.0, 2.0]],
+            [np.array([0, 1]), np.array([1, 0]), np.array([False, True])],
+        ],
+    )
+    def test_points_out_of_the_kernel_range_are_written_by_one_percent(
+        self, tmp_path, monkeypatch, columns
+    ):
+        points = ErrorRates(*map(np.asarray, columns))
+        _, fallback = self.written_by(monkeypatch, tmp_path, points)
+        assert fallback
+
+    @pytest.mark.parametrize(
+        "lengths", [(0, 0, 0), (3, 5, 4), (5, 0, 2), (1, 1, 7), (9000, 8200, 8193)]
+    )
+    def test_unequal_and_empty_columns_write_the_shortest_length(
+        self, tmp_path, monkeypatch, lengths
+    ):
+        rng = np.random.default_rng(sum(lengths))
+        points = ErrorRates(*[rng.uniform(-2.0, 2.0, n) for n in lengths])
+        text, fallback = self.written_by(monkeypatch, tmp_path, points)
+        assert text.count(b"\n") == 1 + min(lengths)
+        assert not fallback
+
+    def test_seeded_sweep_points_match_the_row_by_row_writer(self, tmp_path, monkeypatch):
+        # scores at 6 decimals, as a score file holds them: every threshold
+        # between two of them is a tie candidate at the 7th decimal
+        rng = np.random.default_rng(40_000)
+        targets = np.round(rng.normal(0.4, 0.3, 20_000), 6)
+        nontargets = np.round(rng.normal(-0.2, 0.3, 60_000), 6)
+        points = det_points(sweep(targets, nontargets))
+        assert len(points) >= 40_000
+        text, fallback = self.written_by(monkeypatch, tmp_path, points)
+        assert text.count(b"\n") == 1 + len(points)
+        assert not fallback
+
+    def test_points_in_range_do_not_need_the_percent_writer(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_write_rows called")
+
+        monkeypatch.setattr(tsvio, "_write_rows", refuse)
+        points = ErrorRates(np.array([-2.0, 0.5, 999.5]), np.array([0.0, 0.5, 1.0]),
+                            np.array([1.0, 1 / 3, -0.0]))
+        path = tmp_path / "d.tsv"
+        write_det(points, path)
+        assert path.read_bytes() == (
+            b"#p_miss\tp_fa\tthreshold\n0.000000\t1.000000\t-2.000000\n"
+            b"0.500000\t0.333333\t0.500000\n1.000000\t-0.000000\t999.500000\n"
+        )
 
 
 class TestWriteDataset:
