@@ -133,7 +133,7 @@ def cmd_score(args) -> int:
     phrases = tsvio.parse_phrases(args.phrases)
     transcripts = tsvio.parse_transcripts(args.transcripts)
     # The mapping's order, that of --embeddings, is the fusion order.
-    tables = {name: load(path)[0] for name, path in spaces.items()}
+    tables = {name: load(path) for name, path in spaces.items()}
     run = score_all(trials, entries, tables, transcripts, phrases, gate_cfg, strict=args.strict)
     tsvio.write_scores(run.records, args.out)
     for trial_id, reason in run.skipped:

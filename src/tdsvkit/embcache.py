@@ -52,7 +52,7 @@ import stat
 import threading
 import zipfile
 from dataclasses import fields
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -116,12 +116,10 @@ def _cache_dir() -> str:
     return os.path.join(base, "tdsvkit")
 
 
-def load(path) -> Tuple[EmbeddingTable, int]:
-    """tsvio.parse_embeddings(path): the same table and dim, or the same
-    error, read from the cache when this code has parsed these bytes
-    before (_load)."""
-    table = _load(path, _EMBEDDINGS)
-    return table, table.matrix.shape[1]
+def load(path) -> EmbeddingTable:
+    """tsvio.parse_embeddings(path)[0], or its error, through the cache
+    (_load)."""
+    return _load(path, _EMBEDDINGS)
 
 
 def load_scores(path) -> ScoreColumns:
@@ -226,7 +224,7 @@ def _key(path, kind: _Kind) -> str:
     try:
         digest(0)
     finally:
-        second.join()  # before any fork: the parse forks on a miss
+        second.join()  # also on an interrupt: no thread outlives the call
     if None in digests:
         raise OSError(f"cannot read {path}")
     tag = kind.table.__name__.encode() + b"\n"

@@ -24,16 +24,13 @@ record can, those keys (core.check_tokens), and leaves an existing file as
 it was if one is refused. So every file written here reads back as what
 was written. Every writer writes through output_file, so a write that
 fails partway leaves its path as it was too.
-One row loop reads every embedding file: in two parts, one per process, if
-it is _SPLIT_BYTES or more and the host can fork onto a second CPU, and
-otherwise in one; an input that is not a regular file (a pipe) is read as
-a temporary copy. Each part numbers its lines and bytes from its place in
-the file, so the part that meets a bad line names it; after a failed fork
-or child this process reads the second part itself.
-The writer splits such files too, with the bytes of one process, and
-writes the child's half itself where the fork or the child fails
-(_in_two_parts). The record types read and written here come from core
-and textgate, so reading a file loads no scoring code.
+One row loop reads every embedding file, in one part; an input that is not
+a regular file (a pipe) is read as a temporary copy. The writer splits a
+file of _SPLIT_BYTES or more in two, when the host can fork onto a second
+CPU, with the bytes of one process, and writes the child's half itself
+where the fork or the child fails (_in_two_parts). The record types read
+and written here come from core and textgate, so reading a file loads no
+scoring code.
 
 Formats:
     embeddings   #dim <D>            then  <id>\\t<v1> <v2> ... <vD>
@@ -45,7 +42,6 @@ Formats:
     det          #p_miss\\tp_fa\\tthreshold   then  rows at .6f
 """
 
-import marshal
 import math
 import os
 import re
@@ -85,10 +81,9 @@ from .textgate import Phrase, Transcript
 _HEADER_RE = re.compile(r"#dim (\d+)")
 # The largest dim of a float64 matrix numpy can allocate, even with no rows.
 _MAX_DIM = int(np.iinfo(np.intp).max) // 8
-# An embedding file of at least this many bytes is read and written in two
-# processes (see _splits). Forking a process of score's size and collecting
-# a part's ids takes about 4 ms on a 2-core host, the time to parse about
-# 0.12 MB of embedding text, so below 1 MiB the saving is not worth a fork.
+# An embedding file of at least this many bytes is written in two processes
+# (see _splits): a fork and the pipe back cost a few ms on a 2-core host,
+# which a smaller file does not win back. Every file is read in one.
 _SPLIT_BYTES = 1 << 20
 # The most bytes _pieces reads at once. A line longer than this, a row of
 # more than about 10,000 values, is read in several reads and joined.
@@ -202,9 +197,9 @@ def _declared_dim(path, header: str) -> int:
 
 
 def _splits(size: int) -> bool:
-    """Whether an embedding file of size bytes is read or written in two
-    processes: it is at least _SPLIT_BYTES long, this platform can fork, and
-    this process may run on two or more CPUs."""
+    """Whether an embedding file of size bytes is written in two processes:
+    it is at least _SPLIT_BYTES long, this platform can fork, and this
+    process may run on two or more CPUs."""
     if size < _SPLIT_BYTES or not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):
@@ -223,10 +218,11 @@ def _in_two_parts(first, second) -> tuple:
     child is gone.
 
     A forked child, not a spawned one: it shares this process's memory and
-    modules, where a spawned one would import numpy again: about 0.1 s, what
-    a split saves on an 11 MB file. It runs only second() and exits, taking
-    no lock that another thread of this process might hold, so the warning
-    of Python 3.12+ that a fork with threads (numpy's) may deadlock is ignored.
+    modules, where a spawned one would import numpy again: about 0.1 s, more
+    than half of what the split saves in writing score-embed's two spaces
+    (36 MB). It runs only second() and exits, taking no lock that another
+    thread of this process might hold, so the warning of Python 3.12+ that
+    a fork with threads (numpy's) may deadlock is ignored.
     """
     import gc  # here, as only a split needs them
     import signal
@@ -274,8 +270,8 @@ def _in_two_parts(first, second) -> tuple:
 def _regular_file(path):
     """path opened for reading bytes when it is a regular file; any other
     input (a pipe) copied once to a temporary file, which is yielded open
-    at its start, as a file that has a size, seeks and reopens by its name,
-    and removed on exit."""
+    at its start, as a file that has a size and reopens by its name (which
+    embcache hashes), and removed on exit."""
     with open(path, "rb") as f:
         if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             yield f
@@ -298,73 +294,29 @@ def parse_embeddings(path) -> Tuple[EmbeddingTable, int]:
 def _read_embeddings(path, f) -> Tuple[EmbeddingTable, int]:
     """parse_embeddings(path), read from f, the open regular file of path's
     bytes (_regular_file(path)), at its start; every diagnostic names path.
-
-    f is read up to its size at this call, into a matrix with _room for its
-    bytes: in one part, or, if it _splits, in two, split at the
-    first line start at or after its byte midpoint. The first part is read
-    here, into room for as many rows as it has lines, and the second in a
-    forked child (_in_two_parts), into the same shared matrix, which pipes
-    back only its ids; its rows are then moved down over the rows the first
-    part's blank lines left unused. Each part numbers its lines and bytes
-    from its place in the file, so the part that meets a bad line names it
-    as one pass over the file would. When the child's ids do not come back
-    (the fork failed, or the child did, as it does on a bad line) or repeat
-    an id of the first part, this process reads the second part itself,
-    the first part's ids taken. A file found to have grown or changed while
-    it was read raises OSError.
-    """
+    f is read in one pass up to its size at this call, into a matrix with
+    _room for its bytes. A file found to have grown or changed while it was
+    read raises OSError."""
     size = os.fstat(f.fileno()).st_size
     pieces = _pieces(f, size)
     header = next(pieces, b"")
     dim = _declared_dim(path, next(_lines(path, [header]))[1])
-    body = len(header)
-    if not _splits(size):
-        rows = np.empty((_room(size - body, dim), dim))
-        ids = list(_read_rows(path, _lines(path, pieces, 2, body), dim, rows))
-    else:
-        import mmap  # here, as only a split needs it
-
-        del pieces  # and the bytes it read past the header, which the parts read again
-        f.seek(max(size // 2, body) - 1)
-        mid = f.tell() + len(next(_pieces(f)))
-        mid = mid if mid < size else body
-        f.seek(body)
-        n_lines = sum(1 for _ in _pieces(f, mid - body))
-        n_head = min(n_lines, _room(mid - body, dim))
-        n = n_head + _room(size - mid, dim)
-        rows = np.ndarray((n, dim), buffer=mmap.mmap(-1, max(n * dim * 8, 1)))
-
-        def part(f, start, stop, line_no, out, taken=()):
-            f.seek(start)
-            lines = _lines(path, _pieces(f, stop - start), line_no, start)
-            return _read_rows(path, lines, dim, out, taken)
-
-        def second():
-            with open(f.name, "rb") as g:  # the child's own, as a seek of f would move both
-                return marshal.dumps(part(g, mid, size, 2 + n_lines, rows[n_head:]))
-
-        head, tail = _in_two_parts(lambda: part(f, body, mid, 2, rows[:n_head]), second)
-        tail = None if tail is None else marshal.loads(tail)
-        if tail is None or not head.keys().isdisjoint(tail):
-            tail = part(f, mid, size, 2 + n_lines, rows[len(head) :], head)
-        elif len(head) < n_head:  # numpy moves a 1-D view in place, a 2-D one by a copy
-            flat = rows.reshape(-1)
-            flat[len(head) * dim :][: len(tail) * dim] = flat[n_head * dim :][: len(tail) * dim]
-        ids = [*head, *tail]
+    rows = np.empty((_room(size - len(header), dim), dim))
+    ids = list(_read_rows(path, _lines(path, pieces, 2, len(header)), dim, rows))
     if os.fstat(f.fileno()).st_size > size:
         raise OSError(f"{path}: the file grew while it was read")
     return EmbeddingTable(ids, rows[: len(ids)]), dim
 
 
-def _read_rows(path, lines, dim: int, out, taken=()) -> dict:
+def _read_rows(path, lines, dim: int, out) -> dict:
     """The ids of the non-blank (line_no, line) pairs of lines, in order, as
     a dict's keys, each checked as a row of dim values and written to row i
-    of the matrix out. An id seen before, in lines or in taken, is a
-    DuplicateId. The id is checked first, then the values are parsed in one
-    call and checked as a whole; values that fail that check are parsed
-    again one by one, so the diagnostic names the line and column a
-    per-value parse would. A row past the end of out raises OSError: out
-    had room for the file as it was."""
+    of the matrix out. An id seen before is a DuplicateId. The id is checked
+    first, then the values are parsed in one call and checked as a whole;
+    values that fail that check are parsed again one by one, so the
+    diagnostic names the line and column a per-value parse would. A row
+    past the end of out raises OSError: out had room for the file as it
+    was."""
     ids = {}  # a dict keeps the order and finds a repeated id at once
     for n, line in lines:
         if not line:
@@ -374,7 +326,7 @@ def _read_rows(path, lines, dim: int, out, taken=()) -> dict:
             raise MalformedLine(path, n, "expected '<id>\\t<v1> <v2> ...'")
         if not utt_id:
             raise MalformedLine(path, n, "empty id field")
-        if utt_id in ids or utt_id in taken:
+        if utt_id in ids:
             raise DuplicateId(f"{path}:{n}: duplicate id '{utt_id}'")
         tokens = rest.split(" ")
         try:

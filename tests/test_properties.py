@@ -14,10 +14,10 @@ bounded pieces are checked against bytes.splitlines, and the generators that
 synth seeds in one batch against np.random.default_rng. The one dot product,
 core.row_dots, is checked against the concatenate-and-dot cosine, and its
 bits against every block size and every matrix that holds a row. The
-embedding reader and writer are checked a second time with every file split
-between two processes. Every writer is checked against its reader: a record
-holding what its file format cannot is refused when it is built, and every
-other reads back equal. The id column, core.IdColumn, is checked against
+embedding writer is checked a second time with every file split between two
+processes. Every writer is checked against its reader: a record holding
+what its file format cannot is refused when it is built, and every other
+reads back equal. The id column, core.IdColumn, is checked against
 check_token and check_unique on lists of hostile ids, and against the
 bytes a file or a cache entry may hold.
 """
@@ -101,9 +101,9 @@ from tdsvkit.tsvio import (
     write_trials,
 )
 
-# The split tests run every embedding file they read or write through the
-# two-process path, whatever its size; a host that cannot fork, or has one
-# CPU, has no such path.
+# The split test runs every embedding file it writes through the two-process
+# path, whatever its size; a host that cannot fork, or has one CPU, has no
+# such path.
 split_host = pytest.mark.skipif(
     not tsvio._splits(tsvio._SPLIT_BYTES), reason="no two-process path on this host"
 )
@@ -234,25 +234,6 @@ def embedding_files(draw, defect):
 )
 @given(data=st.data())
 def test_parse_embeddings_matches_value_by_value_parse(tmp_path, defect, data):
-    _check_parse_embeddings(tmp_path, defect, data)
-
-
-@split_host
-@pytest.mark.parametrize("defect", DEFECTS)
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_split_parse_embeddings_matches_value_by_value_parse(
-    tmp_path, monkeypatch, defect, data
-):
-    monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
-    _check_parse_embeddings(tmp_path, defect, data)
-
-
-def _check_parse_embeddings(tmp_path, defect, data):
     path = tmp_path / "e.tsv"
     path.write_text(data.draw(embedding_files(defect)), encoding="utf-8", newline="\n")
     expected = _outcome(parse_embeddings_ref, str(path))
@@ -274,7 +255,6 @@ def relaid_files(draw, defect):
     return text.rstrip("\r\n") if draw(st.booleans()) else text
 
 
-@pytest.mark.parametrize("split", [False, pytest.param(True, marks=split_host)])
 @pytest.mark.parametrize("defect", DEFECTS)
 @settings(
     max_examples=40,
@@ -282,11 +262,8 @@ def relaid_files(draw, defect):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_parse_embeddings_reads_any_line_layout(tmp_path, monkeypatch, split, defect, data):
-    # in two processes the child's part of every such layout is taken, so
-    # this process parses one part of a file it reads: the first
-    if split:
-        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+def test_parse_embeddings_reads_any_line_layout(tmp_path, monkeypatch, defect, data):
+    # every such layout is read by one pass of the row loop
     path = tmp_path / "e.tsv"
     path.write_text(data.draw(relaid_files(defect)), encoding="utf-8", newline="")
     expected = _outcome(parse_embeddings_ref, str(path))

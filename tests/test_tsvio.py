@@ -2,7 +2,6 @@
 
 import errno
 import io
-import mmap
 import os
 import signal
 import stat
@@ -47,6 +46,7 @@ from tdsvkit import (
     UNLABELED,
     TdsvError,
     UnparseableFloat,
+    fmt17,
     gen_dataset,
     score_all,
     tsvio,
@@ -217,16 +217,31 @@ class TestEmbeddingsFormat:
         assert (table.ids, table.matrix.shape, dim) == ([], (0, 10**11), 10**11)
         assert peak < 1 << 20
 
+    def test_dim_too_large_for_a_megabyte_of_rows(self, tmp_path):
+        # a file of 1 MiB or more whose rows cannot hold a dim of 10**11:
+        # the first row's DimMismatch, and no row of that dim (800 GB) is
+        # allocated, only the reads of the text
+        path = _write(tmp_path / "e.tsv", "#dim 100000000000\n" + "u\t1 0\n" * 200_000)
+        assert os.path.getsize(path) >= tsvio._SPLIT_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimMismatch) as exc:
+                parse_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"{path}:2: expected 100000000000 values, got 2"
+        assert peak < 1 << 24
+
     def test_file_rewritten_while_read(self, tmp_path, monkeypatch):
-        # the first of two parts has room for as many rows as it had lines
-        # when they were counted; more rows by the time it is parsed mean
-        # the file was rewritten meanwhile: an OSError, not an IndexError
-        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+        # the matrix has room for the rows the file's bytes could hold when
+        # its size was read; more rows by the time it is parsed mean the
+        # file was rewritten meanwhile: an OSError, not an IndexError
         path = _write(tmp_path / "e.tsv", "#dim 1\n" + "".join(f"u{i}\t1\n" for i in range(20)))
         real = tsvio._lines
 
         def rewritten(path, lines, n=1, offset=0):
-            if n == 2:  # the first part: each line now two rows
+            if n == 2:  # the rows: each line now two
                 lines = (row for line in lines for row in (line, b"x" + line))
             return real(path, lines, n, offset)
 
@@ -234,13 +249,11 @@ class TestEmbeddingsFormat:
         with pytest.raises(OSError) as exc:
             parse_embeddings(path)
         assert str(exc.value) == f"{path}: the file changed while it was read"
-        _no_child_left()
 
     def test_file_that_grows_while_read(self, tmp_path, monkeypatch):
         # rows appended after the size was read fail as an OSError, not an
         # IndexError from a matrix with room for the rows of that size, nor
-        # a table of the rows up to it: in one part and, where the host
-        # splits, in two
+        # a table of the rows up to it
         real = tsvio._lines
 
         def growing(path, f, *args):
@@ -251,12 +264,9 @@ class TestEmbeddingsFormat:
                         out.write("".join(f"v{i}\t1\n" for i in range(100)))
 
         monkeypatch.setattr(tsvio, "_lines", growing)
-        for split_bytes in (tsvio._SPLIT_BYTES, 0):
-            monkeypatch.setattr(tsvio, "_SPLIT_BYTES", split_bytes)
-            path = _write(tmp_path / "e.tsv", "#dim 1\nu1\t1\nu2\t1\n")
-            with pytest.raises(OSError, match="grew while it was read"):
-                parse_embeddings(path)
-        _no_child_left()
+        path = _write(tmp_path / "e.tsv", "#dim 1\nu1\t1\nu2\t1\n")
+        with pytest.raises(OSError, match="grew while it was read"):
+            parse_embeddings(path)
 
     # Layouts text mode reads as the plain file, each read in one pass.
     LAYOUTS = {
@@ -286,11 +296,10 @@ class TestEmbeddingsFormat:
     @pytest.mark.parametrize(
         "text", ["#dim 2\nu1\t1\r2\n", "#dim 2\ru1\t1 2\n", "#dim 1\nu\xe9\t1\n"]
     )
-    def test_text_the_reader_leaves_to_the_scan(self, tmp_path, monkeypatch, text):
+    def test_text_the_reader_leaves_to_the_scan(self, tmp_path, text):
         # a \r that does not end a line, or bytes that are not UTF-8: read
-        # as the oracle reads them, or the byte it cannot decode named, in
-        # one part and, where the host splits, in two. A lone \r that ends
-        # the header is a line end as any other.
+        # as the oracle reads them, or the byte it cannot decode named. A
+        # lone \r that ends the header is a line end as any other.
         path = tmp_path / "e.tsv"
         path.write_bytes(text.encode("latin-1"))
         try:
@@ -298,19 +307,14 @@ class TestEmbeddingsFormat:
         except UnicodeDecodeError as exc:
             expected = MalformedLine, f"{path}:2: not valid UTF-8 at byte offset {exc.start}"
         assert _outcome(path) == expected
-        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
-        assert _outcome(path) == expected
 
     @pytest.mark.parametrize("header_end", ["\r", "\n"])
     def test_lone_cr_file_is_read_in_bounded_pieces(self, tmp_path, monkeypatch, header_end):
         # a file of lone \r line ends reads as the same file with \n ends,
-        # in two parts where the host splits, the second the child's, and in
-        # one; every read this process makes of either file takes
-        # _PIECE_BYTES at most
+        # in one part; every read of either file takes _PIECE_BYTES at most
         rows = [f"u{i}\t{i} {i / 7!r}" for i in range(300)]
         lf = _write(tmp_path / "lf.tsv", "#dim 2\n" + "\n".join(rows) + "\n")
         cr = _write(tmp_path / "cr.tsv", "#dim 2" + header_end + "\r".join(rows) + "\r")
-        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
         monkeypatch.setattr(tsvio, "_PIECE_BYTES", 64)
         sizes = []
 
@@ -319,17 +323,12 @@ class TestEmbeddingsFormat:
                 sizes.append(size)
                 return super().read(size)
 
-        def spy(file, *args):  # the fork's pipe ends pass through
-            return Spy(io.FileIO(file)) if file in (lf, cr) else open(file, *args)
-
-        monkeypatch.setattr(tsvio, "open", spy, raising=False)
+        monkeypatch.setattr(tsvio, "open", lambda file, *args: Spy(io.FileIO(file)), raising=False)
         parts, real = [], tsvio._read_rows
         monkeypatch.setattr(tsvio, "_read_rows", lambda p, *args: parts.append(p) or real(p, *args))
         expected = _outcome(lf)
         assert _outcome(cr) == expected
-        assert parts == [lf, cr]  # one part each in this process
-        monkeypatch.setattr(tsvio, "_splits", lambda size: False)
-        assert _outcome(cr) == expected
+        assert parts == [lf, cr]  # one part each
         assert len(sizes) > 100
         assert all(0 < size <= 64 for size in sizes)
 
@@ -642,16 +641,21 @@ def _read(parse, path):
 
 @pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("fmt", _READ_ONCE)
-def test_pipe_reads_as_the_file(tmp_path, fmt, kind):
-    # a pipe, which can be read once, gives what the file gives
+def test_pipe_reads_as_the_file(tmp_path, monkeypatch, fmt, kind):
+    # a pipe, which can be read once, gives what the file gives; an
+    # embedding file's temporary copy is gone after the read returns or raises
     parse, contents = _READ_ONCE[fmt]
     content = contents[_KINDS.index(kind)]
     path = tmp_path / "f.tsv"
     path.write_bytes(content)
     expected = _read(parse, path)
     assert (expected[0] is None) == (kind == "valid")
+    spool = tmp_path / "spool"
+    spool.mkdir()
     with piped(content) as pipe:
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
         assert _read(parse, pipe) == expected
+    assert os.listdir(spool) == []
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -1094,9 +1098,9 @@ def test_split_without_cpu_affinity(monkeypatch, cpus, splits):
     not tsvio._splits(tsvio._SPLIT_BYTES), reason="no two-process path on this host"
 )
 class TestSplitFiles:
-    """Embedding files of at least _SPLIT_BYTES, read and written in two
-    processes: the values, bytes and diagnostics of a read in one part, and
-    no child process left behind on any path."""
+    """Embedding files of at least _SPLIT_BYTES, written in two processes
+    with the bytes of one, with no child process left behind on any path,
+    and read in one part as any other file."""
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -1114,19 +1118,6 @@ class TestSplitFiles:
         return path
 
     @pytest.fixture
-    def parts(self, monkeypatch):
-        """One entry per part this process parses: the number of ids it
-        takes as the first part's, 0 for the first part or a whole file."""
-        calls, real = [], tsvio._read_rows
-
-        def spy(path, lines, dim, out, taken=()):
-            calls.append(len(taken))
-            return real(path, lines, dim, out, taken)
-
-        monkeypatch.setattr(tsvio, "_read_rows", spy)
-        return calls
-
-    @pytest.fixture
     def forks(self, monkeypatch):
         """One entry per fork: whether the child's part was used."""
         calls, real = [], tsvio._in_two_parts
@@ -1139,43 +1130,8 @@ class TestSplitFiles:
         monkeypatch.setattr(tsvio, "_in_two_parts", spy)
         return calls
 
-    @staticmethod
-    def whole(path, monkeypatch):
-        with monkeypatch.context() as m:
-            m.setattr(tsvio, "_splits", lambda size: False)
-            return _outcome(path)
-
     def test_roundtrip(self, forks, path):
-        assert forks == [True, True]  # the fixture's write and read
-        _no_child_left()
-
-    # Edits of the last row, which is in the child's part.
-    ROW_EDITS = {
-        "bad token": lambda row: row.rsplit(" ", 1)[0] + " zap",
-        "non-finite value": lambda row: row.rsplit(" ", 1)[0] + " nan",
-        "too few values": lambda row: row.rsplit(" ", 1)[0],
-        "id of the first part": lambda row: "u7" + row[row.index("\t"):],
-        "empty id": lambda row: row[row.index("\t"):],
-        "byte not UTF-8": lambda row: row[:-3] + "\udcff" + row[-2:],
-        # two lines to both readers, the first with one empty value
-        "lone \\r after the tab": lambda row: row.replace("\t", "\t\r", 1),
-    }
-
-    @pytest.mark.parametrize("edit", ROW_EDITS)
-    def test_bad_row_in_the_childs_part(self, path, monkeypatch, forks, parts, edit):
-        # the child fails, or its ids repeat one of the first part's: this
-        # process then reads the second part itself, the first part's ids
-        # taken, and parses the first part once
-        lines = path.read_text(encoding="utf-8").split("\n")
-        lines[-2] = self.ROW_EDITS[edit](lines[-2])
-        path.write_text("\n".join(lines), encoding="utf-8", errors="surrogateescape")
-        del parts[:]
-        outcome = _outcome(path)
-        assert isinstance(outcome[0], type) and issubclass(outcome[0], TdsvError)
-        assert outcome[1].startswith(f"{path}:4001: ")
-        assert len(parts) == 2 and parts[0] == 0 < parts[1]
-        assert outcome == self.whole(path, monkeypatch)
-        assert len(forks) == 1
+        assert forks == [True]  # the fixture's write; its read forks no child
         _no_child_left()
 
     # Layouts that text mode reads as the unedited file.
@@ -1189,40 +1145,26 @@ class TestSplitFiles:
     }
 
     @pytest.mark.parametrize("edit", FILE_EDITS)
-    def test_layout_gives_the_unedited_table(self, path, monkeypatch, edit):
+    def test_layout_gives_the_unedited_table(self, path, edit):
         expected = _outcome(path)
         text = path.read_text(encoding="utf-8")
         path.write_text(self.FILE_EDITS[edit](text), encoding="utf-8", newline="")
-        assert _outcome(path) == self.whole(path, monkeypatch) == expected
-        _no_child_left()
-
-    @pytest.mark.parametrize("edit", FILE_EDITS)
-    def test_layout_read_without_the_scan(self, path, monkeypatch, forks, parts, edit):
-        # each layout in two parts, the second the child's: this process
-        # parses the first part only
-        text = path.read_text(encoding="utf-8")
-        path.write_text(self.FILE_EDITS[edit](text), encoding="utf-8", newline="")
-        expected = self.whole(path, monkeypatch)
-        del parts[:]
         assert _outcome(path) == expected
-        assert (forks, parts) == ([True], [0])
-        _no_child_left()
 
     def test_child_that_dies(self, path, tmp_path, monkeypatch, forks):
+        # this process writes the child's half too: the same bytes
+        table, _ = parse_embeddings(path)
         real = tsvio._in_two_parts
         monkeypatch.setattr(
             tsvio, "_in_two_parts", lambda first, _: real(first, lambda: os._exit(3))
         )
-        table, dim = parse_embeddings(path)
         again = tmp_path / "again.tsv"
         write_embeddings(table, again)
-        assert forks == [False, False]
+        assert forks == [False]
         assert again.read_bytes() == path.read_bytes()
-        assert _outcome(path) == self.whole(path, monkeypatch)
         _no_child_left()
 
-    @pytest.mark.parametrize("op", ["read", "write"])
-    def test_fork_warning_of_a_threaded_process(self, path, tmp_path, monkeypatch, forks, op):
+    def test_fork_warning_of_a_threaded_process(self, path, tmp_path, monkeypatch, forks):
         """Python 3.12+ warns in the parent of a fork of a process with
         threads, as numpy's OpenBLAS ones are; the split ignores that one
         warning, so under an "error" filter it neither fails nor falls back."""
@@ -1244,35 +1186,27 @@ class TestSplitFiles:
         again = tmp_path / "again.tsv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if op == "read":
-                assert parse_embeddings(path) == (table, 16)
-            else:
-                write_embeddings(table, again)
-                assert again.read_bytes() == path.read_bytes()
-        assert forks[-1] is True
+            write_embeddings(table, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert forks == [True]
         _no_child_left()
 
-    def test_no_process_to_fork(self, path, tmp_path, monkeypatch, forks, parts):
-        """A fork that fails leaves the child's part of the read and of the
-        write to this process, which parses the first part once: same
-        table, same bytes."""
+    def test_no_process_to_fork(self, path, tmp_path, monkeypatch, forks):
+        """A fork that fails leaves the child's half of the write to this
+        process: same bytes."""
         table, _ = parse_embeddings(path)
 
         def fork():
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
         monkeypatch.setattr(tsvio.os, "fork", fork)
-        del parts[:]
-        assert parse_embeddings(path) == (table, 16)
-        assert len(parts) == 2 and parts[0] == 0 < parts[1]
         again = tmp_path / "again.tsv"
         write_embeddings(table, again)
         assert again.read_bytes() == path.read_bytes()
-        assert forks[1:] == [False, False]
+        assert forks == [False]
         _no_child_left()
 
-    @pytest.mark.parametrize("op", ["read", "write"])
-    def test_error_in_the_parent_just_after_the_fork(self, path, tmp_path, monkeypatch, op):
+    def test_error_in_the_parent_just_after_the_fork(self, path, tmp_path, monkeypatch):
         """An error the fork raises in the parent once the child exists (an
         interrupt, a warning turned into an error) closes both pipe ends,
         so the child, whose pid the split never learns, exits on its own:
@@ -1294,10 +1228,7 @@ class TestSplitFiles:
         monkeypatch.setattr(tsvio.os, "pipe", pipe)
         monkeypatch.setattr(tsvio.os, "fork", fork)
         with pytest.raises(RuntimeError, match="after the fork"):
-            if op == "read":
-                parse_embeddings(path)
-            else:
-                write_embeddings(table, tmp_path / "again.tsv")
+            write_embeddings(table, tmp_path / "again.tsv")
         open_ends = [end for end in ends if _is_open(end)]
         exited = [_exits_within(pid, 10) for pid in children]
         for end in open_ends:
@@ -1307,7 +1238,7 @@ class TestSplitFiles:
         _no_child_left()
 
     @pytest.mark.skipif(sys.version_info < (3, 12), reason="the fork warning is new in Python 3.12")
-    def test_split_read_and_write_print_nothing_in_dev_mode(self, path, tmp_path):
+    def test_split_write_prints_nothing_in_dev_mode(self, path, tmp_path):
         """-X dev shows every DeprecationWarning, and numpy's threads run in
         the child; its stderr stays empty all the same."""
         child = (
@@ -1323,27 +1254,35 @@ class TestSplitFiles:
             [sys.executable, "-X", "dev", "-c", child, str(path), str(again)],
             env=child_env(), capture_output=True, text=True, timeout=120,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
         assert again.read_bytes() == path.read_bytes()
 
-    def test_interrupt_in_the_parent(self, path, monkeypatch):
-        parent = os.getpid()
+    def test_interrupt_in_the_parent(self, path, tmp_path, monkeypatch):
+        # an interrupt while this process formats its half kills the child,
+        # which would outlast the call, and leaves no file
+        table, _ = parse_embeddings(path)
+        parent, real = os.getpid(), fmt17.format_rows
 
-        def interrupted(*args):
-            if os.getpid() == parent:
+        def interrupted(rows):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif len(rows) > 1:  # past the one row that sizes the file
                 raise KeyboardInterrupt
-            time.sleep(60)  # a child that would outlast the call if not killed
+            return real(rows)
 
-        monkeypatch.setattr(tsvio, "_read_rows", interrupted)
+        monkeypatch.setattr(fmt17, "format_rows", interrupted)
+        again = tmp_path / "again.tsv"
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            parse_embeddings(path)
+            write_embeddings(table, again)
         assert time.monotonic() - start < 30
+        assert not again.exists()
         _no_child_left()
 
-    def test_interrupt_in_the_wait_for_the_child(self, path, monkeypatch):
+    def test_interrupt_in_the_wait_for_the_child(self, path, tmp_path, monkeypatch):
         # an interrupt in the parent's wait kills and reaps the child, and
         # closes both pipe ends, before it is raised
+        table, _ = parse_embeddings(path)
         real_pipe, real_fork, real_wait = os.pipe, os.fork, os.waitpid
         ends, children, waits = [], [], []
 
@@ -1367,71 +1306,16 @@ class TestSplitFiles:
         monkeypatch.setattr(tsvio.os, "fork", fork)
         monkeypatch.setattr(tsvio.os, "waitpid", waitpid)
         with pytest.raises(KeyboardInterrupt):
-            parse_embeddings(path)
+            write_embeddings(table, tmp_path / "again.tsv")
         monkeypatch.undo()
         assert len(children) == 1 and waits == children * 2
         with pytest.raises(ChildProcessError):
             os.waitpid(children[0], os.WNOHANG)
         assert (len(ends), [end for end in ends if _is_open(end)]) == (2, [])
 
-    def test_dim_too_large_for_its_rows(self, tmp_path, monkeypatch):
-        # no mapping is asked for rows that a dim of 10**11 leaves no room
-        # for: the first row's DimMismatch, as in one part
-        path = _write(tmp_path / "e.tsv", "#dim 100000000000\n" + "u\t1 0\n" * 200_000)
-        assert os.path.getsize(path) >= tsvio._SPLIT_BYTES
-        sizes, real = [], mmap.mmap
-        monkeypatch.setattr(mmap, "mmap", lambda fd, size: sizes.append(size) or real(fd, size))
-        with pytest.raises(DimMismatch) as exc:
-            parse_embeddings(path)
-        assert str(exc.value) == f"{path}:2: expected 100000000000 values, got 2"
-        assert sizes == [1]
-        _no_child_left()
-
-    # Inputs of 40 rows that a pipe gives as the file does, each with
-    # whether the child's part comes back when the child is forked.
-    PIPED = {
-        "valid": ("", True),
-        "bad row in the second part": ("u35\t1 zap\n", False),
-        "id repeated across the parts": ("u3\t1 2\n", True),
-        "byte not UTF-8": ("u\udcff\t1 2\n", False),
-    }
-
-    @pytest.mark.parametrize("fork", ["works", "fails"])
-    @pytest.mark.parametrize("case", PIPED)
-    def test_pipe_in_two_parts(self, tmp_path, monkeypatch, forks, case, fork):
-        # a pipe is copied once to a temporary file and read as the file,
-        # in two parts, the child opening the copy; the copy is gone after
-        # the read returns or raises
-        row, child_part_used = self.PIPED[case]
-        rows = [f"u{i}\t{i} {i / 7!r}\n" for i in range(40)]
-        if row:
-            rows[35] = row
-        content = "".join(["#dim 2\n", *rows]).encode(errors="surrogateescape")
-        path = tmp_path / "e.tsv"
-        path.write_bytes(content)
-        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
-        expected = _read(parse_embeddings, path)
-        assert (expected[0] is None) == (case == "valid")
-
-        def no_fork():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        if fork == "fails":
-            monkeypatch.setattr(tsvio.os, "fork", no_fork)
-        del forks[:]
-        spool = tmp_path / "spool"
-        spool.mkdir()
-        with piped(content) as pipe:
-            monkeypatch.setattr(tempfile, "tempdir", str(spool))
-            assert _read(parse_embeddings, pipe) == expected
-        assert forks == [fork == "works" and child_part_used]
-        assert os.listdir(spool) == []
-        _no_child_left()
-
-    def test_line_after_the_rows_a_part_has_room_for(self, tmp_path, monkeypatch):
-        # The second part, 5 rows of the fewest bytes a row can take and
-        # then 'x\n', has room for 5 rows; the line after them is read too.
-        monkeypatch.setattr(tsvio, "_SPLIT_BYTES", 0)
+    def test_line_after_the_rows_a_part_has_room_for(self, tmp_path):
+        # The file, 10 rows of the fewest bytes a row can take and then
+        # 'x\n', has room for 10 rows; the line after them is read too.
         rows = "".join(f"{c}\t1\n" for c in "abcdefghij")
         path = _write(tmp_path / "e.tsv", f"#dim 1\n{rows}x\n")
         with pytest.raises(MalformedLine, match=":12: expected"):
